@@ -32,7 +32,7 @@ from repro.core.resilience import CircuitBreaker, RetryBudget, RetryPolicy
 from repro.core.selector import (SMALL_MESSAGE_THRESHOLD,
                                  TUNER_CONCURRENCY_GRID, TUNER_PAYLOAD_GRID,
                                  ProtocolChoice, select_protocol)
-from repro.core.tracing import FaultCounters
+from repro.core.tracing import CallSpan, FaultCounters
 from repro.protocols import ProtocolError
 from repro.sim.units import KiB
 from repro.thrift.errors import (TRejectedException, TTransportException,
@@ -341,17 +341,19 @@ _BENIGN_TRACE_KINDS = ("failback", "tuner_switch", "tuner_revert",
 
 
 class _PendingCall:
-    """One asynchronous call from post to completion.
+    """The record of one call, blocking or pipelined, from admission to
+    settlement.
 
-    Owns the engine-side bookkeeping a blocking call does inline: the
-    in-flight gauge, breaker verdicts, per-channel metrics, and the trace.
-    :class:`~repro.core.pipeline.ChannelPipeline` drives ``wire`` /
-    ``complete`` / ``fail``; the engine drives the rest.
+    A blocking call has no ``handle`` (its result returns up the caller's
+    stack); a pipelined one settles through it.  The record owns what must
+    be released exactly once on every exit: the in-flight count and the
+    live seqid pin.  :class:`~repro.core.pipeline.ChannelPipeline` drives
+    ``wire`` / ``complete`` / ``fail``; the engine drives the rest.
     """
 
     __slots__ = ("engine", "fn", "route", "message", "oneway", "seqid",
-                 "handle", "act", "attempt", "channel", "t_start",
-                 "_gauge_idx", "epoch")
+                 "handle", "act", "attempt", "channel", "t_start", "epoch",
+                 "error", "_held")
 
     def __init__(self, engine, fn, route, message, oneway, seqid, handle,
                  act):
@@ -366,86 +368,82 @@ class _PendingCall:
         self.attempt = 0
         self.channel = -1
         self.t_start = engine.node.sim.now
-        self._gauge_idx = None
         self.epoch = None            # tuner plan epoch riding on the wire
+        self.error = None            # what the last failed attempt surfaces
+        self._held = None            # channel whose in-flight count we hold
 
     @property
     def resp_hint(self):
         return self.route.resp_hint
 
     def wire(self, pip_seq):
-        """The wire bytes: [trace envelope][pip header][epoch][message]."""
+        """The wire bytes: [trace envelope][pip header][epoch][message].
+        The envelope carries the current attempt's span id, so the server
+        span parents to the attempt that reached it; it is empty for
+        unsampled, unfaulted calls."""
         env = self.act.envelope() if self.act is not None else b""
         pip = pack_pip(pip_seq) if pip_seq is not None else b""
         epo = pack_epo(self.epoch) if self.epoch is not None else b""
         return env + pip + epo + self.message
 
     def mark_inflight(self, idx: int) -> None:
-        self.channel = idx
-        self.handle.channel = idx
-        m = self.engine._chan_metrics.get(idx)
+        """Count the call in flight on channel ``idx``: the count gates
+        drain-and-close, the gauge (when metrics are on) mirrors it."""
+        eng = self.engine
+        eng._inflight[idx] = eng._inflight.get(idx, 0) + 1
+        m = eng._chan_metrics.get(idx)
         if m is not None:
             m[3].inc()
-            self._gauge_idx = idx
+        self._held = idx
 
     def drop_gauge(self) -> None:
-        """Decrement the in-flight gauge exactly once, whatever the path."""
-        if self._gauge_idx is not None:
-            m = self.engine._chan_metrics.get(self._gauge_idx)
-            if m is not None:
-                m[3].dec()
-            self._gauge_idx = None
-
-    def complete(self, resp) -> None:
+        """Give the in-flight count back exactly once, whatever the path."""
+        idx = self._held
+        if idx is None:
+            return
+        self._held = None
         eng = self.engine
-        resp_epoch = None
-        if eng.tuner is not None and resp:
-            resp_epoch, resp = split_epo(resp)
-        if resp:
-            # A rejection frame is not a response: the request never
-            # dispatched server-side.  Hand it to the engine's rejection
-            # path (budgeted re-send or a typed TRejectedException).
-            retry_after, resp = split_rej(resp)
-            if retry_after is not None:
-                eng._on_rejected(self, retry_after)
-                return
-        now = eng.node.sim.now
+        eng._inflight[idx] -= 1
+        m = eng._chan_metrics.get(idx)
+        if m is not None:
+            m[3].dec()
+
+    def release(self) -> None:
+        """Every exit: the count drops and the seqid comes off the live
+        pin, so the ledger can evict it once it is merely historical."""
         self.drop_gauge()
         if self.seqid is not None:
-            eng._sent_seqids.unpin((self.fn, self.seqid))
-        eng._breaker(self.channel).record_success()
-        eng.calls_routed += 1
-        if eng._obs is not None:
-            eng._m_calls.inc()
-            eng._m_latency.record(now - self.t_start)
-            m = eng._chan_metrics.get(self.channel)
-            if m is not None:
-                m[0].inc()
-                m[1].inc(len(self.message))
-                m[2].inc(len(resp or b""))
+            self.engine._sent_seqids.unpin((self.fn, self.seqid))
+
+    def complete(self, resp) -> None:
+        """A response frame arrived for this (pipelined) call."""
+        eng = self.engine
+        self.drop_gauge()
+        try:
+            delay, resp = eng._settle(self, resp)
+        except TRejectedException as exc:
+            self.fail(exc)
+            return
+        if delay is not None:
+            eng._resend(self, delay)
+            return
+        self.release()
         if self.act is not None:
-            self.act.end_attempt(now, status="ok")
-            self.act.finish(now, status="ok",
+            self.act.finish(eng.node.sim.now, status="ok",
                             resp_bytes=len(resp or b""))
-        if eng.tuner is not None and not self.oneway:
-            eng.tuner.observe(
-                self.fn, len(self.message), now - self.t_start, now,
-                self.channel,
-                epoch_ok=(resp_epoch is None
-                          or resp_epoch == eng.tuner.epoch))
-        if eng._drain_pending:
-            eng._drain_unrouted()
         self.handle._resolve(b"" if self.oneway else resp)
 
     def fail(self, exc: BaseException) -> None:
+        """Terminal failure of a pipelined call: lands on the handle."""
         eng = self.engine
-        self.drop_gauge()
-        if self.seqid is not None:
-            eng._sent_seqids.unpin((self.fn, self.seqid))
+        self.release()
         # Last resort before surfacing the failure: a router holding
         # replicas of this key's shard may take the call over (idempotent
-        # reads only -- a re-sent write could double-apply).
+        # reads only -- a re-sent write could double-apply).  A rejection
+        # is never offered: rerouting a shed call onto a replica would
+        # shift the storm sideways instead of shedding it.
         if (eng.sweep_reroute is not None and not self.handle.done
+                and not isinstance(exc, TRejectedException)
                 and eng._connected and self.fn in eng.idempotent_fns):
             try:
                 taken = eng.sweep_reroute(self, exc)
@@ -471,6 +469,15 @@ class HatRpcEngine:
     polling); the per-call dynamic hint path is just the function -> route
     lookup, mirroring the paper's "only pass the pointer and cache the RPC
     function type" minimization.
+
+    Every call is one :class:`_PendingCall` passing the same decision
+    sites, each written once: ``_admit``, ``_begin`` / ``_commit``,
+    ``_channel_failed``, ``_retry_delay``, ``_settle``, ``_backoff``.  Two
+    thin wire drivers loop around them: ``_call_blocking`` runs
+    ``chan.call`` inline in the caller's process; ``_submit_entry`` posts
+    under a :class:`~repro.core.pipeline.ChannelPipeline` window and is
+    finished from its receiver and sweep.  DESIGN.md section 7 tabulates
+    the policy.
 
     Failure handling (all deterministic under a seeded ``rng``):
 
@@ -544,8 +551,12 @@ class HatRpcEngine:
         #: optional online HintTuner (attach_tuner); None = declared hints
         #: only, and the whole tuner path costs one attribute check.
         self.tuner = None
-        #: blocking calls in flight per channel (drain-and-close gating)
-        self._ch_calls: Dict[int, int] = {}
+        #: optional :class:`~repro.core.tracing.Tracer` (attach_tracer):
+        #: one CallSpan per served call, one attribute check when absent.
+        self.tracer = None
+        #: calls committed to each channel and not yet settled, blocking
+        #: and pipelined alike (drain-and-close gating)
+        self._inflight: Dict[int, int] = {}
         self._drain_pending = False
         # -- observability (instruments captured once; None = disabled, so
         # the per-call cost of a disabled run is one attribute check) --
@@ -624,9 +635,7 @@ class HatRpcEngine:
         Calls issued *after* drain_close starts extend the wait -- callers
         should stop routing new work to the engine before invoking it."""
         sim = self.node.sim
-        while self._connected and (
-                any(self._ch_calls.get(i, 0) for i in self._channels)
-                or any(p.pending for p in self._pipelines.values())):
+        while self._connected and any(self._inflight.values()):
             yield sim.timeout(poll)
         self.close()
 
@@ -662,6 +671,10 @@ class HatRpcEngine:
         self._drain_pending = True
         self._drain_unrouted()
 
+    def _routed(self) -> set:
+        """Channel indices some function currently routes to."""
+        return {r.channel for r in self.plan.routes.values()}
+
     def _drain_unrouted(self) -> None:
         """Close channels no route references, once their last call drains.
 
@@ -671,14 +684,12 @@ class HatRpcEngine:
         was meant to shed.  Channels with calls still in flight are left
         for the next completion to retire; a later re-route (or failover)
         simply reopens a retired channel lazily."""
-        used = {r.channel for r in self.plan.routes.values()}
+        used = self._routed()
         pending = False
         for idx in list(self._channels):
             if idx in used:
                 continue
-            pipe = self._pipelines.get(idx)
-            if self._ch_calls.get(idx, 0) or \
-                    (pipe is not None and pipe.pending):
+            if self._inflight.get(idx, 0):
                 pending = True
                 continue
             self._retire_channel(idx)
@@ -751,7 +762,7 @@ class HatRpcEngine:
         pipe = self._pipelines.pop(idx, None)
         if pipe is not None and not pipe.dead:
             # Sweeps the pipeline's in-flight entries through _pipeline_dead
-            # (the pipe is popped first, so the re-pop there is a no-op).
+            # (the pipe is popped first, so its own discard finds nothing).
             pipe._die(ConnectionError(f"channel {idx} discarded"))
         chan = self._channels.pop(idx, None)
         if chan is not None:
@@ -773,7 +784,7 @@ class HatRpcEngine:
                 ctx.event(kind, now, fault=kind not in _BENIGN_TRACE_KINDS,
                           fn=fn, channel=channel, detail=detail)
 
-    # -- the call path -------------------------------------------------------
+    # -- the two entry points ------------------------------------------------
     def call(self, fn_name: str, message: bytes, oneway: bool = False,
              seqid: Optional[int] = None,
              deadline: Optional[float] = None,
@@ -788,56 +799,27 @@ class HatRpcEngine:
         ``message`` began (TRdma records it at ``write_message_begin``);
         it only feeds the "serialize" trace stage.
         """
-        if not self._connected:
-            raise RuntimeError("engine not connected")
-        route = self.plan.routes.get(fn_name)
-        if route is None:
-            raise KeyError(f"function {fn_name!r} not in service plan "
-                           f"for {self.plan.service!r}")
-        pipe = self._pipelines.get(route.channel)
-        if pipe is not None and not pipe.dead and pipe.pending:
-            # A pipeline is active on this channel: a second blocking
-            # receiver on the same CQ would steal its completions, so the
-            # call rides the async path under the same window.
-            handle = yield from self.call_async(fn_name, message,
-                                                oneway=oneway, seqid=seqid)
-            budget = deadline if deadline is not None else self.deadline
-            return (yield from handle.wait(budget))
-        if self._trc is None:
-            return (yield from self._call_inner(fn_name, route, message,
-                                                oneway, seqid, deadline,
-                                                None))
-        # -- traced path: open the trace, ride it on the sim process ---------
+        entry = self._admit(fn_name, message, oneway, seqid,
+                            ser_start=ser_start)
+        budget = deadline if deadline is not None else self.deadline
+        if entry.handle is not None:
+            yield from self._submit_entry(entry)
+            return (yield from entry.handle.wait(budget))
+        run = self._call_blocking(entry) if budget is None \
+            else self._call_within(entry, budget)
+        act = entry.act
+        if act is None:
+            return (yield from run)
+        # The trace rides on the sim process for the whole call, so spans
+        # recorded below the engine (and by a spawned deadline attempt,
+        # which inherits it) land in this call's tree.
         sim = self.node.sim
-        ch = self.plan.channels[route.channel]
-        act = self._trc.start_call(
-            fn_name, self.node.name, lambda: sim.now,
-            attrs={
-                "perf_goal": route.server_hints.perf_goal,
-                "payload_size": route.server_hints.payload_size,
-                "concurrency": route.server_hints.concurrency,
-                "protocol": ch.protocol or "tcp",
-                "transport": ch.transport,
-                "rationale": route.choice.rationale,
-                "req_bytes": len(message),
-                "oneway": oneway,
-                **self.trace_attrs,
-            })
-        act.stage("serialize",
-                  sim.now if ser_start is None else ser_start, sim.now,
-                  nbytes=len(message))
-        # The dynamic-hint path is the route lookup above -- cached
-        # function type, so it costs no simulated time.
-        act.stage("hint_select", sim.now, sim.now,
-                  channel=route.channel, rationale=route.choice.rationale,
-                  **self.trace_attrs)
         p = sim.active_process
         prev_ctx = p.trace_ctx if p is not None else None
         if p is not None:
             p.trace_ctx = act
         try:
-            resp = yield from self._call_inner(fn_name, route, message,
-                                               oneway, seqid, deadline, act)
+            resp = yield from run
         except BaseException as exc:
             act.finish(sim.now, status=type(exc).__name__)
             raise
@@ -850,20 +832,335 @@ class HatRpcEngine:
             if p is not None:
                 p.trace_ctx = prev_ctx
 
-    def _call_inner(self, fn_name: str, route: FunctionRoute,
-                    message: bytes, oneway: bool, seqid: Optional[int],
-                    deadline: Optional[float], act):
-        budget = deadline if deadline is not None else self.deadline
-        if budget is None:
-            return (yield from self._call_with_recovery(
-                fn_name, route, message, oneway, seqid, act))
+    def call_async(self, fn_name: str, message: bytes, oneway: bool = False,
+                   seqid: Optional[int] = None,
+                   channel: Optional[int] = None):
+        """Coroutine: post one serialized message without waiting for the
+        response; returns a :class:`~repro.core.pipeline.CallHandle`.
+
+        Up to the channel's ``window`` calls overlap on one connection;
+        posting the window-plus-first call blocks here until a slot frees
+        (the backpressure).  Results -- and failures -- surface at
+        ``yield from handle.wait()``.  Channels whose protocol cannot
+        pipeline (TCP, rendezvous) still work: the window degrades to one
+        call at a time, preserving the API.
+
+        ``channel`` overrides the planned channel for this one call (the
+        hot-key cache steers promoted misses onto the hot-read channel
+        this way); failover candidates are still ranked from the override.
+        """
+        entry = self._admit(fn_name, message, oneway, seqid, channel=channel,
+                            pipelined=True)
+        yield from self._submit_entry(entry)
+        return entry.handle
+
+    # -- decision sites (each written once; both drivers pass through) -------
+    def _admit(self, fn_name: str, message: bytes, oneway: bool,
+               seqid: Optional[int], channel: Optional[int] = None,
+               pipelined: bool = False,
+               ser_start: Optional[float] = None) -> _PendingCall:
+        """Admission: route lookup, per-call channel override, wire-driver
+        choice, the seqid gate and the trace root.  Returns the call's
+        record; a refused call leaves none."""
+        if not self._connected:
+            raise RuntimeError("engine not connected")
+        route = self.plan.routes.get(fn_name)
+        if route is None:
+            raise KeyError(f"function {fn_name!r} not in service plan "
+                           f"for {self.plan.service!r}")
+        if channel is not None and channel != route.channel:
+            if not 0 <= channel < len(self.plan.channels):
+                raise KeyError(f"channel override {channel} out of range "
+                               f"for {self.plan.service!r}")
+            route = replace(route, channel=channel)
+        if not pipelined:
+            # A second blocking receiver on a CQ with a live pipeline
+            # would steal its completions, so the call rides the same
+            # window.  Otherwise the blocking driver is the cheaper one: no
+            # handle, event, spawned process or correlation header.
+            pipe = self._pipelines.get(route.channel)
+            pipelined = pipe is not None and not pipe.dead \
+                and pipe.pending > 0
+        if fn_name not in self.idempotent_fns and seqid is not None \
+                and (fn_name, seqid) in self._sent_seqids:
+            # The seqid gate: this exact message already reached the wire
+            # once; re-sending it could double-apply a write.
+            self.faults.blind_retries_prevented += 1
+            self._trace("blind_retry_prevented", fn_name, route.channel,
+                        f"seqid={seqid}")
+            raise TTransportException(
+                TTransportException.UNKNOWN,
+                f"refusing to re-send non-idempotent {fn_name} seqid={seqid};"
+                " re-issue the call under a fresh seqid")
         sim = self.node.sim
-        # The spawned recovery process inherits the caller's trace_ctx, so
-        # spans recorded inside it land in the same trace.
-        attempt = sim.process(
-            self._call_with_recovery(fn_name, route, message, oneway, seqid,
-                                     act),
-            name=f"call-{fn_name}")
+        handle = None
+        if pipelined:
+            handle = CallHandle(sim, fn_name)
+            handle._engine = self
+        act = None
+        if self._trc is not None:
+            ch = self.plan.channels[route.channel]
+            attrs = {
+                "perf_goal": route.server_hints.perf_goal,
+                "payload_size": route.server_hints.payload_size,
+                "concurrency": route.server_hints.concurrency,
+                "protocol": ch.protocol or "tcp",
+                "transport": ch.transport,
+                "rationale": route.choice.rationale,
+                "req_bytes": len(message),
+                "oneway": oneway,
+            }
+            if pipelined:
+                attrs["window"] = ch.window
+                attrs["async"] = True
+            attrs.update(self.trace_attrs)
+            act = self._trc.start_call(fn_name, self.node.name,
+                                       lambda: sim.now, attrs=attrs)
+            if not pipelined:
+                act.stage("serialize",
+                          sim.now if ser_start is None else ser_start,
+                          sim.now, nbytes=len(message))
+                # The dynamic-hint path is the route lookup above -- cached
+                # function type, so it costs no simulated time.
+                act.stage("hint_select", sim.now, sim.now,
+                          channel=route.channel,
+                          rationale=route.choice.rationale,
+                          **self.trace_attrs)
+        return _PendingCall(self, fn_name, route, message, oneway, seqid,
+                            handle, act)
+
+    def _begin(self, entry: _PendingCall) -> int:
+        """Start one attempt: pick the channel (primary, else the best
+        surviving failover candidate) and open the attempt span -- before
+        the channel opens, so connect time lands inside it."""
+        primary = entry.route.channel
+        for idx in self._candidates(primary):
+            ch_plan = self.plan.channels[idx]
+            if idx != primary and len(entry.message) > ch_plan.max_msg:
+                continue  # message would not fit the fallback's buffers
+            if self._breaker(idx).allow():
+                break
+        else:
+            raise entry.error or TTransportException(
+                TTransportException.NOT_OPEN,
+                f"no channel available for {entry.fn}: "
+                "all circuit breakers open")
+        entry.channel = idx
+        if entry.handle is not None:
+            entry.handle.channel = idx
+        if entry.act is not None:
+            entry.act.begin_attempt(self.node.sim.now, attempt=entry.attempt,
+                                    channel=idx,
+                                    protocol=ch_plan.protocol or "tcp",
+                                    transport=ch_plan.transport)
+        return idx
+
+    def _establish(self, entry: _PendingCall):
+        """Coroutine: open the attempt's channel on first use."""
+        idx = entry.channel
+        t_conn = self.node.sim.now
+        chan = yield from self._open_channel(self.plan.channels[idx])
+        if entry.act is not None:
+            entry.act.stage("connect", t_conn, self.node.sim.now,
+                            channel=idx)
+        if self.tuner is not None and idx not in self._routed():
+            # The tuner retargeted away from this channel mid-handshake,
+            # where the retarget-time drain could not see it.  Run the
+            # committed call, then let the completion-side drain retire it.
+            self._drain_pending = True
+        return chan
+
+    def _commit(self, entry: _PendingCall) -> None:
+        """The call is about to reach the wire on its attempt's channel:
+        from here on a failure may have been delivered."""
+        idx = entry.channel
+        if entry.seqid is not None:
+            # Pinned while in flight: cap pressure from later calls must
+            # not evict a live seqid (that would silently re-open the
+            # duplicate-send window).
+            self._sent_seqids.add((entry.fn, entry.seqid), pinned=True)
+        self._note_routing(entry.fn, entry.route, idx)
+        if self.tuner is not None:
+            entry.epoch = self.tuner.epoch \
+                if self.plan.channels[idx].transport == "rdma" else None
+        entry.mark_inflight(idx)
+
+    def _channel_failed(self, entry: _PendingCall, exc: BaseException
+                        ) -> None:
+        """The transport of ``entry``'s channel failed: charged once per
+        failure, whichever driver (or the pipeline sweep) saw it."""
+        idx = entry.channel
+        if self.tuner is not None and isinstance(exc, ProtocolError):
+            # Oversize payloads are the tuner's urgent case: the declared
+            # payload hint is provably wrong, not merely slow, so it may
+            # retarget without the usual dwell.  Signalled first: the
+            # retarget retires the now-unrouted channel itself, so the
+            # discard below finds nothing to charge a reconnect for.
+            self.tuner.observe_error(entry.fn, len(entry.message), idx)
+        self._breaker(idx).record_failure()
+        self.faults.channel_failures += 1
+        self._trace("channel_error", entry.fn, idx, type(exc).__name__)
+        self._discard_channel(idx)
+
+    def _retry_delay(self, entry: _PendingCall, error: Exception,
+                     sent: bool = False,
+                     retry_after: Optional[float] = None) -> float:
+        """The per-call retry decision after a failed attempt: returns the
+        backoff before the next one, or raises ``error`` -- what the call
+        surfaces when the answer is no.  ``sent``: the request may have
+        reached the wire; ``retry_after`` marks a rejection (provably never
+        dispatched, so ``sent`` does not apply)."""
+        policy = self.retry_policy
+        idx = entry.channel
+        entry.error = error
+        entry.attempt += 1
+        if sent and entry.fn not in self.idempotent_fns:
+            # Wire state unknown: a blind re-send could double-apply.
+            self.faults.blind_retries_prevented += 1
+            self._trace("blind_retry_prevented", entry.fn, idx,
+                        f"seqid={entry.seqid}")
+            raise error
+        if entry.attempt >= policy.max_attempts or not self._connected:
+            raise error
+        if self.retry_budget is not None \
+                and not self.retry_budget.try_spend():
+            # The shared budget (None = unlimited) denies the retry: the
+            # typed error surfaces instead of another wire attempt.
+            self.faults.budget_exhausted += 1
+            self._trace("retry_budget_exhausted", entry.fn, idx)
+            raise error
+        delay = policy.backoff(entry.attempt - 1, self.rng)
+        if retry_after is None:
+            self.faults.retries += 1
+            kind = "retry"
+        else:
+            self.faults.rejected_retries += 1
+            kind = "rejected_retry"
+            delay = max(retry_after, delay)
+        self._trace(kind, entry.fn, idx,
+                    f"attempt={entry.attempt} backoff={delay:.2e}")
+        return delay
+
+    def _attempt_failed(self, entry: _PendingCall, exc: BaseException,
+                        sent: bool) -> float:
+        """A driver's attempt died of channel error ``exc``: close its span
+        (before the fault events, so they read as root-level siblings of
+        the attempt subtrees), charge the channel, decide the retry."""
+        if entry.act is not None:
+            entry.act.end_attempt(self.node.sim.now, status="error",
+                                  error=type(exc).__name__)
+        self._channel_failed(entry, exc)
+        return self._retry_delay(entry, self._map_error(exc), sent)
+
+    def _settle(self, entry: _PendingCall, resp):
+        """Settle one response frame.  Returns ``(None, payload)`` for a
+        served call, ``(delay, None)`` for a shed one that is to be re-sent
+        after ``delay``; raises the typed rejection when it is not."""
+        idx = entry.channel
+        act = entry.act
+        now = self.node.sim.now
+        resp_epoch = None
+        if self.tuner is not None and resp:
+            # The server echoes the request's epoch tag ahead of the
+            # response (rejections come back untagged; split_epo passes
+            # them through).
+            resp_epoch, resp = split_epo(resp)
+        # A frame came back, so the transport worked: the breaker is
+        # credited whether the server served the call or shed it.
+        self._breaker(idx).record_success()
+        if resp:
+            retry_after, resp = split_rej(resp)
+            if retry_after is not None:
+                # Admission rejection: load, not failure.  The gate runs
+                # before dispatch, so the re-send is safe whatever the
+                # function's idempotency -- after honoring the server's
+                # ``retry_after``, under the retry budget.
+                self.faults.rejections += 1
+                self._trace("rejected", entry.fn, idx,
+                            f"retry_after={retry_after:.2e}")
+                if act is not None:
+                    act.end_attempt(now, status="rejected")
+                return self._retry_delay(
+                    entry, TRejectedException(retry_after),
+                    retry_after=retry_after), None
+        if act is not None:
+            act.end_attempt(now, status="ok")
+        latency = now - entry.t_start
+        self.calls_routed += 1
+        if self._obs is not None:
+            self._m_calls.inc()
+            self._m_latency.record(latency)
+            m = self._chan_metrics.get(idx)
+            if m is not None:
+                m[0].inc()
+                m[1].inc(len(entry.message))
+                m[2].inc(len(resp or b""))
+        if self.tracer is not None:
+            ch = self.plan.channels[idx]
+            self.tracer.record(CallSpan(
+                function=entry.fn, channel=idx, protocol=ch.protocol,
+                transport=ch.transport, request_bytes=len(entry.message),
+                response_bytes=len(resp or b""), start=entry.t_start,
+                end=now))
+        if self.tuner is not None and not entry.oneway:
+            self.tuner.observe(
+                entry.fn, len(entry.message), latency, now, idx,
+                epoch_ok=(resp_epoch is None
+                          or resp_epoch == self.tuner.epoch))
+        if self._drain_pending:
+            self._drain_unrouted()
+        return None, resp
+
+    def _backoff(self, entry: _PendingCall, delay: float):
+        """Coroutine: the one backoff sleep."""
+        sim = self.node.sim
+        t_back = sim.now
+        yield sim.timeout(delay)
+        if entry.act is not None:
+            entry.act.stage("backoff", t_back, sim.now,
+                            attempt=entry.attempt)
+
+    # -- the blocking wire driver --------------------------------------------
+    def _call_blocking(self, entry: _PendingCall):
+        """Coroutine: run ``chan.call`` inline in the caller's process until
+        the call settles: returns the response or raises the terminal error."""
+        try:
+            while True:
+                idx = self._begin(entry)
+                sent = False
+                try:
+                    chan = self._channels.get(idx)
+                    if chan is None:
+                        chan = yield from self._establish(entry)
+                    self._commit(entry)
+                    sent = True
+                    try:
+                        resp = yield from chan.call(
+                            entry.wire(None), resp_hint=entry.route.resp_hint,
+                            oneway=entry.oneway, trace=entry.act)
+                    finally:
+                        # Every exit gives the count back -- including a
+                        # deadline interrupt delivered into chan.call.
+                        entry.drop_gauge()
+                except _CHANNEL_ERRORS as exc:
+                    delay = self._attempt_failed(entry, exc, sent)
+                else:
+                    delay, resp = self._settle(entry, resp)
+                    if delay is None:
+                        return resp
+                yield from self._backoff(entry, delay)
+        finally:
+            entry.release()
+
+    def _call_within(self, entry: _PendingCall, budget: float):
+        """Coroutine: the blocking driver under a deadline.  A
+        single-outstanding wire cannot be abandoned mid-call, so expiry
+        interrupts the attempt and discards its channel."""
+        sim = self.node.sim
+        # The spawned process inherits the caller's trace_ctx, so spans
+        # recorded inside it land in the same trace.
+        attempt = sim.process(self._call_blocking(entry),
+                              name=f"call-{entry.fn}")
         expiry = sim.timeout(budget)
         try:
             yield sim.any_of([attempt, expiry])
@@ -875,211 +1172,124 @@ class HatRpcEngine:
         # discard whatever channel it was using -- its wire state is unknown.
         attempt.defuse()
         attempt.interrupt("deadline")
-        if act is not None:
+        if entry.act is not None:
             # The interrupted process never reaches its own end_attempt;
             # close the span here so the committed trace has no dangling
             # attempt and stage attribution doesn't miscount the tail.
-            act.end_attempt(sim.now, status="interrupted")
+            entry.act.end_attempt(sim.now, status="interrupted")
+        primary = entry.route.channel
         self.faults.timeouts += 1
-        self._trace("timeout", fn_name, route.channel, f"budget={budget}")
-        self._discard_channel(self._last_channel.get(route.channel,
-                                                     route.channel))
+        self._trace("timeout", entry.fn, primary, f"budget={budget}")
+        self._discard_channel(self._last_channel.get(primary, primary))
         raise TTransportException(
             TTransportException.TIMED_OUT,
-            f"{fn_name} exceeded its {budget * 1e6:.0f}us deadline")
+            f"{entry.fn} exceeded its {budget * 1e6:.0f}us deadline")
 
-    def _call_with_recovery(self, fn_name: str, route: FunctionRoute,
-                            message: bytes, oneway: bool,
-                            seqid: Optional[int], act=None):
-        """Coroutine wrapper: however the recovery loop exits (success,
-        exhaustion, deadline interrupt), the seqid comes off the live pin
-        so the ledger can evict it once it is merely historical."""
+    # -- the pipelined wire driver -------------------------------------------
+    def _submit_entry(self, entry: _PendingCall,
+                      delay: Optional[float] = None):
+        """Coroutine: put one call on a channel's in-flight window (after
+        ``delay`` when this is a detached re-send), retrying establishment
+        / post failures.  The call is finished later, from the pipeline's
+        receiver (:meth:`_PendingCall.complete`) or sweep
+        (:meth:`_pipeline_dead`); failures land on the handle."""
+        detached = delay is not None
+        p = self.node.sim.active_process
+        prev_ctx = p.trace_ctx if p is not None else None
+        if p is not None:
+            p.trace_ctx = entry.act
         try:
-            return (yield from self._recovery_loop(fn_name, route, message,
-                                                   oneway, seqid, act))
-        finally:
-            if seqid is not None:
-                self._sent_seqids.unpin((fn_name, seqid))
-
-    def _recovery_loop(self, fn_name: str, route: FunctionRoute,
-                       message: bytes, oneway: bool,
-                       seqid: Optional[int], act=None):
-        policy = self.retry_policy
-        idempotent = fn_name in self.idempotent_fns
-        call_key = (fn_name, seqid)
-        if not idempotent and seqid is not None and \
-                call_key in self._sent_seqids:
-            # The seqid gate: this exact message already reached the wire
-            # once; re-sending it could double-apply a write.
-            self.faults.blind_retries_prevented += 1
-            self._trace("blind_retry_prevented", fn_name, route.channel,
-                        f"seqid={seqid}")
-            raise TTransportException(
-                TTransportException.UNKNOWN,
-                f"refusing to re-send non-idempotent {fn_name} seqid={seqid};"
-                " re-issue the call under a fresh seqid")
-        last_exc: Optional[Exception] = None
-        t_start = self.node.sim.now
-        for attempt in range(policy.max_attempts):
-            idx = self._pick_channel(route, len(message))
-            if idx is None:
-                break  # every candidate's breaker is open
-            breaker = self._breaker(idx)
-            sent = False
-            inflight = None
-            if act is not None:
-                ch_plan = self.plan.channels[idx]
-                act.begin_attempt(self.node.sim.now, attempt=attempt,
-                                  channel=idx,
-                                  protocol=ch_plan.protocol or "tcp",
-                                  transport=ch_plan.transport)
-            try:
-                chan = self._channels.get(idx)
-                if chan is None:
-                    t_conn = self.node.sim.now
-                    chan = yield from self._open_channel(
-                        self.plan.channels[idx])
-                    if act is not None:
-                        act.stage("connect", t_conn, self.node.sim.now,
-                                  channel=idx)
-                    if self.tuner is not None and idx not in {
-                            r.channel for r in self.plan.routes.values()}:
-                        # The tuner retargeted away from this channel while
-                        # its handshake was in flight -- the retarget-time
-                        # drain could not see it.  Run the committed call,
-                        # then let the completion-side drain retire it.
-                        self._drain_pending = True
-                sent = True
-                if seqid is not None:
-                    # Pinned while in flight: cap pressure from later calls
-                    # must not evict a live seqid (that would silently
-                    # re-open the duplicate-send window).
-                    self._sent_seqids.add(call_key, pinned=True)
-                self._note_routing(fn_name, route, idx)
-                if self._obs is not None:
-                    m = self._chan_metrics.get(idx)
-                    if m is not None:
-                        inflight = m[3]
-                        inflight.inc()
-                # The wire envelope carries this attempt's span id, so the
-                # server span parents to the attempt that reached it.  It
-                # is empty for unsampled, unfaulted calls.
-                wire_msg = message if act is None \
-                    else act.envelope() + message
-                if self.tuner is not None \
-                        and self.plan.channels[idx].transport == "rdma":
-                    env = b"" if act is None else act.envelope()
-                    wire_msg = env + pack_epo(self.tuner.epoch) + message
-                self._ch_calls[idx] = self._ch_calls.get(idx, 0) + 1
+            while True:
+                if delay is not None:
+                    yield from self._backoff(entry, delay)
+                idx = self._begin(entry)
                 try:
-                    resp = yield from chan.call(wire_msg,
-                                                resp_hint=route.resp_hint,
-                                                oneway=oneway, trace=act)
-                finally:
-                    # Every exit path decrements -- including a deadline
-                    # interrupt delivered into chan.call, which used to
-                    # leave the gauge permanently high.
-                    self._ch_calls[idx] -= 1
-                    if inflight is not None:
-                        inflight.dec()
-                        inflight = None
-            except _CHANNEL_ERRORS as exc:
-                last_exc = self._map_error(exc)
-                if self.tuner is not None and isinstance(exc, ProtocolError):
-                    # Oversize payloads are the tuner's urgent case: the
-                    # declared payload hint is provably wrong, not merely
-                    # slow, so it may retarget without the usual dwell.
-                    self.tuner.observe_error(fn_name, len(message), idx)
-                if act is not None:
-                    # Close the attempt before recording events so faults
-                    # read as root-level siblings of the attempt subtrees.
-                    act.end_attempt(self.node.sim.now, status="error",
-                                    error=type(exc).__name__)
-                breaker.record_failure()
-                self.faults.channel_failures += 1
-                self._trace("channel_error", fn_name, idx,
-                            type(exc).__name__)
-                self._discard_channel(idx)
-                if sent and not idempotent:
-                    self.faults.blind_retries_prevented += 1
-                    self._trace("blind_retry_prevented", fn_name, idx,
-                                f"seqid={seqid}")
-                    raise last_exc from exc
-                if attempt + 1 < policy.max_attempts:
-                    if not self._spend_retry(fn_name, idx):
-                        break
-                    self.faults.retries += 1
-                    delay = policy.backoff(attempt, self.rng)
-                    self._trace("retry", fn_name, idx,
-                                f"attempt={attempt + 1} backoff={delay:.2e}")
-                    t_back = self.node.sim.now
-                    yield self.node.sim.timeout(delay)
-                    if act is not None:
-                        act.stage("backoff", t_back, self.node.sim.now,
-                                  attempt=attempt + 1)
-                continue
-            resp_epoch = None
-            if self.tuner is not None and resp:
-                # The server echoes the request's epoch tag ahead of the
-                # response (rejections come back untagged; split_epo
-                # passes them through).
-                resp_epoch, resp = split_epo(resp)
-            if resp:
-                retry_after, resp = split_rej(resp)
-                if retry_after is not None:
-                    # Admission rejection: the request provably never
-                    # dispatched, so the re-send is safe regardless of
-                    # idempotency, and the transport worked -- the breaker
-                    # is credited, not charged.
-                    breaker.record_success()
-                    self.faults.rejections += 1
-                    self._trace("rejected", fn_name, idx,
-                                f"retry_after={retry_after:.2e}")
-                    if act is not None:
-                        act.end_attempt(self.node.sim.now, status="rejected")
-                    last_exc = TRejectedException(retry_after)
-                    if attempt + 1 < policy.max_attempts \
-                            and self._spend_retry(fn_name, idx):
-                        self.faults.rejected_retries += 1
-                        delay = max(retry_after,
-                                    policy.backoff(attempt, self.rng))
-                        self._trace("rejected_retry", fn_name, idx,
-                                    f"attempt={attempt + 1} "
-                                    f"backoff={delay:.2e}")
-                        t_back = self.node.sim.now
-                        yield self.node.sim.timeout(delay)
-                        if act is not None:
-                            act.stage("backoff", t_back, self.node.sim.now,
-                                      attempt=attempt + 1)
+                    chan = self._channels.get(idx)
+                    if chan is None:
+                        chan = yield from self._establish(entry)
+                    pipe = self._pipeline_for(idx, chan)
+                    self._commit(entry)
+                    yield from pipe.submit(entry)
+                    return
+                except PipelineDead as dead:
+                    exc, sent = dead.__cause__, True
+                    if exc is None:
+                        # Died while this entry waited for a window slot:
+                        # it never reached the wire and the sweep already
+                        # charged the channel, so re-picking costs no
+                        # budget and no backoff.
+                        entry.drop_gauge()
+                        if entry.act is not None:
+                            entry.act.end_attempt(self.node.sim.now,
+                                                  status="error",
+                                                  error="PipelineDead")
+                        entry.attempt += 1
+                        if entry.attempt >= self.retry_policy.max_attempts \
+                                or not self._connected:
+                            raise self._map_error(dead)
+                        delay = None
                         continue
-                    raise last_exc
-            if act is not None:
-                act.end_attempt(self.node.sim.now, status="ok")
-            breaker.record_success()
-            self.calls_routed += 1
-            if self._obs is not None:
-                self._m_calls.inc()
-                self._m_latency.record(self.node.sim.now - t_start)
-                m = self._chan_metrics.get(idx)
-                if m is not None:
-                    m[0].inc()
-                    m[1].inc(len(message))
-                    m[2].inc(len(resp or b""))
-            if self.tuner is not None and not oneway:
-                self.tuner.observe(
-                    fn_name, len(message), self.node.sim.now - t_start,
-                    self.node.sim.now, idx,
-                    epoch_ok=(resp_epoch is None
-                              or resp_epoch == self.tuner.epoch))
-            if self._drain_pending:
-                self._drain_unrouted()
-            return resp
-        if last_exc is not None:
-            raise last_exc
-        raise TTransportException(
-            TTransportException.NOT_OPEN,
-            f"no channel available for {fn_name}: all circuit breakers open")
+                    # else the post itself failed: wire state is unknown
+                except _CHANNEL_ERRORS as err:
+                    exc, sent = err, False     # establishment failed
+                entry.drop_gauge()
+                delay = self._attempt_failed(entry, exc, sent)
+        except Exception as exc:
+            # A foreign exception in the caller's own process is theirs.
+            if not (detached or isinstance(exc, TTransportException)):
+                raise
+            entry.fail(exc)
+        finally:
+            if p is not None:
+                p.trace_ctx = prev_ctx
 
+    def _resend(self, entry: _PendingCall, delay: float) -> None:
+        """Re-send a settled-as-retry pipelined call from a detached
+        process (its caller may be gone; only the handle waits)."""
+        self.node.sim.process(self._submit_entry(entry, delay),
+                              name=f"resubmit-{entry.fn}")
+
+    def _pipeline_for(self, idx: int, chan) -> ChannelPipeline:
+        """The live pipeline over open channel ``idx`` (made on first use)."""
+        pipe = self._pipelines.get(idx)
+        if pipe is None or pipe.dead:
+            m = self._chan_metrics.get(idx)
+            pipe = self._pipelines[idx] = ChannelPipeline(
+                self.node.sim, chan, window=self.plan.channels[idx].window,
+                index=idx, error_types=_CHANNEL_ERRORS,
+                on_dead=self._pipeline_dead,
+                occupancy=m[4] if m is not None else None)
+        return pipe
+
+    def _pipeline_dead(self, pipe: ChannelPipeline, entries, exc) -> None:
+        """A channel died with calls in flight: charge it once, then give
+        every swept call its own retry decision -- idempotent ones re-send
+        elsewhere, the rest fail, none blocks its neighbors."""
+        now = self.node.sim.now
+        for entry in entries:
+            entry.drop_gauge()
+            if entry.act is not None:
+                entry.act.end_attempt(now, status="error",
+                                      error=type(exc).__name__)
+        self._channel_failed(entries[0], exc)
+        mapped = self._map_error(exc)
+        for entry in entries:
+            try:
+                delay = self._retry_delay(entry, mapped, sent=True)
+            except TTransportException as error:
+                entry.fail(error)
+            else:
+                self._resend(entry, delay)
+
+    def _note_abandoned(self, handle: CallHandle) -> None:
+        """A waiter timed out on a still-in-flight pipelined call: account
+        it as a timeout, but leave the wire alone -- the late response is
+        dropped on arrival and window neighbors keep flowing."""
+        self.faults.timeouts += 1
+        self._trace("timeout", handle.fn, handle.channel,
+                    "abandoned in-flight (pipelined)")
+
+    # -- routing helpers -----------------------------------------------------
     def hot_read_channel(self) -> Optional[int]:
         """Index of the plan's one-sided hot-read channel, if provisioned."""
         for ch in self.plan.channels:
@@ -1101,361 +1311,6 @@ class HatRpcEngine:
             return False
         pipe = self._pipelines.get(route.channel)
         return pipe is not None and pipe._credits <= 0
-
-    # -- the asynchronous (pipelined) call path ------------------------------
-    def call_async(self, fn_name: str, message: bytes, oneway: bool = False,
-                   seqid: Optional[int] = None,
-                   channel: Optional[int] = None):
-        """Coroutine: post one serialized message without waiting for the
-        response; returns a :class:`~repro.core.pipeline.CallHandle`.
-
-        Up to the channel's ``window`` calls overlap on one connection;
-        posting the window-plus-first call blocks here until a slot frees
-        (the backpressure).  Results -- and failures -- surface at
-        ``yield from handle.wait()``.  Channels whose protocol cannot
-        pipeline (TCP, rendezvous) still work: the window degrades to one
-        call at a time, preserving the API.
-
-        ``channel`` overrides the planned channel for this one call (the
-        hot-key cache steers promoted misses onto the hot-read channel
-        this way); failover candidates are still ranked from the override.
-        """
-        if not self._connected:
-            raise RuntimeError("engine not connected")
-        route = self.plan.routes.get(fn_name)
-        if route is None:
-            raise KeyError(f"function {fn_name!r} not in service plan "
-                           f"for {self.plan.service!r}")
-        if channel is not None and channel != route.channel:
-            if not 0 <= channel < len(self.plan.channels):
-                raise KeyError(f"channel override {channel} out of range "
-                               f"for {self.plan.service!r}")
-            route = replace(route, channel=channel)
-        if fn_name not in self.idempotent_fns and seqid is not None \
-                and (fn_name, seqid) in self._sent_seqids:
-            self.faults.blind_retries_prevented += 1
-            self._trace("blind_retry_prevented", fn_name, route.channel,
-                        f"seqid={seqid}")
-            raise TTransportException(
-                TTransportException.UNKNOWN,
-                f"refusing to re-send non-idempotent {fn_name} seqid={seqid};"
-                " re-issue the call under a fresh seqid")
-        sim = self.node.sim
-        handle = CallHandle(sim, fn_name)
-        handle._engine = self
-        act = None
-        if self._trc is not None:
-            ch = self.plan.channels[route.channel]
-            act = self._trc.start_call(
-                fn_name, self.node.name, lambda: sim.now,
-                attrs={
-                    "perf_goal": route.server_hints.perf_goal,
-                    "protocol": ch.protocol or "tcp",
-                    "transport": ch.transport,
-                    "window": ch.window,
-                    "req_bytes": len(message),
-                    "oneway": oneway,
-                    "async": True,
-                    **self.trace_attrs,
-                })
-        entry = _PendingCall(self, fn_name, route, message, oneway, seqid,
-                             handle, act)
-        yield from self._submit_entry(entry)
-        return handle
-
-    def call_many(self, calls: Sequence[tuple],
-                  return_exceptions: bool = False):
-        """Coroutine: issue a batch of calls under the in-flight window and
-        gather every result.
-
-        ``calls`` is a sequence of ``(fn_name, message)`` (optionally
-        ``(fn_name, message, oneway, seqid)``) tuples.  All requests are
-        posted before the first response is awaited, so per-call round-trip
-        latency amortizes across the batch.  Results come back in call
-        order; with ``return_exceptions`` per-call failures are returned in
-        place, otherwise the first failure is raised after the batch
-        settles.
-        """
-        sim = self.node.sim
-        batch = None
-        if self._trc is not None:
-            batch = self._trc.start_call(
-                "call_many", self.node.name, lambda: sim.now,
-                attrs={"n": len(calls), "service": self.plan.service})
-        try:
-            t0 = sim.now
-            handles = []
-            for item in calls:
-                fn, message = item[0], item[1]
-                oneway = item[2] if len(item) > 2 else False
-                seqid = item[3] if len(item) > 3 else None
-                handles.append((yield from self.call_async(
-                    fn, message, oneway=oneway, seqid=seqid)))
-            if batch is not None:
-                batch.stage("post", t0, sim.now, n=len(handles))
-            t1 = sim.now
-            results: List[Any] = []
-            first_exc: Optional[Exception] = None
-            for h in handles:
-                try:
-                    results.append((yield from h.wait()))
-                except Exception as exc:
-                    if first_exc is None:
-                        first_exc = exc
-                    results.append(exc)
-            if batch is not None:
-                batch.stage("gather", t1, sim.now)
-        except BaseException as exc:
-            if batch is not None:
-                batch.finish(sim.now, status=type(exc).__name__)
-            raise
-        if batch is not None:
-            batch.finish(sim.now, status="ok" if first_exc is None
-                         else type(first_exc).__name__)
-        if first_exc is not None and not return_exceptions:
-            raise first_exc
-        return results
-
-    def _submit_entry(self, entry: _PendingCall):
-        """Coroutine: put one pending call on a channel, retrying channel
-        establishment / admission failures under the retry policy.  On
-        exhaustion the entry is *failed*, never raised -- async failures
-        surface at the handle."""
-        policy = self.retry_policy
-        sim = self.node.sim
-        while entry.attempt < policy.max_attempts:
-            idx = self._pick_channel(entry.route, len(entry.message))
-            if idx is None:
-                break  # every candidate's breaker is open
-            breaker = self._breaker(idx)
-            try:
-                pipe = yield from self._pipeline_for(idx)
-                if self.tuner is not None and idx not in {
-                        r.channel for r in self.plan.routes.values()}:
-                    # Retargeted mid-open: commit this call, drain after.
-                    self._drain_pending = True
-            except _CHANNEL_ERRORS as exc:
-                breaker.record_failure()
-                self.faults.channel_failures += 1
-                self._trace("channel_error", entry.fn, idx,
-                            type(exc).__name__)
-                self._discard_channel(idx)
-                entry.attempt += 1
-                if entry.attempt < policy.max_attempts \
-                        and self._spend_retry(entry.fn, idx):
-                    yield from self._async_backoff(entry, idx)
-                    continue
-                entry.fail(self._map_error(exc))
-                return
-            if entry.act is not None:
-                ch_plan = self.plan.channels[idx]
-                entry.act.begin_attempt(sim.now, attempt=entry.attempt,
-                                        channel=idx,
-                                        protocol=ch_plan.protocol or "tcp",
-                                        transport=ch_plan.transport)
-            if entry.seqid is not None:
-                self._sent_seqids.add((entry.fn, entry.seqid), pinned=True)
-            self._note_routing(entry.fn, entry.route, idx)
-            entry.epoch = (self.tuner.epoch if self.tuner is not None
-                           and self.plan.channels[idx].transport == "rdma"
-                           else None)
-            p = sim.active_process
-            prev_ctx = p.trace_ctx if p is not None else None
-            if p is not None:
-                p.trace_ctx = entry.act
-            try:
-                yield from pipe.submit(entry)
-            except PipelineDead as exc:
-                if entry.act is not None:
-                    entry.act.end_attempt(sim.now, status="error",
-                                          error="PipelineDead")
-                cause = exc.__cause__
-                entry.attempt += 1
-                if cause is None:
-                    # Died while this entry waited for a window slot: it
-                    # never reached the wire (the sweep already charged the
-                    # breaker), so re-picking is always safe.
-                    if entry.attempt < policy.max_attempts \
-                            and self._connected:
-                        continue
-                    entry.fail(self._map_error(exc))
-                    return
-                # The post itself failed: wire state is unknown.
-                breaker.record_failure()
-                self.faults.channel_failures += 1
-                if self.tuner is not None \
-                        and isinstance(cause, ProtocolError):
-                    self.tuner.observe_error(entry.fn, len(entry.message),
-                                             idx)
-                self._trace("channel_error", entry.fn, idx,
-                            type(cause).__name__)
-                self._discard_channel(idx)
-                if entry.fn not in self.idempotent_fns:
-                    self.faults.blind_retries_prevented += 1
-                    self._trace("blind_retry_prevented", entry.fn, idx,
-                                f"seqid={entry.seqid}")
-                    entry.fail(self._map_error(cause))
-                    return
-                if entry.attempt < policy.max_attempts \
-                        and self._spend_retry(entry.fn, idx):
-                    yield from self._async_backoff(entry, idx)
-                    continue
-                entry.fail(self._map_error(cause))
-                return
-            finally:
-                if p is not None:
-                    p.trace_ctx = prev_ctx
-            entry.mark_inflight(idx)
-            return
-        entry.fail(TTransportException(
-            TTransportException.NOT_OPEN,
-            f"no channel available for {entry.fn}: "
-            "all circuit breakers open"))
-
-    def _async_backoff(self, entry: _PendingCall, idx: int):
-        self.faults.retries += 1
-        delay = self.retry_policy.backoff(entry.attempt - 1, self.rng)
-        self._trace("retry", entry.fn, idx,
-                    f"attempt={entry.attempt} backoff={delay:.2e}")
-        t_back = self.node.sim.now
-        yield self.node.sim.timeout(delay)
-        if entry.act is not None:
-            entry.act.stage("backoff", t_back, self.node.sim.now,
-                            attempt=entry.attempt)
-
-    def _pipeline_for(self, idx: int):
-        """Coroutine: the live pipeline for channel ``idx``, opening the
-        channel (and creating the pipeline) on first use."""
-        pipe = self._pipelines.get(idx)
-        if pipe is not None and not pipe.dead:
-            return pipe
-        chan = self._channels.get(idx)
-        if chan is None:
-            chan = yield from self._open_channel(self.plan.channels[idx])
-        m = self._chan_metrics.get(idx)
-        pipe = ChannelPipeline(self.node.sim, chan,
-                               window=self.plan.channels[idx].window,
-                               index=idx, error_types=_CHANNEL_ERRORS,
-                               on_dead=self._pipeline_dead,
-                               occupancy=m[4] if m is not None else None)
-        self._pipelines[idx] = pipe
-        return pipe
-
-    def _pipeline_dead(self, pipe: ChannelPipeline, entries, exc) -> None:
-        """A channel died with calls in flight: charge the breaker, discard
-        the connection, then retry idempotent calls elsewhere and fail the
-        rest -- one in-flight call's fate never blocks its neighbors'."""
-        idx = pipe.index
-        self._breaker(idx).record_failure()
-        self.faults.channel_failures += 1
-        self._trace("channel_error", entries[0].fn if entries else "", idx,
-                    type(exc).__name__)
-        self._pipelines.pop(idx, None)
-        self._discard_channel(idx)
-        mapped = self._map_error(exc)
-        policy = self.retry_policy
-        now = self.node.sim.now
-        for entry in entries:
-            entry.drop_gauge()
-            if entry.act is not None:
-                entry.act.end_attempt(now, status="error",
-                                      error=type(exc).__name__)
-            entry.attempt += 1
-            if entry.fn not in self.idempotent_fns:
-                self.faults.blind_retries_prevented += 1
-                self._trace("blind_retry_prevented", entry.fn, idx,
-                            f"seqid={entry.seqid}")
-                entry.fail(mapped)
-            elif entry.attempt < policy.max_attempts and self._connected \
-                    and self._spend_retry(entry.fn, idx):
-                self.faults.retries += 1
-                delay = policy.backoff(entry.attempt - 1, self.rng)
-                self._trace("retry", entry.fn, idx,
-                            f"attempt={entry.attempt} backoff={delay:.2e}")
-                self.node.sim.process(self._resubmit(entry, delay),
-                                      name=f"resubmit-{entry.fn}")
-            else:
-                entry.fail(mapped)
-
-    def _on_rejected(self, entry: _PendingCall, retry_after: float) -> None:
-        """A pipelined call came back REJECTED.
-
-        Rejection is load, not failure: the channel stays up, the breaker
-        is credited, and -- because admission runs before dispatch -- the
-        re-send is safe whatever the function's idempotency.  The entry is
-        re-submitted after honoring the server's ``retry_after`` (under the
-        retry budget), or failed with the typed exception.  Deliberately
-        NOT routed through ``entry.fail``: rerouting a rejection onto a
-        replica would shift the storm sideways instead of shedding it."""
-        now = self.node.sim.now
-        entry.drop_gauge()
-        self._breaker(entry.channel).record_success()
-        self.faults.rejections += 1
-        self._trace("rejected", entry.fn, entry.channel,
-                    f"retry_after={retry_after:.2e}")
-        if entry.act is not None:
-            entry.act.end_attempt(now, status="rejected")
-        entry.attempt += 1
-        if entry.attempt < self.retry_policy.max_attempts \
-                and self._connected \
-                and self._spend_retry(entry.fn, entry.channel):
-            self.faults.rejected_retries += 1
-            delay = max(retry_after,
-                        self.retry_policy.backoff(entry.attempt - 1,
-                                                  self.rng))
-            self._trace("rejected_retry", entry.fn, entry.channel,
-                        f"attempt={entry.attempt} backoff={delay:.2e}")
-            self.node.sim.process(self._resubmit(entry, delay),
-                                  name=f"resubmit-{entry.fn}")
-            return
-        if entry.seqid is not None:
-            self._sent_seqids.unpin((entry.fn, entry.seqid))
-        if entry.act is not None:
-            entry.act.finish(now, status="TRejectedException")
-        entry.handle._fail(TRejectedException(retry_after))
-
-    def _spend_retry(self, fn: str, idx: int) -> bool:
-        """One retry decision against the shared budget (None = unlimited).
-        A denial is terminal for the call: the typed error surfaces instead
-        of another wire attempt."""
-        if self.retry_budget is None:
-            return True
-        if self.retry_budget.try_spend():
-            return True
-        self.faults.budget_exhausted += 1
-        self._trace("retry_budget_exhausted", fn, idx)
-        return False
-
-    def _resubmit(self, entry: _PendingCall, delay: float):
-        """Detached process: back off, then re-run submission for one
-        swept in-flight call."""
-        t_back = self.node.sim.now
-        yield self.node.sim.timeout(delay)
-        if entry.act is not None:
-            entry.act.stage("backoff", t_back, self.node.sim.now,
-                            attempt=entry.attempt)
-        try:
-            yield from self._submit_entry(entry)
-        except Exception as exc:
-            entry.fail(exc)
-
-    def _note_abandoned(self, handle: CallHandle) -> None:
-        """A waiter timed out on a still-in-flight pipelined call: account
-        it as a timeout, but leave the wire alone -- the late response is
-        dropped on arrival and window neighbors keep flowing."""
-        self.faults.timeouts += 1
-        self._trace("timeout", handle.fn, handle.channel,
-                    "abandoned in-flight (pipelined)")
-
-    def _pick_channel(self, route: FunctionRoute, msg_len: int
-                      ) -> Optional[int]:
-        for idx in self._candidates(route.channel):
-            ch = self.plan.channels[idx]
-            if idx != route.channel and msg_len > ch.max_msg:
-                continue  # message would not fit the fallback's buffers
-            if self._breaker(idx).allow():
-                return idx
-        return None
 
     def _note_routing(self, fn_name: str, route: FunctionRoute, idx: int
                       ) -> None:

@@ -5,7 +5,7 @@ one-RPC-at-a-time per channel -- exactly the contract of a blocking Thrift
 client.  The paper's throughput results, however, depend on many requests
 being in flight per connection, which the RDMA protocols were built for
 (Direct-WriteIMM slots, eager rings).  This module supplies the pieces the
-engine's asynchronous path (`call_async` / `call_many`) composes:
+engine's asynchronous path (`call_async`) composes:
 
 * :func:`pack_pip` / :func:`split_pip` -- the 8-byte engine-level
   correlation header (magic ``0xC4 'PIP'`` + u32 sequence number) that
@@ -43,7 +43,8 @@ one layer down).
 from __future__ import annotations
 
 import struct
-from collections import deque
+from collections import OrderedDict, deque
+from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.thrift.errors import TTransportException
@@ -119,7 +120,9 @@ class BoundedSeqidSet:
         if cap < 1:
             raise ValueError(f"cap must be >= 1: {cap}")
         self.cap = cap
-        self._keys: Dict[Any, None] = {}     # insertion-ordered
+        # OrderedDict, not dict: a dict iterates from slot 0 past every
+        # deleted head entry, so finding the oldest key would cost O(cap).
+        self._keys: "OrderedDict[Any, None]" = OrderedDict()
         self._pinned: set = set()            # live (in-flight) keys
         self.evictions = 0
 
@@ -140,11 +143,15 @@ class BoundedSeqidSet:
         return key in self._pinned
 
     def _evict(self) -> None:
-        if len(self._keys) <= self.cap:
-            return
         over = len(self._keys) - self.cap
-        for key in [k for k in self._keys if k not in self._pinned][:over]:
-            self._keys.pop(key)
+        if over <= 0:
+            return
+        # Oldest first, skipping live keys, stopping at ``over``: the walk
+        # touches the victims and the pinned keys ahead of them, never the
+        # whole ledger (this runs on every add and unpin at the cap).
+        unpinned = (k for k in self._keys if k not in self._pinned)
+        for key in list(islice(unpinned, over)):
+            del self._keys[key]
             self.evictions += 1
 
     def discard(self, key) -> None:

@@ -8,7 +8,7 @@ application (see ``examples/quickstart.py``-style plan inspection for the
 static view; spans are the dynamic one).
 
 Zero overhead when not attached: the engine only calls into a tracer when
-one is installed.
+one is installed (``engine.tracer``, one attribute check per call).
 """
 
 from __future__ import annotations
@@ -159,27 +159,10 @@ class Tracer:
 
 
 def attach_tracer(engine, tracer: Optional[Tracer] = None) -> Tracer:
-    """Wrap an engine's ``call`` so every routed RPC records a span."""
+    """Install ``tracer`` on ``engine``: every served call -- blocking,
+    ``call_async`` or router traffic alike -- records one span at the
+    engine's single success site."""
     tracer = tracer or Tracer()
     tracer.faults = engine.faults
-    inner = engine.call
-
-    def traced_call(fn_name: str, message: bytes, oneway: bool = False, **kw):
-        route = engine.plan.routes.get(fn_name)
-        start = engine.node.sim.now
-        resp = yield from inner(fn_name, message, oneway=oneway, **kw)
-        ch = (engine.plan.channels[route.channel]
-              if route is not None else None)
-        tracer.record(CallSpan(
-            function=fn_name,
-            channel=ch.index if ch else -1,
-            protocol=ch.protocol if ch else "",
-            transport=ch.transport if ch else "",
-            request_bytes=len(message),
-            response_bytes=len(resp or b""),
-            start=start,
-            end=engine.node.sim.now))
-        return resp
-
-    engine.call = traced_call
+    engine.tracer = tracer
     return tracer

@@ -64,7 +64,7 @@ def multi_get(stub, keys: Sequence[bytes]):
 
     Unlike the server-side ``MultiGet`` (one big request), this issues one
     ``Get`` per key under the channel's in-flight window -- the client-side
-    batching the engine's ``call_many`` provides.  Missing keys come back
+    batching ``AsyncCaller.call_many`` provides.  Missing keys come back
     as ``b""`` (flattened from Get's ``GetResult.found`` flag, matching
     the MultiGet wire convention).
     """

@@ -93,3 +93,36 @@ def test_max_spans_drops_and_counts(setup):
     assert len(t.spans) == 3
     assert t.dropped == 7
     assert any("dropped" in line for line in t.summary_lines())
+
+
+def test_async_calls_record_spans_too(setup):
+    # Regression: attach_tracer wrapped engine.call only, so AsyncCaller /
+    # router traffic (engine.call_async) left no spans.
+    tb, gen = setup
+    box = {}
+
+    def client():
+        stub = yield from hatrpc_connect(tb.node(1), tb.node(0), gen, "Svc")
+        engine = stub._hatrpc.engine
+        box["tracer"] = attach_tracer(engine)
+        box["plan"] = engine.plan
+        caller = stub._hatrpc.async_caller()
+        handles = []
+        for method, arg in (("Fast", "one"), ("Bulk", b"z" * 8192),
+                            ("Fast", "three")):
+            handles.append((yield from caller.call_async(method, arg)))
+        box["replies"] = []
+        for h in handles:
+            box["replies"].append((yield from h.wait()))
+
+    tb.sim.run(tb.sim.process(client()))
+    assert box["replies"] == ["one", b"z" * 8192, "three"]
+    spans = sorted(box["tracer"].spans, key=lambda s: s.start)
+    assert [s.function for s in spans] == ["Fast", "Bulk", "Fast"]
+    for s in spans:
+        ch = box["plan"].channel_for(s.function)
+        assert (s.channel, s.protocol) == (ch.index, ch.protocol)
+        assert s.latency > 0
+    fast, bulk, _ = spans
+    assert bulk.request_bytes > 8192 and bulk.response_bytes > 8192
+    assert 0 < fast.request_bytes < 100 and 0 < fast.response_bytes < 100

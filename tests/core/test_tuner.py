@@ -11,6 +11,7 @@ from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
 from repro.core.tuner import HintTuner, TunerConfig
 from repro.idl import load_idl
 from repro.testbed import Testbed
+from repro.thrift.errors import TTransportException
 from repro.verbs.cq import PollMode
 
 TUNABLE_IDL = """
@@ -316,3 +317,54 @@ def test_e2e_without_tuner_has_no_epoch_state(gen):
     assert got["r"] == b"q" * 64
     assert server.tuner_epoch_seen == -1, \
         "untuned clients must not put epoch frames on the wire"
+
+
+@pytest.mark.parametrize("driver", ["blocking", "async"])
+def test_oversize_signal_reaches_tuner_on_either_driver(driver):
+    # Regression: an oversize call_async on a solo-mode channel (rfp,
+    # window 1) died in the pipeline sweep, which never told the tuner --
+    # only the blocking path did.  One retry decision, one signal.
+    sized_gen = load_idl("""
+    service Sized64 {
+        hint: tunable = true;
+        binary Echo(1: binary blob) [
+            hint: perf_goal = throughput, concurrency = 64,
+                  payload_size = 64KB;
+        ]
+    }
+    """, "sized64_gen")
+    tb = Testbed(n_nodes=2)
+
+    class H:
+        def Echo(self, blob):
+            return blob
+
+    HatRpcServer(tb.node(1), sized_gen, "Sized64", H()).start()
+    signals = []
+
+    class CountingTuner(HintTuner):
+        def observe_error(self, fn, nbytes, channel):
+            signals.append((fn, nbytes, channel))
+            super().observe_error(fn, nbytes, channel)
+
+    tuner = CountingTuner(TunerConfig())
+
+    def client():
+        stub = yield from hatrpc_connect(tb.node(0), tb.node(1), sized_gen,
+                                         "Sized64", tuner=tuner)
+        engine = stub._hatrpc.engine
+        declared = engine.plan.channel_for("Echo")
+        assert declared.protocol == "rfp" and declared.window == 1
+        blob = b"z" * (declared.max_msg + 1000)
+        with pytest.raises(TTransportException):
+            if driver == "blocking":
+                yield from stub.Echo(blob)
+            else:
+                caller = stub._hatrpc.async_caller()
+                handle = yield from caller.call_async("Echo", blob)
+                yield from handle.wait()
+        return declared.index
+
+    declared = tb.sim.run(tb.sim.process(client()))
+    assert [(fn, ch) for fn, _n, ch in signals] == [("Echo", declared)]
+    assert tuner.urgent_switches == 1
