@@ -8,11 +8,24 @@ back into the generator (or throwing its exception).
 Determinism: events scheduled for the same timestamp fire in schedule order
 (a monotonically increasing sequence number breaks ties), so repeated runs of
 the same program produce byte-identical traces.
+
+Host cost: the heap entry is ``(time, sequence number, event)`` and every
+place that schedules one -- :meth:`Event.succeed`/:meth:`Event.fail`,
+:class:`Timeout`, a :class:`Process` boot -- takes the next sequence number
+and pushes it itself, and both :meth:`Simulator.step` and
+:meth:`Simulator.run` pop and fire entries inline.  That is deliberate
+duplication of a three-line idiom: these are the innermost loops of every
+test, figure and benchmark in the repository, and a call frame per event is
+a tenth of their host time.  What must never change is *which* sequence
+number an entry gets and *which* float its time is (``now + delay``, one
+addition), because those decide the order of everything (DESIGN.md, "Kernel
+invariants").
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -47,8 +60,7 @@ class Event:
     the scheduled time.  Processes wait on events by yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered", "_ok",
-                 "defused")
+    __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered", "defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -56,7 +68,6 @@ class Event:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._triggered = False
-        self._ok = False
         #: set True (or call defuse()) to let a failure pass unobserved
         self.defused = False
 
@@ -74,7 +85,7 @@ class Event:
     def ok(self) -> bool:
         if not self._triggered:
             raise SimulationError("event has not been triggered yet")
-        return self._ok
+        return self._exc is None
 
     @property
     def value(self) -> Any:
@@ -89,9 +100,10 @@ class Event:
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
-        self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now + delay, eid, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -100,20 +112,11 @@ class Event:
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
-        self._ok = False
         self._exc = exc
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now + delay, eid, self))
         return self
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
-        if self._exc is not None and not callbacks and not self.defused:
-            # A failure nobody is waiting on must not vanish: surface it at
-            # the event loop (defuse() opts out for intentional crashes).
-            raise self._exc
 
     def defuse(self) -> "Event":
         self.defused = True
@@ -140,11 +143,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self._triggered = True
-        self._ok = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay)
+        self._exc = None
+        self._triggered = True
+        self.defused = False
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now + delay, eid, self))
 
 
 class Process(Event):
@@ -155,7 +161,7 @@ class Process(Event):
     to :meth:`Simulator.run` if nothing is waiting on it).
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "trace_ctx")
+    __slots__ = ("gen", "name", "_waiting_on", "trace_ctx", "_resume")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -168,11 +174,17 @@ class Process(Event):
         # off -- instrumented sites pay exactly this one attribute check.
         ap = sim.active_process
         self.trace_ctx = ap.trace_ctx if ap is not None else None
+        # The one callback this process ever registers on the events it
+        # waits for: bound once, dropped when the generator ends (it is a
+        # reference cycle until then).
+        self._resume = resume = self._step
         # Kick off at the current time, but via the event queue so that the
         # creator finishes its own time step first.
         boot = Event(sim)
-        boot.add_callback(self._resume)
-        boot.succeed()
+        boot._triggered = True
+        boot.callbacks.append(resume)
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now, eid, boot))
 
     @property
     def is_alive(self) -> bool:
@@ -193,47 +205,53 @@ class Process(Event):
                 except ValueError:
                     pass
         kick = Event(self.sim)
-        kick.add_callback(lambda _ev: self._throw(Interrupt(cause)))
-        kick.succeed()
+        kick.callbacks.append(self._resume)
+        kick.fail(Interrupt(cause))
 
     # -- internal stepping --------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _step(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome (its value sent in,
+        or its exception thrown at the ``yield``), then park the process on
+        the event it yields next.  Called exactly once per resumption."""
         if self._triggered:
             return
         self._waiting_on = None
-        if event._exc is not None:
-            self._throw(event._exc)
-        else:
-            self._step(lambda: self.gen.send(event._value))
-
-    def _throw(self, exc: BaseException) -> None:
-        self._step(lambda: self.gen.throw(exc))
-
-    def _step(self, advance: Callable[[], Any]) -> None:
         sim = self.sim
         prev = sim.active_process
         sim.active_process = self
         try:
-            target = advance()
+            if event._exc is None:
+                target = self.gen.send(event._value)
+            else:
+                target = self.gen.throw(event._exc)
         except StopIteration as stop:
             sim.active_process = prev
+            self._resume = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             sim.active_process = prev
+            self._resume = None
             self.fail(exc)
             return
         sim.active_process = prev
         if not isinstance(target, Event):
             self._throw(SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event"))
-            return
-        if target.sim is not sim:
+        elif target.sim is not sim:
             self._throw(SimulationError(
                 f"process {self.name!r} yielded an event from another simulator"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        elif target.callbacks is None:
+            self._step(target)      # already in the past: carry straight on
+        else:
+            self._waiting_on = target
+            target.callbacks.append(self._resume)
+
+    def _throw(self, exc: BaseException) -> None:
+        """Resume the generator by raising ``exc`` at its current ``yield``."""
+        carrier = Event(self.sim)
+        carrier._exc = exc
+        self._step(carrier)
 
 
 class _Condition(Event):
@@ -315,41 +333,59 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._eid += 1
-        heapq.heappush(self._heap, (self.now + delay, self._eid, event))
-
+    # -- the event loop -----------------------------------------------------
     def step(self) -> None:
-        when, _eid, event = heapq.heappop(self._heap)
+        """Fire the next event: move the clock to it and run its callbacks."""
+        when, _eid, event = heappop(self._heap)
         self.now = when
         self._nevents += 1
-        event._run_callbacks()
+        callbacks, event.callbacks = event.callbacks, None
+        for cb in callbacks:
+            cb(event)
+        if event._exc is not None and not callbacks and not event.defused:
+            # A failure nobody is waiting on must not vanish: surface it at
+            # the event loop (defuse() opts out for intentional crashes).
+            raise event._exc
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else inf
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the heap drains, a deadline passes, or an event fires.
 
         ``until`` may be a timestamp (run to that simulated time), an Event
         (run until it is processed; returns/raises its value), or None
-        (run to exhaustion).
+        (run to exhaustion).  Both loops below are :meth:`step` written out.
         """
+        heap = self._heap
         if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                if not self._heap:
+            while until.callbacks is not None:
+                if not heap:
                     raise SimulationError(
                         "event queue drained before the awaited event fired "
                         "(deadlock: a process is waiting on an event nobody "
                         "will trigger)")
-                self.step()
-            return target.value
-        deadline = float("inf") if until is None else float(until)
-        while self._heap and self._heap[0][0] <= deadline:
-            self.step()
+                when, _eid, event = heappop(heap)
+                self.now = when
+                self._nevents += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                if (event._exc is not None and not callbacks
+                        and not event.defused):
+                    raise event._exc
+            return until.value
+        deadline = inf if until is None else float(until)
+        while heap and heap[0][0] <= deadline:
+            when, _eid, event = heappop(heap)
+            self.now = when
+            self._nevents += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for cb in callbacks:
+                cb(event)
+            if event._exc is not None and not callbacks and not event.defused:
+                raise event._exc
         if until is not None and self.now < deadline:
             self.now = deadline
         return None

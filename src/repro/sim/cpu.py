@@ -16,16 +16,35 @@ Two kinds of runnable load are tracked:
   the thread is runnable (consuming a core's worth of schedulable time, thus
   slowing everyone else) but never "finishes".
 
-The implementation keeps one pending wake-up for the earliest-finishing job
-and re-evaluates on every state change, so cost is O(jobs) bookkeeping per
-change with O(1) outstanding events.
+Cost, and what is on the event heap.  Every change of state (a job or a
+spinner arriving or leaving, a wake-up firing) is one pass over the job
+table, :meth:`CpuScheduler._reschedule`: it charges each job the work done
+since the previous pass, completes the jobs that reached zero, finds the
+least remaining work and schedules one wake-up for the moment that job will
+finish.  So a change costs O(jobs) and exactly one wake-up is *live* per
+scheduler -- but the wake-ups it superseded are not removed: they stay on
+the heap, carry the scheduler version they were computed for, and are
+popped, counted in ``events_executed`` and discarded when their time comes
+(about 70 k of the 353 k events of perfbench's ``ycsb_b``).  A pending
+wake-up is never *reused* either, even when the earliest finish time did not
+move: the recomputed ``now + min_rem / rate`` can differ from the older
+value in the last ulp, and the older heap entry keeps an older tie-break
+sequence number, so reusing it reorders events that share its timestamp.
+Both effects change the order in which the rest of the model runs -- the
+results stay statistically the same but no longer bit-identical
+(``sim_digest``, ``tests/sim/test_kernel_golden.py``).  Cancelling or reusing
+wake-ups therefore belongs with the virtual-time GPS rewrite (ROADMAP item
+1(c)), which reorders the float arithmetic anyway and refreshes the
+baselines once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from heapq import heappush
+from math import inf
+from typing import List, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator
 
@@ -43,12 +62,30 @@ class SpinToken:
     active: bool = True
 
 
-class _Job:
-    __slots__ = ("remaining", "event")
+class _Job(Event):
+    """A finite job: the event :meth:`CpuScheduler.compute` hands out, plus
+    the CPU work the scheduler still owes it."""
 
-    def __init__(self, remaining: float, event: Event):
-        self.remaining = remaining
-        self.event = event
+    __slots__ = ("remaining",)
+
+
+class _Wake(Event):
+    """A scheduler wake-up: born triggered and on the heap (as a
+    :class:`~repro.sim.core.Timeout` is), its value the scheduler version it
+    was computed for and its callbacks the scheduler's shared ``(_tick,)``."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: Simulator, when: float, version: int,
+                 callbacks: tuple):
+        self.sim = sim
+        self.callbacks = callbacks
+        self._value = version
+        self._exc = None
+        self._triggered = True
+        self.defused = False
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (when, eid, self))
 
 
 class CpuScheduler:
@@ -59,12 +96,17 @@ class CpuScheduler:
             raise ValueError("cores must be >= 1")
         self.sim = sim
         self.cores = cores
-        self._jobs: Dict[int, _Job] = {}
+        self._jobs: List[_Job] = []     # in arrival order
         self._spinners: set[int] = set()
         self._ids = itertools.count(1)
         self._last_update = 0.0
+        #: share of a core each job has received since ``_last_update``;
+        #: recomputed by every pass that leaves a job behind (with no jobs
+        #: there is nothing it could be applied to)
+        self._rate = 1.0
         self._version = 0
         self._busy_time = 0.0  # integrated core-seconds of useful work
+        self._wake_callbacks = (self._tick,)
 
     # -- public API ---------------------------------------------------------
     @property
@@ -91,18 +133,15 @@ class CpuScheduler:
 
     def compute(self, cpu_seconds: float) -> Event:
         """Consume ``cpu_seconds`` of CPU work; the event fires when done."""
-        ev = Event(self.sim)
+        job = _Job(self.sim)
         if cpu_seconds <= 0:
-            ev.succeed()
-            return ev
-        self._advance()
-        self._jobs[next(self._ids)] = _Job(cpu_seconds, ev)
-        self._reschedule()
-        return ev
+            return job.succeed()
+        job.remaining = cpu_seconds
+        self._reschedule(job)
+        return job
 
     def spin_begin(self) -> SpinToken:
         """Mark the calling thread as a busy-polling (always runnable) thread."""
-        self._advance()
         sid = next(self._ids)
         self._spinners.add(sid)
         self._reschedule()
@@ -112,52 +151,76 @@ class CpuScheduler:
         if not token.active:
             raise SimulationError("spin_end() on an inactive token")
         token.active = False
-        self._advance()
         self._spinners.discard(token.sid)
         self._reschedule()
 
     # -- internals ------------------------------------------------------------
-    def _advance(self) -> None:
-        now = self.sim.now
-        dt = now - self._last_update
-        if dt <= 0:
-            self._last_update = now
-            return
-        if self._jobs:
-            rate = self.job_rate
-            done = rate * dt
-            self._busy_time += done * len(self._jobs)
-            for job in self._jobs.values():
-                job.remaining -= done
-        self._last_update = now
+    # Bit-identity: the digests compare raw doubles, so the *sequence* of
+    # float operations below is part of the model.  Each job's remaining work
+    # is decremented by ``rate * dt`` once per pass (never by an accumulated
+    # or re-associated amount), the wake-up is ``now + min_rem / rate``, and
+    # finished jobs complete in table (arrival) order.
 
-    def _reschedule(self) -> None:
-        self._version += 1
+    def _advance(self) -> None:
+        """Charge the work done since the last pass without rescheduling
+        (the observers' half of :meth:`_reschedule`: a probe that reads
+        ``busy_core_seconds`` mid-run splits a job's decrement in two, and
+        always has)."""
+        now = self.sim.now
+        done = self._rate * (now - self._last_update)
+        self._last_update = now
+        self._busy_time += done * len(self._jobs)
+        for job in self._jobs:
+            job.remaining -= done
+
+    def _reschedule(self, arriving: Optional[_Job] = None) -> None:
+        """The one pass per change of state: charge every job the work done
+        since the last pass (at the rate in force since then -- the caller
+        has already added or removed its spinner), admit ``arriving``,
+        complete what reached zero and schedule the next wake-up."""
+        sim = self.sim
+        now = sim.now
+        jobs = self._jobs
+        done = self._rate * (now - self._last_update)
+        self._last_update = now
+        self._busy_time += done * len(jobs)
+        self._version = version = self._version + 1
+        floor = _EPS
         while True:
-            # Complete any jobs that just hit zero.
-            finished = [jid for jid, j in self._jobs.items()
-                        if j.remaining <= _EPS]
-            for jid in finished:
-                self._jobs.pop(jid).event.succeed()
-            if not self._jobs:
+            finished = []
+            min_rem = inf
+            for job in jobs:
+                job.remaining = rem = job.remaining - done
+                if rem <= floor:
+                    finished.append(job)
+                elif rem < min_rem:
+                    min_rem = rem
+            if arriving is not None:        # owes its full work: not charged
+                jobs.append(arriving)
+                rem = arriving.remaining
+                if rem <= floor:
+                    finished.append(arriving)
+                elif rem < min_rem:
+                    min_rem = rem
+                arriving = None
+            for job in finished:
+                jobs.remove(job)
+                job.succeed()
+            if not jobs:
                 return
-            rate = self.job_rate
-            min_rem = min(j.remaining for j in self._jobs.values())
-            delay = min_rem / rate
-            if self.sim.now + delay > self.sim.now:
+            r = len(jobs) + len(self._spinners)
+            self._rate = rate = 1.0 if r <= self.cores else self.cores / r
+            when = now + min_rem / rate
+            if when > now:
                 break
             # Leftover work below the clock's float resolution can never be
             # drained by advancing time (now + delay == now would loop
-            # forever); round it to done.
-            for j in self._jobs.values():
-                if j.remaining <= min_rem + _EPS:
-                    j.remaining = 0.0
-        version = self._version
-        wake = self.sim.timeout(delay)
-        wake.add_callback(lambda _ev: self._tick(version))
+            # forever); round it to done: one more pass that charges nothing
+            # and completes everything within _EPS of the minimum.
+            floor = min_rem + _EPS
+            done = 0.0
+        _Wake(sim, when, version, self._wake_callbacks)
 
-    def _tick(self, version: int) -> None:
-        if version != self._version:
-            return  # state changed since this wake-up was scheduled
-        self._advance()
-        self._reschedule()
+    def _tick(self, wake: Event) -> None:
+        if wake._value == self._version:    # else: superseded, a dead event
+            self._reschedule()

@@ -9,6 +9,7 @@ both exactly as upstream YCSB does.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Sequence, Tuple
 
@@ -67,7 +68,12 @@ class ZipfianGenerator:
                     else (1 - (2.0 / n) ** (1 - theta)) / denom)
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
+        # Memoised: every client's Workload asks for the same (n, theta), and
+        # the n-term sum was the largest single cost of a sharded run's
+        # set-up.  The cached value is this very sum, so the key streams are
+        # unchanged to the bit.
         return sum(1.0 / (i + 1) ** theta for i in range(n))
 
     def next(self) -> int:

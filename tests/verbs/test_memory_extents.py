@@ -1,0 +1,211 @@
+"""The sparse (extent-backed) segment store of ``verbs/memory.py``.
+
+A flat ``bytearray`` is the reference: whatever sequence of overlapping,
+adjacent and gap-spanning writes is applied, every read must return the
+reference's bytes, and the extent invariants of the module docstring must
+hold after every write.  The regression tests pin what the sparse backing is
+for: resident bytes follow the bytes written, not the highest offset.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.verbs import Memory, MemoryAccessError
+from repro.verbs.memory import _Segment
+
+SEG = 512
+
+
+def check_extents(seg):
+    """Sorted, non-empty, neither overlapping nor touching."""
+    assert len(seg._starts) == len(seg._bufs)
+    prev_end = -1
+    for start, buf in zip(seg._starts, seg._bufs):
+        assert len(buf) > 0
+        assert start > prev_end, (seg._starts, [len(b) for b in seg._bufs])
+        prev_end = start + len(buf)
+    assert prev_end <= seg.size
+
+
+write_op = st.tuples(st.just("w"), st.integers(0, SEG - 1),
+                     st.binary(min_size=0, max_size=96))
+read_op = st.tuples(st.just("r"), st.integers(0, SEG - 1),
+                    st.integers(0, SEG))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(write_op, read_op), min_size=1, max_size=40))
+def test_segment_matches_flat_reference(ops):
+    seg = _Segment(0, SEG)
+    flat = bytearray(SEG)
+    written = bytearray(SEG)       # 1 where a byte was ever written
+    for kind, off, arg in ops:
+        if kind == "w":
+            payload = arg[:SEG - off]
+            seg.write(off, payload)
+            flat[off:off + len(payload)] = payload
+            written[off:off + len(payload)] = b"\x01" * len(payload)
+            check_extents(seg)
+            # resident bytes are exactly the bytes ever written
+            assert seg.resident == sum(written)
+        else:
+            length = min(arg, SEG - off)
+            got = seg.read(off, length)
+            assert type(got) is bytes
+            assert got == bytes(flat[off:off + length])
+    assert seg.read(0, SEG) == bytes(flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 200),
+                          st.binary(min_size=1, max_size=120)),
+                min_size=1, max_size=30))
+def test_memory_matches_flat_reference_across_segments(writes):
+    """Through the public API: several allocations, one freed midway."""
+    mem = Memory()
+    sizes = (64, 200, 320, 100)
+    addrs = [mem.alloc(n) for n in sizes]
+    flats = [bytearray(n) for n in sizes]
+    for k, (which, off, payload) in enumerate(writes):
+        if k == len(writes) // 2 and addrs[1] is not None:
+            mem.free(addrs[1])
+            addrs[1] = None
+        off %= sizes[which]
+        payload = payload[:sizes[which] - off]
+        if addrs[which] is None:
+            with pytest.raises(MemoryAccessError):
+                mem.write(addrs[0] + 64 + off, payload)     # the freed hole
+            continue
+        mem.write(addrs[which] + off, payload)
+        flats[which][off:off + len(payload)] = payload
+    for addr, flat in zip(addrs, flats):
+        if addr is not None:
+            assert mem.read(addr, len(flat)) == bytes(flat)
+    live = [n for n, a in zip(sizes, addrs) if a is not None]
+    assert mem.live_bytes == sum(live)
+    assert mem.resident_bytes <= sum(live)
+
+
+def test_write_copies_its_payload():
+    seg = _Segment(0, 64)
+    src = bytearray(b"abcd")
+    seg.write(8, src)
+    src[:] = b"WXYZ"
+    assert seg.read(8, 4) == b"abcd"
+    out = seg.read(8, 4)
+    seg.write(8, b"1234")
+    assert out == b"abcd"
+
+
+def test_large_read_is_exact_and_leaves_the_extent_resizable():
+    """Reads of 4 KiB and more go through a memoryview; a view left alive
+    would make the next growing write raise BufferError."""
+    seg = _Segment(0, 1 << 16)
+    data = bytes(range(256)) * 40                   # 10 240 B
+    seg.write(100, data)
+    got = seg.read(164, 8192)
+    assert type(got) is bytes and got == data[64:64 + 8192]
+    seg.write(100 + len(data), b"more")             # grows the same extent
+    assert seg.read(100, len(data) + 4) == data + b"more"
+    assert seg.read(0, 12000) == bytes(100) + data + b"more" + bytes(1656)
+
+
+def test_ring_slot_pattern_grows_in_place():
+    """Every message of slot k starts at k * stride: one extent per slot,
+    however the message sizes vary, and no merge ever happens."""
+    stride, slots = 96, 6
+    seg = _Segment(0, stride * slots)
+    for size in (10, 40, 25, 95, 1):
+        for k in range(slots):
+            seg.write(k * stride, bytes([k + 1]) * size)
+            assert seg.read(k * stride, size) == bytes([k + 1]) * size
+    assert seg._starts == [k * stride for k in range(slots)]
+    assert [len(b) for b in seg._bufs] == [95] * slots
+
+
+def test_payload_then_header_becomes_one_extent():
+    """The RFP response buffer is written payload first, header second; the
+    fetch reads both at once and must find one extent (a one-copy read)."""
+    seg = _Segment(0, 4096)
+    seg.write(32, b"p" * 1000)
+    seg.write(0, b"h" * 32)
+    assert seg._starts == [0] and len(seg._bufs[0]) == 1032
+    assert seg.read(0, 1032) == b"h" * 32 + b"p" * 1000
+    # reading past what was written pads with zeros
+    assert seg.read(1000, 100) == b"p" * 32 + bytes(68)
+
+
+def test_write_spanning_several_extents_fuses_them():
+    seg = _Segment(0, 256)
+    for off in (10, 30, 50, 200):
+        seg.write(off, b"x" * 5)
+    seg.write(12, b"y" * 40)            # into #1, over #2, into #3
+    assert seg._starts == [10, 200]
+    assert seg.read(10, 45) == b"xx" + b"y" * 40 + b"xxx"
+    check_extents(seg)
+    seg.write(55, b"z" * 145)           # fills the gap exactly: touches both
+    assert seg._starts == [10]
+    assert seg.read(0, 256) == (bytes(10) + b"xx" + b"y" * 40 + b"xxx"
+                                + b"z" * 145 + b"x" * 5 + bytes(51))
+
+
+def test_message_ring_resident_bytes_follow_bytes_written():
+    """perfbench's YCSB geometry: 48 slots x (32 B header + 18 432 B), 1 KiB
+    messages.  A dense high-water backing held ~596 KB of the 886 KB ring."""
+    stride, slots, msg = 18464, 48, 1024
+    mem = Memory()
+    ring = mem.alloc(stride * slots)
+    for seq in range(3 * slots):                  # the window wraps twice
+        mem.write(ring + (seq % slots) * stride, bytes([seq % 251]) * msg)
+    written = slots * msg                          # distinct bytes written
+    assert mem.live_bytes == stride * slots
+    assert written <= mem.resident_bytes <= 2 * written
+    last = 3 * slots - 1
+    assert mem.read(ring + (last % slots) * stride, msg) == \
+        bytes([last % 251]) * msg
+
+
+def test_tail_write_costs_only_its_payload():
+    mem = Memory()
+    addr = mem.alloc(1 << 20)
+    mem.write(addr + (1 << 20) - 4, b"tail")
+    assert mem.resident_bytes == 4
+    assert mem.read(addr + (1 << 20) - 8, 8) == bytes(4) + b"tail"
+    assert mem.read(addr, 16) == bytes(16)
+    assert mem.resident_bytes == 4                 # reads materialise nothing
+
+
+def test_idle_registered_pool_holds_no_host_ram():
+    mem = Memory()
+    for _ in range(512):
+        mem.alloc(512 * 1024)
+    assert mem.live_bytes == 512 * 512 * 1024
+    assert mem.resident_bytes == 0
+
+
+def test_allocator_free_keeps_lookups_exact():
+    """Append-on-alloc / bisect-delete-on-free: neighbours of a freed
+    segment stay reachable, the hole is not, and accesses may not straddle."""
+    mem = Memory()
+    addrs = [mem.alloc(100) for _ in range(50)]
+    for a in addrs[::3]:
+        mem.free(a)
+    for k, a in enumerate(addrs):
+        if k % 3 == 0:
+            with pytest.raises(MemoryAccessError):
+                mem.read(a, 1)
+            with pytest.raises(MemoryAccessError):
+                mem.free(a)
+        else:
+            mem.write(a, bytes([k]) * 100)
+            assert mem.read(a + 99, 1) == bytes([k])
+            with pytest.raises(MemoryAccessError):
+                mem.read(a + 99, 2)
+    with pytest.raises(MemoryAccessError):
+        mem.read(addrs[-1] + 128, 1)              # past the last segment
+    with pytest.raises(MemoryAccessError):
+        mem.read(addrs[1], -1)
+    later = mem.alloc(10)
+    assert later > addrs[-1]
+    mem.fill(later, 10, 7)
+    assert mem.read(later, 10) == b"\x07" * 10
