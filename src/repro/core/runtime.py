@@ -35,7 +35,7 @@ from repro.thrift.transport import (
 from repro.thrift.server import TThreadedServer
 
 __all__ = ["AsyncCaller", "HatRpcClient", "HatRpcServer", "RdmaChannel",
-           "StubCallHandle", "TcpChannel", "hatrpc_connect",
+           "StubCallHandle", "TcpChannel", "gather", "hatrpc_connect",
            "service_plan_of"]
 
 DEFAULT_BASE_SERVICE_ID = 5000
@@ -439,6 +439,24 @@ class StubCallHandle:
             f"stub generator for {self.method} paused unexpectedly")
 
 
+def gather(handles, timeout: Optional[float] = None):
+    """Coroutine: wait on every handle in order and return the decoded
+    results in that order.  A failure does not cut the wait short: every
+    handle is waited on first, then the first failure is raised."""
+    results = []
+    first_exc: Optional[Exception] = None
+    for h in handles:
+        try:
+            results.append((yield from h.wait(timeout)))
+        except Exception as exc:
+            if first_exc is None:
+                first_exc = exc
+            results.append(None)
+    if first_exc is not None:
+        raise first_exc
+    return results
+
+
 class AsyncCaller:
     """Drives generated stub methods through the engine's pipelined path.
 
@@ -509,26 +527,17 @@ class AsyncCaller:
             if batch is not None:
                 batch.stage("post", t0, sim.now, n=len(handles))
             t1 = sim.now
-            results = []
-            first_exc: Optional[Exception] = None
-            for h in handles:
-                try:
-                    results.append((yield from h.wait(timeout)))
-                except Exception as exc:
-                    if first_exc is None:
-                        first_exc = exc
-                    results.append(None)
-            if batch is not None:
-                batch.stage("gather", t1, sim.now)
+            try:
+                results = yield from gather(handles, timeout)
+            finally:
+                if batch is not None:
+                    batch.stage("gather", t1, sim.now)
         except BaseException as exc:
             if batch is not None:
                 batch.finish(sim.now, status=type(exc).__name__)
             raise
         if batch is not None:
-            batch.finish(sim.now, status="ok" if first_exc is None
-                         else type(first_exc).__name__)
-        if first_exc is not None:
-            raise first_exc
+            batch.finish(sim.now, status="ok")
         return results
 
 

@@ -9,7 +9,7 @@ expires or a newer version is observed.  :class:`HotKeyCache` holds those
 leased entries -- bounded, LRU-evicted, with per-key access frequencies so
 keys read at least ``hot_promote`` times get their *misses* steered onto
 the plan's one-sided hot-read channel (Pilaf-style READ instead of full
-RPC) by :class:`repro.hatkv.client.KVClient` / the shard router.
+RPC) by :class:`repro.hatkv.sharding.ShardRouter`.
 
 Metrics (shared registry, like the ``hatkv.<op>`` counters):
 

@@ -190,6 +190,13 @@ class RangeTask:
         return tuple(s for s in self.src if s not in self.dst)
 
 
+def _replica_sets(n_shards: int, replicas: int) -> List[Tuple[int, ...]]:
+    """Replica set per primary: the owner plus its ``replicas - 1``
+    successors in shard order."""
+    return [tuple((p + j) % n_shards for j in range(replicas))
+            for p in range(n_shards)]
+
+
 class MigrationPlan:
     """The remapped ranges of one resize, with live per-range state.
 
@@ -199,6 +206,11 @@ class MigrationPlan:
     migration runs -- routers resolve preference, write gates, and
     dual-read fallbacks against it, and the cluster's driver walks its
     tasks through their states.
+
+    Every lookup is total over the hash space: an arc the resize does not
+    touch has the same replica set under both rings and answers from the
+    new one.  A plan from a ring to itself has no tasks and *is* that
+    ring's static routing -- how the cluster routes outside a resize.
     """
 
     def __init__(self, sim, old_ring, new_ring, replicas: int = 1,
@@ -210,29 +222,21 @@ class MigrationPlan:
         self.new_ring = new_ring
         self.replicas = replicas
         self.forward_window = forward_window
-        raw: List[VnodeRange] = []
-        for lo, hi, p_old, p_new in ring_segments(old_ring, new_ring):
-            raw.append(VnodeRange(lo, hi, p_old, p_new))
-        tasks: List[RangeTask] = []
-        for r in coalesce_ranges(
-                [r for r in raw if self._sets(r) is not None]):
-            src, dst = self._sets(r)            # type: ignore[misc]
-            tasks.append(RangeTask(r.lo, r.hi, src, dst))
+        # replica set per primary, under each ring's own shard count
+        olds = _replica_sets(old_ring.n_shards, replicas)
+        news = self._new_sets = _replica_sets(new_ring.n_shards, replicas)
+        # a task per maximal arc whose replica set changes
+        moved = coalesce_ranges(
+            [VnodeRange(lo, hi, a, b)
+             for lo, hi, a, b in ring_segments(old_ring, new_ring)
+             if olds[a] != news[b]])
+        tasks = [RangeTask(r.lo, r.hi, olds[r.src], news[r.dst])
+                 for r in moved]
         # One arc at most wraps past the top of the hash space; keep it
         # aside so `covering` stays a single bisect.
         self._wrapped = next((t for t in tasks if t.hi <= t.lo), None)
         self.tasks = sorted(tasks, key=lambda t: t.lo)
         self._los = [t.lo for t in self.tasks]
-
-    def _sets(self, r: VnodeRange
-              ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """(old replica set, new replica set) for an arc, or None when the
-        resize leaves it untouched."""
-        src = tuple((r.src + j) % self.old_ring.n_shards
-                    for j in range(self.replicas))
-        dst = tuple((r.dst + j) % self.new_ring.n_shards
-                    for j in range(self.replicas))
-        return None if src == dst else (src, dst)
 
     # -- lookups -------------------------------------------------------------
     def covering(self, h: int) -> Optional[RangeTask]:
@@ -245,13 +249,13 @@ class MigrationPlan:
             return self._wrapped
         return None
 
-    def preference(self, h: int) -> Optional[Tuple[int, ...]]:
-        """The replica set currently serving hash ``h``, or None when the
-        resize does not touch it.  The old set stays authoritative through
+    def preference(self, h: int) -> Tuple[int, ...]:
+        """The replica set currently serving hash ``h``, primary first.
+        Inside a migrating range the old set stays authoritative through
         CUTOVER (its copy is frozen by the fence); DONE flips to the new."""
         t = self.covering(h)
         if t is None:
-            return None
+            return self._new_sets[self.new_ring.owner_of_hash(h)]
         return t.dst if t.state >= RangeState.DONE else t.src
 
     def primary_at(self, h: int, epoch: int) -> int:

@@ -216,39 +216,39 @@ class KVHandler:
                                value=value if value is not None else b"",
                                version=lt.version(key), lease=lease)
 
+    def _write(self, keys, apply, *args):
+        """Coroutine: the write discipline, once for every write op --
+        handoff check, then (with a lease table) register the writers,
+        wait out the outstanding leases, apply, bump, deregister.
+        ``apply(*args)`` is only *called* after the barrier, so the backend
+        trace stage does not open while the write is parked on a lease.
+
+        Handler methods must ``yield from`` this, not return it: the
+        Thrift processor dispatches on ``inspect.isgeneratorfunction`` and
+        would never run a generator a plain method handed back."""
+        if self.handoff is not None:
+            self.handoff.check(*keys)
+        lt = self.leases
+        if lt is None:
+            yield from apply(*args)
+            return
+        lt.begin_write(*keys)
+        try:
+            yield from lt.write_barrier(*keys)
+            yield from apply(*args)
+            lt.bump(*keys)
+        finally:
+            lt.end_write(*keys)
+
     def Put(self, key, value):
         self._count("put")
         self._annotate("put", value_bytes=len(value))
-        if self.handoff is not None:
-            self.handoff.check(key)
-        lt = self.leases
-        if lt is None:
-            yield from self.backend.put(key, value)
-            return
-        lt.begin_write(key)
-        try:
-            yield from lt.write_barrier(key)
-            yield from self.backend.put(key, value)
-            lt.bump(key)
-        finally:
-            lt.end_write(key)
+        yield from self._write((key,), self.backend.put, key, value)
 
     def Delete(self, key):
         self._count("delete")
         self._annotate("delete", key_bytes=len(key))
-        if self.handoff is not None:
-            self.handoff.check(key)
-        lt = self.leases
-        if lt is None:
-            yield from self.backend.delete(key)
-            return
-        lt.begin_write(key)
-        try:
-            yield from lt.write_barrier(key)
-            yield from self.backend.delete(key)
-            lt.bump(key)
-        finally:
-            lt.end_write(key)
+        yield from self._write((key,), self.backend.delete, key)
 
     def MultiGet(self, keys):
         self._count("multi_get")
@@ -260,19 +260,7 @@ class KVHandler:
         self._count("multi_put")
         self._annotate("multi_put", nkeys=len(keys),
                        value_bytes=sum(len(v) for v in values))
-        if self.handoff is not None:
-            self.handoff.check(*keys)
-        lt = self.leases
-        if lt is None:
-            yield from self.backend.multi_put(keys, values)
-            return
-        lt.begin_write(*keys)
-        try:
-            yield from lt.write_barrier(*keys)
-            yield from self.backend.multi_put(keys, values)
-            lt.bump(*keys)
-        finally:
-            lt.end_write(*keys)
+        yield from self._write(keys, self.backend.multi_put, keys, values)
 
     def Scan(self, start_key, count):
         self._count("scan")

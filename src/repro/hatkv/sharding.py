@@ -20,22 +20,23 @@ The ring is elastic: :meth:`ShardedKVCluster.resize` grows or shrinks the
 shard count *live*, streaming only the remapped vnode arcs to their new
 owners while traffic keeps flowing (see :mod:`repro.hatkv.migration` for
 the range states, the cutover fence, and the dual-read forwarding
-window).  While a resize runs, the active
-:class:`~repro.hatkv.migration.MigrationPlan` -- not either ring alone --
-is the routing truth: routers resolve preference, write gates, and
-post-cutover read fallbacks against it, and each range flip bumps the
-cluster's ``routing_epoch`` so caches and scans can tell which side of a
-cutover an answer came from.
+window).  One :class:`~repro.hatkv.migration.MigrationPlan` is always the
+routing truth (``cluster.routing``): while a resize runs the in-flight
+plan -- not either ring alone -- else the static ring as a plan with zero
+ranges.  Routers resolve preference, write gates, and post-cutover read
+fallbacks against it, and each range flip bumps the ``routing_epoch`` so
+caches and scans can tell which side of a cutover an answer came from.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.thrift.errors import TTransportException
 
 from repro import obs
+from repro.core.runtime import gather
 from repro.hatkv.cache import (HIT_COST, HotKeyCache, cache_hit_result,
                                trace_cache_hit)
 from repro.hatkv.client import (IDEMPOTENT_FUNCTIONS, cache_for,
@@ -130,14 +131,10 @@ class RoutingView:
 
     def __init__(self, cluster: "ShardedKVCluster"):
         self.epoch = cluster.routing_epoch
-        self._plan = cluster.migration
-        self._ring = cluster.ring
+        self._plan = cluster.routing
 
     def primary(self, key: bytes) -> int:
-        h = _hash64(key)
-        if self._plan is not None:
-            return self._plan.primary_at(h, self.epoch)
-        return self._ring.owner_of_hash(h)
+        return self._plan.primary_at(_hash64(key), self.epoch)
 
 
 class ShardedKVCluster:
@@ -161,7 +158,6 @@ class ShardedKVCluster:
         self.pipeline = pipeline
         self.concurrency = concurrency
         self.gen = gen_module or load_hatkv_module(variant)
-        self.ring = HashRing(n_shards, vnodes=vnodes, seed=ring_seed)
         self.forward_window = FORWARD_WINDOW if forward_window is None \
             else forward_window
         nodes = (list(server_nodes) if server_nodes is not None
@@ -169,11 +165,8 @@ class ShardedKVCluster:
         if len(nodes) != n_shards:
             raise ValueError(f"need {n_shards} server nodes, got {len(nodes)}")
         self._server_kw = dict(server_kw)
-        self.servers = [HatKVServer(node, self.gen, shard=i,
-                                    concurrency=concurrency,
-                                    base_service_id=BASE_SID,
-                                    pipeline=pipeline, **server_kw)
-                        for i, node in enumerate(nodes)]
+        self.servers = [self._launch(node, i) for i, node in enumerate(nodes)]
+        self.ring = HashRing(n_shards, vnodes=vnodes, seed=ring_seed)
         #: nodes reserved for shards a future :meth:`resize` adds; they
         #: count as server nodes for placement (harnesses must not put
         #: clients there) even while idle.
@@ -226,12 +219,33 @@ class ShardedKVCluster:
         spares, so placement logic keeps clients off future shard homes."""
         return [s.node for s in self.servers] + list(self._spare_nodes)
 
+    def _launch(self, node, shard: int) -> HatKVServer:
+        """Shard ``shard``'s server on ``node`` (not yet started)."""
+        return HatKVServer(node, self.gen, shard=shard,
+                           concurrency=self.concurrency,
+                           base_service_id=BASE_SID,
+                           pipeline=self.pipeline, **self._server_kw)
+
+    @property
+    def ring(self) -> HashRing:
+        """The ring in force outside a resize (the resize driver assigns
+        the new one once every range has flipped)."""
+        return self._static.new_ring
+
+    @ring.setter
+    def ring(self, ring: HashRing) -> None:
+        # a static ring is a plan with zero ranges, built once per ring
+        self._static = MigrationPlan(self.sim, ring, ring,
+                                     replicas=self.replicas)
+
+    @property
+    def routing(self) -> MigrationPlan:
+        """The one routing truth every key lookup resolves against: the
+        in-flight plan during a resize, else the static ring's."""
+        return self.migration or self._static
+
     def primary(self, key: bytes) -> int:
-        if self.migration is not None:
-            pref = self.migration.preference(_hash64(key))
-            if pref is not None:
-                return pref[0]
-        return self.ring.shard_of(key)
+        return self.routing.preference(_hash64(key))[0]
 
     def replica_shards(self, primary: int) -> Tuple[int, ...]:
         """The shards holding a key whose ring owner is ``primary``:
@@ -244,19 +258,13 @@ class ShardedKVCluster:
         migration the covering range's plan entry wins: its old set stays
         authoritative through CUTOVER, its new set from the flip on.
         Arcs the resize does not touch have identical sets under both
-        rings, so the static path below is exact for them throughout."""
-        if self.migration is not None:
-            pref = self.migration.preference(_hash64(key))
-            if pref is not None:
-                return pref
-        return self.replica_shards(self.ring.shard_of(key))
+        rings, so the plan answers them from its new ring throughout."""
+        return self.routing.preference(_hash64(key))
 
     def read_fallback(self, key: bytes) -> Tuple[int, ...]:
         """Shards still holding ``key``'s pre-cutover copy (the dual-read
         forwarding window); () outside a migration."""
-        if self.migration is None:
-            return ()
-        return self.migration.read_fallback(_hash64(key))
+        return self.routing.read_fallback(_hash64(key))
 
     def routing_view(self) -> RoutingView:
         """A frozen resolver for epoch-consistent dedup (see
@@ -284,9 +292,9 @@ class ShardedKVCluster:
         txns = [s.backend.env.begin(write=True) for s in self.servers]
         try:
             for key, value in items:
-                primary = self.primary(key)
-                counts[primary] += 1
-                for shard in self.replica_shards(primary):
+                pref = self.preference(key)
+                counts[pref[0]] += 1
+                for shard in pref:
                     txns[shard].put(key, value)
         finally:
             for txn in txns:
@@ -323,24 +331,15 @@ class ShardedKVCluster:
         connects it to the new shards before any range flips, and pushes
         per-range cache invalidations at each cutover.
         """
-        connect_kw = dict(deadline=deadline, retry_policy=retry_policy,
-                          rng=rng, tunable=tunable, tuner=tuner)
-        stubs = []
-        for i, server in enumerate(self.servers):
-            stub = yield from connect_hatkv(
-                node, server.node, self.gen,
-                concurrency=self.concurrency,
-                base_service_id=BASE_SID,
-                pipeline=self.pipeline, trace_attrs={"shard": i},
-                **connect_kw)
-            stubs.append(stub)
         if isinstance(cache, HotKeyCache):
             kv_cache = cache
         else:
             kv_cache = cache_for(node, self.gen, cache_capacity) if cache \
                 else None
-        router = ShardRouter(self, node, stubs, cache=kv_cache,
-                             connect_kw=connect_kw)
+        router = ShardRouter(self, node, cache=kv_cache, connect_kw=dict(
+            deadline=deadline, retry_policy=retry_policy, rng=rng,
+            tunable=tunable, tuner=tuner))
+        yield from router.attach_shards(self.servers)
         self._routers.append(router)
         return router
 
@@ -377,18 +376,12 @@ class ShardedKVCluster:
         plan = MigrationPlan(self.sim, old_ring, new_ring,
                              replicas=self.replicas,
                              forward_window=self.forward_window)
-        added: List[HatKVServer] = []
         for i in range(old_n, n_shards):
             if not self._spare_nodes:
                 raise RuntimeError(
                     "resize needs reserve_nodes for the added shards")
-            srv = HatKVServer(self._spare_nodes.pop(0), self.gen, shard=i,
-                              concurrency=self.concurrency,
-                              base_service_id=BASE_SID,
-                              pipeline=self.pipeline,
-                              **self._server_kw).start()
-            self.servers.append(srv)
-            added.append(srv)
+            self.servers.append(
+                self._launch(self._spare_nodes.pop(0), i).start())
         self.migration = plan
         self._last_plan = plan
         # Arm the write fence everywhere: from here on, a range that
@@ -398,7 +391,7 @@ class ShardedKVCluster:
         # Every live router must reach the new shards before any range
         # can flip to them.
         for router in list(self._routers):
-            yield from router.attach_shards(added, first_shard=old_n)
+            yield from router.attach_shards(self.servers[old_n:])
         self._fire("resize_start", n_from=old_n, n_to=n_shards,
                    ranges=len(plan.tasks))
         buckets = self._bucket_keys(plan)
@@ -565,12 +558,32 @@ class ShardedKVCluster:
         return dropped
 
 
+def _counter(name: str):
+    """The registry's counter ``name``, or None with metrics off."""
+    reg = obs.current()
+    return reg.counter(name) if reg is not None else None
+
+
+def _flat(reply) -> bytes:
+    """A Get reply or cache entry as batch replies carry it (b"" = absent)."""
+    return reply.value if reply.found else b""
+
+
+class _Shard(NamedTuple):
+    """One shard as a router sees it: two wire drivers over one engine."""
+    stub: Any       # blocking driver: primary single-key legs, failover legs
+    caller: Any     # pipelined driver: hot reads, replica and batch legs
+    engine: Any
+    hot: Any        # the plan's one-sided hot-read channel (None: no cache)
+    ops: Any        # hatkv.router.shard<i>.ops counter (None: metrics off)
+
+
 class ShardRouter:
     """Client-side shard fan-out with the stub's coroutine API.
 
     One generated stub (and HatRPC engine) per shard; every op routes by
-    key through the cluster's ring.  Reads fail over along the key's
-    preference list; swept in-flight reads are handed to a replica
+    key through the cluster's routing plan.  Reads fail over along the
+    key's preference list; swept in-flight reads are handed to a replica
     engine through the engine's ``sweep_reroute`` hook; writes fan to all
     replicas and surface transport errors typed, never blindly re-sent.
 
@@ -579,33 +592,22 @@ class ShardRouter:
     cache admission is epoch-tagged, post-cutover misses retry the
     range's previous holders for the forwarding window, and each range
     flip invalidates exactly that range's cached keys.
+
+    Each decision has one site shared by all eight stub methods (table
+    in DESIGN.md section 10): ``_cached``, ``_steer``, ``_primary_answered``,
+    ``_failover``, ``_write_one`` / ``_write_batch``, ``_call`` / ``_issue``.
     """
 
-    def __init__(self, cluster: ShardedKVCluster, node, stubs, cache=None,
+    def __init__(self, cluster: ShardedKVCluster, node, cache=None,
                  connect_kw: Optional[dict] = None):
         self.cluster = cluster
         self.node = node
         self.cache = cache
         self._connect_kw = dict(connect_kw or {})
-        self._stubs = list(stubs)
-        self._clients = [s._hatrpc for s in stubs]
-        self._callers = [c.async_caller() for c in self._clients]
-        self._engines = [c.engine for c in self._clients]
-        self._result_cls = cluster.gen.GetResult
-        self._hot = [e.hot_read_channel() for e in self._engines] \
-            if cache is not None else [None] * len(self._engines)
-        reg = obs.current()
-        if reg is not None:
-            self._m_ops = [reg.counter(f"hatkv.router.shard{i}.ops")
-                           for i in range(len(self._stubs))]
-            self._m_reroutes = reg.counter("hatkv.router.reroutes")
-            self._m_read_failovers = reg.counter("hatkv.router.read_failovers")
-            self._m_forward = reg.counter("hatkv.router.forward_reads")
-        else:
-            self._m_ops = None
-            self._m_reroutes = None
-            self._m_read_failovers = None
-            self._m_forward = None
+        self._shards: List[_Shard] = []
+        self._m_reroutes = _counter("hatkv.router.reroutes")
+        self._m_read_failovers = _counter("hatkv.router.read_failovers")
+        self._m_forward = _counter("hatkv.router.forward_reads")
         self._rerouting: set = set()       # (fn, seqid) pairs in takeover
         self._closed = False
         #: bumped at every swept-call takeover; reads snapshot it before
@@ -613,50 +615,41 @@ class ShardRouter:
         #: that raced a takeover may itself be a replica's answer,
         #: delivered transparently through the original handle)
         self._takeover_gen = 0
-        for shard, engine in enumerate(self._engines):
-            engine.sweep_reroute = self._reroute_hook(shard)
+
+    @property
+    def _engines(self) -> list:
+        return [s.engine for s in self._shards]
 
     # -- elastic topology ----------------------------------------------------
-    def attach_shards(self, servers, first_shard: int):
-        """Coroutine: connect this router to shards a resize added, with
-        the same connect options (deadline, retries, tuner) its original
-        shards got.  Called by the resize driver before any range flips,
-        so a flipped range's new owners are always reachable."""
-        reg = obs.current()
-        for i, server in enumerate(servers, start=first_shard):
+    def attach_shards(self, servers):
+        """Coroutine: connect this router to ``servers`` (every shard at
+        build time, later the ones a resize added) with the connect options
+        it was built with.  The resize driver calls this before any range
+        flips, so a flipped range's new owners are always reachable."""
+        for server in servers:
+            index = len(self._shards)
             stub = yield from connect_hatkv(
                 self.node, server.node, self.cluster.gen,
                 concurrency=self.cluster.concurrency,
                 base_service_id=BASE_SID,
-                pipeline=self.cluster.pipeline, trace_attrs={"shard": i},
-                **self._connect_kw)
-            client = stub._hatrpc
-            engine = client.engine
-            self._stubs.append(stub)
-            self._clients.append(client)
-            self._callers.append(client.async_caller())
-            self._engines.append(engine)
-            self._hot.append(engine.hot_read_channel()
-                             if self.cache is not None else None)
-            if self._m_ops is not None and reg is not None:
-                self._m_ops.append(reg.counter(f"hatkv.router.shard{i}.ops"))
-            engine.sweep_reroute = self._reroute_hook(i)
+                pipeline=self.cluster.pipeline,
+                trace_attrs={"shard": index}, **self._connect_kw)
+            engine = stub._hatrpc.engine
+            engine.sweep_reroute = self._reroute_hook(index)
+            self._shards.append(_Shard(
+                stub, stub._hatrpc.async_caller(), engine,
+                engine.hot_read_channel() if self.cache is not None else None,
+                _counter(f"hatkv.router.shard{index}.ops")))
 
     def detach_shards(self, count: int):
         """Coroutine: drain and drop the highest-numbered ``count`` shard
         channel sets (a shrink's retired shards).  Uses the engine's
         drain-and-close so pipelined tails settle instead of failing."""
         for _ in range(count):
-            self._stubs.pop()
-            client = self._clients.pop()
-            self._callers.pop()
-            engine = self._engines.pop()
-            self._hot.pop()
-            if self._m_ops is not None:
-                self._m_ops.pop()
-            engine.sweep_reroute = None
-            yield from engine.drain_close()
-            client.close()
+            shard = self._shards.pop()
+            shard.engine.sweep_reroute = None
+            yield from shard.engine.drain_close()
+            shard.stub._hatrpc.close()
 
     def _on_range_done(self, task) -> None:
         """Cutover hook: drop cached entries for exactly the flipped
@@ -664,50 +657,6 @@ class ShardRouter:
         authoritative.  Everything else keeps serving."""
         if self.cache is not None:
             self.cache.invalidate_match(lambda k: task.contains(_hash64(k)))
-
-    # -- the migration write gate --------------------------------------------
-    def _write_intent(self, key):
-        """Coroutine: gate one write on the cutover fence, count it
-        in-flight, and resolve the replica set it must land on.
-
-        There is no yield between the final fence check, the
-        registration, and the preference resolution: the cooperative sim
-        makes the three atomic, which is what guarantees a write is
-        counted against -- and lands on -- exactly one side of a cutover
-        (so a Put can never be acknowledged by two primaries).  Returns
-        ``(task_or_None, preference)``; the caller must settle the task
-        with ``task.settle_write(key)`` in a finally block.
-        """
-        plan = self.cluster.migration
-        if plan is None:
-            return None, self.cluster.preference(key)
-        h = _hash64(key)
-        while True:
-            fence = plan.fence_of(h)
-            if fence is None:
-                break
-            yield fence
-        return plan.write_begin(h), self.cluster.preference(key)
-
-    def _write_intent_many(self, keys):
-        """Coroutine: :meth:`_write_intent` over a batch -- wait out every
-        covering fence, then register and resolve all keys in one atomic
-        step."""
-        plan = self.cluster.migration
-        if plan is None:
-            return ([None] * len(keys),
-                    [self.cluster.preference(k) for k in keys])
-        hashes = [_hash64(k) for k in keys]
-        while True:
-            fences = {id(f): f for h in hashes
-                      for f in (plan.fence_of(h),) if f is not None}
-            if not fences:
-                break
-            for f in fences.values():
-                yield f
-        tokens = [plan.write_begin(h) for h in hashes]
-        prefs = [self.cluster.preference(k) for k in keys]
-        return tokens, prefs
 
     # -- swept-call takeover -------------------------------------------------
     def _reroute_hook(self, shard: int):
@@ -732,7 +681,7 @@ class ShardRouter:
                 # let the takeover loop walk the original replica list.
                 return False
             replicas = [r for r in self.cluster.replica_shards(shard)[1:]
-                        if self._engines[r].is_open()]
+                        if self._shards[r].engine.is_open()]
             if not replicas:
                 return False
             self._takeover_gen += 1
@@ -762,7 +711,7 @@ class ShardRouter:
             for shard in replicas:
                 if self._closed:
                     break
-                eng = self._engines[shard]
+                eng = self._shards[shard].engine
                 if not eng.is_open():
                     continue
                 try:
@@ -793,16 +742,66 @@ class ShardRouter:
         finally:
             self._rerouting.discard((entry.fn, entry.seqid))
 
-    def _count(self, shard: int) -> None:
-        if self._m_ops is not None:
-            self._m_ops[shard].inc()
+    # -- the two wire drivers ------------------------------------------------
+    # Every call leaves through one of these, so a shard's op counter ticks
+    # when a call is issued to it -- never for a leg planned but not sent.
+    def _call(self, shard: int, method: str, *args):
+        """Coroutine: ``method`` on ``shard``'s blocking stub."""
+        s = self._shards[shard]
+        if s.ops is not None:
+            s.ops.inc()
+        return getattr(s.stub, method)(*args)
 
-    def _serve_hit(self, key, entry):
-        """Coroutine: one cache-served Get (hit cost + trace stage)."""
-        yield self.node.compute(HIT_COST)
-        trace_cache_hit(self._engines[self.cluster.primary(key)], "Get",
-                        entry)
-        return cache_hit_result(self._result_cls, entry)
+    def _issue(self, shard: int, method: str, *args, channel=None):
+        """Coroutine: post ``method`` on ``shard``'s pipelined caller;
+        returns the handle (``channel`` overrides the planned one)."""
+        s = self._shards[shard]
+        if s.ops is not None:
+            s.ops.inc()
+        return s.caller.call_async(method, *args, channel=channel)
+
+    # -- the read decisions --------------------------------------------------
+    def _cached(self, key, fn: str):
+        """Coroutine: the cache-hit step -- ``key``'s unexpired entry,
+        its hit cost charged and traced as a ``fn`` call, else None."""
+        entry = self.cache.lookup(key) if self.cache is not None else None
+        if entry is not None:
+            yield self.node.compute(HIT_COST)
+            trace_cache_hit(self._shards[self.cluster.primary(key)].engine,
+                            fn, entry)
+        return entry
+
+    def _steer(self, shard: int, key):
+        """The hot-read steer: ``shard``'s one-sided channel when ``key``
+        is promoted AND the RPC window is saturated (the one-sided read
+        costs more trips, so it only pays when it relieves a congested
+        request channel), else None: the planned channel."""
+        s = self._shards[shard]
+        if s.hot is not None and self.cache.promoted(key) \
+                and s.engine.channel_saturated("Get"):
+            self.cache.count_hot_read()
+            return s.hot
+        return None
+
+    def _primary_answered(self, key, shard: int, result, issued, gen0):
+        """Coroutine: what the primary's Get reply turns into.  A miss
+        inside the key's forwarding window retries the range's previous
+        holders.  Otherwise the reply feeds the cache (lease counted from
+        ``issued``) -- unless a takeover or a range flip moved
+        ``(takeover_gen, routing_epoch)`` off ``gen0`` since the read was
+        issued: it may not be the primary's answer, so it invalidates."""
+        if not result.found:
+            fb = self.cluster.read_fallback(key)
+            if fb and shard not in fb:
+                fwd = yield from self._forward_read(key, fb)
+                if fwd is not None:
+                    return fwd
+        if self.cache is not None:
+            if (self._takeover_gen, self.cluster.routing_epoch) != gen0:
+                self.cache.invalidate(key)
+            else:
+                self.cache.admit(key, result, issued=issued)
+        return result
 
     def _forward_read(self, key, shards):
         """Coroutine: the dual-read forwarding fallback -- retry a
@@ -810,11 +809,10 @@ class ShardRouter:
         returned but never cached (the old copy stops being authoritative
         when the window closes)."""
         for r in shards:
-            if r >= len(self._stubs):
+            if r >= len(self._shards):
                 continue
-            self._count(r)
             try:
-                result = yield from self._stubs[r].Get(key)
+                result = yield from self._call(r, "Get", key)
             except TTransportException:
                 continue
             if result.found:
@@ -823,162 +821,119 @@ class ShardRouter:
                 return result
         return None
 
-    # -- the stub API --------------------------------------------------------
+    def _failover(self, failed: int, shards, exc, method: str, *args):
+        """Coroutine: the read-failover walk.  ``failed`` died with
+        ``exc``: re-ask ``shards`` in order (skipping it) on the blocking
+        stub and return ``(answering_shard, reply)``, or raise the last
+        transport error -- ``exc`` itself when there is no replica.  A
+        replica may lag its primary: callers never cache the reply."""
+        for r in shards:
+            if r == failed:
+                continue
+            try:
+                reply = yield from self._call(r, method, *args)
+            except TTransportException as err:
+                exc = err
+                continue
+            if self._m_read_failovers is not None:
+                self._m_read_failovers.inc()
+            return r, reply
+        raise exc
+
+    def _get_failover(self, failed: int, shards, exc, key):
+        """Coroutine: :meth:`_failover` for one Get; invalidates the key."""
+        _, result = yield from self._failover(failed, shards, exc, "Get", key)
+        if self.cache is not None:
+            self.cache.invalidate(key)
+        return result
+
+    # -- the stub API: reads -------------------------------------------------
     def Get(self, key):
         """Coroutine: GetResult for ``key``; the hot-key cache sits above
         the shard fan-out, and reads fail over in preference order when a
-        shard's transport is down.  Failover answers may lag the primary,
-        so they invalidate the key and are never cached; the same applies
-        to answers that crossed a takeover or a migration cutover
-        (epoch-tagged admission)."""
-        cache = self.cache
-        if cache is not None:
-            entry = cache.lookup(key)
-            if entry is not None:
-                return (yield from self._serve_hit(key, entry))
-        last: Optional[Exception] = None
+        shard's transport is down.  Failover answers, and answers that
+        crossed a takeover or a migration cutover, are never cached."""
+        entry = yield from self._cached(key, "Get")
+        if entry is not None:
+            return cache_hit_result(self.cluster.gen.GetResult, entry)
         gen0 = (self._takeover_gen, self.cluster.routing_epoch)
-        for hop, shard in enumerate(self.cluster.preference(key)):
-            self._count(shard)
-            issued = self.node.sim.now
-            try:
-                if hop == 0 and cache is not None and cache.promoted(key) \
-                        and self._hot[shard] is not None \
-                        and self._engines[shard].channel_saturated("Get"):
-                    cache.count_hot_read()
-                    h = yield from self._callers[shard].call_async(
-                        "Get", key, channel=self._hot[shard])
-                    result = yield from h.wait()
-                else:
-                    result = yield from self._stubs[shard].Get(key)
-            except TTransportException as exc:
-                last = exc
+        pref = self.cluster.preference(key)
+        shard = pref[0]
+        chan = self._steer(shard, key)
+        issued = self.node.sim.now
+        try:
+            if chan is None:
+                result = yield from self._call(shard, "Get", key)
+            else:
+                h = yield from self._issue(shard, "Get", key, channel=chan)
+                result = yield from h.wait()
+        except TTransportException as exc:
+            return (yield from self._get_failover(shard, pref, exc, key))
+        return (yield from self._primary_answered(key, shard, result,
+                                                  issued, gen0))
+
+    def multi_get(self, keys):
+        """Coroutine: one pipelined single-key Get per key, fanned across
+        shards under each shard channel's in-flight window; values come
+        back in request order (b"" when absent).  Per key the decisions
+        are :meth:`Get`'s; only the primary leg's wire driver differs."""
+        out: List[Optional[bytes]] = [None] * len(keys)
+        pending = []
+        gen0 = (self._takeover_gen, self.cluster.routing_epoch)
+        for i, key in enumerate(keys):
+            entry = yield from self._cached(key, "Get")
+            if entry is not None:
+                out[i] = _flat(entry)
                 continue
-            if hop == 0 and not result.found \
-                    and self.cluster.migration is not None:
-                fb = self.cluster.read_fallback(key)
-                if fb and shard not in fb:
-                    fwd = yield from self._forward_read(key, fb)
-                    if fwd is not None:
-                        return fwd
-            if hop or (self._takeover_gen,
-                       self.cluster.routing_epoch) != gen0:
-                if self._m_read_failovers is not None and hop:
-                    self._m_read_failovers.inc()
-                if cache is not None:
-                    cache.invalidate(key)
-            elif cache is not None:
-                cache.admit(key, result, issued=issued)
-            return result
-        raise last
-
-    def Put(self, key, value):
-        """Coroutine: store ``key`` on every replica of its shard.
-
-        Primary-first ordering: the owner's write must land before any
-        replica is touched, so a Put that fails because the owner is
-        unreachable raises its typed transport error with every replica
-        still holding the pre-write value -- the router never
-        blind-retries writes and never lets a replica get ahead of its
-        primary.  Under a migration the write first passes the cutover
-        fence and is counted in-flight against its range."""
-        token, pref = yield from self._write_intent(key)
-        try:
-            for shard in pref:
-                self._count(shard)
-            yield from self._stubs[pref[0]].Put(key, value)
-            if len(pref) > 1:
-                handles = []
-                for shard in pref[1:]:
-                    handles.append(
-                        (yield from self._callers[shard].call_async(
-                            "Put", key, value)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
-        finally:
-            if token is not None:
-                token.settle_write(key)
-            if self.cache is not None:
-                self.cache.invalidate(key)
-
-    def Delete(self, key):
-        """Coroutine: remove ``key`` from every replica of its shard,
-        primary-first (same write discipline -- and migration write gate
-        -- as :meth:`Put`)."""
-        token, pref = yield from self._write_intent(key)
-        try:
-            for shard in pref:
-                self._count(shard)
-            yield from self._stubs[pref[0]].Delete(key)
-            if len(pref) > 1:
-                handles = []
-                for shard in pref[1:]:
-                    handles.append(
-                        (yield from self._callers[shard].call_async(
-                            "Delete", key)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
-        finally:
-            if token is not None:
-                token.settle_write(key)
-            if self.cache is not None:
-                self.cache.invalidate(key)
+            shard = self.cluster.primary(key)
+            chan = self._steer(shard, key)
+            issued = self.node.sim.now
+            pending.append((i, shard, key, issued, (
+                yield from self._issue(shard, "Get", key, channel=chan))))
+        for i, shard, key, issued, h in pending:
+            try:
+                result = yield from h.wait()
+            except TTransportException as exc:
+                # along the key's *current* preference list (plan-aware)
+                result = yield from self._get_failover(
+                    shard, self.cluster.preference(key), exc, key)
+            else:
+                result = yield from self._primary_answered(
+                    key, shard, result, issued, gen0)
+            out[i] = _flat(result)
+        return out
 
     def MultiGet(self, keys):
         """Coroutine: values for ``keys`` (b"" when absent), fanned as one
         server-side MultiGet per shard, reassembled in request order.
         Cached keys are served locally (batch replies carry no versions,
         so misses are not admitted here)."""
-        cache = self.cache
         out: List[Optional[bytes]] = [None] * len(keys)
         groups: Dict[int, Tuple[List[int], List[bytes]]] = {}
         for pos, key in enumerate(keys):
-            if cache is not None:
-                entry = cache.lookup(key)
-                if entry is not None:
-                    yield self.node.compute(HIT_COST)
-                    trace_cache_hit(
-                        self._engines[self.cluster.primary(key)],
-                        "MultiGet", entry)
-                    out[pos] = entry.value if entry.found else b""
-                    continue
-            shard = self.cluster.primary(key)
-            positions, subkeys = groups.setdefault(shard, ([], []))
+            entry = yield from self._cached(key, "MultiGet")
+            if entry is not None:
+                out[pos] = _flat(entry)
+                continue
+            positions, subkeys = groups.setdefault(
+                self.cluster.primary(key), ([], []))
             positions.append(pos)
             subkeys.append(key)
         handles = []
         for shard, (positions, subkeys) in groups.items():
-            self._count(shard)
-            handles.append((shard, positions, subkeys,
-                            (yield from self._callers[shard].call_async(
-                                "MultiGet", subkeys))))
+            handles.append((shard, positions, subkeys, (
+                yield from self._issue(shard, "MultiGet", subkeys))))
         for shard, positions, subkeys, h in handles:
             try:
                 values = yield from h.wait()
-            except TTransportException:
-                values = yield from self._multi_get_fallback(shard, subkeys)
-                if cache is not None:
-                    for key in subkeys:
-                        cache.invalidate(key)
+            except TTransportException as exc:
+                values = yield from self._multi_get_fallback(
+                    shard, subkeys, exc)
             for pos, value in zip(positions, values):
                 out[pos] = value
         return out
 
-    def _multi_get_fallback(self, shard: int, subkeys):
+    def _multi_get_fallback(self, shard: int, subkeys, exc):
         """Coroutine: re-read one shard's sub-batch from its replicas.
 
         Statically all keys primaried on ``shard`` share one replica set,
@@ -988,65 +943,16 @@ class ShardRouter:
         if self.cluster.migration is not None:
             values = []
             for key in subkeys:
-                r = yield from self._get_from_replicas(shard, key)
-                values.append(r.value if r.found else b"")
+                values.append(_flat((yield from self._get_failover(
+                    shard, self.cluster.preference(key), exc, key))))
             return values
-        last: Optional[Exception] = None
-        for r in self.cluster.replica_shards(shard)[1:]:
-            self._count(r)
-            try:
-                values = yield from self._stubs[r].MultiGet(subkeys)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if self._m_read_failovers is not None:
-                self._m_read_failovers.inc()
-            return values
-        raise last if last is not None else TTransportException(
-            TTransportException.NOT_OPEN,
-            f"shard {shard} unreachable and no replicas configured")
-
-    def MultiPut(self, keys, values):
-        """Coroutine: store a batch, one server-side MultiPut per shard
-        per replica.  Two phases with the same primary-first rule as
-        :meth:`Put`: every primary write settles before any replica is
-        touched; the first failure raises after its phase settles.  The
-        whole batch passes the migration write gate up front."""
-        if len(keys) != len(values):
-            raise ValueError("keys/values length mismatch")
-        tokens, prefs = yield from self._write_intent_many(keys)
-        try:
-            primary: Dict[int, Tuple[List[bytes], List[bytes]]] = {}
-            replica: Dict[int, Tuple[List[bytes], List[bytes]]] = {}
-            for key, value, pref in zip(keys, values, prefs):
-                for phase, shard in zip(
-                        (primary,) + (replica,) * (len(pref) - 1), pref):
-                    ks, vs = phase.setdefault(shard, ([], []))
-                    ks.append(key)
-                    vs.append(value)
-            for phase in (primary, replica):
-                handles = []
-                for shard, (ks, vs) in phase.items():
-                    self._count(shard)
-                    handles.append(
-                        (yield from self._callers[shard].call_async(
-                            "MultiPut", ks, vs)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
-        finally:
-            for key, token in zip(keys, tokens):
-                if token is not None:
-                    token.settle_write(key)
-            if self.cache is not None:
-                for key in keys:
-                    self.cache.invalidate(key)
+        _, values = yield from self._failover(
+            shard, self.cluster.replica_shards(shard), exc,
+            "MultiGet", subkeys)
+        if self.cache is not None:
+            for key in subkeys:
+                self.cache.invalidate(key)
+        return values
 
     def Scan(self, start_key, count):
         """Coroutine: global scan -- hash sharding scatters key ranges, so
@@ -1065,10 +971,11 @@ class ShardRouter:
         its future owner must not leak half-moved rows into the merge."""
         view = self.cluster.routing_view()
         handles = []
-        for shard in range(len(self._stubs)):
-            self._count(shard)
-            handles.append((shard, (yield from self._callers[
-                shard].call_async("Scan", start_key, count))))
+        for shard in range(len(self._shards)):
+            if shard >= len(self._shards):
+                break      # retired by a shrink mid-issue: nothing left on it
+            handles.append((shard, (
+                yield from self._issue(shard, "Scan", start_key, count))))
         migrating = self.cluster.migration is not None
         # key -> (came_from_primary, value)
         best: Dict[bytes, Tuple[bool, bytes]] = {}
@@ -1076,9 +983,11 @@ class ShardRouter:
             src = shard
             try:
                 flat = yield from h.wait()
-            except TTransportException:
-                src, flat = yield from self._scan_fallback(
-                    shard, start_key, count)
+            except TTransportException as exc:
+                # src: the merge must know the rows are not primary answers
+                src, flat = yield from self._failover(
+                    shard, self.cluster.replica_shards(shard), exc,
+                    "Scan", start_key, count)
             for i in range(0, len(flat), 2):
                 k, v = flat[i], flat[i + 1]
                 if migrating:
@@ -1098,141 +1007,120 @@ class ShardRouter:
                 break
         return out
 
-    def _scan_fallback(self, shard: int, start_key, count):
-        """Coroutine: re-run one shard's scan leg on its replicas; returns
-        ``(answering_shard, flat_rows)`` so the merge can tell the rows
-        were not primary answers."""
-        last: Optional[Exception] = None
-        for r in self.cluster.replica_shards(shard)[1:]:
-            self._count(r)
-            try:
-                flat = yield from self._stubs[r].Scan(start_key, count)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if self._m_read_failovers is not None:
-                self._m_read_failovers.inc()
-            return r, flat
-        raise last if last is not None else TTransportException(
-            TTransportException.NOT_OPEN,
-            f"shard {shard} unreachable and no replicas configured")
+    # -- the stub API: writes ------------------------------------------------
+    def _write_intent(self, keys):
+        """Coroutine: gate a write on the cutover fence, count it
+        in-flight, and resolve the replica set each key must land on.
 
-    # -- pipelined client-side batching (mirrors repro.hatkv.client) --------
-    def multi_get(self, keys):
-        """Coroutine: one pipelined single-key Get per key, fanned across
-        shards under each shard channel's in-flight window; values come
-        back in request order (b"" when absent).  Cache hits are served
-        locally, promoted misses ride the hot-read channel, primary
-        replies feed the cache (epoch-tagged), and failover replies
-        invalidate."""
-        cache = self.cache
-        out: List[Optional[bytes]] = [None] * len(keys)
-        pending = []
-        gen0 = (self._takeover_gen, self.cluster.routing_epoch)
-        for i, key in enumerate(keys):
-            if cache is not None:
-                entry = cache.lookup(key)
-                if entry is not None:
-                    yield self.node.compute(HIT_COST)
-                    trace_cache_hit(
-                        self._engines[self.cluster.primary(key)],
-                        "Get", entry)
-                    out[i] = entry.value if entry.found else b""
-                    continue
-            shard = self.cluster.primary(key)
-            self._count(shard)
-            chan = None
-            if cache is not None and cache.promoted(key) \
-                    and self._hot[shard] is not None \
-                    and self._engines[shard].channel_saturated("Get"):
-                cache.count_hot_read()
-                chan = self._hot[shard]
-            issued = self.node.sim.now
-            pending.append(
-                (i, shard, key, issued,
-                 (yield from self._callers[shard].call_async(
-                     "Get", key, channel=chan))))
-        for i, shard, key, issued, h in pending:
-            try:
-                result = yield from h.wait()
-            except TTransportException:
-                result = yield from self._get_from_replicas(shard, key)
-                if cache is not None:
-                    cache.invalidate(key)
-            else:
-                if not result.found and self.cluster.migration is not None:
-                    fb = self.cluster.read_fallback(key)
-                    if fb and shard not in fb:
-                        fwd = yield from self._forward_read(key, fb)
-                        if fwd is not None:
-                            out[i] = fwd.value
-                            continue
-                if cache is not None:
-                    if (self._takeover_gen,
-                            self.cluster.routing_epoch) != gen0:
-                        cache.invalidate(key)
-                    else:
-                        cache.admit(key, result, issued=issued)
-            out[i] = result.value if result.found else b""
-        return out
+        Waits out every fence covering a key, then registers and resolves
+        all keys in one step.  There is no yield between the final fence
+        check, the registration, and the preference resolution: the
+        cooperative sim makes the three atomic, which is what guarantees
+        a write is counted against -- and lands on -- exactly one side of
+        a cutover (so a Put can never be acknowledged by two primaries).
+        Returns ``(tokens, preferences)``, one per key; the caller must
+        pass the tokens to :meth:`_write_done` in a finally block.
+        """
+        plan = self.cluster.routing
+        hashes = [_hash64(k) for k in keys]
+        while True:
+            fences = {id(f): f for h in hashes
+                      for f in (plan.fence_of(h),) if f is not None}
+            if not fences:
+                break
+            for f in fences.values():
+                yield f
+        return ([plan.write_begin(h) for h in hashes],
+                [plan.preference(h) for h in hashes])
 
-    def _get_from_replicas(self, shard: int, key: bytes):
-        """Coroutine: per-key read failover along the key's *current*
-        preference list (plan-aware during a migration), skipping the
-        shard that already failed."""
-        last: Optional[Exception] = None
-        for r in self.cluster.preference(key):
-            if r == shard:
-                continue
-            self._count(r)
-            try:
-                result = yield from self._stubs[r].Get(key)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if self._m_read_failovers is not None:
-                self._m_read_failovers.inc()
-            return result
-        raise last if last is not None else TTransportException(
-            TTransportException.NOT_OPEN,
-            f"shard {shard} unreachable and no replicas configured")
+    def _write_done(self, keys, tokens) -> None:
+        """Settle a write begun with :meth:`_write_intent`, however it
+        ended: release the ranges' in-flight counts and invalidate."""
+        for key, token in zip(keys, tokens):
+            if token is not None:
+                token.settle_write(key)
+        if self.cache is not None:
+            for key in keys:
+                self.cache.invalidate(key)
+
+    def _write_one(self, method: str, key, *args):
+        """Coroutine: one single-key write on every replica of its shard.
+
+        Primary-first ordering: the owner's write must land before any
+        replica is touched, so a write that fails because the owner is
+        unreachable raises its typed transport error with every replica
+        still holding the pre-write value -- the router never
+        blind-retries writes and never lets a replica get ahead of its
+        primary.  Under a migration the write first passes the cutover
+        fence and is counted in-flight against its range."""
+        tokens, (pref,) = yield from self._write_intent((key,))
+        try:
+            yield from self._call(pref[0], method, key, *args)
+            yield from self._wave([(r, method, key, *args) for r in pref[1:]])
+        finally:
+            self._write_done((key,), tokens)
+
+    def Put(self, key, value):
+        """Coroutine: store ``key`` (see :meth:`_write_one`)."""
+        return self._write_one("Put", key, value)
+
+    def Delete(self, key):
+        """Coroutine: remove ``key`` (same write discipline -- and
+        migration write gate -- as :meth:`Put`)."""
+        return self._write_one("Delete", key)
+
+    def _wave(self, calls):
+        """Coroutine: post every ``(shard, method, *args)`` of ``calls``,
+        then wait for all; the first failure raises after all settled."""
+        handles = []
+        for shard, method, *args in calls:
+            handles.append((yield from self._issue(shard, method, *args)))
+        yield from gather(handles)
+
+    def _write_batch(self, keys, values, waves):
+        """Coroutine: one batch write, wave by wave.
+
+        ``waves(keys, values, prefs)`` lays the batch out as waves of
+        calls, every primary in the first; a wave settles before the next
+        starts (primary-first, as :meth:`_write_one`).  Replica sets are
+        resolved once, under the migration write gate -- a re-resolve
+        between waves could split one write across a cutover."""
+        if len(keys) != len(values):
+            raise ValueError("keys/values length mismatch")
+        tokens, prefs = yield from self._write_intent(keys)
+        try:
+            for wave in waves(keys, values, prefs):
+                yield from self._wave(wave)
+        finally:
+            self._write_done(keys, tokens)
+
+    def MultiPut(self, keys, values):
+        """Coroutine: store a batch, one server-side MultiPut per shard
+        per replica, in two waves: every primary, then every replica."""
+        return self._write_batch(keys, values, self._shard_waves)
+
+    @staticmethod
+    def _shard_waves(keys, values, prefs):
+        # primary wave, then ONE wave for all further replicas
+        waves: Tuple[dict, dict] = ({}, {})     # shard -> (keys, values)
+        for key, value, pref in zip(keys, values, prefs):
+            for hop, shard in enumerate(pref):
+                ks, vs = waves[min(hop, 1)].setdefault(shard, ([], []))
+                ks.append(key)
+                vs.append(value)
+        return [[(shard, "MultiPut", ks, vs)
+                 for shard, (ks, vs) in wave.items()] for wave in waves]
 
     def multi_put(self, keys, values):
         """Coroutine: one pipelined single-key Put per key per replica,
-        primaries settling before replicas (see :meth:`Put`).  Replica
-        sets are resolved once, under the migration write gate -- a
-        re-resolve between hops could split one write across both sides
-        of a cutover."""
-        if len(keys) != len(values):
-            raise ValueError("keys/values length mismatch")
-        tokens, prefs = yield from self._write_intent_many(keys)
-        try:
-            for hop in range(self.cluster.replicas):
-                handles = []
-                for key, value, pref in zip(keys, values, prefs):
-                    if hop >= len(pref):
-                        continue
-                    shard = pref[hop]
-                    self._count(shard)
-                    handles.append(
-                        (yield from self._callers[shard].call_async(
-                            "Put", key, value)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
-        finally:
-            for key, token in zip(keys, tokens):
-                if token is not None:
-                    token.settle_write(key)
-            if self.cache is not None:
-                for key in keys:
-                    self.cache.invalidate(key)
+        one wave per hop of the preference lists (primaries first)."""
+        return self._write_batch(keys, values, self._key_waves)
+
+    def _key_waves(self, keys, values, prefs):
+        return [[(pref[hop], "Put", key, value)
+                 for key, value, pref in zip(keys, values, prefs)
+                 if hop < len(pref)]
+                for hop in range(self.cluster.replicas)]
 
     def close(self) -> None:
         """Tear down every shard client.
@@ -1245,6 +1133,6 @@ class ShardRouter:
         self._closed = True
         if self in self.cluster._routers:
             self.cluster._routers.remove(self)
-        for client in self._clients:
-            client.engine.sweep_reroute = None
-            client.close()
+        for shard in self._shards:
+            shard.engine.sweep_reroute = None
+            shard.stub._hatrpc.close()

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.hatkv import ShardedKVCluster
 from repro.sim.units import ms, us
@@ -151,3 +152,43 @@ def test_no_replicas_means_reads_fail_typed():
 
     tb.sim.run(tb.sim.process(client()))
     assert isinstance(out["error"], TTransportException)
+
+
+def test_router_op_counters_count_issued_calls_only():
+    """``hatkv.router.shard<i>.ops`` counts calls *issued* to shard i.  A
+    write that dies on its primary never contacts its replicas (that is
+    the primary-first rule), so it must not count them either -- pre-fix,
+    Put/Delete bumped every replica's counter before the primary's write
+    was sent, and three failed Puts read as three ops on a shard no
+    request ever reached."""
+    with obs.installed() as reg:
+        tb = Testbed(n_nodes=6)
+        cluster, keys = build_cluster(tb)
+        flap_node = cluster.servers[0].node.name
+        FaultInjector(tb, FaultPlan(seed=3, events=(
+            LinkFlap(flap_node, start=150 * us, duration=8 * ms),
+        ))).arm()
+        shard0_keys = keys_on_shard(cluster, keys, 0)
+        out = {"write_errors": 0}
+
+        def client():
+            router = yield from cluster.connect(tb.node(4),
+                                                rng=random.Random(7))
+            yield tb.sim.timeout(300 * us)     # well inside the flap window
+            writes = [router.Put(key, b"clobber") for key in shard0_keys[:3]]
+            writes += [router.Delete(key) for key in shard0_keys[3:5]]
+            for write in writes:
+                try:
+                    yield from write
+                except TTransportException:
+                    out["write_errors"] += 1
+            router.close()
+
+        tb.sim.run(tb.sim.process(client()))
+        assert out["write_errors"] == 5
+        router_ops = [reg.counter(f"hatkv.router.shard{i}.ops").value
+                      for i in range(2)]
+        handled = [reg.counter(f"hatkv.shard{i}.{op}").value
+                   for i in range(2) for op in ("put", "delete")]
+        assert handled == [0, 0, 0, 0]         # no write reached a handler
+        assert router_ops == [5, 0], router_ops

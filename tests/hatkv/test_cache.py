@@ -14,7 +14,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFlap
 from repro.hatkv import HatKVServer, ShardedKVCluster, load_hatkv_module
 from repro.hatkv.cache import CacheEntry, HotKeyCache
-from repro.hatkv.client import KVClient, cache_for, connect_hatkv
+from repro.hatkv.client import cache_for
 from repro.hatkv.server import SERVICE, LeaseTable
 from repro.idl import load_idl
 from repro.testbed import Testbed
@@ -194,15 +194,14 @@ def test_write_rate_suppression_skipped_for_short_leases():
 # -- single-server end to end -------------------------------------------------
 
 def _start_cached(tb, cacheable=CACHEABLE):
+    # One shard: the router is the cache-aware single-server client.
     gen = load_hatkv_module("function", concurrency=4, cacheable=cacheable)
-    server = HatKVServer(tb.node(0), gen, concurrency=4).start()
-    return gen, server
+    tb.kv = ShardedKVCluster(tb, 1, gen_module=gen, concurrency=4).start()
+    return gen, tb.kv.servers[0]
 
 
 def _kv_client(tb, gen):
-    stub = yield from connect_hatkv(tb.node(1), tb.node(0), gen,
-                                    concurrency=4)
-    return KVClient(stub, cache=cache_for(tb.node(1), gen))
+    return tb.kv.connect(tb.node(1))
 
 
 def test_cached_get_hits_locally_and_write_invalidates():
@@ -379,16 +378,13 @@ def test_uncached_reply_bytes_identical_to_two_field_struct():
 
 def test_uncached_flow_bypasses_cache_entirely():
     tb = Testbed(n_nodes=3)
-    gen = load_hatkv_module("function", concurrency=4)
-    server = HatKVServer(tb.node(0), gen, concurrency=4).start()
+    gen, server = _start_cached(tb, cacheable=None)
     assert server.leases is None
     assert cache_for(tb.node(1), gen) is None
     out = {}
 
     def client():
-        stub = yield from connect_hatkv(tb.node(1), tb.node(0), gen,
-                                        concurrency=4)
-        kv = KVClient(stub, cache=cache_for(tb.node(1), gen))
+        kv = yield from _kv_client(tb, gen)
         assert kv.cache is None
         yield from kv.Put(k(6), b"v")
         out["r1"] = yield from kv.Get(k(6))

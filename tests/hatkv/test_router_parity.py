@@ -1,0 +1,259 @@
+"""One routing decision, several ways to ask: every situation must end the
+same way whichever stub method carried the keys.
+
+:class:`~repro.hatkv.sharding.ShardRouter` takes each read decision (cache
+hit, hot-read steer, what the primary's answer turns into, the failover
+walk) and each write decision (fence gate, primary-first waves, settle and
+invalidate) at one site shared by all its methods; only the wire driver and
+the batching differ.  So the same keys through a ``Get`` loop or one
+``multi_get``, and the same writes through a ``Put`` loop, one ``multi_put``
+or one ``MultiPut``, must leave equal values, equal cache contents, equal
+``hatkv.router.*`` / ``hatkv.cache.*`` counter deltas and equal replica
+contents -- on the static ring, with the keys' primary dark, and inside a
+range's forwarding window.  ``tests/faults/test_policy_parity.py`` is the
+same idea one layer down (one recovery policy, two wire drivers).
+
+Two differences are the drivers', not the router's, and the tests say so
+where they allow for them: a blocking call that dies is failed over by the
+router's walk (``read_failovers``) while a pipelined one is swept to the
+replica engine by the takeover hook first (``reroutes``) -- either way one
+replica answer per read, never cached; and a batch snapshots the
+router-wide takeover generation once, so reads are batched per primary
+here (mixed with a dark shard's keys, a live shard's replies are declined
+by the same admission rule -- the safe direction).
+"""
+
+import random
+
+import pytest
+
+from repro import obs
+from repro.core.resilience import RetryPolicy
+from repro.hatkv import ShardedKVCluster, load_hatkv_module
+from repro.hatkv.migration import hash_key
+from repro.sim.units import us
+from repro.testbed import Testbed
+from repro.thrift.errors import TTransportException
+from repro.ycsb.workload import Workload
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.obs.ObsInstallOrderWarning")
+
+#: long enough that no lease lapses while a sequential loop sits out a dead
+#: primary's transport retries -- expiry is timing, not a routing decision
+TTL = 50e-3
+N_KEYS = 24
+KEYS = [Workload.key_of(i) for i in range(N_KEYS)]
+SITUATIONS = ("static", "primary_down", "forwarding_window")
+COUNTERS = ("hatkv.router.forward_reads", "hatkv.cache.hits",
+            "hatkv.cache.misses", "hatkv.cache.invalidations",
+            "hatkv.cache.lease_expiries", "hatkv.cache.hot_reads")
+#: summed into one "replica_answers" delta (see the module docstring)
+REPLICA_ANSWERS = ("hatkv.router.read_failovers", "hatkv.router.reroutes")
+
+
+def seed_value(key):
+    return b"seed-" + key
+
+
+@pytest.fixture(scope="module")
+def gen():
+    return load_hatkv_module("function", concurrency=8,
+                             cacheable={"ttl": TTL, "hot_promote": 3})
+
+
+class World:
+    """One fresh cluster put into ``situation``, with a connected router."""
+
+    def __init__(self, gen, situation):
+        self.tb = tb = Testbed(n_nodes=8)
+        self.cluster = cluster = ShardedKVCluster(
+            tb, 2, gen_module=gen, replicas=2, vnodes=16, concurrency=8,
+            reserve_nodes=[tb.nodes[2]], forward_window=10e-3).start()
+        self.keys = KEYS
+        cluster.load((k, seed_value(k)) for k in self.keys)
+        self.situation = situation
+
+    def keys_by_primary(self):
+        """The keys grouped by the shard that owns them right now."""
+        groups = {}
+        for key in self.keys:
+            groups.setdefault(self.cluster.primary(key), []).append(key)
+        return [groups[shard] for shard in sorted(groups)]
+
+    def enter(self):
+        """Coroutine: a router, connected once the situation holds."""
+        tb, cluster = self.tb, self.cluster
+        if self.situation == "forwarding_window":
+            # Grow 2 -> 3 and stop inside the (long) forwarding window:
+            # every range has flipped, none has been cleaned up.
+            flipped = []
+            cluster.on_migration.append(
+                lambda kind, **a: flipped.append(kind)
+                if kind == "resize_cutover_complete" else None)
+            cluster.start_resize(3)
+            while not flipped:
+                yield tb.sim.timeout(20 * us)
+            # Lose the new owners' copies of the keys whose primary moved:
+            # only the forward read to the previous holders can find them.
+            for key in self.moved_keys():
+                task = cluster.migration.covering(hash_key(key))
+                for shard in task.copy_targets:
+                    with cluster.servers[shard].backend.env.begin(
+                            write=True) as txn:
+                        txn.delete(key)
+        router = yield from cluster.connect(
+            tb.node(4), rng=random.Random(5),
+            retry_policy=RetryPolicy(max_attempts=1))
+        if self.situation == "primary_down":
+            # Dark before the first call, so every leg to shard 0 dies the
+            # same way whichever method sends it.
+            cluster.servers[0].node.crash()
+        return router
+
+    def moved_keys(self):
+        plan = self.cluster.migration
+        return [k for k in self.keys
+                if (t := plan.covering(hash_key(k))) is not None
+                and t.src[0] != t.dst[0]]
+
+    def replica_contents(self):
+        out = []
+        for server in self.cluster.servers:
+            with server.backend.env.begin() as txn:
+                out.append({k: txn.get(k) for k in self.keys})
+        return out
+
+
+def drive(gen, situation, body):
+    """Run ``body(world, router)`` in a fresh world; returns what parity
+    compares: the body's values, the cache, counter deltas, replicas."""
+    with obs.installed() as reg:
+        world = World(gen, situation)
+        out = {}
+
+        def client():
+            router = yield from world.enter()
+
+            def snapshot():
+                snap = {n: reg.counter(n).value for n in COUNTERS}
+                snap["replica_answers"] = sum(
+                    reg.counter(n).value for n in REPLICA_ANSWERS)
+                return snap
+
+            before = snapshot()
+            out["values"] = yield from body(world, router)
+            out["counters"] = {n: v - before[n]
+                               for n, v in snapshot().items()}
+            out["cache"] = {k: (e.found, e.value, e.version)
+                            for k, e in router.cache._entries.items()}
+            router.close()
+
+        proc = world.tb.sim.process(client())
+        world.tb.sim.run(proc)
+        proc.value
+        out["replicas"] = world.replica_contents()
+        # what each key's current holders store, primary first
+        out["held"] = {k: [out["replicas"][shard][k]
+                           for shard in world.cluster.preference(k)]
+                       for k in world.keys}
+        out["primary"] = {k: world.cluster.primary(k) for k in world.keys}
+        return out
+
+
+# -- reads --------------------------------------------------------------------
+
+def get_loop(world, router):
+    values = {}
+    for _ in range(2):              # second sweep: hits where admitted
+        for group in world.keys_by_primary():
+            for key in group:
+                got = yield from router.Get(key)
+                values[key] = got.value if got.found else b""
+    return values
+
+
+def multi_get(world, router):
+    values = {}
+    for _ in range(2):
+        for group in world.keys_by_primary():
+            values.update(zip(group, (yield from router.multi_get(group))))
+    return values
+
+
+@pytest.mark.parametrize("situation", SITUATIONS)
+def test_get_loop_and_multi_get_decide_alike(gen, situation):
+    one = drive(gen, situation, get_loop)
+    many = drive(gen, situation, multi_get)
+    assert one["values"] == {k: seed_value(k) for k in KEYS}
+    assert one == many
+    # ... and the situation really was the one named
+    c = one["counters"]
+    if situation == "static":
+        assert c["hatkv.cache.hits"] == N_KEYS and len(one["cache"]) == N_KEYS
+    elif situation == "primary_down":
+        assert c["replica_answers"] == 2 * (N_KEYS - len(one["cache"]))
+        assert 0 < len(one["cache"]) < N_KEYS   # failover answers: not cached
+    else:
+        assert c["hatkv.router.forward_reads"] > 0
+        assert 0 < len(one["cache"]) < N_KEYS   # forwarded answers: not cached
+
+
+# -- writes -------------------------------------------------------------------
+
+def new_value(key):
+    return b"new-" + key
+
+
+def warm(world, router):
+    """Coroutine: cache what can be cached, so the writes must invalidate."""
+    for group in world.keys_by_primary():
+        yield from router.multi_get(group)
+
+
+def put_loop(world, router):
+    """Coroutine: True when any write failed typed."""
+    yield from warm(world, router)
+    failed = False
+    for key in world.keys:
+        try:
+            yield from router.Put(key, new_value(key))
+        except TTransportException:
+            failed = True
+    return failed
+
+
+def batch_put(method):
+    def body(world, router):
+        yield from warm(world, router)
+        try:
+            yield from getattr(router, method)(
+                world.keys, [new_value(k) for k in world.keys])
+        except TTransportException:
+            return True
+        return False
+    return body
+
+
+@pytest.mark.parametrize("situation", SITUATIONS)
+def test_put_loop_multi_put_and_MultiPut_decide_alike(gen, situation):
+    runs = [drive(gen, situation, body)
+            for body in (put_loop, batch_put("multi_put"),
+                         batch_put("MultiPut"))]
+    loop = runs[0]
+    for batch in runs[1:]:
+        assert batch["cache"] == loop["cache"] == {}    # every key written
+        assert batch["counters"] == loop["counters"]
+        assert batch["values"] == loop["values"]        # failed typed, or not
+        assert batch["replicas"] == loop["replicas"]
+    if situation == "primary_down":
+        assert loop["values"], "writes to a dark primary must fail typed"
+        # Primary-first: the dark shard took nothing, and the live one only
+        # the keys it is primary for -- no replica is ahead of its primary.
+        dark, live = loop["replicas"]
+        assert dark == {k: seed_value(k) for k in KEYS}
+        assert {k for k, v in live.items() if v == new_value(k)} == \
+            {k for k, shard in loop["primary"].items() if shard == 1}
+    else:
+        assert not loop["values"]
+        assert loop["held"] == {k: [new_value(k)] * 2 for k in KEYS}
