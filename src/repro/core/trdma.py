@@ -33,8 +33,8 @@ class TRdma(TTransport):
     """Client-side message transport over a connected HatRpcEngine."""
 
     def __init__(self, engine: HatRpcEngine):
+        super().__init__()
         self.engine = engine
-        self._wbuf = bytearray()
         self._rbuf = b""
         self._rpos = 0
         self._current_fn: Optional[str] = None
@@ -62,17 +62,12 @@ class TRdma(TTransport):
     def close(self) -> None:
         self.engine.close()
 
-    def write(self, data: bytes) -> None:
-        self._wbuf += data
-
     def flush(self):
         if self._current_fn is None:
             raise RuntimeError(
                 "TRdma.flush without a method context; wrap the protocol "
                 "in HintedProtocol")
-        message = bytes(self._wbuf)
-        self._wbuf.clear()
-        resp = yield from self.engine.call(self._current_fn, message,
+        resp = yield from self.engine.call(self._current_fn, self._take(),
                                            oneway=self._current_oneway,
                                            seqid=self._current_seqid,
                                            ser_start=self._ser_start)
@@ -121,9 +116,8 @@ class _AsyncTRdma(TRdma):
             raise RuntimeError(
                 "TRdma.flush without a method context; wrap the protocol "
                 "in HintedProtocol")
-        self.captured = (self._current_fn, bytes(self._wbuf),
+        self.captured = (self._current_fn, self._take(),
                          self._current_oneway, self._current_seqid)
-        self._wbuf.clear()
         return
         yield  # pragma: no cover
 

@@ -28,16 +28,18 @@ from repro import obs
 from repro.obs import trace as obstrace
 from repro.sim.units import KiB
 from repro.verbs.cq import CQ, PollMode
-from repro.verbs.device import Device
+from repro.verbs.device import Device, PD
 from repro.verbs.errors import QPStateError, WCError
 from repro.verbs import cm
-from repro.verbs.types import WC, WCStatus
+from repro.verbs.qp import QP
+from repro.verbs.types import WC, RecvWR, Sge, WCStatus
 
 __all__ = [
     "CTRL",
     "HDR_BYTES",
     "ProtoConfig",
     "ProtocolError",
+    "RecvRing",
     "RpcClient",
     "RpcServer",
     "get_protocol",
@@ -102,6 +104,32 @@ def check_wc(wc: WC) -> WC:
     if wc.status is not WCStatus.SUCCESS:
         raise WCError(wc.status)
     return wc
+
+
+class RecvRing:
+    """A receive ring registered once: slot *i* is bytes
+    ``[i * slot_bytes, (i + 1) * slot_bytes)`` of one MR and is posted with
+    ``wr_id=i``."""
+
+    def __init__(self, pd: PD, qp: QP, slots: int, slot_bytes: int):
+        self.qp = qp
+        self.slots = slots
+        self.slot_bytes = slot_bytes
+        self.mr = pd.reg_mr(slots * slot_bytes)
+
+    def post(self, i: int):
+        """Coroutine: (re-)post slot ``i``."""
+        mr = self.mr
+        yield from self.qp.post_recv(
+            RecvWR(Sge(mr.addr + i * self.slot_bytes, self.slot_bytes,
+                       mr.lkey), wr_id=i))
+
+    def post_all(self):
+        for i in range(self.slots):
+            yield from self.post(i)
+
+    def read(self, i: int, length: int, offset: int = 0) -> bytes:
+        return self.mr.read(length, offset=i * self.slot_bytes + offset)
 
 
 class RpcClient:

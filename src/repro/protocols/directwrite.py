@@ -27,6 +27,7 @@ from repro.protocols.base import (
     K_NOTIFY,
     ProtoConfig,
     ProtocolError,
+    RecvRing,
     RpcClient,
     RpcServer,
     check_wc,
@@ -36,7 +37,7 @@ from repro.protocols.base import (
 )
 from repro.verbs.device import Device, MR, PD
 from repro.verbs.qp import QP
-from repro.verbs.types import Opcode, RecvWR, SendWR, Sge, WCOpcode
+from repro.verbs.types import Opcode, SendWR, Sge, WCOpcode
 
 __all__ = ["DirectWriteEndpoint"]
 
@@ -90,11 +91,8 @@ class DirectWriteEndpoint:
         payload never touches them); for SEND flavors they carry the 32-byte
         notify message.
         """
-        self._ring = [self.pd.reg_mr(HDR_BYTES)
-                      for _ in range(self.cfg.ring_slots)]
-        for i, mr in enumerate(self._ring):
-            yield from self.qp.post_recv(
-                RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=i))
+        self._ring = RecvRing(self.pd, self.qp, self.cfg.ring_slots, HDR_BYTES)
+        yield from self._ring.post_all()
 
     # -- send ---------------------------------------------------------------
     def send_msg(self, data: bytes):
@@ -149,18 +147,13 @@ class DirectWriteEndpoint:
                 self.inbuf.read(HDR_BYTES, offset=off))
         else:
             kind, seq, length, _a, _k = unpack_ctrl(
-                self._ring[wc.wr_id].read(HDR_BYTES))
+                self._ring.read(wc.wr_id, HDR_BYTES))
             off = ((seq - 1) % self.slots) * self._stride
         if kind != K_NOTIFY:
             raise ProtocolError(f"unexpected control kind {kind}")
-        yield from self._repost(wc.wr_id)
+        yield from self._ring.post(wc.wr_id)
         # Payload is already in our inbuf -- read in place, no copy charged.
         return self.inbuf.read(length, offset=off + HDR_BYTES)
-
-    def _repost(self, slot_idx: int):
-        mr = self._ring[slot_idx]
-        yield from self.qp.post_recv(
-            RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=slot_idx))
 
 
 class _DWClient(RpcClient):

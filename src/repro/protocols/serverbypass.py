@@ -29,6 +29,7 @@ from repro.protocols.base import (
     K_NOTIFY,
     ProtoConfig,
     ProtocolError,
+    RecvRing,
     RpcClient,
     RpcServer,
     check_wc,
@@ -39,7 +40,7 @@ from repro.protocols.base import (
 from repro.verbs.cq import PollMode
 from repro.verbs.device import Device, PD
 from repro.verbs.qp import QP
-from repro.verbs.types import Opcode, RecvWR, SendWR, Sge
+from repro.verbs.types import Opcode, SendWR, Sge
 
 __all__ = ["MemPoller"]
 
@@ -107,14 +108,12 @@ class BypassEndpoint:
                           self.respbuf.addr, self.respbuf.rkey)
 
     def setup(self):
-        """Coroutine: pre-post the SEND request ring (Pilaf only)."""
-        self._ring = []
+        """Coroutine: pre-post the SEND request ring (Pilaf only) -- one MR,
+        slot *i* at ``i * (HDR_BYTES + max_msg)``."""
         if self.request_path == REQ_SEND:
-            self._ring = [self.pd.reg_mr(HDR_BYTES + self.cfg.max_msg)
-                          for _ in range(self.cfg.ring_slots)]
-            for i, mr in enumerate(self._ring):
-                yield from self.qp.post_recv(
-                    RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=i))
+            self._ring = RecvRing(self.pd, self.qp, self.cfg.ring_slots,
+                                  HDR_BYTES + self.cfg.max_msg)
+            yield from self._ring.post_all()
 
     # -- server receive ------------------------------------------------------
     def recv_request(self):
@@ -122,16 +121,15 @@ class BypassEndpoint:
         if self.request_path == REQ_SEND:
             wcs = yield from self.qp.recv_cq.wait(self.cfg.poll_mode, max_wc=1)
             wc = check_wc(wcs[0])
-            slot = self._ring[wc.wr_id]
-            kind, seq, length, _a, _k = unpack_ctrl(slot.read(HDR_BYTES))
+            ring = self._ring
+            kind, seq, length, _a, _k = unpack_ctrl(
+                ring.read(wc.wr_id, HDR_BYTES))
             if kind != K_EAGER:
                 raise ProtocolError(f"unexpected control kind {kind}")
             # Copy out so the ring slot can be re-posted.
             yield from self.device.memcpy(length, self.cfg.numa_local)
-            data = slot.read(length, offset=HDR_BYTES)
-            mr = self._ring[wc.wr_id]
-            yield from self.qp.post_recv(
-                RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=wc.wr_id))
+            data = ring.read(wc.wr_id, length, offset=HDR_BYTES)
+            yield from ring.post(wc.wr_id)
             self._last_seq = seq
             return data
 
@@ -317,11 +315,9 @@ class HerdClient(_BypassClient):
     request_path = REQ_WRITE
 
     def _post_setup(self):
-        self._ring = [self.pd.reg_mr(HDR_BYTES + HERD_RESP_SLOT)
-                      for _ in range(self.cfg.ring_slots)]
-        for i, mr in enumerate(self._ring):
-            yield from self.qp.post_recv(
-                RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=i))
+        self._ring = RecvRing(self.pd, self.qp, self.cfg.ring_slots,
+                              HDR_BYTES + HERD_RESP_SLOT)
+        yield from self._ring.post_all()
 
     def _fetch_response(self, resp_hint: int):
         chunks = {}
@@ -331,20 +327,19 @@ class HerdClient(_BypassClient):
             wcs = yield from self.rcq.wait(self.cfg.poll_mode, max_wc=4)
             for wc in wcs:
                 check_wc(wc)
-                slot = self._ring[wc.wr_id]
+                ring = self._ring
                 kind, seq, length, offset, _k = unpack_ctrl(
-                    slot.read(HDR_BYTES))
+                    ring.read(wc.wr_id, HDR_BYTES))
                 if kind != K_NOTIFY or seq != self._seq:
                     raise ProtocolError("unexpected HERD response chunk")
                 payload_len = wc.byte_len - HDR_BYTES
                 yield from self.device.memcpy(payload_len,
                                               self.cfg.numa_local)
-                chunks[offset] = slot.read(payload_len, offset=HDR_BYTES)
+                chunks[offset] = ring.read(wc.wr_id, payload_len,
+                                           offset=HDR_BYTES)
                 total = length
                 got += payload_len
-                yield from self.qp.post_recv(
-                    RecvWR(Sge(slot.addr, slot.length, slot.lkey),
-                           wr_id=wc.wr_id))
+                yield from ring.post(wc.wr_id)
         return b"".join(chunks[off] for off in sorted(chunks))
 
 

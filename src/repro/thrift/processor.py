@@ -30,6 +30,9 @@ class TProcessor:
         # yield between process() entry and _invoke() entry (argument
         # deserialization is synchronous memory-buffer reads).
         self._trace_ctx = None
+        # handler function -> "is a generator function", decided once per
+        # function (see _invoke).
+        self._is_gen: Dict[Callable, bool] = {}
 
     def process(self, iprot: TProtocol, oprot: TProtocol):
         """Coroutine: handle one buffered inbound message.
@@ -60,7 +63,18 @@ class TProcessor:
             # under it; ctx stays valid across yields because it was
             # captured into a local before the first one.
             ctx.open_stage("handler", ctx.now(), method=method_name)
-        if inspect.isgeneratorfunction(method):
+        # Plain or coroutine is a property of the function, so it is decided
+        # once per function object -- the one behind the bound method, so a
+        # handler method swapped at run time is classified afresh.  It must
+        # stay ``isgeneratorfunction`` and never "did the call return a
+        # generator": a plain method that merely *returns* a generator is
+        # plain, its result goes back to the caller unrun (which is why
+        # handlers ``yield from`` their helpers, see hatkv/server.py).
+        fn = getattr(method, "__func__", method)
+        is_gen = self._is_gen.get(fn)
+        if is_gen is None:
+            is_gen = self._is_gen[fn] = inspect.isgeneratorfunction(method)
+        if is_gen:
             result = yield from method(*args)
         else:
             result = method(*args)

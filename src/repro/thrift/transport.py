@@ -3,7 +3,10 @@
 Interface contract (repository coroutine convention):
 
 * ``write(data)`` buffers bytes for the current outbound message -- plain
-  call, no simulated time;
+  call, no simulated time.  Every buffering transport shares one *gather*
+  buffer (:class:`TTransport`): chunks are kept by reference and joined once
+  when the message is taken, so a 128 KiB ``binary`` field is copied once on
+  its way out, not per ``+=`` and again per ``bytes(buf)``;
 * ``flush()`` -- coroutine -- pushes the buffered message down the stack;
 * ``ready()`` -- coroutine -- blocks until the next inbound message is
   buffered locally;
@@ -17,7 +20,7 @@ Thrift's non-blocking servers (TFramedTransport is mandatory there too).
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import List, Optional
 
 from repro.netfab.tcp import TcpConn, TcpError, TcpListener
 from repro.sim.cluster import Node
@@ -34,7 +37,10 @@ __all__ = [
 
 
 class TTransport:
-    """Abstract transport."""
+    """Abstract transport; owns the outbound gather buffer."""
+
+    def __init__(self) -> None:
+        self._wchunks: List[bytes] = []
 
     def is_open(self) -> bool:
         return True
@@ -48,7 +54,20 @@ class TTransport:
         pass
 
     def write(self, data: bytes) -> None:
-        raise NotImplementedError
+        # A chunk that is not exactly ``bytes`` (bytearray, memoryview) is
+        # snapshotted: the caller may reuse it before the message is taken.
+        self._wchunks.append(data if type(data) is bytes else bytes(data))
+
+    def _take(self, prefix: Optional[struct.Struct] = None) -> bytes:
+        """The outbound message as one ``bytes`` (led by its length packed
+        with ``prefix`` when given), leaving the buffer empty."""
+        chunks = self._wchunks
+        if prefix is None:
+            message = b"".join(chunks)
+        else:
+            message = b"".join((prefix.pack(sum(map(len, chunks))), *chunks))
+        chunks.clear()
+        return message
 
     def flush(self):
         """Coroutine: deliver the buffered outbound message."""
@@ -80,12 +99,9 @@ class TMemoryBuffer(TTransport):
     """In-memory transport for (de)serialization and tests."""
 
     def __init__(self, value: bytes = b""):
-        self._wbuf = bytearray()
+        super().__init__()
         self._rbuf = memoryview(bytes(value))
         self._rpos = 0
-
-    def write(self, data: bytes) -> None:
-        self._wbuf += data
 
     def flush(self):
         return
@@ -104,7 +120,7 @@ class TMemoryBuffer(TTransport):
         return bytes(self._rbuf[self._rpos:self._rpos + n])
 
     def getvalue(self) -> bytes:
-        return bytes(self._wbuf)
+        return b"".join(self._wchunks)
 
     def reset_read(self, value: bytes) -> None:
         self._rbuf = memoryview(bytes(value))
@@ -142,6 +158,10 @@ class TSocket(TTransport):
             self.conn.close()
             self.conn = None
 
+    def write(self, data: bytes) -> None:
+        raise NotImplementedError(
+            "TSocket is a byte stream; wrap it in TFramedTransport")
+
     # Raw stream coroutines used by the framing layers.
     def send(self, data: bytes):
         if not self.is_open():
@@ -169,8 +189,8 @@ class TFramedTransport(TTransport):
     MAX_FRAME = 64 * 1024 * 1024
 
     def __init__(self, inner: TSocket):
+        super().__init__()
         self.inner = inner
-        self._wbuf = bytearray()
         self._rbuf = b""
         self._rpos = 0
 
@@ -183,13 +203,8 @@ class TFramedTransport(TTransport):
     def close(self) -> None:
         self.inner.close()
 
-    def write(self, data: bytes) -> None:
-        self._wbuf += data
-
     def flush(self):
-        frame = bytes(self._wbuf)
-        self._wbuf.clear()
-        yield from self.inner.send(self._LEN.pack(len(frame)) + frame)
+        yield from self.inner.send(self._take(self._LEN))
 
     def ready(self):
         hdr = yield from self.inner.recv_exact(4)
@@ -219,9 +234,7 @@ class TBufferedTransport(TFramedTransport):
     """
 
     def flush(self):
-        data = bytes(self._wbuf)
-        self._wbuf.clear()
-        yield from self.inner.send(data)
+        yield from self.inner.send(self._take())
 
     def ready(self):
         chunk = yield from self.inner.recv_exact(1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import obs
@@ -18,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.qp import QP, SRQ
 
 __all__ = ["Device", "MR", "PD"]
+
+_REGISTRATION_ORDER = attrgetter("seq")     # of MemWatch, on its device
 
 
 class MR:
@@ -99,7 +103,13 @@ class Device:
         self._qpn = itertools.count(1)
         self._pdn = itertools.count(1)
         self._listeners: Dict[int, "object"] = {}  # cm.Listener
+        # Memory watches ordered by address (``_watch_addrs[i]`` is
+        # ``_watches[i].addr``), so an inbound WRITE bisects to the few it
+        # can touch instead of scanning one watch per connection.
         self._watches: list["MemWatch"] = []
+        self._watch_addrs: list[int] = []
+        self._watch_span = 0            # longest watch ever registered
+        self._watch_seq = itertools.count()
         # -- instrumentation (read by ablation benches) --
         self.registered_bytes = 0
         self.doorbells = 0
@@ -194,28 +204,45 @@ class Device:
         the data.  The watcher is responsible for holding a CPU spin token
         while it "polls"; the gate is only the simulation's wakeup channel.
         """
-        w = MemWatch(self, addr, length)
-        self._watches.append(w)
+        w = MemWatch(self, addr, length, next(self._watch_seq))
+        i = bisect_right(self._watch_addrs, addr)
+        self._watch_addrs.insert(i, addr)
+        self._watches.insert(i, w)
+        self._watch_span = max(self._watch_span, length)
         return w
 
     def _notify_write(self, addr: int, length: int) -> None:
-        for w in self._watches:
-            if addr < w.addr + w.length and w.addr < addr + length:
-                w.gate.fire()
+        # A watch overlapping [addr, addr+length) starts before its end and
+        # no further than the longest watch before ``addr``.
+        addrs = self._watch_addrs
+        lo = bisect_right(addrs, addr - self._watch_span)
+        hi = bisect_left(addrs, addr + length, lo)
+        if lo < hi:
+            # Overlapping watches fire in registration order, as when the
+            # watches were one list scanned front to back.
+            for w in sorted(self._watches[lo:hi], key=_REGISTRATION_ORDER):
+                if addr < w.addr + w.length:
+                    w.gate.fire()
 
 
 class MemWatch:
     """Handle for a registered memory watch (see Device.watch_memory)."""
 
-    def __init__(self, device: "Device", addr: int, length: int):
+    def __init__(self, device: "Device", addr: int, length: int, seq: int):
         from repro.sim.sync import Gate
         self.device = device
         self.addr = addr
         self.length = length
+        self.seq = seq              # registration order on the device
         self.gate = Gate(device.sim)
 
     def cancel(self) -> None:
-        try:
-            self.device._watches.remove(self)
-        except ValueError:
-            pass
+        """Stop watching (idempotent)."""
+        addrs, watches = self.device._watch_addrs, self.device._watches
+        i = bisect_left(addrs, self.addr)
+        while i < len(addrs) and addrs[i] == self.addr:
+            if watches[i] is self:
+                del addrs[i], watches[i]
+                return
+            i += 1
+

@@ -6,26 +6,42 @@ which lets the upper layers (Thrift serialization, HatKV) be tested for
 actual data correctness, not just timing.
 
 Each allocation is a *segment* backed sparsely: it holds only the bytes that
-were written, as *extents* -- runs of bytes keyed by the offset of their
-first write (reads of anything else return zeros, like freshly mapped
+were written, as *extents* -- immutable ``bytes`` objects keyed by the offset
+they were written at (reads of anything else return zeros, like freshly mapped
 pages).  Host RAM therefore follows the bytes written, not the highest
 offset written: a 48-slot x 18 KiB message ring carrying 1 KiB messages
 holds 48 KiB, and 512 pre-registered-but-idle connections hold nothing --
 pre-registered buffers are the scaling cost of real RDMA endpoints
 (RDMAvisor), a model of them must not pay it in host RAM too.
 
+Payloads move **by reference**.  A write is one splice: the extents that
+``[off, end)`` intersects are replaced by (what is left of the first before
+``off``) + the payload object itself + (what is left of the last from
+``end``).  A read that is exactly one extent returns that object; a read
+inside one extent is a slice; a read across extents or gaps is one
+``b"".join`` over slices and ``bytes(gap)`` zeros.  So where the model says
+"the NIC moved it" -- ``staging.write(msg)`` -> ``mem.read(sge)`` ->
+``rdev.mem.write(...)`` -- one ``bytes`` object crosses both NICs and is
+never copied on the host; bytes are copied only where a message is assembled
+from parts or a part is cut out of one:
+
+* *reference*: a ``bytes`` payload written whole; a read of a whole extent;
+* *copy*: a payload that is not exactly ``bytes`` (``bytearray``,
+  ``memoryview``: snapshotted once, so later mutation of the source cannot
+  reach registered memory); the head/tail remainders of a partly overwritten
+  extent (a slice, which also lets the old message die instead of being
+  kept alive by a 3-byte tail); any read that is not exactly one extent.
+
 Extent invariants (checked by ``tests/verbs/test_memory_extents.py``):
 ``_starts`` is sorted and ``_bufs[i]`` holds the bytes at
-``[_starts[i], _starts[i] + len(_bufs[i]))``; extents neither overlap nor
-touch (each is a maximal run of written bytes) and none is empty.  A write
-that begins inside or at the end of an extent and stops short of the next
-one overwrites/grows that extent in place -- the access pattern of a ring
-slot (``protocols/directwrite.py``: every message of slot *k* starts at
-``k * stride``), which is why extents and not fixed-size pages: a 128 KiB
-copy is one slice assignment, not 32 page hops.  Only a write that reaches a
-following extent merges, once: an RFP response buffer is written payload
-first, header second (``protocols/serverbypass.py``), and is one extent from
-the second write on.
+``[_starts[i], _starts[i] + len(_bufs[i]))``; extents do not overlap and none
+is empty.  They may touch: an RFP response buffer written payload first,
+header second (``protocols/serverbypass.py``) is two extents, and the
+client's header+payload READ joins them.  A ring slot rewritten with varying
+message sizes (``protocols/directwrite.py``: every message of slot *k* starts
+at ``k * stride``) keeps the tail remainders of longer predecessors behind
+the current message -- a descending staircase of a few extents per slot,
+however many messages pass (each write swallows every extent it covers).
 """
 
 from __future__ import annotations
@@ -38,9 +54,6 @@ from repro.verbs.errors import MemoryAccessError
 __all__ = ["Memory"]
 
 _ALIGN = 64  # cache-line alignment for all allocations
-#: reads at least this long go through a memoryview (one copy of the bytes);
-#: below it the view costs more than the second copy of ``bytes(buf[a:b])``
-_ONE_COPY_MIN = 4096
 
 
 class _Segment:
@@ -49,46 +62,42 @@ class _Segment:
     def __init__(self, base: int, size: int):
         self.base = base
         self.size = size
-        # Sorted first-written offsets, and the extent at each of them.  A
-        # segment nobody wrote to yet shares one empty tuple for both: most
+        # Sorted offsets, and the extent written at each of them.  A segment
+        # nobody wrote to yet shares one empty tuple for both: most
         # registered buffers of an idle connection stay that way.
         self._starts: Sequence[int] = ()
-        self._bufs: Sequence[bytearray] = ()
+        self._bufs: Sequence[bytes] = ()
 
     @property
     def resident(self) -> int:
         return sum(map(len, self._bufs))
 
     def write(self, off: int, payload: bytes) -> None:
+        if type(payload) is not bytes:
+            payload = bytes(payload)            # snapshot a mutable source
         if not payload:
             return
         starts, bufs = self._starts, self._bufs
         if not starts:
-            self._starts, self._bufs = [off], [bytearray(payload)]
+            self._starts, self._bufs = [off], [payload]
             return
         end = off + len(payload)
-        i = bisect_right(starts, off) - 1       # last extent starting <= off
-        if i >= 0 and off <= starts[i] + len(bufs[i]):
-            if i + 1 == len(starts) or end < starts[i + 1]:
-                at = off - starts[i]
-                bufs[i][at:at + len(payload)] = payload     # overwrite / grow
-                return
-        else:
-            i += 1                              # begins in a gap, before i
-            if i == len(starts) or end < starts[i]:
-                starts.insert(i, off)
-                bufs.insert(i, bytearray(payload))
-                return
-        # The write reaches extent i+1 (or, from a gap, extent i): fuse all
-        # it touches -- the head of the first, the payload, the tail of the
-        # last -- into one extent.
-        j = bisect_right(starts, end) - 1       # last extent starting <= end
-        lo = min(off, starts[i])
-        merged = bufs[i][:off - lo]
-        merged += payload
-        merged += memoryview(bufs[j])[end - starts[j]:]
-        starts[i:j + 1] = [lo]
-        bufs[i:j + 1] = [merged]
+        # Extents i..j-1 are the ones [off, end) intersects.
+        i = bisect_right(starts, off) - 1
+        if i < 0 or starts[i] + len(bufs[i]) <= off:
+            i += 1
+        j = bisect_left(starts, end, i)
+        new_starts, new_bufs = [off], [payload]
+        if i < j:
+            if starts[i] < off:                 # head of the first survives
+                new_starts.insert(0, starts[i])
+                new_bufs.insert(0, bufs[i][:off - starts[i]])
+            cut = end - starts[j - 1]
+            if cut < len(bufs[j - 1]):          # tail of the last survives
+                new_starts.append(end)
+                new_bufs.append(bufs[j - 1][cut:])
+        starts[i:j] = new_starts
+        bufs[i:j] = new_bufs
 
     def read(self, off: int, length: int) -> bytes:
         starts, bufs = self._starts, self._bufs
@@ -97,22 +106,27 @@ class _Segment:
             buf = bufs[i]
             at = off - starts[i]
             if at + length <= len(buf):         # inside one extent
-                if length < _ONE_COPY_MIN:
-                    return bytes(buf[at:at + length])
-                return bytes(memoryview(buf)[at:at + length])
+                if length == len(buf):
+                    return buf                  # all of it: the object itself
+                return buf[at:at + length]
         else:
             i = 0
-        # Zeros, with whatever extents intersect [off, end) laid over them.
+        # Slices of the extents that intersect [off, end), zeros between.
         end = off + length
-        out = bytearray(length)
+        parts = []
+        pos = off
         while i < len(starts) and starts[i] < end:
-            lo = max(off, starts[i])
+            lo = max(pos, starts[i])
             hi = min(end, starts[i] + len(bufs[i]))
             if lo < hi:
-                out[lo - off:hi - off] = \
-                    memoryview(bufs[i])[lo - starts[i]:hi - starts[i]]
+                if pos < lo:
+                    parts.append(bytes(lo - pos))
+                parts.append(bufs[i][lo - starts[i]:hi - starts[i]])
+                pos = hi
             i += 1
-        return bytes(out)
+        if pos < end:
+            parts.append(bytes(end - pos))
+        return b"".join(parts)
 
 
 class Memory:

@@ -138,3 +138,39 @@ def test_thread_pool_validation(tb):
     with pytest.raises(ValueError):
         TThreadPoolServer(CalcProcessor(CalcHandler()),
                           TServerSocket(tb.node(1), 9), workers=0)
+
+
+def test_invoke_decides_plain_or_coroutine_once_per_handler_function():
+    import inspect
+
+    class Handler:
+        def plain(self, x):
+            return x + 1
+
+        def coro(self, x):
+            yield from ()
+            return x + 2
+
+        def hands_back(self, x):        # plain: merely *returns* a generator
+            return self.coro(x)
+
+    def run(name, *args):
+        gen = proc._invoke(name, *args)
+        try:
+            while True:
+                next(gen)
+        except StopIteration as stop:
+            return stop.value
+
+    handler = Handler()
+    proc = TProcessor(handler)
+    for _ in range(2):                  # second pass is served from the cache
+        assert run("plain", 1) == 2
+        assert run("coro", 1) == 3
+        assert inspect.isgenerator(run("hands_back", 1))    # handed back unrun
+    assert set(proc._is_gen.values()) == {True, False} and len(proc._is_gen) == 3
+    # A method swapped at run time is a different function: classified afresh.
+    handler.plain = handler.coro
+    assert run("plain", 1) == 3
+    handler.coro = lambda x: x * 10
+    assert run("coro", 1) == 10

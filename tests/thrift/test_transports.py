@@ -1,12 +1,18 @@
 """Transport-layer edge cases."""
 
-import pytest
+import struct
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.trdma import TRdma, _AsyncTRdma
 from repro.testbed import Testbed
 from repro.thrift import (
     TBufferedTransport,
     TFramedTransport,
     TMemoryBuffer,
+    TMessageType,
     TServerSocket,
     TSocket,
     TTransportException,
@@ -90,7 +96,6 @@ def test_framed_oversize_frame_rejected(tb):
 
     def exchange():
         # Hand-craft a frame header advertising an absurd length.
-        import struct
         yield from client.inner.send(struct.pack("!I", 1 << 30))
         yield from server.ready()
 
@@ -175,3 +180,99 @@ def test_server_socket_requires_listen(tb):
     p = tb.sim.process(flow())
     with pytest.raises(TTransportException, match="not listening"):
         tb.sim.run(p)
+
+
+# -- the outbound gather buffer, shared by all five buffering transports ------
+
+class _Sink:
+    """Stands in for the TSocket under a framing transport and for the
+    HatRpcEngine under TRdma: records what each flush hands down."""
+
+    def __init__(self):
+        self.sent = []
+        self.node = SimpleNamespace(sim=SimpleNamespace(now=0.0))
+
+    def send(self, data):
+        self.sent.append(data)
+        return
+        yield
+
+    def call(self, fn, message, **_kw):
+        self.sent.append(message)
+        return b""
+        yield
+
+
+def _drain(gen):
+    for _ in gen:
+        raise AssertionError("flush into a _Sink never waits")
+
+
+def _make_transports():
+    """name -> (transport, take() -> the message a flush delivered)."""
+    out = {}
+    mem = TMemoryBuffer()
+    out["memory"] = (mem, None)
+    for name, cls in (("framed", TFramedTransport),
+                      ("buffered", TBufferedTransport)):
+        sink = _Sink()
+        trans = cls(sink)
+
+        def take(trans=trans, sink=sink, framed=name == "framed"):
+            _drain(trans.flush())
+            data = sink.sent.pop()
+            if framed:
+                assert data[:4] == struct.pack("!I", len(data) - 4)
+                data = data[4:]
+            return data
+        out[name] = (trans, take)
+    sink = _Sink()
+    rdma = TRdma(sink)
+
+    def take_rdma(rdma=rdma, sink=sink):
+        _drain(rdma.flush())
+        return sink.sent.pop()
+    out["trdma"] = (rdma, take_rdma)
+    arda = _AsyncTRdma(_Sink())
+
+    def take_async(arda=arda):
+        _drain(arda.flush())
+        return arda.captured[1]
+    out["async_trdma"] = (arda, take_async)
+    for trans in (rdma, arda):
+        trans.set_current_function("Echo", TMessageType.CALL, 1)
+    return out
+
+
+_chunk = st.tuples(st.binary(max_size=64),
+                   st.sampled_from(["bytes", "bytearray", "memoryview"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_chunk, st.just("take")), max_size=30))
+def test_gather_buffer_yields_exactly_the_concatenation(ops):
+    for name, (trans, take) in _make_transports().items():
+        since_take, ever = [], []
+        for op in ops + ["take"]:
+            if op != "take":
+                data, kind = op
+                if kind == "bytes":
+                    trans.write(data)
+                else:
+                    src = bytearray(data)
+                    trans.write(src if kind == "bytearray"
+                                else memoryview(src))
+                    src[:] = b"\xff" * len(src)     # mutated after write
+                since_take.append(data)
+                ever.append(data)
+            elif take is None:
+                # TMemoryBuffer: getvalue() reads without consuming.
+                assert trans.getvalue() == b"".join(ever), name
+                assert trans.getvalue() == trans.getvalue()
+            else:
+                got = take()
+                assert type(got) is bytes
+                assert got == b"".join(since_take), name
+                since_take.clear()
+        if take is not None:
+            assert take() == b""            # an empty message stays empty

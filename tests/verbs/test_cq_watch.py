@@ -142,3 +142,35 @@ def test_mem_watch_cancel(tb):
     dev._notify_write(mr.addr, 8)  # must not fire anything
     assert watch.gate.n_waiting == 0
     watch.cancel()  # idempotent
+
+
+def test_overlapping_watches_fire_in_registration_order(tb):
+    """Watches are kept by address; a write that several of them overlap
+    still wakes them in the order they were registered (so no event moves),
+    and touches none of the watches around it."""
+    dev = tb.node(0).nic
+    mr = dev.alloc_pd().reg_mr(4096)
+    spec = [(512, 64), (256, 512), (0, 4096), (520, 8), (1024, 64),
+            (512, 64), (0, 256), (576, 16)]
+    watches = [dev.watch_memory(mr.addr + off, n) for off, n in spec]
+    order = []
+
+    def watcher(k):
+        while True:
+            yield watches[k].gate.wait()
+            order.append(k)
+
+    procs = [tb.sim.process(watcher(k)) for k in range(len(spec))]
+    tb.sim.run()
+    dev._notify_write(mr.addr + 516, 8)         # [516, 524)
+    tb.sim.run()
+    assert order == [0, 1, 2, 3, 5]
+    watches[2].cancel()
+    watches[0].cancel()
+    assert [w.addr for w in dev._watches] == sorted(dev._watch_addrs)
+    order.clear()
+    dev._notify_write(mr.addr + 255, 2)         # [255, 257): #6 and #1
+    tb.sim.run()
+    assert order == [1, 6]
+    for p in procs:
+        p.defuse()

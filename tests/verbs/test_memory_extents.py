@@ -17,12 +17,12 @@ SEG = 512
 
 
 def check_extents(seg):
-    """Sorted, non-empty, neither overlapping nor touching."""
+    """Sorted, non-empty, non-overlapping (they may touch)."""
     assert len(seg._starts) == len(seg._bufs)
-    prev_end = -1
+    prev_end = 0
     for start, buf in zip(seg._starts, seg._bufs):
-        assert len(buf) > 0
-        assert start > prev_end, (seg._starts, [len(b) for b in seg._bufs])
+        assert type(buf) is bytes and len(buf) > 0
+        assert start >= prev_end, (seg._starts, [len(b) for b in seg._bufs])
         prev_end = start + len(buf)
     assert prev_end <= seg.size
 
@@ -87,6 +87,7 @@ def test_memory_matches_flat_reference_across_segments(writes):
 
 
 def test_write_copies_its_payload():
+    """A source that is not exactly ``bytes`` is snapshotted at the write."""
     seg = _Segment(0, 64)
     src = bytearray(b"abcd")
     seg.write(8, src)
@@ -95,11 +96,102 @@ def test_write_copies_its_payload():
     out = seg.read(8, 4)
     seg.write(8, b"1234")
     assert out == b"abcd"
+    view = memoryview(src)
+    seg.write(20, view[1:3])
+    src[:] = b"...."
+    assert seg.read(20, 2) == b"XY" and type(seg.read(20, 2)) is bytes
+    assert seg.read(8, 14) == b"1234" + bytes(8) + b"XY"
+
+
+def test_bytes_written_whole_is_read_back_as_the_same_object():
+    """``is``, not ``==``: an immutable payload travels by reference."""
+    mem = Memory()
+    addr = mem.alloc(4096)
+    payload = bytes(range(256)) * 4
+    mem.write(addr + 64, payload)
+    assert mem.read(addr + 64, len(payload)) is payload
+    assert mem.read(addr + 64, len(payload) - 1) == payload[:-1]
+    mem.write(addr, b"h" * 64)          # a touching neighbour: still by ref
+    assert mem.read(addr + 64, len(payload)) is payload
+    assert mem.read(addr, 64 + len(payload)) == b"h" * 64 + payload
+
+
+def test_send_between_two_devices_delivers_the_same_object(pair):
+    """staging.write -> NIC mem.read(sge) -> rdev.mem.write: one object
+    crosses both NICs without a host copy."""
+    from repro.verbs import Opcode, SendWR, Sge
+    from repro.verbs.cq import PollMode
+
+    payload = bytes(range(251)) * 521           # ~128 KiB
+    dst = pair.server_recv_buf(len(payload))
+    src = pair.cpd.reg_mr(1 << 20)
+
+    def flow():
+        src.write(payload, offset=128)
+        yield from pair.cqp.post_send(SendWR(
+            Opcode.SEND, Sge(src.addr + 128, len(payload), src.lkey)))
+        yield from pair.s_rcq.wait(PollMode.BUSY)
+
+    pair.tb.sim.run(pair.tb.sim.process(flow()))
+    assert dst.read(len(payload)) is payload
+
+
+def test_trimmed_remainder_does_not_keep_its_parent_alive():
+    import sys
+    seg = _Segment(0, 2 << 20)
+    big = bytes(1 << 20)
+    baseline = sys.getrefcount(big)
+    seg.write(0, big)
+    assert sys.getrefcount(big) == baseline + 1
+    seg.write(0, b"x" * ((1 << 20) - 1))        # one byte shorter
+    assert sys.getrefcount(big) == baseline
+    assert seg.read((1 << 20) - 2, 3) == b"x\0\0"
+    assert seg.resident == 1 << 20
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_slot_rewritten_10000_times_stays_a_short_staircase(seed):
+    """Every message of a ring slot starts at the slot's offset; shorter ones
+    leave tail remainders of longer predecessors, each later write swallows
+    all it covers -- the extents never pile up."""
+    import random
+    rng = random.Random(seed)
+    seg = _Segment(0, 1 << 16)
+    flat = bytearray(1 << 16)
+    high = 0
+    for k in range(10_000):
+        n = rng.randrange(1, 18464)
+        msg = bytes([k % 251]) * n
+        seg.write(4096, msg)
+        flat[4096:4096 + n] = msg
+        high = max(high, n)
+        assert len(seg._starts) <= 64
+    check_extents(seg)
+    assert seg.resident == high
+    assert seg.read(0, 1 << 16) == bytes(flat)
+
+
+def test_read_spanning_extent_gap_extent_tail_at_every_boundary():
+    seg = _Segment(0, 128)
+    flat = bytearray(128)
+    for off, data in ((8, b"a" * 16), (24, b"b" * 8), (40, b"c" * 24)):
+        seg.write(off, data)                    # 8..24 | 24..32 | gap | 40..64
+        flat[off:off + len(data)] = data
+    assert seg._starts == [8, 24, 40]
+    edges = (0, 8, 24, 32, 40, 64, 128)
+    points = sorted({p for e in edges for p in (e - 1, e, e + 1)
+                     if 0 <= p <= 128})
+    for lo in points:
+        for hi in points:
+            if lo <= hi:
+                got = seg.read(lo, hi - lo)
+                assert type(got) is bytes
+                assert got == bytes(flat[lo:hi]), (lo, hi)
 
 
 def test_large_read_is_exact_and_leaves_the_extent_resizable():
-    """Reads of 4 KiB and more go through a memoryview; a view left alive
-    would make the next growing write raise BufferError."""
+    """A read hands out ``bytes`` (never a view into an extent), so a later
+    write next to or over the extent it came from cannot be blocked by it."""
     seg = _Segment(0, 1 << 16)
     data = bytes(range(256)) * 40                   # 10 240 B
     seg.write(100, data)
@@ -111,25 +203,28 @@ def test_large_read_is_exact_and_leaves_the_extent_resizable():
 
 
 def test_ring_slot_pattern_grows_in_place():
-    """Every message of slot k starts at k * stride: one extent per slot,
-    however the message sizes vary, and no merge ever happens."""
+    """Every message of slot k starts at k * stride: the current message is
+    one extent, followed by what is left of its longest predecessor."""
     stride, slots = 96, 6
     seg = _Segment(0, stride * slots)
     for size in (10, 40, 25, 95, 1):
         for k in range(slots):
             seg.write(k * stride, bytes([k + 1]) * size)
             assert seg.read(k * stride, size) == bytes([k + 1]) * size
-    assert seg._starts == [k * stride for k in range(slots)]
-    assert [len(b) for b in seg._bufs] == [95] * slots
+    assert seg._starts == [k * stride + d for k in range(slots)
+                           for d in (0, 1)]
+    assert [len(b) for b in seg._bufs] == [1, 94] * slots
 
 
 def test_payload_then_header_becomes_one_extent():
-    """The RFP response buffer is written payload first, header second; the
-    fetch reads both at once and must find one extent (a one-copy read)."""
+    """The RFP response buffer is written payload first, header second: two
+    touching extents (each held by reference); the fetch that reads both at
+    once joins them in one copy."""
     seg = _Segment(0, 4096)
     seg.write(32, b"p" * 1000)
     seg.write(0, b"h" * 32)
-    assert seg._starts == [0] and len(seg._bufs[0]) == 1032
+    assert seg._starts == [0, 32]
+    assert [len(b) for b in seg._bufs] == [32, 1000]
     assert seg.read(0, 1032) == b"h" * 32 + b"p" * 1000
     # reading past what was written pads with zeros
     assert seg.read(1000, 100) == b"p" * 32 + bytes(68)
@@ -140,11 +235,12 @@ def test_write_spanning_several_extents_fuses_them():
     for off in (10, 30, 50, 200):
         seg.write(off, b"x" * 5)
     seg.write(12, b"y" * 40)            # into #1, over #2, into #3
-    assert seg._starts == [10, 200]
+    assert seg._starts == [10, 12, 52, 200]     # head, payload, tail; #2 gone
+    assert [len(b) for b in seg._bufs] == [2, 40, 3, 5]
     assert seg.read(10, 45) == b"xx" + b"y" * 40 + b"xxx"
     check_extents(seg)
     seg.write(55, b"z" * 145)           # fills the gap exactly: touches both
-    assert seg._starts == [10]
+    assert seg._starts == [10, 12, 52, 55, 200]
     assert seg.read(0, 256) == (bytes(10) + b"xx" + b"y" * 40 + b"xxx"
                                 + b"z" * 145 + b"x" * 5 + bytes(51))
 
