@@ -22,12 +22,11 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro import obs
+from repro import frame, obs
 from repro.obs import trace as obstrace
 from repro.core.hints import ResolvedHints, cacheable_hint, resolve_hints
-from repro.core.overload import split_rej
 from repro.core.pipeline import (BoundedSeqidSet, CallHandle, ChannelPipeline,
-                                 PipelineDead, pack_epo, pack_pip, split_epo)
+                                 PipelineDead)
 from repro.core.resilience import CircuitBreaker, RetryBudget, RetryPolicy
 from repro.core.selector import (SMALL_MESSAGE_THRESHOLD,
                                  TUNER_CONCURRENCY_GRID, TUNER_PAYLOAD_GRID,
@@ -377,14 +376,12 @@ class _PendingCall:
         return self.route.resp_hint
 
     def wire(self, pip_seq):
-        """The wire bytes: [trace envelope][pip header][epoch][message].
-        The envelope carries the current attempt's span id, so the server
-        span parents to the attempt that reached it; it is empty for
-        unsampled, unfaulted calls."""
-        env = self.act.envelope() if self.act is not None else b""
-        pip = pack_pip(pip_seq) if pip_seq is not None else b""
-        epo = pack_epo(self.epoch) if self.epoch is not None else b""
-        return env + pip + epo + self.message
+        """The wire bytes: the frame header, if the call has anything to
+        put in one, and the message.  The trace context carries the
+        current attempt's span id, so the server span parents to the
+        attempt that reached it; unsampled, unfaulted calls have none."""
+        trace = self.act.context() if self.act is not None else None
+        return frame.pack(trace, pip_seq, self.epoch) + self.message
 
     def mark_inflight(self, idx: int) -> None:
         """Count the call in flight on channel ``idx``: the count gates
@@ -415,12 +412,12 @@ class _PendingCall:
         if self.seqid is not None:
             self.engine._sent_seqids.unpin((self.fn, self.seqid))
 
-    def complete(self, resp) -> None:
-        """A response frame arrived for this (pipelined) call."""
+    def complete(self, header, resp) -> None:
+        """A response arrived for this (pipelined) call."""
         eng = self.engine
         self.drop_gauge()
         try:
-            delay, resp = eng._settle(self, resp)
+            delay, resp = eng._settle(self, header, resp)
         except TRejectedException as exc:
             self.fail(exc)
             return
@@ -1052,37 +1049,31 @@ class HatRpcEngine:
         self._channel_failed(entry, exc)
         return self._retry_delay(entry, self._map_error(exc), sent)
 
-    def _settle(self, entry: _PendingCall, resp):
-        """Settle one response frame.  Returns ``(None, payload)`` for a
-        served call, ``(delay, None)`` for a shed one that is to be re-sent
-        after ``delay``; raises the typed rejection when it is not."""
+    def _settle(self, entry: _PendingCall, header: frame.Header, resp):
+        """Settle one response, already split into its frame header and
+        body.  Returns ``(None, body)`` for a served call, ``(delay,
+        None)`` for a shed one that is to be re-sent after ``delay``;
+        raises the typed rejection when it is not."""
         idx = entry.channel
         act = entry.act
         now = self.node.sim.now
-        resp_epoch = None
-        if self.tuner is not None and resp:
-            # The server echoes the request's epoch tag ahead of the
-            # response (rejections come back untagged; split_epo passes
-            # them through).
-            resp_epoch, resp = split_epo(resp)
-        # A frame came back, so the transport worked: the breaker is
+        # A response came back, so the transport worked: the breaker is
         # credited whether the server served the call or shed it.
         self._breaker(idx).record_success()
-        if resp:
-            retry_after, resp = split_rej(resp)
-            if retry_after is not None:
-                # Admission rejection: load, not failure.  The gate runs
-                # before dispatch, so the re-send is safe whatever the
-                # function's idempotency -- after honoring the server's
-                # ``retry_after``, under the retry budget.
-                self.faults.rejections += 1
-                self._trace("rejected", entry.fn, idx,
-                            f"retry_after={retry_after:.2e}")
-                if act is not None:
-                    act.end_attempt(now, status="rejected")
-                return self._retry_delay(
-                    entry, TRejectedException(retry_after),
-                    retry_after=retry_after), None
+        retry_after = header.retry_after
+        if retry_after is not None:
+            # Admission rejection: load, not failure.  The gate runs
+            # before dispatch, so the re-send is safe whatever the
+            # function's idempotency -- after honoring the server's
+            # ``retry_after``, under the retry budget.
+            self.faults.rejections += 1
+            self._trace("rejected", entry.fn, idx,
+                        f"retry_after={retry_after:.2e}")
+            if act is not None:
+                act.end_attempt(now, status="rejected")
+            return self._retry_delay(
+                entry, TRejectedException(retry_after),
+                retry_after=retry_after), None
         if act is not None:
             act.end_attempt(now, status="ok")
         latency = now - entry.t_start
@@ -1105,8 +1096,8 @@ class HatRpcEngine:
         if self.tuner is not None and not entry.oneway:
             self.tuner.observe(
                 entry.fn, len(entry.message), latency, now, idx,
-                epoch_ok=(resp_epoch is None
-                          or resp_epoch == self.tuner.epoch))
+                epoch_ok=(header.epoch is None
+                          or header.epoch == self.tuner.epoch))
         if self._drain_pending:
             self._drain_unrouted()
         return None, resp
@@ -1145,7 +1136,7 @@ class HatRpcEngine:
                 except _CHANNEL_ERRORS as exc:
                     delay = self._attempt_failed(entry, exc, sent)
                 else:
-                    delay, resp = self._settle(entry, resp)
+                    delay, resp = self._settle(entry, *frame.split(resp))
                     if delay is None:
                         return resp
                 yield from self._backoff(entry, delay)

@@ -14,9 +14,9 @@ Correctness hinges on two existing invariants rather than new machinery:
 * stub serialization in :meth:`~repro.core.runtime.AsyncCaller.call_async`
   runs *synchronously* before the first simulator yield, so interleaved
   logical clients on one shared connection get unique Thrift seqids;
-* responses are correlated by the ``0xC4`` PIP header the pipelined
-  engine already stamps on every request, so out-of-order completions
-  find their caller whichever logical client posted first.
+* responses are correlated by the frame header's ``seq`` field the
+  pipelined engine already stamps on every request, so out-of-order
+  completions find their caller whichever logical client posted first.
 
 The pool does not retry across slots: rejection/retry semantics stay in
 each slot's engine (one shared :class:`~repro.core.resilience.RetryBudget`

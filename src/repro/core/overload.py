@@ -2,14 +2,11 @@
 
 Three pieces compose the graceful-degradation path:
 
-* :func:`pack_rej` / :func:`split_rej` -- the 12-byte rejection frame
-  (magic ``0xC5 'REJ'`` + f64 retry-after seconds) a server returns in
-  place of a response body when its admission gate refuses a request.
-  Like the ``0xC4`` correlation header one layer down, the magic byte
-  cannot start a Thrift binary message, so clients detect rejection
-  without a protocol round trip -- and because the gate runs *before*
-  dispatch, a rejected request provably never executed, which is what
-  makes re-sending it safe even for non-idempotent functions.
+* :func:`gated` -- the one place a server admits a request: it runs it
+  under the gate, or reports the ``retry_after`` the server then returns
+  as a body-less frame header (:mod:`repro.frame`) in place of a response.
+  The gate runs *before* dispatch, so a rejected request provably never
+  executed: re-sending it is safe even for non-idempotent functions.
 * :class:`AdmissionGate` -- a token/occupancy gate keyed off in-flight
   work.  Admission is priority-tiered against the ``priority`` IDL hint:
   low-priority traffic is refused once occupancy crosses
@@ -31,37 +28,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro import obs
 from repro.sim.units import us
 
 __all__ = [
-    "REJ_BYTES",
     "AdmissionConfig",
     "AdmissionGate",
-    "pack_rej",
+    "gated",
     "peek_fn_name",
-    "split_rej",
 ]
-
-_REJ_MAGIC = b"\xc5REJ"
-_REJ = struct.Struct("!4sd")
-REJ_BYTES = _REJ.size          # 12
-
-
-def pack_rej(retry_after: float) -> bytes:
-    """The rejection frame for a request refused at admission."""
-    return _REJ.pack(_REJ_MAGIC, max(0.0, retry_after))
-
-
-def split_rej(data: bytes) -> Tuple[Optional[float], bytes]:
-    """(retry_after, rest) if ``data`` leads with a rejection frame, else
-    (None, data) -- ordinary responses pass through byte-identical."""
-    if len(data) < REJ_BYTES or data[:4] != _REJ_MAGIC:
-        return None, data
-    _magic, retry_after = _REJ.unpack_from(data)
-    return retry_after, data[REJ_BYTES:]
 
 
 def peek_fn_name(message: bytes) -> Optional[str]:
@@ -180,3 +157,35 @@ class AdmissionGate:
             self.inflight -= 1
         if self._m_occupancy is not None:
             self._m_occupancy.set(self.inflight)
+
+
+def gated(gate: AdmissionGate, priorities, message: bytes, ctx, sim, run):
+    """Coroutine: ``run()`` the request that ``message`` starts if
+    ``gate`` admits it at its function's priority: ``(None, the result)``,
+    or ``(retry_after, None)`` for a request refused.  ``ctx`` (the
+    request's server span, or None) gets the ``admission`` stage, and a
+    shed request's root ends ``rejected``.
+
+    Admission runs before deserialization, let alone dispatch: only the
+    function name is peeked, so a rejection costs the server a header
+    parse and one tiny reply -- that cheapness is what makes shedding work.
+    """
+    priority = priorities.get(peek_fn_name(message), "normal")
+    retry_after = gate.admit(priority)
+    if retry_after is not None:
+        if ctx is not None:
+            ctx.stage("admission", sim.now, sim.now,
+                      admitted=False, priority=priority)
+            ctx.root.status = "rejected"
+        return retry_after, None
+    # Everything after a successful admit -- the trace stage included --
+    # sits inside the try, so any dispatch-path exception still releases
+    # the slot and re-syncs the occupancy gauge (a leaked slot would shed
+    # load forever).
+    try:
+        if ctx is not None:
+            ctx.stage("admission", sim.now, sim.now,
+                      admitted=True, priority=priority)
+        return None, (yield from run())
+    finally:
+        gate.release()

@@ -7,96 +7,37 @@ being in flight per connection, which the RDMA protocols were built for
 (Direct-WriteIMM slots, eager rings).  This module supplies the pieces the
 engine's asynchronous path (`call_async`) composes:
 
-* :func:`pack_pip` / :func:`split_pip` -- the 8-byte engine-level
-  correlation header (magic ``0xC4 'PIP'`` + u32 sequence number) that
-  rides between the trace envelope and the Thrift message.  The server
-  echoes it onto the response, so a client receiver can match completions
-  to in-flight calls even when they return out of submission order (e.g.
-  after a retry).  Requests without the header pass through untouched --
-  the blocking path stays byte-identical on the wire.
 * :class:`CallHandle` -- the completion handle `call_async` returns:
   ``yield from handle.wait()`` blocks until the correlated response (or
   failure) arrives; an optional per-wait deadline abandons the call
   without disturbing its window neighbors.
 * :class:`ChannelPipeline` -- per-channel in-flight bookkeeping: a bounded
   credit window sized from the channel plan (admission blocks when full --
-  the backpressure), a receiver process that correlates responses by
-  sequence number, and a sweep hook that hands in-flight calls back to the
-  engine when the channel dies (so idempotent calls can retry elsewhere).
+  the backpressure), a receiver process that correlates responses by the
+  ``seq`` the server echoes in the frame header (:mod:`repro.frame`) --
+  completions may return out of submission order, e.g. after a retry --
+  and a sweep hook that hands in-flight calls back to the engine when the
+  channel dies (so idempotent calls can retry elsewhere).
 * :class:`BoundedSeqidSet` -- the LRU-bounded (function, seqid) set behind
   the engine's idempotency gate, so a long-lived client's duplicate-send
   guard does not grow one entry per call forever.
-* :func:`pack_epo` / :func:`split_epo` -- the 8-byte tuner-epoch tag
-  (magic ``0xC6 'EPO'`` + u32 epoch) a tuner-enabled engine prepends to
-  every RDMA request.  The server strips it, records the highest epoch it
-  has seen, and echoes it onto the response; a client whose tuner has
-  since re-planned drops the stale sample instead of attributing it to
-  the new choice -- the split-brain guard for plans changing mid-flight.
-
-The magic byte ``0xC4`` cannot start a Thrift binary message (strict
-messages start ``0x80``; non-strict ones with a sane name length start
-``0x00``), so servers detect the header without ambiguity -- the same trick
-the ``0xC3`` trace envelope uses one layer up (and the ``0xC6`` epoch tag
-one layer down).
 """
 
 from __future__ import annotations
 
-import struct
 from collections import OrderedDict, deque
 from itertools import islice
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
+from repro import frame
 from repro.thrift.errors import TTransportException
 
 __all__ = [
-    "EPO_BYTES",
-    "PIP_BYTES",
     "BoundedSeqidSet",
     "CallHandle",
     "ChannelPipeline",
     "PipelineDead",
-    "pack_epo",
-    "pack_pip",
-    "split_epo",
-    "split_pip",
 ]
-
-_PIP_MAGIC = b"\xc4PIP"
-_PIP = struct.Struct("!4sI")
-PIP_BYTES = _PIP.size          # 8
-
-_EPO_MAGIC = b"\xc6EPO"
-_EPO = struct.Struct("!4sI")
-EPO_BYTES = _EPO.size          # 8
-
-
-def pack_pip(seq: int) -> bytes:
-    """The correlation header for in-flight sequence number ``seq``."""
-    return _PIP.pack(_PIP_MAGIC, seq & 0xFFFFFFFF)
-
-
-def split_pip(data: bytes) -> Tuple[Optional[int], bytes]:
-    """(seq, payload) if ``data`` leads with a correlation header, else
-    (None, data) -- unframed messages pass through byte-identical."""
-    if len(data) < PIP_BYTES or data[:4] != _PIP_MAGIC:
-        return None, data
-    _magic, seq = _PIP.unpack_from(data)
-    return seq, data[PIP_BYTES:]
-
-
-def pack_epo(epoch: int) -> bytes:
-    """The tuner-epoch tag for plan epoch ``epoch``."""
-    return _EPO.pack(_EPO_MAGIC, epoch & 0xFFFFFFFF)
-
-
-def split_epo(data: bytes) -> Tuple[Optional[int], bytes]:
-    """(epoch, payload) if ``data`` leads with an epoch tag, else
-    (None, data) -- untagged messages pass through byte-identical."""
-    if len(data) < EPO_BYTES or data[:4] != _EPO_MAGIC:
-        return None, data
-    _magic, epoch = _EPO.unpack_from(data)
-    return epoch, data[EPO_BYTES:]
 
 
 class BoundedSeqidSet:
@@ -260,8 +201,9 @@ class ChannelPipeline:
 
     Two modes, chosen from the channel's capability:
 
-    * **pipelined** (``chan.supports_pipelining``) -- requests are framed
-      with a correlation header and posted via the protocol's split
+    * **pipelined** (``chan.supports_pipelining``) -- requests carry their
+      window sequence number in the frame header and go out via the
+      protocol's split
       ``post()``; a single receiver process pairs ``recv()`` completions
       back to entries by sequence number.  Up to ``window`` calls overlap
       on the one connection.
@@ -270,7 +212,7 @@ class ChannelPipeline:
       ``chan.call`` in its own process, preserving the async API without
       violating the protocol's single-outstanding contract.
 
-    Entries are duck-typed: ``wire(seq)``, ``complete(resp)``,
+    Entries are duck-typed: ``wire(seq)``, ``complete(header, body)``,
     ``fail(exc)``, plus ``resp_hint`` / ``oneway`` / ``act`` for solo mode
     (the engine's ``_PendingCall``).  When the channel dies, every
     in-flight entry is handed to ``on_dead(pipe, entries, exc)`` in
@@ -376,7 +318,7 @@ class ChannelPipeline:
         self._solo -= 1
         self.completed += 1
         self._release()
-        entry.complete(resp)
+        entry.complete(*frame.split(resp))
 
     # -- completion ----------------------------------------------------------
     def _ensure_receiver(self) -> None:
@@ -392,9 +334,10 @@ class ChannelPipeline:
         try:
             while self.inflight:
                 resp = yield from self.chan.recv()
-                seq, payload = split_pip(resp)
+                header, body = frame.split(resp)
+                seq = header.seq
                 if seq is None:
-                    # Unframed response (shouldn't happen on a pipelined
+                    # Uncorrelated response (shouldn't happen on a pipelined
                     # channel): pair it FIFO.
                     seq = min(self.inflight)
                 entry = self.inflight.pop(seq, None)
@@ -402,7 +345,7 @@ class ChannelPipeline:
                     continue      # response to an unknown/abandoned seq
                 self.completed += 1
                 self._release()
-                entry.complete(payload)
+                entry.complete(header, body)
         except BaseException as exc:
             self._receiver = None
             if isinstance(exc, self._errors):

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro import frame
 from repro.core.engine import HatRpcEngine, ServicePlan, build_service_plan
-from repro.core.overload import (AdmissionConfig, AdmissionGate, pack_rej,
-                                 peek_fn_name)
-from repro.core.pipeline import pack_epo, pack_pip, split_epo, split_pip
+from repro.core.overload import AdmissionConfig, AdmissionGate, gated
 from repro.core.trdma import (HintedProtocol, TRdma, TRdmaServerTransport,
                               _PAUSE, _AsyncTRdma)
+from repro.obs import trace as obstrace
 from repro.protocols import SRQ_SERVERS, ProtoConfig, get_protocol
 from repro.thrift.errors import TTransportException
 from repro.thrift.protocol.binary import TBinaryProtocol
@@ -174,7 +174,7 @@ class HatRpcServer:
     across services) installs priority-tiered admission control: every
     request -- on every channel, RDMA and TCP alike -- passes ONE gate
     before dispatch, keyed by the function's resolved ``priority`` hint,
-    and a refusal answers with the typed rejection frame.  ``srq=True``
+    and a refusal answers with a ``retry_after`` frame header.  ``srq=True``
     swaps each eligible RDMA channel's server onto the shared-receive-queue
     path (:class:`~repro.protocols.srq.SrqEagerServer`): one recv-WQE pool
     and one dispatcher instead of a poll loop per connection, which is what
@@ -249,7 +249,7 @@ class HatRpcServer:
                                   numa_local=ch.server_numa,
                                   window=ch.window)
                 server = server_cls(self.node.nic, sid,
-                                    self._bytes_handler(), cfg, **extra)
+                                    self._bytes_handler, cfg, **extra)
                 server.start()
             self.endpoint.add(server)
         return self
@@ -261,83 +261,42 @@ class HatRpcServer:
     def requests(self) -> int:
         return self.endpoint.requests
 
-    def _bytes_handler(self):
-        """Bridge: protocol-level bytes -> Thrift processor -> bytes."""
-        processor = self.processor
-        factory = self.protocol_factory
+    def _bytes_handler(self, request: bytes):
+        """Coroutine, the RDMA servers' handler: request bytes -> Thrift
+        processor -> reply bytes, and the one read of the request's frame
+        header.  Its ``seq`` (pipelined calls) and ``epoch`` (tuner-tagged
+        ones) are echoed onto the reply -- even an empty oneway one, whose
+        header alone lets the client release the window slot -- so the
+        client can pair out-of-order completions and discard samples issued
+        under a stale plan.  No header in, none out: plain Thrift both ways.
+        """
+        header, message = frame.split(request)
+        epoch = header.epoch
+        if epoch is not None and epoch > self.tuner_epoch_seen:
+            self.tuner_epoch_seen = epoch
         sim = self.node.sim
-        gate = self.gate
-        priorities = self._priorities
+        ctx = obstrace.active(sim)      # the serve loop's ServerCall, or None
+        if self.gate is None:
+            out = yield from self._process(message, ctx)
+        else:
+            retry_after, out = yield from gated(
+                self.gate, self._priorities, message, ctx, sim,
+                lambda: self._process(message, ctx))
+            if retry_after is not None:
+                # No epoch echo on a rejection: a shed request says
+                # nothing about the plan choice.
+                return frame.pack(seq=header.seq, retry_after=retry_after)
+        return frame.pack(seq=header.seq, epoch=epoch) + out
 
-        server = self
-
-        def handle(request: bytes):
-            # A pipelined request leads with the engine's correlation
-            # header; strip it and echo it onto the response so the client
-            # receiver can pair out-of-order completions.  Sync requests
-            # have no header and stay byte-identical both ways.
-            pip_seq, request = split_pip(request)
-            # A tuner-tagged request next carries the client's plan epoch;
-            # echo it so the client can discard samples issued under a
-            # stale plan.  Untagged requests round-trip unchanged.
-            epoch, request = split_epo(request)
-            if epoch is not None and epoch > server.tuner_epoch_seen:
-                server.tuner_epoch_seen = epoch
-            if gate is not None:
-                # Admission runs before deserialization, let alone
-                # dispatch: only the function name is peeked, so a
-                # rejection costs the server a header parse and one tiny
-                # reply -- that cheapness is what makes shedding work.
-                priority = priorities.get(peek_fn_name(request), "normal")
-                retry_after = gate.admit(priority)
-                if retry_after is not None:
-                    ap = sim.active_process
-                    ctx = ap.trace_ctx if ap is not None else None
-                    if ctx is not None:
-                        ctx.stage("admission", sim.now, sim.now,
-                                  admitted=False, priority=priority)
-                    # No epoch echo on a rejection: the typed frame must
-                    # stay recognizable to every client, tuned or not (and
-                    # a shed request says nothing about the plan choice).
-                    rej = pack_rej(retry_after)
-                    return pack_pip(pip_seq) + rej \
-                        if pip_seq is not None else rej
-                # Everything after a successful admit -- the trace stage
-                # included -- sits inside the try, so any dispatch-path
-                # exception still releases the slot and re-syncs the
-                # occupancy gauge (a leaked slot would shed load forever).
-                try:
-                    ap = sim.active_process
-                    ctx = ap.trace_ctx if ap is not None else None
-                    if ctx is not None:
-                        ctx.stage("admission", sim.now, sim.now,
-                                  admitted=True, priority=priority)
-                    return (yield from _process(pip_seq, epoch, request))
-                finally:
-                    gate.release()
-            return (yield from _process(pip_seq, epoch, request))
-
-        def _process(pip_seq, epoch, request):
-            itrans = TMemoryBuffer(request)
-            # Hand the serve loop's trace context (a ServerCall, or None)
-            # to the processor, which has no simulator handle of its own.
-            # Always assigned so a previous request's context never leaks
-            # onto this one.
-            ap = sim.active_process
-            itrans.trace_ctx = ap.trace_ctx if ap is not None else None
-            otrans = TMemoryBuffer()
-            replied = yield from processor.process(factory(itrans),
-                                                   factory(otrans))
-            out = otrans.getvalue() if replied else b""
-            if epoch is not None:
-                out = pack_epo(epoch) + out
-            if pip_seq is not None:
-                # Echo even on an empty (oneway) reply: the header alone
-                # lets the client release the window slot.
-                return pack_pip(pip_seq) + out
-            return out
-
-        return handle
+    def _process(self, message: bytes, ctx):
+        itrans = TMemoryBuffer(message)
+        # The processor has no simulator handle of its own.  Always
+        # assigned, so a previous request's context never leaks onto this.
+        itrans.trace_ctx = ctx
+        otrans = TMemoryBuffer()
+        replied = yield from self.processor.process(
+            self.protocol_factory(itrans), self.protocol_factory(otrans))
+        return otrans.getvalue() if replied else b""
 
 
 class HatRpcClient:

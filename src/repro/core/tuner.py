@@ -25,7 +25,7 @@ selection was predicated on.  :class:`HintTuner` closes that loop:
   re-routing onto a channel the tunable plan already provisioned (and the
   server is already serving), so both peers converge without any wire
   negotiation.  The tuner's **plan epoch** rides on every request
-  (``0xC6 'EPO'`` tag) and is echoed by the server; samples whose echoed
+  (the frame header's ``epoch`` field) and is echoed by the server; samples whose echoed
   epoch predates the current plan are dropped as stale -- the split-brain
   guard for calls in flight across a switch.
 

@@ -10,18 +10,13 @@ Context and wire format
 -----------------------
 A context is ``(trace_id, span_id, sampled)`` -- 16-byte trace id, 8-byte
 span id, rendered as 32/16 lowercase hex chars (the W3C ``traceparent``
-field widths).  On the wire the engine prepends a 30-byte envelope to the
-serialized Thrift message, once per *attempt* (so retries and failovers
-each produce their own correctly-parented server span)::
-
-    magic(4) = 0xC3 'T' 'R' 'C'   version(1) = 1   flags(1) bit0=sampled
-    trace_id(16)                  parent span_id(8)
-
-The magic byte 0xC3 cannot start a Thrift binary message (strict messages
-start 0x80, non-strict with a name-length i32), so servers detect and strip
-the envelope without ambiguity; requests without an envelope pass through
-untouched.  No collector installed, or an unsampled+unfaulted call, means
-NO envelope: the wire carries exactly the bytes it carries today.
+field widths).  On the wire it is the ``trace`` field of the frame header
+(:mod:`repro.frame`), set once per *attempt* (so retries and failovers
+each produce their own correctly-parented server span); the server that
+receives the request reads it and opens the server span
+(:func:`serve_one`).  No collector installed, or an unsampled+unfaulted
+call, means NO trace field: the wire carries exactly the bytes it would
+carry untraced.
 
 Sampling
 --------
@@ -32,7 +27,7 @@ ALWAYS committed regardless of the sampling decision -- the spans are
 buffered per call and the keep/drop choice is made at call end, so a call
 that faults after starting unsampled still yields a complete client-side
 trace (server spans exist from the first post-fault attempt onward, since
-the envelope is emitted once a call is known to be faulted).
+the context goes on the wire once a call is known to be faulted).
 
 Propagation inside the simulator
 --------------------------------
@@ -46,13 +41,13 @@ spans) to the RPC that posted the work.  With no collector installed every
 from __future__ import annotations
 
 import random
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.frame import SpanContext
+
 __all__ = [
-    "ENVELOPE_BYTES",
     "ActiveCall",
     "ServerCall",
     "Span",
@@ -64,25 +59,9 @@ __all__ = [
     "format_trace",
     "install",
     "installed",
-    "pack_envelope",
-    "split_envelope",
+    "serve_one",
     "uninstall",
 ]
-
-_MAGIC = b"\xc3TRC"
-_VERSION = 1
-_ENV = struct.Struct("!4sBB16s8s")
-ENVELOPE_BYTES = _ENV.size          # 30
-_FLAG_SAMPLED = 0x01
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """What crosses the wire: ids + the head-sampling decision."""
-
-    trace_id: str               # 32 hex chars
-    span_id: str                # 16 hex chars (the parent of remote spans)
-    sampled: bool = True
 
 
 @dataclass
@@ -103,25 +82,6 @@ class Span:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-
-def pack_envelope(ctx: SpanContext) -> bytes:
-    flags = _FLAG_SAMPLED if ctx.sampled else 0
-    return _ENV.pack(_MAGIC, _VERSION, flags,
-                     bytes.fromhex(ctx.trace_id), bytes.fromhex(ctx.span_id))
-
-
-def split_envelope(data: bytes) -> Tuple[Optional[SpanContext], bytes]:
-    """(context, payload) if ``data`` leads with an envelope, else
-    (None, data) -- unenveloped messages pass through byte-identical."""
-    if len(data) < ENVELOPE_BYTES or data[:4] != _MAGIC:
-        return None, data
-    _magic, version, flags, trace_id, span_id = _ENV.unpack_from(data)
-    if version != _VERSION:
-        return None, data
-    ctx = SpanContext(trace_id=trace_id.hex(), span_id=span_id.hex(),
-                      sampled=bool(flags & _FLAG_SAMPLED))
-    return ctx, data[ENVELOPE_BYTES:]
 
 
 def active(sim):
@@ -225,7 +185,7 @@ class ActiveCall(_SpanSink):
 
     The engine opens one *attempt* span per retry-loop iteration (so
     retries and failovers read as sibling subtrees of one trace) and asks
-    :meth:`envelope` for the wire header carrying that attempt's span id.
+    :meth:`context` for the wire context carrying that attempt's span id.
     """
 
     def __init__(self, collector, trace_id, root_span, node, now_fn,
@@ -263,14 +223,14 @@ class ActiveCall(_SpanSink):
         self.close_stage(end)
         self._attempt = None
 
-    def envelope(self) -> bytes:
-        """Wire header for the current attempt (b'' when the call is
+    def context(self) -> Optional[SpanContext]:
+        """Wire context for the current attempt (None when the call is
         neither sampled nor faulted: zero extra bytes on the wire)."""
         if not (self.sampled or self.faulted):
-            return b""
+            return None
         span_id = (self._attempt.span_id if self._attempt is not None
                    else self.root_span_id)
-        return pack_envelope(SpanContext(self.trace_id, span_id, True))
+        return SpanContext(self.trace_id, span_id, True)
 
     def event(self, name: str, ts: float, fault: bool = True,
               **attrs) -> Span:
@@ -300,8 +260,8 @@ class ServerCall(_SpanSink):
     """Server-side trace of one dispatched request.
 
     The root span's parent is the client attempt span id carried in the
-    wire envelope -- the cross-node edge.  Server spans always commit: the
-    envelope's presence already encodes the client's keep decision.
+    frame header -- the cross-node edge.  Server spans always commit: the
+    context's presence already encodes the client's keep decision.
     """
 
     def __init__(self, collector, ctx: SpanContext, root_span, node,
@@ -398,6 +358,53 @@ class TraceCollector:
                 "committed": self.committed_calls,
                 "dropped": self.dropped_calls,
                 "spans": len(self.spans)}
+
+
+def serve_one(trc: Optional[TraceCollector], sim, node: str, protocol: str,
+              t_poll: float, ctx: Optional[SpanContext], dispatch, reply,
+              dead):
+    """Coroutine: one received request from poll to reply -- ``resp =
+    yield from dispatch()``, ``yield from reply(resp)`` -- as the server
+    span of ``ctx``, the trace context its header carried (None for an
+    untraced request, and always when ``trc`` is).  True once the reply is
+    out; False if ``dead``, the connection's exceptions, was raised on the
+    way.
+
+    The span opens back at ``t_poll`` as a child of the client's attempt:
+    stages ``poll``, ``dispatch`` (the span rides on the process as
+    ``trace_ctx`` meanwhile) and ``reply``, with the attrs ``reply``
+    returned, if any; the root ends ``dead_conn``, or as the dispatch left
+    it (a shed one, ``rejected``).
+    """
+    srv = proc = prev_ctx = None
+    if ctx is not None:
+        srv = trc.server_call(ctx, "server", node, lambda: sim.now,
+                              start=t_poll, attrs={"protocol": protocol})
+        srv.stage("poll", t_poll, sim.now)
+        proc = sim.active_process
+        if proc is not None:
+            prev_ctx = proc.trace_ctx
+            proc.trace_ctx = srv
+    try:
+        if srv is not None:
+            srv.open_stage("dispatch", sim.now)
+        resp = yield from dispatch()
+        if srv is not None:
+            srv.close_stage(sim.now)
+        t_reply = sim.now
+        attrs = yield from reply(resp)
+        if srv is not None:
+            srv.stage("reply", t_reply, sim.now, **(attrs or {}))
+    except dead:
+        if srv is not None:
+            srv.finish(sim.now, status="dead_conn")
+        return False
+    finally:
+        if proc is not None:
+            proc.trace_ctx = prev_ctx
+    if srv is not None:
+        srv.finish(sim.now, status=srv.root.status)
+    return True
 
 
 # ---------------------------------------------------------------------------

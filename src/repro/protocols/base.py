@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import inspect
 import struct
+from functools import partial
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Type
 
-from repro import obs
+from repro import frame, obs
 from repro.obs import trace as obstrace
 from repro.sim.units import KiB
 from repro.verbs.cq import CQ, PollMode
@@ -316,7 +317,8 @@ class RpcServer:
         self.sim = device.sim
         self.service_id = service_id
         self.handler = handler
-        self._handler_is_gen = inspect.isgeneratorfunction(handler)
+        self._dispatch = handler if inspect.isgeneratorfunction(handler) \
+            else self._lifted
         self.cfg = cfg or ProtoConfig()
         self.pd = device.alloc_pd()
         self.listener = None
@@ -367,57 +369,45 @@ class RpcServer:
     _DEAD_CONN = (WCError, QPStateError)
 
     def _serve_loop(self, endpoint):
+        send = partial(self._reply, endpoint)
+
+        def on_dead():
+            self.teardowns += 1
+            self._teardown(endpoint)
+
         while True:
             t_poll = self.sim.now
             try:
                 request = yield from self._recv(endpoint)
             except (ProtocolError, *self._DEAD_CONN):
                 # Tear it down server-side so a client reconnect starts clean.
-                self.teardowns += 1
-                self._teardown(endpoint)
+                on_dead()
                 return
-            # A traced request leads with the context envelope; strip it and
-            # open the server span as a child of the client's attempt span.
-            srv = None
-            proc = prev_ctx = None
-            if self._trc is not None:
-                ctx, request = obstrace.split_envelope(request)
-                if ctx is not None:
-                    srv = self._trc.server_call(
-                        ctx, "server", self.device.node.name,
-                        lambda: self.sim.now, start=t_poll,
-                        attrs={"protocol": self.proto_name})
-                    srv.stage("poll", t_poll, self.sim.now)
-                    proc = self.sim.active_process
-                    if proc is not None:
-                        prev_ctx = proc.trace_ctx
-                        proc.trace_ctx = srv
-            try:
-                try:
-                    if srv is not None:
-                        srv.open_stage("dispatch", self.sim.now)
-                    resp = yield from self._dispatch(request)
-                    if srv is not None:
-                        srv.close_stage(self.sim.now)
-                    t_reply = self.sim.now
-                    yield from self._reply(endpoint, resp)
-                    if srv is not None:
-                        srv.stage("reply", t_reply, self.sim.now,
-                                  nbytes=len(resp))
-                except self._DEAD_CONN:
-                    self.teardowns += 1
-                    self._teardown(endpoint)
-                    if srv is not None:
-                        srv.finish(self.sim.now, status="dead_conn")
-                    return
-            finally:
-                if proc is not None:
-                    proc.trace_ctx = prev_ctx
-            if srv is not None:
-                srv.finish(self.sim.now)
+            if not (yield from self._serve(request, t_poll, send, on_dead)):
+                return
+
+    def _serve(self, request: bytes, t_poll: float, send, on_dead):
+        """Coroutine: hand ``request`` to the handler, whole -- this layer
+        only *reads* the frame header's trace context, for the server span
+        -- and ``send(resp)``.  Every request answered is counted; False
+        when the connection died on the way (``on_dead()`` has run)."""
+        ctx = frame.split(request)[0].trace if self._trc is not None \
+            else None
+
+        def reply(resp):
+            yield from send(resp)
+            return {"nbytes": len(resp)}
+
+        if (yield from obstrace.serve_one(
+                self._trc, self.sim, self.device.node.name, self.proto_name,
+                t_poll, ctx, partial(self._dispatch, request), reply,
+                self._DEAD_CONN)):
             self.requests += 1
             if self._m_requests is not None:
                 self._m_requests.inc()
+            return True
+        on_dead()
+        return False
 
     def _teardown(self, endpoint) -> None:
         """Release a dead connection's QP (idempotent)."""
@@ -427,12 +417,11 @@ class RpcServer:
             if qp.peer is not None:
                 qp.peer.to_error()
 
-    def _dispatch(self, request: bytes):
-        if self._handler_is_gen:
-            resp = yield from self.handler(request)
-        else:
-            resp = self.handler(request)
-        return resp
+    def _lifted(self, request: bytes):
+        """A plain ``bytes -> bytes`` handler as the coroutine it stands
+        in for."""
+        return self.handler(request)
+        yield  # pragma: no cover
 
     def _wait(self, cq: CQ, max_wc: int = 16):
         return (yield from cq.wait(self.cfg.poll_mode, max_wc))

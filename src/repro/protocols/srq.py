@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs import trace as obstrace
 from repro.protocols.base import (
     HDR_BYTES,
     K_EAGER,
@@ -151,51 +150,12 @@ class SrqEagerServer(RpcServer):
         conn = self._conns.get(wc.qp_num)
         if conn is None:
             return   # raced with a teardown; the late request is dropped
-        self.sim.process(self._serve_one(conn, request, t_poll),
-                         name=f"srq-serve-{self.service_id}-{wc.qp_num}")
-
-    def _serve_one(self, conn: _SrqConn, request: bytes, t_poll: float):
-        """Coroutine: handler + reply for one request (own process, so
-        requests from all connections execute concurrently)."""
-        srv = None
-        proc = prev_ctx = None
-        if self._trc is not None:
-            ctx, request = obstrace.split_envelope(request)
-            if ctx is not None:
-                srv = self._trc.server_call(
-                    ctx, "server", self.device.node.name,
-                    lambda: self.sim.now, start=t_poll,
-                    attrs={"protocol": self.proto_name})
-                srv.stage("poll", t_poll, self.sim.now)
-                proc = self.sim.active_process
-                if proc is not None:
-                    prev_ctx = proc.trace_ctx
-                    proc.trace_ctx = srv
-        try:
-            try:
-                if srv is not None:
-                    srv.open_stage("dispatch", self.sim.now)
-                resp = yield from self._dispatch(request)
-                if srv is not None:
-                    srv.close_stage(self.sim.now)
-                t_reply = self.sim.now
-                yield from conn.send_msg(resp)
-                if srv is not None:
-                    srv.stage("reply", t_reply, self.sim.now,
-                              nbytes=len(resp))
-            except self._DEAD_CONN:
-                self._drop_conn(conn.qp.qp_num)
-                if srv is not None:
-                    srv.finish(self.sim.now, status="dead_conn")
-                return
-        finally:
-            if proc is not None:
-                proc.trace_ctx = prev_ctx
-        if srv is not None:
-            srv.finish(self.sim.now)
-        self.requests += 1
-        if self._m_requests is not None:
-            self._m_requests.inc()
+        # Handler + reply in the request's own process, so requests from
+        # all connections execute concurrently.
+        self.sim.process(
+            self._serve(request, t_poll, conn.send_msg,
+                        lambda: self._drop_conn(conn.qp.qp_num)),
+            name=f"srq-serve-{self.service_id}-{wc.qp_num}")
 
     # -- connection management -----------------------------------------------
     def _accept_loop(self):
@@ -213,19 +173,6 @@ class SrqEagerServer(RpcServer):
         if conn is not None:
             self.teardowns += 1
             self._teardown(conn)
-
-    # The base per-connection serve loop is never used here.
-    def _make_endpoint(self, conn_req):  # pragma: no cover
-        raise NotImplementedError("SrqEagerServer has no per-conn endpoint")
-
-    def _accept(self, conn_req, endpoint):  # pragma: no cover
-        raise NotImplementedError
-
-    def _recv(self, endpoint):  # pragma: no cover
-        raise NotImplementedError
-
-    def _reply(self, endpoint, resp):  # pragma: no cover
-        raise NotImplementedError
 
 
 #: protocol name -> SRQ-backed server class, for runtimes that opt in

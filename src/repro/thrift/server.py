@@ -7,10 +7,11 @@ cores in the real Apache Thrift servers the paper benchmarks.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
-from repro import obs
-from repro.core.overload import pack_rej, peek_fn_name
+from repro import frame, obs
+from repro.core.overload import gated
 from repro.obs import trace as obstrace
 from repro.sim.core import Simulator
 from repro.sim.sync import Store
@@ -34,8 +35,8 @@ class TServer:
         self.protocol_factory = protocol_factory
         self.transport_factory = transport_factory
         #: optional AdmissionGate + {fn: priority} map: requests are gated
-        #: BEFORE dispatch, and a refusal answers with the typed rejection
-        #: frame (never a silent drop or a timeout).
+        #: BEFORE dispatch, and a refusal answers with a ``retry_after``
+        #: frame header (never a silent drop or a timeout).
         self.admission = admission
         self.priorities = dict(priorities or {})
         self.sim: Simulator = server_transport.node.sim
@@ -68,9 +69,32 @@ class TServer:
     def _handle_connection(self, trans):
         """Coroutine: serve one connection until EOF."""
         prot = self.protocol_factory(trans)
+        process = partial(self.processor.process, prot, prot)
         node_name = self.server_transport.node.name
         if self._m_connections is not None:
             self._m_connections.inc()
+
+        def dispatch():
+            # Assigned unconditionally so a previous request's context
+            # never leaks onto an untraced one.
+            trans.trace_ctx = obstrace.active(self.sim)
+            if self.admission is None:
+                return (yield from process())
+            retry_after, replied = yield from gated(
+                self.admission, self.priorities, trans.peek(128),
+                trans.trace_ctx, self.sim, process)
+            if retry_after is not None:
+                # Rejected before dispatch: the unread message dies here
+                # (the next ready() replaces the buffer) and a retry_after
+                # header goes back in its place.
+                trans.write(frame.pack(retry_after=retry_after))
+                return True
+            return replied
+
+        def reply(replied):
+            if replied:
+                yield from trans.flush()
+
         while not self._stopped:
             t_poll = self.sim.now
             try:
@@ -78,62 +102,17 @@ class TServer:
             except TTransportException:
                 trans.close()
                 return
-            # Traced requests lead with the context envelope inside the
-            # frame; strip it and open the server span.  trans.trace_ctx is
-            # assigned unconditionally so a previous request's context
-            # never leaks onto an untraced one.
-            srv = None
-            proc = prev_ctx = None
-            if self._trc is not None:
-                head = trans.peek(obstrace.ENVELOPE_BYTES)
-                ctx, rest = obstrace.split_envelope(head)
-                if ctx is not None:
-                    trans.read(obstrace.ENVELOPE_BYTES)
-                    srv = self._trc.server_call(
-                        ctx, "server", node_name, lambda: self.sim.now,
-                        start=t_poll, attrs={"protocol": "tcp"})
-                    srv.stage("poll", t_poll, self.sim.now)
-                    proc = self.sim.active_process
-                    if proc is not None:
-                        prev_ctx = proc.trace_ctx
-                        proc.trace_ctx = srv
-            trans.trace_ctx = srv
-            admitted = False
-            if self.admission is not None:
-                priority = self.priorities.get(
-                    peek_fn_name(trans.peek(128)), "normal")
-                retry_after = self.admission.admit(priority)
-                if retry_after is not None:
-                    # Rejected before dispatch: the unread frame dies here
-                    # (the next ready() replaces the buffer) and the typed
-                    # rejection frame goes back in its place.
-                    if srv is not None:
-                        srv.stage("admission", self.sim.now, self.sim.now,
-                                  admitted=False, priority=priority)
-                        srv.finish(self.sim.now, status="rejected")
-                    if proc is not None:
-                        proc.trace_ctx = prev_ctx
-                    trans.write(pack_rej(retry_after))
-                    yield from trans.flush()
-                    continue
-                admitted = True
-            try:
-                if srv is not None:
-                    srv.open_stage("dispatch", self.sim.now)
-                replied = yield from self.processor.process(prot, prot)
-                if srv is not None:
-                    srv.close_stage(self.sim.now)
-                t_reply = self.sim.now
-                if replied:
-                    yield from trans.flush()
-                if srv is not None:
-                    srv.stage("reply", t_reply, self.sim.now)
-                    srv.finish(self.sim.now)
-            finally:
-                if admitted:
-                    self.admission.release()
-                if proc is not None:
-                    proc.trace_ctx = prev_ctx
+            # A frame header (a TCP channel's carries a trace context at
+            # most) leads the message: consume it, the processor reads on.
+            head = trans.peek(frame.MAX_BYTES)
+            header, message = frame.split(head)
+            trans.read(len(head) - len(message))
+            ctx = header.trace if self._trc is not None else None
+            if not (yield from obstrace.serve_one(
+                    self._trc, self.sim, node_name, "tcp", t_poll, ctx,
+                    dispatch, reply, TTransportException)):
+                trans.close()
+                return
             self.requests += 1
             if self._m_requests is not None:
                 self._m_requests.inc()

@@ -82,8 +82,8 @@ class TTransport:
 
     def peek(self, n: int) -> bytes:
         """Up to ``n`` buffered inbound bytes WITHOUT consuming them
-        (``b""`` where the transport cannot look ahead).  Used to detect
-        the optional trace-context envelope ahead of a Thrift message."""
+        (``b""`` where the transport cannot look ahead).  Used to read
+        the optional frame header ahead of a Thrift message."""
         return b""
 
     def read_all(self, n: int) -> bytes:

@@ -1,18 +1,12 @@
-"""Unit tests for the admission-control pieces: the rejection frame, the
-read-only function-name peek, and the priority-tiered gate."""
+"""Unit tests for the admission-control pieces: the rejection's frame
+header, the read-only function-name peek, and the priority-tiered gate."""
 
 import struct
 
 import pytest
 
-from repro.core.overload import (
-    REJ_BYTES,
-    AdmissionConfig,
-    AdmissionGate,
-    pack_rej,
-    peek_fn_name,
-    split_rej,
-)
+from repro import frame
+from repro.core.overload import AdmissionConfig, AdmissionGate, peek_fn_name
 
 
 class FakeSim:
@@ -27,34 +21,35 @@ def strict_msg(name: str, mtype: int = 1, seqid: int = 7) -> bytes:
         struct.pack("!i", len(nb)) + nb + struct.pack("!i", seqid)
 
 
-# -- rejection frame ---------------------------------------------------------
+# -- the rejection on the wire (the format itself: tests/test_frame.py) ------
 
 def test_rej_roundtrip():
-    frame = pack_rej(1.5e-3)
-    assert len(frame) == REJ_BYTES
-    retry_after, rest = split_rej(frame + b"tail")
-    assert retry_after == pytest.approx(1.5e-3)
+    rej = frame.pack(retry_after=1.5e-3)
+    assert len(rej) == 12
+    header, rest = frame.split(rej + b"tail")
+    assert header.retry_after == pytest.approx(1.5e-3)
     assert rest == b"tail"
 
 
 def test_rej_clamps_negative_retry_after():
-    retry_after, _ = split_rej(pack_rej(-1.0))
-    assert retry_after == 0.0
+    header, _ = frame.split(frame.pack(retry_after=-1.0))
+    assert header.retry_after == 0.0
 
 
 def test_split_rej_passes_ordinary_responses_through():
-    for data in (b"", b"\x00", strict_msg("Get"), b"\xc5RE",
-                 b"\xc4PIPxxxx" + strict_msg("Get")):
-        retry_after, rest = split_rej(data)
-        assert retry_after is None
+    for data in (b"", b"\x00", strict_msg("Get"), b"\xc4H\x01"):
+        header, rest = frame.split(data)
+        assert header.retry_after is None
         assert rest == data             # byte-identical pass-through
+    # A served pipelined reply has a header, but it is no rejection.
+    header, rest = frame.split(frame.pack(seq=9) + strict_msg("Get"))
+    assert header.retry_after is None and rest == strict_msg("Get")
 
 
 def test_rej_magic_cannot_start_a_strict_thrift_message():
-    # Strict message headers are 0x8001xxxx; 0xC5 'REJ' collides with
-    # neither a strict header nor the 0xC4 PIP magic one layer down.
+    # Strict message headers are 0x8001xxxx.
     assert strict_msg("AnyFn")[0] == 0x80
-    assert pack_rej(0.0)[0] == 0xC5
+    assert frame.pack(retry_after=0.0)[0] == 0xC4
 
 
 # -- function-name peek ------------------------------------------------------

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
+from repro import frame
+from repro.core.engine import plan_with_window
+from repro.core.runtime import (HatRpcServer, RdmaChannel, hatrpc_connect,
+                                service_plan_of)
+from repro.core.tuner import HintTuner
 from repro.idl import load_idl
 from repro.testbed import Testbed
+from repro.thrift import TBinaryProtocol, TMemoryBuffer, TMessageType
 from repro.verbs.cq import PollMode
 
 MIX_IDL = """
@@ -212,3 +217,82 @@ def test_multiple_clients_share_server(tb, gen):
     tb.sim.run()
     assert len(results) == 4 and all(results)
     assert server.requests >= 4
+
+
+# -- the frame header on the wire --------------------------------------------
+
+@pytest.fixture
+def wire(monkeypatch):
+    """Every message the clients' RDMA channels send ("req") and get back
+    ("resp"), in order."""
+    log = []
+
+    def tap(name):
+        inner = getattr(RdmaChannel, name)
+
+        def tapped(self, *args, **kw):
+            if args:
+                log.append(("req", args[0]))
+            resp = yield from inner(self, *args, **kw)
+            if resp is not None:
+                log.append(("resp", resp))
+            return resp
+
+        monkeypatch.setattr(RdmaChannel, name, tapped)
+
+    for name in ("call", "post", "recv"):
+        tap(name)
+    return log
+
+
+def fast_call(gen, seqid):
+    """The Thrift message a stub writes for ``Fast("hello")``."""
+    buf = TMemoryBuffer()
+    prot = TBinaryProtocol(buf)
+    prot.write_message_begin("Fast", TMessageType.CALL, seqid)
+    gen.Fast_args(msg="hello").write(prot)
+    prot.write_message_end()
+    return buf.getvalue()
+
+
+def test_header_bytes_on_the_wire(tb, gen, wire):
+    plan = plan_with_window(service_plan_of(gen, "Mixed"), 8)
+    HatRpcServer(tb.node(1), gen, "Mixed", MixedHandler(), plan=plan).start()
+
+    def client():
+        stub = yield from hatrpc_connect(tb.node(0), tb.node(1), gen,
+                                         "Mixed", plan=plan)
+        yield from stub.Fast("hello")
+        handle = yield from stub._hatrpc.async_caller().call_async(
+            "Fast", "hello")
+        yield from handle.wait()
+        tuned = yield from hatrpc_connect(tb.node(2), tb.node(1), gen,
+                                          "Mixed", plan=plan,
+                                          tuner=HintTuner())
+        handle = yield from tuned._hatrpc.async_caller().call_async(
+            "Fast", "hello")
+        assert (yield from handle.wait()) == "HELLO"
+
+    tb.sim.run(tb.sim.process(client()))
+    assert [kind for kind, _ in wire] == ["req", "resp"] * 3
+    (blocking, b_resp, windowed, w_resp, tuned, t_resp) = \
+        [data for _, data in wire]
+
+    # Blocking, untraced, untuned: exactly the Thrift message, both ways.
+    assert blocking == fast_call(gen, seqid=1)
+    assert frame.split(b_resp) == (frame.NONE, b_resp)
+    assert b_resp[:2] == b"\x80\x01"
+
+    # In a window: 8 bytes of header, and the reply mirrors it.
+    assert windowed == frame.pack(seq=1) + fast_call(gen, seqid=2)
+    assert len(windowed) - len(fast_call(gen, seqid=2)) == 8
+    header, body = frame.split(w_resp)
+    assert header == frame.Header(seq=1)
+    assert len(w_resp) - len(body) == 8 and len(body) == len(b_resp)
+
+    # Tuned as well: 12.
+    assert tuned == frame.pack(seq=1, epoch=0) + fast_call(gen, seqid=1)
+    assert len(tuned) - len(fast_call(gen, seqid=1)) == 12
+    header, body = frame.split(t_resp)
+    assert header == frame.Header(seq=1, epoch=0)
+    assert len(t_resp) - len(body) == 12 and len(body) == len(b_resp)

@@ -5,8 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.overload import pack_rej
-from repro.core.pipeline import EPO_BYTES, pack_epo, split_epo
+from repro import frame
 from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
 from repro.core.tuner import HintTuner, TunerConfig
 from repro.idl import load_idl
@@ -61,24 +60,24 @@ def feed(tuner, eng, fn, nbytes, n, latency=1e-5):
                       eng.plan.routes[fn].channel)
 
 
-# -- the epoch wire frame ----------------------------------------------------
+# -- the epoch on the wire (the format itself: tests/test_frame.py) ----------
 
 def test_epoch_frame_roundtrip():
-    tagged = pack_epo(7) + b"payload"
-    assert len(pack_epo(7)) == EPO_BYTES
-    epoch, rest = split_epo(tagged)
-    assert epoch == 7 and rest == b"payload"
+    tagged = frame.pack(epoch=7) + b"payload"
+    assert len(frame.pack(epoch=7)) == 8
+    header, rest = frame.split(tagged)
+    assert header.epoch == 7 and rest == b"payload"
 
 
 def test_untagged_bytes_pass_through():
     for raw in (b"", b"x", b"plain thrift message"):
-        assert split_epo(raw) == (None, raw)
+        assert frame.split(raw) == (frame.NONE, raw)
 
 
 def test_rejection_frame_not_mistaken_for_epoch():
-    rej = pack_rej(0.002)
-    epoch, rest = split_epo(rej)
-    assert epoch is None and rest == rej
+    header, rest = frame.split(frame.pack(retry_after=0.002))
+    assert header.epoch is None and header.retry_after == 0.002
+    assert rest == b""
 
 
 # -- tunable plans -----------------------------------------------------------

@@ -11,10 +11,9 @@ from collections import deque
 
 import pytest
 
-from repro import obs
+from repro import frame, obs
 from repro.core.engine import pinned_plan
-from repro.core.pipeline import (BoundedSeqidSet, ChannelPipeline, pack_pip,
-                                 split_pip)
+from repro.core.pipeline import BoundedSeqidSet, ChannelPipeline
 from repro.core.runtime import HatRpcServer, hatrpc_connect
 from repro.idl import load_idl
 from repro.obs import trace as obstrace
@@ -330,7 +329,8 @@ class _FakeChan:
         self._q = deque()
 
     def post(self, message):
-        self.posted.append(split_pip(message))
+        header, body = frame.split(message)
+        self.posted.append((header.seq, body))
         return
         yield  # pragma: no cover - generator marker
 
@@ -347,10 +347,10 @@ class _FakeEntry:
         self.error = None
 
     def wire(self, seq):
-        return pack_pip(seq) + self.payload
+        return frame.pack(seq=seq) + self.payload
 
-    def complete(self, resp):
-        self.result = resp
+    def complete(self, header, body):
+        self.result = body
 
     def fail(self, exc):
         self.error = exc
@@ -366,8 +366,8 @@ def test_receiver_correlates_out_of_order_responses():
         yield from pipe.submit(e1)
         yield from pipe.submit(e2)
         # deliver the responses REVERSED: seq 2 first, then seq 1
-        chan._q.append(pack_pip(2) + b"resp2")
-        chan._q.append(pack_pip(1) + b"resp1")
+        chan._q.append(frame.pack(seq=2) + b"resp2")
+        chan._q.append(frame.pack(seq=1) + b"resp1")
         yield sim.timeout(10 * us)
 
     sim.run(sim.process(run()))

@@ -6,14 +6,17 @@ import random
 
 import pytest
 
+from repro.core.engine import pinned_plan
 from repro.core.overload import AdmissionConfig
 from repro.core.resilience import RetryBudget, RetryPolicy
 from repro.core.runtime import HatRpcServer, hatrpc_connect
 from repro.faults import FaultInjector, FaultPlan, OverloadStorm
 from repro.idl import load_idl
-from repro.sim.units import ms, us
+from repro.obs import trace as obstrace
+from repro.sim.units import KiB, ms, us
 from repro.testbed import Testbed
 from repro.thrift.errors import TRejectedException, TTransportException
+from repro.verbs.cq import PollMode
 
 IDL = """
 service OverKV {
@@ -44,10 +47,10 @@ def gen():
     return load_idl(IDL, "overload_gen")
 
 
-def start(tb, gen, admission, slow=2 * ms):
+def start(tb, gen, admission, slow=2 * ms, **kw):
     handler = Handler(tb, slow=slow)
     server = HatRpcServer(tb.node(0), gen, "OverKV", handler,
-                          admission=admission).start()
+                          admission=admission, **kw).start()
     return server, handler
 
 
@@ -119,6 +122,88 @@ def test_exhausted_attempts_surface_trejected_not_timed_out(gen):
     engine = tb.sim.run(tb.sim.process(contender()))
     assert engine.faults.rejections == 2    # both attempts refused
     assert engine.faults.timeouts == 0
+
+
+# -- a shed request is answered: counted, and traced as rejected -------------
+
+@pytest.mark.parametrize("protocol, srq", [
+    ("eager_sendrecv", False), ("eager_sendrecv", True), ("tcp", False),
+], ids=["rdma", "srq", "tcp"])
+def test_shed_requests_are_counted_and_their_spans_say_rejected(gen, protocol,
+                                                                srq):
+    """N sent, K shed => ``requests == N`` and ``gate.rejected == K`` on
+    every transport (the refusal is a reply like any other), and each shed
+    request's server span ends ``rejected``, not ``ok``."""
+    with obstrace.installed() as col:
+        tb = Testbed(n_nodes=2)
+        plan = pinned_plan("OverKV", gen.SERVICE_FUNCTIONS["OverKV"],
+                           protocol, PollMode.BUSY, max_msg=8 * KiB)
+        server, _ = start(tb, gen, AdmissionConfig(capacity=1), plan=plan,
+                          srq=srq)
+
+        def occupier():
+            stub = yield from connect(tb, gen, plan=plan)
+            yield from stub.Slow("x")           # holds the gate for 2ms
+
+        def contender():
+            yield tb.sim.timeout(100 * us)      # let Slow get in first
+            stub = yield from connect(
+                tb, gen, plan=plan, retry_policy=RetryPolicy(max_attempts=1))
+            for _ in range(5):                  # K = 5, all while Slow holds
+                with pytest.raises(TRejectedException):
+                    yield from stub.Get("k")
+            yield tb.sim.timeout(3 * ms)        # Slow is done
+            for _ in range(3):
+                assert (yield from stub.Get("k")) == "v"
+
+        tb.sim.process(occupier())
+        tb.sim.run(tb.sim.process(contender()))
+        tb.sim.run()
+        assert server.requests == 1 + 5 + 3     # N: Slow, 5 shed, 3 served
+        assert server.gate.rejected == 5
+        statuses = [s.status for s in col.spans if s.kind == "server"]
+        assert sorted(statuses) == ["ok"] * 4 + ["rejected"] * 5
+
+
+def test_tcp_admission_slot_is_free_while_the_reply_is_sent(gen):
+    """The gate counts requests being dispatched, on TCP as on RDMA: a
+    request is shed while the one slot's holder runs, and admitted while
+    that holder's 1 MiB reply is still draining onto the wire."""
+    with obstrace.installed() as col:
+        tb = Testbed(n_nodes=2)
+        plan = pinned_plan("OverKV", gen.SERVICE_FUNCTIONS["OverKV"],
+                           "tcp", PollMode.BUSY, max_msg=8 * KiB)
+        start(tb, gen, AdmissionConfig(capacity=1), slow=300 * us, plan=plan)
+
+        def occupier():
+            stub = yield from connect(tb, gen, plan=plan)
+            yield from stub.Slow("x" * 1024 * KiB)
+
+        def contender():
+            stub = yield from connect(
+                tb, gen, plan=plan, retry_policy=RetryPolicy(max_attempts=1))
+            while tb.sim.now < 2 * ms:
+                try:
+                    yield from stub.Get("k")
+                except TRejectedException:
+                    pass
+
+        tb.sim.process(occupier())
+        tb.sim.run(tb.sim.process(contender()))
+        tb.sim.run()
+        (dispatch,) = [s for s in col.spans if s.name == "dispatch"
+                       and s.duration > 250 * us]
+        (reply,) = [s for s in col.spans if s.name == "reply"
+                    and s.duration > 250 * us]
+
+        def admitted_during(stage):
+            return [s.attrs["admitted"] for s in col.spans
+                    if s.name == "admission"
+                    and stage.start < s.start < stage.end]
+
+        assert admitted_during(dispatch)
+        assert not any(admitted_during(dispatch))
+        assert admitted_during(reply) and all(admitted_during(reply))
 
 
 # -- the shared retry budget -------------------------------------------------

@@ -43,8 +43,7 @@ def _make_traced_call(col, name, perf_goal, req_bytes, post_dur,
     t[0] += post_dur
     act.stage("post", 0.0, t[0])
     if with_server:
-        ctx, _ = trace.split_envelope(act.envelope())
-        srv = col.server_call(ctx, "server", "n0", now)
+        srv = col.server_call(act.context(), "server", "n0", now)
         srv.stage("handler", t[0], t[0] + 1e-6)
         srv.finish(t[0] + 1e-6)
     act.end_attempt(t[0])

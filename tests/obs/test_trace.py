@@ -1,8 +1,9 @@
-"""Unit tests for the distributed-trace core: envelope wire format,
+"""Unit tests for the distributed-trace core: the context's wire field,
 span-tree mechanics, head sampling, and the install contract."""
 
 import pytest
 
+from repro import frame
 from repro.obs import trace
 
 
@@ -20,35 +21,35 @@ def fixed_clock(t=0.0):
     return now
 
 
-# -- wire envelope -----------------------------------------------------------
+# -- the context on the wire (the format itself: tests/test_frame.py) --------
 
 def test_envelope_roundtrip():
     ctx = trace.SpanContext("ab" * 16, "cd" * 8, sampled=True)
-    data = trace.pack_envelope(ctx) + b"payload"
-    got, rest = trace.split_envelope(data)
-    assert got == ctx
+    data = frame.pack(trace=ctx) + b"payload"
+    header, rest = frame.split(data)
+    assert header.trace == ctx
     assert rest == b"payload"
 
 
 def test_envelope_size_is_constant():
     ctx = trace.SpanContext("0" * 32, "0" * 16, sampled=False)
-    assert len(trace.pack_envelope(ctx)) == trace.ENVELOPE_BYTES == 30
+    assert len(frame.pack(trace=ctx)) == 30
 
 
 def test_unenveloped_bytes_pass_through_identically():
-    for payload in (b"", b"\x80\x01\x00\x01plain thrift", b"\xc3TR",
-                    b"\xc3" + b"x" * 40):
-        ctx, rest = trace.split_envelope(payload)
-        assert ctx is None
+    for payload in (b"", b"\x80\x01\x00\x01plain thrift", b"\xc4H\x01",
+                    b"\xc4" + b"x" * 40):
+        header, rest = frame.split(payload)
+        assert header.trace is None
         assert rest == payload
 
 
 def test_unknown_envelope_version_passes_through():
     ctx = trace.SpanContext("ab" * 16, "cd" * 8)
-    data = bytearray(trace.pack_envelope(ctx))
-    data[4] = 99                                # version byte
-    got, rest = trace.split_envelope(bytes(data))
-    assert got is None
+    data = bytearray(frame.pack(trace=ctx))
+    data[4] = 99                                # the context's version byte
+    header, rest = frame.split(bytes(data))
+    assert header.trace is None
     assert rest == bytes(data)
 
 
@@ -145,23 +146,24 @@ def test_late_span_on_a_dropped_call_is_dropped():
     assert col.spans == []
 
 
-# -- envelope emission policy ------------------------------------------------
+# -- context emission policy -------------------------------------------------
 
 def test_no_envelope_when_unsampled_and_unfaulted():
     col = collector(sample_rate=0.0)
     act = col.start_call("Get", "n1", fixed_clock())
-    assert act.envelope() == b""
+    assert act.context() is None
+    assert frame.pack(trace=act.context()) == b""
 
 
 def test_envelope_appears_once_the_call_faults():
     col = collector(sample_rate=0.0)
     now = fixed_clock()
     act = col.start_call("Get", "n1", now)
-    assert act.envelope() == b""
+    assert act.context() is None
     act.event("timeout", now())                # marks the call faulted
     act.begin_attempt(now())
-    env = act.envelope()
-    ctx, rest = trace.split_envelope(env + b"x")
+    header, rest = frame.split(frame.pack(trace=act.context()) + b"x")
+    ctx = header.trace
     assert ctx is not None and rest == b"x"
     assert ctx.trace_id == act.trace_id
 
@@ -171,7 +173,7 @@ def test_envelope_carries_the_open_attempt_span_id():
     now = fixed_clock()
     act = col.start_call("Get", "n1", now)
     act.begin_attempt(now())
-    ctx, _ = trace.split_envelope(act.envelope())
+    ctx = frame.split(frame.pack(trace=act.context()))[0].trace
     assert ctx.span_id == act._attempt.span_id
     assert ctx.span_id != act.root_span_id
 
