@@ -1,12 +1,21 @@
 """Shared machinery for the RDMA RPC protocols.
 
-Every protocol is a pair of classes:
+A wire protocol is **one registry row** (:class:`ProtocolRow`): a name, the
+endpoint class of each peer, the parameters both endpoints are built from,
+and whether calls may overlap.  An endpoint class implements, over one QP,
+``blob()`` (local resources to advertise in the CM handshake),
+``set_peer(blob)`` (the peer's), ``setup()`` (coroutine: pre-post
+receives), ``send_msg(data)`` and ``recv_msg()`` (coroutines: one message
+out / the next one in).  Everything else is written once:
 
-* a client: ``Client(device, cfg)`` with coroutines ``connect(node,
-  service_id)`` and ``call(request, resp_hint=...) -> bytes``;
-* a server: ``Server(device, service_id, handler, cfg)`` whose ``start()``
-  spawns the accept loop; one serve-loop process runs per connection (the
-  per-connection server threads of a threaded Thrift server).
+* the client, :class:`RpcClient`: coroutines ``connect(node, service_id)``
+  and ``call(request, resp_hint=...) -> bytes``;
+* the server, :class:`RpcServer`, whose ``start()`` spawns the accept loop;
+  one serve-loop process runs per connection (the per-connection server
+  threads of a threaded Thrift server).
+
+Both peers build their endpoint from the *same* row, so slot sizes, eager
+threshold, rendezvous/notify flavor and READ count agree by construction.
 
 Connections are *single-outstanding-call*: exactly the contract of a
 synchronous Thrift client.  Concurrency comes from many connections, as in
@@ -21,14 +30,14 @@ from __future__ import annotations
 
 import inspect
 import struct
-from functools import partial
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Type
+from functools import partial
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import frame, obs
 from repro.obs import trace as obstrace
 from repro.sim.units import KiB
-from repro.verbs.cq import CQ, PollMode
+from repro.verbs.cq import PollMode
 from repro.verbs.device import Device, PD
 from repro.verbs.errors import QPStateError, WCError
 from repro.verbs import cm
@@ -40,6 +49,7 @@ __all__ = [
     "HDR_BYTES",
     "ProtoConfig",
     "ProtocolError",
+    "ProtocolRow",
     "RecvRing",
     "RpcClient",
     "RpcServer",
@@ -108,12 +118,13 @@ def check_wc(wc: WC) -> WC:
 
 
 class RecvRing:
-    """A receive ring registered once: slot *i* is bytes
+    """The receive ring, registered once: slot *i* is bytes
     ``[i * slot_bytes, (i + 1) * slot_bytes)`` of one MR and is posted with
-    ``wr_id=i``."""
+    ``wr_id=i`` to ``rq`` -- a connection's QP, or the SRQ a server's
+    connections share."""
 
-    def __init__(self, pd: PD, qp: QP, slots: int, slot_bytes: int):
-        self.qp = qp
+    def __init__(self, pd: PD, rq, slots: int, slot_bytes: int):
+        self.rq = rq
         self.slots = slots
         self.slot_bytes = slot_bytes
         self.mr = pd.reg_mr(slots * slot_bytes)
@@ -121,7 +132,7 @@ class RecvRing:
     def post(self, i: int):
         """Coroutine: (re-)post slot ``i``."""
         mr = self.mr
-        yield from self.qp.post_recv(
+        yield from self.rq.post_recv(
             RecvWR(Sge(mr.addr + i * self.slot_bytes, self.slot_bytes,
                        mr.lkey), wr_id=i))
 
@@ -132,25 +143,57 @@ class RecvRing:
     def read(self, i: int, length: int, offset: int = 0) -> bytes:
         return self.mr.read(length, offset=i * self.slot_bytes + offset)
 
+    def header(self, i: int) -> tuple:
+        """The control header at the front of slot ``i``, unpacked."""
+        return unpack_ctrl(self.read(i, HDR_BYTES))
 
-class RpcClient:
-    """Base class for protocol clients."""
 
-    #: wire-protocol name, stamped by :func:`register_protocol`
-    proto_name = "?"
+@dataclass(frozen=True)
+class ProtocolRow:
+    """One wire protocol: everything its two peers must agree on."""
 
+    name: str
+    #: endpoint class of the connecting / the accepting side
+    client_end: type
+    server_end: type
     #: True for protocols whose send/receive halves are independent enough
     #: to overlap multiple calls on one connection (stateless per-call wire
     #: slots, no single-valued rendezvous handshake).  The engine's
     #: pipelined path only splits post/recv on these; everything else runs
     #: call-at-a-time under the classic single-outstanding contract.
-    supports_pipelining = False
+    pipelining: bool
+    #: keyword arguments *both* endpoints are constructed with
+    params: Mapping[str, Any]
 
-    def __init__(self, device: Device, cfg: Optional[ProtoConfig] = None):
+    def open(self, end: type, device: Device, pd: PD, cfg: ProtoConfig):
+        """One connection end's verbs resources -- two CQs and a QP -- under
+        the ``end`` endpoint of this row."""
+        qp = device.create_qp(pd, device.create_cq(), device.create_cq())
+        return end(device, pd, qp, cfg, **self.params)
+
+
+def hard_close(qp: Optional[QP]) -> None:
+    """Error a connection's QP and its peer's (idempotent; None = never
+    connected)."""
+    if qp is not None:
+        qp.to_error()
+        if qp.peer is not None:
+            qp.peer.to_error()
+
+
+class RpcClient:
+    """The client of every protocol: ``row`` says which."""
+
+    def __init__(self, row: ProtocolRow, device: Device,
+                 cfg: Optional[ProtoConfig] = None):
+        self.row = row
+        self.proto_name = row.name
+        self.supports_pipelining = row.pipelining
         self.device = device
         self.sim = device.sim
         self.cfg = cfg or ProtoConfig()
         self.pd = device.alloc_pd()
+        self.qp = None
         self._in_call = False
         self._act = None        # ActiveCall of the in-flight traced RPC
         self.calls = 0
@@ -171,71 +214,50 @@ class RpcClient:
             self._m_doorbells = None
             self._m_latency = None
 
-    # subclasses implement:
-    def _setup_blob(self) -> bytes:
-        """Local resources to advertise during the CM handshake."""
-        raise NotImplementedError
-
-    def _finish_setup(self, peer_blob: bytes) -> None:
-        raise NotImplementedError
-
-    def _call(self, request: bytes, resp_hint: int):
-        raise NotImplementedError
-
-    # pipelining-capable subclasses implement (split halves of _call):
-    def _post(self, request: bytes):
-        raise ProtocolError(
-            f"{self.proto_name} cannot pipeline (no split post/recv)")
-        yield  # pragma: no cover
-
-    def _recv_one(self):
-        raise ProtocolError(
-            f"{self.proto_name} cannot pipeline (no split post/recv)")
-        yield  # pragma: no cover
-
-    # common paths:
     def connect(self, remote_node, service_id: int):
         """Coroutine: establish the connection and exchange buffer metadata."""
-        self.scq = self.device.create_cq()
-        self.rcq = self.device.create_cq()
-        self.qp = self.device.create_qp(self.pd, self.scq, self.rcq)
-        blob = self._setup_blob()
-        peer_blob = yield from cm.connect(self.qp, remote_node, service_id,
-                                          private_data=blob)
-        self._finish_setup(peer_blob)
-        yield from self._post_setup()
+        self.ep = ep = self.row.open(self.row.client_end, self.device,
+                                     self.pd, self.cfg)
+        self.qp = ep.qp
+        self.scq = ep.qp.send_cq
+        self.rcq = ep.qp.recv_cq
+        peer_blob = yield from cm.connect(ep.qp, remote_node, service_id,
+                                          private_data=ep.blob())
+        ep.set_peer(peer_blob)
+        yield from ep.setup()
         return self
 
-    def _post_setup(self):
-        """Coroutine hook: pre-post receive rings etc. after the handshake."""
-        return
-        yield  # pragma: no cover
+    def _check(self, request: bytes) -> None:
+        if len(request) > self.cfg.max_msg:
+            raise ProtocolError(
+                f"request of {len(request)} bytes exceeds max_msg "
+                f"{self.cfg.max_msg}")
 
     def call(self, request: bytes, resp_hint: int = 4 * KiB, trace=None):
         """Coroutine: one RPC; returns the response bytes.
 
         ``trace`` is the engine's in-flight
-        :class:`~repro.obs.trace.ActiveCall` (or None): the protocol
-        brackets its send/receive halves into "post"/"complete" stage
-        spans on it.
+        :class:`~repro.obs.trace.ActiveCall` (or None): the send/receive
+        halves are bracketed into "post"/"complete" stage spans on it.
+        ``resp_hint`` is advisory and no endpoint reads it (RFP sizes its
+        speculative READ from ``cfg.rfp_first_read``).
         """
         if self._in_call:
             raise ProtocolError(
                 "connection already has an outstanding call (protocol "
                 "connections are single-outstanding; use more connections "
                 "for concurrency)")
-        if len(request) > self.cfg.max_msg:
-            raise ProtocolError(
-                f"request of {len(request)} bytes exceeds max_msg "
-                f"{self.cfg.max_msg}")
+        self._check(request)
+        ep = self.ep
         self._in_call = True
         self._act = trace
         if self._m_ops is not None:
             t_start = self.sim.now
-            qp = getattr(self, "qp", None)
-            db_start = qp.doorbells if qp is not None else 0
+            db_start = ep.qp.doorbells
         try:
-            resp = yield from self._call(request, resp_hint)
+            yield from self._staged("post", ep.send_msg(request),
+                                    nbytes=len(request))
+            resp = yield from self._staged("complete", ep.recv_msg())
         finally:
             self._in_call = False
             self._act = None
@@ -245,18 +267,20 @@ class RpcClient:
             self._m_req_bytes.inc(len(request))
             self._m_resp_bytes.inc(len(resp))
             self._m_latency.record(self.sim.now - t_start)
-            if qp is not None:
-                self._m_doorbells.inc(qp.doorbells - db_start)
+            self._m_doorbells.inc(ep.qp.doorbells - db_start)
         return resp
+
+    def _need_pipelining(self) -> None:
+        if not self.supports_pipelining:
+            raise ProtocolError(
+                f"{self.proto_name} cannot pipeline (no split post/recv)")
 
     def post(self, request: bytes):
         """Coroutine: put one request on the wire without waiting for its
         response (the pipelined send half; pair with :meth:`recv`)."""
-        if len(request) > self.cfg.max_msg:
-            raise ProtocolError(
-                f"request of {len(request)} bytes exceeds max_msg "
-                f"{self.cfg.max_msg}")
-        yield from self._post(request)
+        self._need_pipelining()
+        self._check(request)
+        yield from self.ep.send_msg(request)
         self.calls += 1
         if self._m_ops is not None:
             self._m_ops.inc()
@@ -265,13 +289,11 @@ class RpcClient:
     def recv(self):
         """Coroutine: the next response off the wire, in arrival order --
         the caller correlates it (the pipelined receive half)."""
-        resp = yield from self._recv_one()
+        self._need_pipelining()
+        resp = yield from self.ep.recv_msg()
         if self._m_resp_bytes is not None:
             self._m_resp_bytes.inc(len(resp))
         return resp
-
-    def _wait(self, cq: CQ, max_wc: int = 16):
-        return (yield from cq.wait(self.cfg.poll_mode, max_wc))
 
     def _staged(self, name: str, gen, **attrs):
         """Coroutine: run ``gen``, bracketing it into a trace stage span
@@ -291,28 +313,21 @@ class RpcClient:
         tears the connection down -- the RST of this transport.  Safe to
         call repeatedly or on a never-connected client.
         """
-        qp = getattr(self, "qp", None)
-        if qp is not None:
-            qp.to_error()
-            if qp.peer is not None:
-                qp.peer.to_error()
+        hard_close(self.qp)
 
 
 class RpcServer:
-    """Base class for protocol servers.
+    """The server of every protocol: ``row`` says which.
 
     ``handler`` is either a plain callable ``bytes -> bytes`` or a generator
     function (coroutine) for handlers that consume simulated time (e.g. the
     checksum work of the ATB mix benchmark, or HatKV's LMDB calls).
     """
 
-    endpoint_cls: Type = None  # type: ignore[assignment]
-
-    #: wire-protocol name, stamped by :func:`register_protocol`
-    proto_name = "?"
-
-    def __init__(self, device: Device, service_id: int,
+    def __init__(self, row: ProtocolRow, device: Device, service_id: int,
                  handler: Callable, cfg: Optional[ProtoConfig] = None):
+        self.row = row
+        self.proto_name = row.name
         self.device = device
         self.sim = device.sim
         self.service_id = service_id
@@ -344,46 +359,35 @@ class RpcServer:
     def _accept_loop(self):
         while not self._stopped:
             req = yield self.listener.accept()
-            endpoint = self._make_endpoint(req)
-            yield from self._accept(req, endpoint)
+            ep = self.row.open(self.row.server_end, self.device, self.pd,
+                               self.cfg)
+            ep.set_peer(req.private_data)
+            yield from ep.setup()
+            yield from req.accept(ep.qp, private_data=ep.blob())
             self.connections += 1
-            self.sim.process(self._serve_loop(endpoint),
+            self.sim.process(self._serve_loop(ep),
                              name=f"serve-{self.service_id}-{self.connections}")
-
-    # subclasses implement:
-    def _make_endpoint(self, conn_req):
-        raise NotImplementedError
-
-    def _accept(self, conn_req, endpoint):
-        raise NotImplementedError
-
-    def _recv(self, endpoint):
-        raise NotImplementedError
-
-    def _reply(self, endpoint, resp: bytes):
-        raise NotImplementedError
 
     #: "the connection is dead" -- an error completion or an operation on an
     #: already-flushed QP.  Local misuse (MemoryAccessError, oversize
     #: responses) deliberately stays loud instead of reading as a dead peer.
     _DEAD_CONN = (WCError, QPStateError)
 
-    def _serve_loop(self, endpoint):
-        send = partial(self._reply, endpoint)
-
+    def _serve_loop(self, ep):
         def on_dead():
             self.teardowns += 1
-            self._teardown(endpoint)
+            hard_close(ep.qp)
 
         while True:
             t_poll = self.sim.now
             try:
-                request = yield from self._recv(endpoint)
+                request = yield from ep.recv_msg()
             except (ProtocolError, *self._DEAD_CONN):
                 # Tear it down server-side so a client reconnect starts clean.
                 on_dead()
                 return
-            if not (yield from self._serve(request, t_poll, send, on_dead)):
+            if not (yield from self._serve(request, t_poll, ep.send_msg,
+                                           on_dead)):
                 return
 
     def _serve(self, request: bytes, t_poll: float, send, on_dead):
@@ -395,6 +399,13 @@ class RpcServer:
             else None
 
         def reply(resp):
+            # Before any cost is charged, and loud: slots of a pipelined
+            # window share one MR, so an oversize reply would land on its
+            # neighbour's header instead of tripping a bounds check.
+            if len(resp) > self.cfg.max_msg:
+                raise ProtocolError(
+                    f"response of {len(resp)} bytes exceeds max_msg "
+                    f"{self.cfg.max_msg}")
             yield from send(resp)
             return {"nbytes": len(resp)}
 
@@ -409,37 +420,37 @@ class RpcServer:
         on_dead()
         return False
 
-    def _teardown(self, endpoint) -> None:
-        """Release a dead connection's QP (idempotent)."""
-        qp = getattr(endpoint, "qp", None)
-        if qp is not None:
-            qp.to_error()
-            if qp.peer is not None:
-                qp.peer.to_error()
-
     def _lifted(self, request: bytes):
         """A plain ``bytes -> bytes`` handler as the coroutine it stands
         in for."""
         return self.handler(request)
         yield  # pragma: no cover
 
-    def _wait(self, cq: CQ, max_wc: int = 16):
-        return (yield from cq.wait(self.cfg.poll_mode, max_wc))
+
+_REGISTRY: Dict[str, tuple[Callable[..., RpcClient],
+                           Callable[..., RpcServer]]] = {}
 
 
-_REGISTRY: Dict[str, tuple[Type[RpcClient], Type[RpcServer]]] = {}
-
-
-def register_protocol(name: str, client_cls: Type[RpcClient],
-                      server_cls: Type[RpcServer]) -> None:
+def register_protocol(name: str, client_end: type, server_end: type,
+                      pipelining: bool = False, **params) -> None:
+    """Add the row ``name``; ``params`` are what both endpoint classes are
+    constructed with, after ``(device, pd, qp, cfg)``."""
     if name in _REGISTRY:
         raise ValueError(f"protocol {name!r} already registered")
-    client_cls.proto_name = name
-    server_cls.proto_name = name
-    _REGISTRY[name] = (client_cls, server_cls)
+    row = ProtocolRow(name, client_end, server_end, pipelining, params)
+    pair = partial(RpcClient, row), partial(RpcServer, row)
+    for make in pair:
+        make.row = row
+        make.proto_name = name
+        make.supports_pipelining = pipelining
+    _REGISTRY[name] = pair
 
 
-def get_protocol(name: str) -> tuple[Type[RpcClient], Type[RpcServer]]:
+def get_protocol(name: str) -> tuple[Callable[..., RpcClient],
+                                     Callable[..., RpcServer]]:
+    """The ``(client, server)`` constructors of the row ``name``: called as
+    ``client(nic, cfg)`` / ``server(nic, service_id, handler, cfg)``, each
+    carrying ``row``, ``proto_name`` and ``supports_pipelining``."""
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -20,7 +20,6 @@ and penalized by the ``res_util`` hint.
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 from repro.protocols.base import (
     HDR_BYTES,
@@ -28,14 +27,12 @@ from repro.protocols.base import (
     ProtoConfig,
     ProtocolError,
     RecvRing,
-    RpcClient,
-    RpcServer,
     check_wc,
     pack_ctrl,
     register_protocol,
     unpack_ctrl,
 )
-from repro.verbs.device import Device, MR, PD
+from repro.verbs.device import Device, PD
 from repro.verbs.qp import QP
 from repro.verbs.types import Opcode, SendWR, Sge, WCOpcode
 
@@ -51,7 +48,8 @@ F_IMM = "imm"             # WRITE_WITH_IMM (one WR, imm carries the length)
 
 
 class DirectWriteEndpoint:
-    """One side of a direct-write connection."""
+    """One side of a direct-write connection (both ends of every row
+    below); ``flavor`` is how the peer is notified."""
 
     def __init__(self, device: Device, pd: PD, qp: QP, cfg: ProtoConfig,
                  flavor: str):
@@ -146,8 +144,7 @@ class DirectWriteEndpoint:
             kind, seq, length, _a, _k = unpack_ctrl(
                 self.inbuf.read(HDR_BYTES, offset=off))
         else:
-            kind, seq, length, _a, _k = unpack_ctrl(
-                self._ring.read(wc.wr_id, HDR_BYTES))
+            kind, seq, length, _a, _k = self._ring.header(wc.wr_id)
             off = ((seq - 1) % self.slots) * self._stride
         if kind != K_NOTIFY:
             raise ProtocolError(f"unexpected control kind {kind}")
@@ -156,83 +153,11 @@ class DirectWriteEndpoint:
         return self.inbuf.read(length, offset=off + HDR_BYTES)
 
 
-class _DWClient(RpcClient):
-    flavor = F_SEPARATE
-
-    # Per-call wire slots are stateless between calls (slot = seq mod
-    # window on both peers), so send and receive halves overlap freely.
-    supports_pipelining = True
-
-    def _setup_blob(self) -> bytes:
-        self.ep = DirectWriteEndpoint(self.device, self.pd, self.qp,
-                                      self.cfg, self.flavor)
-        return self.ep.blob()
-
-    def _finish_setup(self, peer_blob: bytes) -> None:
-        self.ep.set_peer(peer_blob)
-
-    def _post_setup(self):
-        yield from self.ep.setup()
-
-    def _call(self, request: bytes, resp_hint: int):
-        yield from self._staged("post", self.ep.send_msg(request),
-                                nbytes=len(request))
-        return (yield from self._staged("complete", self.ep.recv_msg()))
-
-    def _post(self, request: bytes):
-        yield from self.ep.send_msg(request)
-
-    def _recv_one(self):
-        return (yield from self.ep.recv_msg())
-
-
-class _DWServer(RpcServer):
-    flavor = F_SEPARATE
-
-    def _make_endpoint(self, conn_req):
-        scq = self.device.create_cq()
-        rcq = self.device.create_cq()
-        qp = self.device.create_qp(self.pd, scq, rcq)
-        ep = DirectWriteEndpoint(self.device, self.pd, qp, self.cfg,
-                                 self.flavor)
-        ep.set_peer(conn_req.private_data)
-        return ep
-
-    def _accept(self, conn_req, endpoint):
-        yield from endpoint.setup()
-        yield from conn_req.accept(endpoint.qp, private_data=endpoint.blob())
-
-    def _recv(self, endpoint):
-        return (yield from endpoint.recv_msg())
-
-    def _reply(self, endpoint, resp: bytes):
-        yield from endpoint.send_msg(resp)
-
-
-class DirectWriteSendClient(_DWClient):
-    flavor = F_SEPARATE
-
-
-class DirectWriteSendServer(_DWServer):
-    flavor = F_SEPARATE
-
-
-class ChainedWriteSendClient(_DWClient):
-    flavor = F_CHAINED
-
-
-class ChainedWriteSendServer(_DWServer):
-    flavor = F_CHAINED
-
-
-class DirectWriteImmClient(_DWClient):
-    flavor = F_IMM
-
-
-class DirectWriteImmServer(_DWServer):
-    flavor = F_IMM
-
-
-register_protocol("direct_write_send", DirectWriteSendClient, DirectWriteSendServer)
-register_protocol("chained_write_send", ChainedWriteSendClient, ChainedWriteSendServer)
-register_protocol("direct_writeimm", DirectWriteImmClient, DirectWriteImmServer)
+# Per-call wire slots are stateless between calls (slot = seq mod window on
+# both peers), so send and receive halves overlap freely.
+register_protocol("direct_write_send", DirectWriteEndpoint, DirectWriteEndpoint,
+                  pipelining=True, flavor=F_SEPARATE)
+register_protocol("chained_write_send", DirectWriteEndpoint, DirectWriteEndpoint,
+                  pipelining=True, flavor=F_CHAINED)
+register_protocol("direct_writeimm", DirectWriteEndpoint, DirectWriteEndpoint,
+                  pipelining=True, flavor=F_IMM)

@@ -14,6 +14,12 @@ which is why RFP wins the high-concurrency large-message regime (Fig. 5).
   speculatively fetched with a single READ of a fixed-size slot, with a
   follow-up READ only when the response overflows the slot.
 
+The family is asymmetric, so each row names two endpoint classes: the
+server end sinks requests and publishes responses into registered memory
+(:class:`BypassServerEnd`), the client end delivers requests and fetches
+responses (:class:`BypassClientEnd`; RFP's speculative READ and HERD's
+SEND-back responses are the only overrides).
+
 Memory polling is modeled by :meth:`repro.verbs.device.Device.watch_memory`:
 the poller holds a CPU spin token (busy discipline) or sleeps between
 wake-ups (event discipline) and is woken the instant an inbound WRITE lands.
@@ -30,8 +36,6 @@ from repro.protocols.base import (
     ProtoConfig,
     ProtocolError,
     RecvRing,
-    RpcClient,
-    RpcServer,
     check_wc,
     pack_ctrl,
     register_protocol,
@@ -49,6 +53,15 @@ _BLOB = struct.Struct("<QIQI")
 
 REQ_SEND = "send"     # Pilaf: eager SEND
 REQ_WRITE = "write"   # FaRM/RFP: RDMA WRITE + memory polling
+
+#: HERD's response-slot size (its design targets small messages).  Real
+#: HERD ships bare values, so its slots need only fit the KV unit (1 KB
+#: under YCSB); the emulation routes Thrift-framed messages through the
+#: same transport, so the slot carries ~40 B of RPC framing on top.  Size
+#: it to hold one value plus that framing -- otherwise a single GET pays
+#: a two-chunk penalty real HERD never would, while MultiGET responses
+#: (~10 KB) still chunk ~10x, which is the collapse the paper reports.
+HERD_RESP_SLOT = 1088
 
 
 class MemPoller:
@@ -85,11 +98,15 @@ class MemPoller:
         yield cpu.compute(cost.poll_cpu)
 
 
-class BypassEndpoint:
-    """Server-side state: request sink, response slab, polling machinery."""
+class BypassServerEnd:
+    """Server end: request sink, response slab, polling machinery.
+
+    ``metadata_reads`` is the client end's business; it is accepted because
+    both ends are built from one row.
+    """
 
     def __init__(self, device: Device, pd: PD, qp: QP, cfg: ProtoConfig,
-                 request_path: str):
+                 request_path: str, metadata_reads: int):
         self.device = device
         self.pd = pd
         self.qp = qp
@@ -107,6 +124,9 @@ class BypassEndpoint:
         return _BLOB.pack(self.reqbuf.addr, self.reqbuf.rkey,
                           self.respbuf.addr, self.respbuf.rkey)
 
+    def set_peer(self, blob: bytes) -> None:
+        """The client advertises nothing: every one-sided op is its own."""
+
     def setup(self):
         """Coroutine: pre-post the SEND request ring (Pilaf only) -- one MR,
         slot *i* at ``i * (HDR_BYTES + max_msg)``."""
@@ -115,15 +135,13 @@ class BypassEndpoint:
                                   HDR_BYTES + self.cfg.max_msg)
             yield from self._ring.post_all()
 
-    # -- server receive ------------------------------------------------------
-    def recv_request(self):
+    def recv_msg(self):
         """Coroutine: next request bytes."""
         if self.request_path == REQ_SEND:
             wcs = yield from self.qp.recv_cq.wait(self.cfg.poll_mode, max_wc=1)
             wc = check_wc(wcs[0])
             ring = self._ring
-            kind, seq, length, _a, _k = unpack_ctrl(
-                ring.read(wc.wr_id, HDR_BYTES))
+            kind, seq, length, _a, _k = ring.header(wc.wr_id)
             if kind != K_EAGER:
                 raise ProtocolError(f"unexpected control kind {kind}")
             # Copy out so the ring slot can be re-posted.
@@ -143,7 +161,7 @@ class BypassEndpoint:
         # Request is consumed in place (no copy) -- the WRITE-path advantage.
         return self.reqbuf.read(length, offset=HDR_BYTES)
 
-    def publish_response(self, resp: bytes):
+    def send_msg(self, resp: bytes):
         """Coroutine: place the response where the client will READ it.
 
         Pure CPU work (one copy into the registered slab, header last);
@@ -154,43 +172,51 @@ class BypassEndpoint:
         self.respbuf.write(pack_ctrl(K_NOTIFY, self._last_seq, len(resp)))
 
 
-class _BypassClient(RpcClient):
-    request_path = REQ_WRITE
-    #: READs used to locate the response before the payload fetch.
-    metadata_reads = 1
+class BypassClientEnd:
+    """Client end: request delivery and the one-sided response fetch.
 
-    def _setup_blob(self) -> bytes:
-        return b""
+    ``metadata_reads`` is the number of READs used to locate the response
+    before the payload fetch.
+    """
 
-    def _finish_setup(self, peer_blob: bytes) -> None:
-        (self._req_addr, self._req_rkey,
-         self._resp_addr, self._resp_rkey) = _BLOB.unpack_from(peer_blob)
-        self._staging = self.pd.reg_mr(HDR_BYTES + self.cfg.max_msg)
-        self._fetch = self.pd.reg_mr(HDR_BYTES + self.cfg.max_msg)
+    def __init__(self, device: Device, pd: PD, qp: QP, cfg: ProtoConfig,
+                 request_path: str, metadata_reads: int):
+        self.device = device
+        self.pd = pd
+        self.qp = qp
+        self.cfg = cfg
+        self.request_path = request_path
+        self.metadata_reads = metadata_reads
+        self._staging = pd.reg_mr(HDR_BYTES + cfg.max_msg)
+        self._fetch = pd.reg_mr(HDR_BYTES + cfg.max_msg)
         self._seq = 0
 
+    def blob(self) -> bytes:
+        return b""
+
+    def set_peer(self, blob: bytes) -> None:
+        (self._req_addr, self._req_rkey,
+         self._resp_addr, self._resp_rkey) = _BLOB.unpack_from(blob)
+
+    def setup(self):
+        return
+        yield  # pragma: no cover
+
     # -- request delivery ------------------------------------------------------
-    def _send_request(self, request: bytes):
+    def send_msg(self, request: bytes):
         self._seq += 1
         yield from self.device.memcpy(len(request), self.cfg.numa_local)
-        self._staging.write(pack_ctrl(K_NOTIFY, self._seq, len(request))
-                            + request)
-        total = HDR_BYTES + len(request)
+        staging = self._staging
+        sge = Sge(staging.addr, HDR_BYTES + len(request), staging.lkey)
         if self.request_path == REQ_WRITE:
-            yield from self.qp.post_send(
-                SendWR(Opcode.RDMA_WRITE,
-                       Sge(self._staging.addr, total, self._staging.lkey),
-                       remote_addr=self._req_addr, rkey=self._req_rkey,
-                       signaled=False),
-                numa_local=self.cfg.numa_local)
+            kind = K_NOTIFY
+            wr = SendWR(Opcode.RDMA_WRITE, sge, remote_addr=self._req_addr,
+                        rkey=self._req_rkey, signaled=False)
         else:
-            # Pilaf: plain eager SEND; rewrite the header kind.
-            self._staging.write(pack_ctrl(K_EAGER, self._seq, len(request)))
-            yield from self.qp.post_send(
-                SendWR(Opcode.SEND,
-                       Sge(self._staging.addr, total, self._staging.lkey),
-                       signaled=False),
-                numa_local=self.cfg.numa_local)
+            kind = K_EAGER      # Pilaf: plain eager SEND
+            wr = SendWR(Opcode.SEND, sge, signaled=False)
+        staging.write(pack_ctrl(kind, self._seq, len(request)) + request)
+        yield from self.qp.post_send(wr, numa_local=self.cfg.numa_local)
 
     # -- one-sided response fetch -------------------------------------------------
     def _read(self, length: int, remote_off: int = 0, local_off: int = 0):
@@ -200,73 +226,33 @@ class _BypassClient(RpcClient):
                    remote_addr=self._resp_addr + remote_off,
                    rkey=self._resp_rkey),
             numa_local=self.cfg.numa_local)
-        wcs = yield from self.scq.wait(self.cfg.poll_mode, max_wc=1)
+        wcs = yield from self.qp.send_cq.wait(self.cfg.poll_mode, max_wc=1)
         check_wc(wcs[0])
 
-    def _fetch_response(self, resp_hint: int):
-        # Metadata READ(s), retried until the server has published our seq;
-        # failed polls back off so retry traffic cannot melt the server NIC.
+    def _await_published(self, probe: int):
+        """Coroutine: ``metadata_reads`` READs of the first ``probe`` bytes
+        of the response slab, retried until the server has published our
+        seq; returns the response length.  Failed polls back off so retry
+        traffic cannot melt the server NIC."""
         backoff = 1e-6
         while True:
             for _ in range(self.metadata_reads):
-                yield from self._read(16)
+                yield from self._read(probe)
             kind, seq, length, _a, _k = unpack_ctrl(
                 self._fetch.read(HDR_BYTES))
             if kind == K_NOTIFY and seq == self._seq:
-                break
+                return length
             yield self.device.sim.timeout(backoff)
             backoff = min(backoff * 2, 16e-6)
+
+    def recv_msg(self):
+        length = yield from self._await_published(16)
         yield from self._read(length, remote_off=HDR_BYTES,
                               local_off=HDR_BYTES)
         return self._fetch.read(length, offset=HDR_BYTES)
 
-    def _call(self, request: bytes, resp_hint: int):
-        yield from self._staged("post", self._send_request(request),
-                                nbytes=len(request))
-        return (yield from self._staged("complete",
-                                        self._fetch_response(resp_hint)))
 
-
-class _BypassServer(RpcServer):
-    request_path = REQ_WRITE
-
-    def _make_endpoint(self, conn_req):
-        scq = self.device.create_cq()
-        rcq = self.device.create_cq()
-        qp = self.device.create_qp(self.pd, scq, rcq)
-        return BypassEndpoint(self.device, self.pd, qp, self.cfg,
-                              self.request_path)
-
-    def _accept(self, conn_req, endpoint):
-        yield from endpoint.setup()
-        yield from conn_req.accept(endpoint.qp, private_data=endpoint.blob())
-
-    def _recv(self, endpoint):
-        return (yield from endpoint.recv_request())
-
-    def _reply(self, endpoint, resp: bytes):
-        yield from endpoint.publish_response(resp)
-
-
-class PilafClient(_BypassClient):
-    request_path = REQ_SEND
-    metadata_reads = 2  # hash bucket + entry validation
-
-
-class PilafServer(_BypassServer):
-    request_path = REQ_SEND
-
-
-class FarmClient(_BypassClient):
-    request_path = REQ_WRITE
-    metadata_reads = 1  # index entry
-
-
-class FarmServer(_BypassServer):
-    request_path = REQ_WRITE
-
-
-class RfpClient(_BypassClient):
+class RfpClientEnd(BypassClientEnd):
     """RFP: speculative single-READ fetch of header+payload together.
 
     Failed speculations (server not done yet) back off exponentially --
@@ -275,20 +261,10 @@ class RfpClient(_BypassClient):
     server's NIC with retry traffic.
     """
 
-    request_path = REQ_WRITE
-
-    def _fetch_response(self, resp_hint: int):
+    def recv_msg(self):
         slot = max(self.cfg.rfp_first_read, 16)
-        backoff = 1e-6
-        while True:
-            first = min(HDR_BYTES + slot, self._fetch.length)
-            yield from self._read(first)
-            kind, seq, length, _a, _k = unpack_ctrl(
-                self._fetch.read(HDR_BYTES))
-            if kind == K_NOTIFY and seq == self._seq:
-                break
-            yield self.device.sim.timeout(backoff)
-            backoff = min(backoff * 2, 16e-6)
+        length = yield from self._await_published(
+            min(HDR_BYTES + slot, self._fetch.length))
         if length > slot:
             # Fallback READ for the overflow tail.
             yield from self._read(length - slot,
@@ -297,11 +273,7 @@ class RfpClient(_BypassClient):
         return self._fetch.read(length, offset=HDR_BYTES)
 
 
-class RfpServer(_BypassServer):
-    request_path = REQ_WRITE
-
-
-class HerdClient(_BypassClient):
+class HerdClientEnd(BypassClientEnd):
     """HERD [36]: requests WRITTEN into a memory-polled server region,
     responses pushed back with (small) SENDs.
 
@@ -312,24 +284,22 @@ class HerdClient(_BypassClient):
     evaluation (Section 5.4).
     """
 
-    request_path = REQ_WRITE
-
-    def _post_setup(self):
+    def setup(self):
         self._ring = RecvRing(self.pd, self.qp, self.cfg.ring_slots,
                               HDR_BYTES + HERD_RESP_SLOT)
         yield from self._ring.post_all()
 
-    def _fetch_response(self, resp_hint: int):
+    def recv_msg(self):
         chunks = {}
         total = None
         got = 0
         while total is None or got < total:
-            wcs = yield from self.rcq.wait(self.cfg.poll_mode, max_wc=4)
+            wcs = yield from self.qp.recv_cq.wait(self.cfg.poll_mode,
+                                                  max_wc=4)
             for wc in wcs:
                 check_wc(wc)
                 ring = self._ring
-                kind, seq, length, offset, _k = unpack_ctrl(
-                    ring.read(wc.wr_id, HDR_BYTES))
+                kind, seq, length, offset, _k = ring.header(wc.wr_id)
                 if kind != K_NOTIFY or seq != self._seq:
                     raise ProtocolError("unexpected HERD response chunk")
                 payload_len = wc.byte_len - HDR_BYTES
@@ -343,49 +313,44 @@ class HerdClient(_BypassClient):
         return b"".join(chunks[off] for off in sorted(chunks))
 
 
-class HerdServer(_BypassServer):
-    request_path = REQ_WRITE
+class HerdServerEnd(BypassServerEnd):
+    """HERD's server end: the response goes back as chunked SENDs instead
+    of being published for the client to READ."""
 
-    def _reply(self, endpoint, resp: bytes):
+    def setup(self):
+        self._staging = self.pd.reg_mr(HDR_BYTES + HERD_RESP_SLOT)
+        yield from super().setup()
+
+    def send_msg(self, resp: bytes):
         # Chunked SEND response: one post per HERD_RESP_SLOT bytes.
-        seq = endpoint._last_seq
-        dev = endpoint.device
-        staging = getattr(endpoint, "_herd_staging", None)
-        if staging is None:
-            staging = endpoint.pd.reg_mr(HDR_BYTES + HERD_RESP_SLOT)
-            endpoint._herd_staging = staging
+        seq = self._last_seq
+        staging = self._staging
         off = 0
         sent_any = False
         while off < len(resp) or not sent_any:
             chunk = resp[off:off + HERD_RESP_SLOT]
-            yield from dev.memcpy(len(chunk), self.cfg.numa_local)
+            yield from self.device.memcpy(len(chunk), self.cfg.numa_local)
             # header 'addr' field doubles as the chunk offset
             staging.write(pack_ctrl(K_NOTIFY, seq, len(resp), addr=off)
                           + chunk)
-            yield from endpoint.qp.post_send(
+            yield from self.qp.post_send(
                 SendWR(Opcode.SEND,
                        Sge(staging.addr, HDR_BYTES + len(chunk),
                            staging.lkey), signaled=True),
                 numa_local=self.cfg.numa_local)
             # Reuse of the staging slot requires the previous SEND done.
-            wcs = yield from endpoint.qp.send_cq.wait(self.cfg.poll_mode,
-                                                      max_wc=1)
+            wcs = yield from self.qp.send_cq.wait(self.cfg.poll_mode,
+                                                  max_wc=1)
             check_wc(wcs[0])
             off += len(chunk)
             sent_any = True
 
 
-#: HERD's response-slot size (its design targets small messages).  Real
-#: HERD ships bare values, so its slots need only fit the KV unit (1 KB
-#: under YCSB); the emulation routes Thrift-framed messages through the
-#: same transport, so the slot carries ~40 B of RPC framing on top.  Size
-#: it to hold one value plus that framing -- otherwise a single GET pays
-#: a two-chunk penalty real HERD never would, while MultiGET responses
-#: (~10 KB) still chunk ~10x, which is the collapse the paper reports.
-HERD_RESP_SLOT = 1088
-
-
-register_protocol("pilaf", PilafClient, PilafServer)
-register_protocol("farm", FarmClient, FarmServer)
-register_protocol("rfp", RfpClient, RfpServer)
-register_protocol("herd", HerdClient, HerdServer)
+register_protocol("pilaf", BypassClientEnd, BypassServerEnd,
+                  request_path=REQ_SEND, metadata_reads=2)  # hash bucket + entry validation
+register_protocol("farm", BypassClientEnd, BypassServerEnd,
+                  request_path=REQ_WRITE, metadata_reads=1)  # index entry
+register_protocol("rfp", RfpClientEnd, BypassServerEnd,
+                  request_path=REQ_WRITE, metadata_reads=1)  # the speculative READ
+register_protocol("herd", HerdClientEnd, HerdServerEnd,
+                  request_path=REQ_WRITE, metadata_reads=0)  # responses are SENT

@@ -1,7 +1,8 @@
 """Two-sided protocols: Eager-SendRecv, Write-RNDV, Read-RNDV, Hybrid.
 
-One engine (:class:`TwoSidedEndpoint`) implements message delivery over a QP
-with two mechanisms and a size threshold:
+One endpoint (:class:`TwoSidedEndpoint`, both ends of every row below)
+implements message delivery over a QP with two mechanisms and a size
+threshold:
 
 * **eager** -- the payload rides in the control SEND itself, landing in a
   pre-posted ring slot; a memcpy is charged on each side (into the send
@@ -10,7 +11,7 @@ with two mechanisms and a size threshold:
   *write* flavor (Fig. 3d): RTS -> CTS(addr,rkey) -> RDMA WRITE_WITH_IMM;
   *read* flavor (Fig. 3e): RTS(addr,rkey) -> target RDMA READs -> FIN.
 
-The pure protocols are the engine pinned at one end of the threshold
+The pure protocols are the endpoint pinned at one end of the threshold
 (Eager-SendRecv: everything eager, with max-size ring slots -- the memory
 footprint the paper's Section 4.3 warns about; Write/Read-RNDV: everything
 rendezvous), and Hybrid-EagerRNDV is the 4 KB-threshold mix that HatRPC's
@@ -29,102 +30,98 @@ from repro.protocols.base import (
     K_RTS,
     ProtoConfig,
     ProtocolError,
-    RpcClient,
-    RpcServer,
+    RecvRing,
     check_wc,
     pack_ctrl,
     register_protocol,
-    unpack_ctrl,
 )
-from repro.verbs.device import Device, MR, PD
+from repro.verbs.device import Device, PD
 from repro.verbs.qp import QP
-from repro.verbs.types import Opcode, RecvWR, SendWR, Sge, WC, WCOpcode, WCStatus
+from repro.verbs.types import Opcode, SendWR, Sge, WC, WCOpcode
 
 __all__ = ["TwoSidedEndpoint"]
 
 
 class TwoSidedEndpoint:
-    """Eager + rendezvous messaging over one QP (single outstanding each way)."""
+    """Eager + rendezvous messaging over one QP (single outstanding each way).
+
+    ``eager`` names the :class:`ProtoConfig` field that bounds an eager
+    message -- and so sizes the ring and send slots -- or is None for a pure
+    rendezvous protocol (header-only slots); ``flavor`` is the rendezvous.
+    """
 
     def __init__(self, device: Device, pd: PD, qp: QP, cfg: ProtoConfig,
-                 slot_payload: int, threshold: int, flavor: str):
+                 eager: Optional[str], flavor: str):
         if flavor not in ("write", "read"):
             raise ValueError(f"unknown rendezvous flavor {flavor!r}")
         self.device = device
         self.pd = pd
         self.qp = qp
         self.cfg = cfg
-        self.slot_payload = slot_payload
-        self.threshold = threshold
+        self.eager_limit = getattr(cfg, eager) if eager else -1
         self.flavor = flavor
         self._inbox: List[bytes] = []
         self._cts: Optional[tuple] = None
         self._fin: Optional[int] = None
         self._seq = 0
-        self._slots: List[MR] = []
-
-    def setup(self):
-        """Coroutine: register buffers and pre-post the receive ring."""
-        slot_size = HDR_BYTES + self.slot_payload
-        self._slots = [self.pd.reg_mr(slot_size)
-                       for _ in range(self.cfg.ring_slots)]
+        self._slot_bytes = HDR_BYTES + max(self.eager_limit, 0)
         # One send slot per in-flight message (seq picks the slot), so a
         # pipelined window never rewrites a slot whose SEND is still being
         # sourced.  window=1 keeps the classic single-slot geometry.
-        self._send_slots = [self.pd.reg_mr(slot_size)
-                            for _ in range(max(1, self.cfg.window))]
+        self._send_slots = [pd.reg_mr(self._slot_bytes)
+                            for _ in range(max(1, cfg.window))]
+
+    def blob(self) -> bytes:
+        """Nothing is pre-known: rendezvous metadata travels per message."""
+        return b""
+
+    def set_peer(self, blob: bytes) -> None:
+        pass
+
+    def setup(self):
+        """Coroutine: register the receive half and pre-post the ring.  (The
+        SRQ server never calls this on its connections' endpoints: their
+        receive half is the shared pool, and they only ever send eagerly.)"""
         self._staging = self.pd.reg_mr(self.cfg.max_msg)   # rendezvous source
         self._landing = self.pd.reg_mr(self.cfg.max_msg)   # rendezvous sink
-        for i, mr in enumerate(self._slots):
-            yield from self.qp.post_recv(
-                RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=i))
+        self._ring = RecvRing(self.pd, self.qp, self.cfg.ring_slots,
+                              self._slot_bytes)
+        yield from self._ring.post_all()
 
     # -- send path ---------------------------------------------------------
     def send_msg(self, data: bytes):
         """Coroutine: deliver one message to the peer."""
         self._seq += 1
-        if len(data) <= self.threshold and len(data) <= self.slot_payload:
-            yield from self._send_eager(data)
-        else:
-            yield from self._send_rndv(data)
-
-    def _send_eager(self, data: bytes):
-        hdr = pack_ctrl(K_EAGER, self._seq, len(data))
-        slot = self._send_slots[(self._seq - 1) % len(self._send_slots)]
-        # Copy into the registered slot (the eager cost).
-        yield from self.device.memcpy(len(data), self.cfg.numa_local)
-        slot.write(hdr + data)
-        yield from self.qp.post_send(
-            SendWR(Opcode.SEND,
-                   Sge(slot.addr, HDR_BYTES + len(data), slot.lkey),
-                   signaled=False),
-            numa_local=self.cfg.numa_local)
-
-    def _send_rndv(self, data: bytes):
         seq = self._seq
-        yield from self.device.memcpy(len(data), self.cfg.numa_local)
+        n = len(data)
+        # Copy into registered memory: the send slot (the eager cost) or the
+        # rendezvous staging buffer.
+        yield from self.device.memcpy(n, self.cfg.numa_local)
+        if n <= self.eager_limit:
+            yield from self._send(seq, pack_ctrl(K_EAGER, seq, n) + data)
+            return
         self._staging.write(data)
         if self.flavor == "write":
-            yield from self._send_ctrl(K_RTS, seq, len(data))
+            yield from self._send(seq, pack_ctrl(K_RTS, seq, n))
             addr, rkey = yield from self._await_cts(seq)
             yield from self.qp.post_send(
                 SendWR(Opcode.RDMA_WRITE_WITH_IMM,
-                       Sge(self._staging.addr, len(data), self._staging.lkey),
+                       Sge(self._staging.addr, n, self._staging.lkey),
                        remote_addr=addr, rkey=rkey, imm=seq, signaled=False),
                 numa_local=self.cfg.numa_local)
         else:
-            yield from self._send_ctrl(K_RTS, seq, len(data),
-                                       addr=self._staging.addr,
-                                       rkey=self._staging.rkey)
+            yield from self._send(seq, pack_ctrl(K_RTS, seq, n,
+                                                 self._staging.addr,
+                                                 self._staging.rkey))
             yield from self._await_fin(seq)
 
-    def _send_ctrl(self, kind: int, seq: int, length: int,
-                   addr: int = 0, rkey: int = 0):
+    def _send(self, seq: int, message: bytes):
+        """Coroutine: SEND a control header (+ eager payload) out of the
+        send slot of message ``seq``."""
         slot = self._send_slots[(seq - 1) % len(self._send_slots)]
-        slot.write(pack_ctrl(kind, seq, length, addr, rkey))
+        slot.write(message)
         yield from self.qp.post_send(
-            SendWR(Opcode.SEND,
-                   Sge(slot.addr, HDR_BYTES, slot.lkey),
+            SendWR(Opcode.SEND, Sge(slot.addr, len(message), slot.lkey),
                    signaled=False),
             numa_local=self.cfg.numa_local)
 
@@ -153,22 +150,22 @@ class TwoSidedEndpoint:
             yield from self._handle(check_wc(wc))
 
     def _handle(self, wc: WC):
+        ring = self._ring
         if wc.opcode is WCOpcode.RECV_RDMA_WITH_IMM:
             # Rendezvous (write flavor) payload landed in our landing buffer.
             self._inbox.append(self._landing.read(wc.byte_len))
-            yield from self._repost(wc.wr_id)
+            yield from ring.post(wc.wr_id)
             return
-        slot = self._slots[wc.wr_id]
-        kind, seq, length, addr, rkey = unpack_ctrl(slot.read(HDR_BYTES))
+        kind, seq, length, addr, rkey = ring.header(wc.wr_id)
         if kind == K_EAGER:
             # Copy out so the slot can be re-posted (the eager cost).
             yield from self.device.memcpy(length, self.cfg.numa_local)
-            self._inbox.append(slot.read(length, offset=HDR_BYTES))
+            self._inbox.append(ring.read(wc.wr_id, length, offset=HDR_BYTES))
         elif kind == K_RTS and self.flavor == "write":
-            yield from self._repost(wc.wr_id)
-            yield from self._send_ctrl(K_CTS, seq, length,
-                                       addr=self._landing.addr,
-                                       rkey=self._landing.rkey)
+            yield from ring.post(wc.wr_id)
+            yield from self._send(seq, pack_ctrl(K_CTS, seq, length,
+                                                 self._landing.addr,
+                                                 self._landing.rkey))
             return
         elif kind == K_RTS and self.flavor == "read":
             yield from self._read_payload(seq, length, addr, rkey)
@@ -178,7 +175,7 @@ class TwoSidedEndpoint:
             self._fin = seq
         else:
             raise ProtocolError(f"unexpected control kind {kind}")
-        yield from self._repost(wc.wr_id)
+        yield from ring.post(wc.wr_id)
 
     def _read_payload(self, seq: int, length: int, addr: int, rkey: int):
         yield from self.qp.post_send(
@@ -190,139 +187,21 @@ class TwoSidedEndpoint:
         for wc in wcs:
             check_wc(wc)
         self._inbox.append(self._landing.read(length))
-        yield from self._send_ctrl(K_FIN, seq, length)
-
-    def _repost(self, slot_idx: int):
-        mr = self._slots[slot_idx]
-        yield from self.qp.post_recv(
-            RecvWR(Sge(mr.addr, mr.length, mr.lkey), wr_id=slot_idx))
+        yield from self._send(seq, pack_ctrl(K_FIN, seq, length))
 
 
-# ---------------------------------------------------------------------------
-# Protocol classes built on the endpoint engine.
-# ---------------------------------------------------------------------------
-
-class _TwoSidedClient(RpcClient):
-    flavor = "write"
-
-    def _slot_payload(self) -> int:
-        raise NotImplementedError
-
-    def _threshold(self) -> int:
-        raise NotImplementedError
-
-    def _setup_blob(self) -> bytes:
-        return b""
-
-    def _finish_setup(self, peer_blob: bytes) -> None:
-        self.ep = TwoSidedEndpoint(self.device, self.pd, self.qp, self.cfg,
-                                   self._slot_payload(), self._threshold(),
-                                   self.flavor)
-
-    def _post_setup(self):
-        yield from self.ep.setup()
-
-    def _call(self, request: bytes, resp_hint: int):
-        yield from self._staged("post", self.ep.send_msg(request),
-                                nbytes=len(request))
-        return (yield from self._staged("complete", self.ep.recv_msg()))
-
-    def _post(self, request: bytes):
-        yield from self.ep.send_msg(request)
-
-    def _recv_one(self):
-        return (yield from self.ep.recv_msg())
-
-
-class _TwoSidedServer(RpcServer):
-    flavor = "write"
-    client_cls: type = None  # set below; used to share slot sizing logic
-
-    def _slot_payload(self) -> int:
-        raise NotImplementedError
-
-    def _threshold(self) -> int:
-        raise NotImplementedError
-
-    def _make_endpoint(self, conn_req):
-        scq = self.device.create_cq()
-        rcq = self.device.create_cq()
-        qp = self.device.create_qp(self.pd, scq, rcq)
-        return TwoSidedEndpoint(self.device, self.pd, qp, self.cfg,
-                                self._slot_payload(), self._threshold(),
-                                self.flavor)
-
-    def _accept(self, conn_req, endpoint):
-        yield from endpoint.setup()
-        yield from conn_req.accept(endpoint.qp)
-
-    def _recv(self, endpoint):
-        return (yield from endpoint.recv_msg())
-
-    def _reply(self, endpoint, resp: bytes):
-        yield from endpoint.send_msg(resp)
-
-
-class EagerClient(_TwoSidedClient):
-    # Pure eager has no per-call rendezvous state (the single-valued
-    # _cts/_fin latches make the rndv/hybrid flavors pipeline-unsafe),
-    # so overlapped sends are fine once send slots rotate per seq.
-    supports_pipelining = True
-
-    def _slot_payload(self): return self.cfg.max_msg
-    def _threshold(self): return self.cfg.max_msg
-
-
-class EagerServer(_TwoSidedServer):
-    def _slot_payload(self): return self.cfg.max_msg
-    def _threshold(self): return self.cfg.max_msg
-
-
-class WriteRndvClient(_TwoSidedClient):
-    def _slot_payload(self): return 0
-    def _threshold(self): return -1
-
-
-class WriteRndvServer(_TwoSidedServer):
-    def _slot_payload(self): return 0
-    def _threshold(self): return -1
-
-
-class ReadRndvClient(_TwoSidedClient):
-    flavor = "read"
-    def _slot_payload(self): return 0
-    def _threshold(self): return -1
-
-
-class ReadRndvServer(_TwoSidedServer):
-    flavor = "read"
-    def _slot_payload(self): return 0
-    def _threshold(self): return -1
-
-
-class HybridClient(_TwoSidedClient):
-    def _slot_payload(self): return self.cfg.eager_threshold
-    def _threshold(self): return self.cfg.eager_threshold
-
-
-class HybridServer(_TwoSidedServer):
-    def _slot_payload(self): return self.cfg.eager_threshold
-    def _threshold(self): return self.cfg.eager_threshold
-
-
-class HybridReadClient(HybridClient):
-    """Eager below the threshold, Read-RNDV above: AR-gRPC's adaptive
-    scheme [18] ('AR-gRPC only provides eager or read rendezvous')."""
-
-    flavor = "read"
-
-
-class HybridReadServer(HybridServer):
-    flavor = "read"
-
-
-register_protocol("eager_sendrecv", EagerClient, EagerServer)
-register_protocol("write_rndv", WriteRndvClient, WriteRndvServer)
-register_protocol("read_rndv", ReadRndvClient, ReadRndvServer)
-register_protocol("hybrid_eager_rndv", HybridClient, HybridServer)
-register_protocol("hybrid_eager_readrndv", HybridReadClient, HybridReadServer)
+# Pure eager has no per-call rendezvous state (the single-valued _cts/_fin
+# latches make the rndv/hybrid flavors pipeline-unsafe), so overlapped sends
+# are fine once send slots rotate per seq.
+register_protocol("eager_sendrecv", TwoSidedEndpoint, TwoSidedEndpoint,
+                  pipelining=True, eager="max_msg", flavor="write")
+register_protocol("write_rndv", TwoSidedEndpoint, TwoSidedEndpoint,
+                  eager=None, flavor="write")
+register_protocol("read_rndv", TwoSidedEndpoint, TwoSidedEndpoint,
+                  eager=None, flavor="read")
+register_protocol("hybrid_eager_rndv", TwoSidedEndpoint, TwoSidedEndpoint,
+                  eager="eager_threshold", flavor="write")
+# Eager below the threshold, Read-RNDV above: AR-gRPC's adaptive scheme [18]
+# ('AR-gRPC only provides eager or read rendezvous').
+register_protocol("hybrid_eager_readrndv", TwoSidedEndpoint, TwoSidedEndpoint,
+                  eager="eager_threshold", flavor="read")

@@ -549,8 +549,11 @@ def test_scan_dedup_survives_a_mid_merge_ring_flip():
     with cluster.servers[0].backend.env.begin(write=True) as txn:
         txn.put(key, b"stale")
     # slow down shard 1's leg so the flip lands between the two merges
+    # (500 rows: the reply must still fit Scan's 18 KiB channel slot -- a
+    # server refuses an oversize reply instead of spilling it over the
+    # neighbouring slots of the window)
     with cluster.servers[1].backend.env.begin(write=True) as txn:
-        for i in range(3000):
+        for i in range(500):
             txn.put(b"zz-pad-%06d" % i, b"p" * 8)
     # a ring under which the key's owner flips to shard 0
     flipped = next(HashRing(2, vnodes=32, seed=s) for s in range(1, 50)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols import ProtoConfig, get_protocol
+from repro.protocols import SRQ_SERVERS, ProtoConfig, get_protocol
 from repro.testbed import Testbed
 
 SERVICE = 100
@@ -18,10 +18,13 @@ def reverse_handler(request: bytes) -> bytes:
 
 def make_pair(tb: Testbed, proto: str, cfg: ProtoConfig = None,
               handler=echo_handler, server_node=1, client_node=0,
-              service=SERVICE):
-    """Start a server and return a connect-coroutine for a client."""
+              service=SERVICE, srq=False):
+    """Start a server (``srq``: the protocol's SRQ-backed one) and return a
+    connect-coroutine for a client."""
     cfg = cfg or ProtoConfig()
     client_cls, server_cls = get_protocol(proto)
+    if srq:
+        server_cls = SRQ_SERVERS[proto]
     server = server_cls(tb.node(server_node).nic, service, handler, cfg).start()
 
     def connect():

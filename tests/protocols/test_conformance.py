@@ -23,7 +23,7 @@ from tests.protocols.conftest import make_pair, reverse_handler
 ALL = protocol_names()
 
 
-def test_registry_complete():
+def test_registry_complete(tb):
     assert ALL == sorted([
         # the nine protocols of Fig. 3 + the hybrid baseline...
         "eager_sendrecv", "direct_write_send", "chained_write_send",
@@ -32,6 +32,17 @@ def test_registry_complete():
         # ...plus the YCSB comparator schemes (S5.4)
         "herd", "hybrid_eager_readrndv",
     ])
+    # A protocol is one registry row, and both peers are built from it:
+    # slot geometry, thresholds and flavors cannot disagree.
+    for name in ALL:
+        client, server = get_protocol(name)
+        assert client.row is server.row
+        assert client.proto_name == server.proto_name == client.row.name == name
+        assert (client(tb.node(0).nic).row
+                is server(tb.node(1).nic, 100, reverse_handler).row
+                is client.row)
+    assert PIPELINED == ["chained_write_send", "direct_write_send",
+                         "direct_writeimm", "eager_sendrecv"]
 
 
 @pytest.mark.parametrize("proto", ALL)

@@ -7,7 +7,8 @@ hang or silent corruption, and never damages other connections.
 
 import pytest
 
-from repro.protocols import ProtoConfig, ProtocolError, get_protocol
+from repro.protocols import (SRQ_SERVERS, ProtoConfig, ProtocolError,
+                             get_protocol, protocol_names)
 from repro.protocols.base import HDR_BYTES, pack_ctrl
 from repro.sim.units import KiB, us
 from repro.testbed import Testbed
@@ -170,23 +171,42 @@ def test_eager_ring_exhaustion_rnr_recovers(tb):
     assert all(tb.sim.run(p))
 
 
-def test_oversize_response_detected(tb):
+ALL = protocol_names()
+#: (protocol, srq server?, window): every name at window 1, the
+#: pipelining-capable ones at window 4 too, and the SRQ server at both.
+OVERSIZE_CELLS = (
+    [(p, False, 1) for p in ALL]
+    + [(p, False, 4) for p in ALL if get_protocol(p)[0].supports_pipelining]
+    + [(p, True, w) for p in SRQ_SERVERS for w in (1, 4)])
+
+
+def test_oversize_response_detected():
     """A handler returning more than max_msg fails the server loop visibly
-    rather than silently truncating."""
-    cfg = ProtoConfig(max_msg=4 * KiB)
-
+    rather than silently truncating -- or, on a pipelined window whose
+    slots share one MR, silently spilling 64 bytes over the next slot's
+    header and delivering the reply as a success.  (One test over all the
+    cells, so its id stays what it was when it covered one.)"""
     def big_handler(req):
-        return b"x" * (16 * KiB)
+        return b"x" * (4 * KiB + 64)
 
-    server, connect = make_pair(tb, "direct_writeimm", cfg,
-                                handler=big_handler)
+    for proto, srq, window in OVERSIZE_CELLS:
+        tb = Testbed(n_nodes=3)
+        cfg = ProtoConfig(max_msg=4 * KiB, window=window)
+        server, connect = make_pair(tb, proto, cfg, handler=big_handler,
+                                    srq=srq)
 
-    def client():
-        c = yield from connect()
-        yield from c.call(b"gimme", resp_hint=64)
+        def client():
+            c = yield from connect()
+            yield from c.call(b"gimme", resp_hint=64)
 
-    p = tb.sim.process(client())
-    p.defuse()  # the client hangs or fails; either way the call never lands
-    with pytest.raises(Exception):
-        tb.sim.run()  # the server-side failure surfaces at the event loop
-    assert not (p.triggered and p.ok)
+        p = tb.sim.process(client())
+        p.defuse()  # the client hangs or fails; either way the call never lands
+        # the server-side failure surfaces at the event loop, typed, naming
+        # both sizes
+        with pytest.raises(
+                ProtocolError,
+                match="response of 4160 bytes exceeds max_msg 4096"):
+            tb.sim.run()
+            pytest.fail(f"{proto} srq={srq} window={window}: oversize "
+                        f"reply not refused")
+        assert not (p.triggered and p.ok), (proto, srq, window)

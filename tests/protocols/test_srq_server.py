@@ -7,8 +7,10 @@ SRQ is a server-side resource decision, invisible on the wire.
 import pytest
 
 from repro.protocols import ProtoConfig, SRQ_SERVERS, SrqEagerServer, get_protocol
-from repro.sim.units import KiB, ms
+from repro.protocols.base import HDR_BYTES, pack_ctrl
+from repro.sim.units import KiB, ms, us
 from repro.testbed import Testbed
+from repro.verbs import Opcode, SendWR, Sge
 
 SERVICE = 140
 
@@ -80,7 +82,7 @@ def test_many_clients_share_one_pool_and_one_cq(tb):
     assert all(conn.qp.srq is server.srq for conn in server._conns.values())
     assert all(conn.qp.recv_cq is server.rcq
                for conn in server._conns.values())
-    assert len(server._slots) == server.srq_slots
+    assert server._ring.slots == server.srq_slots
 
 
 def test_burst_beyond_srq_slots_absorbed_by_rnr(tb):
@@ -99,7 +101,7 @@ def test_burst_beyond_srq_slots_absorbed_by_rnr(tb):
         tb.sim.run(p)
     assert results == [True] * 6
     assert server.requests == 6
-    assert len(server._slots) == 2
+    assert server._ring.slots == 2
 
 
 def test_one_dead_connection_leaves_neighbors_serving(tb):
@@ -124,6 +126,46 @@ def test_one_dead_connection_leaves_neighbors_serving(tb):
     assert server.teardowns == 1              # only A was dropped
     assert len(server._conns) == 1
     assert server.requests == 2
+
+
+def test_corrupt_control_kind_drops_only_that_connection(tb):
+    """A garbage control header condemns the connection it arrived on --
+    as under a per-connection serve loop -- not the shared dispatcher: the
+    simulation keeps running and a bystander keeps being served."""
+    server = make_srq_server(tb)
+
+    def setup():
+        a = yield from connect_stock_client(tb)
+        b = yield from connect_stock_client(tb, node=2)
+        assert (yield from a.call(b"ok", resp_hint=64)) == b"ok"
+        assert (yield from b.call(b"warm", resp_hint=64)) == b"warm"
+        return a, b
+
+    a, b = tb.sim.run(tb.sim.process(setup()))
+
+    def corrupt():
+        # SEND a bogus kind straight out of A's send slot -- emulating a
+        # corrupted producer.
+        slot = a.ep._send_slots[0]
+        slot.write(pack_ctrl(0x7F, 99, 4) + b"zzzz")
+        yield from a.qp.post_send(SendWR(
+            Opcode.SEND, Sge(slot.addr, HDR_BYTES + 4, slot.lkey),
+            signaled=False))
+        yield tb.sim.timeout(50 * us)
+
+    tb.sim.process(corrupt())
+    tb.sim.run()                              # the dispatcher survives it
+    assert server.teardowns == 1              # only A was dropped
+    assert list(server._conns) == [b.qp.peer.qp_num]
+    assert len(server.srq) == server.srq_slots    # the slot went back
+
+    def after():
+        c = yield from connect_stock_client(tb)
+        return ((yield from b.call(b"bystander", resp_hint=64)),
+                (yield from c.call(b"fresh", resp_hint=64)))
+
+    assert tb.sim.run(tb.sim.process(after())) == (b"bystander", b"fresh")
+    assert server.requests == 4
 
 
 def test_slow_handler_does_not_block_the_receive_path(tb):
