@@ -289,14 +289,16 @@ class HatRpcServer:
         return frame.pack(seq=header.seq, epoch=epoch) + out
 
     def _process(self, message: bytes, ctx):
-        itrans = TMemoryBuffer(message)
+        # One buffer and one protocol both ways, as a Thrift server's
+        # connection has: the request is decoded off it before the handler
+        # runs, the reply gathered onto it after.
+        trans = TMemoryBuffer(message)
         # The processor has no simulator handle of its own.  Always
         # assigned, so a previous request's context never leaks onto this.
-        itrans.trace_ctx = ctx
-        otrans = TMemoryBuffer()
-        replied = yield from self.processor.process(
-            self.protocol_factory(itrans), self.protocol_factory(otrans))
-        return otrans.getvalue() if replied else b""
+        trans.trace_ctx = ctx
+        prot = self.protocol_factory(trans)
+        replied = yield from self.processor.process(prot, prot)
+        return trans.getvalue() if replied else b""
 
 
 class HatRpcClient:

@@ -8,10 +8,10 @@ TSocket" so the generated code works unchanged over either transport
   ``flush()`` routes the buffered message through the hint-aware engine and
   whose ``read()`` serves the response -- so the IDL-generated ``TClient``
   stubs drive it exactly like a framed socket;
-* :class:`HintedProtocol` wraps any serialization protocol and captures the
-  method name at ``write_message_begin`` -- the paper's dynamic-hint path
-  ("caching the RPC function type at a high level and only pass hints when
-  a new RPC function is invoked").
+* :class:`HintedProtocol` decorates any serialization protocol and captures
+  the method name at ``write_message_begin`` -- the paper's dynamic-hint
+  path ("caching the RPC function type at a high level and only pass hints
+  when a new RPC function is invoked").
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.engine import HatRpcEngine
+from repro.thrift.protocol.base import TProtocolDecorator
 from repro.thrift.transport import TTransport
 from repro.thrift.ttypes import TMessageType
 
@@ -35,8 +36,6 @@ class TRdma(TTransport):
     def __init__(self, engine: HatRpcEngine):
         super().__init__()
         self.engine = engine
-        self._rbuf = b""
-        self._rpos = 0
         self._current_fn: Optional[str] = None
         self._current_oneway = False
         self._current_seqid: Optional[int] = None
@@ -71,8 +70,7 @@ class TRdma(TTransport):
                                            oneway=self._current_oneway,
                                            seqid=self._current_seqid,
                                            ser_start=self._ser_start)
-        self._rbuf = resp or b""
-        self._rpos = 0
+        self._land(resp or b"")
 
     def ready(self):
         # The response was delivered synchronously by flush(); nothing to
@@ -80,11 +78,6 @@ class TRdma(TTransport):
         # no-op preserves the TSocket-framed calling convention.)
         return
         yield  # pragma: no cover
-
-    def read(self, n: int) -> bytes:
-        out = self._rbuf[self._rpos:self._rpos + n]
-        self._rpos += len(out)
-        return out
 
 
 class _AsyncTRdma(TRdma):
@@ -99,10 +92,10 @@ class _AsyncTRdma(TRdma):
       ``engine.call_async``;
     * ``ready()`` yields the :data:`_PAUSE` sentinel, so driving the stub
       generator with ``next()`` runs serialization and stops right between
-      the halves.  When the response arrives, the caller loads ``_rbuf``
-      and resumes the generator, which deserializes and returns the result
-      (including throwing declared exceptions) exactly as the blocking
-      path would.
+      the halves.  When the response arrives, the caller lands it
+      (:meth:`deliver`) and resumes the generator, which deserializes and
+      returns the result (including throwing declared exceptions) exactly
+      as the blocking path would.
 
     See :class:`repro.core.runtime.AsyncCaller` for the driver.
     """
@@ -126,24 +119,19 @@ class _AsyncTRdma(TRdma):
 
     def deliver(self, resp: bytes) -> None:
         """Load the response for the stub's receive half to read."""
-        self._rbuf = resp or b""
-        self._rpos = 0
+        self._land(resp or b"")
 
 
-class HintedProtocol:
-    """Serialization-protocol wrapper feeding method names to TRdma."""
+class HintedProtocol(TProtocolDecorator):
+    """Serialization-protocol decorator feeding method names to TRdma."""
 
     def __init__(self, protocol, trdma: TRdma):
-        self._proto = protocol
+        TProtocolDecorator.__init__(self, protocol)
         self._trdma = trdma
-        self.trans = protocol.trans
 
     def write_message_begin(self, name: str, mtype: int, seqid: int):
         self._trdma.set_current_function(name, mtype, seqid)
-        self._proto.write_message_begin(name, mtype, seqid)
-
-    def __getattr__(self, item):
-        return getattr(self._proto, item)
+        super().write_message_begin(name, mtype, seqid)
 
 
 class TRdmaServerTransport:

@@ -11,6 +11,20 @@ target, Section 4.2 of the paper):
   classes, and the hierarchical ``SERVICE_HINTS`` map the HatRPC runtime
   consumes.
 
+Every struct (``<Fn>_args`` and ``<Fn>_result`` included) reads and writes
+itself two ways.  On a ``TBinaryProtocol`` -- the wire format of every
+HatRPC channel -- through a codec compiled for its field list:
+``_write_<S>(s, ap)`` appends the encoded struct to the transport's gather
+list (field headers are constants, a run of fixed-width fields is one
+``struct.Struct`` pack, a ``binary`` value is its packed length plus the
+value itself, by reference) and ``_read_<S>(s, buf, pos)`` walks the landed
+message with ``unpack_from``.  On any other protocol through the generic
+field visitor, one protocol call per value (TCompact and TJSON have no
+other path).  The compiled decoder handles fields in declaration order; at
+the first field it does not expect, and at anything malformed, it hands
+over to the visitor at that field, so unknown fields are skipped and
+malformed input fails exactly as the visitor has it.
+
 ``compile_idl`` returns the module source; ``load_idl`` execs it into a
 fresh module object so tests and applications can use generated code without
 touching disk.
@@ -19,7 +33,8 @@ touching disk.
 from __future__ import annotations
 
 import types
-from typing import Any, Dict, List, Optional
+from struct import calcsize
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.idl.nodes import (
     Document,
@@ -31,6 +46,7 @@ from repro.idl.nodes import (
 )
 from repro.idl.parser import parse
 from repro.idl.validator import validate_document
+from repro.thrift.ttypes import TType
 
 __all__ = ["compile_idl", "generate_python", "load_idl"]
 
@@ -80,6 +96,9 @@ class _TypeEnv:
         if tref.name in self.structs:
             return "TType.STRUCT"
         raise CodegenError(f"unknown type {tref.name!r}")
+
+    def ttype_value(self, tref: TypeRef) -> int:
+        return getattr(TType, self.ttype_expr(tref).split(".")[1])
 
 
 class _Emitter:
@@ -189,9 +208,267 @@ def _read_value(env: _TypeEnv, tref: TypeRef, target: str, out: _Emitter,
         raise CodegenError(f"cannot read type {name!r}")
 
 
+# ---------------------------------------------------------------------------
+# The compiled TBinaryProtocol codec
+# ---------------------------------------------------------------------------
+
+#: fixed-width scalar -> its ``struct`` format character (enums are "i")
+_FIXED = {"bool": "?", "byte": "b", "i8": "b", "i16": "h", "i32": "i",
+          "i64": "q", "double": "d"}
+
+#: a field's encoding: format of its packed prefix (header included), the
+#: argument expressions of that prefix, statements that must run before the
+#: pack, and the emitter of what follows the prefix (payload, elements,
+#: nested struct), if anything does
+_Part = Tuple[str, List[str], List[str], Optional[Callable[[int], None]]]
+
+
+class _BinaryCodec:
+    """Emits each struct's ``_write_<S>(s, ap)`` and ``_read_<S>(s, buf,
+    pos)``, and the one ``struct.Struct`` per format they share.
+
+    ``_write_<S>`` appends the struct, STOP included, with ``ap`` (the
+    transport's gather-list ``append``).  Fields are written in declaration
+    order; a *segment* -- fixed-width fields up to and including the next
+    field that is not -- is one pack of every header and value (and the
+    last field's length or container header) when all of its fields are
+    set, and one pack per set field otherwise.
+
+    ``_read_<S>`` decodes the fields at ``buf[pos:]`` in declaration order,
+    each optional, then STOP, and returns the offset past the STOP.  On
+    anything else -- a field out of order or unknown, a short buffer, a
+    negative size, bad UTF-8 -- it returns ``~start`` of the field it could
+    not take, and the caller's generic field loop reads on from there.
+    """
+
+    def __init__(self, env: _TypeEnv, out: _Emitter):
+        self.env = env
+        self.out = out
+        self.packers: Dict[str, str] = {}       # format -> module-level name
+
+    def packer(self, fmt: str) -> str:
+        name = self.packers.get(fmt)
+        if name is None:
+            name = self.packers[fmt] = "_S_" + fmt.replace("?", "t")
+        return name
+
+    def fixed(self, tref: TypeRef) -> Optional[str]:
+        tref = self.env.resolve(tref)
+        return "i" if tref.name in self.env.enums else _FIXED.get(tref.name)
+
+    def header(self, f: Field) -> str:
+        """The field header -- type byte, big-endian i16 id -- as a literal."""
+        try:
+            fid = f.fid.to_bytes(2, "big", signed=True)
+        except OverflowError:
+            raise CodegenError(f"field id {f.fid} of {f.name!r} is outside "
+                               "the i16 range") from None
+        return repr(bytes([self.env.ttype_value(f.type)]) + fid)
+
+    def table(self) -> List[str]:
+        return [f"{name} = Struct('!{fmt}')"
+                for fmt, name in sorted(self.packers.items(),
+                                        key=lambda kv: kv[1])]
+
+    # -- encoder ---------------------------------------------------------------
+    def emit_writer(self, node: StructNode) -> None:
+        out = self.out
+        out.emit(f"def _write_{node.name}(s, ap):")
+        segment: List[Tuple[int, Field]] = []
+        for i, f in enumerate(node.fields):
+            segment.append((i, f))
+            if self.fixed(f.type) is None:
+                self._write_segment(node, segment)
+                segment = []
+        if segment:
+            self._write_segment(node, segment)
+        out.emit("ap(b'\\x00')  # STOP", 1)
+        out.emit()
+        out.emit()
+
+    def _write_segment(self, node: StructNode,
+                       segment: List[Tuple[int, Field]]) -> None:
+        out = self.out
+        for i, f in segment:
+            out.emit(f"f{i} = s.{f.name}", 1)
+            if f.required == "required":
+                out.emit(f"if f{i} is None:", 1)
+                out.emit(f"raise TProtocolException("
+                         f"TProtocolException.INVALID_DATA, "
+                         f"'required field {node.name}.{f.name} is unset')", 2)
+        parts = [self._field_part(i, f) for i, f in segment]
+        ind = 1
+        if len(parts) > 1:
+            out.emit("if " + " and ".join(f"f{i} is not None"
+                                          for i, _ in segment) + ":", 1)
+            self._emit_parts(parts, 2)
+            out.emit("else:", 1)
+            ind = 2
+        for (i, _), part in zip(segment, parts):
+            out.emit(f"if f{i} is not None:", ind)
+            self._emit_parts([part], ind + 1)
+
+    def _emit_parts(self, parts: List[_Part], ind: int) -> None:
+        out = self.out
+        for _fmt, _args, pre, _tail in parts:
+            for line in pre:
+                out.emit(line, ind)
+        fmt = "".join(p[0] for p in parts)
+        args = [a for p in parts for a in p[1]]
+        if fmt == "3s":             # a nested struct's header alone
+            out.emit(f"ap({args[0]})", ind)
+        elif fmt:                   # (a nested struct value has no prefix)
+            out.emit(f"ap({self.packer(fmt)}.pack({', '.join(args)}))", ind)
+        for *_, tail in parts:
+            if tail is not None:
+                tail(ind)
+
+    def _field_part(self, i: int, f: Field) -> _Part:
+        var = f"f{i}"
+        fmt, args, pre, tail = self._value_part(f.type, var, 0)
+        return "3s" + fmt, [self.header(f)] + args, pre, tail
+
+    def _value_part(self, tref: TypeRef, var: str, depth: int) -> _Part:
+        """How a value of ``tref`` held in ``var`` is written: its packed
+        prefix (the whole value for a fixed-width one) and what follows."""
+        env, out = self.env, self.out
+        tref = env.resolve(tref)
+        name = tref.name
+        c = self.fixed(tref)
+        if c is not None:
+            return c, [var], [], None
+        if name == "binary":
+            # by reference; a mutable buffer is snapshotted as
+            # TTransport.write would
+            return "i", [f"len({var})"], [], lambda ind: out.emit(
+                f"ap({var} if {var}.__class__ is bytes else bytes({var}))",
+                ind)
+        if name == "string":
+            return ("i", [f"len({var}_u)"], [f"{var}_u = {var}.encode('utf-8')"],
+                    lambda ind: out.emit(f"ap({var}_u)", ind))
+        if name in ("list", "set"):
+            elem = tref.args[0]
+            return ("bi", [str(env.ttype_value(elem)), f"len({var})"], [],
+                    lambda ind: self._write_elements(elem, var, ind, depth))
+        if name == "map":
+            k, v = tref.args
+            return ("bbi", [str(env.ttype_value(k)), str(env.ttype_value(v)),
+                            f"len({var})"], [],
+                    lambda ind: self._write_items(k, v, var, ind, depth))
+        if name in env.structs:
+            return "", [], [], lambda ind: out.emit(
+                f"_write_{name}({var}, ap)", ind)
+        raise CodegenError(f"cannot write type {name!r}")
+
+    def _write_elements(self, elem: TypeRef, var: str, ind: int,
+                        depth: int) -> None:
+        c = self.fixed(elem)
+        if c is not None:
+            # the whole list in one pack
+            self.out.emit(f"ap(_pack('!%d{c}' % len({var}), *{var}))", ind)
+            return
+        ev = f"_e{depth}"
+        self.out.emit(f"for {ev} in {var}:", ind)
+        self._emit_parts([self._value_part(elem, ev, depth + 1)], ind + 1)
+
+    def _write_items(self, k: TypeRef, v: TypeRef, var: str, ind: int,
+                     depth: int) -> None:
+        kv, vv = f"_k{depth}", f"_v{depth}"
+        self.out.emit(f"for {kv}, {vv} in {var}.items():", ind)
+        self._emit_parts([self._value_part(k, kv, depth + 1)], ind + 1)
+        self._emit_parts([self._value_part(v, vv, depth + 1)], ind + 1)
+
+    # -- decoder ---------------------------------------------------------------
+    def emit_reader(self, node: StructNode) -> None:
+        out = self.out
+        out.emit(f"def _read_{node.name}(s, buf, pos):")
+        out.emit("try:", 1)
+        for f in node.fields:
+            out.emit(f"if buf.startswith({self.header(f)}, pos):", 2)
+            c = self.fixed(f.type)
+            if c is not None:
+                out.emit(f"(s.{f.name},) = {self.packer(c)}.unpack_from("
+                         f"buf, pos + 3)", 3)
+                out.emit(f"pos += {3 + calcsize('!' + c)}", 3)
+                continue
+            out.emit("p = pos + 3", 3)
+            self._read_value(f.type, "v", 3, 0)
+            out.emit(f"s.{f.name} = v", 3)
+            out.emit("pos = p", 3)
+        out.emit("if buf[pos] == 0:  # STOP", 2)
+        out.emit("return pos + 1", 3)
+        out.emit("except (_StructError, IndexError, UnicodeDecodeError):", 1)
+        out.emit("pass", 2)
+        out.emit("return ~pos", 1)
+        out.emit()
+        out.emit()
+
+    def _read_value(self, tref: TypeRef, target: str, ind: int,
+                    depth: int) -> None:
+        """Read the value at ``buf[p:]`` into ``target``, advancing ``p``;
+        ``return ~pos`` (give the field up) on a size that does not fit."""
+        env, out = self.env, self.out
+        tref = env.resolve(tref)
+        name = tref.name
+        n = f"_n{depth}"
+        c = self.fixed(tref)
+        if c is not None:
+            out.emit(f"({target},) = {self.packer(c)}.unpack_from(buf, p)", ind)
+            out.emit(f"p += {calcsize('!' + c)}", ind)
+        elif name in ("binary", "string"):
+            out.emit(f"({n},) = {self.packer('i')}.unpack_from(buf, p)", ind)
+            out.emit(f"{target} = buf[p + 4:p + 4 + {n}]", ind)
+            out.emit(f"if len({target}) != {n}:  # short, or negative", ind)
+            out.emit("return ~pos", ind + 1)
+            if name == "string":
+                out.emit(f"{target} = {target}.decode('utf-8')", ind)
+            out.emit(f"p += 4 + {n}", ind)
+        elif name in ("list", "set"):
+            elem = tref.args[0]
+            # the element type byte is not checked, as the visitor does not
+            out.emit(f"({n},) = {self.packer('i')}.unpack_from(buf, p + 1)",
+                     ind)
+            out.emit(f"if {n} < 0:", ind)
+            out.emit("return ~pos", ind + 1)
+            out.emit("p += 5", ind)
+            ec = self.fixed(elem)
+            make = "list" if name == "list" else "set"
+            if ec is not None:
+                out.emit(f"{target} = {make}(_unpack_from('!%d{ec}' % {n}, "
+                         f"buf, p))", ind)
+                out.emit(f"p += {n} * {calcsize('!' + ec)}", ind)
+                return
+            ev = f"_e{depth}"
+            out.emit(f"{target} = {'[]' if name == 'list' else 'set()'}", ind)
+            out.emit(f"for _ in range({n}):", ind)
+            self._read_value(elem, ev, ind + 1, depth + 1)
+            add = "append" if name == "list" else "add"
+            out.emit(f"{target}.{add}({ev})", ind + 1)
+        elif name == "map":
+            k, v = tref.args
+            kv, vv = f"_k{depth}", f"_v{depth}"
+            out.emit(f"({n},) = {self.packer('i')}.unpack_from(buf, p + 2)",
+                     ind)
+            out.emit(f"if {n} < 0:", ind)
+            out.emit("return ~pos", ind + 1)
+            out.emit("p += 6", ind)
+            out.emit(f"{target} = {{}}", ind)
+            out.emit(f"for _ in range({n}):", ind)
+            self._read_value(k, kv, ind + 1, depth + 1)
+            self._read_value(v, vv, ind + 1, depth + 1)
+            out.emit(f"{target}[{kv}] = {vv}", ind + 1)
+        elif name in env.structs:
+            out.emit(f"{target} = {name}()", ind)
+            out.emit(f"p = _read_{name}({target}, buf, p)", ind)
+            out.emit("if p < 0:", ind)
+            out.emit("return ~pos", ind + 1)
+        else:
+            raise CodegenError(f"cannot read type {name!r}")
+
+
 def _emit_struct(env: _TypeEnv, node: StructNode, out: _Emitter,
-                 base: Optional[str] = None) -> None:
-    base = base or ("TException" if node.kind == "exception" else "object")
+                 codec: _BinaryCodec) -> None:
+    base = "TException" if node.kind == "exception" else "object"
     out.emit(f"class {node.name}({base}):")
     out.emit(f'    """IDL {node.kind} {node.name}."""')
     out.emit()
@@ -206,6 +483,9 @@ def _emit_struct(env: _TypeEnv, node: StructNode, out: _Emitter,
     out.emit()
     # -- write --
     out.emit("    def write(self, oprot):")
+    out.emit("        if isinstance(oprot, TBinaryProtocol):")
+    out.emit(f"            _write_{node.name}(self, oprot.trans.wchunks.append)")
+    out.emit("            return")
     out.emit(f"        oprot.write_struct_begin({node.name!r})")
     for f in node.fields:
         ind = 2
@@ -224,6 +504,16 @@ def _emit_struct(env: _TypeEnv, node: StructNode, out: _Emitter,
     out.emit()
     # -- read --
     out.emit("    def read(self, iprot):")
+    out.emit("        if isinstance(iprot, TBinaryProtocol):")
+    out.emit("            trans = iprot.trans")
+    out.emit(f"            end = _read_{node.name}(self, trans.rbuf, "
+             f"trans.rpos)")
+    out.emit("            if end >= 0:")
+    out.emit("                trans.rpos = end")
+    out.emit("                return self")
+    out.emit("            # the field loop takes over at the field that "
+             "stopped it")
+    out.emit("            trans.rpos = ~end")
     out.emit("        iprot.read_struct_begin()")
     out.emit("        while True:")
     out.emit("            _fname, _ftype, _fid = iprot.read_field_begin()")
@@ -256,6 +546,8 @@ def _emit_struct(env: _TypeEnv, node: StructNode, out: _Emitter,
     out.emit(f"        return f{('%s(%s)' % (node.name, fields_fmt))!r}")
     out.emit()
     out.emit()
+    codec.emit_writer(node)
+    codec.emit_reader(node)
 
 
 def _args_struct(fn: FunctionNode) -> StructNode:
@@ -394,12 +686,16 @@ def generate_python(doc: Document, strict_hints: bool = True,
     for w in warnings:
         out.emit(f"# hint warning: {w}")
     out.emit()
+    out.emit("from struct import Struct, error as _StructError, "
+             "pack as _pack, unpack_from as _unpack_from")
+    out.emit()
     out.emit("from repro.thrift import (TType, TMessageType, TClient, "
              "TProcessor,")
     out.emit("                          TApplicationException, "
-             "TProtocolException)")
+             "TBinaryProtocol, TProtocolException)")
     out.emit("from repro.thrift.errors import TException")
     out.emit()
+    table_at = len(out.lines)
     out.emit()
     for enum in doc.enums:
         out.emit(f"class {enum.name}(object):")
@@ -418,8 +714,9 @@ def generate_python(doc: Document, strict_hints: bool = True,
     if doc.consts:
         out.emit()
         out.emit()
+    codec = _BinaryCodec(env, out)
     for struct in doc.structs:
-        _emit_struct(env, struct, out)
+        _emit_struct(env, struct, out, codec)
     by_name = {s.name: s for s in doc.services}
     for service in doc.services:
         parent = None
@@ -430,8 +727,8 @@ def generate_python(doc: Document, strict_hints: bool = True,
                     f"service {service.name} extends unknown service "
                     f"{service.extends!r}")
         for fn in service.functions:
-            _emit_struct(env, _args_struct(fn), out)
-            _emit_struct(env, _result_struct(env, fn), out)
+            _emit_struct(env, _args_struct(fn), out, codec)
+            _emit_struct(env, _result_struct(env, fn), out, codec)
         _emit_iface(service, out, parent)
         _emit_client(env, service, out, parent)
         _emit_processor(service, out, parent)
@@ -453,6 +750,8 @@ def generate_python(doc: Document, strict_hints: bool = True,
     oneway = {s.name: [f.name for f in s.functions if f.oneway]
               for s in doc.services}
     out.emit(f"SERVICE_ONEWAY = {oneway!r}")
+    # The compiled codecs' packers, by format, ahead of their first use.
+    out.lines[table_at:table_at] = codec.table() + [""]
     return out.source()
 
 

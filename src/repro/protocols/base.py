@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro import frame, obs
 from repro.obs import trace as obstrace
 from repro.sim.units import KiB
+from repro.thrift.errors import MALFORMED
 from repro.verbs.cq import PollMode
 from repro.verbs.device import Device, PD
 from repro.verbs.errors import QPStateError, WCError
@@ -372,6 +373,9 @@ class RpcServer:
     #: already-flushed QP.  Local misuse (MemoryAccessError, oversize
     #: responses) deliberately stays loud instead of reading as a dead peer.
     _DEAD_CONN = (WCError, QPStateError)
+    #: ... and, while a request is served, a request that is not a readable
+    #: Thrift message: that connection is torn down, the server serves on
+    _DEAD_REQUEST = (*_DEAD_CONN, *MALFORMED)
 
     def _serve_loop(self, ep):
         def on_dead():
@@ -412,7 +416,7 @@ class RpcServer:
         if (yield from obstrace.serve_one(
                 self._trc, self.sim, self.device.node.name, self.proto_name,
                 t_poll, ctx, partial(self._dispatch, request), reply,
-                self._DEAD_CONN)):
+                self._DEAD_REQUEST)):
             self.requests += 1
             if self._m_requests is not None:
                 self._m_requests.inc()

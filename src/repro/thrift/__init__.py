@@ -37,6 +37,7 @@ from repro.thrift.protocol import (
     TCompactProtocol,
     TJSONProtocol,
     TProtocol,
+    TProtocolDecorator,
 )
 from repro.thrift.processor import TClient, TMultiplexedProcessor, TProcessor
 from repro.thrift.server import (
@@ -59,6 +60,7 @@ __all__ = [
     "TMultiplexedProcessor",
     "TProcessor",
     "TProtocol",
+    "TProtocolDecorator",
     "TProtocolException",
     "TServer",
     "TServerSocket",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 __all__ = [
+    "MALFORMED",
     "TApplicationException",
     "TException",
     "TProtocolException",
@@ -83,6 +84,15 @@ class TProtocolException(TException):
     def __init__(self, type: int = UNKNOWN, message: str = ""):
         super().__init__(message)
         self.type = type
+
+
+#: What a request escaping the processor raises when its bytes are not a
+#: message the processor can read: a bad header or size, a truncated value,
+#: a name or string that is not UTF-8 (handler failures never escape: the
+#: generated processor answers them).  Such a request cannot be answered,
+#: so a server closes the connection it came on and keeps serving the rest,
+#: as Apache Thrift's servers do.
+MALFORMED = (TProtocolException, TTransportException, UnicodeDecodeError)
 
 
 class TApplicationException(TException):

@@ -6,7 +6,7 @@ import inspect
 from typing import Callable, Dict
 
 from repro.thrift.errors import TApplicationException
-from repro.thrift.protocol.base import TProtocol
+from repro.thrift.protocol.base import TProtocol, TProtocolDecorator
 from repro.thrift.ttypes import TMessageType, TType
 
 __all__ = ["TClient", "TMultiplexedProcessor", "TMultiplexedProtocol",
@@ -135,20 +135,17 @@ class TMultiplexedProcessor(TProcessor):
         return (yield from fn(seqid, iprot, oprot))
 
 
-class TMultiplexedProtocol:
-    """Client-side wrapper prefixing the service name onto method names."""
+class TMultiplexedProtocol(TProtocolDecorator):
+    """Client-side decorator prefixing the service name onto method names."""
 
     def __init__(self, protocol: TProtocol, service_name: str):
-        self._proto = protocol
+        TProtocolDecorator.__init__(self, protocol)
         self.service_name = service_name
 
     def write_message_begin(self, name: str, mtype: int, seqid: int):
-        self._proto.write_message_begin(
+        super().write_message_begin(
             f"{self.service_name}{TMultiplexedProcessor.SEPARATOR}{name}",
             mtype, seqid)
-
-    def __getattr__(self, item):
-        return getattr(self._proto, item)
 
 
 class TClient:

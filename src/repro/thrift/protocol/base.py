@@ -1,11 +1,14 @@
-"""Abstract serialization protocol + generic skip()."""
+"""Abstract serialization protocol + generic skip(), and the decorator base
+for protocol wrappers."""
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 from repro.thrift.errors import TProtocolException
 from repro.thrift.ttypes import TType
 
-__all__ = ["TProtocol"]
+__all__ = ["TProtocol", "TProtocolDecorator"]
 
 
 class TProtocol:
@@ -112,3 +115,33 @@ class TProtocol:
         else:
             raise TProtocolException(TProtocolException.INVALID_DATA,
                                      f"cannot skip type {ttype}")
+
+
+_DECORATED: Dict[Tuple[type, type], type] = {}
+
+
+class TProtocolDecorator:
+    """A protocol wrapper that *is* the protocol it wraps, with a few
+    methods overridden (Apache Thrift's ``TProtocolDecorator``).
+
+    ``Wrapper(protocol, ...)`` builds an instance of a class deriving from
+    both ``Wrapper`` and ``type(protocol)`` -- one such class per pair, made
+    once -- that starts out with ``protocol``'s state.  Every method it does
+    not override is the wrapped protocol's own, reached without a
+    ``__getattr__`` hop, and ``isinstance(wrapper, TBinaryProtocol)`` holds
+    when the wrapped protocol is binary, so generated structs take their
+    compiled binary codec through a wrapper too.  An override reaches the
+    wrapped protocol's method with ``super()``.  Subclasses initialise the
+    shared state with ``TProtocolDecorator.__init__(self, protocol)``:
+    decorators stack, and ``super().__init__`` would reach the next one's.
+    """
+
+    def __new__(cls, protocol, *args, **kwargs):
+        key = (cls, type(protocol))
+        decorated = _DECORATED.get(key)
+        if decorated is None:
+            decorated = _DECORATED[key] = type(cls.__name__, key, {})
+        return object.__new__(decorated)
+
+    def __init__(self, protocol) -> None:
+        self.__dict__.update(protocol.__dict__)

@@ -1,8 +1,17 @@
-"""TBinaryProtocol: the fixed-width big-endian wire format (strict mode)."""
+"""TBinaryProtocol: the fixed-width big-endian wire format (strict mode).
+
+The per-value methods below are the generic path: what ``skip``, the
+application-exception struct and the generic field visitor of generated
+structs call.  Generated structs read and write themselves through their
+own compiled binary codec whenever the protocol is a ``TBinaryProtocol``
+(see :mod:`repro.idl.codegen`); the message header is read and written here
+in one step each.
+"""
 
 from __future__ import annotations
 
 import struct
+from typing import Dict, Tuple
 
 from repro.thrift.errors import TProtocolException
 from repro.thrift.protocol.base import TProtocol
@@ -15,9 +24,18 @@ _I16 = struct.Struct("!h")
 _I32 = struct.Struct("!i")
 _I64 = struct.Struct("!q")
 _DOUBLE = struct.Struct("!d")
+_U32 = struct.Struct("!I")
+#: header word (VERSION_1 | mtype, signed) and method-name length
+_HEAD = struct.Struct("!ii")
 
 VERSION_1 = 0x80010000
 VERSION_MASK = 0xFFFF0000
+
+#: (name, mtype) -> the bytes of a message header up to its seqid: header
+#: word, name length, name.  Bounded: method names are few, but nothing
+#: stops a caller from minting one per call.
+_PREFIXES: Dict[Tuple[str, int], bytes] = {}
+_PREFIXES_MAX = 4096
 
 
 class TBinaryProtocol(TProtocol):
@@ -25,18 +43,38 @@ class TBinaryProtocol(TProtocol):
 
     # -- message -----------------------------------------------------------
     def write_message_begin(self, name: str, mtype: int, seqid: int):
-        # Header word is VERSION_1 | mtype, reinterpreted as a signed i32.
-        header = struct.unpack("!i", struct.pack("!I", VERSION_1 | mtype))[0]
-        self.write_i32(header)
-        self.write_string(name)
-        self.write_i32(seqid)
+        prefix = _PREFIXES.get((name, mtype))
+        if prefix is None:
+            word = _U32.pack(VERSION_1 | mtype)
+            encoded = name.encode("utf-8")
+            prefix = word + _I32.pack(len(encoded)) + encoded
+            if len(_PREFIXES) < _PREFIXES_MAX:
+                _PREFIXES[name, mtype] = prefix
+        self.trans.write(prefix + _I32.pack(seqid))
 
     def read_message_begin(self):
+        trans = self.trans
+        buf, pos = trans.rbuf, trans.rpos
+        try:
+            word, n = _HEAD.unpack_from(buf, pos)
+            if word & VERSION_MASK == VERSION_1 and n >= 0:
+                end = pos + 8 + n
+                (seqid,) = _I32.unpack_from(buf, end)
+                name = buf[pos + 8:end].decode("utf-8")
+                trans.rpos = end + 4
+                return name, word & 0xFF, seqid
+        except (struct.error, UnicodeDecodeError):
+            pass
+        # Short or malformed: read it value by value, which raises exactly
+        # what a malformed header has always raised.
+        return self._read_message_fields()
+
+    def _read_message_fields(self):
         sz = self.read_i32()
         if sz >= 0:
             raise TProtocolException(TProtocolException.BAD_VERSION,
                                      "missing version in message header")
-        version = struct.unpack("!I", struct.pack("!i", sz))[0] & VERSION_MASK
+        version = sz & VERSION_MASK
         if version != VERSION_1:
             raise TProtocolException(TProtocolException.BAD_VERSION,
                                      f"bad version {version:#x}")

@@ -15,7 +15,7 @@ from repro.core.overload import gated
 from repro.obs import trace as obstrace
 from repro.sim.core import Simulator
 from repro.sim.sync import Store
-from repro.thrift.errors import TTransportException
+from repro.thrift.errors import MALFORMED, TTransportException
 from repro.thrift.processor import TProcessor
 from repro.thrift.protocol.binary import TBinaryProtocol
 from repro.thrift.transport import TFramedTransport
@@ -42,6 +42,9 @@ class TServer:
         self.sim: Simulator = server_transport.node.sim
         self.connections = 0
         self.requests = 0
+        #: connections this server closed: the peer went away, or sent a
+        #: request that is not a readable message
+        self.teardowns = 0
         self._stopped = False
         # Instruments captured once (None = metrics disabled).
         reg = obs.current()
@@ -100,7 +103,7 @@ class TServer:
             try:
                 yield from trans.ready()
             except TTransportException:
-                trans.close()
+                self._teardown(trans)
                 return
             # A frame header (a TCP channel's carries a trace context at
             # most) leads the message: consume it, the processor reads on.
@@ -108,14 +111,20 @@ class TServer:
             header, message = frame.split(head)
             trans.read(len(head) - len(message))
             ctx = header.trace if self._trc is not None else None
+            # A transport failure on the way, or a request that is not a
+            # readable message, ends this connection only.
             if not (yield from obstrace.serve_one(
                     self._trc, self.sim, node_name, "tcp", t_poll, ctx,
-                    dispatch, reply, TTransportException)):
-                trans.close()
+                    dispatch, reply, MALFORMED)):
+                self._teardown(trans)
                 return
             self.requests += 1
             if self._m_requests is not None:
                 self._m_requests.inc()
+
+    def _teardown(self, trans) -> None:
+        self.teardowns += 1
+        trans.close()
 
 
 class TSimpleServer(TServer):

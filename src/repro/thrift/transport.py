@@ -11,7 +11,12 @@ Interface contract (repository coroutine convention):
 * ``ready()`` -- coroutine -- blocks until the next inbound message is
   buffered locally;
 * ``read(n)`` / ``read_all(n)`` -- plain calls against the buffered inbound
-  message (serializers are synchronous once a message has landed).
+  message (serializers are synchronous once a message has landed).  A
+  transport that holds an inbound message keeps it as ``rbuf`` (``bytes``)
+  with ``rpos`` the offset of the next unread byte: that ``(buffer,
+  offset)`` pair is what ``read`` consumes and what the compiled binary
+  decoders of :mod:`repro.idl` walk with ``unpack_from``, advancing
+  ``rpos`` past what they decoded.
 
 Message-boundary framing is therefore part of the transport, as in Apache
 Thrift's non-blocking servers (TFramedTransport is mandatory there too).
@@ -37,10 +42,15 @@ __all__ = [
 
 
 class TTransport:
-    """Abstract transport; owns the outbound gather buffer."""
+    """Abstract transport; owns the outbound gather buffer (``wchunks``)
+    and the inbound message (``rbuf`` read from offset ``rpos``)."""
 
     def __init__(self) -> None:
-        self._wchunks: List[bytes] = []
+        #: chunks of the outbound message, by reference; the compiled binary
+        #: encoders append to it directly (bytes only -- see ``write``)
+        self.wchunks: List[bytes] = []
+        self.rbuf = b""
+        self.rpos = 0
 
     def is_open(self) -> bool:
         return True
@@ -56,18 +66,23 @@ class TTransport:
     def write(self, data: bytes) -> None:
         # A chunk that is not exactly ``bytes`` (bytearray, memoryview) is
         # snapshotted: the caller may reuse it before the message is taken.
-        self._wchunks.append(data if type(data) is bytes else bytes(data))
+        self.wchunks.append(data if type(data) is bytes else bytes(data))
 
     def _take(self, prefix: Optional[struct.Struct] = None) -> bytes:
         """The outbound message as one ``bytes`` (led by its length packed
         with ``prefix`` when given), leaving the buffer empty."""
-        chunks = self._wchunks
+        chunks = self.wchunks
         if prefix is None:
             message = b"".join(chunks)
         else:
             message = b"".join((prefix.pack(sum(map(len, chunks))), *chunks))
         chunks.clear()
         return message
+
+    def _land(self, message: bytes) -> None:
+        """Make ``message`` the inbound message, read from its start."""
+        self.rbuf = message
+        self.rpos = 0
 
     def flush(self):
         """Coroutine: deliver the buffered outbound message."""
@@ -78,13 +93,15 @@ class TTransport:
         raise NotImplementedError
 
     def read(self, n: int) -> bytes:
-        raise NotImplementedError
+        pos = self.rpos
+        out = self.rbuf[pos:pos + n]
+        self.rpos = pos + len(out)
+        return out
 
     def peek(self, n: int) -> bytes:
-        """Up to ``n`` buffered inbound bytes WITHOUT consuming them
-        (``b""`` where the transport cannot look ahead).  Used to read
-        the optional frame header ahead of a Thrift message."""
-        return b""
+        """Up to ``n`` buffered inbound bytes WITHOUT consuming them.  Used
+        to read the optional frame header ahead of a Thrift message."""
+        return self.rbuf[self.rpos:self.rpos + n]
 
     def read_all(self, n: int) -> bytes:
         out = self.read(n)
@@ -100,8 +117,9 @@ class TMemoryBuffer(TTransport):
 
     def __init__(self, value: bytes = b""):
         super().__init__()
-        self._rbuf = memoryview(bytes(value))
-        self._rpos = 0
+        # ``bytes(value)`` is ``value`` itself when it already is bytes, and
+        # a snapshot of a mutable buffer otherwise.
+        self.rbuf = bytes(value)
 
     def flush(self):
         return
@@ -111,20 +129,11 @@ class TMemoryBuffer(TTransport):
         return
         yield  # pragma: no cover
 
-    def read(self, n: int) -> bytes:
-        out = bytes(self._rbuf[self._rpos:self._rpos + n])
-        self._rpos += len(out)
-        return out
-
-    def peek(self, n: int) -> bytes:
-        return bytes(self._rbuf[self._rpos:self._rpos + n])
-
     def getvalue(self) -> bytes:
-        return b"".join(self._wchunks)
+        return b"".join(self.wchunks)
 
     def reset_read(self, value: bytes) -> None:
-        self._rbuf = memoryview(bytes(value))
-        self._rpos = 0
+        self._land(bytes(value))
 
 
 class TSocket(TTransport):
@@ -162,6 +171,10 @@ class TSocket(TTransport):
         raise NotImplementedError(
             "TSocket is a byte stream; wrap it in TFramedTransport")
 
+    def read(self, n: int) -> bytes:
+        raise NotImplementedError(
+            "TSocket is a byte stream; wrap it in TFramedTransport")
+
     # Raw stream coroutines used by the framing layers.
     def send(self, data: bytes):
         if not self.is_open():
@@ -191,8 +204,6 @@ class TFramedTransport(TTransport):
     def __init__(self, inner: TSocket):
         super().__init__()
         self.inner = inner
-        self._rbuf = b""
-        self._rpos = 0
 
     def is_open(self) -> bool:
         return self.inner.is_open()
@@ -212,16 +223,7 @@ class TFramedTransport(TTransport):
         if length > self.MAX_FRAME:
             raise TTransportException(TTransportException.UNKNOWN,
                                       f"frame of {length} bytes exceeds limit")
-        self._rbuf = yield from self.inner.recv_exact(length)
-        self._rpos = 0
-
-    def read(self, n: int) -> bytes:
-        out = self._rbuf[self._rpos:self._rpos + n]
-        self._rpos += len(out)
-        return out
-
-    def peek(self, n: int) -> bytes:
-        return bytes(self._rbuf[self._rpos:self._rpos + n])
+        self._land((yield from self.inner.recv_exact(length)))
 
 
 class TBufferedTransport(TFramedTransport):
@@ -242,8 +244,7 @@ class TBufferedTransport(TFramedTransport):
         more = self.inner.conn._rx
         rest = bytes(more)
         del more[:]
-        self._rbuf = chunk + rest
-        self._rpos = 0
+        self._land(chunk + rest)
 
 
 class TServerSocket:
