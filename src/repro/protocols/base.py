@@ -54,6 +54,7 @@ __all__ = [
     "RecvRing",
     "RpcClient",
     "RpcServer",
+    "check_length",
     "get_protocol",
     "protocol_names",
     "register_protocol",
@@ -83,6 +84,17 @@ def pack_ctrl(kind: int, seq: int, length: int, addr: int = 0,
 
 def unpack_ctrl(data: bytes):
     return CTRL.unpack_from(data)
+
+
+def check_length(length: int, limit: int) -> int:
+    """``length``, taken from a control header the peer wrote, when it fits
+    the ``limit`` bytes of the buffer or slot it is about to index.  A peer
+    is not trusted with our bounds: anything longer is a ProtocolError
+    (which ends that one connection), never a read past the buffer."""
+    if length > limit:
+        raise ProtocolError(
+            f"control header claims {length} bytes where {limit} fit")
+    return length
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,8 @@ class RecvRing:
         self.rq = rq
         self.slots = slots
         self.slot_bytes = slot_bytes
+        #: payload bytes a slot holds behind its control header
+        self.capacity = slot_bytes - HDR_BYTES
         self.mr = pd.reg_mr(slots * slot_bytes)
 
     def post(self, i: int):

@@ -27,6 +27,7 @@ from repro.protocols.base import (
     ProtoConfig,
     ProtocolError,
     RecvRing,
+    check_length,
     check_wc,
     pack_ctrl,
     register_protocol,
@@ -148,6 +149,8 @@ class DirectWriteEndpoint:
             off = ((seq - 1) % self.slots) * self._stride
         if kind != K_NOTIFY:
             raise ProtocolError(f"unexpected control kind {kind}")
+        # Longer would read on into the next slot (or out of the buffer).
+        check_length(length, self.cfg.max_msg)
         yield from self._ring.post(wc.wr_id)
         # Payload is already in our inbuf -- read in place, no copy charged.
         return self.inbuf.read(length, offset=off + HDR_BYTES)

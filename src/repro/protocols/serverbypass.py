@@ -36,6 +36,7 @@ from repro.protocols.base import (
     ProtoConfig,
     ProtocolError,
     RecvRing,
+    check_length,
     check_wc,
     pack_ctrl,
     register_protocol,
@@ -144,6 +145,7 @@ class BypassServerEnd:
             kind, seq, length, _a, _k = ring.header(wc.wr_id)
             if kind != K_EAGER:
                 raise ProtocolError(f"unexpected control kind {kind}")
+            check_length(length, ring.capacity)
             # Copy out so the ring slot can be re-posted.
             yield from self.device.memcpy(length, self.cfg.numa_local)
             data = ring.read(wc.wr_id, length, offset=HDR_BYTES)
@@ -157,8 +159,10 @@ class BypassServerEnd:
 
         yield from self._poller.wait(ready)
         kind, seq, length, _a, _k = unpack_ctrl(self.reqbuf.read(HDR_BYTES))
+        check_length(length, self.cfg.max_msg)
         self._last_seq = seq
-        # Request is consumed in place (no copy) -- the WRITE-path advantage.
+        # Request is consumed in place (no copy) -- the WRITE-path advantage;
+        # it is the client's own request object.
         return self.reqbuf.read(length, offset=HDR_BYTES)
 
     def send_msg(self, resp: bytes):
@@ -215,7 +219,10 @@ class BypassClientEnd:
         else:
             kind = K_EAGER      # Pilaf: plain eager SEND
             wr = SendWR(Opcode.SEND, sge, signaled=False)
-        staging.write(pack_ctrl(kind, self._seq, len(request)) + request)
+        # Header and request are two extents, so the request object is what
+        # the server's ``recv_msg`` reads back.
+        staging.write(pack_ctrl(kind, self._seq, len(request)))
+        staging.write(request, offset=HDR_BYTES)
         yield from self.qp.post_send(wr, numa_local=self.cfg.numa_local)
 
     # -- one-sided response fetch -------------------------------------------------
@@ -241,7 +248,7 @@ class BypassClientEnd:
             kind, seq, length, _a, _k = unpack_ctrl(
                 self._fetch.read(HDR_BYTES))
             if kind == K_NOTIFY and seq == self._seq:
-                return length
+                return check_length(length, self.cfg.max_msg)
             yield self.device.sim.timeout(backoff)
             backoff = min(backoff * 2, 16e-6)
 
@@ -303,6 +310,8 @@ class HerdClientEnd(BypassClientEnd):
                 if kind != K_NOTIFY or seq != self._seq:
                     raise ProtocolError("unexpected HERD response chunk")
                 payload_len = wc.byte_len - HDR_BYTES
+                check_length(length, self.cfg.max_msg)
+                check_length(offset + payload_len, length)   # chunk fits
                 yield from self.device.memcpy(payload_len,
                                               self.cfg.numa_local)
                 chunks[offset] = ring.read(wc.wr_id, payload_len,

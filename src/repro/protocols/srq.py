@@ -98,11 +98,12 @@ class SrqEagerServer(RpcServer):
             return
         ring = self._ring
         kind, _seq, length, _addr, _rkey = ring.header(wc.wr_id)
-        if kind != K_EAGER:
-            # A corrupt frame condemns the connection it arrived on, as it
-            # does under a per-connection serve loop -- never the shared
-            # dispatcher: the slot goes back to the pool and everyone else
-            # keeps being served.
+        if kind != K_EAGER or length > ring.capacity:
+            # A corrupt frame (a foreign kind, or a length its slot cannot
+            # hold) condemns the connection it arrived on, as it does under
+            # a per-connection serve loop -- never the shared dispatcher:
+            # the slot goes back to the pool and everyone else keeps being
+            # served.
             yield from ring.post(wc.wr_id)
             self._drop_conn(wc.qp_num)
             return

@@ -31,6 +31,7 @@ from repro.protocols.base import (
     ProtoConfig,
     ProtocolError,
     RecvRing,
+    check_length,
     check_wc,
     pack_ctrl,
     register_protocol,
@@ -157,7 +158,10 @@ class TwoSidedEndpoint:
             yield from ring.post(wc.wr_id)
             return
         kind, seq, length, addr, rkey = ring.header(wc.wr_id)
+        if kind == K_RTS:
+            check_length(length, self.cfg.max_msg)
         if kind == K_EAGER:
+            check_length(length, ring.capacity)
             # Copy out so the slot can be re-posted (the eager cost).
             yield from self.device.memcpy(length, self.cfg.numa_local)
             self._inbox.append(ring.read(wc.wr_id, length, offset=HDR_BYTES))

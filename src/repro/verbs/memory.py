@@ -6,54 +6,131 @@ which lets the upper layers (Thrift serialization, HatKV) be tested for
 actual data correctness, not just timing.
 
 Each allocation is a *segment* backed sparsely: it holds only the bytes that
-were written, as *extents* -- immutable ``bytes`` objects keyed by the offset
-they were written at (reads of anything else return zeros, like freshly mapped
-pages).  Host RAM therefore follows the bytes written, not the highest
-offset written: a 48-slot x 18 KiB message ring carrying 1 KiB messages
-holds 48 KiB, and 512 pre-registered-but-idle connections hold nothing --
-pre-registered buffers are the scaling cost of real RDMA endpoints
-(RDMAvisor), a model of them must not pay it in host RAM too.
+were written, as *extents* keyed by the offset they were written at (reads of
+anything else return zeros, like freshly mapped pages).  Host RAM therefore
+follows the bytes written, not the highest offset written: a 48-slot x 18 KiB
+message ring carrying 1 KiB messages holds 48 KiB, and 512
+pre-registered-but-idle connections hold nothing -- pre-registered buffers
+are the scaling cost of real RDMA endpoints (RDMAvisor), a model of them must
+not pay it in host RAM too.
 
-Payloads move **by reference**.  A write is one splice: the extents that
-``[off, end)`` intersects are replaced by (what is left of the first before
-``off``) + the payload object itself + (what is left of the last from
-``end``).  A read that is exactly one extent returns that object; a read
-inside one extent is a slice; a read across extents or gaps is one
-``b"".join`` over slices and ``bytes(gap)`` zeros.  So where the model says
-"the NIC moved it" -- ``staging.write(msg)`` -> ``mem.read(sge)`` ->
-``rdev.mem.write(...)`` -- one ``bytes`` object crosses both NICs and is
-never copied on the host; bytes are copied only where a message is assembled
-from parts or a part is cut out of one:
+An extent is an immutable ``bytes`` object, or a :class:`Slice` -- bytes
+``[lo, hi)`` of one, held by reference.  Payloads move **by reference**:
 
-* *reference*: a ``bytes`` payload written whole; a read of a whole extent;
-* *copy*: a payload that is not exactly ``bytes`` (``bytearray``,
-  ``memoryview``: snapshotted once, so later mutation of the source cannot
-  reach registered memory); the head/tail remainders of a partly overwritten
-  extent (a slice, which also lets the old message die instead of being
-  kept alive by a 3-byte tail); any read that is not exactly one extent.
+* a write is one splice: the extents that ``[off, end)`` intersects are
+  replaced by (what is left of the first before ``off``) + the written
+  extents + (what is left of the last from ``end``).  It adopts ``bytes``
+  and slices as they are; anything else (``bytearray``, ``memoryview``) is
+  snapshotted once, so later mutation of the source cannot reach registered
+  memory;
+* :meth:`Memory.gather` hands out the pieces covering a range without
+  copying: the extent itself when the range is exactly one extent (the
+  small-message case: no list, no new object), a slice when the range is
+  inside one extent, otherwise a list of extents, slices and ``bytes`` zero
+  gaps.  A write takes that list as it is, so where the model says "the NIC
+  moved it" -- a WRITE, SEND or READ (``verbs/qp.py``) -- the sender's
+  objects land in the receiver's memory and the NIC never joins;
+* a slice that lands right after a slice of the same object, at the
+  contiguous offset, *coalesces* with it, and a slice that covers its whole
+  object is stored as that object: RFP's speculative READ and its tail READ
+  (``protocols/serverbypass.py``) land the server's reply object again;
+* :meth:`Memory.read` returns ``bytes``: the extent itself when the range is
+  exactly one whole-object extent, one copy otherwise (a slice, or a join).
+
+What is left of a partly overwritten extent (the *remainder*) stays a slice
+when it is at least half of its object and ``_SLICE_MIN`` bytes, and is
+copied otherwise.  A kept remainder holds at least half of its object, so it
+keeps alive at most twice its own bytes (a 64 KiB half of a 128 KiB message
+keeps all 128 KiB), and a 3-byte tail never pins a 1 MiB message; the
+124 KiB of the previous reply that RFP's 4 KiB speculative READ trims is
+not copied only to be overwritten by the tail READ.
 
 Extent invariants (checked by ``tests/verbs/test_memory_extents.py``):
 ``_starts`` is sorted and ``_bufs[i]`` holds the bytes at
 ``[_starts[i], _starts[i] + len(_bufs[i]))``; extents do not overlap and none
-is empty.  They may touch: an RFP response buffer written payload first,
-header second (``protocols/serverbypass.py``) is two extents, and the
-client's header+payload READ joins them.  A ring slot rewritten with varying
-message sizes (``protocols/directwrite.py``: every message of slot *k* starts
-at ``k * stride``) keeps the tail remainders of longer predecessors behind
-the current message -- a descending staircase of a few extents per slot,
-however many messages pass (each write swallows every extent it covers).
+is empty; a slice lies inside its object, is not all of it, and does not
+continue the slice before it (two such neighbours are one extent).  Extents
+may touch: an RFP response buffer written payload first, header second is
+two extents.  A ring slot rewritten with varying message sizes
+(``protocols/directwrite.py``: every message of slot *k* starts at
+``k * stride``) keeps the tail remainders of longer predecessors behind the
+current message -- a descending staircase of a few extents per slot, however
+many messages pass (each write swallows every extent it covers).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 from repro.verbs.errors import MemoryAccessError
 
-__all__ = ["Memory"]
+__all__ = ["Memory", "Slice"]
 
 _ALIGN = 64  # cache-line alignment for all allocations
+#: A remainder shorter than this is copied: a copy that small is cheaper
+#: than a Slice object and the Python-level ``len`` calls it costs later.
+_SLICE_MIN = 4096
+
+
+class Slice:
+    """Bytes ``[lo, hi)`` of the immutable ``obj``, by reference."""
+
+    __slots__ = ("obj", "lo", "hi")
+
+    def __init__(self, obj: bytes, lo: int, hi: int):
+        self.obj = obj
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __bytes__(self) -> bytes:
+        return self.obj[self.lo:self.hi]
+
+
+Extent = Union[bytes, Slice]
+
+
+def _extent(obj: bytes, lo: int, hi: int) -> Extent:
+    """``obj[lo:hi]`` as an extent: ``obj`` itself when that is all of it."""
+    return obj if lo == 0 and hi == len(obj) else Slice(obj, lo, hi)
+
+
+def _part(ext: Extent, lo: int, hi: int) -> Slice:
+    """Bytes ``[lo, hi)`` of ``ext`` (a strict part of it), by reference."""
+    if type(ext) is Slice:
+        return Slice(ext.obj, ext.lo + lo, ext.lo + hi)
+    return Slice(ext, lo, hi)
+
+
+def _remainder(ext: Extent, lo: int, hi: int) -> Extent:
+    """What a write leaves of ``ext``: bytes ``[lo, hi)`` of it, a slice when
+    that is at least half of its object and ``_SLICE_MIN`` bytes, a copy
+    otherwise."""
+    if type(ext) is Slice:
+        obj, lo, hi = ext.obj, ext.lo + lo, ext.lo + hi
+    else:
+        obj = ext
+    n = hi - lo
+    if n >= _SLICE_MIN and 2 * n >= len(obj):
+        return Slice(obj, lo, hi)
+    return obj[lo:hi]
+
+
+def _coalesce(starts: List[int], bufs: List[Extent]) -> None:
+    """Fuse, in place, each slice with the one before it when it continues
+    it: same object, contiguous in the object and in memory."""
+    k = 1
+    while k < len(bufs):
+        a, b = bufs[k - 1], bufs[k]
+        if (type(a) is Slice and type(b) is Slice and a.obj is b.obj
+                and a.hi == b.lo and starts[k - 1] + len(a) == starts[k]):
+            bufs[k - 1] = _extent(a.obj, a.lo, b.hi)
+            del bufs[k], starts[k]
+        else:
+            k += 1
 
 
 class _Segment:
@@ -66,38 +143,110 @@ class _Segment:
         # nobody wrote to yet shares one empty tuple for both: most
         # registered buffers of an idle connection stay that way.
         self._starts: Sequence[int] = ()
-        self._bufs: Sequence[bytes] = ()
+        self._bufs: Sequence[Extent] = ()
 
     @property
     def resident(self) -> int:
         return sum(map(len, self._bufs))
 
-    def write(self, off: int, payload: bytes) -> None:
-        if type(payload) is not bytes:
-            payload = bytes(payload)            # snapshot a mutable source
-        if not payload:
-            return
+    def write(self, off: int, data) -> None:
+        """Store ``data`` -- ``bytes``, a :class:`Slice`, any other
+        bytes-like (snapshotted), or a list of those -- at ``off``."""
+        slices = False
+        if type(data) is list:
+            new_starts, new_bufs = [], []
+            pos = off
+            for piece in data:
+                if type(piece) is Slice:
+                    slices = True
+                elif type(piece) is not bytes:
+                    piece = bytes(piece)
+                if piece:
+                    new_starts.append(pos)
+                    new_bufs.append(piece)
+                    pos += len(piece)
+            if not new_bufs:
+                return
+            end = pos
+        else:
+            if type(data) is Slice:
+                slices = True
+            elif type(data) is not bytes:
+                data = bytes(data)              # snapshot a mutable source
+            if not data:
+                return
+            new_starts, new_bufs = [off], [data]
+            end = off + len(data)
         starts, bufs = self._starts, self._bufs
         if not starts:
-            self._starts, self._bufs = [off], [payload]
+            if slices:
+                _coalesce(new_starts, new_bufs)
+            self._starts, self._bufs = new_starts, new_bufs
             return
-        end = off + len(payload)
         # Extents i..j-1 are the ones [off, end) intersects.
         i = bisect_right(starts, off) - 1
         if i < 0 or starts[i] + len(bufs[i]) <= off:
             i += 1
         j = bisect_left(starts, end, i)
-        new_starts, new_bufs = [off], [payload]
         if i < j:
             if starts[i] < off:                 # head of the first survives
                 new_starts.insert(0, starts[i])
-                new_bufs.insert(0, bufs[i][:off - starts[i]])
+                new_bufs.insert(0, _remainder(bufs[i], 0, off - starts[i]))
+            last = bufs[j - 1]
             cut = end - starts[j - 1]
-            if cut < len(bufs[j - 1]):          # tail of the last survives
+            if cut < len(last):                 # tail of the last survives
                 new_starts.append(end)
-                new_bufs.append(bufs[j - 1][cut:])
+                new_bufs.append(_remainder(last, cut, len(last)))
+        if slices:
+            # A written slice may continue a remainder, or an untouched
+            # neighbour that touches the run.
+            if i > 0 and starts[i - 1] + len(bufs[i - 1]) == new_starts[0]:
+                i -= 1
+                new_starts.insert(0, starts[i])
+                new_bufs.insert(0, bufs[i])
+            if j < len(starts) and \
+                    starts[j] == new_starts[-1] + len(new_bufs[-1]):
+                new_starts.append(starts[j])
+                new_bufs.append(bufs[j])
+                j += 1
+            _coalesce(new_starts, new_bufs)
         starts[i:j] = new_starts
         bufs[i:j] = new_bufs
+
+    def gather(self, off: int, length: int):
+        """The pieces covering ``[off, off + length)``, by reference: one
+        extent or slice, or a list of extents, slices and zero gaps."""
+        if length <= 0:
+            return b""
+        starts, bufs = self._starts, self._bufs
+        i = bisect_right(starts, off) - 1
+        if i >= 0:
+            buf = bufs[i]
+            at = off - starts[i]
+            if at + length <= len(buf):         # inside one extent
+                if length == len(buf):
+                    return buf                  # all of it: the extent itself
+                return _part(buf, at, at + length)
+        else:
+            i = 0
+        end = off + length
+        pieces: List[Extent] = []
+        pos = off
+        while i < len(starts) and starts[i] < end:
+            start = starts[i]
+            buf = bufs[i]
+            lo = max(pos, start)
+            hi = min(end, start + len(buf))
+            if lo < hi:
+                if pos < lo:
+                    pieces.append(bytes(lo - pos))
+                pieces.append(buf if hi - lo == len(buf)
+                              else _part(buf, lo - start, hi - start))
+                pos = hi
+            i += 1
+        if pos < end:
+            pieces.append(bytes(end - pos))
+        return pieces[0] if len(pieces) == 1 else pieces
 
     def read(self, off: int, length: int) -> bytes:
         starts, bufs = self._starts, self._bufs
@@ -106,27 +255,17 @@ class _Segment:
             buf = bufs[i]
             at = off - starts[i]
             if at + length <= len(buf):         # inside one extent
+                if type(buf) is Slice:
+                    at += buf.lo
+                    return buf.obj[at:at + length]
                 if length == len(buf):
                     return buf                  # all of it: the object itself
                 return buf[at:at + length]
-        else:
-            i = 0
-        # Slices of the extents that intersect [off, end), zeros between.
-        end = off + length
-        parts = []
-        pos = off
-        while i < len(starts) and starts[i] < end:
-            lo = max(pos, starts[i])
-            hi = min(end, starts[i] + len(bufs[i]))
-            if lo < hi:
-                if pos < lo:
-                    parts.append(bytes(lo - pos))
-                parts.append(bufs[i][lo - starts[i]:hi - starts[i]])
-                pos = hi
-            i += 1
-        if pos < end:
-            parts.append(bytes(end - pos))
-        return b"".join(parts)
+        got = self.gather(off, length)
+        if type(got) is bytes:
+            return got
+        return b"".join([p if type(p) is bytes
+                         else memoryview(p.obj)[p.lo:p.hi] for p in got])
 
 
 class Memory:
@@ -174,9 +313,18 @@ class Memory:
         raise MemoryAccessError(
             f"access [{addr:#x}, {addr + length:#x}) outside any allocation")
 
-    def write(self, addr: int, data: bytes) -> None:
-        seg = self._segment(addr, len(data))
+    def write(self, addr: int, data) -> None:
+        """Store ``data`` at ``addr``: a bytes-like, or what :meth:`gather`
+        returned (scattered without a copy)."""
+        n = sum(map(len, data)) if type(data) is list else len(data)
+        seg = self._segment(addr, n)
         seg.write(addr - seg.base, data)
+
+    def gather(self, addr: int, length: int):
+        """The bytes at ``[addr, addr + length)`` as pieces for
+        :meth:`write` -- by reference, never joined."""
+        seg = self._segment(addr, length)
+        return seg.gather(addr - seg.base, length)
 
     def read(self, addr: int, length: int) -> bytes:
         seg = self._segment(addr, length)

@@ -17,6 +17,12 @@ Timing model per work request (all constants from
 * send-side completions are delivered after the ACK propagation, receive-side
   completions when the last byte has landed.
 
+Payload bytes move by reference: a WRITE, WRITE_WITH_IMM or SEND *gathers*
+its local SGE (:meth:`~repro.verbs.memory.Memory.gather`) and *scatters* the
+pieces at the remote address or into the claimed receive WQE; a READ gathers
+at the responder and scatters into the local SGE.  The NIC never joins, so
+the receiver's memory holds the sender's objects.
+
 Error semantics follow RC: remote access faults and exhausted RNR retries
 complete the offending WR with an error status and move both QPs to ERROR,
 flushing pending receive WQEs.
@@ -212,7 +218,7 @@ class QP:
             if wr.opcode is Opcode.RDMA_READ:
                 phase = self._nic_read(wr)
             else:
-                payload = self.device.mem.read(wr.sge.addr, wr.sge.length)
+                payload = self.device.mem.gather(wr.sge.addr, wr.sge.length)
                 yield from self.device.port.tx.use(
                     self.device.cost.wqe_nic
                     + self.device.port.wire_time(wr.sge.length))
@@ -240,7 +246,7 @@ class QP:
                                      WCStatus.SUCCESS, byte_len=wr.sge.length,
                                      qp_num=self.qp_num))
 
-    def _remote_phase(self, wr: SendWR, payload: bytes):
+    def _remote_phase(self, wr: SendWR, payload):
         dev = self.device
         cost = dev.cost
         peer = self.peer
@@ -329,7 +335,7 @@ class QP:
         except MemoryAccessError:
             yield sim.timeout(wire_latency)  # NAK comes back
             return WCStatus.REM_ACCESS_ERR
-        payload = rdev.mem.read(wr.remote_addr, n)
+        payload = rdev.mem.gather(wr.remote_addr, n)
         yield from rdev.port.tx.use(rdev.port.wire_time(n))
         rdev.port.bytes_sent += n
         rdev.port.messages_sent += 1

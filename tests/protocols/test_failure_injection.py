@@ -8,12 +8,15 @@ hang or silent corruption, and never damages other connections.
 import pytest
 
 from repro.protocols import (SRQ_SERVERS, ProtoConfig, ProtocolError,
-                             get_protocol, protocol_names)
-from repro.protocols.base import HDR_BYTES, pack_ctrl
+                             directwrite, get_protocol, protocol_names,
+                             serverbypass, twosided)
+from repro.protocols.base import (HDR_BYTES, K_EAGER, K_NOTIFY, K_RTS,
+                                  pack_ctrl)
+from repro.protocols.serverbypass import BypassServerEnd, HerdServerEnd
 from repro.sim.units import KiB, us
 from repro.testbed import Testbed
 from repro.verbs import Opcode, QPState, SendWR, Sge, WCStatus
-from repro.verbs.errors import CQOverflowError
+from repro.verbs.errors import CQOverflowError, QPStateError, WCError
 
 from tests.protocols.conftest import make_pair
 
@@ -178,6 +181,123 @@ OVERSIZE_CELLS = (
     [(p, False, 1) for p in ALL]
     + [(p, False, 4) for p in ALL if get_protocol(p)[0].supports_pipelining]
     + [(p, True, w) for p in SRQ_SERVERS for w in (1, 4)])
+
+
+@pytest.mark.parametrize("proto,srq,window", OVERSIZE_CELLS)
+def test_forged_request_length_closes_only_its_connection(monkeypatch, proto,
+                                                          srq, window):
+    """A request whose control header claims ``max_msg + 512`` bytes --
+    more than any slot or buffer holds -- is refused before the length is
+    used: that connection is torn down (counted in ``teardowns``), its
+    client sees a channel error, and a fresh connection is served.  Before,
+    the server read past its buffer: ``MemoryAccessError`` ended the run
+    (rfp, farm, direct-write at window 1), or a pipelined slot's neighbour
+    was handed to the handler as the request."""
+    cfg = ProtoConfig(max_msg=4 * KiB, window=window)
+    forging = []
+
+    def forged(kind, seq, length, addr=0, rkey=0):
+        if forging and kind in (K_EAGER, K_NOTIFY, K_RTS):
+            length = cfg.max_msg + 512
+        return pack_ctrl(kind, seq, length, addr, rkey)
+
+    for module in (directwrite, serverbypass, twosided):
+        monkeypatch.setattr(module, "pack_ctrl", forged)
+    tb = Testbed(n_nodes=3)
+    server, connect = make_pair(tb, proto, cfg, srq=srq)
+
+    def bad_client():
+        c = yield from connect()
+        assert (yield from c.call(b"warm")) == b"warm"
+        forging.append(True)
+        try:
+            yield from c.call(b"forged")
+        except (WCError, QPStateError) as exc:
+            return type(exc)
+        finally:
+            forging.clear()
+
+    def fresh_client():
+        cls, _ = get_protocol(proto)
+        c = cls(tb.node(2).nic, cfg)
+        yield from c.connect(tb.node(1), 100)
+        return (yield from c.call(b"fresh"))
+
+    assert tb.sim.run(tb.sim.process(bad_client())) in (WCError, QPStateError)
+    assert tb.sim.run(tb.sim.process(fresh_client())) == b"fresh"
+    tb.sim.run()
+    assert server.teardowns == 1
+    assert server.requests == 2         # the warm-up and the fresh call
+
+
+@pytest.mark.parametrize("proto", ["pilaf", "farm", "rfp"])
+def test_forged_reply_length_is_refused_by_the_client(monkeypatch, proto):
+    """The bypass client takes the reply length from the header the server
+    published; one that does not fit ``max_msg`` raises ``ProtocolError``
+    (a channel error) instead of READing past the fetch buffer."""
+    cfg = ProtoConfig(max_msg=4 * KiB)
+    publish = BypassServerEnd.send_msg
+
+    def lying(self, resp):
+        yield from publish(self, resp)
+        self.respbuf.write(pack_ctrl(K_NOTIFY, self._last_seq,
+                                     cfg.max_msg + 512))
+
+    monkeypatch.setattr(BypassServerEnd, "send_msg", lying)
+    tb = Testbed(n_nodes=3)
+    server, connect = make_pair(tb, proto, cfg)
+
+    def client():
+        c = yield from connect()
+        with pytest.raises(ProtocolError, match="4608"):
+            yield from c.call(b"x" * 100)
+        return True
+
+    assert tb.sim.run(tb.sim.process(client()))
+
+
+@pytest.mark.parametrize("forge,claim", [
+    ("total", "4608 bytes where 4096 fit"),     # total over max_msg
+    ("offset", "4196 bytes where 100 fit"),     # chunk past the total
+], ids=["total", "offset"])
+def test_forged_herd_reply_chunk_is_refused_by_the_client(monkeypatch, forge,
+                                                          claim):
+    """HERD SENDs the reply back in chunks whose header carries the reply's
+    total length and the chunk's offset in it.  A total that does not fit
+    ``max_msg``, or a chunk that does not fit inside the total, raises
+    ``ProtocolError`` at the client instead of being assembled."""
+    cfg = ProtoConfig(max_msg=4 * KiB)
+    forging = []
+
+    def forged(kind, seq, length, addr=0, rkey=0):
+        if forging:
+            if forge == "total":
+                length = cfg.max_msg + 512
+            else:
+                addr = cfg.max_msg
+        return pack_ctrl(kind, seq, length, addr, rkey)
+
+    publish = HerdServerEnd.send_msg
+
+    def lying(self, resp):
+        forging.append(True)
+        try:
+            yield from publish(self, resp)
+        finally:
+            forging.clear()
+
+    monkeypatch.setattr(serverbypass, "pack_ctrl", forged)
+    monkeypatch.setattr(HerdServerEnd, "send_msg", lying)
+    tb = Testbed(n_nodes=3)
+    server, connect = make_pair(tb, "herd", cfg)
+
+    def client():
+        c = yield from connect()
+        with pytest.raises(ProtocolError, match=claim):
+            yield from c.call(b"x" * 100)
+        return True
+
+    assert tb.sim.run(tb.sim.process(client()))
 
 
 def test_oversize_response_detected():

@@ -1,59 +1,97 @@
 """The sparse (extent-backed) segment store of ``verbs/memory.py``.
 
 A flat ``bytearray`` is the reference: whatever sequence of overlapping,
-adjacent and gap-spanning writes is applied, every read must return the
-reference's bytes, and the extent invariants of the module docstring must
-hold after every write.  The regression tests pin what the sparse backing is
-for: resident bytes follow the bytes written, not the highest offset.
+adjacent and gap-spanning writes is applied -- host writes, and the pieces a
+gather on one segment hands to a write on another (or the same) one -- every
+read must return the reference's bytes, and the extent invariants of the
+module docstring must hold after every write.  The regression tests pin what
+the sparse backing is for: resident bytes follow the bytes written, not the
+highest offset; and what slice extents are for: the NIC moves objects, not
+copies of them.
 """
+
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.verbs import Memory, MemoryAccessError
-from repro.verbs.memory import _Segment
+from repro.verbs import Memory, MemoryAccessError, memory
+from repro.verbs.memory import Slice, _Segment
 
 SEG = 512
 
 
 def check_extents(seg):
-    """Sorted, non-empty, non-overlapping (they may touch)."""
+    """Sorted, non-empty, non-overlapping (they may touch); a slice lies
+    inside its object, is not all of it, and does not continue the slice
+    before it."""
     assert len(seg._starts) == len(seg._bufs)
-    prev_end = 0
+    prev_end, prev = 0, None
     for start, buf in zip(seg._starts, seg._bufs):
-        assert type(buf) is bytes and len(buf) > 0
+        assert type(buf) in (bytes, Slice) and len(buf) > 0
+        if type(buf) is Slice:
+            assert type(buf.obj) is bytes
+            assert 0 <= buf.lo < buf.hi <= len(buf.obj)
+            assert (buf.lo, buf.hi) != (0, len(buf.obj)), "whole-object slice"
+            assert not (type(prev) is Slice and prev.obj is buf.obj
+                        and prev.hi == buf.lo and prev_end == start), \
+                "coalescible neighbours"
         assert start >= prev_end, (seg._starts, [len(b) for b in seg._bufs])
-        prev_end = start + len(buf)
+        prev_end, prev = start + len(buf), buf
     assert prev_end <= seg.size
 
 
-write_op = st.tuples(st.just("w"), st.integers(0, SEG - 1),
+write_op = st.tuples(st.just("w"), st.integers(0, 1), st.integers(0, SEG - 1),
                      st.binary(min_size=0, max_size=96))
-read_op = st.tuples(st.just("r"), st.integers(0, SEG - 1),
+read_op = st.tuples(st.just("r"), st.integers(0, 1), st.integers(0, SEG - 1),
                     st.integers(0, SEG))
+#: gather (segment, offset) and write the pieces at (segment, offset, length)
+move_op = st.tuples(st.just("m"), st.integers(0, 1), st.integers(0, SEG - 1),
+                    st.tuples(st.integers(0, 1), st.integers(0, SEG - 1),
+                              st.integers(0, SEG)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(write_op, read_op), min_size=1, max_size=40))
-def test_segment_matches_flat_reference(ops):
-    seg = _Segment(0, SEG)
-    flat = bytearray(SEG)
-    written = bytearray(SEG)       # 1 where a byte was ever written
-    for kind, off, arg in ops:
-        if kind == "w":
-            payload = arg[:SEG - off]
-            seg.write(off, payload)
-            flat[off:off + len(payload)] = payload
-            written[off:off + len(payload)] = b"\x01" * len(payload)
-            check_extents(seg)
-            # resident bytes are exactly the bytes ever written
-            assert seg.resident == sum(written)
-        else:
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(write_op, read_op, move_op), min_size=1,
+                max_size=40),
+       st.sampled_from([1, 24, memory._SLICE_MIN]))
+def test_segment_matches_flat_reference(ops, slice_min):
+    """``slice_min`` scales the remainder rule down to this segment, so
+    that remainders are kept as slices as well as copied."""
+    with mock.patch.object(memory, "_SLICE_MIN", slice_min):
+        _apply_against_flat_reference(ops)
+
+
+def _apply_against_flat_reference(ops):
+    segs = [_Segment(0, SEG), _Segment(0, SEG)]
+    flats = [bytearray(SEG), bytearray(SEG)]
+    written = [bytearray(SEG), bytearray(SEG)]  # 1 where a byte was written
+    for kind, which, off, arg in ops:
+        if kind == "r":
             length = min(arg, SEG - off)
-            got = seg.read(off, length)
+            got = segs[which].read(off, length)
             assert type(got) is bytes
-            assert got == bytes(flat[off:off + length])
-    assert seg.read(0, SEG) == bytes(flat)
+            assert got == bytes(flats[which][off:off + length])
+            continue
+        if kind == "w":
+            dst, at, data = which, off, arg[:SEG - off]
+            payload = data
+        else:                       # which/off: the source; may be dst too
+            dst, at, length = arg
+            length = min(length, SEG - off, SEG - at)
+            data = segs[which].gather(off, length)
+            payload = bytes(flats[which][off:off + length])
+            pieces = data if type(data) is list else [data]
+            assert b"".join(map(bytes, pieces)) == payload
+        segs[dst].write(at, data)
+        flats[dst][at:at + len(payload)] = payload
+        written[dst][at:at + len(payload)] = b"\x01" * len(payload)
+        check_extents(segs[dst])
+        # resident bytes are exactly the bytes ever written
+        assert segs[dst].resident == sum(written[dst])
+    for seg, flat in zip(segs, flats):
+        assert seg.read(0, SEG) == bytes(flat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,8 +174,37 @@ def test_send_between_two_devices_delivers_the_same_object(pair):
     assert dst.read(len(payload)) is payload
 
 
+def test_write_and_read_move_every_extent_of_the_sge(pair):
+    """A WRITE whose SGE holds two extents lands both objects at the
+    responder, and a READ of one of them brings that object back: the NIC
+    gathers and scatters, it never joins."""
+    from repro.verbs import Opcode, SendWR, Sge
+    from repro.verbs.cq import PollMode
+
+    hdr, payload = b"h" * 32, bytes(range(251)) * 521
+    src = pair.cpd.reg_mr(1 << 20)
+    back = pair.cpd.reg_mr(1 << 20)
+    dst = pair.spd.reg_mr(1 << 20)
+
+    def flow():
+        src.write(hdr)
+        src.write(payload, offset=32)
+        yield from pair.cqp.post_send(SendWR(
+            Opcode.RDMA_WRITE, Sge(src.addr, 32 + len(payload), src.lkey),
+            remote_addr=dst.addr, rkey=dst.rkey))
+        yield from pair.c_scq.wait(PollMode.BUSY)
+        yield from pair.cqp.post_send(SendWR(
+            Opcode.RDMA_READ, Sge(back.addr + 64, len(payload), back.lkey),
+            remote_addr=dst.addr + 32, rkey=dst.rkey))
+        yield from pair.c_scq.wait(PollMode.BUSY)
+
+    pair.tb.sim.run(pair.tb.sim.process(flow()))
+    assert dst.read(32) is hdr
+    assert dst.read(len(payload), offset=32) is payload
+    assert back.read(len(payload), offset=64) is payload
+
+
 def test_trimmed_remainder_does_not_keep_its_parent_alive():
-    import sys
     seg = _Segment(0, 2 << 20)
     big = bytes(1 << 20)
     baseline = sys.getrefcount(big)
@@ -147,6 +214,63 @@ def test_trimmed_remainder_does_not_keep_its_parent_alive():
     assert sys.getrefcount(big) == baseline
     assert seg.read((1 << 20) - 2, 3) == b"x\0\0"
     assert seg.resident == 1 << 20
+
+
+def test_trimmed_slice_remainder_does_not_keep_its_object_alive():
+    """A slice extent (moved in by a gather) trimmed to less than half of
+    its object is copied out, and the object is released."""
+    src, dst = _Segment(0, 2 << 20), _Segment(0, 2 << 20)
+    big = bytes(range(256)) * 4096                  # 1 MiB
+    baseline = sys.getrefcount(big)
+    src.write(0, big)
+    dst.write(64, src.gather(0, 600_000))           # a slice of big
+    src.write(0, b"y" * (1 << 20))
+    assert type(dst._bufs[0]) is Slice and dst._bufs[0].obj is big
+    assert sys.getrefcount(big) == baseline + 1
+    dst.write(64, b"x" * 599_990)                   # leaves 10 of its bytes
+    assert sys.getrefcount(big) == baseline
+    assert dst.read(64 + 599_990, 10) == big[599_990:600_000]
+    check_extents(dst)
+
+
+def test_gather_hands_out_the_extent_a_slice_or_pieces():
+    seg = _Segment(0, 4096)
+    hdr, body = b"h" * 32, bytes(range(256)) * 8
+    seg.write(32, body)
+    seg.write(0, hdr)
+    assert seg.gather(32, len(body)) is body        # one whole extent
+    part = seg.gather(40, 100)                      # inside one extent
+    assert type(part) is Slice and part.obj is body
+    assert (part.lo, part.hi) == (8, 108)
+    pieces = seg.gather(0, 32 + len(body) + 10)     # across, past the end
+    assert pieces[0] is hdr and pieces[1] is body
+    assert pieces[2] == bytes(10)
+    assert seg.gather(100, 0) == b""
+
+
+def test_two_reads_of_one_reply_land_the_reply_object():
+    """RFP's fetch: a speculative READ of the header + the reply's first
+    4 KiB, then a READ of the tail.  The two slices coalesce back into the
+    server's reply object; the previous reply, which the speculative READ
+    trimmed, is neither copied nor kept alive."""
+    respbuf, fetch = _Segment(0, 1 << 18), _Segment(0, 1 << 18)
+    replies = [bytes([k]) * (130_000 - 2_000 * k) for k in range(3)]
+    for k, reply in enumerate(replies):
+        respbuf.write(32, reply)
+        respbuf.write(0, bytes([k]) * 32)
+        fetch.write(0, respbuf.gather(0, 32 + 4096))
+        check_extents(fetch)
+        if k:                   # the previous reply's tail: trimmed, by ref
+            assert fetch._starts[2] == 32 + 4096
+            assert fetch._bufs[2].obj is replies[k - 1]
+        fetch.write(32 + 4096, respbuf.gather(32 + 4096, len(reply) - 4096))
+        check_extents(fetch)
+        assert fetch.read(32, len(reply)) is reply
+        if k:
+            previous = replies[k - 1]
+            # held by ``replies`` and ``previous`` (+1, the call's argument)
+            assert sys.getrefcount(previous) == 3
+            del previous
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -218,8 +342,8 @@ def test_ring_slot_pattern_grows_in_place():
 
 def test_payload_then_header_becomes_one_extent():
     """The RFP response buffer is written payload first, header second: two
-    touching extents (each held by reference); the fetch that reads both at
-    once joins them in one copy."""
+    touching extents (each held by reference); a host read of both at once
+    joins them in one copy."""
     seg = _Segment(0, 4096)
     seg.write(32, b"p" * 1000)
     seg.write(0, b"h" * 32)
