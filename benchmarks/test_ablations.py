@@ -5,9 +5,7 @@ Each isolates one mechanism the HatRPC design leans on:
 * polling discipline crossover (busy vs event as concurrency grows);
 * chained-WR doorbell saving (Direct-Write-Send vs Chained vs WriteIMM);
 * the Hybrid-EagerRNDV 4 KB threshold (eager/rendezvous switch point);
-* hint-machinery overhead (HatRPC vs the same protocol pinned);
-* serialization protocol choice (binary vs compact vs JSON sizes + RPC
-  latency impact).
+* hint-machinery overhead (HatRPC vs the same protocol pinned).
 """
 
 import pytest
@@ -126,41 +124,3 @@ def test_abl_hint_overhead(benchmark):
               ["overhead", f"{overhead * 100:+9.2f}%"]])
     benchmark.extra_info["overhead_pct"] = round(overhead * 100, 3)
     assert abs(overhead) < 0.05  # paper: hint overhead is minimized
-
-
-def test_abl_serialization_protocols(benchmark):
-    """Thrift protocol layer choice: wire sizes for a realistic struct."""
-    from repro.thrift import (TBinaryProtocol, TCompactProtocol,
-                              TJSONProtocol, TMemoryBuffer, TType)
-
-    def encode(proto_cls):
-        buf = TMemoryBuffer()
-        prot = proto_cls(buf)
-        prot.write_struct_begin("Row")
-        for fid in range(1, 11):
-            prot.write_field_begin("f", TType.I64, fid)
-            prot.write_i64(fid * 1000)
-            prot.write_field_end()
-        prot.write_field_begin("name", TType.STRING, 11)
-        prot.write_string("customer#000000042")
-        prot.write_field_end()
-        prot.write_field_begin("scores", TType.LIST, 12)
-        prot.write_list_begin(TType.DOUBLE, 8)
-        for i in range(8):
-            prot.write_double(i * 1.5)
-        prot.write_list_end()
-        prot.write_field_end()
-        prot.write_field_stop()
-        prot.write_struct_end()
-        return len(buf.getvalue())
-
-    def run():
-        return {cls.__name__: encode(cls) for cls in
-                (TBinaryProtocol, TCompactProtocol, TJSONProtocol)}
-
-    sizes = benchmark.pedantic(run, rounds=1, iterations=1)
-    fmt_rows("Ablation: serialization protocol wire size",
-             ["protocol", "bytes"],
-             [[name, str(n)] for name, n in sizes.items()])
-    assert sizes["TCompactProtocol"] < sizes["TBinaryProtocol"] \
-        < sizes["TJSONProtocol"]

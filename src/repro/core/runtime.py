@@ -15,7 +15,7 @@ map, so no protocol negotiation happens on the wire.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro import frame
 from repro.core.engine import HatRpcEngine, ServicePlan, build_service_plan
@@ -184,7 +184,6 @@ class HatRpcServer:
 
     def __init__(self, node, gen_module, service_name: str, handler,
                  base_service_id: int = DEFAULT_BASE_SERVICE_ID,
-                 protocol_factory: Callable = TBinaryProtocol,
                  concurrency: Optional[int] = None,
                  plan: Optional[ServicePlan] = None,
                  pipeline: bool = False,
@@ -197,7 +196,6 @@ class HatRpcServer:
         self.service_name = service_name
         self.handler = handler
         self.base_service_id = base_service_id
-        self.protocol_factory = protocol_factory
         self.plan = plan or service_plan_of(gen_module, service_name,
                                             concurrency, pipeline=pipeline,
                                             tunable=tunable)
@@ -232,7 +230,6 @@ class HatRpcServer:
             if ch.transport == "tcp":
                 server = TThreadedServer(
                     self.processor, TServerSocket(self.node, sid),
-                    protocol_factory=self.protocol_factory,
                     admission=self.gate, priorities=self._priorities)
                 server.serve()
             else:
@@ -296,8 +293,7 @@ class HatRpcServer:
         # The processor has no simulator handle of its own.  Always
         # assigned, so a previous request's context never leaks onto this.
         trans.trace_ctx = ctx
-        prot = self.protocol_factory(trans)
-        replied = yield from self.processor.process(prot, prot)
+        replied = yield from self.processor.process(TBinaryProtocol(trans))
         return trans.getvalue() if replied else b""
 
 
@@ -306,7 +302,6 @@ class HatRpcClient:
 
     def __init__(self, node, gen_module, service_name: str,
                  base_service_id: int = DEFAULT_BASE_SERVICE_ID,
-                 protocol_factory: Callable = TBinaryProtocol,
                  concurrency: Optional[int] = None,
                  plan: Optional[ServicePlan] = None,
                  deadline: Optional[float] = None,
@@ -316,7 +311,6 @@ class HatRpcClient:
         self.node = node
         self.gen = gen_module
         self.service_name = service_name
-        self.protocol_factory = protocol_factory
         self.plan = plan or service_plan_of(gen_module, service_name,
                                             concurrency, pipeline=pipeline,
                                             tunable=tunable or
@@ -330,8 +324,7 @@ class HatRpcClient:
         if tuner is not None:
             self.engine.attach_tuner(tuner)
         self.trans = TRdma(self.engine)
-        self.protocol = HintedProtocol(protocol_factory(self.trans),
-                                       self.trans)
+        self.protocol = HintedProtocol(self.trans)
         self._stub_cls = getattr(gen_module, f"{service_name}Client")
         self.stub = self._stub_cls(self.protocol)
         self._async_caller: Optional["AsyncCaller"] = None
@@ -439,8 +432,7 @@ class AsyncCaller:
         returns a :class:`StubCallHandle`.  ``channel`` overrides the
         planned channel for this one call (hot-read steering)."""
         trdma = _AsyncTRdma(self.engine)
-        proto = HintedProtocol(self.client.protocol_factory(trdma), trdma)
-        stub = self.client._stub_cls(proto)
+        stub = self.client._stub_cls(HintedProtocol(trdma))
         # One numbering across every stub, sync AND async: the throwaway
         # capture stub continues the connection stub's counter and writes
         # it back, so no later call (on either path) can collide with an
@@ -504,7 +496,6 @@ class AsyncCaller:
 
 def hatrpc_connect(node, remote_node, gen_module, service_name: str,
                    base_service_id: int = DEFAULT_BASE_SERVICE_ID,
-                   protocol_factory: Callable = TBinaryProtocol,
                    concurrency: Optional[int] = None,
                    plan: Optional[ServicePlan] = None,
                    deadline: Optional[float] = None,
@@ -527,7 +518,7 @@ def hatrpc_connect(node, remote_node, gen_module, service_name: str,
     implies ``tunable``.
     """
     client = HatRpcClient(node, gen_module, service_name, base_service_id,
-                          protocol_factory, concurrency, plan,
+                          concurrency, plan,
                           deadline=deadline, retry_policy=retry_policy,
                           idempotent=idempotent, rng=rng, pipeline=pipeline,
                           trace_attrs=trace_attrs, retry_budget=retry_budget,

@@ -8,10 +8,10 @@ TSocket" so the generated code works unchanged over either transport
   ``flush()`` routes the buffered message through the hint-aware engine and
   whose ``read()`` serves the response -- so the IDL-generated ``TClient``
   stubs drive it exactly like a framed socket;
-* :class:`HintedProtocol` decorates any serialization protocol and captures
-  the method name at ``write_message_begin`` -- the paper's dynamic-hint
-  path ("caching the RPC function type at a high level and only pass hints
-  when a new RPC function is invoked").
+* :class:`HintedProtocol` is the ``TBinaryProtocol`` a client stub writes
+  through: it hands its TRdma the method name at ``write_message_begin`` --
+  the paper's dynamic-hint path ("caching the RPC function type at a high
+  level and only pass hints when a new RPC function is invoked").
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.engine import HatRpcEngine
-from repro.thrift.protocol.base import TProtocolDecorator
+from repro.thrift.protocol.binary import TBinaryProtocol
 from repro.thrift.transport import TTransport
 from repro.thrift.ttypes import TMessageType
 
@@ -64,8 +64,8 @@ class TRdma(TTransport):
     def flush(self):
         if self._current_fn is None:
             raise RuntimeError(
-                "TRdma.flush without a method context; wrap the protocol "
-                "in HintedProtocol")
+                "TRdma.flush without a method context; write the message "
+                "through HintedProtocol")
         resp = yield from self.engine.call(self._current_fn, self._take(),
                                            oneway=self._current_oneway,
                                            seqid=self._current_seqid,
@@ -107,8 +107,8 @@ class _AsyncTRdma(TRdma):
     def flush(self):
         if self._current_fn is None:
             raise RuntimeError(
-                "TRdma.flush without a method context; wrap the protocol "
-                "in HintedProtocol")
+                "TRdma.flush without a method context; write the message "
+                "through HintedProtocol")
         self.captured = (self._current_fn, self._take(),
                          self._current_oneway, self._current_seqid)
         return
@@ -122,15 +122,15 @@ class _AsyncTRdma(TRdma):
         self._land(resp or b"")
 
 
-class HintedProtocol(TProtocolDecorator):
-    """Serialization-protocol decorator feeding method names to TRdma."""
+class HintedProtocol(TBinaryProtocol):
+    """The binary protocol over a TRdma, feeding it each call's method name.
 
-    def __init__(self, protocol, trdma: TRdma):
-        TProtocolDecorator.__init__(self, protocol)
-        self._trdma = trdma
+    Being a ``TBinaryProtocol`` is what sends generated structs down their
+    compiled binary codec.
+    """
 
     def write_message_begin(self, name: str, mtype: int, seqid: int):
-        self._trdma.set_current_function(name, mtype, seqid)
+        self.trans.set_current_function(name, mtype, seqid)
         super().write_message_begin(name, mtype, seqid)
 
 

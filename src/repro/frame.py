@@ -18,9 +18,9 @@ flag   field            bytes  encoding
 0x08   ``retry_after``  8      f64 seconds: the message is a rejection
 =====  ===============  =====  ==========================================
 
-The first magic byte cannot start a Thrift message (strict binary starts
-``0x80``, compact ``0x82``, JSON ``[``, non-strict binary with the high
-byte of its name length, below ``0x80``), so :func:`split` decides from
+The first magic byte cannot start a Thrift binary message (strict binary
+starts ``0x80``, non-strict binary with the high byte of its name length,
+below ``0x80``), so :func:`split` decides from
 the bytes alone, and anything that is not a complete header of a known
 version with known flags passes through untouched.  Stdlib-only, so
 ``obs``, ``thrift``, ``protocols`` and ``core`` can all import it.

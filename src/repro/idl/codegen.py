@@ -18,12 +18,15 @@ HatRPC channel -- through a codec compiled for its field list:
 list (field headers are constants, a run of fixed-width fields is one
 ``struct.Struct`` pack, a ``binary`` value is its packed length plus the
 value itself, by reference) and ``_read_<S>(s, buf, pos)`` walks the landed
-message with ``unpack_from``.  On any other protocol through the generic
-field visitor, one protocol call per value (TCompact and TJSON have no
-other path).  The compiled decoder handles fields in declaration order; at
-the first field it does not expect, and at anything malformed, it hands
-over to the visitor at that field, so unknown fields are skipped and
-malformed input fails exactly as the visitor has it.
+message with ``unpack_from``.  And through the generic field visitor, one
+protocol call per value, which serves two ends: it is the compiled
+decoder's fallback, and it is the reference the compiled codec is held to
+(``tests/idl/test_codec_parity.py`` drives it through a protocol that is
+not a ``TBinaryProtocol``, which takes it both ways).  The compiled decoder
+handles fields in declaration order; at the first field it does not
+expect, and at anything malformed, it hands over to the visitor at that
+field, so unknown fields are skipped and malformed input fails exactly as
+the visitor has it.
 
 ``compile_idl`` returns the module source; ``load_idl`` execs it into a
 fresh module object so tests and applications can use generated code without
@@ -631,10 +634,10 @@ def _emit_processor(service: ServiceNode, out: _Emitter,
                  f"self._process_{fn.name}")
     out.emit()
     for fn in service.functions:
-        out.emit(f"    def _process_{fn.name}(self, seqid, iprot, oprot):")
+        out.emit(f"    def _process_{fn.name}(self, seqid, prot):")
         out.emit(f"        _args = {fn.name}_args()")
-        out.emit("        _args.read(iprot)")
-        out.emit("        iprot.read_message_end()")
+        out.emit("        _args.read(prot)")
+        out.emit("        prot.read_message_end()")
         argpass = "".join(f", _args.{f.name}" for f in fn.args)
         if fn.oneway:
             out.emit("        try:")
@@ -659,15 +662,15 @@ def _emit_processor(service: ServiceNode, out: _Emitter,
         out.emit("        except Exception as _e:")
         out.emit("            _exc = TApplicationException("
                  "TApplicationException.INTERNAL_ERROR, str(_e))")
-        out.emit(f"            oprot.write_message_begin({fn.name!r}, "
+        out.emit(f"            prot.write_message_begin({fn.name!r}, "
                  f"TMessageType.EXCEPTION, seqid)")
-        out.emit("            _exc.write(oprot)")
-        out.emit("            oprot.write_message_end()")
+        out.emit("            _exc.write(prot)")
+        out.emit("            prot.write_message_end()")
         out.emit("            return True")
-        out.emit(f"        oprot.write_message_begin({fn.name!r}, "
+        out.emit(f"        prot.write_message_begin({fn.name!r}, "
                  f"TMessageType.REPLY, seqid)")
-        out.emit("        _result.write(oprot)")
-        out.emit("        oprot.write_message_end()")
+        out.emit("        _result.write(prot)")
+        out.emit("        prot.write_message_end()")
         out.emit("        return True")
         out.emit()
     out.emit()

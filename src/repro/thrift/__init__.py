@@ -1,13 +1,14 @@
-"""A from-scratch Apache Thrift-compatible RPC stack.
+"""A from-scratch Apache Thrift-compatible RPC stack, cut to the one path
+HatRPC's traffic uses.
 
 This substitutes for the C++ Apache Thrift library the paper extends.  It
 mirrors Thrift's layering (Figure 2 of the paper):
 
-* **protocol** -- TBinary / TCompact / TJSON serialization of the Thrift
-  type system;
-* **transport** -- TMemoryBuffer, TFramedTransport, TBufferedTransport, and
-  TSocket over the simulated kernel-TCP (IPoIB) stack;
-* **server** -- TSimpleServer, TThreadedServer, TThreadPoolServer;
+* **protocol** -- TBinaryProtocol, the strict binary serialization of the
+  Thrift type system;
+* **transport** -- TMemoryBuffer, TFramedTransport, and TSocket over the
+  simulated kernel-TCP (IPoIB) stack;
+* **server** -- TThreadedServer, one process per connection;
 * **processor** -- dispatch glue used by IDL-generated code.
 
 Blocking calls follow the repository-wide coroutine convention: anything
@@ -25,48 +26,27 @@ from repro.thrift.errors import (
     TTransportException,
 )
 from repro.thrift.transport import (
-    TBufferedTransport,
     TFramedTransport,
     TMemoryBuffer,
     TServerSocket,
     TSocket,
     TTransport,
 )
-from repro.thrift.protocol import (
-    TBinaryProtocol,
-    TCompactProtocol,
-    TJSONProtocol,
-    TProtocol,
-    TProtocolDecorator,
-)
-from repro.thrift.processor import TClient, TMultiplexedProcessor, TProcessor
-from repro.thrift.server import (
-    TServer,
-    TSimpleServer,
-    TThreadPoolServer,
-    TThreadedServer,
-)
+from repro.thrift.protocol import TBinaryProtocol
+from repro.thrift.processor import TClient, TProcessor
+from repro.thrift.server import TThreadedServer
 
 __all__ = [
     "TApplicationException",
     "TBinaryProtocol",
-    "TBufferedTransport",
     "TClient",
-    "TCompactProtocol",
     "TFramedTransport",
-    "TJSONProtocol",
     "TMemoryBuffer",
     "TMessageType",
-    "TMultiplexedProcessor",
     "TProcessor",
-    "TProtocol",
-    "TProtocolDecorator",
     "TProtocolException",
-    "TServer",
     "TServerSocket",
-    "TSimpleServer",
     "TSocket",
-    "TThreadPoolServer",
     "TThreadedServer",
     "TTransport",
     "TTransportException",

@@ -6,19 +6,20 @@ import inspect
 from typing import Callable, Dict
 
 from repro.thrift.errors import TApplicationException
-from repro.thrift.protocol.base import TProtocol, TProtocolDecorator
+from repro.thrift.protocol.binary import TBinaryProtocol
 from repro.thrift.ttypes import TMessageType, TType
 
-__all__ = ["TClient", "TMultiplexedProcessor", "TMultiplexedProtocol",
-           "TProcessor"]
+__all__ = ["TClient", "TProcessor"]
 
 
 class TProcessor:
     """One service's dispatch table.
 
     Generated subclasses populate ``self._process_map`` with per-method
-    coroutines ``fn(seqid, iprot, oprot) -> bool`` returning whether a reply
-    was written (oneway methods return False).
+    coroutines ``fn(seqid, prot) -> bool`` returning whether a reply was
+    written (oneway methods return False).  One protocol serves both ways,
+    as on a Thrift server's connection: the request is read off it, the
+    reply written onto it.
     """
 
     def __init__(self, handler):
@@ -34,24 +35,24 @@ class TProcessor:
         # function (see _invoke).
         self._is_gen: Dict[Callable, bool] = {}
 
-    def process(self, iprot: TProtocol, oprot: TProtocol):
+    def process(self, prot: TBinaryProtocol):
         """Coroutine: handle one buffered inbound message.
 
         Returns True when a reply message was written (and must be flushed).
         """
-        self._trace_ctx = getattr(iprot.trans, "trace_ctx", None)
-        name, mtype, seqid = iprot.read_message_begin()
+        self._trace_ctx = getattr(prot.trans, "trace_ctx", None)
+        name, mtype, seqid = prot.read_message_begin()
         fn = self._process_map.get(name)
         if fn is None:
-            iprot.skip(TType.STRUCT)
-            iprot.read_message_end()
+            prot.skip(TType.STRUCT)
+            prot.read_message_end()
             exc = TApplicationException(TApplicationException.UNKNOWN_METHOD,
                                         f"unknown method {name!r}")
-            oprot.write_message_begin(name, TMessageType.EXCEPTION, seqid)
-            exc.write(oprot)
-            oprot.write_message_end()
+            prot.write_message_begin(name, TMessageType.EXCEPTION, seqid)
+            exc.write(prot)
+            prot.write_message_end()
             return True
-        return (yield from fn(seqid, iprot, oprot))
+        return (yield from fn(seqid, prot))
 
     def _invoke(self, method_name: str, *args):
         """Coroutine: call the handler method (plain or generator)."""
@@ -83,104 +84,40 @@ class TProcessor:
         return result
 
 
-class TMultiplexedProcessor(TProcessor):
-    """Routes ``service:method`` calls to registered processors."""
-
-    SEPARATOR = ":"
-
-    def __init__(self):
-        self._processors: Dict[str, TProcessor] = {}
-
-    def register(self, service_name: str, processor: TProcessor) -> None:
-        if service_name in self._processors:
-            raise ValueError(f"service {service_name!r} already registered")
-        self._processors[service_name] = processor
-
-    def process(self, iprot: TProtocol, oprot: TProtocol):
-        name, mtype, seqid = iprot.read_message_begin()
-        if self.SEPARATOR not in name:
-            exc = TApplicationException(
-                TApplicationException.INVALID_MESSAGE_TYPE,
-                f"multiplexed call without service prefix: {name!r}")
-            iprot.skip(TType.STRUCT)
-            iprot.read_message_end()
-            oprot.write_message_begin(name, TMessageType.EXCEPTION, seqid)
-            exc.write(oprot)
-            oprot.write_message_end()
-            return True
-        service, method = name.split(self.SEPARATOR, 1)
-        proc = self._processors.get(service)
-        if proc is None:
-            iprot.skip(TType.STRUCT)
-            iprot.read_message_end()
-            exc = TApplicationException(TApplicationException.UNKNOWN_METHOD,
-                                        f"unknown service {service!r}")
-            oprot.write_message_begin(name, TMessageType.EXCEPTION, seqid)
-            exc.write(oprot)
-            oprot.write_message_end()
-            return True
-        fn = proc._process_map.get(method)
-        if fn is None:
-            iprot.skip(TType.STRUCT)
-            iprot.read_message_end()
-            exc = TApplicationException(TApplicationException.UNKNOWN_METHOD,
-                                        f"unknown method {method!r}")
-            oprot.write_message_begin(name, TMessageType.EXCEPTION, seqid)
-            exc.write(oprot)
-            oprot.write_message_end()
-            return True
-        # The child processor's process() is bypassed, so hand it the trace
-        # context directly (same synchronous window as TProcessor.process).
-        proc._trace_ctx = getattr(iprot.trans, "trace_ctx", None)
-        return (yield from fn(seqid, iprot, oprot))
-
-
-class TMultiplexedProtocol(TProtocolDecorator):
-    """Client-side decorator prefixing the service name onto method names."""
-
-    def __init__(self, protocol: TProtocol, service_name: str):
-        TProtocolDecorator.__init__(self, protocol)
-        self.service_name = service_name
-
-    def write_message_begin(self, name: str, mtype: int, seqid: int):
-        super().write_message_begin(
-            f"{self.service_name}{TMultiplexedProcessor.SEPARATOR}{name}",
-            mtype, seqid)
-
-
 class TClient:
     """Base for generated clients: seqid bookkeeping + send/recv framing."""
 
-    def __init__(self, iprot: TProtocol, oprot: TProtocol | None = None):
-        self._iprot = iprot
-        self._oprot = oprot or iprot
+    def __init__(self, prot: TBinaryProtocol):
+        self._prot = prot
         self._seqid = 0
 
     def _send(self, name: str, args, mtype: int = TMessageType.CALL):
         """Coroutine: serialize and flush one call message."""
+        prot = self._prot
         self._seqid += 1
-        self._oprot.write_message_begin(name, mtype, self._seqid)
-        args.write(self._oprot)
-        self._oprot.write_message_end()
-        yield from self._oprot.trans.flush()
+        prot.write_message_begin(name, mtype, self._seqid)
+        args.write(prot)
+        prot.write_message_end()
+        yield from prot.trans.flush()
 
     def _recv(self, name: str, result):
         """Coroutine: await and deserialize the reply into ``result``."""
-        yield from self._iprot.trans.ready()
-        rname, mtype, seqid = self._iprot.read_message_begin()
+        prot = self._prot
+        yield from prot.trans.ready()
+        rname, mtype, seqid = prot.read_message_begin()
         if mtype == TMessageType.EXCEPTION:
             exc = TApplicationException()
-            exc.read(self._iprot)
-            self._iprot.read_message_end()
+            exc.read(prot)
+            prot.read_message_end()
             raise exc
         if seqid != self._seqid:
             raise TApplicationException(
                 TApplicationException.BAD_SEQUENCE_ID,
                 f"expected seqid {self._seqid}, got {seqid}")
-        if rname != name and rname.split(TMultiplexedProcessor.SEPARATOR)[-1] != name:
+        if rname != name:
             raise TApplicationException(
                 TApplicationException.WRONG_METHOD_NAME,
                 f"expected reply to {name!r}, got {rname!r}")
-        result.read(self._iprot)
-        self._iprot.read_message_end()
+        result.read(prot)
+        prot.read_message_end()
         return result

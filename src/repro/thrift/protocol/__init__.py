@@ -1,9 +1,5 @@
-"""Serialization protocols: TBinary, TCompact, TJSON."""
+"""Serialization protocol: TBinary."""
 
-from repro.thrift.protocol.base import TProtocol, TProtocolDecorator
 from repro.thrift.protocol.binary import TBinaryProtocol
-from repro.thrift.protocol.compact import TCompactProtocol
-from repro.thrift.protocol.json_proto import TJSONProtocol
 
-__all__ = ["TBinaryProtocol", "TCompactProtocol", "TJSONProtocol", "TProtocol",
-           "TProtocolDecorator"]
+__all__ = ["TBinaryProtocol"]

@@ -1,4 +1,5 @@
-"""TBinaryProtocol: the fixed-width big-endian wire format (strict mode).
+"""TBinaryProtocol: the fixed-width big-endian wire format (strict mode),
+the one serialization protocol of every HatRPC and TCP channel.
 
 The per-value methods below are the generic path: what ``skip``, the
 application-exception struct and the generic field visitor of generated
@@ -14,7 +15,6 @@ import struct
 from typing import Dict, Tuple
 
 from repro.thrift.errors import TProtocolException
-from repro.thrift.protocol.base import TProtocol
 from repro.thrift.ttypes import TType
 
 __all__ = ["TBinaryProtocol"]
@@ -38,8 +38,15 @@ _PREFIXES: Dict[Tuple[str, int], bytes] = {}
 _PREFIXES_MAX = 4096
 
 
-class TBinaryProtocol(TProtocol):
-    """Strict binary protocol, wire-compatible with Apache Thrift."""
+class TBinaryProtocol:
+    """Strict binary protocol, wire-compatible with Apache Thrift.
+
+    All methods are synchronous; blocking happens at the transport's
+    ``flush()``/``ready()`` message boundaries.
+    """
+
+    def __init__(self, trans):
+        self.trans = trans
 
     # -- message -----------------------------------------------------------
     def write_message_begin(self, name: str, mtype: int, seqid: int):
@@ -219,3 +226,49 @@ class TBinaryProtocol(TProtocol):
         if size < 0:
             raise TProtocolException(TProtocolException.NEGATIVE_SIZE,
                                      f"negative size {size}")
+
+    # -- generic ------------------------------------------------------------------------
+    def skip(self, ttype: int) -> None:
+        """Consume and discard one value of the given type."""
+        if ttype == TType.BOOL:
+            self.read_bool()
+        elif ttype == TType.BYTE:
+            self.read_byte()
+        elif ttype == TType.I16:
+            self.read_i16()
+        elif ttype == TType.I32:
+            self.read_i32()
+        elif ttype == TType.I64:
+            self.read_i64()
+        elif ttype == TType.DOUBLE:
+            self.read_double()
+        elif ttype == TType.STRING:
+            self.read_binary()
+        elif ttype == TType.STRUCT:
+            self.read_struct_begin()
+            while True:
+                _n, ftype, _fid = self.read_field_begin()
+                if ftype == TType.STOP:
+                    break
+                self.skip(ftype)
+                self.read_field_end()
+            self.read_struct_end()
+        elif ttype == TType.MAP:
+            ktype, vtype, size = self.read_map_begin()
+            for _ in range(size):
+                self.skip(ktype)
+                self.skip(vtype)
+            self.read_map_end()
+        elif ttype == TType.SET:
+            etype, size = self.read_set_begin()
+            for _ in range(size):
+                self.skip(etype)
+            self.read_set_end()
+        elif ttype == TType.LIST:
+            etype, size = self.read_list_begin()
+            for _ in range(size):
+                self.skip(etype)
+            self.read_list_end()
+        else:
+            raise TProtocolException(TProtocolException.INVALID_DATA,
+                                     f"cannot skip type {ttype}")

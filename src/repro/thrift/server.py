@@ -1,39 +1,35 @@
-"""Thrift servers: simple, threaded, and thread-pool variants.
+"""The Thrift server: one simulator process per connection.
 
-"Threads" are simulator processes (the coroutine convention); the thread
-pool maps onto the node's CPU scheduler exactly the way OS threads map onto
-cores in the real Apache Thrift servers the paper benchmarks.
+"Threads" are simulator processes (the coroutine convention); they map onto
+the node's CPU scheduler the way OS threads map onto cores in the real
+Apache Thrift ``TThreadedServer`` the paper benchmarks.  Every connection
+speaks ``TBinaryProtocol`` over ``TFramedTransport``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
 
 from repro import frame, obs
 from repro.core.overload import gated
 from repro.obs import trace as obstrace
 from repro.sim.core import Simulator
-from repro.sim.sync import Store
 from repro.thrift.errors import MALFORMED, TTransportException
 from repro.thrift.processor import TProcessor
 from repro.thrift.protocol.binary import TBinaryProtocol
 from repro.thrift.transport import TFramedTransport
 
-__all__ = ["TServer", "TSimpleServer", "TThreadPoolServer", "TThreadedServer"]
+__all__ = ["TThreadedServer"]
 
 
-class TServer:
-    """Base server: accept loop + per-connection message loop."""
+class TThreadedServer:
+    """Accept loop + one message-loop process per connection
+    (thread-per-connection)."""
 
     def __init__(self, processor: TProcessor, server_transport,
-                 protocol_factory: Callable = TBinaryProtocol,
-                 transport_factory: Callable = TFramedTransport,
                  admission=None, priorities=None):
         self.processor = processor
         self.server_transport = server_transport
-        self.protocol_factory = protocol_factory
-        self.transport_factory = transport_factory
         #: optional AdmissionGate + {fn: priority} map: requests are gated
         #: BEFORE dispatch, and a refusal answers with a ``retry_after``
         #: frame header (never a silent drop or a timeout).
@@ -56,7 +52,7 @@ class TServer:
             self._m_connections = None
         self._trc = obstrace.current()
 
-    def serve(self) -> "TServer":
+    def serve(self) -> "TThreadedServer":
         """Start the accept loop (non-blocking; returns immediately)."""
         self.server_transport.listen()
         self.sim.process(self._accept_loop(), name="thrift-accept")
@@ -67,12 +63,16 @@ class TServer:
         self.server_transport.close()
 
     def _accept_loop(self):
-        raise NotImplementedError
+        while not self._stopped:
+            sock = yield from self.server_transport.accept()
+            self.connections += 1
+            self.sim.process(
+                self._handle_connection(TFramedTransport(sock)),
+                name=f"thrift-conn-{self.connections}")
 
     def _handle_connection(self, trans):
         """Coroutine: serve one connection until EOF."""
-        prot = self.protocol_factory(trans)
-        process = partial(self.processor.process, prot, prot)
+        process = partial(self.processor.process, TBinaryProtocol(trans))
         node_name = self.server_transport.node.name
         if self._m_connections is not None:
             self._m_connections.inc()
@@ -125,57 +125,3 @@ class TServer:
     def _teardown(self, trans) -> None:
         self.teardowns += 1
         trans.close()
-
-
-class TSimpleServer(TServer):
-    """Serves one connection at a time (useful for tests)."""
-
-    def _accept_loop(self):
-        while not self._stopped:
-            sock = yield from self.server_transport.accept()
-            self.connections += 1
-            yield from self._handle_connection(self.transport_factory(sock))
-
-
-class TThreadedServer(TServer):
-    """One simulator process per connection (thread-per-connection)."""
-
-    def _accept_loop(self):
-        while not self._stopped:
-            sock = yield from self.server_transport.accept()
-            self.connections += 1
-            self.sim.process(
-                self._handle_connection(self.transport_factory(sock)),
-                name=f"thrift-conn-{self.connections}")
-
-
-class TThreadPoolServer(TServer):
-    """A fixed pool of worker processes draining an accept queue."""
-
-    def __init__(self, processor, server_transport,
-                 protocol_factory: Callable = TBinaryProtocol,
-                 transport_factory: Callable = TFramedTransport,
-                 workers: int = 8):
-        super().__init__(processor, server_transport, protocol_factory,
-                         transport_factory)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self._queue: Optional[Store] = None
-
-    def serve(self) -> "TThreadPoolServer":
-        self._queue = Store(self.sim)
-        for i in range(self.workers):
-            self.sim.process(self._worker(), name=f"thrift-worker-{i}")
-        return super().serve()
-
-    def _accept_loop(self):
-        while not self._stopped:
-            sock = yield from self.server_transport.accept()
-            self.connections += 1
-            self._queue.put(sock)
-
-    def _worker(self):
-        while not self._stopped:
-            sock = yield self._queue.get()
-            yield from self._handle_connection(self.transport_factory(sock))

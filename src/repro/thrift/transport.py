@@ -3,7 +3,8 @@
 Interface contract (repository coroutine convention):
 
 * ``write(data)`` buffers bytes for the current outbound message -- plain
-  call, no simulated time.  Every buffering transport shares one *gather*
+  call, no simulated time.  Every buffering transport (``TMemoryBuffer``,
+  ``TFramedTransport`` and :mod:`repro.core`'s ``TRdma``) shares one *gather*
   buffer (:class:`TTransport`): chunks are kept by reference and joined once
   when the message is taken, so a 128 KiB ``binary`` field is copied once on
   its way out, not per ``+=`` and again per ``bytes(buf)``;
@@ -32,7 +33,6 @@ from repro.sim.cluster import Node
 from repro.thrift.errors import TTransportException
 
 __all__ = [
-    "TBufferedTransport",
     "TFramedTransport",
     "TMemoryBuffer",
     "TServerSocket",
@@ -139,8 +139,8 @@ class TMemoryBuffer(TTransport):
 class TSocket(TTransport):
     """Client socket over the simulated kernel TCP (IPoIB) stack.
 
-    Byte-stream only: wrap it in TFramedTransport (or TBufferedTransport for
-    write batching) for message semantics, as real non-blocking Thrift does.
+    Byte-stream only: wrap it in TFramedTransport for message semantics, as
+    real non-blocking Thrift does.
     """
 
     def __init__(self, node: Node, remote: Node, port: int,
@@ -175,7 +175,7 @@ class TSocket(TTransport):
         raise NotImplementedError(
             "TSocket is a byte stream; wrap it in TFramedTransport")
 
-    # Raw stream coroutines used by the framing layers.
+    # Raw stream coroutines used by the framing layer.
     def send(self, data: bytes):
         if not self.is_open():
             raise TTransportException(TTransportException.NOT_OPEN,
@@ -224,27 +224,6 @@ class TFramedTransport(TTransport):
             raise TTransportException(TTransportException.UNKNOWN,
                                       f"frame of {length} bytes exceeds limit")
         self._land((yield from self.inner.recv_exact(length)))
-
-
-class TBufferedTransport(TFramedTransport):
-    """Write-coalescing transport without frame headers.
-
-    Reads require the peer to send whole messages per flush (true for all
-    RPC flows in this repository); each ``ready()`` pulls whatever the next
-    flush delivered.  Provided for API parity with Apache Thrift; framed is
-    what the servers use.
-    """
-
-    def flush(self):
-        yield from self.inner.send(self._take())
-
-    def ready(self):
-        chunk = yield from self.inner.recv_exact(1)
-        # Drain whatever else is already buffered without blocking again.
-        more = self.inner.conn._rx
-        rest = bytes(more)
-        del more[:]
-        self._land(chunk + rest)
 
 
 class TServerSocket:

@@ -1,5 +1,7 @@
 """TRdma transport + HintedProtocol unit tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.engine import HatRpcEngine, pinned_plan
@@ -8,7 +10,7 @@ from repro.core.trdma import HintedProtocol, TRdma
 from repro.idl import load_idl
 from repro.sim.units import KiB
 from repro.testbed import Testbed
-from repro.thrift import TBinaryProtocol, TMessageType
+from repro.thrift import TBinaryProtocol, TMemoryBuffer, TMessageType
 from repro.verbs.cq import PollMode
 
 IDL = """
@@ -122,24 +124,17 @@ def test_trdma_read_serves_buffered_response(gen):
 
 
 def test_hinted_protocol_delegates_everything():
-    from repro.thrift import TMemoryBuffer
-
-    class FakeTrans:
-        def __init__(self):
-            self.seen = None
-
-        def set_current_function(self, name, mtype, seqid=None):
-            self.seen = (name, mtype, seqid)
-
-    buf = TMemoryBuffer()
-    inner = TBinaryProtocol(buf)
-    fake = FakeTrans()
-    prot = HintedProtocol(inner, fake)
-    prot.write_message_begin("DoIt", TMessageType.CALL, 7)
-    assert fake.seen == ("DoIt", TMessageType.CALL, 7)
-    # delegated attribute access:
+    """HintedProtocol is the binary protocol over its TRdma: the message
+    header also names the call to the transport, everything else is
+    TBinaryProtocol's own."""
+    engine = SimpleNamespace(node=SimpleNamespace(sim=SimpleNamespace(now=0.0)))
+    trdma = TRdma(engine)
+    prot = HintedProtocol(trdma)
+    assert isinstance(prot, TBinaryProtocol) and prot.trans is trdma
+    prot.write_message_begin("DoIt", TMessageType.ONEWAY, 7)
+    assert (trdma._current_fn, trdma._current_oneway,
+            trdma._current_seqid) == ("DoIt", True, 7)
     prot.write_i32(42)
-    assert prot.trans is buf
-    name, mtype, seqid = TBinaryProtocol(
-        TMemoryBuffer(buf.getvalue())).read_message_begin()
-    assert (name, mtype, seqid) == ("DoIt", TMessageType.CALL, 7)
+    reader = TBinaryProtocol(TMemoryBuffer(trdma._take()))
+    assert reader.read_message_begin() == ("DoIt", TMessageType.ONEWAY, 7)
+    assert reader.read_i32() == 42

@@ -2,10 +2,10 @@
 
 Every generated struct has two ways onto the binary wire: the codec compiled
 for its field list (what runs on a ``TBinaryProtocol``) and the generic
-visitor (one protocol call per value, what TCompact and TJSON use).  Driven
-over the binary format, the two must be indistinguishable: the same bytes
-out, the same struct back, unknown fields skipped alike, and the same
-exception class for every truncated or corrupted message.  The sha256 pins
+visitor (one protocol call per value: the compiled decoder's fallback, and
+the reference it is held to here).  The two must be indistinguishable: the
+same bytes out, the same struct back, unknown fields skipped alike, and the
+same exception class for every truncated or corrupted message.  The sha256 pins
 at the bottom hold the Echo and HatKV messages to the bytes they had before
 the compiled codec existed.
 """

@@ -4,7 +4,7 @@ import pytest
 
 from repro.idl import compile_idl, load_idl
 from repro.idl.validator import HintValidationError
-from repro.thrift import TBinaryProtocol, TCompactProtocol, TMemoryBuffer
+from repro.thrift import TBinaryProtocol, TMemoryBuffer
 
 KV_IDL = """
 enum Status { OK = 0, MISSING = 1 }
@@ -63,15 +63,14 @@ def test_enum_and_const(gen):
     assert gen.DEFAULT_TTL == 300
 
 
-def test_struct_roundtrip_binary_and_compact(gen):
+def test_struct_roundtrip_binary(gen):
     entry = gen.Entry(key="k1", value=b"\x01\x02", tags={"a": "b"},
                       versions=[1, 2, 3], status=gen.Status.MISSING)
-    for proto_cls in (TBinaryProtocol, TCompactProtocol):
-        buf = TMemoryBuffer()
-        entry.write(proto_cls(buf))
-        out = gen.Entry()
-        out.read(proto_cls(TMemoryBuffer(buf.getvalue())))
-        assert out == entry
+    buf = TMemoryBuffer()
+    entry.write(TBinaryProtocol(buf))
+    out = gen.Entry()
+    out.read(TBinaryProtocol(TMemoryBuffer(buf.getvalue())))
+    assert out == entry
 
 
 def test_struct_skips_unknown_fields(gen):

@@ -11,8 +11,7 @@ from hypothesis import given, strategies as st
 
 from repro import frame
 from repro.frame import NONE, Header, SpanContext, pack, split
-from repro.thrift import (TBinaryProtocol, TCompactProtocol, TJSONProtocol,
-                           TMemoryBuffer, TMessageType)
+from repro.thrift import TBinaryProtocol, TMemoryBuffer, TMessageType
 
 _hex = "0123456789abcdef"
 contexts = st.builds(SpanContext,
@@ -126,9 +125,9 @@ def test_unknown_trace_context_version_passes_through():
     assert_passes_through(bytes(wire))
 
 
-def _first_message(protocol_cls):
+def _strict_binary():
     buf = TMemoryBuffer()
-    prot = protocol_cls(buf)
+    prot = TBinaryProtocol(buf)
     prot.write_message_begin("Get", TMessageType.CALL, 1)
     prot.write_struct_begin("Get_args")
     prot.write_field_stop()
@@ -144,11 +143,9 @@ def _non_strict_binary(name=b"Get", seqid=1):
 
 
 @pytest.mark.parametrize("message", [
-    _first_message(TBinaryProtocol),
+    _strict_binary(),
     _non_strict_binary(),
-    _first_message(TCompactProtocol),
-    _first_message(TJSONProtocol),
-], ids=["binary-strict", "binary-non-strict", "compact", "json"])
+], ids=["binary-strict", "binary-non-strict"])
 def test_thrift_messages_pass_through(message):
     assert message[0] != 0xC4
     assert_passes_through(message)

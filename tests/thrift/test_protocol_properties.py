@@ -1,19 +1,13 @@
-"""Property-based serialization tests: arbitrary nested values round-trip."""
+"""Property-based serialization tests: arbitrary nested values round-trip
+through the binary protocol's per-value methods."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.thrift import (
-    TBinaryProtocol,
-    TCompactProtocol,
-    TJSONProtocol,
-    TMemoryBuffer,
-    TType,
-)
+from repro.thrift import TBinaryProtocol, TMemoryBuffer, TType
 
 from tests.thrift.dynvalue import read_value, write_value
 
-# Scalar strategies per ttype.  Text for JSON excludes surrogates (invalid
-# UTF-8); doubles exclude NaN for ==-comparability.
+# Scalar strategies per ttype.  Doubles exclude NaN for ==-comparability.
 _SCALARS = [
     (TType.BOOL, st.booleans()),
     (TType.BYTE, st.integers(-128, 127)),
@@ -68,33 +62,16 @@ def _typed_value(max_depth=2):
     )
 
 
-def _normalize(ttype, value):
-    """Canonical form for comparison: empty maps lose their element types
-    (the compact protocol legitimately omits them on the wire)."""
-    if ttype == TType.MAP:
-        ktype, vtype, mapping = value
-        if not mapping:
-            return (-1, -1, {})
-        return (ktype, vtype,
-                {k: _normalize(vtype, v) for k, v in mapping.items()})
-    if ttype in (TType.LIST, TType.SET):
-        etype, items = value
-        return (etype, [_normalize(etype, v) for v in items])
-    if ttype == TType.STRUCT:
-        return {fid: (t, _normalize(t, v)) for fid, (t, v) in value.items()}
-    return value
-
-
-def _roundtrip(proto_cls, ttype, value):
+def _roundtrip(ttype, value):
     buf = TMemoryBuffer()
-    prot = proto_cls(buf)
+    prot = TBinaryProtocol(buf)
     prot.write_struct_begin("S")
     prot.write_field_begin("f", ttype, 1)
     write_value(prot, ttype, value)
     prot.write_field_end()
     prot.write_field_stop()
     prot.write_struct_end()
-    rprot = proto_cls(TMemoryBuffer(buf.getvalue()))
+    rprot = TBinaryProtocol(TMemoryBuffer(buf.getvalue()))
     rprot.read_struct_begin()
     _n, rttype, _fid = rprot.read_field_begin()
     assert rttype == ttype
@@ -108,45 +85,21 @@ def _roundtrip(proto_cls, ttype, value):
 @given(_typed_value())
 def test_binary_roundtrip(tv):
     ttype, value = tv
-    assert _normalize(ttype, _roundtrip(TBinaryProtocol, ttype, value)) == _normalize(ttype, value)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_typed_value())
-def test_compact_roundtrip(tv):
-    ttype, value = tv
-    assert _normalize(ttype, _roundtrip(TCompactProtocol, ttype, value)) == _normalize(ttype, value)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_typed_value())
-def test_json_roundtrip(tv):
-    ttype, value = tv
-    assert _normalize(ttype, _roundtrip(TJSONProtocol, ttype, value)) == _normalize(ttype, value)
+    assert _roundtrip(ttype, value) == value
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.binary(max_size=200))
 def test_binary_bytes_roundtrip_all_protocols(data):
-    for proto_cls in (TBinaryProtocol, TCompactProtocol, TJSONProtocol):
-        buf = TMemoryBuffer()
-        prot = proto_cls(buf)
-        prot.write_struct_begin("S")
-        prot.write_field_begin("b", TType.STRING, 1)
-        prot.write_binary(data)
-        prot.write_field_end()
-        prot.write_field_stop()
-        prot.write_struct_end()
-        rprot = proto_cls(TMemoryBuffer(buf.getvalue()))
-        rprot.read_struct_begin()
-        rprot.read_field_begin()
-        assert rprot.read_binary() == data
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(-2**63, 2**63 - 1))
-def test_compact_zigzag_identity(v):
-    from repro.thrift.protocol.compact import unzigzag, zigzag
-    assert unzigzag(zigzag(v, 64)) == v
-    z = zigzag(v, 64)
-    assert z >= 0  # varint-encodable
+    buf = TMemoryBuffer()
+    prot = TBinaryProtocol(buf)
+    prot.write_struct_begin("S")
+    prot.write_field_begin("b", TType.STRING, 1)
+    prot.write_binary(data)
+    prot.write_field_end()
+    prot.write_field_stop()
+    prot.write_struct_end()
+    rprot = TBinaryProtocol(TMemoryBuffer(buf.getvalue()))
+    rprot.read_struct_begin()
+    rprot.read_field_begin()
+    assert rprot.read_binary() == data

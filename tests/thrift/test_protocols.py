@@ -1,4 +1,6 @@
-"""Serialization unit tests for all three protocols."""
+"""Serialization unit tests for the binary protocol's per-value methods
+(the generic path: ``skip``, the application-exception struct and the
+generated structs' field visitor)."""
 
 import math
 
@@ -6,8 +8,6 @@ import pytest
 
 from repro.thrift import (
     TBinaryProtocol,
-    TCompactProtocol,
-    TJSONProtocol,
     TMemoryBuffer,
     TMessageType,
     TProtocolException,
@@ -16,7 +16,7 @@ from repro.thrift import (
 
 from tests.thrift.dynvalue import read_value, write_value
 
-PROTOS = [TBinaryProtocol, TCompactProtocol, TJSONProtocol]
+PROTOS = [TBinaryProtocol]
 
 
 def roundtrip(proto_cls, ttype, value, binary=False):
@@ -93,7 +93,7 @@ def test_list_of_i32(proto_cls):
 
 @pytest.mark.parametrize("proto_cls", PROTOS)
 def test_long_list_exceeds_compact_short_form(proto_cls):
-    v = (TType.I32, list(range(100)))  # compact switches to varint size
+    v = (TType.I32, list(range(100)))
     assert roundtrip(proto_cls, TType.LIST, v) == v
 
 
@@ -172,25 +172,3 @@ def test_binary_rejects_bad_version():
     buf = TMemoryBuffer(b"\x00\x00\x00\x05hello")
     with pytest.raises(TProtocolException):
         TBinaryProtocol(buf).read_message_begin()
-
-
-def test_compact_rejects_bad_protocol_id():
-    buf = TMemoryBuffer(b"\x00\x00")
-    with pytest.raises(TProtocolException):
-        TCompactProtocol(buf).read_message_begin()
-
-
-def test_compact_smaller_than_binary_for_small_ints():
-    def encode(proto_cls):
-        buf = TMemoryBuffer()
-        prot = proto_cls(buf)
-        struct = {i: (TType.I32, i) for i in range(1, 11)}
-        write_value(prot, TType.STRUCT, struct)
-        return len(buf.getvalue())
-
-    assert encode(TCompactProtocol) < encode(TBinaryProtocol)
-
-
-def test_compact_field_id_delta_large_gap():
-    v = {1: (TType.I32, 1), 200: (TType.I32, 2), 32000: (TType.I32, 3)}
-    assert roundtrip(TCompactProtocol, TType.STRUCT, v) == v

@@ -3,28 +3,9 @@
 import pytest
 
 from repro.testbed import Testbed
-from repro.thrift import (
-    TApplicationException,
-    TBinaryProtocol,
-    TFramedTransport,
-    TMemoryBuffer,
-    TMessageType,
-    TMultiplexedProcessor,
-    TProcessor,
-    TServerSocket,
-    TSocket,
-    TThreadedServer,
-    TType,
-)
-from repro.thrift.processor import TClient, TMultiplexedProtocol
+from repro.thrift import TApplicationException, TProcessor, TThreadedServer
 
-from tests.thrift.test_rpc_end_to_end import (
-    CalcClient,
-    CalcHandler,
-    CalcProcessor,
-    connect_client,
-    start_server,
-)
+from tests.thrift.test_rpc_end_to_end import connect_client, start_server
 
 
 @pytest.fixture
@@ -68,49 +49,6 @@ def test_requests_counter(tb):
     assert server.requests == 7
 
 
-def test_multiplexed_unknown_service(tb):
-    mux = TMultiplexedProcessor()
-    mux.register("calc", CalcProcessor(CalcHandler()))
-    TThreadedServer(mux, TServerSocket(tb.node(1), 9292)).serve()
-
-    def client():
-        trans = TFramedTransport(TSocket(tb.node(0), tb.node(1), 9292))
-        yield from trans.open()
-        c = CalcClient(TMultiplexedProtocol(TBinaryProtocol(trans), "wrong"))
-        try:
-            yield from c.add(1, 1)
-        except TApplicationException as e:
-            return e.type
-
-    p = tb.sim.process(client())
-    assert tb.sim.run(p) == TApplicationException.UNKNOWN_METHOD
-
-
-def test_multiplexed_requires_prefix(tb):
-    mux = TMultiplexedProcessor()
-    mux.register("calc", CalcProcessor(CalcHandler()))
-    TThreadedServer(mux, TServerSocket(tb.node(1), 9393)).serve()
-
-    def client():
-        trans = TFramedTransport(TSocket(tb.node(0), tb.node(1), 9393))
-        yield from trans.open()
-        c = CalcClient(TBinaryProtocol(trans))  # no service prefix
-        try:
-            yield from c.add(1, 1)
-        except TApplicationException as e:
-            return e.type
-
-    p = tb.sim.process(client())
-    assert tb.sim.run(p) == TApplicationException.INVALID_MESSAGE_TYPE
-
-
-def test_multiplexed_double_register_rejected():
-    mux = TMultiplexedProcessor()
-    mux.register("calc", CalcProcessor(CalcHandler()))
-    with pytest.raises(ValueError):
-        mux.register("calc", CalcProcessor(CalcHandler()))
-
-
 def test_bad_seqid_detected(tb):
     start_server(tb, TThreadedServer, port=9494)
 
@@ -131,13 +69,6 @@ def test_bad_seqid_detected(tb):
 
     p = tb.sim.process(client())
     assert tb.sim.run(p) == TApplicationException.BAD_SEQUENCE_ID
-
-
-def test_thread_pool_validation(tb):
-    from repro.thrift import TThreadPoolServer
-    with pytest.raises(ValueError):
-        TThreadPoolServer(CalcProcessor(CalcHandler()),
-                          TServerSocket(tb.node(1), 9), workers=0)
 
 
 def test_invoke_decides_plain_or_coroutine_once_per_handler_function():

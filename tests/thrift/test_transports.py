@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.trdma import TRdma, _AsyncTRdma
 from repro.testbed import Testbed
 from repro.thrift import (
-    TBufferedTransport,
     TFramedTransport,
     TMemoryBuffer,
     TMessageType,
@@ -148,29 +147,6 @@ def test_peer_close_surfaces_as_eof(tb):
                                TTransportException.NOT_OPEN)
 
 
-def test_buffered_transport_roundtrip(tb):
-    lst = TServerSocket(tb.node(1), 11).listen()
-    got = {}
-
-    def server():
-        sock = yield from lst.accept()
-        trans = TBufferedTransport(sock)
-        yield from trans.ready()
-        got["data"] = trans.read(1 << 20)
-
-    def client():
-        trans = TBufferedTransport(TSocket(tb.node(0), tb.node(1), 11))
-        yield from trans.open()
-        trans.write(b"coalesced ")
-        trans.write(b"writes")
-        yield from trans.flush()
-
-    tb.sim.process(server())
-    tb.sim.process(client())
-    tb.sim.run()
-    assert got["data"] == b"coalesced writes"
-
-
 def test_server_socket_requires_listen(tb):
     srv = TServerSocket(tb.node(1), 13)
 
@@ -182,7 +158,7 @@ def test_server_socket_requires_listen(tb):
         tb.sim.run(p)
 
 
-# -- the outbound gather buffer, shared by all five buffering transports ------
+# -- the outbound gather buffer, shared by all four buffering transports ------
 
 class _Sink:
     """Stands in for the TSocket under a framing transport and for the
@@ -213,19 +189,15 @@ def _make_transports():
     out = {}
     mem = TMemoryBuffer()
     out["memory"] = (mem, None)
-    for name, cls in (("framed", TFramedTransport),
-                      ("buffered", TBufferedTransport)):
-        sink = _Sink()
-        trans = cls(sink)
+    sink = _Sink()
+    framed = TFramedTransport(sink)
 
-        def take(trans=trans, sink=sink, framed=name == "framed"):
-            _drain(trans.flush())
-            data = sink.sent.pop()
-            if framed:
-                assert data[:4] == struct.pack("!I", len(data) - 4)
-                data = data[4:]
-            return data
-        out[name] = (trans, take)
+    def take_framed(framed=framed, sink=sink):
+        _drain(framed.flush())
+        data = sink.sent.pop()
+        assert data[:4] == struct.pack("!I", len(data) - 4)
+        return data[4:]
+    out["framed"] = (framed, take_framed)
     sink = _Sink()
     rdma = TRdma(sink)
 
