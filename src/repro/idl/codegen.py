@@ -342,10 +342,12 @@ class _BinaryCodec:
             return c, [var], [], None
         if name == "binary":
             # by reference; a mutable buffer is snapshotted as
-            # TTransport.write would
-            return "i", [f"len({var})"], [], lambda ind: out.emit(
-                f"ap({var} if {var}.__class__ is bytes else bytes({var}))",
-                ind)
+            # TTransport.write would, and the length is that of the bytes
+            # written (``len`` of a multi-byte memoryview counts items)
+            return ("i", [f"len({var}_b)"],
+                    [f"{var}_b = {var} if {var}.__class__ is bytes "
+                     f"else bytes({var})"],
+                    lambda ind: out.emit(f"ap({var}_b)", ind))
         if name == "string":
             return ("i", [f"len({var}_u)"], [f"{var}_u = {var}.encode('utf-8')"],
                     lambda ind: out.emit(f"ap({var}_u)", ind))

@@ -104,6 +104,8 @@ class Port:
                                    random.Random(seed)))
 
     def is_down(self, at: float) -> bool:
+        if not self._down_windows:      # the common case: no faults armed
+            return False
         return any(s <= at < e for s, e in self._down_windows)
 
     def roll_drop(self, at: float) -> bool:

@@ -68,6 +68,7 @@ class ProtocolError(RuntimeError):
 #: kind(u8) seq(u32) length(u32) addr(u64) rkey(u32) -> padded to 32 bytes.
 CTRL = struct.Struct("<BIIQI")
 HDR_BYTES = 32
+_CTRL_PADDED = struct.Struct(f"{CTRL.format}{HDR_BYTES - CTRL.size}x")
 
 # Control-message kinds.
 K_EAGER = 1       # payload follows the header in the same slot
@@ -79,7 +80,7 @@ K_NOTIFY = 5      # direct-write notify (payload already WRITTEN)
 
 def pack_ctrl(kind: int, seq: int, length: int, addr: int = 0,
               rkey: int = 0) -> bytes:
-    return CTRL.pack(kind, seq, length, addr, rkey).ljust(HDR_BYTES, b"\0")
+    return _CTRL_PADDED.pack(kind, seq, length, addr, rkey)
 
 
 def unpack_ctrl(data: bytes):
@@ -134,7 +135,9 @@ class RecvRing:
     """The receive ring, registered once: slot *i* is bytes
     ``[i * slot_bytes, (i + 1) * slot_bytes)`` of one MR and is posted with
     ``wr_id=i`` to ``rq`` -- a connection's QP, or the SRQ a server's
-    connections share."""
+    connections share.  Each slot's work request is built once and
+    re-posted as it is: a slot is re-posted only after its completion was
+    consumed, and the NIC only reads its ``sge`` and ``wr_id``."""
 
     def __init__(self, pd: PD, rq, slots: int, slot_bytes: int):
         self.rq = rq
@@ -142,14 +145,13 @@ class RecvRing:
         self.slot_bytes = slot_bytes
         #: payload bytes a slot holds behind its control header
         self.capacity = slot_bytes - HDR_BYTES
-        self.mr = pd.reg_mr(slots * slot_bytes)
+        self.mr = mr = pd.reg_mr(slots * slot_bytes)
+        self._wrs = [RecvWR(Sge(mr.addr + i * slot_bytes, slot_bytes,
+                                mr.lkey), wr_id=i) for i in range(slots)]
 
     def post(self, i: int):
         """Coroutine: (re-)post slot ``i``."""
-        mr = self.mr
-        yield from self.rq.post_recv(
-            RecvWR(Sge(mr.addr + i * self.slot_bytes, self.slot_bytes,
-                       mr.lkey), wr_id=i))
+        yield from self.rq.post_recv(self._wrs[i])
 
     def post_all(self):
         for i in range(self.slots):

@@ -192,6 +192,10 @@ class TBinaryProtocol:
         self.write_binary(v.encode("utf-8"))
 
     def write_binary(self, v: bytes):
+        # The length is that of the bytes written: ``len`` of a multi-byte
+        # memoryview counts its items.
+        if type(v) is not bytes:
+            v = bytes(v)
         self.write_i32(len(v))
         self.trans.write(v)
 

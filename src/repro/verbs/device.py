@@ -25,9 +25,14 @@ _REGISTRATION_ORDER = attrgetter("seq")     # of MemWatch, on its device
 
 
 class MR:
-    """A registered memory region: an rkey/lkey window over node memory."""
+    """A registered memory region: an rkey/lkey window over node memory.
 
-    __slots__ = ("pd", "addr", "length", "lkey", "rkey")
+    The region lies inside one allocation, found once at registration: host
+    loads and stores go straight to that segment at ``_off``, the region's
+    offset in it (:meth:`Memory.free` turns the segment into one that
+    faults, so a region over freed memory still raises)."""
+
+    __slots__ = ("pd", "addr", "length", "lkey", "rkey", "_seg", "_off")
 
     def __init__(self, pd: "PD", addr: int, length: int, key: int):
         self.pd = pd
@@ -37,6 +42,8 @@ class MR:
         # bookkeeping simple while preserving the access-check semantics.
         self.lkey = key
         self.rkey = key
+        self._seg = pd.device.mem.segment(addr, length)
+        self._off = addr - self._seg.base
 
     def contains(self, addr: int, length: int) -> bool:
         return self.addr <= addr and addr + length <= self.addr + self.length
@@ -45,13 +52,13 @@ class MR:
         """Host-side store into the region (no simulated cost)."""
         if offset < 0 or offset + len(data) > self.length:
             raise MemoryAccessError("MR host write out of bounds")
-        self.pd.device.mem.write(self.addr + offset, data)
+        self._seg.write(self._off + offset, data)
 
     def read(self, length: int, offset: int = 0) -> bytes:
         """Host-side load from the region (no simulated cost)."""
         if offset < 0 or offset + length > self.length:
             raise MemoryAccessError("MR host read out of bounds")
-        return self.pd.device.mem.read(self.addr + offset, length)
+        return self._seg.read(self._off + offset, length)
 
     def charge_registration(self):
         """Coroutine: pay the one-time pinning cost (used at engine setup)."""
@@ -74,7 +81,8 @@ class PD:
 
         Registration is free of simulated time here because every protocol in
         this codebase registers at setup; use :meth:`MR.charge_registration`
-        where setup cost matters.
+        where setup cost matters.  A range outside any allocation is a
+        :class:`MemoryAccessError`.
         """
         dev = self.device
         if addr is None:

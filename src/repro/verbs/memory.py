@@ -268,6 +268,19 @@ class _Segment:
                          else memoryview(p.obj)[p.lo:p.hi] for p in got])
 
 
+class _FreedSegment(_Segment):
+    """What :meth:`Memory.free` leaves of a segment, for the MRs that still
+    hold it: every access faults, as one to unallocated memory does."""
+
+    __slots__ = ()
+
+    def _fault(self, off: int, *_):
+        raise MemoryAccessError(
+            f"access at {self.base + off:#x} to freed memory")
+
+    write = gather = read = _fault
+
+
 class Memory:
     """Auto-growing byte store; allocations are bounds-checked segments."""
 
@@ -288,10 +301,12 @@ class Memory:
         return addr
 
     def free(self, addr: int) -> None:
-        if addr not in self._segs:
+        seg = self._segs.pop(addr, None)
+        if seg is None:
             raise MemoryAccessError(f"free of unallocated address {addr:#x}")
-        del self._segs[addr]
         del self._bases[bisect_left(self._bases, addr)]
+        seg._starts = seg._bufs = ()            # its extents go with it
+        seg.__class__ = _FreedSegment           # for the MRs that hold it
 
     @property
     def live_bytes(self) -> int:
@@ -302,7 +317,8 @@ class Memory:
         """Actually materialized (written) bytes -- a host-RAM gauge."""
         return sum(s.resident for s in self._segs.values())
 
-    def _segment(self, addr: int, length: int) -> _Segment:
+    def segment(self, addr: int, length: int) -> _Segment:
+        """The allocation ``[addr, addr + length)`` lies in."""
         if length < 0:
             raise MemoryAccessError("negative access length")
         i = bisect_right(self._bases, addr) - 1
@@ -317,19 +333,19 @@ class Memory:
         """Store ``data`` at ``addr``: a bytes-like, or what :meth:`gather`
         returned (scattered without a copy)."""
         n = sum(map(len, data)) if type(data) is list else len(data)
-        seg = self._segment(addr, n)
+        seg = self.segment(addr, n)
         seg.write(addr - seg.base, data)
 
     def gather(self, addr: int, length: int):
         """The bytes at ``[addr, addr + length)`` as pieces for
         :meth:`write` -- by reference, never joined."""
-        seg = self._segment(addr, length)
+        seg = self.segment(addr, length)
         return seg.gather(addr - seg.base, length)
 
     def read(self, addr: int, length: int) -> bytes:
-        seg = self._segment(addr, length)
+        seg = self.segment(addr, length)
         return seg.read(addr - seg.base, length)
 
     def fill(self, addr: int, length: int, byte: int = 0) -> None:
-        seg = self._segment(addr, length)
+        seg = self.segment(addr, length)
         seg.write(addr - seg.base, bytes([byte]) * length)

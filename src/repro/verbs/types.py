@@ -70,7 +70,7 @@ class QPState(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sge:
     """Scatter/gather element: a slice of a registered memory region."""
 
@@ -79,7 +79,7 @@ class Sge:
     lkey: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SendWR:
     """Send-side work request.
 
@@ -104,7 +104,7 @@ class SendWR:
         return n
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvWR:
     """Receive-side work request: a buffer a SEND/WRITE_WITH_IMM may land in."""
 
@@ -112,7 +112,7 @@ class RecvWR:
     wr_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WC:
     """Work completion."""
 

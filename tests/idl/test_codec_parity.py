@@ -249,6 +249,23 @@ def test_corrupted_messages_decode_alike(schema, data):
             alike(mod.Outer, wire[:at] + patch + wire[at + len(patch):])
 
 
+def test_binary_length_is_the_bytes_written():
+    """A multi-byte memoryview's ``len`` counts items, not bytes: both
+    paths prefix the bytes they write with their own length."""
+    mod = load_idl("struct S {\n 1: binary b,\n 2: list<binary> l,\n"
+                   " 3: map<binary, binary> m\n}", "codec_parity_views")
+    raw = bytes(range(16))
+    view = memoryview(raw).cast("I")
+    assert len(view) == 4
+    as_bytes = encode(mod.S(b=raw, l=[raw], m={raw: raw}), compiled())
+    for prot in (compiled(), generic()):
+        wire = encode(mod.S(b=view, l=[view], m={view.tobytes(): view}), prot)
+        assert wire == as_bytes
+        _head, got, end = alike(mod.S, wire)
+        assert got == mod.S(b=raw, l=[raw], m={raw: raw})
+        assert end == len(wire)
+
+
 def test_message_header_failures_match_the_visitor():
     good = encode(load_idl("struct E {}", "codec_parity_empty").E(),
                   compiled())

@@ -10,6 +10,7 @@ client's message join, the server's field cut, the reply join and the
 client's field cut (DESIGN.md section 3, "Kernel invariants").
 """
 
+import gc
 import sys
 
 import pytest
@@ -76,14 +77,23 @@ class LargeObjects:
                     self._add(v)
 
     def watch(self, fn):
-        """``fn()``, and the objects first seen while it ran."""
+        """``fn()``, and the objects first seen while it ran.
+
+        The collector runs before and not during: a collection inside
+        ``fn`` would close garbage generators left by earlier code (a
+        previous test's serve loops) and their locals would be counted."""
         before = len(self.seen)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
         previous = sys.getprofile()
         sys.setprofile(self._hook)
         try:
             result = fn()
         finally:
             sys.setprofile(previous)
+            if was_enabled:
+                gc.enable()
         return result, list(self.seen.values())[before:]
 
 
