@@ -15,13 +15,16 @@ This example runs a monitoring/control service where:
   efficient path: event polling, no pinned core);
 * ``BulkExport`` ships big snapshots (throughput + payload hints).
 
-A :class:`repro.core.tracing.Tracer` shows what the engine actually did.
+The :mod:`repro.obs.trace` collector shows what the engine actually did:
+one client root span per call, grouped by resolved hint tuple into a
+per-stage latency table.
 
 Run:  python examples/monitoring_service.py
 """
 
+from repro import obs
+from repro.obs import trace as obstrace
 from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
-from repro.core.tracing import attach_tracer
 from repro.idl import load_idl
 from repro.sim.units import ms, us
 from repro.testbed import Testbed
@@ -68,10 +71,12 @@ def main():
         print(f"  {fn:10s} -> {ch.protocol:16s} "
               f"server={ch.server_poll.value:5s}  [{route.choice.rationale}]")
 
+    # The collector must exist before the testbed: engines capture it once,
+    # at construction.
+    collector = obstrace.install()
     tb = Testbed(n_nodes=2)
     handler = MonitorHandler(tb.node(0))
     HatRpcServer(tb.node(0), gen, "Monitor", handler).start()
-    box = {}
 
     def heartbeater(stub):
         for seq in range(20):
@@ -81,7 +86,6 @@ def main():
     def operator():
         stub = yield from hatrpc_connect(tb.node(1), tb.node(0), gen,
                                          "Monitor")
-        box["tracer"] = attach_tracer(stub._hatrpc.engine)
         # a second logical client on its own connection for the heartbeats
         hb_stub = yield from hatrpc_connect(tb.node(1), tb.node(0), gen,
                                             "Monitor")
@@ -96,9 +100,9 @@ def main():
     tb.sim.run()
 
     print(f"\nheartbeats served: {handler.beats}")
-    print("\nper-function trace (operator connection):")
-    for line in box["tracer"].summary_lines():
-        print(" ", line)
+    print("\nper-hint-tuple stages (every connection):")
+    print(obs.attribution_table(collector.spans))
+    obstrace.uninstall()
 
 
 if __name__ == "__main__":

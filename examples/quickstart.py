@@ -35,7 +35,6 @@ import argparse
 from repro import obs
 from repro.obs import trace as obstrace
 from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
-from repro.core.tracing import Tracer, attach_tracer
 from repro.idl import load_idl
 from repro.sim.units import us
 from repro.testbed import Testbed
@@ -125,13 +124,10 @@ def main(argv=None):
 
     # -- 4: client calls (coroutines under the simulator) -------------------
     out = {}
-    tracer = Tracer() if args.trace else None
 
     def client():
         echo = yield from hatrpc_connect(tb.node(1), tb.node(0), gen, "Echo",
                                          tuner=tuner)
-        if tracer is not None:
-            attach_tracer(echo._hatrpc.engine, tracer)
         out["engine"] = echo._hatrpc.engine
         out["ping"] = yield from echo.Ping("hello HatRPC")
         t0 = tb.sim.now
@@ -165,11 +161,10 @@ def main(argv=None):
             print("  " + line)
         print(f"  oversize Post after retarget ok: {out['tuned_post']}")
 
-    if tracer is not None:
-        obs.export_chrome_trace(args.trace, tracer=tracer,
-                                engine=out["engine"], collector=collector)
-        n_spans = len(tracer.spans) + len(collector.spans)
-        print(f"\nwrote {args.trace} ({n_spans} spans) -- "
+    if collector is not None:
+        obs.export_chrome_trace(args.trace, collector=collector,
+                                engine=out["engine"])
+        print(f"\nwrote {args.trace} ({len(collector.spans)} spans) -- "
               "open it at https://ui.perfetto.dev")
         traces = collector.traces()
         if traces:

@@ -24,10 +24,8 @@ from repro.core.selector import ProtocolChoice, select_protocol
 from repro.core.trdma import TRdma, TRdmaServerTransport
 from repro.core.engine import HatRpcEngine, ServicePlan, build_service_plan, pinned_plan
 from repro.core.runtime import HatRpcClient, HatRpcServer, hatrpc_connect
-from repro.core.tracing import CallSpan, Tracer, attach_tracer
 
 __all__ = [
-    "CallSpan",
     "DEFAULT_HINTS",
     "HINT_SCHEMA",
     "HatRpcClient",
@@ -39,8 +37,6 @@ __all__ = [
     "ResolvedHints",
     "TRdma",
     "TRdmaServerTransport",
-    "Tracer",
-    "attach_tracer",
     "build_service_plan",
     "hatrpc_connect",
     "pinned_plan",

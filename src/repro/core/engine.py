@@ -27,11 +27,11 @@ from repro.obs import trace as obstrace
 from repro.core.hints import ResolvedHints, cacheable_hint, resolve_hints
 from repro.core.pipeline import (BoundedSeqidSet, CallHandle, ChannelPipeline,
                                  PipelineDead)
-from repro.core.resilience import CircuitBreaker, RetryBudget, RetryPolicy
+from repro.core.resilience import (CircuitBreaker, FaultCounters, RetryBudget,
+                                   RetryPolicy)
 from repro.core.selector import (SMALL_MESSAGE_THRESHOLD,
                                  TUNER_CONCURRENCY_GRID, TUNER_PAYLOAD_GRID,
                                  ProtocolChoice, select_protocol)
-from repro.core.tracing import CallSpan, FaultCounters
 from repro.protocols import ProtocolError
 from repro.sim.units import KiB
 from repro.thrift.errors import (TRejectedException, TTransportException,
@@ -548,9 +548,6 @@ class HatRpcEngine:
         #: optional online HintTuner (attach_tuner); None = declared hints
         #: only, and the whole tuner path costs one attribute check.
         self.tuner = None
-        #: optional :class:`~repro.core.tracing.Tracer` (attach_tracer):
-        #: one CallSpan per served call, one attribute check when absent.
-        self.tracer = None
         #: calls committed to each channel and not yet settled, blocking
         #: and pipelined alike (drain-and-close gating)
         self._inflight: Dict[int, int] = {}
@@ -1086,13 +1083,6 @@ class HatRpcEngine:
                 m[0].inc()
                 m[1].inc(len(entry.message))
                 m[2].inc(len(resp or b""))
-        if self.tracer is not None:
-            ch = self.plan.channels[idx]
-            self.tracer.record(CallSpan(
-                function=entry.fn, channel=idx, protocol=ch.protocol,
-                transport=ch.transport, request_bytes=len(entry.message),
-                response_bytes=len(resp or b""), start=entry.t_start,
-                end=now))
         if self.tuner is not None and not entry.oneway:
             self.tuner.observe(
                 entry.fn, len(entry.message), latency, now, idx,

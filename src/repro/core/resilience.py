@@ -10,19 +10,45 @@ Two small, deterministic pieces:
   simulated clock.
 
 Neither knows anything about channels or protocols; the engine composes
-them (see :meth:`repro.core.engine.HatRpcEngine.call`).
+them (see :meth:`repro.core.engine.HatRpcEngine.call`) and counts each
+recovery decision in its :class:`FaultCounters`.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.sim.units import us
 
-__all__ = ["CircuitBreaker", "RetryBudget", "RetryPolicy"]
+__all__ = ["CircuitBreaker", "FaultCounters", "RetryBudget", "RetryPolicy"]
+
+
+@dataclass
+class FaultCounters:
+    """Recovery-path instrumentation, owned by the engine.
+
+    Every recovery mechanism bumps exactly one counter per decision, so a
+    scenario's counters are as replayable as its fault trace.
+    """
+
+    retries: int = 0                  # backoff-then-resend decisions
+    timeouts: int = 0                 # per-call deadlines that fired
+    reconnects: int = 0               # channels discarded for reopening
+    failovers: int = 0                # calls routed off their primary channel
+    failbacks: int = 0                # calls returned to a recovered primary
+    breaker_opens: int = 0            # circuit-breaker CLOSED/HALF_OPEN -> OPEN
+    blind_retries_prevented: int = 0  # non-idempotent resends refused
+    channel_failures: int = 0         # transport errors observed on channels
+    reroutes: int = 0                 # swept calls handed to another engine
+    rejections: int = 0               # typed REJECTED responses received
+    rejected_retries: int = 0         # rejection retries taken (post-backoff)
+    budget_exhausted: int = 0         # retries refused by the retry budget
+
+    def as_dict(self) -> Dict[str, int]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -53,11 +53,10 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.selector import ProtocolChoice, select_protocol
-from repro.core.tracing import TunerDecision
 from repro.obs.attribution import (StageStats, WindowedAttribution,
                                    payload_class)
 
-__all__ = ["HintTuner", "TunerConfig"]
+__all__ = ["HintTuner", "TunerConfig", "TunerDecision"]
 
 #: the attribution stage name the tuner's end-to-end samples land under
 CALL_STAGE = "call"
@@ -104,6 +103,31 @@ class TunerConfig:
     concurrency_source: str = "declared"
     #: a disabled tuner observes nothing: declared hints stand untouched
     enabled: bool = True
+
+
+@dataclass(frozen=True)
+class TunerDecision:
+    """One online-tuner re-plan: the replayable record of a switch/revert.
+
+    The tuner appends one per acted-on decision (holds are counted, not
+    recorded) and mirrors it into the engine's fault trace / distributed
+    trace as a ``tuner_switch`` / ``tuner_revert`` event, so a converged
+    run's decision sequence is as inspectable as its fault sequence.
+    """
+
+    time: float                 # sim time of the decision
+    function: str
+    kind: str                   # 'switch' | 'revert'
+    from_choice: str            # 'protocol/poll' labels
+    to_choice: str
+    channel: int                # target ChannelPlan.index
+    epoch: int                  # plan epoch AFTER the decision
+    reason: str
+
+    def label(self) -> str:
+        return (f"[{self.kind}] {self.function}: {self.from_choice} -> "
+                f"{self.to_choice} (ch{self.channel}, epoch {self.epoch}; "
+                f"{self.reason})")
 
 
 @dataclass

@@ -5,16 +5,17 @@ Four pieces:
 * :mod:`repro.obs.metrics` -- a cheap :class:`MetricsRegistry` (counters,
   gauges, log-bucketed histograms, pull probes) that every runtime layer
   reports into **when one is installed**;
-* :mod:`repro.obs.trace` -- distributed tracing: W3C-traceparent-style
-  context propagated across the wire, client/server stage spans, head
-  sampling;
-* :mod:`repro.obs.timeline` -- exports spans and fault-trace events as
-  Chrome ``trace_event`` JSON, viewable in Perfetto;
+* :mod:`repro.obs.trace` -- distributed tracing, the one per-call record:
+  a client root span per call (function, protocol, transport, request /
+  response bytes, serving channel), W3C-traceparent-style context
+  propagated across the wire, client/server stage spans, head sampling;
+* :mod:`repro.obs.timeline` -- exports trace spans and an engine's
+  fault-trace events as Chrome ``trace_event`` JSON, viewable in Perfetto;
 * :mod:`repro.obs.promtext` / :mod:`repro.obs.attribution` -- Prometheus
   text exposition of a registry, and the per-hint-tuple stage-latency
   report.
 
-Install pattern (mirrors ``Tracer``'s "zero overhead when absent" rule)::
+Install pattern ("zero overhead when absent", as for ``obs.trace``)::
 
     from repro import obs
 

@@ -80,6 +80,14 @@ def _percentile(sorted_vals: Sequence[float], p: float) -> float:
     return sorted_vals[rank - 1]
 
 
+def _stage_stats(samples: Iterable[float]) -> StageStats:
+    vals = sorted(samples)
+    total = sum(vals)
+    return StageStats(count=len(vals), p50=_percentile(vals, 50),
+                      p95=_percentile(vals, 95), mean=total / len(vals),
+                      total=total)
+
+
 def _key_from_root(root) -> HintKey:
     attrs = root.attrs
     nbytes = attrs.get("req_bytes", attrs.get("payload_size"))
@@ -120,14 +128,7 @@ def hint_attribution(spans: Iterable[Any]
 
     out: Dict[HintKey, Dict[str, StageStats]] = {}
     for (key, stage), vals in samples.items():
-        vals.sort()
-        out.setdefault(key, {})[stage] = StageStats(
-            count=len(vals),
-            p50=_percentile(vals, 50),
-            p95=_percentile(vals, 95),
-            mean=sum(vals) / len(vals),
-            total=sum(vals),
-        )
+        out.setdefault(key, {})[stage] = _stage_stats(vals)
     return out
 
 
@@ -140,9 +141,7 @@ class WindowedAttribution:
     sample at a time (``observe(key, stage, value)``), keeps only the most
     recent ``window`` samples per (key, stage), and serves exact
     :class:`StageStats` over that window on demand.  Keys are free-form
-    hashables -- the tuner keys by ``(function, payload_class, choice)``;
-    :meth:`ingest_spans` bridges from the batch world using the same
-    :class:`HintKey` grouping as :func:`hint_attribution`.
+    hashables -- the tuner keys by ``(function, payload_class, choice)``.
 
     Windowing is the point, not a memory bound: a tuner must weigh *recent*
     behavior, and a long-gone phase polluting the percentiles would stall
@@ -162,54 +161,10 @@ class WindowedAttribution:
             self._samples[(key, stage)] = dq
         dq.append(value)
 
-    def count(self, key: Any, stage: str) -> int:
-        dq = self._samples.get((key, stage))
-        return len(dq) if dq is not None else 0
-
     def stats(self, key: Any, stage: str) -> Optional[StageStats]:
         """Exact stats over the current window, or None if no samples."""
         dq = self._samples.get((key, stage))
-        if not dq:
-            return None
-        vals = sorted(dq)
-        return StageStats(
-            count=len(vals),
-            p50=_percentile(vals, 50),
-            p95=_percentile(vals, 95),
-            mean=sum(vals) / len(vals),
-            total=sum(vals),
-        )
-
-    def snapshot(self) -> Dict[Any, Dict[str, StageStats]]:
-        """{key: {stage: StageStats}} over every live window."""
-        out: Dict[Any, Dict[str, StageStats]] = {}
-        for (key, stage) in self._samples:
-            st = self.stats(key, stage)
-            if st is not None:
-                out.setdefault(key, {})[stage] = st
-        return out
-
-    def ingest_spans(self, spans: Iterable[Any]) -> int:
-        """Feed committed trace spans through the same grouping as
-        :func:`hint_attribution`; returns the number of samples taken."""
-        spans = list(spans)
-        roots_by_trace: Dict[str, Any] = {}
-        for s in spans:
-            if s.kind == "client" and not s.parent_span_id:
-                roots_by_trace.setdefault(s.trace_id, s)
-        n = 0
-        for s in spans:
-            if s.kind != "stage":
-                continue
-            root = roots_by_trace.get(s.trace_id)
-            if root is None:
-                continue
-            self.observe(_key_from_root(root), s.name, s.end - s.start)
-            n += 1
-        return n
-
-    def clear(self) -> None:
-        self._samples.clear()
+        return _stage_stats(dq) if dq else None
 
 
 # Stable presentation order for the stage taxonomy; anything else

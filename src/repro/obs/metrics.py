@@ -1,7 +1,7 @@
 """Allocation-light metrics: counters, gauges, log-bucketed histograms.
 
-The registry is the paper-evaluation companion to :mod:`repro.core.tracing`:
-where the tracer records *per-call* spans, the registry accumulates *cheap
+The registry is the paper-evaluation companion to :mod:`repro.obs.trace`:
+where the trace records *per-call* spans, the registry accumulates *cheap
 aggregate* instruments that every runtime layer (engine, protocols, verbs
 datapath, netfab, thrift servers, HatKV) reports into.  RPCAcc-style
 per-stage attribution falls out of the naming convention: each layer owns a
@@ -14,7 +14,7 @@ Cost discipline
   their instruments (or ``None``) once at construction from
   :func:`repro.obs.current`; a disabled run pays exactly one attribute
   ``is not None`` check per instrumented site -- the same guard pattern as
-  ``Tracer``.
+  :mod:`repro.obs.trace`.
 * **Allocation-light when on.**  Counters and gauges are a single float
   slot; histograms hold one small dict of log-spaced bucket counts, never
   the raw samples.

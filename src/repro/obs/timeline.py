@@ -1,19 +1,19 @@
-"""Timeline export: CallSpans + sim-clock events -> Chrome ``trace_event``.
+"""Timeline export: trace spans + sim-clock events -> Chrome ``trace_event``.
 
-The exporter turns what the runtime already records (the tracer's
-:class:`~repro.core.tracing.CallSpan` list, the engine's replayable
+The exporter turns what the runtime already records (the
+:mod:`repro.obs.trace` collector's spans, the engine's replayable
 ``fault_trace``) into the Chrome/Perfetto ``trace_event`` JSON format
 (load the file at https://ui.perfetto.dev or ``chrome://tracing``):
 
-* one *complete* event (``ph: "X"``) per RPC span -- name = function,
-  track (``tid``) = channel, args = protocol/transport/sizes;
+* one *complete* event (``ph: "X"``) per call / attempt / stage span --
+  process (``pid``) = simulated node, thread (``tid``) = trace, args =
+  the span's identity and attributes (protocol, transport, sizes);
 * one *instant* event (``ph: "i"``) per fault-trace entry (retries,
-  failovers, breaker transitions, timeouts);
+  failovers, breaker transitions, timeouts), on the engine's node;
 * optional *counter* events (``ph: "C"``) for time-series gauges.
 
 Timestamps: the simulator clock is seconds; ``trace_event`` wants
-microseconds, so every ``ts``/``dur`` is scaled by 1e6.  Events carry
-``pid``/``tid`` so multi-node runs can map nodes onto processes.
+microseconds, so every ``ts``/``dur`` is scaled by 1e6.
 """
 
 from __future__ import annotations
@@ -99,31 +99,6 @@ class TimelineExporter:
         })
 
     # -- runtime adapters --------------------------------------------------
-    def add_call_spans(self, spans: Iterable[Any], pid: int = 0,
-                       process_name: str = "hatrpc-client") -> int:
-        """Ingest :class:`~repro.core.tracing.CallSpan`-shaped objects.
-
-        One track per channel index, labeled with the channel's protocol.
-        Returns the number of events added.
-        """
-        self.name_process(pid, process_name)
-        n = 0
-        for span in spans:
-            tid = span.channel if span.channel >= 0 else 999
-            self.name_thread(
-                pid, tid,
-                f"ch{span.channel} {span.protocol or span.transport}")
-            self.add_complete(
-                span.function, span.start, span.end - span.start,
-                pid=pid, tid=tid, cat=span.protocol or span.transport
-                or "rpc",
-                args={"protocol": span.protocol,
-                      "transport": span.transport,
-                      "request_bytes": span.request_bytes,
-                      "response_bytes": span.response_bytes})
-            n += 1
-        return n
-
     def add_fault_trace(self, trace: Iterable[Tuple], pid: int = 0) -> int:
         """Ingest engine ``fault_trace`` tuples
         ``(sim_time, kind, function, channel, detail)`` as instants."""
@@ -185,28 +160,21 @@ class TimelineExporter:
             json.dump(self.to_dict(), f)
 
 
-def export_chrome_trace(path, tracer=None, engine=None, spans=None,
-                        fault_trace=None, collector=None,
-                        pid: int = 0) -> TimelineExporter:
-    """One-call export: spans and/or fault events -> Perfetto JSON at
-    ``path``.
+def export_chrome_trace(path, collector=None,
+                        engine=None) -> TimelineExporter:
+    """One-call export: trace spans and/or fault events -> Perfetto JSON
+    at ``path``.
 
-    Pass any of a ``tracer`` (its flat ``.spans`` are used), an ``engine``
-    (its ``.fault_trace`` is used), a distributed-trace ``collector``
-    (its tree-structured spans nest per node/trace), or raw ``spans`` /
-    ``fault_trace`` sequences.  Returns the exporter (with ``path``
-    already written).
+    Pass a distributed-trace ``collector`` (its spans nest per node and
+    trace) and/or an ``engine`` (its ``.fault_trace`` lands as instants on
+    the engine's node, beside that node's spans).  Returns the exporter
+    (with ``path`` already written).
     """
     ex = TimelineExporter()
-    if tracer is not None:
-        ex.add_call_spans(tracer.spans, pid=pid)
-    if spans is not None:
-        ex.add_call_spans(spans, pid=pid)
-    if engine is not None:
-        ex.add_fault_trace(engine.fault_trace, pid=pid)
-    if fault_trace is not None:
-        ex.add_fault_trace(fault_trace, pid=pid)
     if collector is not None:
         ex.add_trace_spans(collector.spans)
+    if engine is not None:
+        ex.add_fault_trace(engine.fault_trace,
+                           pid=ex.pid_for(engine.node.name))
     ex.write(path)
     return ex

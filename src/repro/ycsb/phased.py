@@ -29,7 +29,7 @@ from repro.bench.harness import Phase, PhasedRun, Scenario, StormSpec
 from repro.bench.stats import LatencyStats
 from repro.sim.core import AllOf
 from repro.thrift.errors import TRejectedException
-from repro.ycsb.runner import YcsbResult, _load_server
+from repro.ycsb.runner import YcsbResult, _dispatch, _load_server
 from repro.ycsb.workload import (InsertSequence, OpType, Workload,
                                  WorkloadSpec)
 
@@ -55,29 +55,6 @@ def measurement_result(run: PhasedRun) -> YcsbResult:
     return YcsbResult(throughput_ops=run.throughput(Phase.MEASUREMENT),
                       per_op=per_op,
                       total_ops=run.ops(Phase.MEASUREMENT))
-
-
-def _dispatch(stub, op: OpType, args, spec: WorkloadSpec, check: bool):
-    """Issue one YCSB op on a KV stub (shared by primary/storm clients)."""
-    if op is OpType.GET:
-        res = yield from stub.Get(*args)
-        # 'latest' may pick an index whose insert is still in flight on
-        # another client; a miss is then legitimate.
-        if check:
-            assert res.found or spec.distribution == "latest", \
-                f"missing key {args[0]!r}"
-    elif op is OpType.PUT or op is OpType.INSERT:
-        yield from stub.Put(*args)
-    elif op is OpType.MULTI_GET:
-        values = yield from stub.MultiGet(*args)
-        if check:
-            assert len(values) == len(args[0])
-    elif op is OpType.MULTI_PUT:
-        yield from stub.MultiPut(*args)
-    else:  # SCAN
-        flat = yield from stub.Scan(*args)
-        if check:
-            assert len(flat) % 2 == 0
 
 
 def run_ycsb_phased(server: Any, connect: Callable, spec: WorkloadSpec,

@@ -45,6 +45,29 @@ def _load_server(server, items) -> None:
             txn.put(key, value)
 
 
+def _dispatch(stub, op: OpType, args, spec: WorkloadSpec, check: bool):
+    """Issue one YCSB op on a KV stub (shared by every driver's clients)."""
+    if op is OpType.GET:
+        res = yield from stub.Get(*args)
+        # 'latest' may pick an index whose insert is still in flight on
+        # another client; a miss is then legitimate.
+        if check:
+            assert res.found or spec.distribution == "latest", \
+                f"missing key {args[0]!r}"
+    elif op is OpType.PUT or op is OpType.INSERT:
+        yield from stub.Put(*args)
+    elif op is OpType.MULTI_GET:
+        values = yield from stub.MultiGet(*args)
+        if check:
+            assert len(values) == len(args[0])
+    elif op is OpType.MULTI_PUT:
+        yield from stub.MultiPut(*args)
+    else:  # SCAN
+        flat = yield from stub.Scan(*args)
+        if check:
+            assert len(flat) % 2 == 0
+
+
 def run_ycsb(server: HatKVServer, connect: Callable, spec: WorkloadSpec,
              testbed: Testbed, n_clients: int = 16, ops_per_client: int = 20,
              warmup_per_client: int = 3, n_client_nodes: int = 4,
@@ -72,24 +95,7 @@ def run_ycsb(server: HatKVServer, connect: Callable, spec: WorkloadSpec,
         for k in range(warmup_per_client + ops_per_client):
             op, args = wl.next_op()
             t0 = sim.now
-            if op is OpType.GET:
-                res = yield from stub.Get(*args)
-                # 'latest' may pick an index whose insert is still in
-                # flight on another client; a miss is then legitimate.
-                assert res.found or spec.distribution == "latest", \
-                    f"missing key {args[0]!r}"
-            elif op is OpType.PUT:
-                yield from stub.Put(*args)
-            elif op is OpType.MULTI_GET:
-                values = yield from stub.MultiGet(*args)
-                assert len(values) == len(args[0])
-            elif op is OpType.MULTI_PUT:
-                yield from stub.MultiPut(*args)
-            elif op is OpType.SCAN:
-                flat = yield from stub.Scan(*args)
-                assert len(flat) % 2 == 0
-            else:  # INSERT
-                yield from stub.Put(*args)
+            yield from _dispatch(stub, op, args, spec, check=True)
             if k < warmup_per_client:
                 continue
             if window["start"] is None:

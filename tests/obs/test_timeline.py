@@ -1,15 +1,22 @@
 """Timeline exporter: valid Chrome trace_event JSON."""
 
 import json
+import random
+from types import SimpleNamespace
 
-from repro.core.tracing import CallSpan
+from repro.core.runtime import HatRpcServer, hatrpc_connect
+from repro.idl import load_idl
+from repro.obs import trace as obstrace
 from repro.obs.timeline import TimelineExporter, export_chrome_trace
+from repro.obs.trace import Span
+from repro.testbed import Testbed
 
 
-def _span(fn="Echo", ch=0, start=1e-6, end=4e-6):
-    return CallSpan(function=fn, channel=ch, protocol="direct_writeimm",
-                    transport="hatrpc", request_bytes=64, response_bytes=64,
-                    start=start, end=end)
+def _span(name="Echo", span_id="s1", parent="", kind="client",
+          start=1e-6, end=4e-6):
+    return Span(trace_id="t1", span_id=span_id, parent_span_id=parent,
+                name=name, kind=kind, node="node1", start=start, end=end,
+                attrs={"protocol": "direct_writeimm", "req_bytes": 64})
 
 
 def test_complete_event_fields():
@@ -32,18 +39,6 @@ def test_instant_and_counter_events():
     assert ctr["ph"] == "C" and ctr["args"] == {"calls": 2}
 
 
-def test_call_spans_create_labeled_tracks():
-    ex = TimelineExporter()
-    n = ex.add_call_spans([_span(ch=0), _span(ch=2)], pid=4)
-    assert n == 2
-    meta = [e for e in ex.events if e["ph"] == "M"]
-    names = {(e["name"], e.get("tid")) for e in meta}
-    assert ("process_name", 0) in names
-    assert ("thread_name", 0) in names and ("thread_name", 2) in names
-    spans = [e for e in ex.events if e["ph"] == "X"]
-    assert all(e["args"]["protocol"] == "direct_writeimm" for e in spans)
-
-
 def test_fault_trace_becomes_instants():
     ex = TimelineExporter()
     n = ex.add_fault_trace([(1e-5, "retry", "Echo", 0, "timeout"),
@@ -56,8 +51,11 @@ def test_fault_trace_becomes_instants():
 
 def test_json_round_trip(tmp_path):
     path = tmp_path / "trace.json"
-    ex = export_chrome_trace(path, spans=[_span()],
+    collector = SimpleNamespace(spans=[
+        _span(), _span("post", "s2", "s1", "stage", 2e-6, 3e-6)])
+    engine = SimpleNamespace(node=SimpleNamespace(name="node1"),
                              fault_trace=[(5e-6, "retry", "Echo", 0, "x")])
+    ex = export_chrome_trace(path, collector=collector, engine=engine)
     doc = json.loads(path.read_text())
     assert doc["displayTimeUnit"] == "ns"
     assert isinstance(doc["traceEvents"], list)
@@ -71,6 +69,56 @@ def test_json_round_trip(tmp_path):
 
 def test_metadata_deduped():
     ex = TimelineExporter()
-    ex.add_call_spans([_span(), _span()])
+    ex.add_trace_spans([_span(), _span("post", "s2", "s1", "stage")])
     meta = [e for e in ex.events if e["ph"] == "M"]
     assert len(meta) == 2  # one process_name + one thread_name
+
+
+IDL = """
+service Faulty {
+    string Get(1: string k) [ hint: perf_goal = latency; ]
+    string Legacy(1: string k) [ hint: transport = tcp; ]
+}
+"""
+
+
+def test_fault_instants_land_on_the_client_nodes_process(tmp_path):
+    gen = load_idl(IDL, "timeline_faulty_gen")
+
+    class H:
+        def Get(self, k):
+            return k
+
+        def Legacy(self, k):
+            return k
+
+    with obstrace.installed() as col:
+        tb = Testbed(n_nodes=2)
+        server = HatRpcServer(tb.node(0), gen, "Faulty", H()).start()
+        # No RDMA listener: Get retries, then fails over to the TCP channel.
+        for ch, srv in zip(server.plan.channels, server.endpoint.servers):
+            if ch.transport == "rdma":
+                srv.stop()
+
+        def run():
+            stub = yield from hatrpc_connect(
+                tb.node(1), tb.node(0), gen, "Faulty",
+                idempotent=("Get",), rng=random.Random(7))
+            assert (yield from stub.Get("k")) == "k"
+            return stub._hatrpc.engine
+
+        engine = tb.sim.run(tb.sim.process(run()))
+        tb.sim.run()
+        path = tmp_path / "trace.json"
+        export_chrome_trace(path, collector=col, engine=engine)
+
+    events = json.loads(path.read_text())["traceEvents"]
+    named = {e["pid"] for e in events
+             if e["ph"] == "M" and e["name"] == "process_name"}
+    assert {e["pid"] for e in events} <= named
+    faults = [e for e in events
+              if e["ph"] == "i" and "trace_id" not in e.get("args", {})]
+    assert faults and len(faults) == len(engine.fault_trace)
+    client_pids = {e["pid"] for e in events if e["ph"] == "X"
+                   and e["args"].get("node") == engine.node.name}
+    assert client_pids and {e["pid"] for e in faults} == client_pids

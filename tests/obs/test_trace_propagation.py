@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.tracing import Tracer, attach_tracer
 from repro.core.runtime import HatRpcServer, hatrpc_connect
 from repro.obs import trace as obstrace
 from repro.sim.units import ms, us
@@ -211,38 +210,135 @@ def test_timeout_commits_the_trace_even_when_unsampled(gen):
 # -- satellite: FaultCounters stay deduplicated ------------------------------
 
 def test_tracer_reads_the_engines_fault_counters(gen):
-    """attach_tracer must NOT create a second FaultCounters: each retry /
-    failover decision bumps exactly one counter, on the engine's instance,
-    which the tracer merely exposes."""
-    tb = Testbed(n_nodes=2)
-    handler = KVHandler(tb)
-    handler.store["k"] = "v"
-    server = HatRpcServer(tb.node(0), gen, "MiniKV", handler).start()
-    for ch, srv in zip(server.plan.channels, server.endpoint.servers):
-        if ch.transport == "rdma":
-            srv.stop()
-    box = {}
+    """Each retry / failover decision bumps exactly one ``engine.faults``
+    counter and appends exactly one ``fault_trace`` entry; the call's trace
+    mirrors those entries as events instead of keeping counters of its
+    own."""
+    with obstrace.installed() as col:
+        tb = Testbed(n_nodes=2)
+        handler = KVHandler(tb)
+        handler.store["k"] = "v"
+        server = HatRpcServer(tb.node(0), gen, "MiniKV", handler).start()
+        for ch, srv in zip(server.plan.channels, server.endpoint.servers):
+            if ch.transport == "rdma":
+                srv.stop()
 
-    def run():
-        stub = yield from hatrpc_connect(
-            tb.node(1), tb.node(0), gen, "MiniKV",
-            idempotent=("Get",), rng=random.Random(42))
-        box["tracer"] = attach_tracer(stub._hatrpc.engine, Tracer())
-        box["engine"] = stub._hatrpc.engine
-        yield from stub.Get("k")
-        return None
+        def run():
+            stub = yield from hatrpc_connect(
+                tb.node(1), tb.node(0), gen, "MiniKV",
+                idempotent=("Get",), rng=random.Random(42))
+            yield from stub.Get("k")
+            return stub._hatrpc.engine
 
-    tb.sim.run(tb.sim.process(run()))
-    tracer, engine = box["tracer"], box["engine"]
-    assert tracer.faults is engine.faults          # same object, no copy
-    # exactly one failover decision -> exactly one counter bump, visible
-    # identically through both names
-    assert engine.faults.failovers == 1
-    assert tracer.faults.failovers == 1
-    retries = sum(1 for _, kind, *_ in engine.fault_trace
-                  if kind == "retry")
-    assert engine.faults.retries == retries        # one bump per decision
-    failovers = sum(1 for _, kind, *_ in engine.fault_trace
-                    if kind == "failover")
-    assert engine.faults.failovers == failovers
-    assert any("faults:" in line for line in tracer.summary_lines())
+        engine = tb.sim.run(tb.sim.process(run()))
+        events = [s.name for s in trace_of(col, "Get") if s.kind == "event"]
+    kinds = [kind for _, kind, *_ in engine.fault_trace]
+    assert engine.faults.failovers == kinds.count("failover") == 1
+    assert engine.faults.retries == kinds.count("retry") >= 1
+    assert events == kinds
+
+
+# -- one root span per call: routing and sizes --------------------------------
+
+SVC_IDL = """
+service Svc {
+    string Fast(1: string m) [ hint: perf_goal = latency; ]
+    binary Bulk(1: binary b) [ hint: payload_size = 32KB,
+                                     perf_goal = res_util; ]
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def svc_gen():
+    return load_idl(SVC_IDL, "trace_svc_gen")
+
+
+def _run_svc(svc_gen, body):
+    """Run ``body(stub)`` on a fresh two-node bed with ``obs.trace``
+    installed; returns (collector, engine plan, body's result)."""
+    with obstrace.installed() as col:
+        tb = Testbed(n_nodes=2)
+
+        class H:
+            def Fast(self, m):
+                return m
+
+            def Bulk(self, b):
+                return b
+
+        HatRpcServer(tb.node(0), svc_gen, "Svc", H()).start()
+
+        def client():
+            stub = yield from hatrpc_connect(tb.node(1), tb.node(0),
+                                             svc_gen, "Svc")
+            out = yield from body(stub)
+            return stub._hatrpc.engine.plan, out
+
+        plan, out = tb.sim.run(tb.sim.process(client()))
+        tb.sim.run()
+    return col, plan, out
+
+
+def _client_roots(col):
+    roots = [s for s in col.spans if s.kind == "client"
+             and not s.parent_span_id]
+    return sorted(roots, key=lambda s: s.start)
+
+
+def _ok_attempt(col, root):
+    (ok,) = [s for s in col.spans if s.parent_span_id == root.span_id
+             and s.name.startswith("attempt#") and s.status == "ok"]
+    return ok
+
+
+def test_root_spans_record_routing_and_sizes(svc_gen):
+    def body(stub):
+        yield from stub.Fast("hello")
+        yield from stub.Fast("again")
+        yield from stub.Bulk(b"z" * 8192)
+
+    col, plan, _ = _run_svc(svc_gen, body)
+    roots = _client_roots(col)
+    assert [r.name for r in roots] == ["Fast", "Fast", "Bulk"]
+    fast, fast2, bulk = roots
+    for root in roots:
+        ch = plan.channel_for(root.name)
+        assert root.attrs["protocol"] == ch.protocol
+        assert root.attrs["transport"] == ch.transport
+        assert _ok_attempt(col, root).attrs["channel"] == ch.index
+        assert root.end > root.start
+    assert fast.attrs["protocol"] == "direct_writeimm"
+    assert bulk.attrs["protocol"] == "write_rndv"
+    assert (_ok_attempt(col, fast).attrs["channel"]
+            != _ok_attempt(col, bulk).attrs["channel"])
+    assert bulk.attrs["req_bytes"] > 8192  # payload + thrift framing
+    assert bulk.attrs["resp_bytes"] > 8192
+    assert fast2.start >= fast.end
+
+
+def test_async_calls_record_root_spans_too(svc_gen):
+    def body(stub):
+        caller = stub._hatrpc.async_caller()
+        handles = []
+        for method, arg in (("Fast", "one"), ("Bulk", b"z" * 8192),
+                            ("Fast", "three")):
+            handles.append((yield from caller.call_async(method, arg)))
+        replies = []
+        for h in handles:
+            replies.append((yield from h.wait()))
+        return replies
+
+    col, plan, replies = _run_svc(svc_gen, body)
+    assert replies == ["one", b"z" * 8192, "three"]
+    roots = _client_roots(col)
+    assert [r.name for r in roots] == ["Fast", "Bulk", "Fast"]
+    for root in roots:
+        ch = plan.channel_for(root.name)
+        assert root.attrs["protocol"] == ch.protocol
+        assert _ok_attempt(col, root).attrs["channel"] == ch.index
+        assert root.end > root.start
+    fast, bulk, _ = roots
+    assert bulk.attrs["req_bytes"] > 8192 and bulk.attrs["resp_bytes"] > 8192
+    assert 0 < fast.attrs["req_bytes"] < 100
+    assert 0 < fast.attrs["resp_bytes"] < 100
