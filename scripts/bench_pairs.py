@@ -18,7 +18,9 @@ direction) and whether that is a gain by the rule a performance claim is
 held to: better on at least 9 of 10 pairs (90 % of them), and the medians
 further apart than the parent's own quartile distance.  The ``sim_*``
 metrics are the model's answer, not a cost: they must be *equal* in every
-run of both trees.
+run of both trees.  Where they are not, it prints, for each differing one,
+both trees' values pair by pair and the tree's relative change: the movement
+a declared model change is reviewed by.
 
 Exit codes: 0 done (whatever the verdict), 2 a ``sim_*`` value differs
 between the trees or a run failed.
@@ -75,6 +77,21 @@ def sim_mismatches(parent_runs: List[dict], tree_runs: List[dict]
     return [n for n in names
             if len({run["metrics"].get(n, {}).get("value")
                     for run in parent_runs + tree_runs}) != 1]
+
+
+def sim_report(parent_runs: List[dict], tree_runs: List[dict]) -> List[str]:
+    """For every ``sim_*`` metric that differs, one line per pair: the
+    parent's value, the tree's and the tree's relative change -- what a
+    declared model change is reviewed by."""
+    out = []
+    for name in sim_mismatches(parent_runs, tree_runs):
+        for k, (p_run, t_run) in enumerate(zip(parent_runs, tree_runs)):
+            p = p_run["metrics"].get(name, {}).get("value")
+            t = t_run["metrics"].get(name, {}).get("value")
+            change = f"{t / p - 1:+.2%}" if p and t is not None else "n/a"
+            out.append(f"{name:>16} pair {k}: parent {p!r} tree {t!r} "
+                       f"{change}")
+    return out
 
 
 def run_driver(tree: Path, workload: str, seed: int) -> dict:
@@ -137,6 +154,8 @@ def main(argv=None) -> int:
         print(line)
     bad = sim_mismatches(parent_runs, tree_runs)
     if bad:
+        for line in sim_report(parent_runs, tree_runs):
+            print(line)
         print(f"sim values differ between the trees: {', '.join(bad)}",
               file=sys.stderr)
         return 2

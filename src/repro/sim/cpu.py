@@ -16,26 +16,24 @@ Two kinds of runnable load are tracked:
   the thread is runnable (consuming a core's worth of schedulable time, thus
   slowing everyone else) but never "finishes".
 
-Cost, and what is on the event heap.  Every change of state (a job or a
-spinner arriving or leaving, a wake-up firing) is one pass over the job
-table, :meth:`CpuScheduler._reschedule`: it charges each job the work done
-since the previous pass, completes the jobs that reached zero, finds the
-least remaining work and schedules one wake-up for the moment that job will
-finish.  So a change costs O(jobs) and exactly one wake-up is *live* per
-scheduler -- but the wake-ups it superseded are not removed: they stay on
-the heap, carry the scheduler version they were computed for, and are
-popped, counted in ``events_executed`` and discarded when their time comes
-(about 70 k of the 353 k events of perfbench's ``ycsb_b``).  A pending
-wake-up is never *reused* either, even when the earliest finish time did not
-move: the recomputed ``now + min_rem / rate`` can differ from the older
-value in the last ulp, and the older heap entry keeps an older tie-break
-sequence number, so reusing it reorders events that share its timestamp.
-Both effects change the order in which the rest of the model runs -- the
-results stay statistically the same but no longer bit-identical
-(``sim_digest``, ``tests/sim/test_kernel_golden.py``).  Cancelling or reusing
-wake-ups therefore belongs with the virtual-time GPS rewrite (ROADMAP item
-1(c)), which reorders the float arithmetic anyway and refreshes the
-baselines once.
+Cost, and what is on the event heap.  While every runnable thread has a core
+of its own (R <= C) a job runs at full speed from arrival to completion, so
+its finish time is known when it arrives: :meth:`CpuScheduler.compute`
+pushes one completion entry at ``now + cpu_seconds`` and that entry fires
+the job itself -- no pass over the other jobs, no wake-up, no second event.
+Only over-subscription needs the shared rate.  An arrival or a
+``spin_begin`` that takes the node past C retires the in-flight completion
+entries into :meth:`CpuScheduler._reschedule`, the one pass over the job
+table: each job joins the table, in arrival order, owing ``finish - now``.
+While R > C every change of state is one such pass, O(jobs): it charges each
+job the work done since the previous pass, completes the jobs that reached
+zero and schedules one wake-up for the moment the job with the least work
+left will finish.  The pass that brings R back to <= C hands every job left
+a completion entry at ``now + remaining`` and empties the table.  Every entry
+carries the scheduler version it was pushed at and every pass takes a new
+one, so a superseded wake-up or a retired completion entry is popped and
+discarded when its time comes: dead events are left only by
+over-subscription.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 from heapq import heappush
 from math import inf
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator
 
@@ -64,26 +62,30 @@ class SpinToken:
 
 class _Job(Event):
     """A finite job: the event :meth:`CpuScheduler.compute` hands out, plus
-    the CPU work the scheduler still owes it."""
+    the CPU work the scheduler still owes it (as of the last pass, or of the
+    moment it got a core of its own)."""
 
     __slots__ = ("remaining",)
 
 
 class _Wake(Event):
-    """A scheduler wake-up: born triggered and on the heap (as a
+    """A scheduler heap entry: born triggered and on the heap (as a
     :class:`~repro.sim.core.Timeout` is), its value the scheduler version it
-    was computed for and its callbacks the scheduler's shared ``(_tick,)``."""
+    was pushed at.  A wake-up has no ``job`` and the scheduler's shared
+    ``(_tick,)`` callbacks; a completion entry names its job and has the
+    shared ``(_finish,)``."""
 
-    __slots__ = ()
+    __slots__ = ("job",)
 
     def __init__(self, sim: Simulator, when: float, version: int,
-                 callbacks: tuple):
+                 callbacks: tuple, job: Optional[_Job] = None):
         self.sim = sim
         self.callbacks = callbacks
         self._value = version
         self._exc = None
         self._triggered = True
         self.defused = False
+        self.job = job
         sim._eid = eid = sim._eid + 1
         heappush(sim._heap, (when, eid, self))
 
@@ -96,22 +98,27 @@ class CpuScheduler:
             raise ValueError("cores must be >= 1")
         self.sim = sim
         self.cores = cores
-        self._jobs: List[_Job] = []     # in arrival order
+        #: the GPS table, in arrival order: non-empty only while R > C
+        self._jobs: List[_Job] = []
+        #: jobs with a core of their own -> the time their completion entry
+        #: fires, in arrival order: non-empty only while R <= C
+        self._running: Dict[_Job, float] = {}
         self._spinners: set[int] = set()
         self._ids = itertools.count(1)
         self._last_update = 0.0
-        #: share of a core each job has received since ``_last_update``;
-        #: recomputed by every pass that leaves a job behind (with no jobs
-        #: there is nothing it could be applied to)
+        #: share of a core each table job has received since
+        #: ``_last_update``; recomputed by every pass that leaves the table
+        #: non-empty (with an empty table there is nothing to apply it to)
         self._rate = 1.0
         self._version = 0
-        self._busy_time = 0.0  # integrated core-seconds of useful work
-        self._wake_callbacks = (self._tick,)
+        self._busy_time = 0.0  # core-seconds of useful work charged so far
+        self._tick_callbacks = (self._tick,)
+        self._finish_callbacks = (self._finish,)
 
     # -- public API ---------------------------------------------------------
     @property
     def runnable(self) -> int:
-        return len(self._jobs) + len(self._spinners)
+        return len(self._jobs) + len(self._running) + len(self._spinners)
 
     @property
     def job_rate(self) -> float:
@@ -121,9 +128,14 @@ class CpuScheduler:
 
     @property
     def busy_core_seconds(self) -> float:
-        """Total useful (finite-job) work completed so far, in core-seconds."""
-        self._advance()
-        return self._busy_time
+        """Total useful (finite-job) work done so far, in core-seconds.  A
+        read: it charges no job and moves no event."""
+        now = self.sim.now
+        busy = self._busy_time + (self._rate * (now - self._last_update)
+                                  * len(self._jobs))
+        for job, finish in self._running.items():
+            busy += job.remaining - (finish - now)
+        return busy
 
     def utilization(self, elapsed: float) -> float:
         """Mean fraction of the node's cores doing useful work over ``elapsed``."""
@@ -134,17 +146,27 @@ class CpuScheduler:
     def compute(self, cpu_seconds: float) -> Event:
         """Consume ``cpu_seconds`` of CPU work; the event fires when done."""
         job = _Job(self.sim)
-        if cpu_seconds <= 0:
+        if cpu_seconds <= _EPS:
             return job.succeed()
         job.remaining = cpu_seconds
-        self._reschedule(job)
+        running = self._running
+        if not self._jobs and len(running) + len(self._spinners) < self.cores:
+            sim = self.sim
+            running[job] = finish = sim.now + cpu_seconds
+            _Wake(sim, finish, self._version, self._finish_callbacks, job)
+        else:
+            self._reschedule(job)
         return job
 
     def spin_begin(self) -> SpinToken:
         """Mark the calling thread as a busy-polling (always runnable) thread."""
         sid = next(self._ids)
-        self._spinners.add(sid)
-        self._reschedule()
+        spinners = self._spinners
+        spinners.add(sid)
+        running = self._running
+        if self._jobs or (running
+                          and len(running) + len(spinners) > self.cores):
+            self._reschedule()
         return SpinToken(self, sid)
 
     def spin_end(self, token: SpinToken) -> None:
@@ -152,38 +174,43 @@ class CpuScheduler:
             raise SimulationError("spin_end() on an inactive token")
         token.active = False
         self._spinners.discard(token.sid)
-        self._reschedule()
+        if self._jobs:
+            self._reschedule()
 
     # -- internals ------------------------------------------------------------
     # Bit-identity: the digests compare raw doubles, so the *sequence* of
-    # float operations below is part of the model.  Each job's remaining work
-    # is decremented by ``rate * dt`` once per pass (never by an accumulated
-    # or re-associated amount), the wake-up is ``now + min_rem / rate``, and
-    # finished jobs complete in table (arrival) order.
-
-    def _advance(self) -> None:
-        """Charge the work done since the last pass without rescheduling
-        (the observers' half of :meth:`_reschedule`: a probe that reads
-        ``busy_core_seconds`` mid-run splits a job's decrement in two, and
-        always has)."""
-        now = self.sim.now
-        done = self._rate * (now - self._last_update)
-        self._last_update = now
-        self._busy_time += done * len(self._jobs)
-        for job in self._jobs:
-            job.remaining -= done
+    # float operations below is part of the model.  A job with a core of its
+    # own finishes at ``arrival + work`` (or ``hand-back + remaining``), one
+    # addition.  A table job's remaining work is ``finish - now`` when it is
+    # retired into the table and is then decremented by ``rate * dt`` once
+    # per pass (never by an accumulated or re-associated amount); the
+    # wake-up is ``now + min_rem / rate``; jobs that finish in one pass
+    # complete in table (arrival) order.
 
     def _reschedule(self, arriving: Optional[_Job] = None) -> None:
-        """The one pass per change of state: charge every job the work done
+        """The one pass per change of state while over-subscribed: retire
+        the running jobs' completion entries into the table (when this pass
+        starts an over-subscription), charge every table job the work done
         since the last pass (at the rate in force since then -- the caller
         has already added or removed its spinner), admit ``arriving``,
-        complete what reached zero and schedule the next wake-up."""
+        complete what reached zero, and either schedule the next wake-up or,
+        if R is back to <= C, give every job left its completion entry."""
         sim = self.sim
         now = sim.now
         jobs = self._jobs
-        done = self._rate * (now - self._last_update)
+        running = self._running
+        if running:
+            for job, finish in running.items():
+                rem = finish - now
+                self._busy_time += job.remaining - rem
+                job.remaining = rem
+                jobs.append(job)
+            running.clear()
+            done = 0.0
+        else:
+            done = self._rate * (now - self._last_update)
+            self._busy_time += done * len(jobs)
         self._last_update = now
-        self._busy_time += done * len(jobs)
         self._version = version = self._version + 1
         floor = _EPS
         while True:
@@ -197,11 +224,7 @@ class CpuScheduler:
                     min_rem = rem
             if arriving is not None:        # owes its full work: not charged
                 jobs.append(arriving)
-                rem = arriving.remaining
-                if rem <= floor:
-                    finished.append(arriving)
-                elif rem < min_rem:
-                    min_rem = rem
+                min_rem = min(min_rem, arriving.remaining)
                 arriving = None
             for job in finished:
                 jobs.remove(job)
@@ -209,7 +232,14 @@ class CpuScheduler:
             if not jobs:
                 return
             r = len(jobs) + len(self._spinners)
-            self._rate = rate = 1.0 if r <= self.cores else self.cores / r
+            if r <= self.cores:
+                callbacks = self._finish_callbacks
+                for job in jobs:
+                    running[job] = finish = now + job.remaining
+                    _Wake(sim, finish, version, callbacks, job)
+                jobs.clear()
+                return
+            self._rate = rate = self.cores / r
             when = now + min_rem / rate
             if when > now:
                 break
@@ -219,8 +249,21 @@ class CpuScheduler:
             # and completes everything within _EPS of the minimum.
             floor = min_rem + _EPS
             done = 0.0
-        _Wake(sim, when, version, self._wake_callbacks)
+        _Wake(sim, when, version, self._tick_callbacks)
 
-    def _tick(self, wake: Event) -> None:
+    def _tick(self, wake: _Wake) -> None:
         if wake._value == self._version:    # else: superseded, a dead event
             self._reschedule()
+
+    def _finish(self, entry: _Wake) -> None:
+        """Fire a job whose completion entry is still live (no pass has
+        retired it into the table): the entry's pop is the job's."""
+        if entry._value != self._version:
+            return                          # retired into a pass: dead
+        job = entry.job
+        del self._running[job]
+        self._busy_time += job.remaining
+        job._triggered = True
+        callbacks, job.callbacks = job.callbacks, None
+        for cb in callbacks:
+            cb(job)

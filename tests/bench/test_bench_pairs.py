@@ -82,3 +82,15 @@ def test_main_exits_nonzero_when_sim_differs(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "host_us_per_op" in out.out and "won 2/2" in out.out
     assert "sim_kops" in out.err
+    # the movement itself, pair by pair, is in the report
+    assert "sim_kops pair 0: parent 12.5 tree 12.5 +0.00%" in out.out
+    assert "sim_kops pair 1: parent 12.5 tree 12.6 +0.80%" in out.out
+
+
+def test_sim_report_lists_only_what_differs_pair_by_pair():
+    parent = [_run(180.0), _run(181.0)]
+    tree = [_run(160.0, p50=63.0), _run(161.0, p50=63.0)]
+    assert bp.sim_report(parent, tree) == [
+        "      sim_p50_us pair 0: parent 61.0 tree 63.0 +3.28%",
+        "      sim_p50_us pair 1: parent 61.0 tree 63.0 +3.28%"]
+    assert bp.sim_report(parent, [_run(160.0), _run(161.0)]) == []

@@ -8,7 +8,8 @@ function of its seed.  So this test runs one sharded YCSB-A slice (2 shards,
 replicas=2, 16 pipelined clients, half writes -- the single-writer queue and
 primary-first replication are where set/dict order would bite) in two fresh
 interpreters under different hash seeds and compares a digest of every
-operation's ``(client, op, latency)`` and the final clock.
+operation's ``(client, op, latency)`` and the final clock.  It does the same
+for the golden kernel program of ``tests/sim/test_kernel_golden.py``.
 
 Run this file as a script to print the slice's fingerprint as JSON.
 """
@@ -72,25 +73,42 @@ def run_slice() -> dict:
             "hashseed": os.environ.get("PYTHONHASHSEED")}
 
 
-def start_under(hashseed: str) -> subprocess.Popen:
-    root = Path(__file__).resolve().parents[2]
+ROOT = Path(__file__).resolve().parents[2]
+KERNEL_PROGRAM = ROOT / "tests" / "sim" / "test_kernel_golden.py"
+
+
+def start_under(hashseed: str, script: Path = Path(__file__).resolve()
+                ) -> subprocess.Popen:
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.Popen([sys.executable, str(Path(__file__).resolve())],
-                            env=env, cwd=root, stdout=subprocess.PIPE,
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.Popen([sys.executable, str(script)],
+                            env=env, cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
 
 
-def test_sharded_ycsb_a_is_identical_across_hash_seeds():
-    procs = [start_under("1"), start_under("2")]    # side by side
+def fingerprints(procs) -> list:
     done = [(p, *p.communicate(timeout=300)) for p in procs]
     for proc, _out, err in done:
         assert proc.returncode == 0, err[-2000:]
-    one, two = [json.loads(out.strip().splitlines()[-1])
-                for _proc, out, _err in done]
+    return [json.loads(out.strip().splitlines()[-1])
+            for _proc, out, _err in done]
+
+
+def test_sharded_ycsb_a_is_identical_across_hash_seeds():
+    one, two = fingerprints([start_under("1"), start_under("2")])
     assert (one.pop("hashseed"), two.pop("hashseed")) == ("1", "2")
     assert one["ops"] == N_CLIENTS * OPS_PER_CLIENT
+    assert one == two
+
+
+def test_kernel_program_is_identical_across_hash_seeds():
+    """The golden kernel program runs an over-subscribed scheduler with
+    spinners coming and going mid-job, so jobs are handed from their own
+    completion entries to the GPS pass and back: the order they go in must
+    not depend on hashing."""
+    one, two = fingerprints([start_under("1", KERNEL_PROGRAM),
+                             start_under("2", KERNEL_PROGRAM)])
     assert one == two
 
 

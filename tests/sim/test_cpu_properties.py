@@ -1,7 +1,9 @@
 """Property-based tests for the GPS CPU scheduler and memory model."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import CpuScheduler, Simulator
 from repro.verbs.memory import Memory
@@ -68,6 +70,166 @@ def test_spinners_scale_completion_time(cores, n_spinners, work):
     assert done["t"] == pytest.approx(expected, rel=1e-9)
     for tok in tokens:
         cpu.spin_end(tok)
+
+
+def gps_reference(cores, jobs, spins):
+    """Exact GPS completion times, in ``Fraction``s, of ``jobs`` --
+    ``(arrival, work)`` -- among busy spinners on during ``[on, off)``."""
+    changes = sorted([(Fraction(t), 0, i) for i, (t, _w) in enumerate(jobs)]
+                     + [(Fraction(on), 1, +1) for on, _off in spins]
+                     + [(Fraction(off), 1, -1) for _on, off in spins])
+    now, k, spinning = Fraction(0), 0, 0
+    owed, done = {}, {}
+    while k < len(changes) or owed:
+        r = len(owed) + spinning
+        rate = Fraction(1) if r <= cores else Fraction(cores, r)
+        finish = now + min(owed.values()) / rate if owed else None
+        if k < len(changes) and (finish is None or changes[k][0] < finish):
+            until = changes[k][0]
+        else:
+            until = finish
+        for i in owed:
+            owed[i] -= rate * (until - now)
+        now = until
+        for i in [i for i, rem in owed.items() if rem == 0]:
+            done[i] = now
+            del owed[i]
+        while k < len(changes) and changes[k][0] == now:
+            _t, kind, arg = changes[k]
+            if kind == 0:
+                owed[arg] = Fraction(jobs[arg][1])
+            else:
+                spinning += arg
+            k += 1
+    return done
+
+
+def run_observed(cores, jobs, spins):
+    """Run ``jobs`` and ``spins`` (as :func:`gps_reference` takes them, a
+    spinner as ``(on, hold)``) on one scheduler.  Returns the completion
+    times and every wake-up pop as ``(dead, R <= C, version)``, plus the
+    version each pass ended at and whether it left the table non-empty."""
+    sim = Simulator()
+    cpu = CpuScheduler(sim, cores)
+    done, pops, passes = {}, [], {}
+    tick, reschedule = cpu._tick, cpu._reschedule
+
+    def observed_tick(wake):
+        pops.append((wake._value != cpu._version, cpu.runnable <= cores,
+                     wake._value))
+        tick(wake)
+
+    def observed_reschedule(arriving=None):
+        reschedule(arriving)
+        passes[cpu._version] = bool(cpu._jobs)
+
+    cpu._tick_callbacks = (observed_tick,)
+    cpu._reschedule = observed_reschedule
+
+    def job(i, start, work):
+        yield sim.timeout(start)
+        yield cpu.compute(work)
+        done[i] = sim.now
+
+    def spinner(on, hold):
+        yield sim.timeout(on)
+        token = cpu.spin_begin()
+        yield sim.timeout(hold)
+        cpu.spin_end(token)
+
+    for i, (start, work) in enumerate(jobs):
+        sim.process(job(i, start, work))
+    for on, hold in spins:
+        sim.process(spinner(on, hold))
+    sim.run()
+    return done, pops, passes
+
+
+_JOBS = st.lists(st.tuples(st.floats(0, 1), st.floats(1e-3, 1)),
+                 min_size=1, max_size=10)
+_SPINS = st.lists(st.tuples(st.floats(0, 1), st.floats(1e-3, 1)), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), _JOBS, _SPINS)
+# over C by arrivals, back under by completions
+@example(1, [(0.0, 1.0), (0.25, 0.5), (0.3, 0.125)], [])
+# over C by a spinner mid-job, back under when it leaves, twice
+@example(2, [(0.0, 1.0), (0.1, 0.75)], [(0.2, 0.3), (0.6, 0.1)])
+# a spinner leaves while the table has jobs and a wake-up is pending
+@example(1, [(0.0, 0.5), (0.0, 0.5)], [(0.0, 0.25)])
+def test_completion_times_match_exact_gps(cores, jobs, spins):
+    """Every completion time is within 1e-9 relative of an exact (rational)
+    GPS over the same arrivals and spinner windows, through every crossing
+    of R = C either way; and wake-ups belong to over-subscription."""
+    windows = [(on, on + hold) for on, hold in spins]
+    want = gps_reference(cores, jobs, windows)
+    got, pops, passes = run_observed(cores, jobs, spins)
+    assert sorted(got) == sorted(want) == list(range(len(jobs)))
+    for i, t in got.items():
+        assert abs(t - float(want[i])) <= 1e-9 * float(want[i]), (i, t)
+    for dead, uncontended, version in pops:
+        # pushed only by a pass that left the node over-subscribed ...
+        assert passes[version]
+        # ... live only while it still is; a dead one popped while R <= C
+        # is left from an over-subscribed stretch a later pass ended
+        assert dead or not uncontended
+        if dead and uncontended:
+            assert any(v > version and not left for v, left in passes.items())
+
+
+@st.composite
+def _uncontended(draw):
+    """Callers and spinners that never exceed the cores: each caller runs
+    one job at a time, and callers + spinners <= cores."""
+    cores = draw(st.integers(1, 6))
+    n_spin = draw(st.integers(0, cores - 1))
+    callers = draw(st.lists(
+        st.lists(st.tuples(st.floats(0, 0.5), st.floats(1e-6, 0.5)),
+                 min_size=1, max_size=5),
+        min_size=1, max_size=cores - n_spin))
+    spins = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(1e-3, 1)),
+                          min_size=n_spin, max_size=n_spin))
+    return cores, callers, spins
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uncontended())
+def test_uncontended_compute_is_one_heap_entry(case):
+    """With a core per runnable thread, ``compute(w)`` is exactly a
+    ``timeout(w)``: the same completion doubles and the same number of
+    events, i.e. one heap entry -- no pass, no wake-up, nothing dead."""
+    cores, callers, spins = case
+
+    def run(use_cpu):
+        sim = Simulator()
+        cpu = CpuScheduler(sim, cores)
+        trace = []
+
+        def caller(i, steps):
+            for k, (gap, work) in enumerate(steps):
+                yield sim.timeout(gap)
+                yield cpu.compute(work) if use_cpu else sim.timeout(work)
+                trace.append((i, k, repr(sim.now)))
+
+        def spinner(on, hold):
+            yield sim.timeout(on)
+            token = cpu.spin_begin()
+            yield sim.timeout(hold)
+            cpu.spin_end(token)
+
+        for i, steps in enumerate(callers):
+            sim.process(caller(i, steps))
+        for on, hold in spins:
+            sim.process(spinner(on, hold))
+        sim.run()
+        return trace, sim.events_executed, cpu
+
+    trace, events, cpu = run(use_cpu=True)
+    assert (trace, events) == run(use_cpu=False)[:2]
+    assert cpu._version == 0            # no pass ever ran
+    total = sum(w for steps in callers for _g, w in steps)
+    assert cpu.busy_core_seconds == pytest.approx(total, rel=1e-9)
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,22 +8,29 @@ CPU job), and processes that fail with and without a waiter -- under all
 three ways of turning the loop (``run(until=time)``, ``run(until=event)``,
 ``step``/``peek``, ``run()``).
 
-The expected digest and event count were captured at the commit *before* the
-host-clock fast path rewrote ``sim/core.py`` and ``sim/cpu.py``.  They are a
-sha256 over ``repr`` of raw doubles, so an edit that moves any event by one
-ulp, swaps two same-time events or adds/removes a heap entry fails here.  If
-you mean to change the model, say so in the PR and refresh both constants
-together with ``perfbench/baseline_seed0.json`` and ``BENCH_BASELINE.json``.
+The expected digest and event count were captured when a CPU job with a core
+of its own became its own completion event (a declared model change; the
+constants before that dated from the commit *before* the host-clock fast
+path rewrote ``sim/core.py`` and ``sim/cpu.py``).  They are a sha256 over
+``repr`` of raw doubles, so an edit that moves any event by one ulp, swaps
+two same-time events or adds/removes a heap entry fails here.  If you mean
+to change the model, say so in the PR and refresh both constants together
+with ``perfbench/baseline_seed0.json`` and ``BENCH_BASELINE.json``.
+
+Run this file as a script (``PYTHONPATH=src``) to print the program's
+fingerprint as JSON; ``tests/hatkv/test_hashseed_determinism.py`` does, under
+two hash seeds.
 """
 
 import hashlib
+import json
 
 from repro.sim import (CpuScheduler, Gate, Interrupt, Resource,
                        SimulationError, Simulator, Store)
 
 GOLDEN_SHA256 = (
-    "63d93b2aecc36fde315492556a4ca2769ed19eb0e9f8032025c36ad2c7fe6cb4")
-GOLDEN_EVENTS = 912
+    "77765eaa1180766244011e7087ed3c88d2e9cfa55f8dc12addce33ab89ca7b30")
+GOLDEN_EVENTS = 906
 GOLDEN_END = "1002.0"
 
 
@@ -31,8 +38,11 @@ class Boom(Exception):
     pass
 
 
-def run_program():
-    """Returns (trace, sim): trace is a list of (repr(now), process, value)."""
+def run_program(poll_every=None):
+    """Returns (trace, sim): trace is a list of (repr(now), process, value).
+
+    With ``poll_every``, one more process reads both schedulers'
+    ``utilization()`` at that period and logs nothing."""
     sim = Simulator()
     trace = []
 
@@ -222,8 +232,7 @@ def run_program():
     spawn(spinner(2, 0.05, 0.033), "spinner2")
 
     def cpu_probe():
-        # busy_core_seconds advances every job's remaining work without
-        # rescheduling: reading it mid-run is part of the float sequence.
+        # busy_core_seconds read mid-run, with jobs in flight on both paths
         for _ in range(6):
             yield sim.timeout(0.043)
             log(("busy", repr(cpu.busy_core_seconds),
@@ -265,10 +274,31 @@ def run_program():
 
     spawn(late_tiny_job(), "late-tiny")
 
+    # -- the hand-off: twins with a core each are retired into the GPS pass
+    # by a spinner and handed back when it leaves; their equal finish times
+    # must keep arrival order through both crossings
+    cpu2 = CpuScheduler(sim, 2)
+
+    def twin(i):
+        yield sim.timeout(0.6)
+        yield cpu2.compute(0.004)
+        log(("twin done", i, repr(cpu2.busy_core_seconds)))
+
+    def intruder():
+        yield sim.timeout(0.601)
+        token = cpu2.spin_begin()
+        log(("spin on", "intruder", cpu2.runnable, repr(cpu2.job_rate)))
+        yield sim.timeout(0.001)
+        cpu2.spin_end(token)
+
+    for i in range(2):
+        spawn(twin(i), f"twin{i}")
+    spawn(intruder(), "intruder")
+
     # -- RPC-shaped churn: microsecond jobs on 3 cores shared by 8 callers,
-    # a one-slot "NIC", busy-poll spins; most scheduler changes land while
-    # another wake-up is pending, so superseded wake-ups pile up as they do
-    # under the real stack.
+    # a one-slot "NIC", busy-poll spins; the node crosses R = C both ways
+    # many times, and most changes while over-subscribed land while another
+    # wake-up is pending, so superseded wake-ups pile up.
     cpu3 = CpuScheduler(sim, 3)
     nic = Resource(sim)
 
@@ -292,6 +322,15 @@ def run_program():
         log((yield sim.all_of(callers)))
 
     spawn(collector(), "collector")
+
+    if poll_every is not None:
+        def poller():
+            for _ in range(40):
+                yield sim.timeout(poll_every)
+                cpu.utilization(sim.now)
+                cpu3.utilization(sim.now)
+
+        spawn(poller(), "poller")
 
     # -- turn the loop every way the kernel offers --------------------------
     def note(value):
@@ -336,7 +375,8 @@ def test_program_exercises_what_it_claims():
                      "any_of failed", "surfaced in step", "surfaced in run",
                      "victim died", "tiny done",
                      "tiny 2 done", "big done", "zero work", "sub-eps work",
-                     "spin on", "spin off", "gate", "item", "call"):
+                     "spin on", "spin off", "gate", "item", "call",
+                     "twin done"):
         assert expected in tags, expected
     assert "got the slot" not in tags
     assert "slept through" not in tags
@@ -348,6 +388,12 @@ def test_program_exercises_what_it_claims():
     rates = [float(v[3]) for v in values
              if isinstance(v, tuple) and v[0] in ("job start", "spin on")]
     assert min(rates) < 1.0
+    # the twins went through the pass and back, and came out in order
+    twins = [row for row in trace
+             if isinstance(row[2], tuple) and row[2][0] == "twin done"]
+    assert [v[1] for _t, _n, v in twins] == [0, 1]
+    assert twins[0][0] == twins[1][0]
+    assert float(twins[0][0]) > 0.604       # the spinner slowed them down
 
 
 def test_trace_is_repeatable_in_process():
@@ -361,3 +407,23 @@ def test_golden_trace_is_bit_identical():
     trace, sim = run_program()
     assert (digest(trace), sim.events_executed, repr(sim.now)) == (
         GOLDEN_SHA256, GOLDEN_EVENTS, GOLDEN_END)
+
+
+def test_reading_the_cpu_moves_nothing():
+    """``utilization()`` / ``busy_core_seconds`` are reads: polling them
+    every 0.05 s leaves every process's trace bit-identical.  (The loop's
+    own "main" rows count events and peek at the heap, where the poller's
+    timeouts are, so they are left out on both sides.)"""
+    def processes(trace):
+        return digest([row for row in trace if row[1] != "main"])
+
+    plain, _sim = run_program()
+    polled, _sim = run_program(poll_every=0.05)
+    assert processes(polled) == processes(plain)
+
+
+if __name__ == "__main__":
+    _trace, _sim = run_program()
+    print(json.dumps({"sha256": digest(_trace),
+                      "events": _sim.events_executed,
+                      "end": repr(_sim.now)}))
