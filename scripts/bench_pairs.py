@@ -4,6 +4,8 @@
     python scripts/bench_pairs.py PARENT_TREE TREE --workload atb_small --seed 0
     python scripts/bench_pairs.py PARENT_TREE TREE --workload atb_bulk \\
         --seed 5 --pairs 10
+    python scripts/bench_pairs.py PARENT_TREE TREE --workload atb_small \\
+        --workload ycsb_b --seed 0 --seed 7 --pairs 3
 
 Each pair runs the unmodified driver command of ``BENCHMARK.json``
 (``python3 -m perfbench bench``) with ``--workload W --seed S`` once in
@@ -22,8 +24,12 @@ run of both trees.  Where they are not, it prints, for each differing one,
 both trees' values pair by pair and the tree's relative change: the movement
 a declared model change is reviewed by.
 
+``--workload`` and ``--seed`` may each be given more than once: every
+combination is run in turn (its pairs, then its report), and the output
+ends with a verdict table, one line per combination.
+
 Exit codes: 0 done (whatever the verdict), 2 a ``sim_*`` value differs
-between the trees or a run failed.
+between the trees in any combination, or a run failed.
 """
 
 from __future__ import annotations
@@ -106,8 +112,10 @@ def run_driver(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def report(parent_runs: List[dict], tree_runs: List[dict],
-           declared: List[dict]) -> List[str]:
+def verdicts(parent_runs: List[dict], tree_runs: List[dict],
+             declared: List[dict]) -> List[tuple]:
+    """``(declaration, verdict)`` of every declared end-to-end metric that
+    is a cost, not the model's answer (``sim_*``)."""
     out = []
     for d in declared:
         name = d["name"]
@@ -115,52 +123,89 @@ def report(parent_runs: List[dict], tree_runs: List[dict],
             continue
         p = [run["metrics"][name]["value"] for run in parent_runs]
         t = [run["metrics"][name]["value"] for run in tree_runs]
-        v = verdict(p, t, d["better"])
-        out.append(
-            f"{name:>16} [{d['unit']}, {d['better']}]  "
-            f"parent {v['parent'][1]:.4g} (Q1 {v['parent'][0]:.4g}, "
-            f"Q3 {v['parent'][2]:.4g})  tree {v['tree'][1]:.4g} "
-            f"(Q1 {v['tree'][0]:.4g}, Q3 {v['tree'][2]:.4g})  "
-            f"{v['change']:+.1%}  won {v['won']}/{v['pairs']}  "
-            f"{'GAIN' if v['gain'] else 'no gain'}")
+        out.append((d, verdict(p, t, d["better"])))
     return out
+
+
+def report(parent_runs: List[dict], tree_runs: List[dict],
+           declared: List[dict]) -> List[str]:
+    return [
+        f"{d['name']:>16} [{d['unit']}, {d['better']}]  "
+        f"parent {v['parent'][1]:.4g} (Q1 {v['parent'][0]:.4g}, "
+        f"Q3 {v['parent'][2]:.4g})  tree {v['tree'][1]:.4g} "
+        f"(Q1 {v['tree'][0]:.4g}, Q3 {v['tree'][2]:.4g})  "
+        f"{v['change']:+.1%}  won {v['won']}/{v['pairs']}  "
+        f"{'GAIN' if v['gain'] else 'no gain'}"
+        for d, v in verdicts(parent_runs, tree_runs, declared)]
+
+
+def table_line(workload: str, seed: int, parent_runs: List[dict],
+               tree_runs: List[dict], declared: List[dict]) -> str:
+    """One combination's row of the closing verdict table."""
+    cells = [f"{d['name']} {v['change']:+.1%} {v['won']}/{v['pairs']}"
+             f"{' GAIN' if v['gain'] else ''}"
+             for d, v in verdicts(parent_runs, tree_runs, declared)]
+    bad = sim_mismatches(parent_runs, tree_runs)
+    cells.append(f"sim differs: {', '.join(bad)}" if bad else "sim equal")
+    return f"{workload} seed {seed}: " + "; ".join(cells)
+
+
+def run_pairs(trees: tuple, workload: str, seed: int, pairs: int):
+    """``pairs`` alternating pairs on the two trees: (parent runs, tree
+    runs), or None once a run failed."""
+    runs: Dict[Path, List[dict]] = {t: [] for t in trees}
+    for k in range(pairs):
+        for tree in (trees if k % 2 == 0 else trees[::-1]):
+            run = run_driver(tree, workload, seed)
+            runs[tree].append(run)
+            side = "parent" if tree == trees[0] else "tree"
+            host = run["metrics"].get("host_us_per_op", {}).get("value")
+            print(f"{workload} seed {seed} pair {k} {side}: "
+                  f"host_us_per_op {host}", flush=True)
+            if not run.get("correct"):
+                print(f"{side} run failed in {tree}", file=sys.stderr)
+                return None
+    return runs[trees[0]], runs[trees[1]]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("tree", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="repeat to run several workloads")
+    ap.add_argument("--seed", type=int, action="append",
+                    help="repeat to run several seeds (default: 0)")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     trees = (args.parent.resolve(), args.tree.resolve())
-    runs: Dict[Path, List[dict]] = {t: [] for t in trees}
-    for k in range(args.pairs):
-        for tree in (trees if k % 2 == 0 else trees[::-1]):
-            run = run_driver(tree, args.workload, args.seed)
-            runs[tree].append(run)
-            side = "parent" if tree == trees[0] else "tree"
-            host = run["metrics"].get("host_us_per_op", {}).get("value")
-            print(f"pair {k} {side}: host_us_per_op {host}", flush=True)
-            if not run.get("correct"):
-                print(f"{side} run failed in {tree}", file=sys.stderr)
-                return 2
-    parent_runs, tree_runs = runs[trees[0]], runs[trees[1]]
     declared = json.loads((trees[1] / "BENCHMARK.json").read_text())[
         "end_to_end"]
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs:")
-    for line in report(parent_runs, tree_runs, declared):
+    table, differ = [], False
+    for workload in args.workload:
+        for seed in args.seed or [0]:
+            runs = run_pairs(trees, workload, seed, args.pairs)
+            if runs is None:
+                return 2
+            parent_runs, tree_runs = runs
+            print(f"{workload} seed {seed}, {args.pairs} pairs:")
+            for line in report(parent_runs, tree_runs, declared):
+                print(line)
+            bad = sim_mismatches(parent_runs, tree_runs)
+            if bad:
+                differ = True
+                for line in sim_report(parent_runs, tree_runs):
+                    print(line)
+                print(f"{workload} seed {seed}: sim values differ between "
+                      f"the trees: {', '.join(bad)}", file=sys.stderr)
+            else:
+                print("every sim_* value equal in both trees")
+            table.append(table_line(workload, seed, parent_runs, tree_runs,
+                                    declared))
+    print("verdicts:")
+    for line in table:
         print(line)
-    bad = sim_mismatches(parent_runs, tree_runs)
-    if bad:
-        for line in sim_report(parent_runs, tree_runs):
-            print(line)
-        print(f"sim values differ between the trees: {', '.join(bad)}",
-              file=sys.stderr)
-        return 2
-    print("every sim_* value equal in both trees")
-    return 0
+    return 2 if differ else 0
 
 
 if __name__ == "__main__":

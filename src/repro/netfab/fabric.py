@@ -16,6 +16,13 @@ Steady-state pipelined throughput of a flow is the full link ``rate``
 store-and-forward switch -- absorbed into calibration, since only relative
 protocol behaviour matters for the reproduction.
 
+Each side of a port is a :class:`~repro.sim.sync.Lane`: a FIFO server
+whose every holder leaves after a fixed time is fully described by the
+time it next falls free, so occupying it is one timeout at
+``max(now, free_at) + duration`` -- no acquire event, no waiter queue.  A
+frame that has been booked onto a side leaves whole: a TCP sender
+interrupted mid-serialization keeps the port until its last byte is out.
+
 Fault model
 -----------
 Ports carry scheduled *fault windows* (installed by
@@ -39,7 +46,7 @@ from typing import Dict, List, Tuple
 from repro import obs
 from repro.sim.core import Simulator
 from repro.sim.cluster import Cluster, Node
-from repro.sim.sync import Resource
+from repro.sim.sync import Lane
 from repro.sim.units import Gbps, us
 
 __all__ = ["Fabric", "FabricParams", "LinkDownError", "Port"]
@@ -67,8 +74,8 @@ class Port:
         self.sim = sim
         self.node = node
         self.params = params
-        self.tx = Resource(sim, 1)
-        self.rx = Resource(sim, 1)
+        self.tx = Lane(sim)
+        self.rx = Lane(sim)
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
@@ -201,12 +208,12 @@ class Fabric:
             ser = max(ser, nbytes / rate_cap)
         # Loopback still costs serialization through the NIC but skips the
         # wire; real IB HCAs loop back internally.
-        yield from sp.tx.use(ser)
+        yield sp.tx.hold(ser)
         sp.bytes_sent += nbytes
         sp.messages_sent += 1
         if src is not dst:
             yield self.sim.timeout(self.params.wire_latency)
-            yield from dp.rx.use(ser)
+            yield dp.rx.hold(ser)
         dp.bytes_received += nbytes
         if ctx is not None:
             ctx.stage("network", t0, self.sim.now, nbytes=nbytes,

@@ -23,7 +23,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.cpu import CpuScheduler, SpinToken
-from repro.sim.sync import Gate, Resource, Store
+from repro.sim.sync import Gate, Lane, Resource, Store
 from repro.sim.cluster import Cluster, ClusterSpec, Node, NodeSpec
 from repro.sim.units import GiB, KiB, MiB, Gbps, ms, ns, us
 
@@ -39,6 +39,7 @@ __all__ = [
     "Gbps",
     "Interrupt",
     "KiB",
+    "Lane",
     "MiB",
     "Node",
     "NodeSpec",

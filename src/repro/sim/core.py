@@ -136,11 +136,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation."""
+    """An event that fires ``delay`` simulated seconds after creation.
+
+    ``start`` (default: now) moves the origin: the event fires at
+    ``start + delay``, one addition, which is how a queue of fixed-time
+    holders (:class:`~repro.sim.sync.Lane`) reproduces the float a holder
+    that started at ``start`` would have produced.
+    """
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+                 start: Optional[float] = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
@@ -150,7 +157,8 @@ class Timeout(Event):
         self._triggered = True
         self.defused = False
         sim._eid = eid = sim._eid + 1
-        heappush(sim._heap, (sim.now + delay, eid, self))
+        heappush(sim._heap, ((sim.now if start is None else start) + delay,
+                             eid, self))
 
 
 class Process(Event):
@@ -169,7 +177,7 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Event] = None
         # Distributed-trace context rides on the process; spawned processes
-        # inherit the spawner's so detached work (NIC chains, server loops)
+        # inherit the spawner's so detached work (server loops, handlers)
         # stays attributed to the RPC that caused it.  None when tracing is
         # off -- instrumented sites pay exactly this one attribute check.
         ap = sim.active_process

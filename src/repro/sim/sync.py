@@ -9,9 +9,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import Event, SimulationError, Simulator, Timeout
 
-__all__ = ["Gate", "Resource", "Store"]
+__all__ = ["Gate", "Lane", "Resource", "Store"]
 
 
 class Resource:
@@ -64,6 +64,45 @@ class Resource:
     @property
     def queued(self) -> int:
         return len(self._waiters)
+
+
+class Lane:
+    """A capacity-1 FIFO server whose every holder leaves after a fixed time.
+
+    Such a server is fully described by the time it next falls free, so a
+    lane stores only ``free_at``: :meth:`hold` books the next slot and
+    returns the one :class:`~repro.sim.core.Timeout` that fires when it
+    ends, at ``max(now, free_at) + duration`` -- the float a FIFO
+    :class:`Resource` holder produces, since FIFO service starts each holder
+    at its predecessor's finish.  There is no acquire event and no waiter
+    queue.  Used for NIC ports (serialization onto and off the wire).
+
+    A booked slot is committed: the holder's frame occupies the lane until
+    it has left, even if the holder is interrupted while it waits, so the
+    next holder starts after it.  (A :class:`Resource` holder would release
+    early from its ``finally``.)
+
+    Tie order: the returned timeout takes its heap sequence number at the
+    :meth:`hold` call, not when the slot starts; holders finishing at the
+    same instant fire in booking order.
+    """
+
+    __slots__ = ("sim", "free_at")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.free_at = 0.0
+
+    def hold(self, duration: float, value: Any = None) -> Timeout:
+        """Book the lane for ``duration`` after its current holders; the
+        returned timeout (carrying ``value``) fires when the slot ends."""
+        sim = self.sim
+        start = self.free_at
+        if start < sim.now:
+            start = sim.now
+        ev = Timeout(sim, duration, value, start)
+        self.free_at = start + duration
+        return ev
 
 
 class Store:

@@ -17,15 +17,26 @@ Timing model per work request (all constants from
 * send-side completions are delivered after the ACK propagation, receive-side
   completions when the last byte has landed.
 
+How it runs: a posted chain is one :class:`_Chain` object, and each WR is a
+*callback chain* on the event heap -- every step (TX, wire, RX, ACK, a
+retry) is one timeout whose callback is the next step; no process is
+spawned per chain or per WR.  Each side of a port is a
+:class:`~repro.sim.sync.Lane` (its next-free time), so occupying it is that
+one timeout, at the float FIFO service would give.
+
 Payload bytes move by reference: a WRITE, WRITE_WITH_IMM or SEND *gathers*
 its local SGE (:meth:`~repro.verbs.memory.Memory.gather`) and *scatters* the
 pieces at the remote address or into the claimed receive WQE; a READ gathers
 at the responder and scatters into the local SGE.  The NIC never joins, so
 the receiver's memory holds the sender's objects.
 
-Error semantics follow RC: remote access faults and exhausted RNR retries
-complete the offending WR with an error status and move both QPs to ERROR,
-flushing pending receive WQEs.
+Error semantics follow RC: a remote access fault is NAKed by the responder,
+which enters ERROR at once, so later WRs that reach it are dropped (no
+memory write, no receive completion); the offending WR completes with an
+error status, both QPs move to ERROR (flushing pending receive WQEs), and
+every later WR of its chain completes ``WR_FLUSH_ERR``, signaled or not.
+Exhausted RNR or transport retries complete the WR with an error the same
+way.
 """
 
 from __future__ import annotations
@@ -129,8 +140,8 @@ class QP:
         if self.device._m_doorbells is not None:
             self.device._m_doorbells.inc()
             self.device._m_wrs.inc(len(chain))
-        self.device.sim.process(self._nic_chain(chain),
-                                name=f"nic-qp{self.qp_num}")
+        ap = self.device.sim.active_process
+        _Chain(self, chain, ap.trace_ctx if ap is not None else None)
 
     def _validate(self, wr: SendWR) -> None:
         self.device.check_lkey(wr.sge.lkey, wr.sge.addr, wr.sge.length)
@@ -167,183 +178,297 @@ class QP:
         return len(self.srq) if self.srq is not None else len(self._recv_queue)
 
     # -- NIC datapath -------------------------------------------------------------
-    def _transport_guard(self):
-        """Coroutine: RC transport retries against link faults.
+    def _transport_guard(self, retries: int) -> Optional[WCStatus]:
+        """One RC transport check against link faults.
 
         Models the requester NIC's local-ACK-timeout retransmission: while
         the path is inside a down window (or the packet is lost in a drop
-        window, or the peer node has crashed), wait ``transport_retry_timeout``
-        and try again, up to ``transport_retry_limit`` times.  Returns
-        ``WCStatus.SUCCESS`` once the wire accepts the packet, or
-        ``RETRY_EXC_ERR`` when the budget is exhausted.  Runs inside detached
-        NIC processes, so faults are *returned* as statuses, never raised.
+        window, or the peer node has crashed), wait
+        ``transport_retry_timeout`` and try again, up to
+        ``transport_retry_limit`` times.  Returns ``WCStatus.SUCCESS`` when
+        the wire accepts the packet now, ``None`` when the caller must wait
+        and check again with ``retries + 1``, and ``RETRY_EXC_ERR`` when the
+        budget is exhausted.  Called from NIC callbacks, so faults are
+        *returned* as statuses, never raised.
         """
         dev = self.device
-        peer = self.peer
-        assert peer is not None
-        rnode = peer.device.node
+        rnode = self.peer.device.node
         fabric = dev.fabric
-        cost = dev.cost
-        retries = 0
-        while (not getattr(rnode, "up", True)
-               or fabric.link_down(dev.node, rnode)
-               or fabric.roll_drop(dev.node, rnode)):
-            if retries >= cost.transport_retry_limit:
-                dev.port.faults_seen += 1
-                return WCStatus.RETRY_EXC_ERR
-            retries += 1
-            yield dev.sim.timeout(cost.transport_retry_timeout)
-        return WCStatus.SUCCESS
+        if (getattr(rnode, "up", True)
+                and not fabric.link_down(dev.node, rnode)
+                and not fabric.roll_drop(dev.node, rnode)):
+            return WCStatus.SUCCESS
+        if retries >= dev.cost.transport_retry_limit:
+            dev.port.faults_seen += 1
+            return WCStatus.RETRY_EXC_ERR
+        return None
 
-    def _nic_chain(self, chain: List[SendWR]):
-        """Process a WR chain.
 
-        WRs *pipeline*: each WR's TX (wire serialization) happens in posting
-        order on this process, but its remote phase (propagation, receiver
-        processing, ACK) runs concurrently with the next WR's TX -- exactly
-        how a real HCA streams a chain.  Receiver-side ordering is still
-        guaranteed because the peer's RX port is a FIFO and propagation
-        latency is constant.  Completions are reaped (and pushed) in posting
-        order.
-        """
-        sim = self.device.sim
-        # This process inherited the posting RPC's trace context; record one
-        # "network" stage per WR, from TX start to ACK/last-byte completion
-        # -- the real wire time, measured at the NIC.
-        ap = sim.active_process
-        ctx = ap.trace_ctx if ap is not None else None
-        pending: List[tuple[SendWR, float, object]] = []
-        for wr in chain:
-            t_tx = sim.now
-            if wr.opcode is Opcode.RDMA_READ:
-                phase = self._nic_read(wr)
-            else:
-                payload = self.device.mem.gather(wr.sge.addr, wr.sge.length)
-                yield from self.device.port.tx.use(
-                    self.device.cost.wqe_nic
-                    + self.device.port.wire_time(wr.sge.length))
-                self.device.port.bytes_sent += wr.sge.length
-                self.device.port.messages_sent += 1
-                phase = self._remote_phase(wr, payload)
-            pending.append((wr, t_tx, self.device.sim.process(
-                phase, name=f"wr-qp{self.qp_num}")))
-        for wr, t_tx, proc in pending:
-            status = yield proc
+class _Chain:
+    """One posted WR chain on the NIC, run as callbacks on the event heap.
+
+    WRs *pipeline*: each WR's TX (WQE processing + wire serialization)
+    takes the sender's TX lane in posting order, its payload gathered when
+    that TX starts, and its remote phase -- transport guard, propagation,
+    the receiver's RX lane, delivery, ACK -- runs while the next WR is on
+    the TX lane, exactly how a real HCA streams a chain.  Receiver-side
+    ordering holds because the peer's RX lane is FIFO and propagation
+    latency is constant.  An RDMA READ is its own callback chain (request
+    TX, wire, responder RX, response TX, wire, local RX); it books the TX
+    lane only after the chain's next non-READ WR has booked it (the order
+    ``tests/verbs/test_nic_pins.py`` pins).  Completions are reaped in
+    posting order, only once the last WR has left the TX lane.
+
+    Every step is a timeout whose value is the WR's index, with a bound
+    method of this object as its one callback; retries re-schedule the
+    same step.  The per-WR "network" trace stage (TX start to ACK or last
+    byte) goes to the poster's trace context, held here.
+    """
+
+    __slots__ = ("qp", "dev", "peer", "rdev", "wrs", "ctx", "t_tx",
+                 "payloads", "status", "next", "head")
+
+    def __init__(self, qp: QP, wrs: List[SendWR], ctx):
+        n = len(wrs)
+        self.qp = qp
+        self.dev = qp.device
+        self.peer = peer = qp.peer
+        self.rdev = peer.device
+        self.wrs = wrs
+        self.ctx = ctx
+        self.t_tx = [0.0] * n
+        self.payloads: list = [None] * n
+        self.status: List[Optional[WCStatus]] = [None] * n
+        self.next = 0     # WR on (or next for) the TX lane; n once all left
+        self.head = 0     # next WR to reap
+        self._transmit()
+
+    # -- TX lane and reaping ---------------------------------------------------
+    def _transmit(self) -> None:
+        """Book the TX lane for the next WR; start the READs met on the way
+        once it is booked, and reap once every WR has left."""
+        wrs = self.wrs
+        dev = self.dev
+        now = dev.sim.now
+        first = k = self.next
+        while k < len(wrs):
+            wr = wrs[k]
+            self.t_tx[k] = now
+            if wr.opcode is not Opcode.RDMA_READ:
+                self.payloads[k] = dev.mem.gather(wr.sge.addr, wr.sge.length)
+                port = dev.port
+                port.tx.hold(dev.cost.wqe_nic + port.wire_time(wr.sge.length),
+                             k).callbacks.append(self._sent)
+                break
+            k += 1
+        self.next = k
+        for read in range(first, k):
+            self._guard(read, 0)
+        if k == len(wrs):
+            self._reap()
+
+    def _sent(self, ev) -> None:
+        k = ev._value
+        port = self.dev.port
+        port.bytes_sent += self.wrs[k].sge.length
+        port.messages_sent += 1
+        self._guard(k, 0)
+        self.next = k + 1
+        self._transmit()
+
+    def _finish(self, k: int, status: WCStatus) -> None:
+        self.status[k] = status
+        if self.next == len(self.wrs):
+            self._reap()
+
+    def _reap(self) -> None:
+        """Push the completions of the finished WRs at the head, in posting
+        order.  A failed WR moves both QPs to ERROR and flushes every WR
+        after it (signaled or not); errors always generate a completion."""
+        wrs, status = self.wrs, self.status
+        qp = self.qp
+        ctx = self.ctx
+        now = self.dev.sim.now
+        k = self.head
+        while k < len(wrs) and status[k] is not None:
+            wr, st = wrs[k], status[k]
             if ctx is not None:
-                ctx.stage("network", t_tx, sim.now,
+                ctx.stage("network", self.t_tx[k], now,
                           opcode=wr.opcode.value, nbytes=wr.sge.length,
-                          wc=status.name.lower())
-            if status is not WCStatus.SUCCESS:
-                # Errors always generate a completion, signaled or not.
-                self.send_cq.push(WC(wr.wr_id, _SEND_WC[wr.opcode], status,
-                                     qp_num=self.qp_num))
-                self.to_error()
-                if self.peer is not None:
-                    self.peer.to_error()
-                return
-            if wr.signaled:
-                self.send_cq.push(WC(wr.wr_id, _SEND_WC[wr.opcode],
-                                     WCStatus.SUCCESS, byte_len=wr.sge.length,
-                                     qp_num=self.qp_num))
+                          wc=st.name.lower())
+            k += 1
+            if st is not WCStatus.SUCCESS:
+                qp.send_cq.push(WC(wr.wr_id, _SEND_WC[wr.opcode], st,
+                                   qp_num=qp.qp_num))
+                qp.to_error()
+                self.peer.to_error()
+                for rest in wrs[k:]:
+                    qp.send_cq.push(WC(rest.wr_id, _SEND_WC[rest.opcode],
+                                       WCStatus.WR_FLUSH_ERR,
+                                       qp_num=qp.qp_num))
+                k = len(wrs)
+            elif wr.signaled:
+                qp.send_cq.push(WC(wr.wr_id, _SEND_WC[wr.opcode],
+                                   WCStatus.SUCCESS, byte_len=wr.sge.length,
+                                   qp_num=qp.qp_num))
+        self.head = k
 
-    def _remote_phase(self, wr: SendWR, payload):
-        dev = self.device
-        cost = dev.cost
-        peer = self.peer
-        assert peer is not None
-        rdev = peer.device
-        sim = dev.sim
+    # -- remote phase: guard -> wire -> RX -> deliver -> ACK -------------------
+    def _guard(self, k: int, retries: int) -> None:
+        status = self.qp._transport_guard(retries)
+        if status is None:
+            self.dev.sim.timeout(self.dev.cost.transport_retry_timeout,
+                                 (k, retries + 1)).callbacks.append(
+                                     self._retry_guard)
+        elif status is not WCStatus.SUCCESS:
+            self._finish(k, status)
+        elif self.wrs[k].opcode is Opcode.RDMA_READ:
+            port = self.dev.port
+            port.tx.hold(self.dev.cost.wqe_nic
+                         + port.wire_time(self.dev.cost.read_request_bytes),
+                         k).callbacks.append(self._read_sent)
+        else:
+            self.dev.sim.timeout(self.dev.fabric.params.wire_latency,
+                                 k).callbacks.append(self._arrive)
+
+    def _retry_guard(self, ev) -> None:
+        self._guard(*ev._value)
+
+    def _arrive(self, ev) -> None:
+        k = ev._value
+        port = self.rdev.port
+        port.rx.hold(port.wire_time(self.wrs[k].sge.length)
+                     + self.dev.cost.rx_nic, k).callbacks.append(self._land)
+
+    def _land(self, ev) -> None:
+        k = ev._value
+        wr = self.wrs[k]
+        rdev = self.rdev
         n = wr.sge.length
-        wire_latency = dev.fabric.params.wire_latency
-
-        status = yield from self._transport_guard()
-        if status is not WCStatus.SUCCESS:
-            return status
-        yield sim.timeout(wire_latency)
-        yield from rdev.port.rx.use(rdev.port.wire_time(n) + cost.rx_nic)
         rdev.port.bytes_received += n
-
-        if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
+        if self.peer.state is QPState.ERROR:
+            self._finish(k, WCStatus.WR_FLUSH_ERR)      # dropped
+            return
+        op = wr.opcode
+        if op is Opcode.RDMA_WRITE or op is Opcode.RDMA_WRITE_WITH_IMM:
             try:
                 rdev.mr_for_rkey(wr.rkey, wr.remote_addr, n)
             except MemoryAccessError:
-                return WCStatus.REM_ACCESS_ERR
-            rdev.mem.write(wr.remote_addr, payload)
+                self._reject(k)
+                return
+            rdev.mem.write(wr.remote_addr, self.payloads[k])
             rdev._notify_write(wr.remote_addr, n)
+        if op is Opcode.RDMA_WRITE:
+            self._ack(k)
+        else:
+            self._claim_recv(k, 0)
 
-        if wr.opcode in (Opcode.SEND, Opcode.RDMA_WRITE_WITH_IMM):
-            rwr, status = yield from self._claim_remote_recv()
-            if status is not WCStatus.SUCCESS:
-                return status
-            assert rwr is not None
-            if wr.opcode is Opcode.SEND:
-                if n > rwr.sge.length:
-                    peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV,
-                                         WCStatus.LOC_LEN_ERR,
-                                         qp_num=peer.qp_num))
-                    return WCStatus.REM_ACCESS_ERR
-                rdev.mem.write(rwr.sge.addr, payload)
-                peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV,
-                                     WCStatus.SUCCESS, byte_len=n,
-                                     qp_num=peer.qp_num, addr=rwr.sge.addr))
-            else:
-                peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV_RDMA_WITH_IMM,
-                                     WCStatus.SUCCESS, byte_len=n, imm=wr.imm,
-                                     qp_num=peer.qp_num, addr=wr.remote_addr))
-
-        # ACK propagation back to the sender NIC.
-        yield sim.timeout(wire_latency)
-        return WCStatus.SUCCESS
-
-    def _claim_remote_recv(self):
-        """Coroutine: take a recv WQE at the peer, honoring RNR retries."""
+    def _claim_recv(self, k: int, retries: int) -> None:
+        """Take a receive WQE at the peer, honoring RNR retries."""
         peer = self.peer
-        assert peer is not None
-        cost = self.device.cost
-        retries = 0
-        while True:
-            rwr = peer._take_recv()
-            if rwr is not None:
-                return rwr, WCStatus.SUCCESS
+        if peer.state is QPState.ERROR:
+            self._finish(k, WCStatus.WR_FLUSH_ERR)      # dropped
+            return
+        rwr = peer._take_recv()
+        if rwr is None:
+            cost = self.dev.cost
             if retries >= cost.rnr_retry_limit:
-                return None, WCStatus.RNR_RETRY_EXC_ERR
-            retries += 1
-            yield self.device.sim.timeout(cost.rnr_timer)
-
-    def _nic_read(self, wr: SendWR):
-        dev = self.device
-        cost = dev.cost
-        peer = self.peer
-        assert peer is not None
-        rdev = peer.device
-        sim = dev.sim
+                self._finish(k, WCStatus.RNR_RETRY_EXC_ERR)
+            else:
+                self.dev.sim.timeout(cost.rnr_timer, (k, retries + 1)
+                                     ).callbacks.append(self._retry_claim)
+            return
+        wr = self.wrs[k]
         n = wr.sge.length
-        wire_latency = dev.fabric.params.wire_latency
-        req = cost.read_request_bytes
+        if wr.opcode is Opcode.SEND:
+            if n > rwr.sge.length:
+                peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV,
+                                     WCStatus.LOC_LEN_ERR,
+                                     qp_num=peer.qp_num))
+                self._reject(k)
+                return
+            self.rdev.mem.write(rwr.sge.addr, self.payloads[k])
+            peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV, WCStatus.SUCCESS,
+                                 byte_len=n, qp_num=peer.qp_num,
+                                 addr=rwr.sge.addr))
+        else:
+            peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV_RDMA_WITH_IMM,
+                                 WCStatus.SUCCESS, byte_len=n, imm=wr.imm,
+                                 qp_num=peer.qp_num, addr=wr.remote_addr))
+        self._ack(k)
 
-        status = yield from self._transport_guard()
-        if status is not WCStatus.SUCCESS:
-            return status
-        # Request message to the responder NIC.
-        yield from dev.port.tx.use(cost.wqe_nic + dev.port.wire_time(req))
-        yield sim.timeout(wire_latency)
-        # Responder NIC services the READ in hardware: validate, DMA-read
-        # local memory, inject the response.  No responder CPU involvement.
-        yield from rdev.port.rx.use(rdev.port.wire_time(req) + cost.read_service_nic)
+    def _retry_claim(self, ev) -> None:
+        self._claim_recv(*ev._value)
+
+    def _reject(self, k: int) -> None:
+        """The responder NAKs WR ``k``: it enters ERROR at once, so nothing
+        that reaches it later lands."""
+        self.peer.to_error()
+        self._finish(k, WCStatus.REM_ACCESS_ERR)
+
+    def _ack(self, k: int) -> None:
+        """ACK propagation back to the sender NIC."""
+        self.dev.sim.timeout(self.dev.fabric.params.wire_latency,
+                             k).callbacks.append(self._acked)
+
+    def _acked(self, ev) -> None:
+        self._finish(ev._value, WCStatus.SUCCESS)
+
+    # -- RDMA READ: request TX -> wire -> responder RX -> response TX -> wire
+    # -- -> local RX; the responder NIC serves it, no responder CPU ----------
+    def _read_sent(self, ev) -> None:
+        self.dev.sim.timeout(self.dev.fabric.params.wire_latency,
+                             ev._value).callbacks.append(self._read_arrive)
+
+    def _read_arrive(self, ev) -> None:
+        port = self.rdev.port
+        port.rx.hold(port.wire_time(self.dev.cost.read_request_bytes)
+                     + self.dev.cost.read_service_nic,
+                     ev._value).callbacks.append(self._read_serve)
+
+    def _read_serve(self, ev) -> None:
+        k = ev._value
+        wr = self.wrs[k]
+        rdev = self.rdev
+        n = wr.sge.length
+        if self.peer.state is QPState.ERROR:
+            self._finish(k, WCStatus.WR_FLUSH_ERR)      # dropped
+            return
         try:
             rdev.mr_for_rkey(wr.rkey, wr.remote_addr, n)
         except MemoryAccessError:
-            yield sim.timeout(wire_latency)  # NAK comes back
-            return WCStatus.REM_ACCESS_ERR
-        payload = rdev.mem.gather(wr.remote_addr, n)
-        yield from rdev.port.tx.use(rdev.port.wire_time(n))
-        rdev.port.bytes_sent += n
-        rdev.port.messages_sent += 1
-        yield sim.timeout(wire_latency)
-        yield from dev.port.rx.use(dev.port.wire_time(n))
-        dev.port.bytes_received += n
-        dev.mem.write(wr.sge.addr, payload)
-        return WCStatus.SUCCESS
+            self.peer.to_error()
+            self.dev.sim.timeout(self.dev.fabric.params.wire_latency,
+                                 k).callbacks.append(self._read_nak)
+            return
+        self.payloads[k] = rdev.mem.gather(wr.remote_addr, n)
+        rdev.port.tx.hold(rdev.port.wire_time(n), k).callbacks.append(
+            self._read_replied)
+
+    def _read_nak(self, ev) -> None:
+        self._finish(ev._value, WCStatus.REM_ACCESS_ERR)
+
+    def _read_replied(self, ev) -> None:
+        k = ev._value
+        port = self.rdev.port
+        port.bytes_sent += self.wrs[k].sge.length
+        port.messages_sent += 1
+        self.dev.sim.timeout(self.dev.fabric.params.wire_latency,
+                             k).callbacks.append(self._read_return)
+
+    def _read_return(self, ev) -> None:
+        k = ev._value
+        port = self.dev.port
+        port.rx.hold(port.wire_time(self.wrs[k].sge.length),
+                     k).callbacks.append(self._read_landed)
+
+    def _read_landed(self, ev) -> None:
+        k = ev._value
+        wr = self.wrs[k]
+        dev = self.dev
+        dev.port.bytes_received += wr.sge.length
+        dev.mem.write(wr.sge.addr, self.payloads[k])
+        self._finish(k, WCStatus.SUCCESS)
 
 
 def connect_pair(a: QP, b: QP) -> None:

@@ -94,3 +94,42 @@ def test_sim_report_lists_only_what_differs_pair_by_pair():
         "      sim_p50_us pair 0: parent 61.0 tree 63.0 +3.28%",
         "      sim_p50_us pair 1: parent 61.0 tree 63.0 +3.28%"]
     assert bp.sim_report(parent, [_run(160.0), _run(161.0)]) == []
+
+
+def test_every_combination_runs_and_gets_a_table_row(tmp_path, monkeypatch,
+                                                     capsys):
+    for name in ("parent", "tree"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({
+            "command": ["true"], "end_to_end": [
+                {"name": "sim_kops", "unit": "kops/s", "better": "higher"},
+                {"name": "host_us_per_op", "unit": "us", "better": "lower"}]}))
+    calls = []
+
+    def driver(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        host = 180.0 if tree.name == "parent" else 150.0
+        # one combination moves the model: the tree's kops differ there
+        kops = 12.6 if (tree.name, workload, seed) == ("tree", "b", 7) \
+            else 12.5
+        return _run(host, kops=kops)
+
+    monkeypatch.setattr(bp, "run_driver", driver)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "tree"), "--workload",
+            "a", "--workload", "b", "--seed", "0", "--seed", "7",
+            "--pairs", "2"]
+    code = bp.main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert sorted(set(calls)) == sorted(
+        (t, w, s) for t in ("parent", "tree") for w in "ab" for s in (0, 7))
+    assert len(calls) == 16
+    table = out.out[out.out.index("verdicts:\n"):].splitlines()[1:]
+    assert table == [
+        "a seed 0: host_us_per_op -16.7% 2/2 GAIN; sim equal",
+        "a seed 7: host_us_per_op -16.7% 2/2 GAIN; sim equal",
+        "b seed 0: host_us_per_op -16.7% 2/2 GAIN; sim equal",
+        "b seed 7: host_us_per_op -16.7% 2/2 GAIN; sim differs: sim_kops"]
+    assert "b seed 7: sim values differ" in out.err
+    # without the differing combination the same command exits 0
+    assert bp.main(argv[:4] + ["--seed", "0", "--pairs", "2"]) == 0

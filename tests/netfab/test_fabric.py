@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.core import Interrupt
 from repro.sim.units import Gbps, us
 from repro.testbed import Testbed
 
@@ -92,3 +93,35 @@ def test_port_counters():
     tb.sim.run(tb.sim.process(proc()))
     assert tb.fabric.ports["node0"].bytes_sent == 1000
     assert tb.fabric.ports["node1"].bytes_received == 1000
+
+
+def test_interrupted_sender_keeps_the_port_until_its_frame_left():
+    """A frame that started serializing leaves whole: interrupting its
+    sender (a deadline, say) does not hand the TX port to the next sender
+    before the frame's last byte is out."""
+    tb = Testbed(n_nodes=2)
+    sim, fabric = tb.sim, tb.fabric
+    big, small = 256 * 1024, 64
+    port = fabric.ports["node0"]
+    ser_big, ser_small = port.wire_time(big), port.wire_time(small)
+    arrivals = {}
+
+    def sender(tag, nbytes):
+        try:
+            arrivals[tag] = yield from fabric.transmit(
+                tb.node(0), tb.node(1), nbytes)
+        except Interrupt:
+            arrivals[tag] = None
+
+    a = sim.process(sender("a", big))
+    sim.process(sender("b", small))
+
+    def deadline():
+        yield sim.timeout(ser_big / 2)
+        a.interrupt("deadline")
+
+    sim.process(deadline())
+    sim.run()
+    assert arrivals["a"] is None
+    assert arrivals["b"] == (ser_big + ser_small
+                             + fabric.params.wire_latency) + ser_small

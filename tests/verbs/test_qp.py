@@ -321,3 +321,36 @@ def test_event_polling_slower_than_busy_but_wakes(tb, pair):
     assert lat["event"] > lat["busy"]
     # Event polling pays roughly the interrupt latency extra.
     assert lat["event"] - lat["busy"] > 2 * us
+
+
+def test_failed_wr_flushes_the_rest_of_its_chain(tb, pair):
+    """RC: the responder enters ERROR when it rejects WR 2, so WR 3 lands
+    nowhere, and every WR after the failed one completes WR_FLUSH_ERR --
+    signaled or not."""
+    rmr = pair.spd.reg_mr(256)
+    smr = pair.cpd.reg_mr(256)
+    smr.write(b"1" * 64 + b"2" * 64 + b"3" * 64)
+
+    def client():
+        third = SendWR(Opcode.RDMA_WRITE, Sge(smr.addr + 128, 64, smr.lkey),
+                       remote_addr=rmr.addr + 128, rkey=rmr.rkey, wr_id=3,
+                       signaled=False)
+        second = SendWR(Opcode.RDMA_WRITE, Sge(smr.addr + 64, 64, smr.lkey),
+                        remote_addr=rmr.addr + 64, rkey=0xDEAD, wr_id=2,
+                        next=third)
+        first = SendWR(Opcode.RDMA_WRITE, Sge(smr.addr, 64, smr.lkey),
+                       remote_addr=rmr.addr, rkey=rmr.rkey, wr_id=1,
+                       next=second)
+        yield from pair.cqp.post_send(first)
+
+    run(tb, client())
+    tb.sim.run()
+    wcs = pair.c_scq.poll()
+    assert [(w.wr_id, w.status) for w in wcs] == [
+        (1, WCStatus.SUCCESS), (2, WCStatus.REM_ACCESS_ERR),
+        (3, WCStatus.WR_FLUSH_ERR)]
+    assert rmr.read(64) == b"1" * 64
+    assert rmr.read(128, offset=64) == bytes(128)
+    assert pair.cqp.state is QPState.ERROR
+    assert pair.sqp.state is QPState.ERROR
+    assert len(pair.s_rcq) == 0
