@@ -13,16 +13,25 @@ Hint-driven tuning (Section 4.4): ``max_readers`` is set from the
 concurrency hint, and the sync/commit strategy follows the perf goal of the
 protocol chosen for the writing functions -- latency keeps NOSYNC immediate
 commits, throughput batches commits (group commit), res_util keeps SYNC.
+
+Group commit: a write that finds the writer idle leads a batch.  Every write
+that queues while a batch is in flight joins the next one, whose leader is
+the first of them: it applies the whole queue (Put, Delete, MultiPut, in
+arrival order, sorted stably by key) in one write txn, pays one apply
+charge and one commit, and acks every member when that commit ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Optional
 
 from repro import obs
 from repro.core.hints import ResolvedHints
 from repro.lmdb import Environment, SyncMode
 from repro.sim.cluster import Node
+from repro.sim.core import Event, Interrupt
 from repro.sim.sync import Resource
 from repro.sim.units import GiB, us
 
@@ -51,24 +60,31 @@ class LmdbBackend:
         self.env = Environment(map_size=map_size, sync_mode=SyncMode.NOSYNC)
         self.env.open_db("main")
         # LMDB's writer mutex, realized on the simulated clock so handler
-        # coroutines queue instead of erroring.
+        # coroutines queue instead of erroring.  Group commit replaces it
+        # with the queue below: the leader of the batch in flight is the
+        # only writer.
         self._writer = Resource(node.sim, 1)
-        # Writer-queue depth probe: pipelined clients can now stack many
-        # writes behind the mutex on ONE connection, so the queue is worth
-        # watching (zero-cost when obs is disabled).
-        reg = obs.current()
-        if reg is not None:
-            reg.probe("hatkv.writer_queue",
-                      lambda: {"depth": len(self._writer._waiters),
-                               "in_use": self._writer.in_use})
         self._group_commit = False
-        self._pending_since_commit = 0
-        self.group_commit_batch = 8
+        #: group commit: writes waiting for the next batch, in arrival order
+        self._queue: list[_Write] = []
+        #: group commit: the batch in flight, None while the writer is idle
+        #: (and empty while the lead passes to the head of the queue)
+        self._batch: list[_Write] | None = None
         self.reads = 0
         self.writes = 0
         #: write transactions rolled back because the handler died mid-RPC
-        #: (LMDB's ``with env.begin(write=True)`` aborts on exception)
+        #: (LMDB's ``with env.begin(write=True)`` aborts on exception), and
+        #: group-commit writes dropped from the queue the same way
         self.aborts = 0
+        # Writer-queue depth probe and writes-per-commit histogram
+        # (zero-cost when obs is disabled).
+        reg = obs.current()
+        if reg is not None:
+            reg.probe("hatkv.writer_queue", self._queue_probe)
+            self._m_batch = reg.histogram("hatkv.group_commit.batch",
+                                          lowest=1.0)
+        else:
+            self._m_batch = None
 
     # -- hint-driven tuning (S4.4) -----------------------------------------------
     def apply_hints(self, hints: ResolvedHints) -> None:
@@ -91,15 +107,29 @@ class LmdbBackend:
     def _charge(self, cpu_seconds: float):
         yield self.node.compute(cpu_seconds)
 
+    def _apply_cost(self, depth: int, copies: int, nbytes: int) -> float:
+        """One write txn's CPU before its commit: a descent with a
+        copy-on-write path, ``copies`` further page copies and the values'
+        bytes copied in."""
+        c = self.costs
+        return (c.txn_begin + depth * (c.page_touch + c.page_copy)
+                + copies * c.page_copy + nbytes / c.value_copy_rate)
+
     def _commit_cost(self) -> float:
+        """One commit, priced by the sync mode."""
         if self.env.sync_mode is SyncMode.NOSYNC:
-            base = self.costs.commit_nosync
-        else:
-            base = self.costs.commit_sync
+            return self.costs.commit_nosync
+        return self.costs.commit_sync
+
+    def _queue_probe(self) -> dict:
         if self._group_commit:
-            # Amortized: one barrier per batch of commits.
-            return base / self.group_commit_batch + self.costs.commit_nosync
-        return base
+            depth = len(self._queue)
+            batch = len(self._batch) if self._batch is not None else 0
+        else:
+            # an interrupted waiter stays queued until release() skips it
+            depth = sum(1 for ev in self._writer._waiters if ev.callbacks)
+            batch = self._writer.in_use
+        return {"depth": depth, "batch": batch}
 
     def _begin_read(self):
         """Coroutine: begin a read txn, waiting out a full reader table.
@@ -202,66 +232,188 @@ class LmdbBackend:
         return rows
 
     def _put(self, key: bytes, value: bytes):
-        c = self.costs
-        yield self._writer.acquire()
-        try:
-            depth = self._depth()
-            yield from self._charge(
-                c.txn_begin + depth * (c.page_touch + c.page_copy)
-                + len(value) / c.value_copy_rate)
-            with self.env.begin(write=True) as txn:
-                txn.put(key, value)
-            yield from self._charge(self._commit_cost())
-        except BaseException:
-            # A fault mid-RPC (deadline interrupt, dead connection) lands
-            # here before commit: the context manager rolled the txn back.
-            self.aborts += 1
-            raise
-        finally:
-            self._writer.release()
-        self.writes += 1
+        if self._group_commit:
+            yield from self._group(_Write([(key, value)], len(value)))
+        else:
+            yield from self._locked(lambda txn: txn.put(key, value), 1,
+                                    0, len(value))
 
     def _delete(self, key: bytes):
         """Coroutine: remove one key; returns whether it existed."""
-        c = self.costs
-        yield self._writer.acquire()
-        try:
-            depth = self._depth()
-            yield from self._charge(
-                c.txn_begin + depth * (c.page_touch + c.page_copy))
-            with self.env.begin(write=True) as txn:
-                found = txn.delete(key)
-            yield from self._charge(self._commit_cost())
-        except BaseException:
-            self.aborts += 1
-            raise
-        finally:
-            self._writer.release()
-        self.writes += 1
-        return found
+        if self._group_commit:
+            return (yield from self._group(_Write([(key, None)], 0)))
+        return (yield from self._locked(lambda txn: txn.delete(key), 1,
+                                        0, 0))
 
     def _multi_put(self, keys, values):
         if len(keys) != len(values):
             raise ValueError("keys/values length mismatch")
-        c = self.costs
+        nbytes = sum(len(v) for v in values)
+        if self._group_commit:
+            yield from self._group(_Write(list(zip(keys, values)), nbytes))
+            return
+
+        # Batched writes sort the keys and walk with a cursor, so the
+        # descent + path copy-on-write amortizes over the batch: one full
+        # descent plus a page copy and value copy per entry.  The sort is
+        # by key only and stable, so a key named twice keeps its later
+        # value.
+        def apply(txn):
+            for key, value in sorted(zip(keys, values), key=_KEY):
+                txn.put(key, value)
+        yield from self._locked(apply, len(keys), len(keys), nbytes)
+
+    def _locked(self, apply, n: int, copies: int, nbytes: int):
+        """Coroutine: the stock write path -- hold the writer mutex across
+        one write txn of ``n`` entries (``apply(txn)``, priced by
+        :meth:`_apply_cost` at the depth found once the mutex is granted)
+        and its commit."""
         yield self._writer.acquire()
+        committed = False
         try:
-            # Batched writes sort the keys and walk with a cursor, so the
-            # descent + path copy-on-write amortizes over the batch: one
-            # full descent plus a page copy and value copy per entry.
-            depth = self._depth()
-            total_values = sum(len(v) for v in values)
             yield from self._charge(
-                c.txn_begin + depth * (c.page_touch + c.page_copy)
-                + len(keys) * c.page_copy
-                + total_values / c.value_copy_rate)
+                self._apply_cost(self._depth(), copies, nbytes))
             with self.env.begin(write=True) as txn:
-                for key, value in sorted(zip(keys, values)):
-                    txn.put(key, value)
+                result = apply(txn)
+            committed = True
             yield from self._charge(self._commit_cost())
-        except BaseException:
-            self.aborts += 1
-            raise
         finally:
+            # A fault mid-RPC (deadline interrupt, dead connection) before
+            # the commit rolled the txn back; after it, the write stands.
             self._writer.release()
-        self.writes += len(keys)
+            if committed:
+                self.writes += n
+            else:
+                self.aborts += 1
+        return result
+
+    # -- group commit ---------------------------------------------------------------
+    def _group(self, req: "_Write"):
+        """Coroutine: one write under group commit; returns its result
+        (a Delete's "existed") once the commit that carries it has ended.
+
+        A write that finds the writer idle leads at once; one that finds a
+        batch in flight queues and waits to be acked by the next batch's
+        commit -- or, if it is the first in the queue when the batch in
+        flight ends, to be handed the lead.
+        """
+        for key, value in req.entries:
+            if not isinstance(key, bytes) or not (
+                    value is None or isinstance(value, bytes)):
+                # fail alone, before joining a txn others share
+                raise TypeError("keys and values must be bytes")
+        self._queue.append(req)
+        if self._batch is None:
+            return (yield from self._lead(req))
+        req.done = Event(self.node.sim)
+        try:
+            yield req.done
+        except BaseException:
+            if req.state is not _IN_BATCH:
+                # Still queued (or just handed the lead): leave the queue
+                # unapplied, and pass the lead on if it was ours.
+                self._queue.remove(req)
+                self.aborts += 1
+                if req.state is _LEADS:
+                    self._hand_off()
+            raise
+        if req.state is _LEADS:
+            return (yield from self._lead(req))
+        return req.result
+
+    def _lead(self, req: "_Write"):
+        """Coroutine: apply the whole queue as one batch (``req`` first in
+        it) and commit it.  An interrupt does not stop a leader: the CPU job
+        it waited on keeps running, so it waits that job out, finishes the
+        batch for every member, then re-raises."""
+        batch = self._queue
+        self._queue = []
+        self._batch = batch
+        entries = []
+        nbytes = 0
+        for r in batch:
+            r.state = _IN_BATCH
+            entries.extend((k, v, r) for k, v in r.entries)
+            nbytes += r.nbytes
+        try:
+            interrupt = yield from self._wait_out(self.node.compute(
+                self._apply_cost(self._depth(), len(entries) - 1, nbytes)))
+            # arrival order, sorted stably by key: a later write wins
+            entries.sort(key=_KEY)
+            with self.env.begin(write=True) as txn:
+                for key, value, r in entries:
+                    if value is None:
+                        r.result = txn.delete(key)
+                    else:
+                        txn.put(key, value)
+            late = yield from self._wait_out(
+                self.node.compute(self._commit_cost()))
+            interrupt = interrupt or late
+        except BaseException as exc:
+            # the txn failed (e.g. a full map): no member was applied
+            self.aborts += len(batch)
+            for r in batch:
+                if r is not req:
+                    r.done.defuse()
+                    r.done.fail(exc)
+            self._hand_off()
+            raise
+        self.writes += len(entries)
+        if self._m_batch is not None:
+            self._m_batch.record(len(batch))
+        for r in batch:
+            if r is not req:
+                r.done.succeed()
+        self._hand_off()
+        if interrupt is not None:
+            raise interrupt
+        return req.result
+
+    def _wait_out(self, ev: Event):
+        """Coroutine: wait until ``ev`` has fired, however often the
+        process is interrupted meanwhile; returns the first interrupt
+        caught, or None."""
+        interrupt = None
+        while True:
+            try:
+                yield ev
+                return interrupt
+            except Interrupt as exc:
+                if interrupt is None:
+                    interrupt = exc
+
+    def _hand_off(self) -> None:
+        """The batch in flight ended (or the write it was handed to died
+        before it started): the first queued write leads the next one, or
+        the writer goes idle."""
+        if self._queue:
+            head = self._queue[0]
+            head.state = _LEADS
+            self._batch = []        # the writer stays busy until it starts
+            head.done.succeed()
+        else:
+            self._batch = None
+
+
+#: sort key of a write's entries: the key alone, so equal keys keep their order
+_KEY = itemgetter(0)
+
+# _Write.state
+_QUEUED = "queued"
+_LEADS = "leads"        # handed the lead of the next batch
+_IN_BATCH = "in batch"
+
+
+class _Write:
+    """One write request under group commit: its ``(key, value)`` entries
+    (value None for a delete), their value bytes, and the event that acks it
+    (or hands it the lead)."""
+
+    __slots__ = ("entries", "nbytes", "done", "state", "result")
+
+    def __init__(self, entries, nbytes: int):
+        self.entries = entries
+        self.nbytes = nbytes
+        self.done: Optional[Event] = None   # set when queued behind a batch
+        self.state = _QUEUED
+        self.result = None

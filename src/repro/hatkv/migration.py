@@ -300,6 +300,17 @@ class MigrationPlan:
         t.inflight += 1
         return t
 
+    def adopt(self, writes) -> None:
+        """Count writes already in flight when this plan takes over the
+        routing: every ``(hashes, tokens)`` entry whose token is None (no
+        live range counted it) is counted against the range covering its
+        hash, in place, so it is drained at cutover and dirty-marked when
+        it settles."""
+        for hashes, tokens in writes:
+            for i, h in enumerate(hashes):
+                if tokens[i] is None:
+                    tokens[i] = self.write_begin(h)
+
     def write_end(self, task: Optional[RangeTask], key: bytes) -> None:
         """Settle one write begun with :meth:`write_begin` (see
         :meth:`RangeTask.settle_write`)."""

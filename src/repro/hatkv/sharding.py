@@ -182,6 +182,10 @@ class ShardedKVCluster:
         #: live routers (connect registers, close deregisters): the resize
         #: driver attaches new shards and pushes cutover invalidations here
         self._routers: List["ShardRouter"] = []
+        #: every router write in flight, as ``(hashes, tokens)`` keyed by
+        #: ``id(tokens)``: a resize's plan adopts the ones no range counts
+        #: (each once; the order it walks them in changes nothing)
+        self._writes: Dict[int, Tuple[list, list]] = {}
         #: migration-event hooks ``fn(kind, **attrs)`` (benchmark
         #: annotation, tests)
         self.on_migration: list = []
@@ -287,18 +291,25 @@ class ShardedKVCluster:
     def load(self, items) -> None:
         """Bulk-load (key, value) pairs into every owning shard's LMDB
         (no RPC -- the untimed YCSB load phase), and publish the key
-        distribution as per-shard gauges."""
+        distribution as per-shard gauges.  One write txn per shard: an
+        item that raises aborts them all, so nothing is loaded."""
         counts = [0] * self.n_shards
-        txns = [s.backend.env.begin(write=True) for s in self.servers]
+        txns = []
         try:
+            for s in self.servers:
+                txns.append(s.backend.env.begin(write=True))
             for key, value in items:
                 pref = self.preference(key)
                 counts[pref[0]] += 1
                 for shard in pref:
                     txns[shard].put(key, value)
-        finally:
+        except BaseException:
+            # all or nothing: a bad item leaves every shard as it was
             for txn in txns:
-                txn.__exit__(None, None, None)
+                txn.abort()
+            raise
+        for txn in txns:
+            txn.commit()
         reg = obs.current()
         if reg is not None:
             for i, n in enumerate(counts):
@@ -382,8 +393,13 @@ class ShardedKVCluster:
                     "resize needs reserve_nodes for the added shards")
             self.servers.append(
                 self._launch(self._spare_nodes.pop(0), i).start())
+        # The plan takes over the routing and, in the same step, counts
+        # the writes already in flight against the ranges they land in:
+        # resolved by the outgoing routing, they land on a range's old set,
+        # so the cutover must drain them and the copy must re-stream them.
         self.migration = plan
         self._last_plan = plan
+        plan.adopt(self._writes.values())
         # Arm the write fence everywhere: from here on, a range that
         # completes its cutover is refused by its old owner.
         for srv in self.servers:
@@ -1030,12 +1046,14 @@ class ShardRouter:
                 break
             for f in fences.values():
                 yield f
-        return ([plan.write_begin(h) for h in hashes],
-                [plan.preference(h) for h in hashes])
+        tokens = [plan.write_begin(h) for h in hashes]
+        self.cluster._writes[id(tokens)] = (hashes, tokens)
+        return tokens, [plan.preference(h) for h in hashes]
 
     def _write_done(self, keys, tokens) -> None:
         """Settle a write begun with :meth:`_write_intent`, however it
         ended: release the ranges' in-flight counts and invalidate."""
+        del self.cluster._writes[id(tokens)]
         for key, token in zip(keys, tokens):
             if token is not None:
                 token.settle_write(key)

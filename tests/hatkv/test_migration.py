@@ -187,6 +187,43 @@ def test_put_parks_on_the_cutover_fence_and_lands_on_the_new_owner():
     cluster.migration = None
 
 
+def test_resize_adopts_the_writes_already_in_flight():
+    """A write resolved by the static ring and still in flight when a
+    resize starts lands on its range's old owner.  The plan counts it
+    against that range the moment it takes over the routing (so the
+    cutover drains it) and dirty-marks it when it settles (so the copy
+    re-streams it): the new owner ends up with the written value."""
+    tb = Testbed(n_nodes=5)
+    cluster = ShardedKVCluster(tb, 2, vnodes=32,
+                               reserve_nodes=[tb.nodes[2]]).start()
+    probe = MigrationPlan(tb.sim, cluster.ring, cluster.ring.resize(3))
+    _task, key = _moved_task_and_key(probe)
+    cluster.load([(key, b"old")])
+    out = {}
+
+    def client():
+        router = yield from cluster.connect(tb.node(4), cache=False)
+        put = tb.sim.process(router.Put(key, b"new"))
+        resize = cluster.start_resize(3)
+
+        def check():
+            # the resize has taken over the routing; the Put has not acked
+            task = cluster.migration.covering(hash_key(key))
+            out["inflight"] = (task.inflight, put.triggered)
+            yield put
+            out["dirty"] = key in task.dirty
+        yield tb.sim.process(check())
+        yield resize
+        got = yield from router.Get(key)
+        router.close()
+        return got
+
+    got = tb.sim.run(tb.sim.process(client()))
+    assert out == {"inflight": (1, False), "dirty": True}
+    assert got.found and got.value == b"new"
+    assert cluster.migration is None and cluster._writes == {}
+
+
 # -- live resize end to end ---------------------------------------------------
 
 def _run_live_resize(tb, cluster, keys, target):

@@ -98,6 +98,22 @@ def test_load_replicates_to_successors():
     assert sum(per_shard) == 800          # every key lives twice
 
 
+def test_load_is_all_or_nothing():
+    """An item that raises mid-load aborts every shard's txn: nothing of
+    the load lands, and the writer is free for the next load."""
+    tb = Testbed(n_nodes=8)
+    cluster = ShardedKVCluster(tb, 2, replicas=2)
+    good = [(k, b"v" * 50) for k in keys_of(10)]
+    with pytest.raises(TypeError):
+        cluster.load(good + [("not-bytes", b"v")])
+    assert [s.backend.env.stat().entries for s in cluster.servers] == [0, 0]
+    assert [s.backend.env.stat().data_bytes
+            for s in cluster.servers] == [0, 0]
+    cluster.load(good)
+    assert [s.backend.env.stat().entries
+            for s in cluster.servers] == [10, 10]
+
+
 def test_testbed_split_helper():
     tb = Testbed(n_nodes=10)
     servers, clients = tb.split(4, 4)
