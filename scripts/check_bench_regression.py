@@ -4,6 +4,7 @@
     python scripts/check_bench_regression.py BENCH_BASELINE.json BENCH_pr.json
     python scripts/check_bench_regression.py base.json new.json \\
         --tolerance 0.10 --override 'latency_us.*=0.25' --override 'tput*=0.15'
+    python scripts/check_bench_regression.py BENCH_BASELINE.json new.json --exact
 
 Records are matched by (figure, name, scale).  Metrics are compared in the
 direction declared by the baseline metric's ``better`` field:
@@ -24,7 +25,13 @@ that to a warning (for intentionally retired benchmarks -- refresh the
 baseline instead where possible).  ``--summary PATH`` appends a markdown
 report (worst offenders first) suitable for ``$GITHUB_STEP_SUMMARY``.
 
-Exit codes: 0 ok, 1 regression or missing coverage, 2 usage/IO error.
+``--exact`` is the gate for a change that must not move the model: it
+fails on every metric whose value differs in any digit, in either direction
+and whatever its ``better``, and lists each one; a record or metric on one
+side only differs too, and a changed ``config_hash`` is listed as well.
+
+Exit codes: 0 ok, 1 regression, difference or missing coverage, 2 usage/IO
+error.
 """
 
 from __future__ import annotations
@@ -163,6 +170,41 @@ def diff(baseline: List[BenchRecord], current: List[BenchRecord],
     return regressions, missing, lines, rows
 
 
+def exact_diff(baseline: List[BenchRecord],
+               current: List[BenchRecord]) -> Tuple[int, List[str]]:
+    """Returns (number of differences, report lines): one line per record,
+    config or metric that is not the same on both sides."""
+    lines: List[str] = []
+    base_by_key = {r.key: r for r in baseline}
+    cur_by_key = {r.key: r for r in current}
+    compared = 0
+    for key in sorted(set(base_by_key) | set(cur_by_key)):
+        rid = "/".join(key)
+        base, cur = base_by_key.get(key), cur_by_key.get(key)
+        if base is None or cur is None:
+            side = "baseline" if base is None else "current run"
+            lines.append(f"DIFFERS {rid}: missing from the {side}")
+            continue
+        if base.config_hash != cur.config_hash:
+            lines.append(f"DIFFERS {rid}: config {base.config_hash} -> "
+                         f"{cur.config_hash}")
+        for mname in sorted(set(base.metrics) | set(cur.metrics)):
+            bm, cm = base.metrics.get(mname), cur.metrics.get(mname)
+            if bm is None or cm is None:
+                side = "baseline" if bm is None else "current run"
+                lines.append(f"DIFFERS {rid} {mname}: missing from the "
+                             f"{side}")
+                continue
+            compared += 1
+            if bm["value"] != cm["value"]:
+                lines.append(f"DIFFERS {rid} {mname}: {bm['value']!r} -> "
+                             f"{cm['value']!r}")
+    n = len(lines)
+    lines.append(f"compared {compared} metrics of {len(cur_by_key)} records "
+                 f"exactly: {n} difference(s)")
+    return n, lines
+
+
 _STATUS_ORDER = {"regressed": 0, "missing": 1, "improved": 2}
 _STATUS_MARK = {"regressed": "🔴 regressed", "missing": "⚠️ missing",
                 "improved": "🟢 improved"}
@@ -217,6 +259,9 @@ def main(argv: List[str] | None = None) -> int:
                          "to PATH, e.g. \"$GITHUB_STEP_SUMMARY\"")
     ap.add_argument("--verbose", action="store_true",
                     help="also print non-regressed comparisons")
+    ap.add_argument("--exact", action="store_true",
+                    help="fail on any metric whose value differs in any "
+                         "digit (tolerances and directions ignored)")
     args = ap.parse_args(argv)
 
     try:
@@ -226,6 +271,16 @@ def main(argv: List[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    if args.exact:
+        n, lines = exact_diff(baseline, current)
+        for line in lines:
+            print(line)
+        if n:
+            print(f"\nFAIL: {n} difference(s)")
+            return 1
+        print("\nPASS: every record and metric is equal")
+        return 0
 
     regressions, missing, lines, rows = diff(
         baseline, current, args.tolerance, overrides,

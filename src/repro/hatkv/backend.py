@@ -102,7 +102,7 @@ class LmdbBackend:
 
     # -- cost helpers -----------------------------------------------------------------
     def _depth(self) -> int:
-        return self.env.stat().depth
+        return self.env.depth()
 
     def _charge(self, cpu_seconds: float):
         yield self.node.compute(cpu_seconds)
@@ -199,12 +199,14 @@ class LmdbBackend:
     def _multi_get(self, keys):
         c = self.costs
         yield from self._charge(c.txn_begin)
-        out = []
         txn = yield from self._begin_read()
         try:
-            for key in keys:
-                yield from self._charge(self._depth() * c.page_touch)
-                out.append(txn.get(key))
+            # the snapshot answers every key now; the k descents are one
+            # CPU job of k equal pieces, the reader slot held across it
+            out = [txn.get(key) for key in keys]
+            if out:
+                yield self.node.compute(self._depth() * c.page_touch,
+                                        len(out))
         finally:
             txn.commit()
         total = sum(len(v) for v in out if v is not None)

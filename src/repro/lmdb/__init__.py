@@ -3,8 +3,10 @@
 Substitutes for the real LMDB [1] the paper uses as HatKV's storage backend.
 The essential architecture is preserved:
 
-* a **copy-on-write B+Tree** -- writers never mutate pages in place; commits
-  swap the root pointer, so readers are never blocked;
+* a **copy-on-write B+Tree** -- a writer never mutates a published page; a
+  write txn copies a page once and writes its own copy in place after that
+  (LMDB's dirty pages); commits swap the root pointer, so readers are never
+  blocked;
 * **single-writer / multi-reader MVCC** -- one write transaction at a time;
   read transactions pin the root they started from and a slot in a bounded
   reader table (``max_readers``, which HatKV tunes from the concurrency

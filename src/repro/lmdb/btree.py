@@ -4,6 +4,11 @@ Nodes are immutable once a version is published: every mutation path-copies
 from the touched leaf up to the root and returns a new root (exactly LMDB's
 shadow-paging scheme, minus the on-disk page format).  Old roots remain
 valid snapshots for as long as a reader holds them.
+
+A write transaction may hand :meth:`BTree.put` the set of nodes it owns
+(LMDB's dirty pages): a put then copies each node on its path once, adds the
+copy to the set, and writes the nodes already in it in place.  No published
+version can reach an owned node.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ class _Branch:
 
 
 class BTree:
-    """An immutable tree version; mutation methods return a new BTree."""
+    """A tree version; mutation methods return a new BTree (and ``put``,
+    given a write transaction's ``dirty`` set, writes the nodes in it in
+    place)."""
 
     __slots__ = ("root", "size", "depth")
 
@@ -92,15 +99,25 @@ class BTree:
             else:
                 return
 
-    # -- writes (persistent) -------------------------------------------------------
-    def put(self, key: bytes, value: bytes) -> "BTree":
+    # -- writes ---------------------------------------------------------------
+    def put(self, key: bytes, value: bytes,
+            dirty: Optional[set] = None) -> "BTree":
+        """The tree with ``key`` set to ``value``: persistent (this version
+        unchanged), or, given ``dirty``, writing the nodes in it in place
+        and adding every node it copies to it.  Either way the shape --
+        separators, keys per node, depth -- is the same."""
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("keys and values must be bytes")
-        root, split, grew = _insert(self.root, key, value)
+        if dirty is None:
+            root, split, grew = _insert(self.root, key, value)
+        else:
+            root, split, grew = _insert_owned(self.root, key, value, dirty)
         depth = self.depth
         if split is not None:
             sep, right = split
             root = _Branch([sep], [root, right])
+            if dirty is not None:
+                dirty.add(root)
             depth += 1
         return BTree(root, self.size + (1 if grew else 0), depth)
 
@@ -155,6 +172,53 @@ def _insert(node, key: bytes, value: bytes):
             right_b = _Branch(keys[mid + 1:], children[mid + 1:])
             return left, (sep_up, right_b), grew
     return _Branch(keys, children), None, grew
+
+
+def _insert_owned(node, key: bytes, value: bytes, dirty: set):
+    """:func:`_insert` for a write transaction: a node in ``dirty`` is
+    written in place, any other is copied once and joins it.  A split keeps
+    the left half in the node; both halves get exact-size lists."""
+    if node.is_leaf:
+        if node in dirty:
+            keys, values = node.keys, node.values
+        else:
+            keys, values = list(node.keys), list(node.values)
+            node = _Leaf(keys, values)
+            dirty.add(node)
+        i = bisect.bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            values[i] = value
+            return node, None, False
+        keys.insert(i, key)
+        values.insert(i, value)
+        if len(keys) <= ORDER:
+            return node, None, True
+        mid = len(keys) // 2
+        right = _Leaf(keys[mid:], values[mid:])
+        node.keys, node.values = keys[:mid], values[:mid]
+        dirty.add(right)
+        return node, (right.keys[0], right), True
+    if node in dirty:
+        keys, children = node.keys, node.children
+    else:
+        keys, children = list(node.keys), list(node.children)
+        node = _Branch(keys, children)
+        dirty.add(node)
+    i = bisect.bisect_right(keys, key)
+    child, split, grew = _insert_owned(children[i], key, value, dirty)
+    children[i] = child
+    if split is not None:
+        sep, right = split
+        keys.insert(i, sep)
+        children.insert(i + 1, right)
+        if len(keys) > ORDER:
+            mid = len(keys) // 2
+            sep_up = keys[mid]
+            right_b = _Branch(keys[mid + 1:], children[mid + 1:])
+            node.keys, node.children = keys[:mid], children[:mid + 1]
+            dirty.add(right_b)
+            return node, (sep_up, right_b), grew
+    return node, None, grew
 
 
 def _delete(node, key: bytes):

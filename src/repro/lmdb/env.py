@@ -88,6 +88,10 @@ class Environment:
                 f"({self._data_bytes + delta} bytes)")
         self._data_bytes += delta
 
+    def depth(self, db: str = "main") -> int:
+        """The published tree's depth: :meth:`stat`'s ``depth`` alone."""
+        return self._db(db).tree.depth
+
     def stat(self, db: str = "main") -> EnvStat:
         tree = self._db(db).tree
         return EnvStat(entries=tree.size, depth=tree.depth,

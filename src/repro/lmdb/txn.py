@@ -3,6 +3,14 @@
 A write transaction stages new tree versions privately and publishes them
 atomically at commit (root-pointer swap).  Read transactions capture the
 published roots at begin and never observe later writes -- LMDB's MVCC.
+
+From its second put on, a write transaction copies a node the first time
+it writes it and writes its own copies in place after that (LMDB's dirty
+pages): it knows them from a set it drops at commit or abort.  Its first
+put copies its path as a persistent put does, so a one-put transaction pays
+nothing for the set.  Deletes always copy.  A cursor opened in a write
+transaction starts a new set, so no later write of the transaction reaches
+the tree the cursor walks.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ class Txn:
                                "(LMDB is single-writer)")
             env._write_txn = self
             self._staged: Dict[str, BTree] = {}
+            #: the nodes this txn copied and may write in place (None until
+            #: its second put); a set of identity-hashed nodes, never
+            #: iterated
+            self._dirty: Optional[set] = None
         else:
             if env._readers >= env.max_readers:
                 raise ReadersFullError(
@@ -79,26 +91,34 @@ class Txn:
         self._check_live()
         if not self.write:
             raise TxnError("put in a read-only transaction")
-        old = self._tree(db).get(key)
+        tree = self._tree(db)
+        old = tree.get(key)
         delta = len(key) + len(value) - (
             (len(key) + len(old)) if old is not None else 0)
         self.env._charge(delta)
-        self._staged[db] = self._tree(db).put(key, value)
+        staged = self._staged
+        if staged and self._dirty is None:
+            self._dirty = set()
+        staged[db] = tree.put(key, value, self._dirty)
 
     def delete(self, key: bytes, db: str = "main") -> bool:
         self._check_live()
         if not self.write:
             raise TxnError("delete in a read-only transaction")
-        old = self._tree(db).get(key)
+        tree = self._tree(db)
+        old = tree.get(key)
         if old is None:
             return False
         self.env._charge(-(len(key) + len(old)))
-        self._staged[db] = self._tree(db).delete(key)
+        self._staged[db] = tree.delete(key)
         return True
 
     def cursor(self, db: str = "main"):
         from repro.lmdb.cursor import Cursor
         self._check_live()
+        if self.write:
+            # later writes copy again, so the cursor's tree stays as it is
+            self._dirty = set()
         return Cursor(self._tree(db))
 
     # -- lifecycle -----------------------------------------------------------------------
@@ -106,6 +126,7 @@ class Txn:
         self._check_live()
         self._done = True
         if self.write:
+            self._dirty = None
             for name, tree in self._staged.items():
                 self.env._db(name).tree = tree
             self.env._write_txn = None
@@ -121,6 +142,7 @@ class Txn:
         self._done = True
         if self.write:
             # Staged map-size charges are rolled back with the trees.
+            self._dirty = None
             self.env._write_txn = None
             self._recompute_bytes()
         else:

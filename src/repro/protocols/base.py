@@ -154,8 +154,8 @@ class RecvRing:
         yield from self.rq.post_recv(self._wrs[i])
 
     def post_all(self):
-        for i in range(self.slots):
-            yield from self.post(i)
+        """Coroutine: post every slot, in order, as one WR list."""
+        yield from self.rq.post_recv(self._wrs)
 
     def read(self, i: int, length: int, offset: int = 0) -> bytes:
         return self.mr.read(length, offset=i * self.slot_bytes + offset)

@@ -54,9 +54,10 @@ class Node:
         self._crash_hooks: List[Callable[[], None]] = []
         self._restore_hooks: List[Callable[[], None]] = []
 
-    def compute(self, cpu_seconds: float):
-        """Event that fires after ``cpu_seconds`` of fair-shared CPU work."""
-        return self.cpu.compute(cpu_seconds)
+    def compute(self, cpu_seconds: float, times: int = 1):
+        """Event that fires after ``times`` back-to-back pieces of
+        ``cpu_seconds`` of fair-shared CPU work (one job)."""
+        return self.cpu.compute(cpu_seconds, times)
 
     # -- liveness ----------------------------------------------------------
     def on_crash(self, hook: Callable[[], None]) -> None:

@@ -34,6 +34,12 @@ carries the scheduler version it was pushed at and every pass takes a new
 one, so a superseded wake-up or a retired completion entry is popped and
 discarded when its time comes: dead events are left only by
 over-subscription.
+
+A job may be ``times`` equal pieces of work back to back
+(``compute(c, times)``: a list of receive WRs posted in one call, a
+MultiGet's key descents).  With a core it is one completion entry at the
+float the pieces reach one after another; without one it runs piece by
+piece, as that many sequential calls would (:class:`_Pieces`).
 """
 
 from __future__ import annotations
@@ -90,6 +96,55 @@ class _Wake(Event):
         heappush(sim._heap, (when, eid, self))
 
 
+class _Pieces:
+    """A ``compute(c, times=n)`` job: n back-to-back pieces of ``c``.
+
+    While it has a core the job is one completion entry, at the float the n
+    pieces reach (``t += c``, n additions from ``start``).  A job that
+    arrives over-subscribed, or loses its core to a later arrival, runs the
+    rest of its pieces one at a time -- each a job of its own, whose
+    completion starts the next inline or from the heap entry a pass pushed
+    for it, and the piece it lost its core on owing what it would owe
+    alone -- so it pushes the entries and takes the floats n sequential
+    ``compute(c)`` calls would.  The last piece is the job handed out."""
+
+    __slots__ = ("cpu", "job", "work", "left", "start")
+
+    def __init__(self, cpu: "CpuScheduler", job: _Job, work: float,
+                 times: int):
+        self.cpu = cpu
+        self.job = job
+        self.work = work
+        #: pieces not started yet
+        self.left = times
+        self.start = cpu.sim.now
+
+    def _next(self, _done: Optional[Event] = None) -> None:
+        """Start the next piece (the previous one, if any, is done)."""
+        self.left -= 1
+        self.cpu._start(self._piece(), self.work)
+
+    def _piece(self) -> _Job:
+        """The job of the piece just started: the handed-out job if it is
+        the last one, else a fresh job whose completion starts the next."""
+        if not self.left:
+            return self.job
+        piece = _Job(self.cpu.sim)
+        piece.callbacks.append(self._next)
+        return piece
+
+    def _retire(self, now: float) -> tuple:
+        """The job loses its core at ``now``: (the job of the piece it is
+        on, the work that piece still owes)."""
+        c = self.work
+        finish = self.start + c
+        self.left -= 1
+        while finish < now and self.left:
+            finish += c
+            self.left -= 1
+        return self._piece(), finish - now
+
+
 class CpuScheduler:
     """GPS scheduler over ``cores`` identical cores."""
 
@@ -112,8 +167,11 @@ class CpuScheduler:
         self._rate = 1.0
         self._version = 0
         self._busy_time = 0.0  # core-seconds of useful work charged so far
+        #: running multi-piece jobs -> their pieces (:class:`_Pieces`)
+        self._pieces: Dict[_Job, _Pieces] = {}
         self._tick_callbacks = (self._tick,)
         self._finish_callbacks = (self._finish,)
+        self._pieces_callbacks = (self._finish_pieces,)
 
     # -- public API ---------------------------------------------------------
     @property
@@ -143,11 +201,52 @@ class CpuScheduler:
             return 0.0
         return self.busy_core_seconds / (elapsed * self.cores)
 
-    def compute(self, cpu_seconds: float) -> Event:
-        """Consume ``cpu_seconds`` of CPU work; the event fires when done."""
+    def compute(self, cpu_seconds: float, times: int = 1) -> Event:
+        """Consume ``cpu_seconds`` of CPU work ``times`` over, back to back,
+        as one job; the event fires when done.
+
+        With a core of its own at arrival the job is one completion entry
+        at the float ``times`` sequential ``compute(cpu_seconds)`` calls
+        reach (``t += cpu_seconds``, ``times`` additions).  Arriving
+        over-subscribed, its pieces run one after another as those calls
+        would (:class:`_Pieces`).  Only a job that has a core at arrival and
+        loses it to a later arrival owes the sum of its pieces at once, so
+        its finish may differ from theirs in the last ulps.
+        """
         job = _Job(self.sim)
-        if cpu_seconds <= _EPS:
+        if cpu_seconds <= _EPS or times < 1:
             return job.succeed()
+        running = self._running
+        has_core = (not self._jobs
+                    and len(running) + len(self._spinners) < self.cores)
+        if times > 1:
+            pieces = _Pieces(self, job, cpu_seconds, times)
+            if not has_core:
+                pieces._next()
+                return job
+            work = finish = cpu_seconds
+            finish += pieces.start
+            for _ in range(times - 1):
+                work += cpu_seconds
+                finish += cpu_seconds
+            job.remaining = work
+            running[job] = finish
+            self._pieces[job] = pieces
+            _Wake(self.sim, finish, self._version, self._pieces_callbacks,
+                  job)
+        elif has_core:
+            sim = self.sim
+            job.remaining = cpu_seconds
+            running[job] = finish = sim.now + cpu_seconds
+            _Wake(sim, finish, self._version, self._finish_callbacks, job)
+        else:
+            job.remaining = cpu_seconds
+            self._reschedule(job)
+        return job
+
+    def _start(self, job: _Job, cpu_seconds: float) -> None:
+        """Admit ``job`` owing ``cpu_seconds``: :meth:`compute` for an event
+        made elsewhere."""
         job.remaining = cpu_seconds
         running = self._running
         if not self._jobs and len(running) + len(self._spinners) < self.cores:
@@ -156,7 +255,6 @@ class CpuScheduler:
             _Wake(sim, finish, self._version, self._finish_callbacks, job)
         else:
             self._reschedule(job)
-        return job
 
     def spin_begin(self) -> SpinToken:
         """Mark the calling thread as a busy-polling (always runnable) thread."""
@@ -200,9 +298,12 @@ class CpuScheduler:
         jobs = self._jobs
         running = self._running
         if running:
+            pieces = self._pieces
             for job, finish in running.items():
                 rem = finish - now
                 self._busy_time += job.remaining - rem
+                if pieces and job in pieces:
+                    job, rem = pieces.pop(job)._retire(now)
                 job.remaining = rem
                 jobs.append(job)
             running.clear()
@@ -254,6 +355,12 @@ class CpuScheduler:
     def _tick(self, wake: _Wake) -> None:
         if wake._value == self._version:    # else: superseded, a dead event
             self._reschedule()
+
+    def _finish_pieces(self, entry: _Wake) -> None:
+        """:meth:`_finish` for a multi-piece job's completion entry."""
+        if entry._value == self._version:
+            del self._pieces[entry.job]
+            self._finish(entry)
 
     def _finish(self, entry: _Wake) -> None:
         """Fire a job whose completion entry is still live (no pass has

@@ -42,7 +42,7 @@ way.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional, Union
 
 from repro.verbs.errors import MemoryAccessError, QPStateError, VerbsError
 from repro.verbs.types import (
@@ -76,8 +76,15 @@ class SRQ:
         self.device = device
         self._queue: Deque[RecvWR] = deque()
 
-    def post_recv(self, rwr: RecvWR):
-        """Coroutine: post a receive buffer to the shared queue."""
+    def post_recv(self, rwr: Union[RecvWR, List[RecvWR]]):
+        """Coroutine: post a receive buffer, or a list of them in one call,
+        to the shared queue (see :meth:`QP.post_recv`)."""
+        if isinstance(rwr, list):
+            _check_lkeys(self.device, rwr)
+            yield self.device.node.cpu.compute(self.device.cost.post_recv_cpu,
+                                               len(rwr))
+            self._queue.extend(rwr)
+            return
         self.device.check_lkey(rwr.sge.lkey, rwr.sge.addr, rwr.sge.length)
         yield self.device.node.cpu.compute(self.device.cost.post_recv_cpu)
         self._queue.append(rwr)
@@ -108,12 +115,27 @@ class QP:
         self.doorbells = 0
 
     # -- verbs calls (host side) ---------------------------------------------
-    def post_recv(self, rwr: RecvWR):
-        """Coroutine: post one receive WQE."""
+    def post_recv(self, rwr: Union[RecvWR, List[RecvWR]]):
+        """Coroutine: post one receive WQE, or a list of them in one call
+        (``ibv_post_recv`` with a WR list).
+
+        A list is checked in full before any time passes, is charged as one
+        CPU job of ``len(rwr)`` back-to-back posts, and lands in list order.
+        If the QP enters ERROR during that charge nothing is posted and
+        :class:`QPStateError` is raised.
+        """
         if self.state is QPState.ERROR:
             raise QPStateError("post_recv on QP in ERROR state")
         if self.srq is not None:
             raise QPStateError("QP uses an SRQ; post to the SRQ instead")
+        if isinstance(rwr, list):
+            _check_lkeys(self.device, rwr)
+            yield self.device.node.cpu.compute(self.device.cost.post_recv_cpu,
+                                               len(rwr))
+            if self.state is QPState.ERROR:
+                raise QPStateError("QP entered ERROR during post_recv")
+            self._recv_queue.extend(rwr)
+            return
         self.device.check_lkey(rwr.sge.lkey, rwr.sge.addr, rwr.sge.length)
         yield self.device.node.cpu.compute(self.device.cost.post_recv_cpu)
         self._recv_queue.append(rwr)
@@ -469,6 +491,12 @@ class _Chain:
         dev.port.bytes_received += wr.sge.length
         dev.mem.write(wr.sge.addr, self.payloads[k])
         self._finish(k, WCStatus.SUCCESS)
+
+
+def _check_lkeys(device: "Device", wrs: List[RecvWR]) -> None:
+    """Check every receive WR's SGE before a list post spends any time."""
+    for wr in wrs:
+        device.check_lkey(wr.sge.lkey, wr.sge.addr, wr.sge.length)
 
 
 def connect_pair(a: QP, b: QP) -> None:

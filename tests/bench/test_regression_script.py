@@ -13,7 +13,8 @@ _spec = importlib.util.spec_from_file_location(
 cbr = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cbr)
 
-from repro.bench.report import BenchRecord, metric, write_bench  # noqa: E402
+from repro.bench.report import (  # noqa: E402
+    BenchRecord, config_hash, metric, write_bench)
 
 
 def bench_file(tmp_path, fname, lat=10.0, tput=100.0, config=None,
@@ -123,6 +124,49 @@ def test_allow_missing_downgrades_to_warning(tmp_path, capsys):
     assert cbr.main([base, cur, "--allow-missing"]) == 0
     out = capsys.readouterr().out
     assert "WARNING" in out and "PASS" in out
+
+
+def test_exact_passes_only_identical_values(tmp_path, capsys):
+    base = bench_file(tmp_path, "base.json")
+    assert cbr.main([base, bench_file(tmp_path, "same.json"), "--exact"]) == 0
+    assert "PASS: every record and metric is equal" in \
+        capsys.readouterr().out
+    # better by a hair, well inside any tolerance: still a difference
+    cur = bench_file(tmp_path, "cur.json", lat=9.999999, tput=100.0000001)
+    assert cbr.main([base, cur]) == 0
+    capsys.readouterr()
+    assert cbr.main([base, cur, "--exact"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS fig04/latency/small lat_us.busy.64: 10.0 -> 9.999999" \
+        in out
+    assert "DIFFERS fig04/latency/small tput_kops.64: 100.0 -> 100.0000001" \
+        in out
+    assert "2 difference(s)" in out and "FAIL" in out
+
+
+def test_exact_lists_informational_config_and_one_sided_changes(tmp_path,
+                                                                capsys):
+    extra = [BenchRecord(figure="fig05", name="tput", scale="small",
+                         metrics={"m": metric(1.0)})]
+    base = bench_file(tmp_path, "base.json", extra=extra)
+    cur_path = tmp_path / "cur.json"
+    write_bench([BenchRecord(
+        figure="fig04", name="latency", scale="small",
+        config={"sizes": [64, 512]},
+        metrics={"lat_us.busy.64": metric(10.0, "us", "lower"),
+                 "tput_kops.64": metric(100.0, "kops", "higher"),
+                 "cells": metric(43, "cells", "none"),
+                 "new_metric": metric(1.0)})], str(cur_path))
+    assert cbr.main([base, str(cur_path), "--exact"]) == 1
+    out = capsys.readouterr().out
+    lines = [ln for ln in out.splitlines() if ln.startswith("DIFFERS")]
+    old, new = config_hash({"sizes": [64]}), config_hash({"sizes": [64, 512]})
+    assert lines == [
+        f"DIFFERS fig04/latency/small: config {old} -> {new}",
+        "DIFFERS fig04/latency/small cells: 42.0 -> 43.0",
+        "DIFFERS fig04/latency/small new_metric: missing from the baseline",
+        "DIFFERS fig05/tput/small: missing from the current run",
+    ]
 
 
 def test_summary_markdown_worst_offenders_first(tmp_path):

@@ -20,7 +20,11 @@ class Recorder:
         self.posted = []
 
     def post_recv(self, rwr):
-        self.posted.append(rwr)
+        """One WR, or a WR list (remembered WR by WR)."""
+        if isinstance(rwr, list):
+            self.posted.extend(rwr)
+        else:
+            self.posted.append(rwr)
         yield from self.qp.post_recv(rwr)
 
 

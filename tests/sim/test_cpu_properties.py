@@ -232,6 +232,115 @@ def test_uncontended_compute_is_one_heap_entry(case):
     assert cpu.busy_core_seconds == pytest.approx(total, rel=1e-9)
 
 
+def run_pieces(cores, case, batched):
+    """One caller runs ``times`` pieces of ``work`` from ``start`` -- one
+    ``compute(work, times)`` if ``batched``, else ``times`` sequential
+    ``compute(work)`` -- among co-running callers (each a list of ``(gap,
+    work)`` steps) and spinners ``(on, hold)``.  Returns every completion
+    time (``repr``) by caller and step, and the node's busy core-seconds."""
+    (start, work, times), callers, spins = case
+    sim = Simulator()
+    cpu = CpuScheduler(sim, cores)
+    done = {}
+
+    def pieces():
+        yield sim.timeout(start)
+        if batched:
+            yield cpu.compute(work, times)
+        else:
+            for _ in range(times):
+                yield cpu.compute(work)
+        done["pieces"] = repr(sim.now)
+
+    def caller(i, steps):
+        for k, (gap, w) in enumerate(steps):
+            yield sim.timeout(gap)
+            yield cpu.compute(w)
+            done[i, k] = repr(sim.now)
+
+    def spinner(on, hold):
+        yield sim.timeout(on)
+        token = cpu.spin_begin()
+        yield sim.timeout(hold)
+        cpu.spin_end(token)
+
+    sim.process(pieces())
+    for i, steps in enumerate(callers):
+        sim.process(caller(i, steps))
+    for on, hold in spins:
+        sim.process(spinner(on, hold))
+    sim.run()
+    return done, cpu.busy_core_seconds
+
+
+_PIECES = st.tuples(st.floats(0, 0.5), st.floats(1e-9, 0.1),
+                    st.integers(1, 70))
+_STEPS = st.lists(st.tuples(st.floats(0, 0.5), st.floats(1e-6, 0.5)),
+                  min_size=1, max_size=4)
+
+
+@st.composite
+def _pieces_uncontended(draw):
+    """The pieces' caller, co-runners and spinners never exceed the cores."""
+    cores = draw(st.integers(1, 6))
+    n_spin = draw(st.integers(0, cores - 1))
+    callers = draw(st.lists(_STEPS, max_size=cores - n_spin - 1))
+    spins = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(1e-3, 1)),
+                          min_size=n_spin, max_size=n_spin))
+    return cores, (draw(_PIECES), callers, spins)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pieces_uncontended())
+def test_batched_job_is_its_pieces_to_the_float(case):
+    """While R <= C, ``compute(c, times=n)`` fires at the identical double
+    that n sequential ``compute(c)`` reach (``t += c``, n additions), every
+    co-runner's completions are unchanged, and ``busy_core_seconds`` agrees
+    (to rounding: it sums the same work in another order)."""
+    cores, run_case = case
+    got, busy = run_pieces(cores, run_case, batched=True)
+    want, want_busy = run_pieces(cores, run_case, batched=False)
+    assert got == want
+    assert busy == pytest.approx(want_busy, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), _PIECES, st.lists(_STEPS, max_size=5), _SPINS)
+# arrives over-subscribed: the pieces run one at a time
+@example(1, (0.5, 0.25, 4), [[(0.0, 2.0)]], [])
+# loses its core mid-job to an arrival, and to a spinner
+@example(1, (0.0, 1.0, 4), [[(1.5, 1.0)]], [])
+@example(2, (0.0, 0.125, 9), [[(0.3, 0.5)]], [(0.2, 0.4)])
+def test_batched_job_over_subscribed_is_bounded(cores, pieces, callers,
+                                                spins):
+    """Under R > C a batched job runs piece by piece from the moment it
+    lacks a core, so its completion, and every co-runner's, is the
+    sequential pieces' to within 1e-12 relative.  (It is equal unless the
+    job loses its core at the very instant one of its pieces ends: then it
+    takes the piece as not yet ended, where sequential calls may already
+    have started the next, and the two differ by one rounding of
+    ``(now + c) - now`` against ``c``.)"""
+    run_case = (pieces, callers, spins)
+    got, busy = run_pieces(cores, run_case, batched=True)
+    want, want_busy = run_pieces(cores, run_case, batched=False)
+    assert got.keys() == want.keys()
+    for key, t in got.items():
+        assert abs(float(t) - float(want[key])) <= 1e-12 * float(want[key])
+    assert busy == pytest.approx(want_busy, rel=1e-9)
+
+
+def test_batched_job_is_one_heap_entry_with_a_core():
+    sim = Simulator()
+    cpu = CpuScheduler(sim, 1)
+    ev = cpu.compute(0.1, 10)
+    sim.run()
+    assert ev.processed and sim.events_executed == 1
+    t = 0.0
+    for _ in range(10):
+        t += 0.1
+    assert sim.now == t != 0.1 * 10
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 512),
                           st.binary(min_size=0, max_size=64)),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.units import us
 from repro.verbs import (
+    MemoryAccessError,
     Opcode,
     QPState,
     QPStateError,
@@ -354,3 +355,105 @@ def test_failed_wr_flushes_the_rest_of_its_chain(tb, pair):
     assert pair.cqp.state is QPState.ERROR
     assert pair.sqp.state is QPState.ERROR
     assert len(pair.s_rcq) == 0
+
+
+# -- a WR list in one post_recv (ibv_post_recv with a chained list) ---------
+
+def _recv_list(mr, n, size=64, bad=None):
+    """``n`` receive WRs over ``mr`` (``wr_id`` = slot); slot ``bad`` gets
+    an unknown lkey."""
+    return [RecvWR(Sge(mr.addr + i * size, size,
+                       0xBADBAD if i == bad else mr.lkey), wr_id=i)
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("bad", [0, 3, 7])
+def test_post_recv_list_bad_lkey_posts_nothing_and_spends_nothing(tb, pair,
+                                                                  bad):
+    mr = pair.spd.reg_mr(8 * 64)
+    cpu = tb.node(1).cpu
+    t0 = tb.sim.now
+
+    def post():
+        yield from pair.sqp.post_recv(_recv_list(mr, 8, bad=bad))
+
+    with pytest.raises(MemoryAccessError):
+        run(tb, post())
+    assert pair.sqp.recv_depth == 0
+    assert tb.sim.now == t0
+    assert cpu.busy_core_seconds == 0.0
+
+
+def test_post_recv_list_on_error_qp_raises(tb, pair):
+    mr = pair.spd.reg_mr(4 * 64)
+    pair.sqp.to_error()
+
+    def post():
+        yield from pair.sqp.post_recv(_recv_list(mr, 4))
+
+    with pytest.raises(QPStateError):
+        run(tb, post())
+    assert pair.sqp.recv_depth == 0
+
+
+def test_post_recv_list_on_srq_qp_raises(tb, srq_pair):
+    mr = srq_pair.spd.reg_mr(4 * 64)
+
+    def post():
+        yield from srq_pair.sqp.post_recv(_recv_list(mr, 4))
+
+    with pytest.raises(QPStateError):
+        run(tb, post())
+    assert len(srq_pair.srq) == 0
+
+
+def test_post_recv_list_qp_errored_during_the_charge_posts_nothing(tb, pair):
+    mr = pair.spd.reg_mr(4 * 64)
+
+    def post():
+        yield from pair.sqp.post_recv(_recv_list(mr, 4))
+
+    def kill():
+        yield tb.sim.timeout(1e-9)
+        pair.sqp.to_error()
+
+    tb.sim.process(kill())
+    with pytest.raises(QPStateError):
+        run(tb, post())
+    assert pair.sqp.recv_depth == 0
+    assert pair.s_rcq.poll(8) == []         # nothing was there to flush
+
+
+def test_post_recv_list_is_one_job_of_equal_pieces(tb, pair):
+    """A list of n costs what n single posts cost, to the float, and lands
+    in list order."""
+    mr = pair.spd.reg_mr(6 * 64)
+    wrs = _recv_list(mr, 6)
+
+    def post():
+        yield from pair.sqp.post_recv(wrs)
+
+    run(tb, post())
+    t = 0.0
+    for _ in wrs:
+        t += pair.sdev.cost.post_recv_cpu
+    assert tb.sim.now == t
+    assert [pair.sqp._take_recv() for _ in wrs] == wrs
+
+
+def test_post_recv_list_lands_in_order_and_flushes_in_order(tb, pair):
+    mr = pair.spd.reg_mr(5 * 64)
+    wrs = _recv_list(mr, 5)
+    wrs.reverse()
+    single = RecvWR(Sge(mr.addr, 64, mr.lkey), wr_id=99)
+
+    def post():
+        yield from pair.sqp.post_recv(single)
+        yield from pair.sqp.post_recv(wrs)
+
+    run(tb, post())
+    assert pair.sqp.recv_depth == 6
+    pair.sqp.to_error()
+    wcs = pair.s_rcq.poll(16)
+    assert [w.wr_id for w in wcs] == [99, 4, 3, 2, 1, 0]
+    assert all(w.status is WCStatus.WR_FLUSH_ERR for w in wcs)

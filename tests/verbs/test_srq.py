@@ -130,3 +130,23 @@ def test_srq_exhaustion_rnr_recovers_after_repost(tb, srq_pair):
     tb.sim.process(late_repost())
     wcs = run(tb, client())
     assert wcs[0].ok
+
+
+def test_post_recv_list_validates_every_lkey_first(tb, srq_pair):
+    """A WR list with one bad SGE raises before any time passes and
+    leaves the pool as it was."""
+    mr = srq_pair.spd.reg_mr(4 * 64)
+    good = [RecvWR(Sge(mr.addr + i * 64, 64, mr.lkey), wr_id=i)
+            for i in range(4)]
+    bad = good[:2] + [RecvWR(Sge(mr.addr, 4096, mr.lkey), wr_id=9)] + good[2:]
+
+    def post(wrs):
+        yield from srq_pair.srq.post_recv(wrs)
+
+    t0 = tb.sim.now
+    with pytest.raises(MemoryAccessError):
+        run(tb, post(bad))
+    assert tb.sim.now == t0 and len(srq_pair.srq) == 0
+    run(tb, post(good))
+    assert [srq_pair.srq._take() for _ in good] == good
+    assert srq_pair.srq._take() is None
