@@ -13,8 +13,10 @@ prints what is allocated, grouped by package -- ``repro/<package>`` (a
 module directly under ``repro`` is its own package), ``generated IDL`` for
 the modules ``repro.idl`` compiles, ``perfbench``, and ``other`` for the
 standard library and site-packages -- and by line, beside the traced peak
-and the process's ``ru_maxrss``.  Tracing slows the run several-fold: read
-the sizes, not the time.
+and the process's ``ru_maxrss``; and, per node, the registered memory still
+holding messages at the end (``Memory.resident_bytes``: bytes written and not
+yet released).  Tracing slows the run several-fold: read the sizes, not the
+time.
 
 Exit codes: 0 done, 2 a client op failed.
 """
@@ -82,6 +84,7 @@ def measure(workload: str, seed: int, scale: float) -> dict:
         snapshot = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(False, tracemalloc.__file__)])
         live, peak = tracemalloc.get_traced_memory()
+        resident = [node.nic.mem.resident_bytes for node in bed.tb.nodes]
     finally:
         if started:
             tracemalloc.stop()
@@ -97,6 +100,7 @@ def measure(workload: str, seed: int, scale: float) -> dict:
         "attempted": rec.attempted, "failed": rec.failed,
         "live": live, "peak": peak,
         "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "resident": resident,
         "by_package": sorted(((name, size, count) for name, (size, count)
                               in by_package.items()),
                              key=lambda row: -row[1]),
@@ -125,6 +129,9 @@ def report(m: dict) -> List[str]:
         f"{m['peak'] / 1e6:.1f} MB; ru_maxrss {m['maxrss_mb']:.1f} MB",
         "",
         *_table("by package", m["by_package"], live),
+        "",
+        f"resident registered memory: {sum(m['resident']) / KiB:.1f} KiB; "
+        "by node: " + ", ".join(f"{n / KiB:.1f}" for n in m["resident"]),
         "",
         *_table(f"by line (top {TOP})", m["by_line"][:TOP], live),
     ]

@@ -137,7 +137,9 @@ class RecvRing:
     ``wr_id=i`` to ``rq`` -- a connection's QP, or the SRQ a server's
     connections share.  Each slot's work request is built once and
     re-posted as it is: a slot is re-posted only after its completion was
-    consumed, and the NIC only reads its ``sge`` and ``wr_id``."""
+    consumed, and the NIC only reads its ``sge`` and ``wr_id``.  Re-posting
+    a slot releases it (:meth:`MR.discard`): its message has been read out,
+    and nothing reads the slot again before the NIC rewrites it."""
 
     def __init__(self, pd: PD, rq, slots: int, slot_bytes: int):
         self.rq = rq
@@ -150,7 +152,8 @@ class RecvRing:
                                 mr.lkey), wr_id=i) for i in range(slots)]
 
     def post(self, i: int):
-        """Coroutine: (re-)post slot ``i``."""
+        """Coroutine: release slot ``i`` and (re-)post it."""
+        self.mr.discard(self.slot_bytes, offset=i * self.slot_bytes)
         yield from self.rq.post_recv(self._wrs[i])
 
     def post_all(self):

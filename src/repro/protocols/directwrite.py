@@ -111,6 +111,8 @@ class DirectWriteEndpoint:
                        remote_addr=self.peer_addr + off, rkey=self.peer_rkey,
                        imm=seq, signaled=False),
                 numa_local=self.cfg.numa_local)
+            # The post gathered the WRITE's source: release its slot.
+            self._staging.discard(self._stride, offset=off)
             return
         write = SendWR(Opcode.RDMA_WRITE,
                        Sge(self._staging.addr + off, total,
@@ -129,6 +131,9 @@ class DirectWriteEndpoint:
         else:
             yield from self.qp.post_send(write, numa_local=self.cfg.numa_local)
             yield from self.qp.post_send(notify, numa_local=self.cfg.numa_local)
+        # Likewise; the notify header is kept: a chained SEND is gathered
+        # only once the WRITE before it has left the NIC.
+        self._staging.discard(self._stride, offset=off)
 
     # -- receive --------------------------------------------------------------
     def recv_msg(self):
@@ -152,8 +157,11 @@ class DirectWriteEndpoint:
         # Longer would read on into the next slot (or out of the buffer).
         check_length(length, self.cfg.max_msg)
         yield from self._ring.post(wc.wr_id)
-        # Payload is already in our inbuf -- read in place, no copy charged.
-        return self.inbuf.read(length, offset=off + HDR_BYTES)
+        # Payload is already in our inbuf -- read in place, no copy charged;
+        # then its slot is released.
+        data = self.inbuf.read(length, offset=off + HDR_BYTES)
+        self.inbuf.discard(self._stride, offset=off)
+        return data
 
 
 # Per-call wire slots are stateless between calls (slot = seq mod window on

@@ -162,8 +162,11 @@ class BypassServerEnd:
         check_length(length, self.cfg.max_msg)
         self._last_seq = seq
         # Request is consumed in place (no copy) -- the WRITE-path advantage;
-        # it is the client's own request object.
-        return self.reqbuf.read(length, offset=HDR_BYTES)
+        # it is the client's own request object.  Releasing the buffer
+        # zeroes the header too, so ``ready()`` waits for the next WRITE.
+        request = self.reqbuf.read(length, offset=HDR_BYTES)
+        self.reqbuf.discard(self.reqbuf.length)
+        return request
 
     def send_msg(self, resp: bytes):
         """Coroutine: place the response where the client will READ it.
@@ -224,6 +227,7 @@ class BypassClientEnd:
         staging.write(pack_ctrl(kind, self._seq, len(request)))
         staging.write(request, offset=HDR_BYTES)
         yield from self.qp.post_send(wr, numa_local=self.cfg.numa_local)
+        staging.discard(staging.length)     # the post gathered it
 
     # -- one-sided response fetch -------------------------------------------------
     def _read(self, length: int, remote_off: int = 0, local_off: int = 0):
@@ -252,11 +256,19 @@ class BypassClientEnd:
             yield self.device.sim.timeout(backoff)
             backoff = min(backoff * 2, 16e-6)
 
+    def _take_reply(self, length: int) -> bytes:
+        """The reply, read out of the fetch buffer, which is then released.
+        (The server's ``respbuf`` is kept: it holds one reply, and nothing
+        tells it when the client's READs are done.)"""
+        reply = self._fetch.read(length, offset=HDR_BYTES)
+        self._fetch.discard(self._fetch.length)
+        return reply
+
     def recv_msg(self):
         length = yield from self._await_published(16)
         yield from self._read(length, remote_off=HDR_BYTES,
                               local_off=HDR_BYTES)
-        return self._fetch.read(length, offset=HDR_BYTES)
+        return self._take_reply(length)
 
 
 class RfpClientEnd(BypassClientEnd):
@@ -277,7 +289,7 @@ class RfpClientEnd(BypassClientEnd):
             yield from self._read(length - slot,
                                   remote_off=HDR_BYTES + slot,
                                   local_off=HDR_BYTES + slot)
-        return self._fetch.read(length, offset=HDR_BYTES)
+        return self._take_reply(length)
 
 
 class HerdClientEnd(BypassClientEnd):
@@ -347,6 +359,7 @@ class HerdServerEnd(BypassServerEnd):
                        Sge(staging.addr, HDR_BYTES + len(chunk),
                            staging.lkey), signaled=True),
                 numa_local=self.cfg.numa_local)
+            staging.discard(staging.length)     # the post gathered it
             # Reuse of the staging slot requires the previous SEND done.
             wcs = yield from self.qp.send_cq.wait(self.cfg.poll_mode,
                                                   max_wc=1)

@@ -114,7 +114,9 @@ class TwoSidedEndpoint:
             yield from self._send(seq, pack_ctrl(K_RTS, seq, n,
                                                  self._staging.addr,
                                                  self._staging.rkey))
+            # The peer READs the staging buffer until it sends FIN.
             yield from self._await_fin(seq)
+        self._staging.discard(self._staging.length)
 
     def _send(self, seq: int, message: bytes):
         """Coroutine: SEND a control header (+ eager payload) out of the
@@ -125,6 +127,7 @@ class TwoSidedEndpoint:
             SendWR(Opcode.SEND, Sge(slot.addr, len(message), slot.lkey),
                    signaled=False),
             numa_local=self.cfg.numa_local)
+        slot.discard(slot.length)       # the post gathered it
 
     # -- receive path --------------------------------------------------------
     def recv_msg(self):
@@ -154,7 +157,7 @@ class TwoSidedEndpoint:
         ring = self._ring
         if wc.opcode is WCOpcode.RECV_RDMA_WITH_IMM:
             # Rendezvous (write flavor) payload landed in our landing buffer.
-            self._inbox.append(self._landing.read(wc.byte_len))
+            self._inbox.append(self._take_landing(wc.byte_len))
             yield from ring.post(wc.wr_id)
             return
         kind, seq, length, addr, rkey = ring.header(wc.wr_id)
@@ -190,8 +193,15 @@ class TwoSidedEndpoint:
         wcs = yield from self.qp.send_cq.wait(self.cfg.poll_mode)
         for wc in wcs:
             check_wc(wc)
-        self._inbox.append(self._landing.read(length))
+        self._inbox.append(self._take_landing(length))
         yield from self._send(seq, pack_ctrl(K_FIN, seq, length))
+
+    def _take_landing(self, length: int) -> bytes:
+        """The rendezvous payload, read out of the landing buffer, which is
+        then released."""
+        data = self._landing.read(length)
+        self._landing.discard(self._landing.length)
+        return data
 
 
 # Pure eager has no per-call rendezvous state (the single-valued _cts/_fin

@@ -49,10 +49,19 @@ class MR:
         return self.addr <= addr and addr + length <= self.addr + self.length
 
     def write(self, data: bytes, offset: int = 0) -> None:
-        """Host-side store into the region (no simulated cost)."""
-        if offset < 0 or offset + len(data) > self.length:
+        """Host-side store into the region (no simulated cost): a bytes-like,
+        or a list of pieces as :meth:`Memory.gather` returns them."""
+        n = sum(map(len, data)) if type(data) is list else len(data)
+        if offset < 0 or offset + n > self.length:
             raise MemoryAccessError("MR host write out of bounds")
         self._seg.write(self._off + offset, data)
+
+    def discard(self, n: int, offset: int = 0) -> None:
+        """Release ``n`` bytes at ``offset`` (no simulated cost): they read
+        as zeros and no longer hold host RAM (:meth:`Memory.discard`)."""
+        if offset < 0 or n < 0 or offset + n > self.length:
+            raise MemoryAccessError("MR discard out of bounds")
+        self._seg.discard(self._off + offset, n)
 
     def read(self, length: int, offset: int = 0) -> bytes:
         """Host-side load from the region (no simulated cost)."""

@@ -6,10 +6,11 @@ which lets the upper layers (Thrift serialization, HatKV) be tested for
 actual data correctness, not just timing.
 
 Each allocation is a *segment* backed sparsely: it holds only the bytes that
-were written, as *extents* keyed by the offset they were written at (reads of
-anything else return zeros, like freshly mapped pages).  Host RAM therefore
-follows the bytes written, not the highest offset written: a 48-slot x 18 KiB
-message ring carrying 1 KiB messages holds 48 KiB, and 512
+were written and not yet released, as *extents* keyed by the offset they
+were written at (reads of anything else return zeros, like freshly mapped
+pages).  Host RAM therefore follows the messages still in use, not the
+highest offset written: a 48-slot x 18 KiB message ring holds a 1 KiB
+message only from its write until its reader releases the slot, and 512
 pre-registered-but-idle connections hold nothing -- pre-registered buffers
 are the scaling cost of real RDMA endpoints (RDMAvisor), a model of them must
 not pay it in host RAM too.
@@ -35,7 +36,13 @@ An extent is an immutable ``bytes`` object, or a :class:`Slice` -- bytes
   object is stored as that object: RFP's speculative READ and its tail READ
   (``protocols/serverbypass.py``) land the server's reply object again;
 * :meth:`Memory.read` returns ``bytes``: the extent itself when the range is
-  exactly one whole-object extent, one copy otherwise (a slice, or a join).
+  exactly one whole-object extent, one copy otherwise (a slice, or a join);
+* :meth:`Memory.discard` *releases* a range: the write splice with nothing
+  inserted.  The protocols release a whole slot once nobody reads it before
+  it is rewritten -- a source slot once the NIC has gathered it, a sink slot
+  once the CPU has read the message out -- so a release cuts no extent and
+  copies nothing, and the message is freed as soon as the sender's and the
+  receiver's references are gone.
 
 What is left of a partly overwritten extent (the *remainder*) stays a slice
 when it is at least half of its object and ``_SLICE_MIN`` bytes, and is
@@ -177,6 +184,27 @@ class _Segment:
                 return
             new_starts, new_bufs = [off], [data]
             end = off + len(data)
+        self._splice(off, end, new_starts, new_bufs, slices)
+
+    def discard(self, off: int, n: int) -> None:
+        """Release ``[off, off + n)``: the splice of :meth:`write` with
+        nothing inserted.  The range reads as zeros again, like bytes never
+        written; a range that cuts no extent copies nothing."""
+        starts = self._starts
+        if n <= 0 or not starts:
+            return
+        if off <= starts[0] and starts[-1] + len(self._bufs[-1]) <= off + n:
+            # The common release: the slot holds every extent of the segment.
+            self._starts = self._bufs = ()
+        else:
+            self._splice(off, off + n, [], [], False)
+
+    def _splice(self, off: int, end: int, new_starts: List[int],
+                new_bufs: List[Extent], slices: bool) -> None:
+        """Replace the extents ``[off, end)`` intersects by the remainders
+        they leave outside it around ``new_bufs`` (at ``new_starts``, inside
+        the range; none for a discard).  ``slices``: some new extent is a
+        :class:`Slice`, so neighbours may coalesce."""
         starts, bufs = self._starts, self._bufs
         if not starts:
             if slices:
@@ -278,7 +306,7 @@ class _FreedSegment(_Segment):
         raise MemoryAccessError(
             f"access at {self.base + off:#x} to freed memory")
 
-    write = gather = read = _fault
+    write = gather = read = discard = _fault
 
 
 class Memory:
@@ -314,7 +342,7 @@ class Memory:
 
     @property
     def resident_bytes(self) -> int:
-        """Actually materialized (written) bytes -- a host-RAM gauge."""
+        """Bytes written and not yet released -- a host-RAM gauge."""
         return sum(s.resident for s in self._segs.values())
 
     def segment(self, addr: int, length: int) -> _Segment:
@@ -345,6 +373,12 @@ class Memory:
     def read(self, addr: int, length: int) -> bytes:
         seg = self.segment(addr, length)
         return seg.read(addr - seg.base, length)
+
+    def discard(self, addr: int, length: int) -> None:
+        """Release ``[addr, addr + length)``: it reads as zeros and stops
+        counting in :attr:`resident_bytes`.  Costs no simulated time."""
+        seg = self.segment(addr, length)
+        seg.discard(addr - seg.base, length)
 
     def fill(self, addr: int, length: int, byte: int = 0) -> None:
         seg = self.segment(addr, length)

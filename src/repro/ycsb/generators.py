@@ -23,16 +23,24 @@ __all__ = [
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: ``_FNV_PRIME ** k mod 2**64``: k rounds that XOR in a zero byte.
+_FNV_PRIME_POW = [pow(_FNV_PRIME, k, 1 << 64) for k in range(9)]
 
 
 def fnv1a_64(value: int) -> int:
-    """FNV-1a over the 8 little-endian bytes of ``value`` (YCSB's hash)."""
+    """FNV-1a over the 8 little-endian bytes of ``value`` (YCSB's hash).
+
+    The rounds above the highest non-zero byte XOR in 0, so they are one
+    multiplication by ``_FNV_PRIME ** k``: a record number takes two or
+    three rounds, not eight."""
+    value &= _MASK64
+    n = (value.bit_length() + 7) >> 3
     h = _FNV_OFFSET
-    for _ in range(8):
-        h ^= value & 0xFF
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for _ in range(n):
+        h = ((h ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
         value >>= 8
-    return h
+    return (h * _FNV_PRIME_POW[8 - n]) & _MASK64
 
 
 class UniformGenerator:

@@ -37,3 +37,20 @@ def test_a_tiny_atb_small_bed(capsys):
     lines = out[out.index(next(x for x in out if x.startswith(
         f"by line (top {mh.TOP})"))) + 1:]
     assert len(lines) == mh.TOP
+
+
+
+def test_report_prints_resident_registered_memory_per_node():
+    """Between the two tables: the registered memory still holding
+    messages, in all and node by node."""
+    m = {"workload": "w", "seed": 0, "scale": 1.0, "clients": 1,
+         "ops_per_client": 1, "attempted": 1, "failed": 0, "live": 1024,
+         "peak": 2048, "maxrss_mb": 1.0, "resident": [2048, 0, 512],
+         "by_package": [("repro/verbs", 1024, 1)],
+         "by_line": [("repro/verbs/memory.py:1", 1024, 1)]}
+    out = mh.report(m)
+    first = [next(k for k, line in enumerate(out) if line.startswith(head))
+             for head in ("by package", "resident", "by line")]
+    assert first == sorted(first)
+    assert out[first[1]] == ("resident registered memory: 2.5 KiB; "
+                             "by node: 2.0, 0.0, 0.5")

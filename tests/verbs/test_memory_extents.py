@@ -1,10 +1,11 @@
 """The sparse (extent-backed) segment store of ``verbs/memory.py``.
 
 A flat ``bytearray`` is the reference: whatever sequence of overlapping,
-adjacent and gap-spanning writes is applied -- host writes, and the pieces a
-gather on one segment hands to a write on another (or the same) one -- every
-read must return the reference's bytes, and the extent invariants of the
-module docstring must hold after every write.  The regression tests pin what
+adjacent and gap-spanning writes is applied -- host writes, the pieces a
+gather on one segment hands to a write on another (or the same) one, and
+discards (releases, which zero the reference) -- every read must return the
+reference's bytes, and the extent invariants of the module docstring must
+hold after every write and discard.  The regression tests pin what
 the sparse backing is for: resident bytes follow the bytes written, not the
 highest offset; and what slice extents are for: the NIC moves objects, not
 copies of them.
@@ -50,11 +51,13 @@ read_op = st.tuples(st.just("r"), st.integers(0, 1), st.integers(0, SEG - 1),
 move_op = st.tuples(st.just("m"), st.integers(0, 1), st.integers(0, SEG - 1),
                     st.tuples(st.integers(0, 1), st.integers(0, SEG - 1),
                               st.integers(0, SEG)))
+discard_op = st.tuples(st.just("d"), st.integers(0, 1),
+                       st.integers(0, SEG - 1), st.integers(0, SEG))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(write_op, read_op, move_op), min_size=1,
-                max_size=40),
+@given(st.lists(st.one_of(write_op, read_op, move_op, discard_op),
+                min_size=1, max_size=40),
        st.sampled_from([1, 24, memory._SLICE_MIN]))
 def test_segment_matches_flat_reference(ops, slice_min):
     """``slice_min`` scales the remainder rule down to this segment, so
@@ -74,6 +77,15 @@ def _apply_against_flat_reference(ops):
             assert type(got) is bytes
             assert got == bytes(flats[which][off:off + length])
             continue
+        if kind == "d":
+            length = min(arg, SEG - off)
+            segs[which].discard(off, length)
+            flats[which][off:off + length] = bytes(length)
+            written[which][off:off + length] = bytes(length)
+            check_extents(segs[which])
+            # a released byte no longer counts
+            assert segs[which].resident == sum(written[which])
+            continue
         if kind == "w":
             dst, at, data = which, off, arg[:SEG - off]
             payload = data
@@ -88,7 +100,7 @@ def _apply_against_flat_reference(ops):
         flats[dst][at:at + len(payload)] = payload
         written[dst][at:at + len(payload)] = b"\x01" * len(payload)
         check_extents(segs[dst])
-        # resident bytes are exactly the bytes ever written
+        # resident bytes are exactly the bytes written and not released
         assert segs[dst].resident == sum(written[dst])
     for seg, flat in zip(segs, flats):
         assert seg.read(0, SEG) == bytes(flat)
@@ -429,3 +441,64 @@ def test_allocator_free_keeps_lookups_exact():
     assert later > addrs[-1]
     mem.fill(later, 10, 7)
     assert mem.read(later, 10) == b"\x07" * 10
+
+
+def test_whole_slot_discard_keeps_the_other_extents_as_they_are():
+    """A ring of varying-size messages (each slot a staircase of a message
+    and the tail remainder of a longer predecessor): releasing one whole
+    slot drops exactly its extents and creates no new object -- every extent
+    left is one that was there before."""
+    stride, slots = 9000, 4
+    seg = _Segment(0, stride * slots)
+    for size in (8000, 100, 5000, 30):
+        for k in range(slots):
+            seg.write(k * stride, bytes([k + 1]) * (size + k))
+    before = {id(b): b for b in seg._bufs}
+    held = seg.resident
+    in_slot = sum(len(b) for s_, b in zip(seg._starts, seg._bufs)
+                  if stride <= s_ < 2 * stride)
+    seg.discard(stride, stride)
+    check_extents(seg)
+    assert all(before.get(id(b)) is b for b in seg._bufs)
+    assert not any(stride <= s_ < 2 * stride for s_ in seg._starts)
+    assert seg.resident == held - in_slot
+    assert seg.read(stride, stride) == bytes(stride)
+    assert seg.read(0, 30) == b"\x01" * 30
+    assert seg.read(2 * stride, 32) == b"\x03" * 32
+
+
+def test_discard_through_memory_and_mr(pair):
+    """``Memory.discard`` and ``MR.discard`` release a range; the released
+    bytes read as zeros and no longer count as resident.  A freed segment
+    faults on a discard as on any access, and an MR bounds a discard."""
+    mem = pair.tb.node(0).nic.mem
+    mr = pair.cpd.reg_mr(256)
+    mr.write(b"a" * 64)
+    mr.write(b"b" * 64, offset=128)
+    resident = mem.resident_bytes
+    mr.discard(64, offset=128)
+    assert mem.resident_bytes == resident - 64
+    assert mr.read(256) == b"a" * 64 + bytes(192)
+    mem.discard(mr.addr, 64)
+    assert mem.resident_bytes == resident - 128
+    assert mr.read(64) == bytes(64)
+    mr.discard(0)                                   # nothing: a no-op
+    for n, offset in ((257, 0), (1, 256), (-1, 0), (8, -1)):
+        with pytest.raises(MemoryAccessError):
+            mr.discard(n, offset=offset)
+    addr = mem.alloc(64)
+    mem.free(addr)
+    with pytest.raises(MemoryAccessError):
+        mem.discard(addr, 8)
+
+
+def test_mr_write_bounds_a_piece_list_by_its_bytes(pair):
+    """A list of pieces is as long as its bytes, not as its pieces: a
+    64-byte piece does not fit a 16-byte region."""
+    mr = pair.cpd.reg_mr(16)
+    with pytest.raises(MemoryAccessError):
+        mr.write([b"x" * 64])
+    with pytest.raises(MemoryAccessError):
+        mr.write([b"x" * 8, b"y" * 8], offset=1)
+    mr.write([b"x" * 8, b"y" * 8])
+    assert mr.read(16) == b"x" * 8 + b"y" * 8

@@ -79,6 +79,33 @@ def test_fnv_deterministic_and_spread():
     assert len(hashes) > 600  # decent dispersion
 
 
+def _fnv1a_64_eight_rounds(value: int) -> int:
+    """The textbook form: one XOR-multiply round per byte, all eight."""
+    h = 0xCBF29CE484222325
+    for _ in range(8):
+        h ^= value & 0xFF
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        value >>= 8
+    return h
+
+
+@pytest.mark.parametrize("value", [0, 1, 0xFF, 0x100, 19_999, 1 << 56,
+                                   (1 << 64) - 1, 1 << 64, (1 << 70) + 3])
+def test_fnv_equals_the_eight_round_loop_at_the_edges(value):
+    assert fnv1a_64(value) == _fnv1a_64_eight_rounds(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 80))
+def test_fnv_equals_the_eight_round_loop(value):
+    assert fnv1a_64(value) == _fnv1a_64_eight_rounds(value)
+
+
+def test_fnv_equals_the_eight_round_loop_over_record_numbers():
+    assert all(fnv1a_64(v) == _fnv1a_64_eight_rounds(v)
+               for v in range(70_000))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 10000), st.integers(0, 2**31))
 def test_zipfian_always_in_range(n, seed):
