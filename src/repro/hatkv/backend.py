@@ -14,11 +14,16 @@ concurrency hint, and the sync/commit strategy follows the perf goal of the
 protocol chosen for the writing functions -- latency keeps NOSYNC immediate
 commits, throughput batches commits (group commit), res_util keeps SYNC.
 
-Group commit: a write that finds the writer idle leads a batch.  Every write
-that queues while a batch is in flight joins the next one, whose leader is
-the first of them: it applies the whole queue (Put, Delete, MultiPut, in
-arrival order, sorted stably by key) in one write txn, pays one apply
-charge and one commit, and acks every member when that commit ends.
+Every write goes through group commit with a batch cap: a write that finds
+the writer idle leads a batch; writes that queue meanwhile wait for a later
+one, led by the first of them, which applies up to ``cap`` of them (Put,
+Delete, MultiPut, in arrival order, sorted stably by key) in one write txn,
+pays one apply charge and one commit, and acks every member when that
+commit ends.  Throughput lifts the cap; every other backend, stock LMDB
+included, has a cap of 1.  Failure rules, the same at every cap: a write
+whose handler dies while queued is dropped (``aborts``); an interrupted
+leader finishes its batch, then re-raises; a key or value that is not
+``bytes`` fails alone, before it joins a txn.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from repro.core.hints import ResolvedHints
 from repro.lmdb import Environment, SyncMode
 from repro.sim.cluster import Node
 from repro.sim.core import Event, Interrupt
-from repro.sim.sync import Resource
 from repro.sim.units import GiB, us
 
 __all__ = ["BackendCosts", "LmdbBackend"]
@@ -59,22 +63,20 @@ class LmdbBackend:
         self.costs = costs or BackendCosts()
         self.env = Environment(map_size=map_size, sync_mode=SyncMode.NOSYNC)
         self.env.open_db("main")
-        # LMDB's writer mutex, realized on the simulated clock so handler
-        # coroutines queue instead of erroring.  Group commit replaces it
-        # with the queue below: the leader of the batch in flight is the
-        # only writer.
-        self._writer = Resource(node.sim, 1)
-        self._group_commit = False
-        #: group commit: writes waiting for the next batch, in arrival order
+        #: most writes one batch carries: 1 is stock LMDB's one txn per
+        #: write, None is unbounded (group commit, set by apply_hints)
+        self._cap: int | None = 1
+        #: writes waiting for a later batch, in arrival order
         self._queue: list[_Write] = []
-        #: group commit: the batch in flight, None while the writer is idle
-        #: (and empty while the lead passes to the head of the queue)
+        #: the batch in flight, None while the writer is idle (and empty
+        #: while the lead passes to the head of the queue); its leader is
+        #: LMDB's single writer
         self._batch: list[_Write] | None = None
         self.reads = 0
         self.writes = 0
         #: write transactions rolled back because the handler died mid-RPC
         #: (LMDB's ``with env.begin(write=True)`` aborts on exception), and
-        #: group-commit writes dropped from the queue the same way
+        #: queued writes dropped the same way
         self.aborts = 0
         # Writer-queue depth probe and writes-per-commit histogram
         # (zero-cost when obs is disabled).
@@ -90,22 +92,16 @@ class LmdbBackend:
     def apply_hints(self, hints: ResolvedHints) -> None:
         """Tune the backend from the service's resolved (server) hints."""
         self.env.max_readers = max(hints.concurrency, 1)
-        if hints.perf_goal == "throughput":
-            self._group_commit = True
-            self.env.sync_mode = SyncMode.NOSYNC
-        elif hints.perf_goal == "latency":
-            self._group_commit = False
+        goal = hints.perf_goal
+        self._cap = None if goal == "throughput" else 1
+        if goal in ("throughput", "latency"):
             self.env.sync_mode = SyncMode.NOSYNC
         else:  # res_util keeps durability
-            self._group_commit = False
             self.env.sync_mode = SyncMode.SYNC
 
     # -- cost helpers -----------------------------------------------------------------
     def _depth(self) -> int:
         return self.env.depth()
-
-    def _charge(self, cpu_seconds: float):
-        yield self.node.compute(cpu_seconds)
 
     def _apply_cost(self, depth: int, copies: int, nbytes: int) -> float:
         """One write txn's CPU before its commit: a descent with a
@@ -122,14 +118,8 @@ class LmdbBackend:
         return self.costs.commit_sync
 
     def _queue_probe(self) -> dict:
-        if self._group_commit:
-            depth = len(self._queue)
-            batch = len(self._batch) if self._batch is not None else 0
-        else:
-            # an interrupted waiter stays queued until release() skips it
-            depth = sum(1 for ev in self._writer._waiters if ev.callbacks)
-            batch = self._writer.in_use
-        return {"depth": depth, "batch": batch}
+        batch = len(self._batch) if self._batch is not None else 0
+        return {"depth": len(self._queue), "batch": batch}
 
     def _begin_read(self):
         """Coroutine: begin a read txn, waiting out a full reader table.
@@ -185,20 +175,20 @@ class LmdbBackend:
 
     def _get(self, key: bytes):
         c = self.costs
-        yield from self._charge(c.txn_begin + self._depth() * c.page_touch)
+        yield self.node.compute(c.txn_begin + self._depth() * c.page_touch)
         txn = yield from self._begin_read()
         try:
             value = txn.get(key)
         finally:
             txn.commit()
         if value is not None:
-            yield from self._charge(len(value) / c.value_copy_rate)
+            yield self.node.compute(len(value) / c.value_copy_rate)
         self.reads += 1
         return value
 
     def _multi_get(self, keys):
         c = self.costs
-        yield from self._charge(c.txn_begin)
+        yield self.node.compute(c.txn_begin)
         txn = yield from self._begin_read()
         try:
             # the snapshot answers every key now; the k descents are one
@@ -211,7 +201,7 @@ class LmdbBackend:
             txn.commit()
         total = sum(len(v) for v in out if v is not None)
         if total:
-            yield from self._charge(total / c.value_copy_rate)
+            yield self.node.compute(total / c.value_copy_rate)
         self.reads += len(keys)
         return out
 
@@ -220,7 +210,7 @@ class LmdbBackend:
         if count < 0:
             raise ValueError("negative scan count")
         c = self.costs
-        yield from self._charge(c.txn_begin + self._depth() * c.page_touch)
+        yield self.node.compute(c.txn_begin + self._depth() * c.page_touch)
         txn = yield from self._begin_read()
         try:
             rows = txn.cursor().scan(lo=start_key, limit=count)
@@ -228,76 +218,33 @@ class LmdbBackend:
             txn.commit()
         total = sum(len(k) + len(v) for k, v in rows)
         # Sequential leaf walk: one page touch per few entries + copy out.
-        yield from self._charge(len(rows) * c.page_touch / 4
+        yield self.node.compute(len(rows) * c.page_touch / 4
                                 + total / c.value_copy_rate)
         self.reads += len(rows)
         return rows
 
     def _put(self, key: bytes, value: bytes):
-        if self._group_commit:
-            yield from self._group(_Write([(key, value)], len(value)))
-        else:
-            yield from self._locked(lambda txn: txn.put(key, value), 1,
-                                    0, len(value))
+        yield from self._group(_Write([(key, value)], len(value)))
 
     def _delete(self, key: bytes):
         """Coroutine: remove one key; returns whether it existed."""
-        if self._group_commit:
-            return (yield from self._group(_Write([(key, None)], 0)))
-        return (yield from self._locked(lambda txn: txn.delete(key), 1,
-                                        0, 0))
+        return (yield from self._group(_Write([(key, None)], 0)))
 
     def _multi_put(self, keys, values):
         if len(keys) != len(values):
             raise ValueError("keys/values length mismatch")
-        nbytes = sum(len(v) for v in values)
-        if self._group_commit:
-            yield from self._group(_Write(list(zip(keys, values)), nbytes))
-            return
+        yield from self._group(_Write(list(zip(keys, values)),
+                                      sum(len(v) for v in values)))
 
-        # Batched writes sort the keys and walk with a cursor, so the
-        # descent + path copy-on-write amortizes over the batch: one full
-        # descent plus a page copy and value copy per entry.  The sort is
-        # by key only and stable, so a key named twice keeps its later
-        # value.
-        def apply(txn):
-            for key, value in sorted(zip(keys, values), key=_KEY):
-                txn.put(key, value)
-        yield from self._locked(apply, len(keys), len(keys), nbytes)
-
-    def _locked(self, apply, n: int, copies: int, nbytes: int):
-        """Coroutine: the stock write path -- hold the writer mutex across
-        one write txn of ``n`` entries (``apply(txn)``, priced by
-        :meth:`_apply_cost` at the depth found once the mutex is granted)
-        and its commit."""
-        yield self._writer.acquire()
-        committed = False
-        try:
-            yield from self._charge(
-                self._apply_cost(self._depth(), copies, nbytes))
-            with self.env.begin(write=True) as txn:
-                result = apply(txn)
-            committed = True
-            yield from self._charge(self._commit_cost())
-        finally:
-            # A fault mid-RPC (deadline interrupt, dead connection) before
-            # the commit rolled the txn back; after it, the write stands.
-            self._writer.release()
-            if committed:
-                self.writes += n
-            else:
-                self.aborts += 1
-        return result
-
-    # -- group commit ---------------------------------------------------------------
+    # -- the write path (group commit) ---------------------------------------------
     def _group(self, req: "_Write"):
-        """Coroutine: one write under group commit; returns its result
-        (a Delete's "existed") once the commit that carries it has ended.
+        """Coroutine: one write; returns its result (a Delete's "existed")
+        once the commit that carries it has ended.
 
         A write that finds the writer idle leads at once; one that finds a
-        batch in flight queues and waits to be acked by the next batch's
-        commit -- or, if it is the first in the queue when the batch in
-        flight ends, to be handed the lead.
+        batch in flight queues and waits to be acked by the commit of the
+        batch that carries it -- or, if it is the first in the queue when
+        the batch in flight ends, to be handed the lead.
         """
         for key, value in req.entries:
             if not isinstance(key, bytes) or not (
@@ -324,12 +271,12 @@ class LmdbBackend:
         return req.result
 
     def _lead(self, req: "_Write"):
-        """Coroutine: apply the whole queue as one batch (``req`` first in
-        it) and commit it.  An interrupt does not stop a leader: the CPU job
-        it waited on keeps running, so it waits that job out, finishes the
-        batch for every member, then re-raises."""
-        batch = self._queue
-        self._queue = []
+        """Coroutine: apply the first ``cap`` queued writes (``req`` first
+        of them) as one batch and commit it.  An interrupt does not stop a
+        leader: the CPU job it waited on keeps running, so it waits that job
+        out, finishes the batch for every member, then re-raises."""
+        batch = self._queue[:self._cap]     # a cap of None takes them all
+        del self._queue[:self._cap]
         self._batch = batch
         entries = []
         nbytes = 0
@@ -407,9 +354,9 @@ _IN_BATCH = "in batch"
 
 
 class _Write:
-    """One write request under group commit: its ``(key, value)`` entries
-    (value None for a delete), their value bytes, and the event that acks it
-    (or hands it the lead)."""
+    """One write request: its ``(key, value)`` entries (value None for a
+    delete), their value bytes, and the event that acks it (or hands it the
+    lead)."""
 
     __slots__ = ("entries", "nbytes", "done", "state", "result")
 

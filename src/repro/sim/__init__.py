@@ -23,7 +23,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.cpu import CpuScheduler, SpinToken
-from repro.sim.sync import Gate, Lane, Resource, Store
+from repro.sim.sync import Gate, Lane, Store
 from repro.sim.cluster import Cluster, ClusterSpec, Node, NodeSpec
 from repro.sim.units import GiB, KiB, MiB, Gbps, ms, ns, us
 
@@ -44,7 +44,6 @@ __all__ = [
     "Node",
     "NodeSpec",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "SpinToken",

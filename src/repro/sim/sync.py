@@ -9,61 +9,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.core import Event, SimulationError, Simulator, Timeout
+from repro.sim.core import Event, Simulator, Timeout
 
-__all__ = ["Gate", "Lane", "Resource", "Store"]
-
-
-class Resource:
-    """A counted resource (semaphore) with FIFO waiters.
-
-    Used for, e.g., NIC execution engines and link serialization.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError("release() without matching acquire()")
-        while self._waiters:
-            ev = self._waiters.popleft()
-            # Skip waiters whose process was interrupted (e.g. a deadline
-            # cancellation): interrupt() detached their callback, so handing
-            # them the slot would leak it forever.  A live waiter always has
-            # a registered callback here because acquire()->yield happens
-            # without an intervening event-loop step.
-            if not ev.triggered and ev.callbacks:
-                # Hand the slot directly to the waiter; in_use is unchanged.
-                ev.succeed()
-                return
-        self.in_use -= 1
-
-    def use(self, duration: float):
-        """Generator helper: hold the resource for ``duration`` seconds."""
-        yield self.acquire()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
+__all__ = ["Gate", "Lane", "Store"]
 
 
 class Lane:
@@ -72,15 +20,16 @@ class Lane:
     Such a server is fully described by the time it next falls free, so a
     lane stores only ``free_at``: :meth:`hold` books the next slot and
     returns the one :class:`~repro.sim.core.Timeout` that fires when it
-    ends, at ``max(now, free_at) + duration`` -- the float a FIFO
-    :class:`Resource` holder produces, since FIFO service starts each holder
-    at its predecessor's finish.  There is no acquire event and no waiter
-    queue.  Used for NIC ports (serialization onto and off the wire).
+    ends, at ``max(now, free_at) + duration`` -- the float a holder of a
+    FIFO semaphore produces (``tests/sim/resource.py`` is that reference),
+    since FIFO service starts each holder at its predecessor's finish.
+    There is no acquire event and no waiter queue.  Used for NIC ports
+    (serialization onto and off the wire).
 
     A booked slot is committed: the holder's frame occupies the lane until
     it has left, even if the holder is interrupted while it waits, so the
-    next holder starts after it.  (A :class:`Resource` holder would release
-    early from its ``finally``.)
+    next holder starts after it.  (A semaphore holder would release early
+    from its ``finally``.)
 
     Tie order: the returned timeout takes its heap sequence number at the
     :meth:`hold` call, not when the slot starts; holders finishing at the

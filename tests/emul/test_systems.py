@@ -4,6 +4,7 @@ import pytest
 
 from repro.emul import SYSTEMS, start_system
 from repro.testbed import Testbed
+from tests.hatkv.test_backend import write_burst
 
 
 def test_registry_has_all_six_candidates():
@@ -32,7 +33,7 @@ def test_comparator_backend_untouched():
     server, _ = start_system(tb, "pilaf", n_clients=64)
     # stock LMDB defaults, not hint-tuned
     assert server.backend.env.max_readers == 126
-    assert not server.backend._group_commit
+    assert write_burst(tb.sim, server.backend) == (4, 4)  # a commit each
 
 
 def test_hatkv_backend_tuned():

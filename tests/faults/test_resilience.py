@@ -322,15 +322,48 @@ def test_circuit_breaker_transition_log_bounded_under_flapping():
 # -- server-side write-transaction abort -------------------------------------
 
 def test_hatkv_write_txn_aborts_when_handler_dies_mid_rpc():
+    """A handler that dies before its write is applied leaves nothing, and
+    the writer is not leaked: the Put queued behind another is dropped."""
     from repro.hatkv.backend import LmdbBackend
     tb = Testbed(n_nodes=1)
     backend = LmdbBackend(tb.node(0))
 
-    def put(value):
-        yield from backend.put(b"k1", value)
+    def put(key, value):
+        yield from backend.put(key, value)
 
-    victim = tb.sim.process(put(b"v1"))
+    tb.sim.process(put(b"k0", b"v0"))
+    victim = tb.sim.process(put(b"k1", b"v1"))
     victim.defuse()                            # its failure is expected
+
+    def killer():
+        yield tb.sim.timeout(0.15 * us)        # k0 mid-write, k1 queued
+        victim.interrupt("connection died")
+
+    tb.sim.process(killer())
+    tb.sim.run()
+    assert backend.aborts == 1
+    assert backend.writes == 1
+
+    def check():
+        missing = yield from backend.get(b"k1")
+        yield from backend.put(b"k1", b"v2")   # the writer was released
+        value = yield from backend.get(b"k1")
+        return missing, value
+
+    missing, value = tb.sim.run(tb.sim.process(check()))
+    assert missing is None                     # k1 was never applied
+    assert value == b"v2"
+    assert backend.writes == 2
+
+
+def test_hatkv_lone_writer_dying_mid_apply_still_commits():
+    """A writer that leads its own txn finishes it when its handler dies
+    mid-apply (the CPU job it was on keeps running): the write lands."""
+    from repro.hatkv.backend import LmdbBackend
+    tb = Testbed(n_nodes=1)
+    backend = LmdbBackend(tb.node(0))
+    victim = tb.sim.process(backend.put(b"k1", b"v1"))
+    victim.defuse()
 
     def killer():
         yield tb.sim.timeout(0.15 * us)        # mid-write, pre-commit
@@ -338,19 +371,9 @@ def test_hatkv_write_txn_aborts_when_handler_dies_mid_rpc():
 
     tb.sim.process(killer())
     tb.sim.run()
-    assert backend.aborts == 1
-    assert backend.writes == 0
-
-    def check():
-        missing = yield from backend.get(b"k1")
-        yield from backend.put(b"k1", b"v2")   # writer lock was released
-        value = yield from backend.get(b"k1")
-        return missing, value
-
-    missing, value = tb.sim.run(tb.sim.process(check()))
-    assert missing is None                     # the txn never committed
-    assert value == b"v2"
-    assert backend.writes == 1
+    assert not victim.ok
+    assert (backend.writes, backend.aborts) == (1, 0)
+    assert tb.sim.run(tb.sim.process(backend.get(b"k1"))) == b"v1"
 
 
 # -- replay determinism ------------------------------------------------------

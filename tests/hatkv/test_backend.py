@@ -25,6 +25,15 @@ def run(tb, gen):
     return tb.sim.run(tb.sim.process(gen))
 
 
+def write_burst(sim, backend, n=4):
+    """Run ``n`` Puts issued at one instant to completion; returns the
+    writes and the commits they took."""
+    writes, commits = backend.writes, backend.env.commits
+    sim.run(sim.all_of([sim.process(backend.put(b"burst-%d" % i, b"v"))
+                        for i in range(n)]))
+    return backend.writes - writes, backend.env.commits - commits
+
+
 def test_put_get_roundtrip_with_time(tb, backend):
     def flow():
         t0 = tb.sim.now
@@ -71,7 +80,8 @@ def test_multi_put_length_mismatch(tb, backend):
 
 
 def test_writer_serialization(tb, backend):
-    """Concurrent writers queue on the single-writer mutex."""
+    """Concurrent writers queue behind the single writer; a stock backend
+    gives each its own txn and commit."""
     order = []
 
     def writer(i):
@@ -84,6 +94,7 @@ def test_writer_serialization(tb, backend):
     times = [t for _, t in order]
     assert times == sorted(times)
     assert len(set(times)) == 4  # strictly serialized, no two finish together
+    assert backend.env.commits == 4
 
 
 def test_deeper_tree_costs_more(tb):
@@ -110,15 +121,16 @@ def test_apply_hints_throughput(tb, backend):
     backend.apply_hints(ResolvedHints.from_mapping(
         {"perf_goal": "throughput", "concurrency": 96}))
     assert backend.env.max_readers == 96
-    assert backend._group_commit
     assert backend.env.sync_mode is SyncMode.NOSYNC
+    writes, commits = write_burst(tb.sim, backend)
+    assert commits < writes == 4        # the queued writes share a commit
 
 
 def test_apply_hints_res_util_keeps_durability(tb, backend):
     backend.apply_hints(ResolvedHints.from_mapping(
         {"perf_goal": "res_util"}))
     assert backend.env.sync_mode is SyncMode.SYNC
-    assert not backend._group_commit
+    assert write_burst(tb.sim, backend) == (4, 4)  # one commit per write
 
 
 def test_group_commit_cheaper_than_sync(tb):
@@ -165,6 +177,58 @@ def test_multi_put_repeated_key_keeps_the_later_value(tb, backend):
     assert run(tb, flow()) == b"a-second"
 
 
+def test_stock_multi_put_prices_one_descent_and_n_minus_1_copies(tb, backend):
+    """A stock MultiPut is a batch of one write: one descent with its path
+    copy, one page copy per further entry and the values copied in."""
+    c = backend.costs
+    depth = backend._depth()
+    keys = [b"k%d" % i for i in range(5)]
+    values = [b"v" * (100 * i) for i in range(1, 6)]
+
+    def flow():
+        yield from backend.multi_put(keys, values)
+        return tb.sim.now
+
+    apply = (c.txn_begin + depth * (c.page_touch + c.page_copy)
+             + 4 * c.page_copy + sum(map(len, values)) / c.value_copy_rate)
+    assert run(tb, flow()) == apply + c.commit_nosync
+    assert (backend.writes, backend.env.commits) == (5, 1)
+
+
+def test_stock_leader_interrupted_mid_apply_commits(tb, backend):
+    """A stock write whose handler dies during its apply charge still
+    lands, as any leader's does: the CPU job it was on runs to its end, and
+    the next writer starts only when that job and its commit are over."""
+    c = backend.costs
+    depth = backend._depth()
+    log = []
+    leader = _writer(tb, backend, log, 0, "put", b"k0", b"v0")
+    leader.defuse()
+    _writer(tb, backend, log, 1, "put", b"k1", b"v1")
+    apply = (c.txn_begin + depth * (c.page_touch + c.page_copy)
+             + 2 / c.value_copy_rate)
+    ends = []
+
+    def killer():
+        yield tb.sim.timeout(apply / 2)
+        leader.interrupt("deadline")
+
+    def watch():
+        try:
+            yield leader
+        except Interrupt as exc:
+            ends.append((tb.sim.now, exc.cause))
+
+    tb.sim.process(killer())
+    tb.sim.process(watch())
+    tb.sim.run()
+    first = apply + c.commit_nosync
+    assert ends == [(first, "deadline")]
+    assert log == [(1, first + apply + c.commit_nosync, None)]
+    assert (backend.writes, backend.aborts, backend.env.commits) == (2, 0, 2)
+    assert run(tb, backend.multi_get([b"k0", b"k1"])) == [b"v0", b"v1"]
+
+
 def test_put_interrupted_during_its_commit_counts_as_written(tb, backend):
     """Once the write txn has committed, an interrupt during the commit
     charge cannot undo it: the Put is visible and counts in ``writes``."""
@@ -189,12 +253,21 @@ def test_put_interrupted_during_its_commit_counts_as_written(tb, backend):
     assert run(tb, backend.get(b"k")) == b"v1"
 
 
-# -- group commit (the throughput perf goal) -----------------------------------
+# -- group commit: the throughput perf goal lifts the batch cap ---------------
 
 @pytest.fixture
 def group(tb):
     b = LmdbBackend(tb.node(0))
     b.apply_hints(ResolvedHints.from_mapping({"perf_goal": "throughput"}))
+    return b
+
+
+@pytest.fixture(params=["latency", "throughput"], ids=["cap1", "unbounded"])
+def any_cap(tb, request):
+    """A backend whose batches hold one write, or any number: the failure
+    rules are the same for both."""
+    b = LmdbBackend(tb.node(0))
+    b.apply_hints(ResolvedHints.from_mapping({"perf_goal": request.param}))
     return b
 
 
@@ -262,14 +335,14 @@ def test_group_commit_later_write_to_a_key_wins(tb, group):
     assert run(tb, group.get(b"j")) is None
 
 
-def test_group_commit_interrupted_queued_writer_is_dropped(tb, group):
+def test_group_commit_interrupted_queued_writer_is_dropped(tb, any_cap):
     """A write whose handler dies while it is queued leaves the queue: it
     is not applied and counts in ``aborts``; the rest of its batch is."""
     log = []
-    _writer(tb, group, log, 0, "put", b"lead", b"x")
-    victim = _writer(tb, group, log, 1, "put", b"gone", b"v")
+    _writer(tb, any_cap, log, 0, "put", b"lead", b"x")
+    victim = _writer(tb, any_cap, log, 1, "put", b"gone", b"v")
     victim.defuse()
-    _writer(tb, group, log, 2, "put", b"kept", b"v")
+    _writer(tb, any_cap, log, 2, "put", b"kept", b"v")
 
     def killer():
         yield tb.sim.timeout(0.1 * us)      # inside the leader's apply
@@ -279,53 +352,54 @@ def test_group_commit_interrupted_queued_writer_is_dropped(tb, group):
     tb.sim.run()
     assert not victim.ok
     assert [i for i, _, _ in log] == [0, 2]
-    assert (group.writes, group.aborts, group.env.commits) == (2, 1, 2)
-    assert run(tb, group.get(b"gone")) is None
-    assert run(tb, group.get(b"kept")) == b"v"
+    assert (any_cap.writes, any_cap.aborts, any_cap.env.commits) == (2, 1, 2)
+    assert run(tb, any_cap.get(b"gone")) is None
+    assert run(tb, any_cap.get(b"kept")) == b"v"
 
 
-def test_group_commit_interrupted_head_passes_the_lead_on(tb, group):
+def test_group_commit_interrupted_head_passes_the_lead_on(tb, any_cap):
     """The first queued write is handed the lead when the batch in flight
     ends; if its handler dies before it starts, the next queued write
     leads."""
     log = []
-    _writer(tb, group, log, 0, "put", b"lead", b"x")
-    victim = _writer(tb, group, log, 1, "put", b"gone", b"v")
+    _writer(tb, any_cap, log, 0, "put", b"lead", b"x")
+    victim = _writer(tb, any_cap, log, 1, "put", b"gone", b"v")
     victim.defuse()
-    _writer(tb, group, log, 2, "put", b"kept", b"v")
-    hand_off = group._hand_off
+    _writer(tb, any_cap, log, 2, "put", b"kept", b"v")
+    hand_off = any_cap._hand_off
 
     def hand_off_then_kill():
         hand_off()
         if victim.is_alive:
             victim.interrupt("deadline")    # between the hand-off and its run
 
-    group._hand_off = hand_off_then_kill
+    any_cap._hand_off = hand_off_then_kill
     tb.sim.run()
     assert [i for i, _, _ in log] == [0, 2]
-    assert (group.writes, group.aborts, group.env.commits) == (2, 1, 2)
-    assert group._batch is None and not group._queue
-    assert run(tb, group.get(b"gone")) is None
-    assert run(tb, group.get(b"kept")) == b"v"
+    assert (any_cap.writes, any_cap.aborts, any_cap.env.commits) == (2, 1, 2)
+    assert any_cap._batch is None and not any_cap._queue
+    assert run(tb, any_cap.get(b"gone")) is None
+    assert run(tb, any_cap.get(b"kept")) == b"v"
 
 
-def test_group_commit_interrupted_lone_head_leaves_the_writer_idle(tb, group):
+def test_group_commit_interrupted_lone_head_leaves_the_writer_idle(
+        tb, any_cap):
     log = []
-    _writer(tb, group, log, 0, "put", b"lead", b"x")
-    victim = _writer(tb, group, log, 1, "put", b"gone", b"v")
+    _writer(tb, any_cap, log, 0, "put", b"lead", b"x")
+    victim = _writer(tb, any_cap, log, 1, "put", b"gone", b"v")
     victim.defuse()
-    hand_off = group._hand_off
+    hand_off = any_cap._hand_off
 
     def hand_off_then_kill():
         hand_off()
         if victim.is_alive:
             victim.interrupt("deadline")
 
-    group._hand_off = hand_off_then_kill
+    any_cap._hand_off = hand_off_then_kill
     tb.sim.run()
-    assert group._batch is None and not group._queue
-    run(tb, group.put(b"next", b"v"))       # leads at once: not stuck
-    assert (group.writes, group.aborts, group.env.commits) == (2, 1, 2)
+    assert any_cap._batch is None and not any_cap._queue
+    run(tb, any_cap.put(b"next", b"v"))     # leads at once: not stuck
+    assert (any_cap.writes, any_cap.aborts, any_cap.env.commits) == (2, 1, 2)
 
 
 def test_group_commit_interrupted_leader_finishes_its_batch(tb, group):
@@ -368,14 +442,14 @@ def test_group_commit_interrupted_leader_finishes_its_batch(tb, group):
     assert run(tb, group.multi_get([b"k1", b"k2"])) == [b"v1", b"v2"]
 
 
-def test_group_commit_bad_write_fails_alone(tb, group):
+def test_group_commit_bad_write_fails_alone(tb, any_cap):
     """A write LMDB would refuse is refused before it joins a batch, so it
     cannot abort the txn the other members share."""
     log = []
-    _writer(tb, group, log, 0, "put", b"lead", b"x")
-    bad = _writer(tb, group, log, 1, "put", "not-bytes", b"v")
+    _writer(tb, any_cap, log, 0, "put", b"lead", b"x")
+    bad = _writer(tb, any_cap, log, 1, "put", "not-bytes", b"v")
     bad.defuse()
-    _writer(tb, group, log, 2, "put", b"k", b"v")
+    _writer(tb, any_cap, log, 2, "put", b"k", b"v")
     tb.sim.run()
     assert not bad.ok
     assert [i for i, _, _ in log] == [0, 2]
@@ -413,7 +487,8 @@ def test_writer_queue_probe_and_batch_histogram():
 
 @pytest.mark.filterwarnings("ignore::repro.obs.ObsInstallOrderWarning")
 def test_writer_queue_probe_skips_dead_waiters():
-    """Stock path: an interrupted mutex waiter is no longer queued."""
+    """Stock backend (cap 1): an interrupted queued write leaves the queue
+    at once."""
     with obs.installed() as reg:
         tb = Testbed(n_nodes=1)
         b = LmdbBackend(tb.node(0))

@@ -81,7 +81,8 @@ def start_under(hashseed: str, script: Path = Path(__file__).resolve()
                 ) -> subprocess.Popen:
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(ROOT / "src"), str(ROOT)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.Popen([sys.executable, str(script)],
                             env=env, cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)

@@ -6,6 +6,7 @@ from repro.hatkv import HatKVServer, connect_hatkv, load_hatkv_module
 from repro.hatkv.server import SERVICE
 from repro.lmdb import SyncMode
 from repro.testbed import Testbed
+from tests.hatkv.test_backend import write_burst
 
 
 @pytest.fixture
@@ -97,13 +98,14 @@ def test_backend_hint_tuning(tb):
     # throughput goal -> group commit + NOSYNC; readers from concurrency.
     assert server.backend.env.max_readers == 64
     assert server.backend.env.sync_mode is SyncMode.NOSYNC
-    assert server.backend._group_commit
+    writes, commits = write_burst(tb.sim, server.backend)
+    assert commits < writes == 4
 
 
 def test_untuned_backend_for_comparators(tb):
     gen, server = start(tb, tune_backend=False)
     assert server.backend.env.max_readers == 126   # stock LMDB default
-    assert not server.backend._group_commit
+    assert write_burst(tb.sim, server.backend) == (4, 4)  # a commit each
 
 
 def test_concurrent_clients_consistency(tb):

@@ -3,8 +3,8 @@
 Property: for any arrival times and hold durations -- same-time arrivals
 and arrivals at the very instant a holder leaves included -- every holder
 finishes at the bit-identical float a capacity-1 FIFO
-:class:`~repro.sim.sync.Resource` gives it, and each ``hold`` pushes exactly
-one heap entry.
+:class:`tests.sim.resource.Resource` gives it, and each ``hold`` pushes
+exactly one heap entry.
 """
 
 import struct
@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Simulator
-from repro.sim.sync import Lane, Resource
+from repro.sim.sync import Lane
+from tests.sim.resource import Resource
 
 #: multiples of 2**-20 s add exactly, so ties (same-time arrivals, arrivals
 #: at a holder's finish) are common; arbitrary floats exercise rounding

@@ -17,16 +17,19 @@ two same-time events or adds/removes a heap entry fails here.  If you mean
 to change the model, say so in the PR and refresh both constants together
 with ``perfbench/baseline_seed0.json`` and ``BENCH_BASELINE.json``.
 
-Run this file as a script (``PYTHONPATH=src``) to print the program's
-fingerprint as JSON; ``tests/hatkv/test_hashseed_determinism.py`` does, under
-two hash seeds.
+``Resource`` is the test-side FIFO semaphore of ``tests/sim/resource.py``.
+
+Run this file as a script (``PYTHONPATH=src:.`` from the repo root) to
+print the program's fingerprint as JSON;
+``tests/hatkv/test_hashseed_determinism.py`` does, under two hash seeds.
 """
 
 import hashlib
 import json
 
-from repro.sim import (CpuScheduler, Gate, Interrupt, Resource,
-                       SimulationError, Simulator, Store)
+from repro.sim import (CpuScheduler, Gate, Interrupt, SimulationError,
+                       Simulator, Store)
+from tests.sim.resource import Resource
 
 GOLDEN_SHA256 = (
     "77765eaa1180766244011e7087ed3c88d2e9cfa55f8dc12addce33ab89ca7b30")

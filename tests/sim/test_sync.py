@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Gate, Resource, SimulationError, Simulator, Store
+from repro.sim import Gate, SimulationError, Simulator, Store
+from tests.sim.resource import Resource
 
 
 def test_resource_serializes_two_holders():
