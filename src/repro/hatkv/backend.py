@@ -74,9 +74,9 @@ class LmdbBackend:
         self._batch: list[_Write] | None = None
         self.reads = 0
         self.writes = 0
-        #: write transactions rolled back because the handler died mid-RPC
-        #: (LMDB's ``with env.begin(write=True)`` aborts on exception), and
-        #: queued writes dropped the same way
+        #: entries never applied, counted as ``writes`` counts applied ones:
+        #: those of a queued write whose handler died, and of a batch whose
+        #: txn failed (LMDB's ``with env.begin(write=True)`` aborts)
         self.aborts = 0
         # Writer-queue depth probe and writes-per-commit histogram
         # (zero-cost when obs is disabled).
@@ -262,7 +262,7 @@ class LmdbBackend:
                 # Still queued (or just handed the lead): leave the queue
                 # unapplied, and pass the lead on if it was ours.
                 self._queue.remove(req)
-                self.aborts += 1
+                self.aborts += len(req.entries)
                 if req.state is _LEADS:
                     self._hand_off()
             raise
@@ -300,7 +300,7 @@ class LmdbBackend:
             interrupt = interrupt or late
         except BaseException as exc:
             # the txn failed (e.g. a full map): no member was applied
-            self.aborts += len(batch)
+            self.aborts += len(entries)
             for r in batch:
                 if r is not req:
                     r.done.defuse()

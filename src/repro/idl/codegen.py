@@ -11,22 +11,19 @@ target, Section 4.2 of the paper):
   classes, and the hierarchical ``SERVICE_HINTS`` map the HatRPC runtime
   consumes.
 
-Every struct (``<Fn>_args`` and ``<Fn>_result`` included) reads and writes
-itself two ways.  On a ``TBinaryProtocol`` -- the wire format of every
-HatRPC channel -- through a codec compiled for its field list:
-``_write_<S>(s, ap)`` appends the encoded struct to the transport's gather
-list (field headers are constants, a run of fixed-width fields is one
-``struct.Struct`` pack, a ``binary`` value is its packed length plus the
-value itself, by reference) and ``_read_<S>(s, buf, pos)`` walks the landed
-message with ``unpack_from``.  And through the generic field visitor, one
-protocol call per value, which serves two ends: it is the compiled
-decoder's fallback, and it is the reference the compiled codec is held to
-(``tests/idl/test_codec_parity.py`` drives it through a protocol that is
-not a ``TBinaryProtocol``, which takes it both ways).  The compiled decoder
+Every struct (``<Fn>_args`` and ``<Fn>_result`` included) has one codec,
+compiled for its field list over the binary wire format of every HatRPC
+channel: ``_write_<S>(s, ap)`` appends the encoded struct to the
+transport's gather list (field headers are constants, a run of fixed-width
+fields is one ``struct.Struct`` pack, a ``binary`` value is its packed
+length plus the value itself, by reference) and ``_read_<S>(s, buf, pos)``
+walks the landed message with ``unpack_from``.  The compiled decoder
 handles fields in declaration order; at the first field it does not
-expect, and at anything malformed, it hands over to the visitor at that
-field, so unknown fields are skipped and malformed input fails exactly as
-the visitor has it.
+expect, and at anything malformed, it hands the rest of the struct to
+:func:`repro.thrift.protocol.binary.read_fields`, the one field loop,
+driven by the struct's ``_SPEC_<S>`` table (emitted at the end of the
+module, so the struct classes it names exist): unknown fields are skipped
+by the one ``skip``, and malformed input raises what that loop raises.
 
 ``compile_idl`` returns the module source; ``load_idl`` execs it into a
 fresh module object so tests and applications can use generated code without
@@ -115,102 +112,6 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _write_value(env: _TypeEnv, tref: TypeRef, var: str, out: _Emitter,
-                 ind: int, depth: int = 0) -> None:
-    tref = env.resolve(tref)
-    name = tref.name
-    if name == "bool":
-        out.emit(f"oprot.write_bool({var})", ind)
-    elif name in ("byte", "i8"):
-        out.emit(f"oprot.write_byte({var})", ind)
-    elif name == "i16":
-        out.emit(f"oprot.write_i16({var})", ind)
-    elif name == "i32" or name in env.enums:
-        out.emit(f"oprot.write_i32({var})", ind)
-    elif name == "i64":
-        out.emit(f"oprot.write_i64({var})", ind)
-    elif name == "double":
-        out.emit(f"oprot.write_double({var})", ind)
-    elif name == "string":
-        out.emit(f"oprot.write_string({var})", ind)
-    elif name == "binary":
-        out.emit(f"oprot.write_binary({var})", ind)
-    elif name in ("list", "set"):
-        elem = tref.args[0]
-        kind = "list" if name == "list" else "set"
-        ev = f"_e{depth}"
-        out.emit(f"oprot.write_{kind}_begin({env.ttype_expr(elem)}, "
-                 f"len({var}))", ind)
-        out.emit(f"for {ev} in {var}:", ind)
-        _write_value(env, elem, ev, out, ind + 1, depth + 1)
-        out.emit(f"oprot.write_{kind}_end()", ind)
-    elif name == "map":
-        k, v = tref.args
-        kv, vv = f"_k{depth}", f"_v{depth}"
-        out.emit(f"oprot.write_map_begin({env.ttype_expr(k)}, "
-                 f"{env.ttype_expr(v)}, len({var}))", ind)
-        out.emit(f"for {kv}, {vv} in {var}.items():", ind)
-        _write_value(env, k, kv, out, ind + 1, depth + 1)
-        _write_value(env, v, vv, out, ind + 1, depth + 1)
-        out.emit("oprot.write_map_end()", ind)
-    elif name in env.structs:
-        out.emit(f"{var}.write(oprot)", ind)
-    else:
-        raise CodegenError(f"cannot write type {name!r}")
-
-
-def _read_value(env: _TypeEnv, tref: TypeRef, target: str, out: _Emitter,
-                ind: int, depth: int = 0) -> None:
-    tref = env.resolve(tref)
-    name = tref.name
-    if name == "bool":
-        out.emit(f"{target} = iprot.read_bool()", ind)
-    elif name in ("byte", "i8"):
-        out.emit(f"{target} = iprot.read_byte()", ind)
-    elif name == "i16":
-        out.emit(f"{target} = iprot.read_i16()", ind)
-    elif name == "i32" or name in env.enums:
-        out.emit(f"{target} = iprot.read_i32()", ind)
-    elif name == "i64":
-        out.emit(f"{target} = iprot.read_i64()", ind)
-    elif name == "double":
-        out.emit(f"{target} = iprot.read_double()", ind)
-    elif name == "string":
-        out.emit(f"{target} = iprot.read_string()", ind)
-    elif name == "binary":
-        out.emit(f"{target} = iprot.read_binary()", ind)
-    elif name in ("list", "set"):
-        elem = tref.args[0]
-        sz, i, ev = f"_sz{depth}", f"_i{depth}", f"_e{depth}"
-        kind = "list" if name == "list" else "set"
-        out.emit(f"_et{depth}, {sz} = iprot.read_{kind}_begin()", ind)
-        out.emit(f"{target} = []" if name == "list" else f"{target} = set()",
-                 ind)
-        out.emit(f"for {i} in range({sz}):", ind)
-        _read_value(env, elem, ev, out, ind + 1, depth + 1)
-        if name == "list":
-            out.emit(f"{target}.append({ev})", ind + 1)
-        else:
-            out.emit(f"{target}.add({ev})", ind + 1)
-        out.emit(f"iprot.read_{kind}_end()", ind)
-    elif name == "map":
-        k, v = tref.args
-        sz, i = f"_sz{depth}", f"_i{depth}"
-        kv, vv = f"_k{depth}", f"_v{depth}"
-        out.emit(f"_kt{depth}, _vt{depth}, {sz} = iprot.read_map_begin()", ind)
-        out.emit(f"{target} = {{}}", ind)
-        out.emit(f"for {i} in range({sz}):", ind)
-        _read_value(env, k, kv, out, ind + 1, depth + 1)
-        _read_value(env, v, vv, out, ind + 1, depth + 1)
-        out.emit(f"{target}[{kv}] = {vv}", ind + 1)
-        out.emit("iprot.read_map_end()", ind)
-    elif name in env.structs:
-        out.emit(f"{target} = {name}()", ind)
-        out.emit(f"{target}.read(iprot)", ind)
-    else:
-        raise CodegenError(f"cannot read type {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # The compiled TBinaryProtocol codec
 # ---------------------------------------------------------------------------
@@ -241,13 +142,15 @@ class _BinaryCodec:
     each optional, then STOP, and returns the offset past the STOP.  On
     anything else -- a field out of order or unknown, a short buffer, a
     negative size, bad UTF-8 -- it returns ``~start`` of the field it could
-    not take, and the caller's generic field loop reads on from there.
+    not take, and the struct's ``read`` hands the rest to ``read_fields``
+    with the struct's ``_SPEC_<S>``.
     """
 
     def __init__(self, env: _TypeEnv, out: _Emitter):
         self.env = env
         self.out = out
         self.packers: Dict[str, str] = {}       # format -> module-level name
+        self.specs: List[str] = []              # one _SPEC_<S> line per struct
 
     def packer(self, fmt: str) -> str:
         name = self.packers.get(fmt)
@@ -385,6 +288,7 @@ class _BinaryCodec:
 
     # -- decoder ---------------------------------------------------------------
     def emit_reader(self, node: StructNode) -> None:
+        self.specs.append(self._spec(node))
         out = self.out
         out.emit(f"def _read_{node.name}(s, buf, pos):")
         out.emit("try:", 1)
@@ -397,7 +301,7 @@ class _BinaryCodec:
                 out.emit(f"pos += {3 + calcsize('!' + c)}", 3)
                 continue
             out.emit("p = pos + 3", 3)
-            self._read_value(f.type, "v", 3, 0)
+            self._decode(f.type, "v", 3, 0)
             out.emit(f"s.{f.name} = v", 3)
             out.emit("pos = p", 3)
         out.emit("if buf[pos] == 0:  # STOP", 2)
@@ -408,8 +312,8 @@ class _BinaryCodec:
         out.emit()
         out.emit()
 
-    def _read_value(self, tref: TypeRef, target: str, ind: int,
-                    depth: int) -> None:
+    def _decode(self, tref: TypeRef, target: str, ind: int,
+                depth: int) -> None:
         """Read the value at ``buf[p:]`` into ``target``, advancing ``p``;
         ``return ~pos`` (give the field up) on a size that does not fit."""
         env, out = self.env, self.out
@@ -430,7 +334,7 @@ class _BinaryCodec:
             out.emit(f"p += 4 + {n}", ind)
         elif name in ("list", "set"):
             elem = tref.args[0]
-            # the element type byte is not checked, as the visitor does not
+            # the element type byte is not checked, as read_fields does not
             out.emit(f"({n},) = {self.packer('i')}.unpack_from(buf, p + 1)",
                      ind)
             out.emit(f"if {n} < 0:", ind)
@@ -446,7 +350,7 @@ class _BinaryCodec:
             ev = f"_e{depth}"
             out.emit(f"{target} = {'[]' if name == 'list' else 'set()'}", ind)
             out.emit(f"for _ in range({n}):", ind)
-            self._read_value(elem, ev, ind + 1, depth + 1)
+            self._decode(elem, ev, ind + 1, depth + 1)
             add = "append" if name == "list" else "add"
             out.emit(f"{target}.{add}({ev})", ind + 1)
         elif name == "map":
@@ -459,8 +363,8 @@ class _BinaryCodec:
             out.emit("p += 6", ind)
             out.emit(f"{target} = {{}}", ind)
             out.emit(f"for _ in range({n}):", ind)
-            self._read_value(k, kv, ind + 1, depth + 1)
-            self._read_value(v, vv, ind + 1, depth + 1)
+            self._decode(k, kv, ind + 1, depth + 1)
+            self._decode(v, vv, ind + 1, depth + 1)
             out.emit(f"{target}[{kv}] = {vv}", ind + 1)
         elif name in env.structs:
             out.emit(f"{target} = {name}()", ind)
@@ -471,7 +375,32 @@ class _BinaryCodec:
             raise CodegenError(f"cannot read type {name!r}")
 
 
-def _emit_struct(env: _TypeEnv, node: StructNode, out: _Emitter,
+    def _spec(self, node: StructNode) -> str:
+        """``_SPEC_<S> = {(field id, wire type): (attribute, value type)}``,
+        what ``read_fields`` reads the struct by (the first field declared
+        with a pair takes it)."""
+        spec: Dict[Tuple[int, str], str] = {}
+        for f in node.fields:
+            spec.setdefault((f.fid, self.env.ttype_expr(f.type)),
+                            f"({f.name!r}, {self._spec_type(f.type)})")
+        entries = ", ".join(f"({fid}, {tt}): {v}"
+                            for (fid, tt), v in spec.items())
+        return f"_SPEC_{node.name} = {{{entries}}}"
+
+    def _spec_type(self, tref: TypeRef) -> str:
+        """A read-method suffix, ``(kind, *argument types)`` or a class."""
+        tref = self.env.resolve(tref)
+        name = tref.name
+        if tref.is_container:
+            args = [repr(name)] + [self._spec_type(a) for a in tref.args]
+            return f"({', '.join(args)})"
+        if name in self.env.structs:
+            return name
+        return repr("i32" if name in self.env.enums else
+                    "byte" if name == "i8" else name)
+
+
+def _emit_struct(node: StructNode, out: _Emitter,
                  codec: _BinaryCodec) -> None:
     base = "TException" if node.kind == "exception" else "object"
     out.emit(f"class {node.name}({base}):")
@@ -486,64 +415,22 @@ def _emit_struct(env: _TypeEnv, node: StructNode, out: _Emitter,
     for f in node.fields:
         out.emit(f"        self.{f.name} = {f.name}")
     out.emit()
-    # -- write --
-    out.emit("    def write(self, oprot):")
-    out.emit("        if isinstance(oprot, TBinaryProtocol):")
-    out.emit(f"            _write_{node.name}(self, oprot.trans.wchunks.append)")
-    out.emit("            return")
-    out.emit(f"        oprot.write_struct_begin({node.name!r})")
-    for f in node.fields:
-        ind = 2
-        if f.required == "required":
-            out.emit(f"        if self.{f.name} is None:", 0)
-            out.emit(f"            raise TProtocolException("
-                     f"TProtocolException.INVALID_DATA, "
-                     f"'required field {node.name}.{f.name} is unset')", 0)
-        out.emit(f"        if self.{f.name} is not None:")
-        out.emit(f"            oprot.write_field_begin({f.name!r}, "
-                 f"{env.ttype_expr(f.type)}, {f.fid})")
-        _write_value(env, f.type, f"self.{f.name}", out, 3)
-        out.emit("            oprot.write_field_end()")
-    out.emit("        oprot.write_field_stop()")
-    out.emit("        oprot.write_struct_end()")
+    out.emit("    def write(self, prot):")
+    out.emit(f"        _write_{node.name}(self, prot.trans.wchunks.append)")
     out.emit()
-    # -- read --
-    out.emit("    def read(self, iprot):")
-    out.emit("        if isinstance(iprot, TBinaryProtocol):")
-    out.emit("            trans = iprot.trans")
-    out.emit(f"            end = _read_{node.name}(self, trans.rbuf, "
-             f"trans.rpos)")
-    out.emit("            if end >= 0:")
-    out.emit("                trans.rpos = end")
-    out.emit("                return self")
-    out.emit("            # the field loop takes over at the field that "
-             "stopped it")
+    out.emit("    def read(self, prot):")
+    out.emit("        trans = prot.trans")
+    out.emit(f"        end = _read_{node.name}(self, trans.rbuf, trans.rpos)")
+    out.emit("        if end < 0:  # the field loop reads on from there")
     out.emit("            trans.rpos = ~end")
-    out.emit("        iprot.read_struct_begin()")
-    out.emit("        while True:")
-    out.emit("            _fname, _ftype, _fid = iprot.read_field_begin()")
-    out.emit("            if _ftype == TType.STOP:")
-    out.emit("                break")
-    first = True
-    for f in node.fields:
-        kw = "if" if first else "elif"
-        first = False
-        out.emit(f"            {kw} _fid == {f.fid} and _ftype == "
-                 f"{env.ttype_expr(f.type)}:")
-        _read_value(env, f.type, f"self.{f.name}", out, 4)
-    if node.fields:
-        out.emit("            else:")
-        out.emit("                iprot.skip(_ftype)")
-    else:
-        out.emit("            iprot.skip(_ftype)")
-    out.emit("            iprot.read_field_end()")
-    out.emit("        iprot.read_struct_end()")
+    out.emit(f"            return read_fields(prot, self, _SPEC_{node.name})")
+    out.emit("        trans.rpos = end")
     out.emit("        return self")
     out.emit()
     # -- dunder helpers --
     names = [f.name for f in node.fields]
     out.emit("    def __eq__(self, other):")
-    out.emit("        return isinstance(other, self.__class__) and "
+    out.emit("        return other.__class__ is self.__class__ and "
              "self.__dict__ == other.__dict__")
     out.emit()
     out.emit("    def __repr__(self):")
@@ -697,8 +584,9 @@ def generate_python(doc: Document, strict_hints: bool = True,
     out.emit("from repro.thrift import (TType, TMessageType, TClient, "
              "TProcessor,")
     out.emit("                          TApplicationException, "
-             "TBinaryProtocol, TProtocolException)")
+             "TProtocolException)")
     out.emit("from repro.thrift.errors import TException")
+    out.emit("from repro.thrift.protocol.binary import read_fields")
     out.emit()
     table_at = len(out.lines)
     out.emit()
@@ -721,7 +609,7 @@ def generate_python(doc: Document, strict_hints: bool = True,
         out.emit()
     codec = _BinaryCodec(env, out)
     for struct in doc.structs:
-        _emit_struct(env, struct, out, codec)
+        _emit_struct(struct, out, codec)
     by_name = {s.name: s for s in doc.services}
     for service in doc.services:
         parent = None
@@ -732,8 +620,8 @@ def generate_python(doc: Document, strict_hints: bool = True,
                     f"service {service.name} extends unknown service "
                     f"{service.extends!r}")
         for fn in service.functions:
-            _emit_struct(env, _args_struct(fn), out, codec)
-            _emit_struct(env, _result_struct(env, fn), out, codec)
+            _emit_struct(_args_struct(fn), out, codec)
+            _emit_struct(_result_struct(env, fn), out, codec)
         _emit_iface(service, out, parent)
         _emit_client(env, service, out, parent)
         _emit_processor(service, out, parent)
@@ -755,6 +643,9 @@ def generate_python(doc: Document, strict_hints: bool = True,
     oneway = {s.name: [f.name for f in s.functions if f.oneway]
               for s in doc.services}
     out.emit(f"SERVICE_ONEWAY = {oneway!r}")
+    out.emit()
+    # The field loop's tables, after every struct class they name.
+    out.lines.extend(codec.specs)
     # The compiled codecs' packers, by format, ahead of their first use.
     out.lines[table_at:table_at] = codec.table() + [""]
     return out.source()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.thrift.ttypes import TType
+
 __all__ = [
     "MALFORMED",
     "TApplicationException",
@@ -112,24 +114,11 @@ class TApplicationException(TException):
         self.type = type
 
     def read(self, iprot) -> None:
-        from repro.thrift.ttypes import TType
-        iprot.read_struct_begin()
-        while True:
-            _name, ftype, fid = iprot.read_field_begin()
-            if ftype == TType.STOP:
-                break
-            if fid == 1 and ftype == TType.STRING:
-                self.message = iprot.read_string()
-            elif fid == 2 and ftype == TType.I32:
-                self.type = iprot.read_i32()
-            else:
-                iprot.skip(ftype)
-            iprot.read_field_end()
-        iprot.read_struct_end()
+        from repro.thrift.protocol.binary import read_fields
+        read_fields(iprot, self, _APP_EXC_SPEC)
         self.args = (self.message,)  # so str(exc) reflects the wire message
 
     def write(self, oprot) -> None:
-        from repro.thrift.ttypes import TType
         oprot.write_struct_begin("TApplicationException")
         oprot.write_field_begin("message", TType.STRING, 1)
         oprot.write_string(self.message or "")
@@ -139,3 +128,8 @@ class TApplicationException(TException):
         oprot.write_field_end()
         oprot.write_field_stop()
         oprot.write_struct_end()
+
+
+#: ``read_fields``'s table for TApplicationException: message, then type
+_APP_EXC_SPEC = {(1, TType.STRING): ("message", "string"),
+                 (2, TType.I32): ("type", "i32")}

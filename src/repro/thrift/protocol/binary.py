@@ -1,23 +1,25 @@
 """TBinaryProtocol: the fixed-width big-endian wire format (strict mode),
 the one serialization protocol of every HatRPC and TCP channel.
 
-The per-value methods below are the generic path: what ``skip``, the
-application-exception struct and the generic field visitor of generated
-structs call.  Generated structs read and write themselves through their
-own compiled binary codec whenever the protocol is a ``TBinaryProtocol``
-(see :mod:`repro.idl.codegen`); the message header is read and written here
-in one step each.
+Generated structs read and write themselves through the binary codec
+compiled for their field list (see :mod:`repro.idl.codegen`); the message
+header is read and written here in one step each.  The per-value methods
+below are the generic path: what ``skip``, the application-exception struct
+and ``read_fields`` call.  ``read_fields`` is the one field loop: a
+compiled decoder hands it the rest of a struct at the first field it does
+not take (unknown, retyped, out of order) or at malformed input, with the
+struct's generated ``_SPEC_<S>`` table to read by.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.thrift.errors import TProtocolException
 from repro.thrift.ttypes import TType
 
-__all__ = ["TBinaryProtocol"]
+__all__ = ["TBinaryProtocol", "read_fields"]
 
 _I8 = struct.Struct("!b")
 _I16 = struct.Struct("!h")
@@ -249,26 +251,14 @@ class TBinaryProtocol:
         elif ttype == TType.STRING:
             self.read_binary()
         elif ttype == TType.STRUCT:
-            self.read_struct_begin()
-            while True:
-                _n, ftype, _fid = self.read_field_begin()
-                if ftype == TType.STOP:
-                    break
-                self.skip(ftype)
-                self.read_field_end()
-            self.read_struct_end()
+            read_fields(self, None, {})     # every field skipped
         elif ttype == TType.MAP:
             ktype, vtype, size = self.read_map_begin()
             for _ in range(size):
                 self.skip(ktype)
                 self.skip(vtype)
             self.read_map_end()
-        elif ttype == TType.SET:
-            etype, size = self.read_set_begin()
-            for _ in range(size):
-                self.skip(etype)
-            self.read_set_end()
-        elif ttype == TType.LIST:
+        elif ttype in (TType.SET, TType.LIST):     # one wire form
             etype, size = self.read_list_begin()
             for _ in range(size):
                 self.skip(etype)
@@ -276,3 +266,50 @@ class TBinaryProtocol:
         else:
             raise TProtocolException(TProtocolException.INVALID_DATA,
                                      f"cannot skip type {ttype}")
+
+
+def read_fields(iprot: TBinaryProtocol, s: Any, spec: Dict) -> Any:
+    """Read struct ``s`` value by value through its STOP; returns ``s``.
+
+    ``spec`` maps ``(field id, wire type)`` to ``(attribute, value type)``,
+    and any other field is skipped.  A value type is a read-method suffix
+    (``'i32'``, ``'binary'``...), ``('list'|'set', elem)``, ``('map', k,
+    v)`` or a struct class; elements are read by their declared type, not
+    by the type bytes of their container's header.
+    """
+    iprot.read_struct_begin()
+    while True:
+        _name, ftype, fid = iprot.read_field_begin()
+        if ftype == TType.STOP:
+            break
+        field = spec.get((fid, ftype))
+        if field is None:
+            iprot.skip(ftype)
+        else:
+            setattr(s, field[0], _read_typed(iprot, field[1]))
+        iprot.read_field_end()
+    iprot.read_struct_end()
+    return s
+
+
+def _read_typed(iprot: TBinaryProtocol, vtype: Any) -> Any:
+    if vtype.__class__ is str:
+        return getattr(iprot, "read_" + vtype)()
+    if vtype.__class__ is not tuple:
+        return vtype().read(iprot)
+    if vtype[0] == "map":
+        items: Dict[Any, Any] = {}
+        for _ in range(iprot.read_map_begin()[2]):
+            key = _read_typed(iprot, vtype[1])
+            items[key] = _read_typed(iprot, vtype[2])
+        iprot.read_map_end()
+        return items
+    if vtype[0] == "list":
+        elems = [_read_typed(iprot, vtype[1])
+                 for _ in range(iprot.read_list_begin()[1])]
+        iprot.read_list_end()
+        return elems
+    members = {_read_typed(iprot, vtype[1])
+               for _ in range(iprot.read_set_begin()[1])}
+    iprot.read_set_end()
+    return members

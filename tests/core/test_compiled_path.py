@@ -1,12 +1,12 @@
 """The workload path never leaves the compiled binary codec.
 
-Generated structs take their compiled codec when the protocol is a
-``TBinaryProtocol`` and the per-value field visitor otherwise; a lapse on
-either peer would still answer every call correctly and show only as host
-time.  Here the per-value methods raise, and every call kind the workloads
-make must still succeed: an Echo over an RDMA channel and over a TCP
-channel of a hybrid plan, a pipelined ``call_many``, and a HatKV ``Get``
-and ``Put``.
+Generated structs take their compiled codec, and fall back to the
+per-value field loop ``read_fields`` only at a field the compiled decoder
+does not take; a lapse on either peer would still answer every call
+correctly and show only as host time.  Here the per-value methods raise,
+and every call kind the workloads make must still succeed: an Echo over an
+RDMA channel and over a TCP channel of a hybrid plan, a pipelined
+``call_many``, and a HatKV ``Get`` and ``Put``.
 """
 
 import pytest

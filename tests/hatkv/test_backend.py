@@ -5,7 +5,7 @@ import pytest
 from repro import obs
 from repro.core.hints import ResolvedHints
 from repro.hatkv.backend import BackendCosts, LmdbBackend
-from repro.lmdb import SyncMode
+from repro.lmdb import MapFullError, SyncMode
 from repro.sim.core import Interrupt
 from repro.sim.units import us
 from repro.testbed import Testbed
@@ -355,6 +355,37 @@ def test_group_commit_interrupted_queued_writer_is_dropped(tb, any_cap):
     assert (any_cap.writes, any_cap.aborts, any_cap.env.commits) == (2, 1, 2)
     assert run(tb, any_cap.get(b"gone")) is None
     assert run(tb, any_cap.get(b"kept")) == b"v"
+
+
+def test_group_commit_dropped_multi_put_counts_its_entries(tb, any_cap):
+    """``aborts`` counts entries, as ``writes`` does: a queued MultiPut of
+    3 whose handler dies adds 3, and none of its keys lands."""
+    log = []
+    _writer(tb, any_cap, log, 0, "put", b"lead", b"x")
+    keys = [b"gone-%d" % i for i in range(3)]
+    victim = _writer(tb, any_cap, log, 1, "multi_put", keys, [b"v"] * 3)
+    victim.defuse()
+
+    def killer():
+        yield tb.sim.timeout(0.1 * us)      # inside the leader's apply
+        victim.interrupt("deadline")
+
+    tb.sim.process(killer())
+    tb.sim.run()
+    assert not victim.ok
+    assert (any_cap.writes, any_cap.aborts, any_cap.env.commits) == (1, 3, 1)
+    assert run(tb, any_cap.multi_get(keys)) == [None] * 3
+
+
+def test_failed_txn_counts_its_entries(tb):
+    """A MultiPut of 3 whose txn fails (a full map) adds 3 to ``aborts``
+    and lands nothing."""
+    b = LmdbBackend(tb.node(0), map_size=16 * 4096)
+    keys = [b"a", b"b", b"c"]
+    with pytest.raises(MapFullError):
+        run(tb, b.multi_put(keys, [b"x" * 30000] * 3))
+    assert (b.writes, b.aborts) == (0, 3)
+    assert run(tb, b.multi_get(keys)) == [None] * 3
 
 
 def test_group_commit_interrupted_head_passes_the_lead_on(tb, any_cap):

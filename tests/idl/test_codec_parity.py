@@ -1,13 +1,14 @@
-"""The compiled binary codec against the generic field visitor.
+"""The compiled binary codec against a reference field visitor.
 
-Every generated struct has two ways onto the binary wire: the codec compiled
-for its field list (what runs on a ``TBinaryProtocol``) and the generic
-visitor (one protocol call per value: the compiled decoder's fallback, and
-the reference it is held to here).  The two must be indistinguishable: the
-same bytes out, the same struct back, unknown fields skipped alike, and the
-same exception class for every truncated or corrupted message.  The sha256 pins
-at the bottom hold the Echo and HatKV messages to the bytes they had before
-the compiled codec existed.
+Every generated struct has one codec, compiled for its field list; at the
+first field its decoder does not take, and at malformed input, it hands the
+rest of the struct to ``read_fields``, the one table-driven field loop.
+Both are held here to :class:`Reference`, a field visitor written over the
+test's own schema (one protocol call per value, nested structs included):
+the same bytes out, the same struct back, unknown fields skipped alike, and
+the same exception for every truncated or corrupted message.  The sha256
+pins at the bottom hold the Echo and HatKV messages to the bytes they had
+before the compiled codec existed.
 """
 
 import hashlib
@@ -20,36 +21,111 @@ from hypothesis import given, settings, strategies as st
 from repro.atb.idl import load_atb_module
 from repro.hatkv import load_hatkv_module
 from repro.idl import load_idl
-from repro.thrift import TBinaryProtocol, TMemoryBuffer, TMessageType
+from repro.thrift import (TBinaryProtocol, TMemoryBuffer, TMessageType,
+                          TProtocolException, TType)
 
 
-class Visitor:
-    """The generic field visitor over the binary format: a protocol that
-    does everything a TBinaryProtocol does but is not one, so generated
-    structs take their per-value path.  Message headers are read value by
-    value as well."""
+class Reference:
+    """The per-value field visitor over the binary format, driven by
+    ``{struct name: [FieldSpec]}``: a field is read when its id and wire
+    type match a declared field (the first one), skipped otherwise, and
+    every value -- a nested struct's fields too -- is one ``TBinaryProtocol``
+    call.  Message headers are read value by value as well."""
 
-    def __init__(self, proto: TBinaryProtocol):
-        self._proto = proto
+    def __init__(self, mod, structs):
+        self.fields = {getattr(mod, name): fields
+                       for name, fields in structs.items()}
+        self.classes = {name: getattr(mod, name) for name in structs}
 
-    def __getattr__(self, name):
-        return getattr(self._proto, name)
+    @staticmethod
+    def read_message_begin(prot):
+        return prot._read_message_fields()
 
-    def read_message_begin(self):
-        return self._proto._read_message_fields()
+    def write(self, s, prot):
+        name = type(s).__name__
+        prot.write_struct_begin(name)
+        for f in self.fields[type(s)]:
+            value = getattr(s, f.name)
+            if value is None and f.required == "required":
+                raise TProtocolException(
+                    TProtocolException.INVALID_DATA,
+                    f"required field {name}.{f.name} is unset")
+            if value is not None:
+                prot.write_field_begin(f.name, ttype(f.type), f.fid)
+                self.write_value(f.type, value, prot)
+                prot.write_field_end()
+        prot.write_field_stop()
+        prot.write_struct_end()
+
+    def write_value(self, t, value, prot):
+        if t in self.classes:
+            self.write(value, prot)
+        elif isinstance(t, str):
+            getattr(prot, "write_" + method(t))(value)
+        elif t[0] == "map":
+            prot.write_map_begin(ttype(t[1]), ttype(t[2]), len(value))
+            for k, v in value.items():
+                self.write_value(t[1], k, prot)
+                self.write_value(t[2], v, prot)
+            prot.write_map_end()
+        else:
+            getattr(prot, f"write_{t[0]}_begin")(ttype(t[1]), len(value))
+            for e in value:
+                self.write_value(t[1], e, prot)
+            getattr(prot, f"write_{t[0]}_end")()
+
+    def read(self, cls, prot):
+        s = cls()
+        prot.read_struct_begin()
+        while True:
+            _name, ftype, fid = prot.read_field_begin()
+            if ftype == TType.STOP:
+                break
+            for f in self.fields[cls]:
+                if (f.fid, ttype(f.type)) == (fid, ftype):
+                    setattr(s, f.name, self.read_value(f.type, prot))
+                    break
+            else:
+                prot.skip(ftype)
+            prot.read_field_end()
+        prot.read_struct_end()
+        return s
+
+    def read_value(self, t, prot):
+        if t in self.classes:
+            return self.read(self.classes[t], prot)
+        if isinstance(t, str):
+            return getattr(prot, "read_" + method(t))()
+        if t[0] == "map":
+            _kt, _vt, size = prot.read_map_begin()
+            out = {}
+            for _ in range(size):
+                k = self.read_value(t[1], prot)
+                out[k] = self.read_value(t[2], prot)
+            prot.read_map_end()
+            return out
+        _et, size = getattr(prot, f"read_{t[0]}_begin")()
+        out = [] if t[0] == "list" else set()
+        add = out.append if t[0] == "list" else out.add
+        for _ in range(size):
+            add(self.read_value(t[1], prot))
+        getattr(prot, f"read_{t[0]}_end")()
+        return out
 
 
 def compiled(data: bytes = b"") -> TBinaryProtocol:
     return TBinaryProtocol(TMemoryBuffer(data))
 
 
-def generic(data: bytes = b"") -> Visitor:
-    return Visitor(TBinaryProtocol(TMemoryBuffer(data)))
-
-
-def encode(struct, prot) -> bytes:
+def encode(struct, ref: Optional[Reference] = None) -> bytes:
+    """A ``Call`` message carrying ``struct``, written by its compiled
+    codec, or by ``ref``."""
+    prot = compiled()
     prot.write_message_begin("Call", TMessageType.CALL, 7)
-    struct.write(prot)
+    if ref is None:
+        struct.write(prot)
+    else:
+        ref.write(struct, prot)
     prot.write_message_end()
     return prot.trans.getvalue()
 
@@ -60,27 +136,33 @@ class Raised(NamedTuple):
     message: str
 
 
-def decode(cls, prot):
-    """(header, struct, offset reached), or what was raised."""
+def decode(cls, data: bytes, ref: Optional[Reference] = None):
+    """(header, struct, offset reached), or what was raised, decoding
+    ``data`` as ``cls`` through its ``read``, or through ``ref``."""
+    prot = compiled(data)
     try:
-        head = prot.read_message_begin()
-        out = cls().read(prot)
+        if ref is None:
+            head = prot.read_message_begin()
+            out = cls().read(prot)
+        else:
+            head = ref.read_message_begin(prot)
+            out = ref.read(cls, prot)
     except Exception as exc:                       # noqa: BLE001
         return Raised(type(exc), getattr(exc, "type", None), str(exc))
     return head, out, prot.trans.rpos
 
 
-def alike(cls, data: bytes):
-    """The outcome of decoding ``data`` as ``cls`` on the compiled path,
-    after checking the visitor's is the same: the same error down to its
+def alike(ref: Reference, cls, data: bytes):
+    """The outcome of decoding ``data`` as ``cls`` through its ``read``,
+    after checking ``ref``'s is the same: the same error down to its
     message, or the same struct down to set and dict order (``repr``: a
     NaN a corruption produced equals itself there)."""
-    got, ref = decode(cls, compiled(data)), decode(cls, generic(data))
-    if isinstance(got, Raised) or isinstance(ref, Raised):
-        assert got == ref
+    got, want = decode(cls, data), decode(cls, data, ref)
+    if isinstance(got, Raised) or isinstance(want, Raised):
+        assert got == want
     else:
         assert (got[0], repr(got[1]), got[2]) == \
-            (ref[0], repr(ref[1]), ref[2])
+            (want[0], repr(want[1]), want[2])
     return got
 
 
@@ -118,6 +200,22 @@ _WIRE = {"byte": "i8", "Color": "i32", "binary": "string"}
 def wire_type(t) -> str:
     """What a field header says about a type (its TType)."""
     return t[0] if isinstance(t, tuple) else _WIRE.get(t, t)
+
+
+_TTYPE = {"bool": TType.BOOL, "i8": TType.BYTE, "i16": TType.I16,
+          "i32": TType.I32, "i64": TType.I64, "double": TType.DOUBLE,
+          "string": TType.STRING, "list": TType.LIST, "set": TType.SET,
+          "map": TType.MAP}
+
+
+def ttype(t) -> int:
+    """The TType of a type tree (any other name is a struct)."""
+    return _TTYPE.get(wire_type(t), TType.STRUCT)
+
+
+def method(t: str) -> str:
+    """The suffix of a scalar's ``TBinaryProtocol`` read/write method."""
+    return {"i8": "byte", "Color": "i32"}.get(t, t)
 
 
 _SCALAR_VALUES = {
@@ -196,6 +294,7 @@ def load(inner, outer, wide):
     ])
     mod = load_idl(body, f"codec_parity_{next(_MODULES)}")
     mod.INNER = inner
+    mod.REF = Reference(mod, {"Inner": inner, "Outer": outer, "Wide": wide})
     return mod
 
 
@@ -213,22 +312,22 @@ def test_compiled_codec_is_the_visitor(schema, data):
     mod = load(inner, outer, wide)
     value = mod.Outer(**data.draw(struct_values(outer, mod), label="outer"))
 
-    wire = encode(value, compiled())
-    assert wire == encode(value, generic())
+    wire = encode(value)
+    assert wire == encode(value, mod.REF)
 
-    _head, got, end = alike(mod.Outer, wire)
+    _head, got, end = alike(mod.REF, mod.Outer, wire)
     assert got == value and end == len(wire)
 
     # Unknown ids and retyped fields are skipped alike: what is left is
     # exactly Outer's share of Wide.
     w = mod.Wide(**data.draw(struct_values(wide, mod), label="wide"))
     kept = {f.name for f in outer if any(g is f for g in wide)}
-    _head, got, _end = alike(mod.Outer, encode(w, compiled()))
+    _head, got, _end = alike(mod.REF, mod.Outer, encode(w))
     assert got == mod.Outer(**{k: v for k, v in vars(w).items() if k in kept})
 
     # Every strict prefix fails, and fails alike.
     for k in range(len(wire)):
-        assert isinstance(alike(mod.Outer, wire[:k]), Raised), k
+        assert isinstance(alike(mod.REF, mod.Outer, wire[:k]), Raised), k
 
 
 #: what a corruption writes over the bytes at one offset: a byte, or a whole
@@ -243,10 +342,11 @@ def test_corrupted_messages_decode_alike(schema, data):
     inner, outer, wide = schema
     mod = load(inner, outer, wide)
     value = mod.Outer(**data.draw(struct_values(outer, mod)))
-    wire = encode(value, compiled())
+    wire = encode(value)
     for at in range(len(wire)):
         for patch in PATCHES:
-            alike(mod.Outer, wire[:at] + patch + wire[at + len(patch):])
+            alike(mod.REF, mod.Outer,
+                  wire[:at] + patch + wire[at + len(patch):])
 
 
 def test_binary_length_is_the_bytes_written():
@@ -254,30 +354,36 @@ def test_binary_length_is_the_bytes_written():
     paths prefix the bytes they write with their own length."""
     mod = load_idl("struct S {\n 1: binary b,\n 2: list<binary> l,\n"
                    " 3: map<binary, binary> m\n}", "codec_parity_views")
+    ref = Reference(mod, {"S": [
+        FieldSpec(1, "b", "binary", None),
+        FieldSpec(2, "l", ("list", "binary"), None),
+        FieldSpec(3, "m", ("map", "binary", "binary"), None)]})
     raw = bytes(range(16))
     view = memoryview(raw).cast("I")
     assert len(view) == 4
-    as_bytes = encode(mod.S(b=raw, l=[raw], m={raw: raw}), compiled())
-    for prot in (compiled(), generic()):
-        wire = encode(mod.S(b=view, l=[view], m={view.tobytes(): view}), prot)
+    as_bytes = encode(mod.S(b=raw, l=[raw], m={raw: raw}))
+    for writer in (None, ref):
+        wire = encode(mod.S(b=view, l=[view], m={view.tobytes(): view}),
+                      writer)
         assert wire == as_bytes
-        _head, got, end = alike(mod.S, wire)
+        _head, got, end = alike(ref, mod.S, wire)
         assert got == mod.S(b=raw, l=[raw], m={raw: raw})
         assert end == len(wire)
 
 
 def test_message_header_failures_match_the_visitor():
-    good = encode(load_idl("struct E {}", "codec_parity_empty").E(),
-                  compiled())
+    good = encode(load_idl("struct E {}", "codec_parity_empty").E())
     cases = [b"", b"\x80", b"\x00\x00\x00\x07garbage!", b"\x80\x02\x00\x01",
              b"\x80\x01\x00\x01\xff\xff\xff\xff", good[:9],
              b"\x80\x01\x00\x01\x00\x00\x00\x02\xff\xfe\x00\x00\x00\x01",
              good]
     for data in cases:
         outcomes = []
-        for prot in (compiled(data), generic(data)):
+        for read in (TBinaryProtocol.read_message_begin,
+                     Reference.read_message_begin):
+            prot = compiled(data)
             try:
-                outcomes.append((prot.read_message_begin(), prot.trans.rpos))
+                outcomes.append((read(prot), prot.trans.rpos))
             except Exception as exc:               # noqa: BLE001
                 outcomes.append(Raised(type(exc), getattr(exc, "type", None),
                                        str(exc)))

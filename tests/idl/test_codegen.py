@@ -1,5 +1,7 @@
 """Code generator tests: generated modules must be importable and correct."""
 
+import re
+
 import pytest
 
 from repro.idl import compile_idl, load_idl
@@ -150,3 +152,53 @@ def test_default_values_applied(gen):
     e = gen.Entry(key="x")
     assert e.status == 0
     assert e.value is None
+
+
+@pytest.mark.parametrize("which", ["hatkv", "atb"])
+def test_generated_modules_carry_one_codec_per_struct(which):
+    """The benchmark modules hold one codec per struct: a compiled
+    ``_write_<S>`` / ``_read_<S>`` pair and the ``_SPEC_<S>`` table of the
+    field loop, and no per-value protocol call or protocol type test."""
+    from repro.atb.idl import atb_idl
+    from repro.hatkv.idl import hatkv_idl
+    idl = (hatkv_idl("function", concurrency=48) if which == "hatkv"
+           else atb_idl(goal="latency", payload=64))
+    src = compile_idl(idl)
+    for needle in ("isinstance(", "oprot.", "iprot.read_", "iprot.skip"):
+        assert needle not in src, needle
+    assert not re.search(r"prot\.(read|write)_(?!message_)|\.skip\(", src)
+    structs = re.findall(
+        r'^class (\w+)\(\w+\):\n    """IDL (?:struct|exception) ', src, re.M)
+    assert structs
+    for s in structs:
+        for prefix in (f"def _read_{s}(", f"def _write_{s}(",
+                       f"_SPEC_{s} = "):
+            assert src.count(prefix) == 1, prefix
+    assert len(re.findall(r"^def _(read|write)_", src, re.M)) \
+        == 2 * len(structs)
+    assert len(re.findall(r"^_SPEC_", src, re.M)) == len(structs)
+
+
+def test_application_exception_skips_an_unknown_field():
+    """A field TApplicationException does not know -- a struct holding a
+    list, ahead of the message -- is skipped, and the rest decodes."""
+    from repro.thrift import TApplicationException, TType
+    buf = TMemoryBuffer()
+    prot = TBinaryProtocol(buf)
+    prot.write_field_begin("extra", TType.STRUCT, 9)
+    prot.write_field_begin("xs", TType.LIST, 1)
+    prot.write_list_begin(TType.I64, 2)
+    prot.write_i64(1)
+    prot.write_i64(2)
+    prot.write_field_stop()
+    prot.write_field_begin("message", TType.STRING, 1)
+    prot.write_string("boom")
+    prot.write_field_begin("type", TType.I32, 2)
+    prot.write_i32(TApplicationException.INTERNAL_ERROR)
+    prot.write_field_stop()
+    rprot = TBinaryProtocol(TMemoryBuffer(buf.getvalue()))
+    exc = TApplicationException()
+    exc.read(rprot)
+    assert (exc.type, exc.message, str(exc)) == (
+        TApplicationException.INTERNAL_ERROR, "boom", "boom")
+    assert rprot.trans.rpos == len(buf.getvalue())
