@@ -1,16 +1,16 @@
 """Figure 17: TPC-H over vanilla Thrift/IPoIB vs HatRPC-Service/-Function.
 
-All 22 queries on the distributed executor (1 coordinator + 9 workers),
-varying only the RPC transport.  Shape: HatRPC reduces total execution
-time (paper: 1.27x overall for -Function, up to 1.51x per query); queries
-dominated by local compute show the smallest gains.
+All 22 queries, replayed from their recorded trace on 1 coordinator + 9
+workers, varying only the RPC transport.  Shape: HatRPC reduces total
+execution time (paper: 1.27x overall for -Function, up to 1.51x per query);
+queries dominated by local compute show the smallest gains.
 """
 
 import pytest
 
 from benchmarks.figutil import emit_bench, fmt_rows, is_full
 from repro.bench import metric
-from repro.tpch.distributed import DistributedTpch
+from repro.tpch.distributed import DistributedTpch, load_trace
 
 MODES = ["ipoib", "hatrpc_service", "hatrpc_function"]
 SF = 0.01 if is_full() else 0.005
@@ -61,8 +61,9 @@ def test_fig17_tpch(benchmark):
     # HatRPC-Service already beats IPoIB; -Function is at least as good.
     assert totals["hatrpc_service"] < totals["ipoib"]
     assert totals["hatrpc_function"] <= totals["hatrpc_service"] * 1.02
-    # Every query must return correct results regardless of transport.
+    # Every transport must move exactly the recorded bytes of every query
+    # (the coordinator also checks each reassembled partial byte for byte).
+    trace = load_trace()[(SF, 1, 9)]
     for q in range(1, 23):
-        a = res["ipoib"][q].result
-        b = res["hatrpc_function"][q].result
-        assert a.names == b.names and len(a) == len(b), q
+        assert {res[m][q].exchange_bytes for m in MODES} == {
+            trace[q].exchange_bytes}, q

@@ -2,15 +2,14 @@
 """Distributed TPC-H with HatRPC exchange operators (Section 5.5).
 
 Builds the 10-node analytics cluster (1 coordinator + 9 workers holding
-orderkey-striped orders/lineitem), runs a handful of representative TPC-H
-queries under all three transports, and prints the Fig. 17-style
-comparison plus one query's actual result rows.
+orderkey-striped orders/lineitem), replays a handful of representative
+TPC-H queries from their recorded trace under all three transports, and
+prints the Fig. 17-style comparison.
 
 Run:  python examples/tpch_analytics.py
 """
 
 from repro.tpch.distributed import DistributedTpch
-from repro.tpch.schema import int_to_date
 
 QUERIES = [1, 3, 6, 9, 13, 19]
 SF = 0.005
@@ -20,14 +19,11 @@ def main():
     print(f"TPC-H at SF={SF} on 1 coordinator + 9 workers "
           "(simulated 100 Gb/s cluster)\n")
     elapsed = {}
-    results = {}
     for mode in ("ipoib", "hatrpc_service", "hatrpc_function"):
         ex = DistributedTpch(mode=mode, sf=SF, n_workers=9, seed=1).start()
         elapsed[mode] = {}
         for q in QUERIES:
-            r = ex.run_query(q)
-            elapsed[mode][q] = r.elapsed
-            results[q] = r.result
+            elapsed[mode][q] = ex.run_query(q).elapsed
 
     print(f"{'query':>6s} {'Thrift/IPoIB':>14s} {'HatRPC-Svc':>12s} "
           f"{'HatRPC-Fn':>12s} {'speedup':>8s}")
@@ -42,13 +38,6 @@ def main():
           f"{tot['hatrpc_service'] * 1e3:10.3f}ms "
           f"{tot['hatrpc_function'] * 1e3:10.3f}ms   "
           f"x{tot['ipoib'] / tot['hatrpc_function']:.2f}")
-
-    q3 = results[3]
-    print("\nQ3 (shipping priority), top unshipped BUILDING orders:")
-    for i in range(min(5, len(q3))):
-        print(f"  order {int(q3['l_orderkey'][i]):>7d}  "
-              f"revenue {q3['revenue'][i]:12.2f}  "
-              f"placed {int_to_date(q3['o_orderdate'][i])}")
 
 
 if __name__ == "__main__":

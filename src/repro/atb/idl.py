@@ -6,8 +6,6 @@ from repro.idl import load_idl
 
 __all__ = ["atb_idl", "load_atb_module"]
 
-_COUNTER = [0]
-
 
 def atb_idl(goal: str = "throughput", payload: int = 512,
             concurrency: int = 1, mix_lat_payload: int = 512,
@@ -39,6 +37,5 @@ service ATBench {{
 
 
 def load_atb_module(**kw):
-    """Compile the ATB IDL into a uniquely named module."""
-    _COUNTER[0] += 1
-    return load_idl(atb_idl(**kw), f"atb_gen_{_COUNTER[0]}")
+    """Compile the ATB IDL into a fresh module."""
+    return load_idl(atb_idl(**kw), "atb_gen")

@@ -21,8 +21,6 @@ from repro.idl import load_idl
 
 __all__ = ["hatkv_idl", "load_hatkv_module"]
 
-_COUNTER = [0]
-
 
 def hatkv_idl(variant: str = "function", concurrency: int = 128,
               priorities: Optional[Mapping[str, str]] = None,
@@ -114,6 +112,5 @@ service KVService {{
 def load_hatkv_module(variant: str = "function", concurrency: int = 128,
                       priorities: Optional[Mapping[str, str]] = None,
                       cacheable: Optional[Mapping[str, object]] = None):
-    _COUNTER[0] += 1
     return load_idl(hatkv_idl(variant, concurrency, priorities, cacheable),
-                    f"hatkv_gen_{variant}_{_COUNTER[0]}")
+                    f"hatkv_gen_{variant}")

@@ -1,28 +1,18 @@
-"""TPC-H: data generator, 22 queries, and a distributed executor.
+"""TPC-H traffic for Fig. 17: a recorded per-query trace replayed over RPC.
 
 Substitutes for the paper's "commercial database system applying the HatRPC
-approach" (Section 5.5): a columnar mini-engine executes the standard TPC-H
-queries over partitioned data on the simulated cluster, and the inter-node
-exchange operators run over the RPC layer under test (vanilla Thrift on
-IPoIB, HatRPC-Service, or HatRPC-Function).  Compute cost is charged per
-row touched; exchange traffic is the actual serialized bytes of the
-intermediate results, shipped in framed chunks as a Thrift-based engine
-would stream them.
+approach" (Section 5.5): each of the 22 TPC-H queries runs as its recorded
+pattern of work over partitioned data on the simulated cluster -- rows
+touched per worker, the bytes of each worker's partial, the rows of the
+coordinator's final stage -- and the inter-node exchange runs over the RPC
+layer under test (vanilla Thrift on IPoIB, HatRPC-Service, or
+HatRPC-Function).  Compute cost is charged per row touched; exchange
+traffic is the recorded serialized size of each intermediate result,
+shipped in framed chunks as a Thrift-based engine would stream it.
 """
 
-from repro.tpch.schema import SCHEMA, TABLES
-from repro.tpch.table import Table
-from repro.tpch.datagen import generate
-from repro.tpch.queries import QUERIES, run_query
-from repro.tpch.distributed import DistributedTpch, TpchResult
+from repro.tpch.distributed import (
+    QUERIES, DistributedTpch, QueryTrace, TpchResult,
+)
 
-__all__ = [
-    "DistributedTpch",
-    "QUERIES",
-    "SCHEMA",
-    "TABLES",
-    "Table",
-    "TpchResult",
-    "generate",
-    "run_query",
-]
+__all__ = ["DistributedTpch", "QUERIES", "QueryTrace", "TpchResult"]

@@ -1,16 +1,25 @@
-"""The distributed TPC-H executor over the RPC layer under test.
+"""Fig. 17's distributed TPC-H: a recorded per-query trace replayed over the
+RPC layer under test.
 
 Topology (Section 5.5): node 0 is the coordinator, nodes 1..W are workers
 holding orderkey-striped partitions of orders+lineitem plus replicated
 dimensions.  A query runs as:
 
 1. the coordinator calls ``RunFragment(q)`` on every worker in parallel;
-2. each worker charges fragment compute (rows scanned x per-row cost),
-   runs the fragment plan, and returns the first chunk of the serialized
-   partial, streaming the rest through ``PullChunk`` calls (the framed
-   chunking a Thrift-based engine uses for large intermediates);
-3. the coordinator deserializes, concatenates, charges the final-stage
-   compute, and produces the query result.
+2. each worker charges fragment compute (rows touched x per-row cost) and
+   returns the first chunk of its partial, streaming the rest through
+   ``PullChunk`` calls (the framed chunking a Thrift-based engine uses for
+   large intermediates);
+3. the coordinator reassembles every partial, checks it byte for byte, and
+   charges the final-stage compute.
+
+The paper studies the RPC traffic of a database running TPC-H, not its
+query engine, so a query is the three numbers the cluster sees: the rows
+each worker touches, the length of each worker's serialized partial, and
+the rows of the coordinator's final stage.  ``fig17_trace.json`` holds them
+per ``(sf, seed, n_workers)``; the columnar engine in ``tests/tpch/engine``
+recorded them (``python -m tests.tpch.engine.trace``).  A partial's bytes
+are a deterministic pattern of the recorded length.
 
 Only the RPC transport differs between the three modes the paper compares:
 ``ipoib`` (vanilla Thrift over kernel TCP), ``hatrpc_service``
@@ -20,9 +29,13 @@ fragment pulls vs. latency-sensitive control RPCs + NUMA binding).
 
 from __future__ import annotations
 
+import functools
+import json
+import random
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from importlib import resources
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.engine import pinned_plan
 from repro.core.runtime import HatRpcServer, hatrpc_connect
@@ -30,19 +43,45 @@ from repro.idl import load_idl
 from repro.sim.units import KiB, ns
 from repro.verbs.cq import PollMode
 from repro.testbed import Testbed
-from repro.tpch.datagen import generate
-from repro.tpch.fragments import PLANS
-from repro.tpch.ser import deserialize_table, serialize_table
-from repro.tpch.table import Table
 
-__all__ = ["DistributedTpch", "TpchResult"]
+__all__ = ["DistributedTpch", "QUERIES", "QueryTrace", "TpchResult",
+           "load_trace"]
 
 SERVICE = "TpchWorker"
 BASE_SID = 8000
 CHUNK = 64 * KiB
+QUERIES = tuple(range(1, 23))
 
 _MODES = ("ipoib", "hatrpc_service", "hatrpc_function")
-_IDL_COUNTER = [0]
+
+
+class QueryTrace(NamedTuple):
+    """One query's recorded work, per worker and on the coordinator."""
+    rows: Tuple[int, ...]           # rows each worker's fragment touches
+    partial_len: Tuple[int, ...]    # bytes of each worker's partial
+    final_rows: int                 # merged partial rows + final-stage rows
+
+    @property
+    def exchange_bytes(self) -> int:
+        """Reply bytes the query moves: per worker a u32 length + partial."""
+        return sum(4 + n for n in self.partial_len)
+
+
+@functools.cache
+def load_trace() -> Dict[Tuple[float, int, int], Dict[int, QueryTrace]]:
+    """``fig17_trace.json`` as ``{(sf, seed, n_workers): {query: trace}}``."""
+    text = resources.files("repro.tpch").joinpath(
+        "fig17_trace.json").read_text()
+    return {(k["sf"], k["seed"], k["n_workers"]): {
+                int(q): QueryTrace(tuple(v["rows"]), tuple(v["partial_len"]),
+                                   v["final_rows"])
+                for q, v in k["queries"].items()}
+            for k in json.loads(text)["keys"]}
+
+
+def _partial_bytes(query: int, worker: int, n: int) -> bytes:
+    """The ``n`` bytes that stand for ``worker``'s partial of ``query``."""
+    return random.Random(f"tpch/{query}/{worker}").randbytes(n)
 
 
 def _worker_idl(mode: str, n_workers: int) -> str:
@@ -67,12 +106,13 @@ service TpchWorker {{
 
 
 class _WorkerHandler:
-    """One worker's service implementation over its partition."""
+    """One worker's service implementation over its recorded fragments."""
 
-    def __init__(self, node, partition_db: Dict[str, Table],
+    def __init__(self, node, worker: int, trace: Dict[int, QueryTrace],
                  per_row_cost: float):
         self.node = node
-        self.db = partition_db
+        self.worker = worker
+        self.trace = trace
         self.per_row_cost = per_row_cost
         self._staged: Dict[int, bytes] = {}
 
@@ -85,11 +125,10 @@ class _WorkerHandler:
         return 1
 
     def RunFragment(self, query):
-        plan = PLANS[int(query)]
-        rows = sum(len(self.db[t]) for t in plan.touches)
-        yield self.node.compute(rows * self.per_row_cost)
-        partial = plan.fragment(self.db)
-        data = serialize_table(partial)
+        q = self.trace[int(query)]
+        yield self.node.compute(q.rows[self.worker] * self.per_row_cost)
+        data = _partial_bytes(int(query), self.worker,
+                              q.partial_len[self.worker])
         self._staged[int(query)] = data
         # First chunk rides the reply: u32 total length + payload.
         return struct.pack("<I", len(data)) + data[:CHUNK]
@@ -105,51 +144,34 @@ class _WorkerHandler:
 class TpchResult:
     query: int
     elapsed: float              # simulated seconds
-    result: Table
     exchange_bytes: int
 
 
 class DistributedTpch:
-    """One experiment instance: a cluster, a dataset, and an RPC mode."""
+    """One experiment instance: a cluster, a recorded trace, and an RPC mode."""
 
     def __init__(self, mode: str = "hatrpc_function", sf: float = 0.005,
                  n_workers: int = 9, per_row_cost: float = 50 * ns,
-                 seed: int = 0, testbed: Optional[Testbed] = None):
+                 seed: int = 1, testbed: Optional[Testbed] = None):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        key = (sf, seed, n_workers)
+        recorded = load_trace()
+        if key not in recorded:
+            raise ValueError(
+                f"no recorded trace for (sf, seed, n_workers) = {key}; "
+                f"recorded keys: {sorted(recorded)}")
         self.mode = mode
         self.sf = sf
         self.n_workers = n_workers
         self.per_row_cost = per_row_cost
+        self.trace = recorded[key]
         self.tb = testbed or Testbed(n_nodes=n_workers + 1)
         if len(self.tb.nodes) < n_workers + 1:
             raise ValueError("testbed too small for the worker count")
-        self.db = generate(sf=sf, seed=seed)
-        _IDL_COUNTER[0] += 1
-        self.gen = load_idl(_worker_idl(mode, n_workers),
-                            f"tpch_gen_{mode}_{_IDL_COUNTER[0]}")
-        self._partitions = self._partition()
+        self.gen = load_idl(_worker_idl(mode, n_workers), f"tpch_gen_{mode}")
         self._stubs: List = []
         self._started = False
-
-    # -- data layout -----------------------------------------------------------
-    def _partition(self) -> List[Dict[str, Table]]:
-        import numpy as np
-        W = self.n_workers
-        parts = []
-        o = self.db["orders"]
-        li = self.db["lineitem"]
-        o_stripe = o["o_orderkey"] % W
-        l_stripe = li["l_orderkey"] % W
-        dims = {t: self.db[t] for t in
-                ("region", "nation", "supplier", "customer", "part",
-                 "partsupp")}
-        for w in range(W):
-            part = dict(dims)
-            part["orders"] = o.filter(o_stripe == w)
-            part["lineitem"] = li.filter(l_stripe == w)
-            parts.append(part)
-        return parts
 
     def _plan(self):
         if self.mode == "ipoib":
@@ -163,8 +185,7 @@ class DistributedTpch:
         sim = self.tb.sim
         for w in range(self.n_workers):
             node = self.tb.node(w + 1)
-            handler = _WorkerHandler(node, self._partitions[w],
-                                     self.per_row_cost)
+            handler = _WorkerHandler(node, w, self.trace, self.per_row_cost)
             HatRpcServer(node, self.gen, SERVICE, handler,
                          base_service_id=BASE_SID,
                          concurrency=self.n_workers,
@@ -190,11 +211,10 @@ class DistributedTpch:
     def run_query(self, query: int) -> TpchResult:
         if not self._started:
             raise RuntimeError("call start() first")
-        if query not in PLANS:
+        if query not in self.trace:
             raise KeyError(f"TPC-H defines queries 1..22, not {query}")
         sim = self.tb.sim
-        plan = PLANS[query]
-        partials: List[Table] = [None] * self.n_workers
+        trace = self.trace[query]
         volume = {"bytes": 0}
 
         def fetch(w):
@@ -208,38 +228,24 @@ class DistributedTpch:
                 chunk = yield from stub.PullChunk(query, len(data))
                 data += chunk
                 volume["bytes"] += len(chunk)
-            partials[w] = deserialize_table(data)
+            if data != _partial_bytes(query, w, trace.partial_len[w]):
+                raise RuntimeError(
+                    f"Q{query}: worker {w}'s partial arrived corrupted")
 
         t0 = sim.now
         procs = [sim.process(fetch(w)) for w in range(self.n_workers)]
         sim.run()
         for p in procs:
             p.value  # surface worker/coordinator failures
-        merged = _concat(partials)
-        done = sim.event()
 
         def final_stage():
-            rows = len(merged) + sum(len(self.db[t])
-                                     for t in plan.final_touches)
-            yield self.tb.node(0).compute(rows * self.per_row_cost + 5e-6)
-            done.succeed()
+            yield self.tb.node(0).compute(
+                trace.final_rows * self.per_row_cost + 5e-6)
 
         sim.process(final_stage())
         sim.run()
-        result = plan.final(merged, self.db)
-        return TpchResult(query=query, elapsed=sim.now - t0, result=result,
+        return TpchResult(query=query, elapsed=sim.now - t0,
                           exchange_bytes=volume["bytes"])
 
     def run_all(self) -> Dict[int, TpchResult]:
-        return {q: self.run_query(q) for q in sorted(PLANS)}
-
-
-def _concat(tables: List[Table]) -> Table:
-    tables = [t for t in tables if t is not None and len(t.names) > 0]
-    non_empty = [t for t in tables if len(t) > 0]
-    if not non_empty:
-        return tables[0] if tables else Table({})
-    out = non_empty[0]
-    for t in non_empty[1:]:
-        out = out.concat(t)
-    return out
+        return {q: self.run_query(q) for q in QUERIES}

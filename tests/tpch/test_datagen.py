@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tpch.datagen import CONTAINERS, NATIONS, SEGMENTS, generate
-from repro.tpch.schema import BASE_ROWS, SCHEMA, date_to_int
+from tests.tpch.engine.datagen import CONTAINERS, NATIONS, SEGMENTS, generate
+from tests.tpch.engine.schema import BASE_ROWS, SCHEMA, date_to_int
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,22 @@
-"""Distributed executor: fragment/final equivalence + RPC-mode effects."""
+"""Fig. 17's TPC-H: the engine's distributed plans, the recorded trace, and
+its replay over the three RPC modes."""
+
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from repro.tpch.datagen import generate
-from repro.tpch.distributed import DistributedTpch
-from repro.tpch.fragments import PLANS
-from repro.tpch.queries import run_query
-from repro.tpch.ser import deserialize_table, serialize_table
-from repro.tpch.table import Table
+from repro.tpch.distributed import (
+    CHUNK, QUERIES, DistributedTpch, _WorkerHandler, load_trace,
+)
+from tests.tpch.engine.datagen import generate
+from tests.tpch.engine.fragments import PLANS
+from tests.tpch.engine.queries import run_query
+from tests.tpch.engine.ser import deserialize_table, serialize_table
+from tests.tpch.engine.table import Table
+from tests.tpch.engine.trace import concat, partition, render
+
+MODES = ("ipoib", "hatrpc_service", "hatrpc_function")
 
 
 def tables_equal(a: Table, b: Table, float_tol=1e-6) -> bool:
@@ -43,18 +51,7 @@ def test_serialize_empty():
 @pytest.fixture(scope="module")
 def setup():
     db = generate(sf=0.003, seed=3)
-    # Partition exactly as the executor does.
-    W = 4
-    o, li = db["orders"], db["lineitem"]
-    dims = {t: db[t] for t in ("region", "nation", "supplier", "customer",
-                               "part", "partsupp")}
-    parts = []
-    for w in range(W):
-        p = dict(dims)
-        p["orders"] = o.filter(o["o_orderkey"] % W == w)
-        p["lineitem"] = li.filter(li["l_orderkey"] % W == w)
-        parts.append(p)
-    return db, parts
+    return db, partition(db, 4)
 
 
 @pytest.mark.parametrize("qn", sorted(PLANS))
@@ -62,33 +59,32 @@ def test_fragment_final_equals_single_node(setup, qn):
     """The distributed plan must compute exactly the single-node answer."""
     db, parts = setup
     plan = PLANS[qn]
-    partials = [plan.fragment(p) for p in parts]
-    # Simulate the serialize/merge path (includes the wire roundtrip).
-    partials = [deserialize_table(serialize_table(t)) for t in partials]
-    non_empty = [t for t in partials if len(t) > 0]
-    merged = non_empty[0] if non_empty else partials[0]
-    for t in non_empty[1:]:
-        merged = merged.concat(t)
+    # The serialize/merge path the recorded partials took.
+    merged = concat([deserialize_table(serialize_table(plan.fragment(p)))
+                     for p in parts])
     distributed = plan.final(merged, db)
     single = run_query(db, qn)
     assert tables_equal(distributed, single), f"Q{qn} diverged"
 
 
-def test_executor_end_to_end_matches_single_node():
-    ex = DistributedTpch(mode="hatrpc_function", sf=0.002, n_workers=3,
-                         seed=5).start()
-    single_db = ex.db
-    for qn in (1, 4, 6, 13):
-        r = ex.run_query(qn)
-        assert tables_equal(r.result, run_query(single_db, qn)), qn
-        assert r.elapsed > 0
-        assert r.exchange_bytes > 0
+def test_trace_matches_reference_engine():
+    """The committed trace is exactly what the engine records today."""
+    committed = resources.files("repro.tpch").joinpath(
+        "fig17_trace.json").read_text()
+    assert render() == committed
+
+
+def test_exchange_bytes_match_trace_in_every_mode():
+    for mode in MODES:
+        ex = DistributedTpch(mode=mode, sf=0.005, n_workers=9, seed=1).start()
+        for q in (1, 2, 9, 13):
+            assert ex.run_query(q).exchange_bytes == ex.trace[q].exchange_bytes
 
 
 def test_ipoib_slower_than_hatrpc():
     times = {}
     for mode in ("ipoib", "hatrpc_function"):
-        ex = DistributedTpch(mode=mode, sf=0.002, n_workers=3, seed=5).start()
+        ex = DistributedTpch(mode=mode, sf=0.005, n_workers=9, seed=1).start()
         times[mode] = sum(ex.run_query(q).elapsed for q in (1, 6, 9, 13))
     assert times["hatrpc_function"] < times["ipoib"]
 
@@ -98,9 +94,47 @@ def test_bad_mode_rejected():
         DistributedTpch(mode="carrier_pigeon")
 
 
+@pytest.mark.parametrize("sf, seed, n_workers", [
+    (0.002, 5, 3),      # never recorded
+    (0.005, 0, 9),      # recorded sf and workers, other seed
+    (0.01, 1, 8),       # recorded sf and seed, other worker count
+    (0.01, 2, 2),       # recorded seed and workers, other sf
+])
+def test_unrecorded_key_rejected(sf, seed, n_workers):
+    with pytest.raises(ValueError, match="no recorded trace") as err:
+        DistributedTpch(sf=sf, seed=seed, n_workers=n_workers)
+    for key in load_trace():
+        assert repr(key) in str(err.value)
+
+
+def test_unknown_query_rejected():
+    ex = DistributedTpch().start()
+    with pytest.raises(KeyError):
+        ex.run_query(23)
+    assert sorted(ex.trace) == list(QUERIES)
+
+
 def test_chunked_transfer_for_large_partials():
-    """Q9 partials exceed one chunk at a larger SF; bytes must reassemble."""
-    ex = DistributedTpch(mode="hatrpc_service", sf=0.01, n_workers=2,
+    """Q20's partials at (0.02, 2, 2) span two chunks; the coordinator
+    checks every reassembled byte."""
+    ex = DistributedTpch(mode="hatrpc_service", sf=0.02, n_workers=2,
                          seed=2).start()
-    r = ex.run_query(9)
-    assert tables_equal(r.result, run_query(ex.db, 9))
+    assert min(ex.trace[20].partial_len) > CHUNK
+    r = ex.run_query(20)
+    assert r.exchange_bytes == ex.trace[20].exchange_bytes
+
+
+def test_corrupted_chunk_detected(monkeypatch):
+    pull = _WorkerHandler.PullChunk
+
+    def flip_first_byte(self, query, offset):
+        chunk = yield from pull(self, query, offset)
+        return bytes([chunk[0] ^ 1]) + chunk[1:] if chunk else chunk
+
+    monkeypatch.setattr(_WorkerHandler, "PullChunk", flip_first_byte)
+    ex = DistributedTpch(mode="hatrpc_service", sf=0.02, n_workers=2,
+                         seed=2).start()
+    ex.run_query(1)     # one chunk per partial: no PullChunk carries data
+    with pytest.raises(RuntimeError,
+                       match=r"Q20: worker \d's partial arrived corrupted"):
+        ex.run_query(20)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.tpch.datagen import generate
-from repro.tpch.queries import run_query
-from repro.tpch.schema import date_to_int, int_to_date
+from tests.tpch.engine.datagen import generate
+from tests.tpch.engine.queries import run_query
+from tests.tpch.engine.schema import date_to_int, int_to_date
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tpch.table import Table
+from tests.tpch.engine.table import Table
 
 
 def t(**cols):
