@@ -434,25 +434,6 @@ class _PendingCall:
         """Terminal failure of a pipelined call: lands on the handle."""
         eng = self.engine
         self.release()
-        # Last resort before surfacing the failure: a router holding
-        # replicas of this key's shard may take the call over (idempotent
-        # reads only -- a re-sent write could double-apply).  A rejection
-        # is never offered: rerouting a shed call onto a replica would
-        # shift the storm sideways instead of shedding it.
-        if (eng.sweep_reroute is not None and not self.handle.done
-                and not isinstance(exc, TRejectedException)
-                and eng._connected and self.fn in eng.idempotent_fns):
-            try:
-                taken = eng.sweep_reroute(self, exc)
-            except Exception:
-                taken = False
-            if taken:
-                eng.faults.reroutes += 1
-                eng._trace("reroute", self.fn, self.channel,
-                           type(exc).__name__)
-                if self.act is not None:
-                    self.act.finish(eng.node.sim.now, status="rerouted")
-                return
         if self.act is not None:
             self.act.finish(eng.node.sim.now,
                             status=type(exc).__name__)
@@ -529,11 +510,6 @@ class HatRpcEngine:
         #: extra attributes stamped onto every call's trace (a shard router
         #: sets {"shard": N} so hint_select stages attribute per shard)
         self.trace_attrs = dict(trace_attrs or {})
-        #: optional hook(entry, exc) -> bool consulted when an idempotent
-        #: asynchronous call exhausts every channel of THIS engine: a
-        #: returns-True taker (e.g. a shard router holding a replica's
-        #: engine) assumes ownership of the entry's handle.
-        self.sweep_reroute = None
         self.faults = FaultCounters()
         self.fault_trace: List[Tuple[float, str, str, int, str]] = []
         self._channels: Dict[int, Any] = {}

@@ -42,7 +42,6 @@ class FaultCounters:
     breaker_opens: int = 0            # circuit-breaker CLOSED/HALF_OPEN -> OPEN
     blind_retries_prevented: int = 0  # non-idempotent resends refused
     channel_failures: int = 0         # transport errors observed on channels
-    reroutes: int = 0                 # swept calls handed to another engine
     rejections: int = 0               # typed REJECTED responses received
     rejected_retries: int = 0         # rejection retries taken (post-backoff)
     budget_exhausted: int = 0         # retries refused by the retry budget

@@ -15,7 +15,7 @@ Metrics (shared registry, like the ``hatkv.<op>`` counters):
 
 * ``hatkv.cache.hits`` / ``hatkv.cache.misses`` -- lookup outcomes;
 * ``hatkv.cache.invalidations`` -- entries dropped by writes, observed
-  newer versions, failover, reroute, or migration cutover;
+  newer versions, failover, or migration cutover;
 * ``hatkv.cache.lease_expiries`` -- entries that aged out on the sim
   clock before being served;
 * ``hatkv.cache.hot_reads`` -- promoted misses sent one-sided.
@@ -161,9 +161,9 @@ class HotKeyCache:
 
     def invalidate_match(self, pred) -> int:
         """Drop every entry whose key satisfies ``pred`` and return the
-        count.  The scoped topology-change invalidation: a single shard's
-        reroute or one migrated range taints only the keys it owns, so the
-        rest of the hot set keeps serving."""
+        count.  The scoped topology-change invalidation: one migrated
+        range taints only the keys it owns, so the rest of the hot set
+        keeps serving."""
         doomed = [k for k in self._entries if pred(k)]
         for k in doomed:
             del self._entries[k]

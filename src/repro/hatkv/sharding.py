@@ -599,8 +599,8 @@ class ShardRouter:
 
     One generated stub (and HatRPC engine) per shard; every op routes by
     key through the cluster's routing plan.  Reads fail over along the
-    key's preference list; swept in-flight reads are handed to a replica
-    engine through the engine's ``sweep_reroute`` hook; writes fan to all
+    key's preference list, in-flight pipelined reads included (their
+    handle's transport error starts the same walk); writes fan to all
     replicas and surface transport errors typed, never blindly re-sent.
 
     During a resize the router is migration-aware: writes pass the
@@ -621,20 +621,9 @@ class ShardRouter:
         self.cache = cache
         self._connect_kw = dict(connect_kw or {})
         self._shards: List[_Shard] = []
-        self._m_reroutes = _counter("hatkv.router.reroutes")
         self._m_read_failovers = _counter("hatkv.router.read_failovers")
         self._m_forward = _counter("hatkv.router.forward_reads")
-        self._rerouting: set = set()       # (fn, seqid) pairs in takeover
         self._closed = False
-        #: bumped at every swept-call takeover; reads snapshot it before
-        #: issuing and only feed the cache when it did not move (a reply
-        #: that raced a takeover may itself be a replica's answer,
-        #: delivered transparently through the original handle)
-        self._takeover_gen = 0
-
-    @property
-    def _engines(self) -> list:
-        return [s.engine for s in self._shards]
 
     # -- elastic topology ----------------------------------------------------
     def attach_shards(self, servers):
@@ -651,7 +640,6 @@ class ShardRouter:
                 pipeline=self.cluster.pipeline,
                 trace_attrs={"shard": index}, **self._connect_kw)
             engine = stub._hatrpc.engine
-            engine.sweep_reroute = self._reroute_hook(index)
             self._shards.append(_Shard(
                 stub, stub._hatrpc.async_caller(), engine,
                 engine.hot_read_channel() if self.cache is not None else None,
@@ -663,7 +651,6 @@ class ShardRouter:
         drain-and-close so pipelined tails settle instead of failing."""
         for _ in range(count):
             shard = self._shards.pop()
-            shard.engine.sweep_reroute = None
             yield from shard.engine.drain_close()
             shard.stub._hatrpc.close()
 
@@ -674,95 +661,12 @@ class ShardRouter:
         if self.cache is not None:
             self.cache.invalidate_match(lambda k: task.contains(_hash64(k)))
 
-    # -- swept-call takeover -------------------------------------------------
-    def _reroute_hook(self, shard: int):
-        """hook(entry, exc) consulted by shard ``shard``'s engine when an
-        idempotent in-flight call dies with every local channel exhausted.
-        Successor replication means any replica of this shard can serve
-        the entry without decoding its key."""
-        def hook(entry, exc) -> bool:
-            if self._closed:
-                return False               # close() fences new takeovers
-            if self.cluster.migration is not None:
-                # Replica sets are per-range during a resize, and a swept
-                # channel's calls span ranges: there is no single engine
-                # that can serve them all.  Fail typed; idempotent reads
-                # retry through normal routing.
-                return False
-            if entry.seqid is None:
-                return False               # cannot dedupe a takeover chain
-            if (entry.fn, entry.seqid) in self._rerouting:
-                # This IS a takeover attempt (posted by _reroute_entry);
-                # shard ``shard``'s own successors do not hold the key, so
-                # let the takeover loop walk the original replica list.
-                return False
-            replicas = [r for r in self.cluster.replica_shards(shard)[1:]
-                        if self._shards[r].engine.is_open()]
-            if not replicas:
-                return False
-            self._takeover_gen += 1
-            if self.cache is not None:
-                # Takeover = shard-scoped topology event.  The cache only
-                # admits primary answers, so exactly the keys primaried on
-                # this shard are suspect -- the rest of the node's hot set
-                # keeps serving through the flap.
-                self.cache.invalidate_match(
-                    lambda k: self.cluster.primary(k) == shard)
-            self._rerouting.add((entry.fn, entry.seqid))
-            self.node.sim.process(
-                self._reroute_entry(entry, replicas),
-                name=f"reroute-{entry.fn}-s{shard}")
-            return True
-        return hook
-
-    def _reroute_entry(self, entry, replicas):
-        """Detached process: re-post one swept call's raw message on the
-        key's replica shards (in preference order) and settle the original
-        handle with the outcome.  The replica server echoes the request
-        seqid, so the caller's paused stub decoder accepts the response
-        unchanged.  Checks the close fence at every step: a takeover must
-        never resolve a handle against a router that died under it."""
-        last: Optional[Exception] = None
-        try:
-            for shard in replicas:
-                if self._closed:
-                    break
-                eng = self._shards[shard].engine
-                if not eng.is_open():
-                    continue
-                try:
-                    handle = yield from eng.call_async(
-                        entry.fn, entry.message, oneway=entry.oneway,
-                        seqid=entry.seqid)
-                    resp = yield from handle.wait()
-                except Exception as exc:
-                    last = exc
-                    continue
-                if self._closed:
-                    break      # the router closed while the takeover flew
-                if self._m_reroutes is not None:
-                    self._m_reroutes.inc()
-                if not entry.handle.done:
-                    entry.handle._resolve(resp)
-                return
-            if not entry.handle.done:
-                if self._closed:
-                    entry.handle._fail(TTransportException(
-                        TTransportException.NOT_OPEN,
-                        f"router closed during {entry.fn} takeover"))
-                else:
-                    entry.handle._fail(last if last is not None
-                                       else TTransportException(
-                                           TTransportException.NOT_OPEN,
-                                           f"no live replica for {entry.fn}"))
-        finally:
-            self._rerouting.discard((entry.fn, entry.seqid))
-
     # -- the two wire drivers ------------------------------------------------
     # Every call leaves through one of these, so a shard's op counter ticks
     # when a call is issued to it -- never for a leg planned but not sent.
     def _call(self, shard: int, method: str, *args):
         """Coroutine: ``method`` on ``shard``'s blocking stub."""
+        self._check_open(method)
         s = self._shards[shard]
         if s.ops is not None:
             s.ops.inc()
@@ -771,10 +675,18 @@ class ShardRouter:
     def _issue(self, shard: int, method: str, *args, channel=None):
         """Coroutine: post ``method`` on ``shard``'s pipelined caller;
         returns the handle (``channel`` overrides the planned one)."""
+        self._check_open(method)
         s = self._shards[shard]
         if s.ops is not None:
             s.ops.inc()
         return s.caller.call_async(method, *args, channel=channel)
+
+    def _check_open(self, method: str) -> None:
+        """Both drivers raise ``NOT_OPEN`` after :meth:`close`: a failover
+        walk racing close fails typed, like any dead leg."""
+        if self._closed:
+            raise TTransportException(TTransportException.NOT_OPEN,
+                                      f"router closed before {method}")
 
     # -- the read decisions --------------------------------------------------
     def _cached(self, key, fn: str):
@@ -803,9 +715,9 @@ class ShardRouter:
         """Coroutine: what the primary's Get reply turns into.  A miss
         inside the key's forwarding window retries the range's previous
         holders.  Otherwise the reply feeds the cache (lease counted from
-        ``issued``) -- unless a takeover or a range flip moved
-        ``(takeover_gen, routing_epoch)`` off ``gen0`` since the read was
-        issued: it may not be the primary's answer, so it invalidates."""
+        ``issued``) -- unless a range flip moved ``routing_epoch`` off
+        ``gen0`` since the read was issued: the key's primary may have
+        changed under it, so it invalidates."""
         if not result.found:
             fb = self.cluster.read_fallback(key)
             if fb and shard not in fb:
@@ -813,7 +725,7 @@ class ShardRouter:
                 if fwd is not None:
                     return fwd
         if self.cache is not None:
-            if (self._takeover_gen, self.cluster.routing_epoch) != gen0:
+            if self.cluster.routing_epoch != gen0:
                 self.cache.invalidate(key)
             else:
                 self.cache.admit(key, result, issued=issued)
@@ -868,11 +780,11 @@ class ShardRouter:
         """Coroutine: GetResult for ``key``; the hot-key cache sits above
         the shard fan-out, and reads fail over in preference order when a
         shard's transport is down.  Failover answers, and answers that
-        crossed a takeover or a migration cutover, are never cached."""
+        crossed a migration cutover, are never cached."""
         entry = yield from self._cached(key, "Get")
         if entry is not None:
             return cache_hit_result(self.cluster.gen.GetResult, entry)
-        gen0 = (self._takeover_gen, self.cluster.routing_epoch)
+        gen0 = self.cluster.routing_epoch
         pref = self.cluster.preference(key)
         shard = pref[0]
         chan = self._steer(shard, key)
@@ -895,7 +807,7 @@ class ShardRouter:
         are :meth:`Get`'s; only the primary leg's wire driver differs."""
         out: List[Optional[bytes]] = [None] * len(keys)
         pending = []
-        gen0 = (self._takeover_gen, self.cluster.routing_epoch)
+        gen0 = self.cluster.routing_epoch
         for i, key in enumerate(keys):
             entry = yield from self._cached(key, "Get")
             if entry is not None:
@@ -1141,16 +1053,11 @@ class ShardRouter:
                 for hop in range(self.cluster.replicas)]
 
     def close(self) -> None:
-        """Tear down every shard client.
-
-        Close is fenced against in-flight reroute takeovers through the
-        chained-takeover guard: ``_closed`` flips before any engine dies,
-        ``_reroute_hook`` refuses new takeovers outright, and a takeover
-        already in flight observes the fence at its next step and fails
-        its entry typed instead of resolving it against a dead router."""
+        """Tear down every shard client.  ``_closed`` flips first, so a
+        read still walking its failover list fails its next leg typed
+        (``NOT_OPEN``) instead of reaching a closed engine."""
         self._closed = True
         if self in self.cluster._routers:
             self.cluster._routers.remove(self)
         for shard in self._shards:
-            shard.engine.sweep_reroute = None
             shard.stub._hatrpc.close()

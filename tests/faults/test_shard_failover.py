@@ -1,10 +1,10 @@
 """Shard failover under injected faults.
 
 One shard's node loses its link mid-run: reads routed to it must fail
-over to the replica shard (including swept in-flight pipelined reads,
-which the router's ``sweep_reroute`` hook re-posts on the replica's
-engine), while writes surface typed transport errors -- the router never
-blind-retries a write.
+over to the replica shard through the router's failover walk (swept
+in-flight pipelined reads included: their handle's transport error starts
+the same walk), while writes surface typed transport errors -- the router
+never blind-retries a write.
 """
 
 import random
@@ -73,31 +73,62 @@ def test_reads_fail_over_to_replica_during_link_flap():
             assert txn.get(key) == VALUE
 
 
-def test_swept_inflight_reads_reroute_to_replica():
+def test_swept_inflight_reads_fail_over_to_replica():
     """A pipelined burst is in flight when the primary's link drops: the
-    swept idempotent entries must settle with correct values from the
-    replica, via the engine's sweep_reroute hook."""
+    swept idempotent entries fail on their handles, and the router's
+    failover walk must answer each from the replica."""
+    with obs.installed() as reg:
+        tb = Testbed(n_nodes=6)
+        cluster, keys = build_cluster(tb)
+        flap_node = cluster.servers[0].node.name
+        FaultInjector(tb, FaultPlan(seed=5, events=(
+            LinkFlap(flap_node, start=30 * us, duration=10 * ms),
+        ))).arm()
+        out = {}
+
+        def client():
+            router = yield from cluster.connect(tb.node(4),
+                                                rng=random.Random(11))
+            shard0 = keys_on_shard(cluster, keys, 0)[:40]
+            out["values"] = yield from router.multi_get(shard0)
+            router.close()
+
+        tb.sim.run(tb.sim.process(client()))
+        assert out["values"] == [VALUE] * 40
+        assert reg.counter("hatkv.router.read_failovers").value >= 1
+
+
+def test_close_during_failover_walk_fails_typed():
+    """close() racing a failover walk: the Get's primary is dark, and the
+    router closes just before the replica leg.  The leg must fail typed
+    (NOT_OPEN from the router), not reach the closed engine."""
     tb = Testbed(n_nodes=6)
     cluster, keys = build_cluster(tb)
-    flap_node = cluster.servers[0].node.name
-    FaultInjector(tb, FaultPlan(seed=5, events=(
-        LinkFlap(flap_node, start=30 * us, duration=10 * ms),
-    ))).arm()
+    cluster.servers[0].node.crash()
+    key = keys_on_shard(cluster, keys, 0)[0]
     out = {}
 
     def client():
-        router = yield from cluster.connect(tb.node(4),
-                                            rng=random.Random(11))
-        shard0 = keys_on_shard(cluster, keys, 0)[:40]
-        out["values"] = yield from router.multi_get(shard0)
-        out["engines"] = [e.faults.as_dict() for e in router._engines]
-        router.close()
+        router = yield from cluster.connect(tb.node(4), cache=False,
+                                            rng=random.Random(5))
+        call = router._call
+
+        def close_before_replica_leg(shard, method, *args):
+            if shard != 0:
+                router.close()
+            return call(shard, method, *args)
+
+        router._call = close_before_replica_leg
+        try:
+            yield from router.Get(key)
+        except Exception as exc:
+            out["error"] = exc
 
     tb.sim.run(tb.sim.process(client()))
-    assert out["values"] == [VALUE] * 40
-    # at least one swept call crossed engines or failed over at the router
-    crossed = sum(f["reroutes"] for f in out["engines"])
-    assert crossed > 0 or out["engines"][0]["channel_failures"] > 0
+    err = out["error"]
+    assert isinstance(err, TTransportException), repr(err)
+    assert err.type == TTransportException.NOT_OPEN
+    assert "router closed" in str(err)
 
 
 def test_flap_over_reads_and_writes_recover_after_window():

@@ -6,8 +6,7 @@ move), plan/ring ownership agreement at every range state, the cutover
 fence and server-side handoff guard (a Put is never acknowledged by two
 primaries), the dual-read forwarding window, live grow/shrink under
 concurrent traffic with exact final state, the load-aware trigger, and
-the three satellite regressions: scoped reroute invalidation, close
-fencing against in-flight takeovers, and epoch-consistent scan dedup.
+epoch-consistent scan dedup.
 """
 
 import pytest
@@ -21,9 +20,8 @@ from repro.hatkv.migration import (HandoffGuard, MigrationPlan, RangeState,
                                    RING_SPACE, hash_key)
 from repro.hatkv.sharding import HashRing
 from repro.sim.core import Event
-from repro.sim.units import ms, us
+from repro.sim.units import us
 from repro.testbed import Testbed
-from repro.thrift.errors import TTransportException
 from repro.ycsb.workload import Workload
 
 pytestmark = pytest.mark.filterwarnings(
@@ -422,128 +420,7 @@ def test_engine_drain_close_waits_for_pipelined_tails():
     assert out == {"settled": True, "closed": True}
 
 
-# -- satellite 1: reroute invalidation is shard-scoped ------------------------
-
-def test_reroute_invalidates_only_the_flapped_shards_keys():
-    """A single shard's takeover must not nuke the node-shared hot-key
-    cache: entries primaried on other shards keep serving (the pre-fix
-    hook called ``cache.clear()``)."""
-    gen = load_hatkv_module("function", cacheable=CACHEABLE)
-    with obs.installed() as reg:
-        tb = Testbed(n_nodes=8)
-        cluster = ShardedKVCluster(tb, 2, replicas=2, gen_module=gen).start()
-        keys = keys_of(40)
-        cluster.load((k, b"warm" * 20) for k in keys)
-        shard0 = [k for k in keys if cluster.primary(k) == 0]
-        shard1 = [k for k in keys if cluster.primary(k) == 1]
-        assert shard0 and shard1
-        out = {}
-
-        class _Handle:
-            done = False
-
-            def _fail(self, exc):
-                self.done = True
-
-        class _Entry:
-            fn = "Get"
-            seqid = 424242
-            oneway = False
-            message = b"\x00"
-            handle = _Handle()
-
-        def _swallow_takeover(entry, replicas):
-            # The satellite under test is the hook's cache scoping, not
-            # takeover delivery (covered by tests/faults) -- swallow the
-            # re-post so the fabricated entry never hits a real server.
-            out["takeover_spawned"] = (entry, list(replicas))
-            return
-            yield
-
-        def client():
-            router = yield from cluster.connect(tb.node(4))
-            router._reroute_entry = _swallow_takeover
-            for k in keys:                     # warm the cache (leased Gets)
-                yield from router.Get(k)
-            assert len(router.cache) > 0
-            # deliver a swept entry to shard 0's engine, exactly as the
-            # pipeline sweep would on a link flap
-            accepted = router._engines[0].sweep_reroute(
-                _Entry, TTransportException(TTransportException.NOT_OPEN,
-                                            "flap"))
-            out["accepted"] = accepted
-            out["s0_cached"] = sum(1 for k in shard0
-                                   if k in router.cache._entries)
-            out["s1_cached"] = sum(1 for k in shard1
-                                   if k in router.cache._entries)
-            hits0 = reg.counter("hatkv.cache.hits").value
-            got = yield from router.Get(shard1[0])    # still a cache hit
-            out["hit_survived"] = \
-                reg.counter("hatkv.cache.hits").value == hits0 + 1
-            out["value_ok"] = got.value == b"warm" * 20
-            yield tb.sim.timeout(1 * ms)       # let the fake takeover settle
-            router.close()
-
-        tb.sim.run(tb.sim.process(client()))
-        assert out["accepted"], "the sweep hook refused the takeover"
-        assert out["s0_cached"] == 0, "flapped shard's entries must drop"
-        assert out["s1_cached"] == len(shard1), \
-            "other shards' hot entries must survive the flap"
-        assert out["hit_survived"] and out["value_ok"]
-
-
-# -- satellite 2: close fences in-flight takeovers ----------------------------
-
-def test_close_during_reroute_fails_the_takeover_typed():
-    """close() racing an in-flight takeover: the takeover must observe
-    the fence and fail its entry with a typed NOT_OPEN instead of
-    resolving it against the dead router (or hanging forever)."""
-    tb = Testbed(n_nodes=8)
-    cluster = ShardedKVCluster(tb, 2, replicas=2).start()
-    cluster.load((k, b"v" * 20) for k in keys_of(20))
-    out = {}
-
-    class _Handle:
-        done = False
-        failure = None
-        resolved = None
-
-        def _fail(self, exc):
-            self.done = True
-            self.failure = exc
-
-        def _resolve(self, resp):
-            self.done = True
-            self.resolved = resp
-
-    class _Entry:
-        fn = "Get"
-        seqid = 77
-        oneway = False
-        message = b"\x00"
-        handle = _Handle()
-
-    def client():
-        router = yield from cluster.connect(tb.node(4), cache=False)
-        hook = router._engines[0].sweep_reroute
-        accepted = hook(_Entry, TTransportException(
-            TTransportException.NOT_OPEN, "x"))
-        router.close()          # the takeover process has not run yet
-        out["accepted"] = accepted
-        out["hook_detached"] = router._engines[0].sweep_reroute is None
-        out["hook_refuses_now"] = not hook(_Entry, RuntimeError("late"))
-        yield tb.sim.timeout(1 * ms)
-
-    tb.sim.run(tb.sim.process(client()))
-    assert out["accepted"] and out["hook_detached"]
-    assert out["hook_refuses_now"]
-    assert _Entry.handle.resolved is None, \
-        "a takeover must never resolve against a closed router"
-    assert isinstance(_Entry.handle.failure, TTransportException)
-    assert "router closed" in str(_Entry.handle.failure)
-
-
-# -- satellite 3: scan dedup is epoch-consistent ------------------------------
+# -- scan dedup is epoch-consistent -------------------------------------------
 
 def test_routing_view_is_frozen_across_range_flips():
     tb = Testbed(n_nodes=4)

@@ -13,14 +13,10 @@ contents -- on the static ring, with the keys' primary dark, and inside a
 range's forwarding window.  ``tests/faults/test_policy_parity.py`` is the
 same idea one layer down (one recovery policy, two wire drivers).
 
-Two differences are the drivers', not the router's, and the tests say so
-where they allow for them: a blocking call that dies is failed over by the
-router's walk (``read_failovers``) while a pipelined one is swept to the
-replica engine by the takeover hook first (``reroutes``) -- either way one
-replica answer per read, never cached; and a batch snapshots the
-router-wide takeover generation once, so reads are batched per primary
-here (mixed with a dark shard's keys, a live shard's replies are declined
-by the same admission rule -- the safe direction).
+A read whose primary leg dies, blocking or pipelined, is answered by the
+router's failover walk (``read_failovers``): one replica answer per read,
+never cached.  ``multi_get`` is asked both ways: one batch per primary,
+and one batch mixing every shard's keys.
 """
 
 import random
@@ -45,11 +41,10 @@ TTL = 50e-3
 N_KEYS = 24
 KEYS = [Workload.key_of(i) for i in range(N_KEYS)]
 SITUATIONS = ("static", "primary_down", "forwarding_window")
-COUNTERS = ("hatkv.router.forward_reads", "hatkv.cache.hits",
+COUNTERS = ("hatkv.router.read_failovers", "hatkv.router.forward_reads",
+            "hatkv.cache.hits",
             "hatkv.cache.misses", "hatkv.cache.invalidations",
             "hatkv.cache.lease_expiries", "hatkv.cache.hot_reads")
-#: summed into one "replica_answers" delta (see the module docstring)
-REPLICA_ANSWERS = ("hatkv.router.read_failovers", "hatkv.router.reroutes")
 
 
 def seed_value(key):
@@ -135,16 +130,10 @@ def drive(gen, situation, body):
         def client():
             router = yield from world.enter()
 
-            def snapshot():
-                snap = {n: reg.counter(n).value for n in COUNTERS}
-                snap["replica_answers"] = sum(
-                    reg.counter(n).value for n in REPLICA_ANSWERS)
-                return snap
-
-            before = snapshot()
+            before = {n: reg.counter(n).value for n in COUNTERS}
             out["values"] = yield from body(world, router)
-            out["counters"] = {n: v - before[n]
-                               for n, v in snapshot().items()}
+            out["counters"] = {n: reg.counter(n).value - before[n]
+                               for n in COUNTERS}
             out["cache"] = {k: (e.found, e.value, e.version)
                             for k, e in router.cache._entries.items()}
             router.close()
@@ -181,18 +170,27 @@ def multi_get(world, router):
     return values
 
 
+def mixed_multi_get(world, router):
+    values = {}
+    for _ in range(2):
+        values.update(zip(world.keys,
+                          (yield from router.multi_get(world.keys))))
+    return values
+
+
 @pytest.mark.parametrize("situation", SITUATIONS)
 def test_get_loop_and_multi_get_decide_alike(gen, situation):
     one = drive(gen, situation, get_loop)
-    many = drive(gen, situation, multi_get)
     assert one["values"] == {k: seed_value(k) for k in KEYS}
-    assert one == many
+    for body in (multi_get, mixed_multi_get):
+        assert drive(gen, situation, body) == one, body.__name__
     # ... and the situation really was the one named
     c = one["counters"]
     if situation == "static":
         assert c["hatkv.cache.hits"] == N_KEYS and len(one["cache"]) == N_KEYS
     elif situation == "primary_down":
-        assert c["replica_answers"] == 2 * (N_KEYS - len(one["cache"]))
+        assert c["hatkv.router.read_failovers"] == \
+            2 * (N_KEYS - len(one["cache"]))
         assert 0 < len(one["cache"]) < N_KEYS   # failover answers: not cached
     else:
         assert c["hatkv.router.forward_reads"] > 0

@@ -322,8 +322,6 @@ def test_scan_survives_mid_scan_failover_without_duplicates():
         pairs = dict(zip(out["flat"][::2], out["flat"][1::2]))
         assert len(out["flat"]) == 2 * len(pairs), "duplicate keys in scan"
         assert pairs == dict(items)
-        # Depending on when the transport notices the dead peer, the dark
-        # leg either fails over in the router or is swept to the replica
-        # engine by the takeover hook -- both are counted.
-        assert (reg.counter("hatkv.router.read_failovers").value
-                + reg.counter("hatkv.router.reroutes").value) >= 1
+        # The dark leg fails over in the router, whenever the transport
+        # notices the dead peer.
+        assert reg.counter("hatkv.router.read_failovers").value >= 1
