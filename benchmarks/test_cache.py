@@ -1,7 +1,7 @@
 """Cached vs uncached phased YCSB-B: the ``cacheable`` hint's payoff.
 
 Two phased runs against identical 2-shard clusters -- one with Get marked
-``cacheable(ttl, hot_promote)`` (per-*node* shared
+``cacheable(ttl)`` (per-*node* shared
 :class:`~repro.hatkv.cache.HotKeyCache`, the per-machine shape), one with
 the cache opted out -- under a hot zipfian skew where client-side leases
 should pay.  Every stub in **both** legs is wrapped in a zero-stale
@@ -47,7 +47,6 @@ N_CLIENTS = 48
 #: density per cache (and the hit rate) scales with clients per node.
 N_CLIENT_NODES = 2
 TTL = 50 * us
-HOT_PROMOTE = 4
 WARMUP = 1 * ms
 MEASURE = 4 * ms if is_full() else 2 * ms
 COOLDOWN = 0.25 * ms
@@ -63,8 +62,7 @@ MATRIX = ScenarioMatrix(skews=[1.2], value_sizes=[100])
 #: on the per-key Get/Put mix the lease protocol actually covers.
 B_HOT = WorkloadSpec("B-hot", ((OpType.GET, 0.95), (OpType.PUT, 0.05)))
 
-_CACHE_COUNTERS = ("hits", "misses", "invalidations", "lease_expiries",
-                   "hot_reads")
+_CACHE_COUNTERS = ("hits", "misses", "invalidations", "lease_expiries")
 
 
 def _stream_path(leg: str) -> str:
@@ -92,8 +90,7 @@ def _leg(cached: bool):
         tb = Testbed(n_nodes=SHARDS + 9)
         gen = load_hatkv_module(
             "function",
-            cacheable={"ttl": TTL, "hot_promote": HOT_PROMOTE}
-            if cached else None)
+            cacheable={"ttl": TTL} if cached else None)
         cluster = ShardedKVCluster(tb, SHARDS, gen_module=gen).start()
         oracle = StaleOracle(tb.sim)
         node_caches = {}
@@ -159,8 +156,7 @@ def test_cached_ycsb_b_speedup_with_zero_stale_reads(benchmark):
                 f"{r['oracle'].stale}/{r['oracle'].checked}"]
 
     fmt_rows(f"Cached YCSB-B ({SHARDS} shards, {N_CLIENTS} clients on "
-             f"{N_CLIENT_NODES} nodes, ttl={TTL / us:.0f}us, "
-             f"hot_promote={HOT_PROMOTE})",
+             f"{N_CLIENT_NODES} nodes, ttl={TTL / us:.0f}us)",
              ["leg", "tput", "get-mean", "put-mean", "srv-req/op",
               "hits", "stale/checked"],
              [row(off), row(on)])
@@ -191,8 +187,7 @@ def test_cached_ycsb_b_speedup_with_zero_stale_reads(benchmark):
                                      better="higher")},
                config={"shards": SHARDS, "n_clients": N_CLIENTS,
                        "n_client_nodes": N_CLIENT_NODES,
-                       "ttl_us": TTL / us, "hot_promote": HOT_PROMOTE,
-                       **on["config"]})
+                       "ttl_us": TTL / us, **on["config"]})
 
     # -- the acceptance gates ------------------------------------------------
     # Both legs did real measured work and attributed every op.
@@ -228,7 +223,7 @@ def _storm_cell():
     with obs.installed(reg):
         tb = Testbed(n_nodes=SHARDS + 6)
         gen = load_hatkv_module(
-            "function", cacheable={"ttl": TTL, "hot_promote": HOT_PROMOTE})
+            "function", cacheable={"ttl": TTL})
         cluster = ShardedKVCluster(tb, SHARDS, gen_module=gen).start()
         hot = b"hot-key-0000000000000000"
         free = [n for n in tb.nodes if n not in cluster.nodes]

@@ -46,7 +46,6 @@ from repro.ycsb.workload import OpType
 SHARDS = 2
 TARGET = 4
 TTL = 50 * us
-HOT_PROMOTE = 4
 WARMUP = 0.75 * ms
 MEASURE = 4 * ms if is_full() else 3 * ms
 COOLDOWN = 0.5 * ms
@@ -84,7 +83,7 @@ def _elastic(target: int, *, n_clients: int, n_client_nodes: int,
     with obs.installed(reg):
         tb = Testbed(n_nodes=target + n_client_nodes + 1)
         gen = load_hatkv_module(
-            "function", cacheable={"ttl": TTL, "hot_promote": HOT_PROMOTE})
+            "function", cacheable={"ttl": TTL})
         cluster = ShardedKVCluster(
             tb, SHARDS, gen_module=gen, vnodes=vnodes,
             reserve_nodes=tb.nodes[SHARDS:target]).start()

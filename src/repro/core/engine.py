@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import frame, obs
 from repro.obs import trace as obstrace
-from repro.core.hints import ResolvedHints, cacheable_hint, resolve_hints
+from repro.core.hints import ResolvedHints, resolve_hints
 from repro.core.pipeline import (BoundedSeqidSet, CallHandle, ChannelPipeline,
                                  PipelineDead)
 from repro.core.resilience import (CircuitBreaker, FaultCounters, RetryBudget,
@@ -81,11 +81,6 @@ class ChannelPlan:
     #: routes here at plan time, but the server serves it and the online
     #: tuner may re-route functions onto it at runtime.
     alternate: bool = False
-    #: True for the one-sided hot-read channel provisioned by a
-    #: ``cacheable(hot_promote = N)`` hint: no function routes here at plan
-    #: time; the client cache steers promoted hot-key misses onto it
-    #: per-call (server-bypass read instead of full RPC).
-    hot_read: bool = False
 
     def key(self):
         return (self.transport, self.protocol, self.server_poll,
@@ -244,33 +239,6 @@ def build_service_plan(service: str,
                 server_numa=s_numa, client_numa=c_numa,
                 max_msg=alt_max_msg, resp_size=_UNHINTED_MAX_MSG,
                 functions=(), alternate=True, window=window))
-
-    # cacheable(hot_promote >= 1) on any RDMA-planned read provisions one
-    # server-bypass hot-read channel.  Like alternates it carries no
-    # functions at plan time; the client cache steers promoted hot-key
-    # misses onto it per-call.  Both peers derive it from the same hint
-    # map, so the server is already serving it.
-    hot = [(fn, r) for fn, r in routes.items()
-           if r["choice"].transport == "rdma"
-           and any(cacheable_hint(r[side]) is not None
-                   and cacheable_hint(r[side]).hot_promote >= 1
-                   for side in ("server", "client"))]
-    if hot:
-        h_max_msg = max(keyed[r["key"]]["max_msg"] for _, r in hot)
-        h_resp = max(keyed[r["key"]]["resp"] for _, r in hot)
-        h_conc = max(keyed[r["key"]]["conc"] for _, r in hot)
-        window = 1
-        if pipeline:
-            window = min(max(h_conc, _MIN_WINDOW), _MAX_WINDOW)
-        _, r0 = hot[0]
-        channels.append(ChannelPlan(
-            index=len(channels), transport="rdma", protocol="pilaf",
-            server_poll=r0["choice"].poll_mode,
-            client_poll=r0["choice"].poll_mode,
-            server_numa=r0["server"].numa_binding,
-            client_numa=r0["client"].numa_binding,
-            max_msg=h_max_msg, resp_size=h_resp,
-            functions=(), hot_read=True, window=window))
 
     final_routes = {
         fn: FunctionRoute(channel=key_to_index[r["key"]],
@@ -803,8 +771,7 @@ class HatRpcEngine:
                 p.trace_ctx = prev_ctx
 
     def call_async(self, fn_name: str, message: bytes, oneway: bool = False,
-                   seqid: Optional[int] = None,
-                   channel: Optional[int] = None):
+                   seqid: Optional[int] = None):
         """Coroutine: post one serialized message without waiting for the
         response; returns a :class:`~repro.core.pipeline.CallHandle`.
 
@@ -814,35 +781,24 @@ class HatRpcEngine:
         ``yield from handle.wait()``.  Channels whose protocol cannot
         pipeline (TCP, rendezvous) still work: the window degrades to one
         call at a time, preserving the API.
-
-        ``channel`` overrides the planned channel for this one call (the
-        hot-key cache steers promoted misses onto the hot-read channel
-        this way); failover candidates are still ranked from the override.
         """
-        entry = self._admit(fn_name, message, oneway, seqid, channel=channel,
-                            pipelined=True)
+        entry = self._admit(fn_name, message, oneway, seqid, pipelined=True)
         yield from self._submit_entry(entry)
         return entry.handle
 
     # -- decision sites (each written once; both drivers pass through) -------
     def _admit(self, fn_name: str, message: bytes, oneway: bool,
-               seqid: Optional[int], channel: Optional[int] = None,
-               pipelined: bool = False,
+               seqid: Optional[int], pipelined: bool = False,
                ser_start: Optional[float] = None) -> _PendingCall:
-        """Admission: route lookup, per-call channel override, wire-driver
-        choice, the seqid gate and the trace root.  Returns the call's
-        record; a refused call leaves none."""
+        """Admission: route lookup, wire-driver choice, the seqid gate and
+        the trace root.  Returns the call's record; a refused call leaves
+        none."""
         if not self._connected:
             raise RuntimeError("engine not connected")
         route = self.plan.routes.get(fn_name)
         if route is None:
             raise KeyError(f"function {fn_name!r} not in service plan "
                            f"for {self.plan.service!r}")
-        if channel is not None and channel != route.channel:
-            if not 0 <= channel < len(self.plan.channels):
-                raise KeyError(f"channel override {channel} out of range "
-                               f"for {self.plan.service!r}")
-            route = replace(route, channel=channel)
         if not pipelined:
             # A second blocking receiver on a CQ with a live pipeline
             # would steal its completions, so the call rides the same
@@ -1247,28 +1203,6 @@ class HatRpcEngine:
                     "abandoned in-flight (pipelined)")
 
     # -- routing helpers -----------------------------------------------------
-    def hot_read_channel(self) -> Optional[int]:
-        """Index of the plan's one-sided hot-read channel, if provisioned."""
-        for ch in self.plan.channels:
-            if ch.hot_read:
-                return ch.index
-        return None
-
-    def channel_saturated(self, fn_name: str) -> bool:
-        """True when ``fn_name``'s planned channel has a full in-flight
-        window -- the next call would block for a credit.
-
-        A cheap congestion signal for steering decisions: a one-sided
-        hot read costs more round trips than the two-sided RPC, so the
-        hot-key cache offloads a promoted miss only when the RPC window
-        is already the bottleneck (credits exhausted) and the extra
-        trips buy queue relief rather than pure latency."""
-        route = self.plan.routes.get(fn_name)
-        if route is None:
-            return False
-        pipe = self._pipelines.get(route.channel)
-        return pipe is not None and pipe._credits <= 0
-
     def _note_routing(self, fn_name: str, route: FunctionRoute, idx: int
                       ) -> None:
         prev = self._last_channel.get(route.channel, route.channel)

@@ -28,7 +28,7 @@ polling         str      busy | event      (explicit override)
 priority        str      high | normal | low
 batch_size      int      expected batching factor (>= 1)
 tunable         bool     allow the online tuner to re-resolve choices
-cacheable       dict     ``cacheable(ttl = <dur>, hot_promote = <int>)``
+cacheable       dict     ``cacheable(ttl = <dur>)``
 =============== ======== ===========================================
 
 ``tunable`` extends the paper's grammar for the closed-loop tuner: a
@@ -38,16 +38,14 @@ at runtime; the declared hints remain the starting point and the
 fallback.
 
 ``cacheable`` extends the grammar for the client hot-key cache: a
-read function marked ``cacheable(ttl = 200us, hot_promote = 8)`` lets
-the server grant per-key leases of ``ttl`` seconds on its replies (the
-client may serve the key locally until the lease expires or a newer
-version is observed), and promotes keys read at least ``hot_promote``
-times to the one-sided hot-read channel on a cache miss
-(``hot_promote = 0`` disables promotion).  Writers to a leased key are
-held until every outstanding lease has expired, so a cached read can
-never return a value older than the last acknowledged write.  The
-parsed value is a dict and rides in :attr:`ResolvedHints.extras`;
-:func:`cacheable_hint` gives the typed view.
+read function marked ``cacheable(ttl = 200us)`` lets the server grant
+per-key leases of ``ttl`` seconds on its replies (the client may serve
+the key locally until the lease expires or a newer version is
+observed).  Writers to a leased key are held until every outstanding
+lease has expired, so a cached read can never return a value older than
+the last acknowledged write.  The parsed value is a dict and rides in
+:attr:`ResolvedHints.extras`; :func:`cacheable_hint` gives the typed
+view.
 """
 
 from __future__ import annotations
@@ -113,19 +111,17 @@ HINT_SCHEMA: Dict[str, HintSpec] = {
         HintSpec("batch_size", int, lambda v: v >= 1, "integer >= 1"),
         HintSpec("tunable", bool, lambda v: True, "bool"),
         HintSpec("cacheable", dict, lambda v: _check_cacheable(v),
-                 "cacheable(ttl = <seconds > 0>, hot_promote = <int >= 0>)"),
+                 "cacheable(ttl = <seconds > 0>)"),
     ]
 }
 
 
 def _check_cacheable(value: Dict[str, Any]) -> bool:
-    if set(value) - {"ttl", "hot_promote"} or "ttl" not in value:
+    if set(value) != {"ttl"}:
         return False
     ttl = value["ttl"]
-    if isinstance(ttl, bool) or not isinstance(ttl, (int, float)) or ttl <= 0:
-        return False
-    hot = value.get("hot_promote", 0)
-    return not isinstance(hot, bool) and isinstance(hot, int) and hot >= 0
+    return not isinstance(ttl, bool) and isinstance(ttl, (int, float)) \
+        and ttl > 0
 
 DEFAULT_HINTS: Dict[str, Any] = {
     "perf_goal": "throughput",
@@ -200,7 +196,6 @@ class CacheableHint:
     """Typed view of the ``cacheable(...)`` hint (seconds on the sim clock)."""
 
     ttl: float
-    hot_promote: int = 0
 
 
 def cacheable_hint(resolved: ResolvedHints) -> Optional[CacheableHint]:
@@ -208,8 +203,7 @@ def cacheable_hint(resolved: ResolvedHints) -> Optional[CacheableHint]:
     raw = resolved.extras.get("cacheable")
     if raw is None:
         return None
-    return CacheableHint(ttl=float(raw["ttl"]),
-                         hot_promote=int(raw.get("hot_promote", 0)))
+    return CacheableHint(ttl=float(raw["ttl"]))
 
 
 def resolve_hints(service_map: Mapping[str, Mapping[str, Any]],

@@ -419,7 +419,7 @@ class AsyncCaller:
     (:class:`repro.core.trdma._AsyncTRdma`), posts the captured message via
     ``engine.call_async``, and parks the paused generator in a
     :class:`StubCallHandle` to finish deserialization when the response
-    lands.  One shared seqid counter spans every async (and batch) call, so
+    lands.  One shared seqid counter spans every call, blocking or async, so
     the engine's duplicate-send gate keeps working.
     """
 
@@ -427,10 +427,10 @@ class AsyncCaller:
         self.client = client
         self.engine = client.engine
 
-    def call_async(self, method: str, *args, channel: Optional[int] = None):
+    def call_async(self, method: str, *args):
         """Coroutine: issue ``stub.<method>(*args)`` without waiting;
-        returns a :class:`StubCallHandle`.  ``channel`` overrides the
-        planned channel for this one call (hot-read steering)."""
+        returns a :class:`StubCallHandle`.  Post several, then wait on
+        them all with :func:`gather`."""
         trdma = _AsyncTRdma(self.engine)
         stub = self.client._stub_cls(HintedProtocol(trdma))
         # One numbering across every stub, sync AND async: the throwaway
@@ -452,46 +452,8 @@ class AsyncCaller:
         fn, message, oneway, seqid = trdma.captured
         handle = yield from self.engine.call_async(fn, message,
                                                    oneway=oneway,
-                                                   seqid=seqid,
-                                                   channel=channel)
+                                                   seqid=seqid)
         return StubCallHandle(method, handle, gen, trdma)
-
-    def call_many(self, calls, timeout: Optional[float] = None):
-        """Coroutine: issue ``[(method, *args), ...]`` as one pipelined
-        batch and gather the decoded results in call order.
-
-        All requests post before the first response is awaited; per-call
-        round trips overlap under the channel window.  The first per-call
-        failure is raised after the batch settles.
-        """
-        eng = self.engine
-        sim = eng.node.sim
-        batch = None
-        if eng._trc is not None:
-            batch = eng._trc.start_call(
-                "call_many", eng.node.name, lambda: sim.now,
-                attrs={"n": len(calls), "service": self.client.service_name})
-        try:
-            t0 = sim.now
-            handles = []
-            for call in calls:
-                method, args = call[0], call[1:]
-                handles.append((yield from self.call_async(method, *args)))
-            if batch is not None:
-                batch.stage("post", t0, sim.now, n=len(handles))
-            t1 = sim.now
-            try:
-                results = yield from gather(handles, timeout)
-            finally:
-                if batch is not None:
-                    batch.stage("gather", t1, sim.now)
-        except BaseException as exc:
-            if batch is not None:
-                batch.finish(sim.now, status=type(exc).__name__)
-            raise
-        if batch is not None:
-            batch.finish(sim.now, status="ok")
-        return results
 
 
 def hatrpc_connect(node, remote_node, gen_module, service_name: str,

@@ -1,15 +1,12 @@
 """Client-side hot-key cache: the ``cacheable`` hint's client half.
 
 Zipfian traffic concentrates on a tiny hot set, yet every Get pays a full
-RPC.  A read function marked ``cacheable(ttl, hot_promote)`` lets the
-server grant per-key leases on its replies (see
-:class:`repro.hatkv.server.LeaseTable` for the server half and the safety
-argument); the client may then serve the key locally until the lease
-expires or a newer version is observed.  :class:`HotKeyCache` holds those
-leased entries -- bounded, LRU-evicted, with per-key access frequencies so
-keys read at least ``hot_promote`` times get their *misses* steered onto
-the plan's one-sided hot-read channel (Pilaf-style READ instead of full
-RPC) by :class:`repro.hatkv.sharding.ShardRouter`.
+RPC.  A read function marked ``cacheable(ttl)`` lets the server grant
+per-key leases on its replies (see :class:`repro.hatkv.server.LeaseTable`
+for the server half and the safety argument); the client may then serve
+the key locally until the lease expires or a newer version is observed.
+:class:`HotKeyCache` holds those leased entries -- bounded and
+LRU-evicted -- for :class:`repro.hatkv.sharding.ShardRouter`.
 
 Metrics (shared registry, like the ``hatkv.<op>`` counters):
 
@@ -17,15 +14,14 @@ Metrics (shared registry, like the ``hatkv.<op>`` counters):
 * ``hatkv.cache.invalidations`` -- entries dropped by writes, observed
   newer versions, failover, or migration cutover;
 * ``hatkv.cache.lease_expiries`` -- entries that aged out on the sim
-  clock before being served;
-* ``hatkv.cache.hot_reads`` -- promoted misses sent one-sided.
+  clock before being served.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro import obs
 from repro.sim.units import us
@@ -54,54 +50,29 @@ class HotKeyCache:
     depends on eviction.
     """
 
-    def __init__(self, sim, ttl: float, hot_promote: int = 0,
-                 capacity: int = 4096):
+    def __init__(self, sim, ttl: float, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.sim = sim
         self.ttl = ttl
-        self.hot_promote = hot_promote
         self.capacity = capacity
         self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
-        self._freq: Dict[bytes, int] = {}
-        self._accesses = 0
         reg = obs.current()
         if reg is not None:
             self._m_hits = reg.counter("hatkv.cache.hits")
             self._m_misses = reg.counter("hatkv.cache.misses")
             self._m_inval = reg.counter("hatkv.cache.invalidations")
             self._m_expiries = reg.counter("hatkv.cache.lease_expiries")
-            self._m_hot = reg.counter("hatkv.cache.hot_reads")
         else:
             self._m_hits = self._m_misses = None
-            self._m_inval = self._m_expiries = self._m_hot = None
+            self._m_inval = self._m_expiries = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- frequency promotion -------------------------------------------------
-    def _touch(self, key: bytes) -> None:
-        self._freq[key] = self._freq.get(key, 0) + 1
-        self._accesses += 1
-        if self._accesses >= 8 * self.capacity:
-            # Periodic halving keeps the sketch bounded and recency-biased
-            # (a key that stopped being hot decays out within a few rounds).
-            self._accesses = 0
-            self._freq = {k: n // 2 for k, n in self._freq.items() if n > 1}
-
-    def promoted(self, key: bytes) -> bool:
-        """True when misses on ``key`` should ride the hot-read channel."""
-        return (self.hot_promote >= 1
-                and self._freq.get(key, 0) >= self.hot_promote)
-
-    def count_hot_read(self) -> None:
-        if self._m_hot is not None:
-            self._m_hot.inc()
-
     # -- the read path -------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[CacheEntry]:
         """The unexpired entry for ``key``, or None (counted as a miss)."""
-        self._touch(key)
         entry = self._entries.get(key)
         if entry is not None and entry.expiry <= self.sim.now:
             del self._entries[key]

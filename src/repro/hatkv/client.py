@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.engine import ServicePlan
 from repro.core.hints import cacheable_hint, resolve_hints
-from repro.core.runtime import AsyncCaller, hatrpc_connect
+from repro.core.runtime import hatrpc_connect
 from repro.hatkv.cache import HotKeyCache
 from repro.hatkv.server import BASE_SID, SERVICE
 
-__all__ = ["IDEMPOTENT_FUNCTIONS", "cache_for", "connect_hatkv",
-           "multi_delete", "multi_put"]
+__all__ = ["IDEMPOTENT_FUNCTIONS", "cache_for", "connect_hatkv"]
 
 #: KVService functions that are safe to re-send after a transport failure:
 #: the read set.  Put/MultiPut are deliberately absent -- a lost-ACK retry
@@ -35,9 +34,9 @@ def connect_hatkv(node, server_node, gen_module,
     The read functions are pre-registered idempotent, so the engine may
     transparently retry / fail them over under injected faults; writes are
     never blind-retried.  ``pipeline=True`` (matched by the server) lets
-    the batched helpers :func:`multi_put` / :func:`multi_delete` -- and the
-    shard router's ``multi_get`` / ``multi_put`` -- overlap the per-key
-    round trips under the channel's in-flight window.
+    calls posted on ``stub._hatrpc.async_caller()`` -- the shard router's
+    batch legs and the migration copy stream -- overlap their round trips
+    under the channel's in-flight window.
     """
     stub = yield from hatrpc_connect(node, server_node, gen_module, SERVICE,
                                      base_service_id=base_service_id,
@@ -51,31 +50,6 @@ def connect_hatkv(node, server_node, gen_module,
     return stub
 
 
-def _caller_of(stub) -> AsyncCaller:
-    client = getattr(stub, "_hatrpc", None)
-    if client is None:
-        raise RuntimeError("stub was not built by connect_hatkv / "
-                           "hatrpc_connect (no _hatrpc client attached)")
-    return client.async_caller()
-
-
-def multi_put(stub, keys: Sequence[bytes], values: Sequence[bytes]):
-    """Coroutine: store ``values`` under ``keys`` as one pipelined batch:
-    one ``Put`` per key under the channel's in-flight window (client-side
-    batching, ``AsyncCaller.call_many``) -- not one big ``MultiPut``."""
-    if len(keys) != len(values):
-        raise ValueError("keys/values length mismatch")
-    return _caller_of(stub).call_many(
-        [("Put", k, v) for k, v in zip(keys, values)])
-
-
-def multi_delete(stub, keys: Sequence[bytes]):
-    """Coroutine: remove ``keys`` as one pipelined batch (one ``Delete``
-    per key under the channel window).  The migration driver uses this to
-    propagate deletions that landed while a range's snapshot streamed."""
-    return _caller_of(stub).call_many([("Delete", k) for k in keys])
-
-
 def cache_for(node, gen_module, capacity: int = 4096
               ) -> Optional[HotKeyCache]:
     """A :class:`HotKeyCache` sized from the gen module's cacheable hint
@@ -86,5 +60,4 @@ def cache_for(node, gen_module, capacity: int = 4096
         hint_map.get("functions", {}).get("Get"), "client"))
     if cc is None:
         return None
-    return HotKeyCache(node.sim, cc.ttl, hot_promote=cc.hot_promote,
-                       capacity=capacity)
+    return HotKeyCache(node.sim, cc.ttl, capacity=capacity)

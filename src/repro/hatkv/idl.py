@@ -35,10 +35,9 @@ def hatkv_idl(variant: str = "function", concurrency: int = 128,
     path), which changes the channel plan.
 
     ``cacheable`` optionally marks Get as client-cacheable, e.g.
-    ``{"ttl": 200e-6, "hot_promote": 8}``: the server grants per-key
-    leases of ``ttl`` seconds on Get replies and the plan gains a
-    one-sided hot-read channel when ``hot_promote >= 1`` (see the
-    ``cacheable`` hint in :mod:`repro.core.hints`).
+    ``{"ttl": 200e-6}``: the server grants per-key leases of ``ttl``
+    seconds on Get replies (see the ``cacheable`` hint in
+    :mod:`repro.core.hints`).  Any other key is refused.
     """
     if variant not in ("service", "function"):
         raise ValueError("variant must be 'service' or 'function'")
@@ -69,12 +68,13 @@ def hatkv_idl(variant: str = "function", concurrency: int = 128,
         fn_hints[fn] = f"[ {clause} ]" if not block \
             else block[:-1].rstrip() + f" {clause} ]"
     if cacheable is not None:
+        unknown = sorted(set(cacheable) - {"ttl"})
+        if unknown:
+            raise ValueError(f"unknown cacheable key {unknown[0]!r}")
         ttl = float(cacheable["ttl"])
         if ttl <= 0:
             raise ValueError(f"cacheable ttl must be > 0, not {ttl!r}")
-        hot = int(cacheable.get("hot_promote", 0))
-        clause = (f"hint: cacheable(ttl = {ttl:.9f}, "
-                  f"hot_promote = {hot});")
+        clause = f"hint: cacheable(ttl = {ttl:.9f});"
         block = fn_hints["Get"]
         fn_hints["Get"] = f"[ {clause} ]" if not block \
             else block[:-1].rstrip() + f" {clause} ]"

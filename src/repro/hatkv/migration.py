@@ -23,7 +23,7 @@ The protocol per range (driven by
 :meth:`repro.hatkv.sharding.ShardedKVCluster.resize`):
 
 1. **MIGRATING** -- the old owner streams a snapshot of the range to the
-   new holders via pipelined ``multi_put`` RPCs; writes keep landing on
+   new holders via pipelined single-key Put RPCs; writes keep landing on
    the old replica set (authoritative) and every acknowledged write is
    dirty-marked.  Unfenced catch-up rounds drain the dirty set while
    traffic flows.

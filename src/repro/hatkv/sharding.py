@@ -11,10 +11,10 @@ state -- and maps keys onto shards with a consistent-hash ring
 Replication is successor-based: a key's primary shard is its ring owner,
 and its replicas are the next ``replicas - 1`` shards in shard order.
 Every key on primary ``s`` therefore has the same replica set, which lets
-the router fail a *whole channel's* swept reads over to one replica engine
-without decoding per-call keys.  Reads fail over to replicas; writes fan
-to every replica and surface typed transport errors instead of blindly
-retrying (a re-sent write could double-apply).
+the router fail a shard's whole ``MultiGet`` or ``Scan`` sub-batch over to
+one replica.  Reads fail over to replicas; writes fan to every replica and
+surface typed transport errors instead of blindly retrying (a re-sent
+write could double-apply).
 
 The ring is elastic: :meth:`ShardedKVCluster.resize` grows or shrinks the
 shard count *live*, streaming only the remapped vnode arcs to their new
@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.thrift.errors import TTransportException
+from repro.thrift.errors import TRejectedException, TTransportException
 
 from repro import obs
 from repro.core.runtime import gather
@@ -41,8 +41,6 @@ from repro.hatkv.cache import (HIT_COST, HotKeyCache, cache_hit_result,
                                trace_cache_hit)
 from repro.hatkv.client import (IDEMPOTENT_FUNCTIONS, cache_for,
                                 connect_hatkv)
-from repro.hatkv.client import multi_delete as _pipelined_multi_delete
-from repro.hatkv.client import multi_put as _pipelined_multi_put
 from repro.hatkv.idl import load_hatkv_module
 from repro.hatkv.migration import (FORWARD_WINDOW, HandoffGuard,
                                    MigrationPlan, RangeState, VnodeRange,
@@ -515,13 +513,14 @@ class ShardedKVCluster:
         """Coroutine: stream ``keys`` of one range to its new holders.
 
         Reads are costed backend batches on the source primary; writes
-        ride pipelined ``multi_put`` RPCs over server-to-server stubs --
+        ride pipelined single-key Puts over server-to-server stubs --
         migration shares the RPC substrate (and its windows and hints)
         with client traffic instead of a magic side channel.  Keys that
         vanished since they were dirty-marked propagate as pipelined
-        Deletes, so a removal during the copy cannot resurrect at the new
-        owner.  Version floors are adopted before each batch lands:
-        client-visible versions stay monotonic across the handoff.
+        Deletes once the Puts settled, so a removal during the copy cannot
+        resurrect at the new owner.  Version floors are adopted before
+        each batch lands: client-visible versions stay monotonic across
+        the handoff.
         """
         if not keys:
             return
@@ -538,12 +537,15 @@ class ShardedKVCluster:
                     for k in chunk:
                         dst_srv.leases.adopt(k, src.leases.version(k))
                 stub = yield from self._migr_stub(task.src[0], dst)
-                if present:
-                    yield from _pipelined_multi_put(
-                        stub, [k for k, _ in present],
-                        [v for _, v in present])
-                if absent:
-                    yield from _pipelined_multi_delete(stub, absent)
+                caller = stub._hatrpc.async_caller()
+                for calls in ([("Put", k, v) for k, v in present],
+                              [("Delete", k) for k in absent]):
+                    if calls:
+                        handles = []
+                        for method, *args in calls:
+                            handles.append(
+                                (yield from caller.call_async(method, *args)))
+                        yield from gather(handles)
             task.keys_moved += len(present)
             task.bytes_moved += sum(len(k) + len(v) for k, v in present)
 
@@ -588,9 +590,8 @@ def _flat(reply) -> bytes:
 class _Shard(NamedTuple):
     """One shard as a router sees it: two wire drivers over one engine."""
     stub: Any       # blocking driver: primary single-key legs, failover legs
-    caller: Any     # pipelined driver: hot reads, replica and batch legs
+    caller: Any     # pipelined driver: replica writes and batch legs
     engine: Any
-    hot: Any        # the plan's one-sided hot-read channel (None: no cache)
     ops: Any        # hatkv.router.shard<i>.ops counter (None: metrics off)
 
 
@@ -609,9 +610,14 @@ class ShardRouter:
     range's previous holders for the forwarding window, and each range
     flip invalidates exactly that range's cached keys.
 
-    Each decision has one site shared by all eight stub methods (table
-    in DESIGN.md section 10): ``_cached``, ``_steer``, ``_primary_answered``,
+    Each decision has one site shared by all six stub methods (table
+    in DESIGN.md section 10): ``_cached``, ``_primary_answered``,
     ``_failover``, ``_write_one`` / ``_write_batch``, ``_call`` / ``_issue``.
+
+    A router, like a Thrift client, serves one process at a time: its
+    shard stubs number their calls from one seqid counter each, so two
+    processes interleaving calls on one router can take each other's
+    replies.  Give every client process its own router.
     """
 
     def __init__(self, cluster: ShardedKVCluster, node, cache=None,
@@ -642,7 +648,6 @@ class ShardRouter:
             engine = stub._hatrpc.engine
             self._shards.append(_Shard(
                 stub, stub._hatrpc.async_caller(), engine,
-                engine.hot_read_channel() if self.cache is not None else None,
                 _counter(f"hatkv.router.shard{index}.ops")))
 
     def detach_shards(self, count: int):
@@ -672,14 +677,14 @@ class ShardRouter:
             s.ops.inc()
         return getattr(s.stub, method)(*args)
 
-    def _issue(self, shard: int, method: str, *args, channel=None):
+    def _issue(self, shard: int, method: str, *args):
         """Coroutine: post ``method`` on ``shard``'s pipelined caller;
-        returns the handle (``channel`` overrides the planned one)."""
+        returns the handle."""
         self._check_open(method)
         s = self._shards[shard]
         if s.ops is not None:
             s.ops.inc()
-        return s.caller.call_async(method, *args, channel=channel)
+        return s.caller.call_async(method, *args)
 
     def _check_open(self, method: str) -> None:
         """Both drivers raise ``NOT_OPEN`` after :meth:`close`: a failover
@@ -698,18 +703,6 @@ class ShardRouter:
             trace_cache_hit(self._shards[self.cluster.primary(key)].engine,
                             fn, entry)
         return entry
-
-    def _steer(self, shard: int, key):
-        """The hot-read steer: ``shard``'s one-sided channel when ``key``
-        is promoted AND the RPC window is saturated (the one-sided read
-        costs more trips, so it only pays when it relieves a congested
-        request channel), else None: the planned channel."""
-        s = self._shards[shard]
-        if s.hot is not None and self.cache.promoted(key) \
-                and s.engine.channel_saturated("Get"):
-            self.cache.count_hot_read()
-            return s.hot
-        return None
 
     def _primary_answered(self, key, shard: int, result, issued, gen0):
         """Coroutine: what the primary's Get reply turns into.  A miss
@@ -754,12 +747,21 @@ class ShardRouter:
         ``exc``: re-ask ``shards`` in order (skipping it) on the blocking
         stub and return ``(answering_shard, reply)``, or raise the last
         transport error -- ``exc`` itself when there is no replica.  A
-        replica may lag its primary: callers never cache the reply."""
+        replica may lag its primary: callers never cache the reply.
+
+        An admission rejection is not a failure: the shard is alive and
+        shed the read on purpose, so re-asking a replica would only move
+        the overload sideways.  It is raised as it came, whether the
+        primary or a replica leg refused."""
+        if isinstance(exc, TRejectedException):
+            raise exc
         for r in shards:
             if r == failed:
                 continue
             try:
                 reply = yield from self._call(r, method, *args)
+            except TRejectedException:
+                raise
             except TTransportException as err:
                 exc = err
                 continue
@@ -787,49 +789,13 @@ class ShardRouter:
         gen0 = self.cluster.routing_epoch
         pref = self.cluster.preference(key)
         shard = pref[0]
-        chan = self._steer(shard, key)
         issued = self.node.sim.now
         try:
-            if chan is None:
-                result = yield from self._call(shard, "Get", key)
-            else:
-                h = yield from self._issue(shard, "Get", key, channel=chan)
-                result = yield from h.wait()
+            result = yield from self._call(shard, "Get", key)
         except TTransportException as exc:
             return (yield from self._get_failover(shard, pref, exc, key))
         return (yield from self._primary_answered(key, shard, result,
                                                   issued, gen0))
-
-    def multi_get(self, keys):
-        """Coroutine: one pipelined single-key Get per key, fanned across
-        shards under each shard channel's in-flight window; values come
-        back in request order (b"" when absent).  Per key the decisions
-        are :meth:`Get`'s; only the primary leg's wire driver differs."""
-        out: List[Optional[bytes]] = [None] * len(keys)
-        pending = []
-        gen0 = self.cluster.routing_epoch
-        for i, key in enumerate(keys):
-            entry = yield from self._cached(key, "Get")
-            if entry is not None:
-                out[i] = _flat(entry)
-                continue
-            shard = self.cluster.primary(key)
-            chan = self._steer(shard, key)
-            issued = self.node.sim.now
-            pending.append((i, shard, key, issued, (
-                yield from self._issue(shard, "Get", key, channel=chan))))
-        for i, shard, key, issued, h in pending:
-            try:
-                result = yield from h.wait()
-            except TTransportException as exc:
-                # along the key's *current* preference list (plan-aware)
-                result = yield from self._get_failover(
-                    shard, self.cluster.preference(key), exc, key)
-            else:
-                result = yield from self._primary_answered(
-                    key, shard, result, issued, gen0)
-            out[i] = _flat(result)
-        return out
 
     def MultiGet(self, keys):
         """Coroutine: values for ``keys`` (b"" when absent), fanned as one
@@ -1007,19 +973,19 @@ class ShardRouter:
             handles.append((yield from self._issue(shard, method, *args)))
         yield from gather(handles)
 
-    def _write_batch(self, keys, values, waves):
+    def _write_batch(self, keys, values):
         """Coroutine: one batch write, wave by wave.
 
-        ``waves(keys, values, prefs)`` lays the batch out as waves of
-        calls, every primary in the first; a wave settles before the next
-        starts (primary-first, as :meth:`_write_one`).  Replica sets are
+        :meth:`_shard_waves` lays the batch out as waves of calls, every
+        primary in the first; a wave settles before the next starts
+        (primary-first, as :meth:`_write_one`).  Replica sets are
         resolved once, under the migration write gate -- a re-resolve
         between waves could split one write across a cutover."""
         if len(keys) != len(values):
             raise ValueError("keys/values length mismatch")
         tokens, prefs = yield from self._write_intent(keys)
         try:
-            for wave in waves(keys, values, prefs):
+            for wave in self._shard_waves(keys, values, prefs):
                 yield from self._wave(wave)
         finally:
             self._write_done(keys, tokens)
@@ -1027,7 +993,7 @@ class ShardRouter:
     def MultiPut(self, keys, values):
         """Coroutine: store a batch, one server-side MultiPut per shard
         per replica, in two waves: every primary, then every replica."""
-        return self._write_batch(keys, values, self._shard_waves)
+        return self._write_batch(keys, values)
 
     @staticmethod
     def _shard_waves(keys, values, prefs):
@@ -1040,17 +1006,6 @@ class ShardRouter:
                 vs.append(value)
         return [[(shard, "MultiPut", ks, vs)
                  for shard, (ks, vs) in wave.items()] for wave in waves]
-
-    def multi_put(self, keys, values):
-        """Coroutine: one pipelined single-key Put per key per replica,
-        one wave per hop of the preference lists (primaries first)."""
-        return self._write_batch(keys, values, self._key_waves)
-
-    def _key_waves(self, keys, values, prefs):
-        return [[(pref[hop], "Put", key, value)
-                 for key, value, pref in zip(keys, values, prefs)
-                 if hop < len(pref)]
-                for hop in range(self.cluster.replicas)]
 
     def close(self) -> None:
         """Tear down every shard client.  ``_closed`` flips first, so a

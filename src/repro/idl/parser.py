@@ -11,7 +11,7 @@ HatRPC hint extension:
 * ``Hint ::= key '=' value | key '(' (param '=' value)* ')'`` with integer,
   float, string, identifier, size-suffixed (``64KB``) and time-suffixed
   (``200us``) values; the parameterized form (e.g.
-  ``cacheable(ttl = 200us, hot_promote = 8)``) yields a dict-valued hint.
+  ``cacheable(ttl = 200us)``) yields a dict-valued hint.
 """
 
 from __future__ import annotations

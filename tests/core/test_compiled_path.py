@@ -5,14 +5,15 @@ per-value field loop ``read_fields`` only at a field the compiled decoder
 does not take; a lapse on either peer would still answer every call
 correctly and show only as host time.  Here the per-value methods raise,
 and every call kind the workloads make must still succeed: an Echo over an
-RDMA channel and over a TCP channel of a hybrid plan, a pipelined
-``call_many``, and a HatKV ``Get`` and ``Put``.
+RDMA channel and over a TCP channel of a hybrid plan, pipelined
+``call_async`` calls gathered together, and a HatKV ``Get`` and ``Put``.
 """
 
 import pytest
 
 from repro.core.engine import plan_with_window
-from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
+from repro.core.runtime import (HatRpcServer, gather, hatrpc_connect,
+                                service_plan_of)
 from repro.hatkv import HatKVServer, connect_hatkv, load_hatkv_module
 from repro.idl import load_idl
 from repro.testbed import Testbed
@@ -69,7 +70,7 @@ def test_echo_over_rdma_and_tcp_channels(compiled_only, gen):
     assert tb.sim.run(tb.sim.process(client())) == (payload, payload[::-1])
 
 
-def test_pipelined_call_many(compiled_only, gen):
+def test_pipelined_call_async_then_gather(compiled_only, gen):
     plan = plan_with_window(service_plan_of(gen, "Path"), 4)
     tb = Testbed(n_nodes=2)
     HatRpcServer(tb.node(0), gen, "Path", EchoHandler(), plan=plan).start()
@@ -78,8 +79,11 @@ def test_pipelined_call_many(compiled_only, gen):
     def client():
         stub = yield from hatrpc_connect(tb.node(1), tb.node(0), gen, "Path",
                                          plan=plan)
-        return (yield from stub._hatrpc.async_caller().call_many(
-            [("Echo", p) for p in payloads]))
+        caller = stub._hatrpc.async_caller()
+        handles = []
+        for p in payloads:
+            handles.append((yield from caller.call_async("Echo", p)))
+        return (yield from gather(handles))
 
     assert tb.sim.run(tb.sim.process(client())) == payloads
 

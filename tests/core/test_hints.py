@@ -160,8 +160,7 @@ def test_function_side_always_wins(fn_side_hints, side):
 # -- the cacheable hint -------------------------------------------------------
 
 def test_validate_cacheable_accepts_well_formed_params():
-    v = validate_hint("cacheable", {"ttl": 2e-4, "hot_promote": 8})
-    assert v == {"ttl": 2e-4, "hot_promote": 8}
+    assert validate_hint("cacheable", {"ttl": 2e-4}) == {"ttl": 2e-4}
     assert validate_hint("cacheable", {"ttl": 1}) == {"ttl": 1}
 
 
@@ -170,9 +169,9 @@ def test_validate_cacheable_accepts_well_formed_params():
     {"ttl": 0},                           # must be positive
     {"ttl": -1e-3},
     {"ttl": True},                        # bools are not numbers
-    {"ttl": 1e-3, "hot_promote": -1},     # threshold must be >= 0
-    {"ttl": 1e-3, "hot_promote": 2.5},    # and integral
-    {"ttl": 1e-3, "hot_promote": True},
+    {"ttl": float("nan")},                # NaN is not positive
+    {"ttl": "200us"},                     # the number, not its text
+    {"ttl": 1e-3, "hot_promote": 8},      # a parameter the hint dropped
     {"ttl": 1e-3, "warmup": 5},           # unknown parameter
     "200us",                              # not a parameter dict at all
 ])
@@ -185,7 +184,7 @@ def test_cacheable_hint_view_and_default():
     from repro.core.hints import CacheableHint, cacheable_hint
 
     fn_map = merge_hint_groups([HintGroup(side="shared", hints=[
-        Hint("cacheable", {"ttl": 1e-3, "hot_promote": 4})])])
+        Hint("cacheable", {"ttl": 1e-3})])])
     resolved = resolve_hints({}, fn_map, "client")
-    assert cacheable_hint(resolved) == CacheableHint(ttl=1e-3, hot_promote=4)
+    assert cacheable_hint(resolved) == CacheableHint(ttl=1e-3)
     assert cacheable_hint(resolve_hints({}, None, "client")) is None

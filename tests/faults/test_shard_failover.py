@@ -4,7 +4,8 @@ One shard's node loses its link mid-run: reads routed to it must fail
 over to the replica shard through the router's failover walk (swept
 in-flight pipelined reads included: their handle's transport error starts
 the same walk), while writes surface typed transport errors -- the router
-never blind-retries a write.
+never blind-retries a write.  A read the primary sheds under admission
+control is not a failure and is never failed over.
 """
 
 import random
@@ -12,11 +13,13 @@ import random
 import pytest
 
 from repro import obs
+from repro.core.overload import AdmissionConfig
+from repro.core.resilience import RetryPolicy
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.hatkv import ShardedKVCluster
 from repro.sim.units import ms, us
 from repro.testbed import Testbed
-from repro.thrift.errors import TTransportException
+from repro.thrift.errors import TRejectedException, TTransportException
 from repro.ycsb.workload import Workload
 
 pytestmark = pytest.mark.filterwarnings(
@@ -74,9 +77,10 @@ def test_reads_fail_over_to_replica_during_link_flap():
 
 
 def test_swept_inflight_reads_fail_over_to_replica():
-    """A pipelined burst is in flight when the primary's link drops: the
-    swept idempotent entries fail on their handles, and the router's
-    failover walk must answer each from the replica."""
+    """Pipelined MultiGets are in flight when the primary's link drops:
+    each swept sub-batch fails on its handle, and the router's failover
+    walk must answer it from the replica.  One router per client process
+    (a router, like a Thrift client, serves one process at a time)."""
     with obs.installed() as reg:
         tb = Testbed(n_nodes=6)
         cluster, keys = build_cluster(tb)
@@ -84,18 +88,54 @@ def test_swept_inflight_reads_fail_over_to_replica():
         FaultInjector(tb, FaultPlan(seed=5, events=(
             LinkFlap(flap_node, start=30 * us, duration=10 * ms),
         ))).arm()
-        out = {}
+        shard0 = keys_on_shard(cluster, keys, 0)[:40]
+        out = []
 
-        def client():
-            router = yield from cluster.connect(tb.node(4),
-                                                rng=random.Random(11))
-            shard0 = keys_on_shard(cluster, keys, 0)[:40]
-            out["values"] = yield from router.multi_get(shard0)
+        def client(i):
+            router = yield from cluster.connect(tb.node(2 + i % 4),
+                                                rng=random.Random(11 + i))
+            out.extend((yield from router.MultiGet(shard0[4 * i:4 * i + 4])))
             router.close()
 
-        tb.sim.run(tb.sim.process(client()))
-        assert out["values"] == [VALUE] * 40
-        assert reg.counter("hatkv.router.read_failovers").value >= 1
+        procs = [tb.sim.process(client(i)) for i in range(10)]
+        tb.sim.run(tb.sim.all_of(procs))
+        assert out == [VALUE] * 40
+        assert reg.counter("hatkv.router.read_failovers").value == 10
+
+
+def test_shed_reads_are_not_failed_over_to_replicas():
+    """An admission rejection is the primary shedding load on purpose:
+    the read surfaces a typed TRejectedException and no replica is asked,
+    so an overload storm is not shifted sideways onto the replica."""
+    with obs.installed() as reg:
+        tb = Testbed(n_nodes=6)
+        cluster, keys = build_cluster(
+            tb, admission=AdmissionConfig(capacity=1))
+        shard0 = keys_on_shard(cluster, keys, 0)[:20]
+        out = {"rejected": 0, "values": []}
+
+        def client(i):
+            router = yield from cluster.connect(
+                tb.node(2 + i % 4), rng=random.Random(i),
+                retry_policy=RetryPolicy(max_attempts=1))
+            yield tb.sim.timeout(2 * ms - tb.sim.now)     # released together
+            for key in shard0:
+                try:
+                    got = yield from router.Get(key)
+                except TRejectedException:
+                    out["rejected"] += 1
+                else:
+                    out["values"].append(got.value)
+            router.close()
+
+        procs = [tb.sim.process(client(i)) for i in range(16)]
+        tb.sim.run(tb.sim.all_of(procs))
+        shed = reg.counter("admission.rejected").value
+        assert shed > 0
+        assert out["rejected"] == shed
+        assert out["values"] == [VALUE] * (16 * 20 - shed)
+        assert reg.counter("hatkv.router.read_failovers").value == 0
+        assert reg.counter("hatkv.shard1.get").value == 0
 
 
 def test_close_during_failover_walk_fails_typed():

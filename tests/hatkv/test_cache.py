@@ -12,7 +12,8 @@ from repro import obs
 from repro.core.hints import CacheableHint, cacheable_hint, resolve_hints
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFlap
-from repro.hatkv import HatKVServer, ShardedKVCluster, load_hatkv_module
+from repro.hatkv import (HatKVServer, ShardedKVCluster, hatkv_idl,
+                         load_hatkv_module)
 from repro.hatkv.cache import CacheEntry, HotKeyCache
 from repro.hatkv.client import cache_for
 from repro.hatkv.server import SERVICE, LeaseTable
@@ -24,7 +25,7 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.obs.ObsInstallOrderWarning")
 
 TTL = 200e-6
-CACHEABLE = {"ttl": TTL, "hot_promote": 3}
+CACHEABLE = {"ttl": TTL}
 
 
 class FakeSim:
@@ -44,10 +45,19 @@ def test_cacheable_hint_resolves_from_gen_module():
     for side in ("server", "client"):
         cc = cacheable_hint(resolve_hints(
             hint_map["service"], hint_map["functions"]["Get"], side))
-        assert cc == CacheableHint(ttl=pytest.approx(TTL), hot_promote=3)
+        assert cc == CacheableHint(ttl=pytest.approx(TTL))
     # only Get is marked: a Put miss path must never consult the cache
     assert cacheable_hint(resolve_hints(
         hint_map["service"], hint_map["functions"]["Put"], "client")) is None
+
+
+def test_hatkv_idl_refuses_unknown_cacheable_keys():
+    # Lease ttl is the hint's only parameter: a key the IDL builder does
+    # not know is refused by name, never dropped without a word.
+    with pytest.raises(ValueError, match="hot_promote"):
+        hatkv_idl(cacheable={"ttl": 1e-4, "hot_promote": 4})
+    assert "cacheable(ttl = 0.000100000);" in hatkv_idl(
+        cacheable={"ttl": 1e-4})
 
 
 def test_uncached_module_resolves_no_hint():
@@ -126,15 +136,6 @@ def test_cache_capacity_evicts_lru():
     c.admit(b"c", R())
     assert c.lookup(b"b") is None
     assert c.lookup(b"a") is not None and c.lookup(b"c") is not None
-
-
-def test_cache_promotion_threshold_and_decay():
-    c = HotKeyCache(FakeSim(), ttl=TTL, hot_promote=3, capacity=4)
-    assert not c.promoted(b"hot")
-    for _ in range(3):
-        c.lookup(b"hot")
-    assert c.promoted(b"hot")
-    assert not c.promoted(b"cold")
 
 
 def test_cache_invalidate_and_clear_count():
@@ -301,55 +302,28 @@ def test_no_stale_reads_across_put_burst():
     assert out["final"].value == b"v5"
 
 
-def test_multi_get_serves_cached_keys_locally_and_admits_misses():
-    tb = Testbed(n_nodes=3)
-    gen, server = _start_cached(tb)
-    keys = [k(i) for i in range(10, 16)]
-    out = {}
-
-    def client():
-        kv = yield from _kv_client(tb, gen)
-        yield from kv.multi_put(keys, [b"v-" + key for key in keys])
-        yield tb.sim.timeout(2 * TTL)        # exit the write-suppression window
-        yield from kv.Get(keys[0])           # warm one key
-        reads0 = server.backend.reads
-        out["vals"] = yield from kv.multi_get(keys)
-        out["delta"] = server.backend.reads - reads0
-        reads1 = server.backend.reads
-        out["vals2"] = yield from kv.multi_get(keys)   # all admitted above
-        out["delta2"] = server.backend.reads - reads1
-
-    tb.sim.run(tb.sim.process(client()))
-    assert out["vals"] == [b"v-" + key for key in keys]
-    assert out["delta"] == len(keys) - 1     # the warm key never hit LMDB
-    assert out["vals2"] == out["vals"]
-    assert out["delta2"] == 0                # second sweep fully cached
-
-
-def test_hot_promotion_steers_misses_one_sided_under_saturation():
-    # Steering policy: a promoted miss rides the one-sided channel only
-    # while the RPC window is saturated -- the one-sided read costs more
-    # round trips, so it must buy queue relief, never add latency.  A
-    # multi_get wider than the window saturates it, so the overflow keys
-    # steer; a lone sequential Get never does.
+def test_MultiGet_serves_cached_keys_locally():
     with obs.installed() as reg:
         tb = Testbed(n_nodes=3)
         gen, server = _start_cached(tb)
-        keys = [k(i) for i in range(20, 30)]
+        keys = [k(i) for i in range(10, 16)]
+        out = {}
 
         def client():
             kv = yield from _kv_client(tb, gen)
-            yield from kv.multi_put(keys, [b"h" + key for key in keys])
-            yield tb.sim.timeout(2 * TTL)    # exit write suppression
-            for _ in range(3):               # lookups reach hot_promote=3
-                yield from kv.multi_get(keys)
-                yield tb.sim.timeout(TTL * 1.5)   # expire: force misses
-            yield from kv.Get(k(20))         # sequential: window is idle
-            yield from kv.multi_get(keys)
+            yield from kv.MultiPut(keys, [b"v-" + key for key in keys])
+            yield tb.sim.timeout(2 * TTL)    # exit the write-suppression window
+            yield from kv.Get(keys[0])       # warm one key
+            reads0 = server.backend.reads
+            misses0 = reg.counter("hatkv.cache.misses").value
+            out["vals"] = yield from kv.MultiGet(keys)
+            out["reads"] = server.backend.reads - reads0
+            out["misses"] = reg.counter("hatkv.cache.misses").value - misses0
 
         tb.sim.run(tb.sim.process(client()))
-        assert reg.counter("hatkv.cache.hot_reads").value >= 1
-        assert reg.counter("hatkv.lease.grants").value >= 1
+        assert out["vals"] == [b"v-" + key for key in keys]
+        assert out["misses"] == len(keys) - 1    # the warm key was a hit
+        assert out["reads"] == out["misses"]     # ... and never hit LMDB
 
 
 # -- cache bypass: the uncached deployment is untouched -----------------------
@@ -397,19 +371,15 @@ def test_uncached_flow_bypasses_cache_entirely():
     assert server.backend.reads == 2        # both Gets hit the server
 
 
-def test_uncached_plan_has_no_hot_read_channel():
+def test_cacheable_adds_no_channel_to_the_plan():
+    # The hint's whole client half is the cache above the router: the
+    # channel plan is the uncached one, channel for channel.
     gen_off = load_hatkv_module("function")
     gen_on = load_hatkv_module("function", cacheable=CACHEABLE)
     tb = Testbed(n_nodes=3)
     s_off = HatKVServer(tb.node(0), gen_off)
     s_on = HatKVServer(tb.node(1), gen_on)
-    off = [ch for ch in s_off.rpc.plan.channels if ch.hot_read]
-    on = [ch for ch in s_on.rpc.plan.channels if ch.hot_read]
-    assert off == []
-    assert len(on) == 1 and on[0].protocol == "pilaf"
-    # and the hot channel is appended, never renumbering existing ones
-    assert [c.index for c in s_on.rpc.plan.channels[:-1]] == \
-        [c.index for c in s_off.rpc.plan.channels]
+    assert s_on.rpc.plan.channels == s_off.rpc.plan.channels
 
 
 # -- failover invalidation ----------------------------------------------------
@@ -460,6 +430,5 @@ def test_link_flap_failover_invalidates_instead_of_serving_stale():
 def test_cache_metrics_streamed_names():
     with obs.installed() as reg:
         HotKeyCache(FakeSim(), ttl=TTL)
-        for name in ("hits", "misses", "invalidations", "lease_expiries",
-                     "hot_reads"):
+        for name in ("hits", "misses", "invalidations", "lease_expiries"):
             assert f"hatkv.cache.{name}" in reg.counters

@@ -27,7 +27,7 @@ from repro.ycsb.workload import Workload
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.obs.ObsInstallOrderWarning")
 
-CACHEABLE = {"ttl": 500e-6, "hot_promote": 3}
+CACHEABLE = {"ttl": 500e-6}
 
 
 def keys_of(n):

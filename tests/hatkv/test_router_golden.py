@@ -1,18 +1,17 @@
 """Golden digest of the HatKV router: the refactoring oracle perfbench lacks.
 
 perfbench drives :class:`~repro.hatkv.sharding.ShardRouter` with
-``cache=False``, no faults and no resize, so the cached, hot-read-steered,
-failover, forwarding-window and ``Scan`` / ``Delete`` /
-``multi_*`` paths have no pinned answer there.  This file pins them: one
-seeded program, run under two seeds, on a 2-shard ``replicas=2`` cluster
-with a ``cacheable(ttl, hot_promote)`` module -- eight clients on two nodes,
-each node's clients sharing one :class:`~repro.hatkv.cache.HotKeyCache`, all
-eight router methods, a ``LinkFlap`` on shard 0 under static-ring traffic
-(read failover, swept in-flight reads, failed writes), then a 2 -> 3 grow with
-a second flap inside its forwarding window and a 3 -> 2 shrink while the
-clients keep going.  Neither seed reaches every path alone (one has the
-failovers under migration and the hot reads, the other the writes that die
-on their primary and a Scan racing the grow's attach); together they do.
+``cache=False``, no faults and no resize, so the cached, failover,
+forwarding-window and ``Scan`` / ``Delete`` paths have no pinned answer
+there.  This file pins them: one seeded program, run under two seeds, on a
+2-shard ``replicas=2`` cluster with a ``cacheable(ttl)`` module -- eight
+clients on two nodes, each node's clients sharing one
+:class:`~repro.hatkv.cache.HotKeyCache`, all six router methods, a
+``LinkFlap`` on shard 0 under static-ring traffic (read failover, swept
+in-flight reads, failed writes), then a 2 -> 3 grow with a second flap
+inside its forwarding window and a 3 -> 2 shrink while the clients keep
+going.  Neither seed reaches every path alone (only one has forwarded
+reads); together they do.
 
 The digest is a sha256 over ``(client, op, repr(latency), result)`` per
 operation in completion order, so an edit that moves any reply by one ulp,
@@ -32,7 +31,12 @@ moved from 3.5 to 3.7 ms to stay after it.  Every constant was refreshed
 once more when the engine's swept-call takeover was removed and every read
 failover went through the router's walk (errors 12 / 15 to 10 / 15,
 ``read_failovers`` 3 / 8 to 33 / 39; the grow's last flip moved to 3.52 /
-3.69 ms, still before the second flap).  If you mean to change the model,
+3.69 ms, still before the second flap).  Every constant was refreshed
+once more when the router's per-key batch methods were removed and the
+program's ``multi_get`` / ``multi_put`` became ``MultiGet`` (12 keys) /
+``MultiPut`` (ops 985 / 1 021 to 1 069 / 1 134, events 98 597 / 103 349
+to 61 437 / 65 842; the grow's last flip moved to 3.425 / 3.459 ms, so
+the second flap stays at 3.7 ms).  If you mean to change the model,
 say so in the PR and refresh the constants together with
 ``perfbench/baseline_seed0.json`` and ``BENCH_BASELINE.json``.  Other seeds
 can still crash the resize itself (a flap during a range copy kills the
@@ -68,7 +72,7 @@ TTL = 120e-6
 RETRY = RetryPolicy(max_attempts=2, base_backoff=20 * us, max_backoff=40 * us)
 #: (shard, start, duration): shard 0 goes dark on the static ring; shard 1
 #: inside the grow's forwarding window -- after its last range flipped
-#: (3.52 / 3.69 ms at seeds 2 / 20), so the copy streams are done and only
+#: (3.425 / 3.459 ms at seeds 2 / 20), so the copy streams are done and only
 #: client traffic meets the flap, and early enough that every call it
 #: delays has settled before the shrink starts
 FLAPS = ((0, 300 * us, 1900 * us), (1, 3700 * us, 800 * us))
@@ -79,91 +83,89 @@ FORWARD_WINDOW = 1.5 * ms
 
 GOLDEN = {
     2: {
-        "sha256": "168109e209316029b7e77c5dbc8d6ccee6ad05febd7a3eb3b4eed3a751b42a65",
-        "ops": 985, "end": "0.007120111603866956", "events": 98597,
+        "sha256": "34195ae9800707ac9f3849219ad60353682a1b00d5600f4f71a90453a81bd22b",
+        "ops": 1069, "end": "0.007076196476716785", "events": 61437,
         "counters": {
-            "hatkv.cache.hits": 759,
-            "hatkv.cache.hot_reads": 3,
-            "hatkv.cache.invalidations": 78,
-            "hatkv.cache.lease_expiries": 382,
-            "hatkv.cache.misses": 1850,
-            "hatkv.delete": 151,
-            "hatkv.get": 1361,
-            "hatkv.lease.grants": 817,
-            "hatkv.lease.suppressed": 515,
-            "hatkv.lease.write_stalls": 45,
+            "hatkv.cache.hits": 329,
+            "hatkv.cache.invalidations": 20,
+            "hatkv.cache.lease_expiries": 117,
+            "hatkv.cache.misses": 2563,
+            "hatkv.delete": 157,
+            "hatkv.get": 253,
+            "hatkv.lease.grants": 167,
+            "hatkv.lease.suppressed": 84,
+            "hatkv.lease.write_stalls": 17,
             "hatkv.migration.events": 248,
-            "hatkv.multi_get": 237,
-            "hatkv.multi_put": 298,
-            "hatkv.put": 1221,
-            "hatkv.router.forward_reads": 2,
-            "hatkv.router.read_failovers": 33,
-            "hatkv.router.shard0.ops": 1479,
-            "hatkv.router.shard1.ops": 1444,
-            "hatkv.router.shard2.ops": 472,
-            "hatkv.scan": 335,
-            "hatkv.shard0.delete": 64,
-            "hatkv.shard0.get": 569,
-            "hatkv.shard0.multi_get": 95,
-            "hatkv.shard0.multi_put": 135,
-            "hatkv.shard0.put": 504,
-            "hatkv.shard0.scan": 119,
-            "hatkv.shard1.delete": 65,
-            "hatkv.shard1.get": 593,
-            "hatkv.shard1.multi_get": 108,
-            "hatkv.shard1.multi_put": 132,
-            "hatkv.shard1.put": 494,
-            "hatkv.shard1.scan": 124,
+            "hatkv.multi_get": 636,
+            "hatkv.multi_put": 675,
+            "hatkv.put": 515,
+            "hatkv.router.forward_reads": 0,
+            "hatkv.router.read_failovers": 15,
+            "hatkv.router.shard0.ops": 1021,
+            "hatkv.router.shard1.ops": 995,
+            "hatkv.router.shard2.ops": 346,
+            "hatkv.scan": 355,
+            "hatkv.shard0.delete": 68,
+            "hatkv.shard0.get": 111,
+            "hatkv.shard0.multi_get": 268,
+            "hatkv.shard0.multi_put": 301,
+            "hatkv.shard0.put": 181,
+            "hatkv.shard0.scan": 127,
+            "hatkv.shard1.delete": 67,
+            "hatkv.shard1.get": 106,
+            "hatkv.shard1.multi_get": 277,
+            "hatkv.shard1.multi_put": 295,
+            "hatkv.shard1.put": 187,
+            "hatkv.shard1.scan": 131,
             "hatkv.shard2.delete": 22,
-            "hatkv.shard2.get": 199,
-            "hatkv.shard2.multi_get": 34,
-            "hatkv.shard2.multi_put": 31,
-            "hatkv.shard2.put": 223,
-            "hatkv.shard2.scan": 92,
+            "hatkv.shard2.get": 36,
+            "hatkv.shard2.multi_get": 91,
+            "hatkv.shard2.multi_put": 79,
+            "hatkv.shard2.put": 147,
+            "hatkv.shard2.scan": 97,
         },
     },
     20: {
-        "sha256": "a756b32a8d5bb549f1edc1e3ca538fbc0377f5775231d52b595c61bf0047bdc5",
-        "ops": 1021, "end": "0.007278159911398632", "events": 103349,
+        "sha256": "abf0740c56c630f124263cbb52c6ac27491349b172edc3e13165b9f98c5d8186",
+        "ops": 1134, "end": "0.007082000975894329", "events": 65842,
         "counters": {
-            "hatkv.cache.hits": 1042,
-            "hatkv.cache.hot_reads": 0,
-            "hatkv.cache.invalidations": 90,
-            "hatkv.cache.lease_expiries": 412,
-            "hatkv.cache.misses": 1961,
-            "hatkv.delete": 156,
-            "hatkv.get": 1467,
-            "hatkv.lease.grants": 953,
-            "hatkv.lease.suppressed": 488,
-            "hatkv.lease.write_stalls": 53,
+            "hatkv.cache.hits": 420,
+            "hatkv.cache.invalidations": 13,
+            "hatkv.cache.lease_expiries": 132,
+            "hatkv.cache.misses": 2849,
+            "hatkv.delete": 166,
+            "hatkv.get": 261,
+            "hatkv.lease.grants": 185,
+            "hatkv.lease.suppressed": 74,
+            "hatkv.lease.write_stalls": 17,
             "hatkv.migration.events": 248,
-            "hatkv.multi_get": 253,
-            "hatkv.multi_put": 351,
-            "hatkv.put": 1323,
-            "hatkv.router.forward_reads": 29,
-            "hatkv.router.read_failovers": 39,
-            "hatkv.router.shard0.ops": 1525,
-            "hatkv.router.shard1.ops": 1541,
-            "hatkv.router.shard2.ops": 530,
-            "hatkv.scan": 278,
-            "hatkv.shard0.delete": 68,
-            "hatkv.shard0.get": 568,
-            "hatkv.shard0.multi_get": 105,
-            "hatkv.shard0.multi_put": 149,
-            "hatkv.shard0.put": 550,
-            "hatkv.shard0.scan": 101,
-            "hatkv.shard1.delete": 66,
-            "hatkv.shard1.get": 657,
-            "hatkv.shard1.multi_get": 108,
-            "hatkv.shard1.multi_put": 148,
-            "hatkv.shard1.put": 537,
-            "hatkv.shard1.scan": 105,
-            "hatkv.shard2.delete": 22,
-            "hatkv.shard2.get": 242,
-            "hatkv.shard2.multi_get": 40,
-            "hatkv.shard2.multi_put": 54,
-            "hatkv.shard2.put": 236,
-            "hatkv.shard2.scan": 72,
+            "hatkv.multi_get": 712,
+            "hatkv.multi_put": 768,
+            "hatkv.put": 546,
+            "hatkv.router.forward_reads": 9,
+            "hatkv.router.read_failovers": 16,
+            "hatkv.router.shard0.ops": 1077,
+            "hatkv.router.shard1.ops": 1079,
+            "hatkv.router.shard2.ops": 374,
+            "hatkv.scan": 326,
+            "hatkv.shard0.delete": 76,
+            "hatkv.shard0.get": 99,
+            "hatkv.shard0.multi_get": 298,
+            "hatkv.shard0.multi_put": 336,
+            "hatkv.shard0.put": 191,
+            "hatkv.shard0.scan": 120,
+            "hatkv.shard1.delete": 72,
+            "hatkv.shard1.get": 123,
+            "hatkv.shard1.multi_get": 307,
+            "hatkv.shard1.multi_put": 328,
+            "hatkv.shard1.put": 211,
+            "hatkv.shard1.scan": 121,
+            "hatkv.shard2.delete": 18,
+            "hatkv.shard2.get": 39,
+            "hatkv.shard2.multi_get": 107,
+            "hatkv.shard2.multi_put": 104,
+            "hatkv.shard2.put": 144,
+            "hatkv.shard2.scan": 85,
         },
     },
 }
@@ -185,7 +187,7 @@ def run_program(seed):
         tb = Testbed(n_nodes=8)
         sim = tb.sim
         gen = load_hatkv_module("function", concurrency=8,
-                                cacheable={"ttl": TTL, "hot_promote": 3})
+                                cacheable={"ttl": TTL})
         cluster = ShardedKVCluster(tb, 2, gen_module=gen, replicas=2,
                                    vnodes=32, concurrency=8,
                                    reserve_nodes=[tb.nodes[2]],
@@ -201,8 +203,8 @@ def run_program(seed):
         ops = []
 
         def pick(rng):
-            # reads are skewed: a handful of keys take most of them, so they
-            # cross hot_promote and their post-expiry misses can steer
+            # reads are skewed: a handful of keys take most of them, so
+            # they are leased, served locally and missed again on expiry
             return keys[min(int(rng.expovariate(1 / 6.0)), N_KEYS - 1)]
 
         def pick_w(rng):
@@ -214,7 +216,7 @@ def run_program(seed):
             if roll < 0.26:
                 return "Get", router.Get(pick(rng))
             if roll < 0.40:
-                return "multi_get", router.multi_get(
+                return "MultiGet", router.MultiGet(
                     [pick(rng) for _ in range(12)])
             if roll < 0.52:
                 return "MultiGet", router.MultiGet(
@@ -223,7 +225,7 @@ def run_program(seed):
                 return "Put", router.Put(pick_w(rng), b"p%d-" % n * 6)
             if roll < 0.74:
                 ks = sorted({pick_w(rng) for _ in range(5)})
-                return "multi_put", router.multi_put(
+                return "MultiPut", router.MultiPut(
                     ks, [b"mp%d-" % n * 5] * len(ks))
             if roll < 0.82:
                 ks = sorted({pick_w(rng) for _ in range(5)})
@@ -286,11 +288,10 @@ def fingerprints():
 
 
 def test_golden_program_leaves_the_happy_path(fingerprints):
-    # A digest that matches runs which never failed over, steered, parked
-    # on a lease or forwarded would pin nothing: between them the seeds
-    # must have driven every counted path.
-    for name in ("hatkv.cache.hits", "hatkv.cache.hot_reads",
-                 "hatkv.cache.invalidations", "hatkv.router.read_failovers",
+    # A digest that matches runs which never failed over, parked on a
+    # lease or forwarded would pin nothing: between them the seeds must
+    # have driven every counted path.
+    for name in ("hatkv.cache.hits", "hatkv.cache.invalidations", "hatkv.router.read_failovers",
                  "hatkv.router.forward_reads", "hatkv.lease.write_stalls",
                  "hatkv.router.shard2.ops", "hatkv.migration.events"):
         assert sum(fp["counters"].get(name, 0)

@@ -2,21 +2,21 @@
 same way whichever stub method carried the keys.
 
 :class:`~repro.hatkv.sharding.ShardRouter` takes each read decision (cache
-hit, hot-read steer, what the primary's answer turns into, the failover
-walk) and each write decision (fence gate, primary-first waves, settle and
-invalidate) at one site shared by all its methods; only the wire driver and
-the batching differ.  So the same keys through a ``Get`` loop or one
-``multi_get``, and the same writes through a ``Put`` loop, one ``multi_put``
-or one ``MultiPut``, must leave equal values, equal cache contents, equal
-``hatkv.router.*`` / ``hatkv.cache.*`` counter deltas and equal replica
-contents -- on the static ring, with the keys' primary dark, and inside a
-range's forwarding window.  ``tests/faults/test_policy_parity.py`` is the
-same idea one layer down (one recovery policy, two wire drivers).
+hit, what the primary's answer turns into, the failover walk) and each
+write decision (fence gate, primary-first waves, settle and invalidate) at
+one site shared by all its methods; only the wire driver and the batching
+differ.  So the same writes through a ``Put`` loop or one ``MultiPut`` must
+leave equal values, equal cache contents, equal ``hatkv.router.*`` /
+``hatkv.cache.*`` counter deltas and equal replica contents -- on the
+static ring, with the keys' primary dark, and inside a range's forwarding
+window.  ``tests/faults/test_policy_parity.py`` is the same idea one layer
+down (one recovery policy, two wire drivers).
 
-A read whose primary leg dies, blocking or pipelined, is answered by the
-router's failover walk (``read_failovers``): one replica answer per read,
-never cached.  ``multi_get`` is asked both ways: one batch per primary,
-and one batch mixing every shard's keys.
+Reads are a ``Get`` loop held to what each situation must decide: a read
+whose primary leg dies is answered by the router's failover walk
+(``read_failovers``), one replica answer per read, never cached; a miss
+inside the forwarding window is answered by the range's previous holders
+(``forward_reads``), never cached either.
 """
 
 import random
@@ -44,7 +44,7 @@ SITUATIONS = ("static", "primary_down", "forwarding_window")
 COUNTERS = ("hatkv.router.read_failovers", "hatkv.router.forward_reads",
             "hatkv.cache.hits",
             "hatkv.cache.misses", "hatkv.cache.invalidations",
-            "hatkv.cache.lease_expiries", "hatkv.cache.hot_reads")
+            "hatkv.cache.lease_expiries")
 
 
 def seed_value(key):
@@ -54,7 +54,7 @@ def seed_value(key):
 @pytest.fixture(scope="module")
 def gen():
     return load_hatkv_module("function", concurrency=8,
-                             cacheable={"ttl": TTL, "hot_promote": 3})
+                             cacheable={"ttl": TTL})
 
 
 class World:
@@ -162,28 +162,10 @@ def get_loop(world, router):
     return values
 
 
-def multi_get(world, router):
-    values = {}
-    for _ in range(2):
-        for group in world.keys_by_primary():
-            values.update(zip(group, (yield from router.multi_get(group))))
-    return values
-
-
-def mixed_multi_get(world, router):
-    values = {}
-    for _ in range(2):
-        values.update(zip(world.keys,
-                          (yield from router.multi_get(world.keys))))
-    return values
-
-
 @pytest.mark.parametrize("situation", SITUATIONS)
 def test_get_loop_and_multi_get_decide_alike(gen, situation):
     one = drive(gen, situation, get_loop)
     assert one["values"] == {k: seed_value(k) for k in KEYS}
-    for body in (multi_get, mixed_multi_get):
-        assert drive(gen, situation, body) == one, body.__name__
     # ... and the situation really was the one named
     c = one["counters"]
     if situation == "static":
@@ -205,8 +187,7 @@ def new_value(key):
 
 def warm(world, router):
     """Coroutine: cache what can be cached, so the writes must invalidate."""
-    for group in world.keys_by_primary():
-        yield from router.multi_get(group)
+    yield from get_loop(world, router)
 
 
 def put_loop(world, router):
@@ -221,29 +202,26 @@ def put_loop(world, router):
     return failed
 
 
-def batch_put(method):
-    def body(world, router):
-        yield from warm(world, router)
-        try:
-            yield from getattr(router, method)(
-                world.keys, [new_value(k) for k in world.keys])
-        except TTransportException:
-            return True
-        return False
-    return body
+def multi_put(world, router):
+    """Coroutine: True when the MultiPut failed typed."""
+    yield from warm(world, router)
+    try:
+        yield from router.MultiPut(
+            world.keys, [new_value(k) for k in world.keys])
+    except TTransportException:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("situation", SITUATIONS)
 def test_put_loop_multi_put_and_MultiPut_decide_alike(gen, situation):
     runs = [drive(gen, situation, body)
-            for body in (put_loop, batch_put("multi_put"),
-                         batch_put("MultiPut"))]
-    loop = runs[0]
-    for batch in runs[1:]:
-        assert batch["cache"] == loop["cache"] == {}    # every key written
-        assert batch["counters"] == loop["counters"]
-        assert batch["values"] == loop["values"]        # failed typed, or not
-        assert batch["replicas"] == loop["replicas"]
+            for body in (put_loop, multi_put)]
+    loop, batch = runs
+    assert batch["cache"] == loop["cache"] == {}        # every key written
+    assert batch["counters"] == loop["counters"]
+    assert batch["values"] == loop["values"]            # failed typed, or not
+    assert batch["replicas"] == loop["replicas"]
     if situation == "primary_down":
         assert loop["values"], "writes to a dark primary must fail typed"
         # Primary-first: the dark shard took nothing, and the live one only

@@ -177,7 +177,7 @@ service KV {
     hint: perf_goal = latency;
 
     binary Get(1: binary key) [
-        hint: cacheable(ttl = 200us, hot_promote = 8);
+        hint: cacheable(ttl = 200us);
     ]
     void Put(1: binary key, 2: binary value)
 }
@@ -189,7 +189,7 @@ def test_parameterized_hint_parses_to_dict():
     get = doc.service("KV").functions[0]
     hint = get.hint_groups[0].hints[0]
     assert hint.key == "cacheable"
-    assert hint.value == {"ttl": pytest.approx(200e-6), "hot_promote": 8}
+    assert hint.value == {"ttl": pytest.approx(200e-6)}
 
 
 def test_time_unit_suffixes():
