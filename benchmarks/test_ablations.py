@@ -10,9 +10,10 @@ Each isolates one mechanism the HatRPC design leans on:
 
 import pytest
 
-from benchmarks.figutil import fmt_rows, kops, usec
+from benchmarks.figutil import (emit_bench, fmt_rows, kops, lat_metric,
+                                tput_metric, usec)
 from repro.bench import ProtoBenchSpec, run_protocol_bench
-from repro.atb import LatencyBenchmark
+from repro.atb import ThroughputBenchmark
 from repro.protocols import ProtoConfig
 from repro.sim.units import KiB
 from repro.verbs.cq import PollMode
@@ -35,6 +36,11 @@ def test_abl_polling_crossover(benchmark):
              ["mode", "2", "8", "32", "96"],
              [[m] + [kops(tput[(m, c)]) for c in (2, 8, 32, 96)]
               for m in ("busy", "event")])
+    emit_bench("ablations", "polling_crossover",
+               {f"throughput_kops.{m}.{c}": tput_metric(v)
+                for (m, c), v in tput.items()},
+               config={"protocol": "direct_writeimm", "payload": 512,
+                       "iters": 15, "warmup": 4})
     assert tput[("busy", 2)] > tput[("event", 2)]
     assert tput[("event", 96)] > tput[("busy", 96)]
 
@@ -54,6 +60,9 @@ def test_abl_wr_chaining(benchmark):
     fmt_rows("Ablation: WR chaining (64B latency)",
              ["protocol", "latency"],
              [[p, usec(v)] for p, v in lat.items()])
+    emit_bench("ablations", "wr_chaining",
+               {f"latency_us.{p}": lat_metric(v) for p, v in lat.items()},
+               config={"payload": 64, "iters": 20, "warmup": 5})
     assert lat["chained_write_send"] < lat["direct_write_send"]
     assert lat["direct_writeimm"] < lat["chained_write_send"]
 
@@ -96,6 +105,11 @@ def test_abl_eager_threshold(benchmark):
              ["threshold"] + [f"{p}B payload" for p in payloads],
              [[f"{t}B"] + [usec(lat[(t, p)]) for p in payloads]
               for t in thresholds])
+    emit_bench("ablations", "eager_threshold",
+               {f"latency_us.{t}.{p}": lat_metric(v)
+                for (t, p), v in lat.items()},
+               config={"thresholds": thresholds, "payloads": payloads,
+                       "iters": 12, "warmup": 3})
     # 2KB payload: eager (thr>=4KB) beats rendezvous (thr=512B).
     assert lat[(4 * KiB, 2 * KiB)] < lat[(512, 2 * KiB)]
     # 8KB payload: rendezvous (thr=4KB) beats oversized eager copies only
@@ -109,11 +123,11 @@ def test_abl_hint_overhead(benchmark):
     """The hint machinery must cost (almost) nothing per call: HatRPC vs
     the identical protocol pinned statically."""
     def run():
-        hat = LatencyBenchmark(mode="hatrpc", payload=512, iters=20,
-                               warmup=5).run().mean
-        pinned = LatencyBenchmark(mode="direct_writeimm", payload=512,
-                                  iters=20, warmup=5).run().mean
-        return {"hatrpc": hat, "pinned": pinned}
+        return {path: ThroughputBenchmark(
+                    mode=mode, payload=512, n_clients=1, iters=20, warmup=5,
+                    goal="latency").run().latency.mean
+                for path, mode in (("hatrpc", "hatrpc"),
+                                   ("pinned", "direct_writeimm"))}
 
     lat = benchmark.pedantic(run, rounds=1, iterations=1)
     overhead = (lat["hatrpc"] - lat["pinned"]) / lat["pinned"]
@@ -123,4 +137,7 @@ def test_abl_hint_overhead(benchmark):
               ["pinned Direct-WriteIMM", usec(lat["pinned"])],
               ["overhead", f"{overhead * 100:+9.2f}%"]])
     benchmark.extra_info["overhead_pct"] = round(overhead * 100, 3)
+    emit_bench("ablations", "hint_overhead",
+               {f"latency_us.{p}": lat_metric(v) for p, v in lat.items()},
+               config={"payload": 512, "iters": 20, "warmup": 5})
     assert abs(overhead) < 0.05  # paper: hint overhead is minimized

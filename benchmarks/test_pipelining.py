@@ -24,7 +24,7 @@ def _run():
     for mode in MODES:
         for w in WINDOWS:
             r = ThroughputBenchmark(mode=mode, payload=PAYLOAD, n_clients=1,
-                                    iters=60, warmup=10, n_nodes=2,
+                                    iters=60, warmup=10,
                                     outstanding=w).run()
             out[(mode, w)] = r.ops_per_sec
     return out

@@ -1,10 +1,10 @@
 """ATB mixed-communication benchmark (drives Figures 13-14).
 
 Clients randomly issue one of two RPCs -- ``LatCall`` (hinted latency) and
-``TputCall`` (hinted throughput) -- at a configurable ratio (the paper uses
-50/50).  The server computes a payload-proportional checksum per request.
-Latency is reported for the latency calls, throughput for the throughput
-calls, exactly as Section 5.3 measures.
+``TputCall`` (hinted throughput) -- half and half, as the paper does.  The
+server computes a payload-proportional checksum per request.  Latency is
+reported for the latency calls, throughput for the throughput calls,
+exactly as Section 5.3 measures.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.atb.harness import EchoHandler, connect_stub, start_server
 from repro.atb.idl import load_atb_module
+from repro.bench.loop import run_closed_loop
 from repro.bench.stats import LatencyStats
 from repro.sim.units import KiB
 from repro.testbed import Testbed
@@ -22,6 +23,8 @@ __all__ = ["MixBenchmark", "MixResult"]
 
 #: checksum cost model: bytes per CPU-second (a simple rolling checksum).
 CHECKSUM_RATE = 5e9
+#: share of calls that are ``LatCall`` (Section 5.3's 50/50 mix)
+LAT_RATIO = 0.5
 
 
 @dataclass
@@ -36,14 +39,12 @@ class MixBenchmark:
     mode: str = "hatrpc"
     payload: int = 512
     n_clients: int = 16
-    lat_ratio: float = 0.5
     iters: int = 20
     warmup: int = 5
-    n_nodes: int = 10
     seed: int = 42
 
-    def run(self, testbed: Testbed | None = None) -> MixResult:
-        tb = testbed or Testbed(n_nodes=self.n_nodes)
+    def run(self) -> MixResult:
+        tb = Testbed(n_nodes=10)
         gen = load_atb_module(goal="throughput", payload=self.payload,
                               concurrency=self.n_clients,
                               mix_lat_payload=self.payload,
@@ -52,44 +53,28 @@ class MixBenchmark:
         handler = EchoHandler(tb.node(0), resp_payload=self.payload,
                               checksum_rate=CHECKSUM_RATE)
         start_server(tb, gen, handler, self.mode, self.n_clients, max_msg)
-        lat_stats = LatencyStats()
-        tput_stats = LatencyStats()
-        window = {"start": None, "end": 0.0, "ops": 0}
         payload = bytes(i % 251 for i in range(self.payload))
-        client_nodes = tb.nodes[1:]
         rng = random.Random(self.seed)
         # Pre-draw the call schedule so the run is deterministic regardless
         # of process interleaving.
-        schedule = [[rng.random() < self.lat_ratio
+        schedule = [[rng.random() < LAT_RATIO
                      for _ in range(self.warmup + self.iters)]
                     for _ in range(self.n_clients)]
 
-        def client(i):
-            node = client_nodes[i % len(client_nodes)]
-            stub = yield from connect_stub(tb, node, gen, self.mode,
-                                           self.n_clients, max_msg)
-            for k, is_lat in enumerate(schedule[i]):
-                t0 = tb.sim.now
-                if is_lat:
-                    yield from stub.LatCall(payload)
-                else:
-                    yield from stub.TputCall(payload)
-                if k < self.warmup:
-                    continue
-                elapsed = tb.sim.now - t0
-                if is_lat:
-                    lat_stats.record(elapsed)
-                else:
-                    if window["start"] is None:
-                        window["start"] = t0
-                    tput_stats.record(elapsed)
-                    window["ops"] += 1
-                    window["end"] = max(window["end"], tb.sim.now)
+        def connect(node, _i):
+            return (yield from connect_stub(tb, node, gen, self.mode,
+                                            self.n_clients, max_msg))
 
-        for i in range(self.n_clients):
-            tb.sim.process(client(i))
-        tb.sim.run()
-        duration = max(window["end"] - (window["start"] or 0.0), 1e-12)
-        return MixResult(lat_stats=lat_stats,
-                         tput_ops_per_sec=window["ops"] / duration,
-                         tput_stats=tput_stats)
+        def call(stub, i, k):
+            if schedule[i][k]:
+                yield from stub.LatCall(payload)
+                return "LatCall"
+            yield from stub.TputCall(payload)
+            return "TputCall"
+
+        loop = run_closed_loop(tb.sim, tb.nodes[1:], self.n_clients,
+                               self.warmup, self.iters, connect, call,
+                               counted=("TputCall",))
+        return MixResult(lat_stats=loop.stats["LatCall"],
+                         tput_ops_per_sec=loop.throughput,
+                         tput_stats=loop.stats["TputCall"])

@@ -1,8 +1,9 @@
-"""ATB multi-client throughput benchmark (drives Figure 12).
+"""ATB Echo benchmark (drives Figures 11 and 12).
 
 N client connections spread over the cluster's client nodes hammer one
-server's ``Echo`` RPC.  HatRPC mode uses service-level hints
-``perf_goal = throughput`` with the deployment's concurrency, so the plan
+server's ``Echo`` RPC.  HatRPC mode carries service-level hints
+``perf_goal = goal, concurrency = n_clients``: Figure 11 is the one-client
+latency run (Section 5.2), Figure 12 the throughput run, whose plan
 switches protocol/polling at the paper's thresholds.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.atb.harness import EchoHandler, connect_stub, start_server
 from repro.atb.idl import load_atb_module
+from repro.bench.loop import run_closed_loop
 from repro.bench.stats import LatencyStats
 from repro.sim.units import KiB
 from repro.testbed import Testbed
@@ -23,7 +25,6 @@ __all__ = ["ThroughputBenchmark", "ThroughputResult"]
 class ThroughputResult:
     ops_per_sec: float
     latency: LatencyStats
-    server_registered_bytes: int
 
 
 @dataclass
@@ -33,60 +34,42 @@ class ThroughputBenchmark:
     n_clients: int = 16
     iters: int = 20
     warmup: int = 5
-    n_nodes: int = 10
+    #: the service's ``perf_goal`` hint: "latency" or "throughput"
+    goal: str = "throughput"
     #: per-connection in-flight window; >1 switches each client from
     #: blocking call/response to the pipelined async path
     outstanding: int = 1
 
-    def run(self, testbed: Testbed | None = None) -> ThroughputResult:
-        tb = testbed or Testbed(n_nodes=self.n_nodes)
-        gen = load_atb_module(goal="throughput", payload=self.payload,
+    def run(self) -> ThroughputResult:
+        tb = Testbed(n_nodes=10)
+        gen = load_atb_module(goal=self.goal, payload=self.payload,
                               concurrency=self.n_clients)
         max_msg = self.payload + 8 * KiB
         handler = EchoHandler(tb.node(0), resp_payload=self.payload)
         start_server(tb, gen, handler, self.mode, self.n_clients, max_msg,
                      window=self.outstanding)
-        stats = LatencyStats()
         payload = bytes(i % 251 for i in range(self.payload))
-        window = {"start": None, "end": 0.0, "ops": 0}
-        client_nodes = tb.nodes[1:]
+        pipelined = self.outstanding > 1
 
-        def record(k, t0, t_done):
-            if k >= self.warmup:
-                if window["start"] is None:
-                    window["start"] = t0
-                stats.record(t_done - t0)
-                window["ops"] += 1
-                window["end"] = max(window["end"], t_done)
-
-        def client(i):
-            node = client_nodes[i % len(client_nodes)]
+        def connect(node, _i):
             stub = yield from connect_stub(tb, node, gen, self.mode,
                                            self.n_clients, max_msg,
                                            window=self.outstanding)
-            if self.outstanding <= 1:
-                for k in range(self.warmup + self.iters):
-                    t0 = tb.sim.now
-                    yield from stub.Echo(payload)
-                    record(k, t0, tb.sim.now)
-                return
             # Pipelined: keep up to `outstanding` Echoes in flight on one
             # connection; the engine's window provides the backpressure.
-            caller = stub._hatrpc.async_caller()
-            handles = []
-            for k in range(self.warmup + self.iters):
-                t0 = tb.sim.now
-                h = yield from caller.call_async("Echo", payload)
-                handles.append((k, t0, h))
-            for k, t0, h in handles:
-                yield from h.wait()
-                record(k, t0, h.handle.t_done)
+            return stub._hatrpc.async_caller() if pipelined else stub
 
-        for i in range(self.n_clients):
-            tb.sim.process(client(i))
-        tb.sim.run()
-        duration = max(window["end"] - (window["start"] or 0.0), 1e-12)
-        return ThroughputResult(
-            ops_per_sec=window["ops"] / duration,
-            latency=stats,
-            server_registered_bytes=tb.node(0).nic.registered_bytes)
+        def call(conn, _i, _k):
+            if pipelined:
+                return (yield from conn.call_async("Echo", payload))
+            resp = yield from conn.Echo(payload)
+            if len(resp) != self.payload:
+                raise AssertionError(
+                    f"Echo answered {len(resp)} bytes, not {self.payload}")
+            return "Echo"
+
+        loop = run_closed_loop(tb.sim, tb.nodes[1:], self.n_clients,
+                               self.warmup, self.iters, connect, call,
+                               pipelined=pipelined)
+        return ThroughputResult(ops_per_sec=loop.throughput,
+                                latency=loop.stats["Echo"])

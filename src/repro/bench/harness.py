@@ -22,9 +22,7 @@ than replacing it:
   phase transition is stamped into the sampler's tags (so each stream
   sample is phase-attributed) and emitted as a typed ``phase`` event;
 * give it a ``TimelineExporter`` and transitions/annotations become
-  instants on the trace timeline, and :meth:`watch_series` mirrors
-  sampled series (e.g. ``hatkv.router.keys.*`` shard balance) as live
-  counter tracks;
+  instants on the trace timeline;
 * :meth:`watch_tuner` / :meth:`watch_admission` subscribe to the
   :class:`~repro.core.tuner.HintTuner` decision hook and the
   :class:`~repro.core.overload.AdmissionGate` high-water hook, and
@@ -321,25 +319,6 @@ class PhasedRun:
             elif rate == 0 and state["shedding"]:
                 state["shedding"] = False
                 self.annotate("admission_shed_end", gate=label)
-
-        self.sampler.on_sample.append(on_sample)
-
-    def watch_series(self, prefix: str,
-                     track: Optional[str] = None) -> None:
-        """Mirror sampled series matching ``prefix`` onto the timeline as
-        one counter track (e.g. per-shard key balance as a stacked graph
-        in ``chrome://tracing``)."""
-        if self.sampler is None or self.timeline is None:
-            return
-        track = track or prefix
-
-        def on_sample(t: float, metrics: Dict[str, float],
-                      tags: Dict[str, Any]) -> None:
-            values = {name[len(prefix):].lstrip("."): v
-                      for name, v in metrics.items()
-                      if name.startswith(prefix)}
-            if values:
-                self.timeline.add_counter(track, ts=t, values=values)
 
         self.sampler.on_sample.append(on_sample)
 

@@ -5,17 +5,17 @@ spread across the remaining nodes, runs fixed-size ping-pong RPCs, and
 reports latency statistics and aggregate throughput.  It reproduces the
 experimental conditions of Figures 4-5 and 11-14:
 
-* clients are NUMA-bound while the client count stays within one NUMA
-  domain (the paper binds for <=16 clients), unbound beyond that;
-* a warm-up phase is excluded from measurement;
-* throughput is ops completed in the measured window / window length.
+clients are NUMA-bound while the client count stays within one NUMA
+domain (the paper binds for <=16 clients), unbound beyond that; the
+warm-up and the measured window are :mod:`repro.bench.loop`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
+from repro.bench.loop import run_closed_loop
 from repro.bench.stats import LatencyStats
 from repro.protocols import ProtoConfig, get_protocol
 from repro.sim.units import KiB
@@ -33,20 +33,12 @@ class ProtoBenchSpec:
     """One benchmark configuration (one point of a figure)."""
 
     protocol: str
-    payload: int = 512
-    resp_payload: Optional[int] = None   # default: same as payload
+    payload: int = 512                   # request and response bytes
     n_clients: int = 1
     poll_mode: PollMode = PollMode.BUSY
     iters: int = 30                      # measured calls per client
     warmup: int = 5                      # discarded calls per client
-    n_nodes: int = 10                    # 1 server + (n-1) client nodes
-    numa_bind: Optional[bool] = None     # None = paper's <=16 rule
-    server_work: float = 0.0             # CPU-seconds per request handler
     max_msg: Optional[int] = None        # default: payload + slack
-
-    @property
-    def resp(self) -> int:
-        return self.resp_payload if self.resp_payload is not None else self.payload
 
 
 @dataclass
@@ -54,7 +46,6 @@ class BenchResult:
     spec: ProtoBenchSpec
     latency: LatencyStats
     throughput_ops: float      # RPCs/second over the measured window
-    duration: float            # measured-window length (simulated seconds)
     server_registered_bytes: int
     server_cpu_utilization: float
 
@@ -63,64 +54,32 @@ class BenchResult:
         return self.latency.mean
 
 
-def run_protocol_bench(spec: ProtoBenchSpec,
-                       testbed: Optional[Testbed] = None,
-                       handler: Optional[Callable] = None) -> BenchResult:
-    tb = testbed or Testbed(n_nodes=spec.n_nodes)
-    sim = tb.sim
+def run_protocol_bench(spec: ProtoBenchSpec) -> BenchResult:
+    """One point on a 10-node testbed: node 0 serves, the rest are clients."""
+    tb = Testbed(n_nodes=10)
     server_node = tb.node(0)
-    client_nodes = tb.nodes[1:]
-
-    numa_bind = spec.numa_bind
-    if numa_bind is None:
-        numa_bind = spec.n_clients <= NUMA_BIND_LIMIT
-
-    max_msg = spec.max_msg or (max(spec.payload, spec.resp) + 4 * KiB)
-    cfg = ProtoConfig(poll_mode=spec.poll_mode, max_msg=max_msg,
-                      numa_local=numa_bind)
-
-    resp_bytes = bytes(i % 251 for i in range(spec.resp))
-    if handler is None:
-        if spec.server_work > 0:
-            def handler(_req, _w=spec.server_work):
-                yield server_node.compute(_w)
-                return resp_bytes
-        else:
-            def handler(_req):
-                return resp_bytes
-
+    cfg = ProtoConfig(poll_mode=spec.poll_mode,
+                      max_msg=spec.max_msg or spec.payload + 4 * KiB,
+                      numa_local=spec.n_clients <= NUMA_BIND_LIMIT)
+    payload = bytes(i % 251 for i in range(spec.payload))
     client_cls, server_cls = get_protocol(spec.protocol)
-    server = server_cls(server_node.nic, 1, handler, cfg).start()
+    server_cls(server_node.nic, 1, lambda _req: payload, cfg).start()
 
-    req_bytes = bytes(i % 251 for i in range(spec.payload))
-    stats = LatencyStats()
-    window = {"start": None, "end": 0.0, "ops": 0}
-
-    def client_proc(idx: int):
-        node = client_nodes[idx % len(client_nodes)]
+    def connect(node, _i):
         client = client_cls(node.nic, cfg)
         yield from client.connect(server_node, 1)
-        for k in range(spec.warmup + spec.iters):
-            t0 = sim.now
-            yield from client.call(req_bytes, resp_hint=spec.resp)
-            if k >= spec.warmup:
-                if window["start"] is None:
-                    window["start"] = t0
-                stats.record(sim.now - t0)
-                window["ops"] += 1
-                window["end"] = max(window["end"], sim.now)
+        return client
 
-    for i in range(spec.n_clients):
-        sim.process(client_proc(i), name=f"client-{i}")
-    sim.run()
+    def call(client, _i, _k):
+        yield from client.call(payload, resp_hint=spec.payload)
 
-    duration = max(window["end"] - (window["start"] or 0.0), 1e-12)
-    cpu = server_node.cpu
+    loop = run_closed_loop(tb.sim, tb.nodes[1:], spec.n_clients,
+                           spec.warmup, spec.iters, connect, call)
     return BenchResult(
         spec=spec,
-        latency=stats,
-        throughput_ops=window["ops"] / duration,
-        duration=duration,
+        latency=loop.stats[None],
+        throughput_ops=loop.throughput,
         server_registered_bytes=server_node.nic.registered_bytes,
-        server_cpu_utilization=cpu.utilization(max(sim.now, 1e-12)),
+        server_cpu_utilization=server_node.cpu.utilization(
+            max(tb.sim.now, 1e-12)),
     )

@@ -72,10 +72,6 @@ class ServerCrash:
     at: float
     downtime: float
 
-    @property
-    def restore_at(self) -> float:
-        return self.at + self.downtime
-
 
 @dataclass(frozen=True)
 class OverloadStorm:

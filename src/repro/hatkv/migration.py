@@ -178,10 +178,6 @@ class RangeTask:
             self._drain.succeed()
 
     @property
-    def moves_primary(self) -> bool:
-        return self.src[0] != self.dst[0]
-
-    @property
     def copy_targets(self) -> Tuple[int, ...]:
         return tuple(s for s in self.dst if s not in self.src)
 

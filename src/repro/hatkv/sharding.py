@@ -712,11 +712,9 @@ class ShardRouter:
         ``gen0`` since the read was issued: the key's primary may have
         changed under it, so it invalidates."""
         if not result.found:
-            fb = self.cluster.read_fallback(key)
-            if fb and shard not in fb:
-                fwd = yield from self._forward_read(key, fb)
-                if fwd is not None:
-                    return fwd
+            fwd = yield from self._forward_read(key, shard)
+            if fwd is not None:
+                return fwd
         if self.cache is not None:
             if self.cluster.routing_epoch != gen0:
                 self.cache.invalidate(key)
@@ -724,11 +722,15 @@ class ShardRouter:
                 self.cache.admit(key, result, issued=issued)
         return result
 
-    def _forward_read(self, key, shards):
-        """Coroutine: the dual-read forwarding fallback -- retry a
-        post-cutover miss on the range's previous holders.  A hit here is
+    def _forward_read(self, key, shard: int):
+        """Coroutine: the dual-read forwarding fallback -- retry ``shard``'s
+        miss on the range's previous holders while ``key`` is inside its
+        forwarding window; None when none is or none has it.  A hit here is
         returned but never cached (the old copy stops being authoritative
         when the window closes)."""
+        shards = self.cluster.read_fallback(key)
+        if shard in shards:
+            return None
         for r in shards:
             if r >= len(self._shards):
                 continue
@@ -801,7 +803,8 @@ class ShardRouter:
         """Coroutine: values for ``keys`` (b"" when absent), fanned as one
         server-side MultiGet per shard, reassembled in request order.
         Cached keys are served locally (batch replies carry no versions,
-        so misses are not admitted here)."""
+        so misses are not admitted here); a primary's miss inside the
+        forwarding window is retried like ``Get``'s."""
         out: List[Optional[bytes]] = [None] * len(keys)
         groups: Dict[int, Tuple[List[int], List[bytes]]] = {}
         for pos, key in enumerate(keys):
@@ -823,6 +826,13 @@ class ShardRouter:
             except TTransportException as exc:
                 values = yield from self._multi_get_fallback(
                     shard, subkeys, exc)
+            else:
+                # The primary's misses take Get's forwarding decision.
+                for i, value in enumerate(values):
+                    if value == b"":
+                        fwd = yield from self._forward_read(subkeys[i], shard)
+                        if fwd is not None:
+                            values[i] = fwd.value
             for pos, value in zip(positions, values):
                 out[pos] = value
         return out

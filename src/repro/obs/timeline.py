@@ -152,9 +152,6 @@ class TimelineExporter:
         return {"traceEvents": list(self.events),
                 "displayTimeUnit": "ns"}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def write(self, path) -> None:
         with open(path, "w") as f:
             json.dump(self.to_dict(), f)

@@ -19,23 +19,3 @@ GiB = 1024 * 1024 * 1024
 # the /8: ``100 * Gbps`` is the payload byte rate of a 100 Gb/s link.
 Gbps = 1e9 / 8
 GBps = 1e9
-
-
-def fmt_size(nbytes: int) -> str:
-    """Human-readable size, e.g. ``4096 -> '4KB'`` (for bench row labels)."""
-    if nbytes >= MiB and nbytes % MiB == 0:
-        return f"{nbytes // MiB}MB"
-    if nbytes >= KiB and nbytes % KiB == 0:
-        return f"{nbytes // KiB}KB"
-    return f"{nbytes}B"
-
-
-def fmt_time(seconds: float) -> str:
-    """Human-readable duration, e.g. ``1.5e-6 -> '1.50us'``."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= ms:
-        return f"{seconds / ms:.2f}ms"
-    if seconds >= us:
-        return f"{seconds / us:.2f}us"
-    return f"{seconds / ns:.0f}ns"

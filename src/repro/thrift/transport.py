@@ -132,9 +132,6 @@ class TMemoryBuffer(TTransport):
     def getvalue(self) -> bytes:
         return b"".join(self.wchunks)
 
-    def reset_read(self, value: bytes) -> None:
-        self._land(bytes(value))
-
 
 class TSocket(TTransport):
     """Client socket over the simulated kernel TCP (IPoIB) stack.

@@ -24,16 +24,6 @@ class TType:
     SET = 14
     LIST = 15
 
-    _NAMES = {
-        0: "STOP", 1: "VOID", 2: "BOOL", 3: "BYTE", 4: "DOUBLE", 6: "I16",
-        8: "I32", 10: "I64", 11: "STRING", 12: "STRUCT", 13: "MAP",
-        14: "SET", 15: "LIST",
-    }
-
-    @classmethod
-    def name_of(cls, ttype: int) -> str:
-        return cls._NAMES.get(ttype, f"UNKNOWN({ttype})")
-
 
 class TMessageType:
     CALL = 1

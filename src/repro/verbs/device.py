@@ -164,9 +164,6 @@ class Device:
                   channel: Optional[CompChannel] = None) -> CQ:
         return CQ(self.sim, self, capacity, channel)
 
-    def create_comp_channel(self) -> CompChannel:
-        return CompChannel(self.sim)
-
     def create_qp(self, pd: PD, send_cq: CQ, recv_cq: CQ,
                   srq: Optional["SRQ"] = None) -> "QP":
         from repro.verbs.qp import QP  # local import breaks the cycle

@@ -11,9 +11,10 @@ comparator, and the sharded cluster (any ``server`` exposing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict
 
+from repro.bench.loop import run_closed_loop
 from repro.bench.stats import LatencyStats
 from repro.hatkv.server import HatKVServer
 from repro.testbed import Testbed
@@ -74,41 +75,30 @@ def run_ycsb(server: HatKVServer, connect: Callable, spec: WorkloadSpec,
              seed: int = 0) -> YcsbResult:
     """Run one YCSB experiment; ``connect(node)`` is a coroutine returning
     a stub with Get/Put/MultiGet/MultiPut coroutines."""
-    sim = testbed.sim
     # Load phase: populate the backend(s) directly (not timed, as in YCSB).
     loader = Workload(spec, seed=seed)
     _load_server(server, loader.load_items())
 
-    per_op: Dict[OpType, LatencyStats] = {op: LatencyStats() for op in OpType}
-    window = {"start": None, "end": 0.0, "ops": 0}
     server_nodes = getattr(server, "nodes", None) or [server.node]
     candidates = [n for n in testbed.nodes if n not in server_nodes]
-    client_nodes = candidates[:n_client_nodes]
     # One run-wide insert sequence: every client's 'latest' distribution
     # keys off the same high-water mark, as YCSB-D intends.
     insert_seq = InsertSequence(spec.record_count)
 
-    def client(i):
-        node = client_nodes[i % len(client_nodes)]
+    def connect_client(node, i):
         wl = Workload(spec, seed=seed * 7919 + i, insert_seq=insert_seq)
         stub = yield from connect(node)
-        for k in range(warmup_per_client + ops_per_client):
-            op, args = wl.next_op()
-            t0 = sim.now
-            yield from _dispatch(stub, op, args, spec, check=True)
-            if k < warmup_per_client:
-                continue
-            if window["start"] is None:
-                window["start"] = t0
-            per_op[op].record(sim.now - t0)
-            window["ops"] += 1
-            window["end"] = max(window["end"], sim.now)
+        return wl, stub
 
-    procs = [sim.process(client(i), name=f"ycsb-{i}")
-             for i in range(n_clients)]
-    sim.run()
-    for p in procs:
-        p.value  # surface any client-side failure instead of undercounting
-    duration = max(window["end"] - (window["start"] or 0.0), 1e-12)
-    return YcsbResult(throughput_ops=window["ops"] / duration,
-                      per_op=per_op, total_ops=window["ops"])
+    def call(conn, _i, _k):
+        wl, stub = conn
+        op, args = wl.next_op()
+        yield from _dispatch(stub, op, args, spec, check=True)
+        return op
+
+    loop = run_closed_loop(testbed.sim, candidates[:n_client_nodes],
+                           n_clients, warmup_per_client, ops_per_client,
+                           connect_client, call)
+    return YcsbResult(throughput_ops=loop.throughput,
+                      per_op={op: loop.stats[op] for op in OpType},
+                      total_ops=loop.ops)

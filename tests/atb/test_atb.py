@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.atb import LatencyBenchmark, MixBenchmark, ThroughputBenchmark
+from repro.atb import MixBenchmark, ThroughputBenchmark
+from repro.atb import throughput as echo_bench
+from repro.atb.harness import EchoHandler
 from repro.atb.idl import load_atb_module
 from repro.sim.units import KiB, us
+
+
+def echo_latency(mode, payload, iters, warmup=5):
+    """Fig. 11's run: one client, latency-goal hints."""
+    return ThroughputBenchmark(mode=mode, payload=payload, n_clients=1,
+                               iters=iters, warmup=warmup,
+                               goal="latency").run().latency
 
 
 def test_atb_idl_compiles_with_hints():
@@ -17,17 +26,15 @@ def test_atb_idl_compiles_with_hints():
 
 def test_latency_benchmark_runs_all_modes():
     for mode in ("hatrpc", "hybrid_eager_rndv", "ipoib"):
-        stats = LatencyBenchmark(mode=mode, payload=512, iters=6,
-                                 warmup=2).run()
+        stats = echo_latency(mode, 512, iters=6, warmup=2)
         assert stats.count == 6
         assert stats.mean > 0
 
 
 def test_hatrpc_latency_beats_hybrid_baseline():
     """Fig. 11: 37-54% improvement over Hybrid-EagerRNDV for small sizes."""
-    hat = LatencyBenchmark(mode="hatrpc", payload=512, iters=10).run()
-    hyb = LatencyBenchmark(mode="hybrid_eager_rndv", payload=512,
-                           iters=10).run()
+    hat = echo_latency("hatrpc", 512, iters=10)
+    hyb = echo_latency("hybrid_eager_rndv", 512, iters=10)
     assert hat.mean < hyb.mean
     # The gap should be substantial (paper: >= 37% for <= 4KB).
     assert (hyb.mean - hat.mean) / hyb.mean > 0.10
@@ -36,17 +43,26 @@ def test_hatrpc_latency_beats_hybrid_baseline():
 def test_hatrpc_latency_matches_direct_writeimm():
     """Fig. 11: 'the difference between HatRPC and Direct-WriteIMM is
     within 3%' -- HatRPC selects that protocol and adds only routing."""
-    hat = LatencyBenchmark(mode="hatrpc", payload=512, iters=10).run()
-    dwi = LatencyBenchmark(mode="direct_writeimm", payload=512,
-                           iters=10).run()
+    hat = echo_latency("hatrpc", 512, iters=10)
+    dwi = echo_latency("direct_writeimm", 512, iters=10)
     assert hat.mean == pytest.approx(dwi.mean, rel=0.05)
 
 
 def test_hatrpc_large_payload_latency():
-    hat = LatencyBenchmark(mode="hatrpc", payload=128 * KiB, iters=8).run()
-    hyb = LatencyBenchmark(mode="hybrid_eager_rndv", payload=128 * KiB,
-                           iters=8).run()
+    hat = echo_latency("hatrpc", 128 * KiB, iters=8)
+    hyb = echo_latency("hybrid_eager_rndv", 128 * KiB, iters=8)
     assert hat.mean < hyb.mean
+
+
+def test_echo_checks_response_length(monkeypatch):
+    """A server answering fewer bytes than the payload fails the run."""
+    class ShortEcho(EchoHandler):
+        def __init__(self, node, resp_payload):
+            super().__init__(node, resp_payload - 1)
+
+    monkeypatch.setattr(echo_bench, "EchoHandler", ShortEcho)
+    with pytest.raises(AssertionError, match="answered 511 bytes"):
+        echo_latency("hatrpc", 512, iters=2, warmup=1)
 
 
 def test_throughput_benchmark_runs():

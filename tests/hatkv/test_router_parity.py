@@ -16,7 +16,8 @@ Reads are a ``Get`` loop held to what each situation must decide: a read
 whose primary leg dies is answered by the router's failover walk
 (``read_failovers``), one replica answer per read, never cached; a miss
 inside the forwarding window is answered by the range's previous holders
-(``forward_reads``), never cached either.
+(``forward_reads``), never cached either.  One ``MultiGet`` of the same
+keys must return the same values.
 """
 
 import random
@@ -162,10 +163,18 @@ def get_loop(world, router):
     return values
 
 
+def multi_get(world, router):
+    """One server-side MultiGet of every key."""
+    return dict(zip(world.keys, (yield from router.MultiGet(world.keys))))
+
+
 @pytest.mark.parametrize("situation", SITUATIONS)
 def test_get_loop_and_multi_get_decide_alike(gen, situation):
     one = drive(gen, situation, get_loop)
     assert one["values"] == {k: seed_value(k) for k in KEYS}
+    batch = drive(gen, situation, multi_get)
+    assert batch["values"] == one["values"]
+    assert batch["cache"] == {}             # batch replies are never cached
     # ... and the situation really was the one named
     c = one["counters"]
     if situation == "static":
@@ -177,6 +186,9 @@ def test_get_loop_and_multi_get_decide_alike(gen, situation):
     else:
         assert c["hatkv.router.forward_reads"] > 0
         assert 0 < len(one["cache"]) < N_KEYS   # forwarded answers: not cached
+        # one forward per moved key: the loop's two sweeps, the batch's one
+        assert 2 * batch["counters"]["hatkv.router.forward_reads"] == \
+            c["hatkv.router.forward_reads"]
 
 
 # -- writes -------------------------------------------------------------------
