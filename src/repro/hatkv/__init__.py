@@ -24,7 +24,8 @@ from repro.hatkv.migration import (MigrationPlan, RangeHandedOffError,
                                    RangeState, ResizeTrigger)
 from repro.hatkv.server import HatKVServer, LeaseTable
 from repro.hatkv.client import cache_for, connect_hatkv
-from repro.hatkv.sharding import HashRing, ShardRouter, ShardedKVCluster
+from repro.hatkv.sharding import (HashRing, RouterInUseError, ShardRouter,
+                                  ShardedKVCluster)
 
 __all__ = [
     "BackendCosts",
@@ -37,6 +38,7 @@ __all__ = [
     "RangeHandedOffError",
     "RangeState",
     "ResizeTrigger",
+    "RouterInUseError",
     "ShardRouter",
     "ShardedKVCluster",
     "cache_for",

@@ -39,16 +39,16 @@ from repro import obs
 from repro.core.runtime import gather
 from repro.hatkv.cache import (HIT_COST, HotKeyCache, cache_hit_result,
                                trace_cache_hit)
-from repro.hatkv.client import (IDEMPOTENT_FUNCTIONS, cache_for,
-                                connect_hatkv)
+from repro.hatkv.client import cache_for, connect_hatkv
 from repro.hatkv.idl import load_hatkv_module
 from repro.hatkv.migration import (FORWARD_WINDOW, HandoffGuard,
                                    MigrationPlan, RangeState, VnodeRange,
                                    coalesce_ranges, hash_key, ring_segments)
-from repro.hatkv.server import BASE_SID, SERVICE, HatKVServer
+from repro.hatkv.server import BASE_SID, HatKVServer
 from repro.sim.core import Event
 
-__all__ = ["HashRing", "RoutingView", "ShardRouter", "ShardedKVCluster"]
+__all__ = ["HashRing", "RouterInUseError", "RoutingView", "ShardRouter",
+           "ShardedKVCluster"]
 
 #: ring placement hash (md5-derived; see :func:`repro.hatkv.migration.hash_key`)
 _hash64 = hash_key
@@ -595,6 +595,22 @@ class _Shard(NamedTuple):
     ops: Any        # hatkv.router.shard<i>.ops counter (None: metrics off)
 
 
+class RouterInUseError(RuntimeError):
+    """A stub call entered a :class:`ShardRouter` while another process's
+    call was in flight on it: a router serves one process at a time."""
+
+
+def _one_process(method):
+    """A stub method of :class:`ShardRouter`, run as the router's one
+    in-flight call (:meth:`ShardRouter._held`)."""
+    def call(self, *args):
+        return self._held(method(self, *args))
+    call.__name__ = method.__name__
+    call.__qualname__ = method.__qualname__
+    call.__doc__ = method.__doc__
+    return call
+
+
 class ShardRouter:
     """Client-side shard fan-out with the stub's coroutine API.
 
@@ -616,8 +632,10 @@ class ShardRouter:
 
     A router, like a Thrift client, serves one process at a time: its
     shard stubs number their calls from one seqid counter each, so two
-    processes interleaving calls on one router can take each other's
-    replies.  Give every client process its own router.
+    processes interleaving calls on one router would take each other's
+    replies.  A stub call that enters while another process's call is in
+    flight raises :class:`RouterInUseError` at once.  Give every client
+    process its own router.
     """
 
     def __init__(self, cluster: ShardedKVCluster, node, cache=None,
@@ -630,6 +648,8 @@ class ShardRouter:
         self._m_read_failovers = _counter("hatkv.router.read_failovers")
         self._m_forward = _counter("hatkv.router.forward_reads")
         self._closed = False
+        #: the process whose stub call is in flight, None when idle
+        self._holder = None
 
     # -- elastic topology ----------------------------------------------------
     def attach_shards(self, servers):
@@ -665,6 +685,22 @@ class ShardRouter:
         authoritative.  Everything else keeps serving."""
         if self.cache is not None:
             self.cache.invalidate_match(lambda k: task.contains(_hash64(k)))
+
+    def _held(self, call):
+        """Coroutine: run the stub call ``call`` for the active process,
+        or raise :class:`RouterInUseError` if another process's is in
+        flight."""
+        me = self.node.sim.active_process
+        holder = self._holder
+        if holder is not None and holder is not me:
+            raise RouterInUseError(
+                f"router on {self.node.name} is serving process "
+                f"{holder.name!r}; give every client process its own router")
+        self._holder = me
+        try:
+            return (yield from call)
+        finally:
+            self._holder = holder
 
     # -- the two wire drivers ------------------------------------------------
     # Every call leaves through one of these, so a shard's op counter ticks
@@ -780,6 +816,7 @@ class ShardRouter:
         return result
 
     # -- the stub API: reads -------------------------------------------------
+    @_one_process
     def Get(self, key):
         """Coroutine: GetResult for ``key``; the hot-key cache sits above
         the shard fan-out, and reads fail over in preference order when a
@@ -799,6 +836,7 @@ class ShardRouter:
         return (yield from self._primary_answered(key, shard, result,
                                                   issued, gen0))
 
+    @_one_process
     def MultiGet(self, keys):
         """Coroutine: values for ``keys`` (b"" when absent), fanned as one
         server-side MultiGet per shard, reassembled in request order.
@@ -858,6 +896,7 @@ class ShardRouter:
                 self.cache.invalidate(key)
         return values
 
+    @_one_process
     def Scan(self, start_key, count):
         """Coroutine: global scan -- hash sharding scatters key ranges, so
         every shard scans locally and the router merges the fronts.
@@ -966,10 +1005,12 @@ class ShardRouter:
         finally:
             self._write_done((key,), tokens)
 
+    @_one_process
     def Put(self, key, value):
         """Coroutine: store ``key`` (see :meth:`_write_one`)."""
         return self._write_one("Put", key, value)
 
+    @_one_process
     def Delete(self, key):
         """Coroutine: remove ``key`` (same write discipline -- and
         migration write gate -- as :meth:`Put`)."""
@@ -1000,6 +1041,7 @@ class ShardRouter:
         finally:
             self._write_done(keys, tokens)
 
+    @_one_process
     def MultiPut(self, keys, values):
         """Coroutine: store a batch, one server-side MultiPut per shard
         per replica, in two waves: every primary, then every replica."""

@@ -8,7 +8,8 @@ bytes from A to B:
 1. occupies A's TX side for ``n / rate`` (serialization onto the wire),
 2. propagates for ``wire_latency`` (cables + one switch hop),
 3. occupies B's RX side for ``n / rate`` (arrival serialization -- this is
-   what produces incast queueing when many clients target one server).
+   what produces incast queueing when many clients target one server),
+   booked when the frame leaves A's TX side for when it arrives.
 
 Steady-state pipelined throughput of a flow is the full link ``rate``
 (successive messages overlap stages); single-message latency is
@@ -123,6 +124,17 @@ class Port:
                 return True
         return False
 
+    # -- a path: this port to ``dst`` ----------------------------------------
+    def path_down(self, dst: "Port", at: float) -> bool:
+        """True when the path to ``dst`` is inside a down window at ``at``."""
+        return self.is_down(at) or dst.is_down(at)
+
+    def path_drop(self, dst: "Port", at: float) -> bool:
+        """One seeded drop decision for a message to ``dst`` at ``at``."""
+        # Either endpoint's drop window can lose the message; short-circuit
+        # keeps at most one RNG draw per port per message (deterministic).
+        return self.roll_drop(at) or (dst is not self and dst.roll_drop(at))
+
 
 class Fabric:
     """A single-switch network over a cluster's nodes."""
@@ -154,22 +166,6 @@ class Fabric:
     def port_of(self, node: Node) -> Port:
         return self.ports[node.name]
 
-    # -- fault interface (used by the verbs datapath and the injector) -------
-    def link_down(self, a: Node, b: Node) -> bool:
-        """True when the path a<->b is inside a down window right now."""
-        now = self.sim.now
-        return (self.ports[a.name].is_down(now)
-                or self.ports[b.name].is_down(now))
-
-    def roll_drop(self, src: Node, dst: Node) -> bool:
-        """One seeded drop decision for a message src->dst at sim.now."""
-        now = self.sim.now
-        # Either endpoint's drop window can lose the message; short-circuit
-        # keeps at most one RNG draw per port per message (deterministic).
-        if self.ports[src.name].roll_drop(now):
-            return True
-        return src is not dst and self.ports[dst.name].roll_drop(now)
-
     def transmit(self, src: Node, dst: Node, nbytes: int,
                  rate_cap: float | None = None):
         """Coroutine: move ``nbytes`` from src's NIC to dst's NIC.
@@ -190,15 +186,15 @@ class Fabric:
         ap = self.sim.active_process
         ctx = ap.trace_ctx if ap is not None else None
         t0 = self.sim.now
-        if self.link_down(src, dst):
+        if sp.path_down(dp, t0):
             sp.faults_seen += 1
             raise LinkDownError(
                 f"link {src.name}->{dst.name} is down at t={self.sim.now}")
-        while self.roll_drop(src, dst):
+        while sp.path_drop(dp, self.sim.now):
             # Lost on the wire: the reliable layer above (TCP / RC) waits a
             # retransmission timeout and tries again.
             yield self.sim.timeout(self.params.retransmit_timeout)
-            if self.link_down(src, dst):
+            if sp.path_down(dp, self.sim.now):
                 sp.faults_seen += 1
                 raise LinkDownError(
                     f"link {src.name}->{dst.name} went down during "
@@ -207,13 +203,13 @@ class Fabric:
         if rate_cap is not None:
             ser = max(ser, nbytes / rate_cap)
         # Loopback still costs serialization through the NIC but skips the
-        # wire; real IB HCAs loop back internally.
+        # wire; real IB HCAs loop back internally.  The RX side is booked as
+        # the frame leaves, for when it arrives (``Lane.hold``'s ``after``).
         yield sp.tx.hold(ser)
         sp.bytes_sent += nbytes
         sp.messages_sent += 1
         if src is not dst:
-            yield self.sim.timeout(self.params.wire_latency)
-            yield dp.rx.hold(ser)
+            yield dp.rx.hold(ser, after=self.params.wire_latency)
         dp.bytes_received += nbytes
         if ctx is not None:
             ctx.stage("network", t0, self.sim.now, nbytes=nbytes,

@@ -131,6 +131,25 @@ def check_wc(wc: WC) -> WC:
     return wc
 
 
+#: what a receive path raises for a completion or a header that fails its
+#: checks -- the case that pays the reaped poll alone (:func:`charge`)
+CHECK_FAILED = (WCError, ProtocolError)
+
+
+def charge(device: Device, pieces: tuple):
+    """Coroutine: run ``pieces`` -- CPU work the thread owes and no post
+    follows, e.g. the poll of a completion that failed its checks -- as one
+    job; nothing when empty.
+
+    A receive path reaps completions with their poll unpaid
+    (:meth:`~repro.verbs.cq.CQ.reap`): a good one pays it in the job of
+    its copy-out and ring re-post, a bad one pays it here, alone, before
+    the error is raised -- as it did when the poll was charged on its
+    own."""
+    if pieces:
+        yield device.node.cpu.compute(pieces)
+
+
 class RecvRing:
     """The receive ring, registered once: slot *i* is bytes
     ``[i * slot_bytes, (i + 1) * slot_bytes)`` of one MR and is posted with
@@ -151,10 +170,13 @@ class RecvRing:
         self._wrs = [RecvWR(Sge(mr.addr + i * slot_bytes, slot_bytes,
                                 mr.lkey), wr_id=i) for i in range(slots)]
 
-    def post(self, i: int):
-        """Coroutine: release slot ``i`` and (re-)post it."""
+    def post(self, i: int, before: tuple = ()):
+        """Coroutine: release slot ``i`` and (re-)post it.  ``before`` is
+        the CPU work that precedes the post on the calling thread -- the
+        poll that reaped the slot, its copy-out -- charged with it as one
+        job."""
         self.mr.discard(self.slot_bytes, offset=i * self.slot_bytes)
-        yield from self.rq.post_recv(self._wrs[i])
+        yield from self.rq.post_recv(self._wrs[i], before)
 
     def post_all(self):
         """Coroutine: post every slot, in order, as one WR list."""

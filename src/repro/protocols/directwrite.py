@@ -22,11 +22,13 @@ from __future__ import annotations
 import struct
 
 from repro.protocols.base import (
+    CHECK_FAILED,
     HDR_BYTES,
     K_NOTIFY,
     ProtoConfig,
     ProtocolError,
     RecvRing,
+    charge,
     check_length,
     check_wc,
     pack_ctrl,
@@ -100,8 +102,9 @@ class DirectWriteEndpoint:
         seq = self._seq
         off = ((seq - 1) % self.slots) * self._stride
         n = len(data)
-        yield from self.device.memcpy(n, self.cfg.numa_local)
         self._staging.write(pack_ctrl(K_NOTIFY, seq, n) + data, offset=off)
+        # The copy into the staging slot and the first post are one job.
+        copy = (self.device.copy_time(n, self.cfg.numa_local),)
         total = HDR_BYTES + n
         if self.flavor == F_IMM:
             yield from self.qp.post_send(
@@ -110,7 +113,7 @@ class DirectWriteEndpoint:
                            self._staging.lkey),
                        remote_addr=self.peer_addr + off, rkey=self.peer_rkey,
                        imm=seq, signaled=False),
-                numa_local=self.cfg.numa_local)
+                numa_local=self.cfg.numa_local, before=copy)
             # The post gathered the WRITE's source: release its slot.
             self._staging.discard(self._stride, offset=off)
             return
@@ -127,9 +130,11 @@ class DirectWriteEndpoint:
                         signaled=False)
         if self.flavor == F_CHAINED:
             write.next = notify                      # one doorbell
-            yield from self.qp.post_send(write, numa_local=self.cfg.numa_local)
+            yield from self.qp.post_send(write, numa_local=self.cfg.numa_local,
+                                         before=copy)
         else:
-            yield from self.qp.post_send(write, numa_local=self.cfg.numa_local)
+            yield from self.qp.post_send(write, numa_local=self.cfg.numa_local,
+                                         before=copy)
             yield from self.qp.post_send(notify, numa_local=self.cfg.numa_local)
         # Likewise; the notify header is kept: a chained SEND is gathered
         # only once the WRITE before it has left the NIC.
@@ -137,26 +142,35 @@ class DirectWriteEndpoint:
 
     # -- receive --------------------------------------------------------------
     def recv_msg(self):
-        """Coroutine: next inbound message (read in place from inbuf)."""
-        wcs = yield from self.qp.recv_cq.wait(self.cfg.poll_mode, max_wc=1)
-        wc = check_wc(wcs[0])
-        self._rseq += 1
-        if wc.opcode is WCOpcode.RECV_RDMA_WITH_IMM:
-            # The IMM carries the sender's seq -> our slot (RC delivery is
-            # in-order, so the local counter agrees; the IMM is the
-            # authoritative copy).
-            seq = wc.imm or self._rseq
-            off = ((seq - 1) % self.slots) * self._stride
-            kind, seq, length, _a, _k = unpack_ctrl(
-                self.inbuf.read(HDR_BYTES, offset=off))
-        else:
-            kind, seq, length, _a, _k = self._ring.header(wc.wr_id)
-            off = ((seq - 1) % self.slots) * self._stride
-        if kind != K_NOTIFY:
-            raise ProtocolError(f"unexpected control kind {kind}")
-        # Longer would read on into the next slot (or out of the buffer).
-        check_length(length, self.cfg.max_msg)
-        yield from self._ring.post(wc.wr_id)
+        """Coroutine: next inbound message (read in place from inbuf).  The
+        poll and the ring re-post are one CPU job; a completion or header
+        that fails its checks pays the poll alone."""
+        cq = self.qp.recv_cq
+        mode = self.cfg.poll_mode
+        wcs = yield from cq.reap(mode, max_wc=1)
+        poll = (cq.poll_cost(mode),)
+        try:
+            wc = check_wc(wcs[0])
+            self._rseq += 1
+            if wc.opcode is WCOpcode.RECV_RDMA_WITH_IMM:
+                # The IMM carries the sender's seq -> our slot (RC delivery
+                # is in-order, so the local counter agrees; the IMM is the
+                # authoritative copy).
+                seq = wc.imm or self._rseq
+                off = ((seq - 1) % self.slots) * self._stride
+                kind, seq, length, _a, _k = unpack_ctrl(
+                    self.inbuf.read(HDR_BYTES, offset=off))
+            else:
+                kind, seq, length, _a, _k = self._ring.header(wc.wr_id)
+                off = ((seq - 1) % self.slots) * self._stride
+            if kind != K_NOTIFY:
+                raise ProtocolError(f"unexpected control kind {kind}")
+            # Longer would read on into the next slot (or out of the buffer).
+            check_length(length, self.cfg.max_msg)
+        except CHECK_FAILED:
+            yield from charge(self.device, poll)
+            raise
+        yield from self._ring.post(wc.wr_id, poll)
         # Payload is already in our inbuf -- read in place, no copy charged;
         # then its slot is released.
         data = self.inbuf.read(length, offset=off + HDR_BYTES)

@@ -35,6 +35,7 @@ from repro.protocols.base import (
     ProtoConfig,
     RecvRing,
     RpcServer,
+    charge,
     get_protocol,
     hard_close,
 )
@@ -84,16 +85,23 @@ class SrqEagerServer(RpcServer):
         self._ring = RecvRing(self.pd, self.srq, self.srq_slots,
                               HDR_BYTES + self.cfg.max_msg)
         yield from self._ring.post_all()
+        mode = self.cfg.poll_mode
         while not self._stopped:
             t_poll = self.sim.now
-            wcs = yield from self.rcq.wait(self.cfg.poll_mode)
+            wcs = yield from self.rcq.reap(mode)
+            before = (self.rcq.poll_cost(mode),)
             for wc in wcs:
-                yield from self._one_wc(wc, t_poll)
+                yield from self._one_wc(wc, t_poll, before)
+                before = ()
 
-    def _one_wc(self, wc, t_poll: float):
+    def _one_wc(self, wc, t_poll: float, before: tuple):
+        """Coroutine: one completion off the shared CQ; ``before`` (the
+        poll, for the first of a reap) is charged with its copy-out and
+        re-post, or alone if the completion or its frame is bad."""
         if wc.status is not WCStatus.SUCCESS:
             # An error completion names its connection via qp_num; only
             # that connection dies -- the pool and its neighbors carry on.
+            yield from charge(self.device, before)
             self._drop_conn(wc.qp_num)
             return
         ring = self._ring
@@ -104,15 +112,16 @@ class SrqEagerServer(RpcServer):
             # a per-connection serve loop -- never the shared dispatcher:
             # the slot goes back to the pool and everyone else keeps being
             # served.
+            yield from charge(self.device, before)
             yield from ring.post(wc.wr_id)
             self._drop_conn(wc.qp_num)
             return
         # Copy out, then immediately re-post: the slot is back in the pool
         # before the handler runs, so slow handlers cost RNR pressure on
         # *admitted* work only, never on the shared receive ring.
-        yield from self.device.memcpy(length, self.cfg.numa_local)
         request = ring.read(wc.wr_id, length, offset=HDR_BYTES)
-        yield from ring.post(wc.wr_id)
+        yield from ring.post(wc.wr_id, (
+            *before, self.device.copy_time(length, self.cfg.numa_local)))
         conn = self._conns.get(wc.qp_num)
         if conn is None:
             return   # raced with a teardown; the late request is dropped

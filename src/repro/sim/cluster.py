@@ -54,9 +54,10 @@ class Node:
         self._crash_hooks: List[Callable[[], None]] = []
         self._restore_hooks: List[Callable[[], None]] = []
 
-    def compute(self, cpu_seconds: float, times: int = 1):
+    def compute(self, cpu_seconds, times: int = 1):
         """Event that fires after ``times`` back-to-back pieces of
-        ``cpu_seconds`` of fair-shared CPU work (one job)."""
+        ``cpu_seconds`` -- or the tuple of pieces ``cpu_seconds`` -- of
+        fair-shared CPU work (one job)."""
         return self.cpu.compute(cpu_seconds, times)
 
     # -- liveness ----------------------------------------------------------

@@ -35,11 +35,13 @@ one, so a superseded wake-up or a retired completion entry is popped and
 discarded when its time comes: dead events are left only by
 over-subscription.
 
-A job may be ``times`` equal pieces of work back to back
-(``compute(c, times)``: a list of receive WRs posted in one call, a
-MultiGet's key descents).  With a core it is one completion entry at the
-float the pieces reach one after another; without one it runs piece by
-piece, as that many sequential calls would (:class:`_Pieces`).
+A job may be several pieces of work one thread runs back to back
+(``compute((c1, c2, ...))``: a copy then a post, a poll then a copy-out and
+a ring re-post; ``compute(c, times)`` is the equal-piece case: a list of
+receive WRs posted in one call, a MultiGet's key descents).  With a core it
+is one completion entry at the float the pieces reach one after another;
+without one it runs piece by piece, as that many sequential calls would
+(:class:`_Pieces`).
 """
 
 from __future__ import annotations
@@ -97,37 +99,44 @@ class _Wake(Event):
 
 
 class _Pieces:
-    """A ``compute(c, times=n)`` job: n back-to-back pieces of ``c``.
+    """A job of several pieces, ``pieces[0]`` then ``pieces[1]`` ... back
+    to back, that has lost its core (or arrived without one).
 
-    While it has a core the job is one completion entry, at the float the n
-    pieces reach (``t += c``, n additions from ``start``).  A job that
-    arrives over-subscribed, or loses its core to a later arrival, runs the
-    rest of its pieces one at a time -- each a job of its own, whose
-    completion starts the next inline or from the heap entry a pass pushed
-    for it, and the piece it lost its core on owing what it would owe
-    alone -- so it pushes the entries and takes the floats n sequential
-    ``compute(c)`` calls would.  The last piece is the job handed out."""
+    While it has a core the job is one completion entry, at the float the
+    pieces reach (``t += c`` per piece, from ``start``), and the scheduler
+    keeps only ``(pieces, start)`` for it.  A job that arrives
+    over-subscribed, or loses its core to a later arrival, runs the rest of
+    its pieces one at a time -- each a job of its own, whose completion
+    starts the next inline or from the heap entry a pass pushed for it, and
+    the piece it lost its core on owing what it would owe alone -- so it
+    pushes the entries and takes the floats sequential ``compute(c)`` calls
+    would.  The last piece is the job handed out."""
 
-    __slots__ = ("cpu", "job", "work", "left", "start")
+    __slots__ = ("cpu", "job", "pieces", "i", "start")
 
-    def __init__(self, cpu: "CpuScheduler", job: _Job, work: float,
-                 times: int):
+    def __init__(self, cpu: "CpuScheduler", job: _Job, pieces: tuple,
+                 start: float):
         self.cpu = cpu
         self.job = job
-        self.work = work
-        #: pieces not started yet
-        self.left = times
-        self.start = cpu.sim.now
+        self.pieces = pieces
+        #: pieces started so far
+        self.i = 0
+        self.start = start
 
     def _next(self, _done: Optional[Event] = None) -> None:
-        """Start the next piece (the previous one, if any, is done)."""
-        self.left -= 1
-        self.cpu._start(self._piece(), self.work)
+        """Start the next piece (the previous one, if any, is done); a
+        piece of no work is done at once, as ``compute`` does it."""
+        c = self.pieces[self.i]
+        self.i += 1
+        if c > _EPS:
+            self.cpu._start(self._piece(), c)
+        else:
+            self._piece().succeed()
 
     def _piece(self) -> _Job:
         """The job of the piece just started: the handed-out job if it is
         the last one, else a fresh job whose completion starts the next."""
-        if not self.left:
+        if self.i == len(self.pieces):
             return self.job
         piece = _Job(self.cpu.sim)
         piece.callbacks.append(self._next)
@@ -136,12 +145,17 @@ class _Pieces:
     def _retire(self, now: float) -> tuple:
         """The job loses its core at ``now``: (the job of the piece it is
         on, the work that piece still owes)."""
-        c = self.work
-        finish = self.start + c
-        self.left -= 1
-        while finish < now and self.left:
-            finish += c
-            self.left -= 1
+        pieces = self.pieces
+        finish = self.start
+        i = 0
+        while True:
+            c = pieces[i]
+            i += 1
+            if c > _EPS:
+                finish += c
+            if finish >= now or i == len(pieces):
+                break
+        self.i = i
         return self._piece(), finish - now
 
 
@@ -167,11 +181,10 @@ class CpuScheduler:
         self._rate = 1.0
         self._version = 0
         self._busy_time = 0.0  # core-seconds of useful work charged so far
-        #: running multi-piece jobs -> their pieces (:class:`_Pieces`)
-        self._pieces: Dict[_Job, _Pieces] = {}
+        #: running multi-piece jobs -> (their pieces, their arrival)
+        self._pieces: Dict[_Job, tuple] = {}
         self._tick_callbacks = (self._tick,)
         self._finish_callbacks = (self._finish,)
-        self._pieces_callbacks = (self._finish_pieces,)
 
     # -- public API ---------------------------------------------------------
     @property
@@ -201,47 +214,52 @@ class CpuScheduler:
             return 0.0
         return self.busy_core_seconds / (elapsed * self.cores)
 
-    def compute(self, cpu_seconds: float, times: int = 1) -> Event:
-        """Consume ``cpu_seconds`` of CPU work ``times`` over, back to back,
-        as one job; the event fires when done.
+    def compute(self, cpu_seconds, times: int = 1) -> Event:
+        """Consume CPU work as one job; the event fires when done.
 
-        With a core of its own at arrival the job is one completion entry
-        at the float ``times`` sequential ``compute(cpu_seconds)`` calls
-        reach (``t += cpu_seconds``, ``times`` additions).  Arriving
-        over-subscribed, its pieces run one after another as those calls
-        would (:class:`_Pieces`).  Only a job that has a core at arrival and
-        loses it to a later arrival owes the sum of its pieces at once, so
-        its finish may differ from theirs in the last ulps.
+        ``cpu_seconds`` is one piece of work, run ``times`` over back to
+        back, or a tuple of pieces run one after the other (the thread's
+        back-to-back charges: a copy then a post).  With a core of its own
+        at arrival the job is one completion entry at the float the
+        sequential ``compute(c)`` calls reach (``t += c``, one addition per
+        piece).  Arriving over-subscribed, or losing its core to a later
+        arrival, it runs its pieces one after another as those calls would
+        (:class:`_Pieces`).
         """
-        job = _Job(self.sim)
-        if cpu_seconds <= _EPS or times < 1:
-            return job.succeed()
+        sim = self.sim
+        job = _Job(sim)
         running = self._running
         has_core = (not self._jobs
                     and len(running) + len(self._spinners) < self.cores)
-        if times > 1:
-            pieces = _Pieces(self, job, cpu_seconds, times)
-            if not has_core:
-                pieces._next()
-                return job
-            work = finish = cpu_seconds
-            finish += pieces.start
-            for _ in range(times - 1):
-                work += cpu_seconds
-                finish += cpu_seconds
-            job.remaining = work
-            running[job] = finish
-            self._pieces[job] = pieces
-            _Wake(self.sim, finish, self._version, self._pieces_callbacks,
-                  job)
-        elif has_core:
-            sim = self.sim
+        if type(cpu_seconds) is tuple:
+            pieces = cpu_seconds
+        elif cpu_seconds <= _EPS or times < 1:
+            return job.succeed()
+        elif times == 1:
             job.remaining = cpu_seconds
-            running[job] = finish = sim.now + cpu_seconds
-            _Wake(sim, finish, self._version, self._finish_callbacks, job)
+            if has_core:
+                running[job] = finish = sim.now + cpu_seconds
+                _Wake(sim, finish, self._version, self._finish_callbacks,
+                      job)
+            else:
+                self._reschedule(job)
+            return job
         else:
-            job.remaining = cpu_seconds
-            self._reschedule(job)
+            pieces = (cpu_seconds,) * times
+        start = sim.now
+        if not has_core:
+            _Pieces(self, job, pieces, start)._next()
+            return job
+        work = 0.0
+        finish = start
+        for c in pieces:
+            if c > _EPS:            # else done at once, as compute(c) is
+                work += c
+                finish += c
+        job.remaining = work
+        running[job] = finish
+        self._pieces[job] = (pieces, start)
+        _Wake(sim, finish, self._version, self._finish_callbacks, job)
         return job
 
     def _start(self, job: _Job, cpu_seconds: float) -> None:
@@ -303,7 +321,8 @@ class CpuScheduler:
                 rem = finish - now
                 self._busy_time += job.remaining - rem
                 if pieces and job in pieces:
-                    job, rem = pieces.pop(job)._retire(now)
+                    job, rem = _Pieces(self, job,
+                                       *pieces.pop(job))._retire(now)
                 job.remaining = rem
                 jobs.append(job)
             running.clear()
@@ -356,12 +375,6 @@ class CpuScheduler:
         if wake._value == self._version:    # else: superseded, a dead event
             self._reschedule()
 
-    def _finish_pieces(self, entry: _Wake) -> None:
-        """:meth:`_finish` for a multi-piece job's completion entry."""
-        if entry._value == self._version:
-            del self._pieces[entry.job]
-            self._finish(entry)
-
     def _finish(self, entry: _Wake) -> None:
         """Fire a job whose completion entry is still live (no pass has
         retired it into the table): the entry's pop is the job's."""
@@ -369,6 +382,8 @@ class CpuScheduler:
             return                          # retired into a pass: dead
         job = entry.job
         del self._running[job]
+        if self._pieces:
+            self._pieces.pop(job, None)
         self._busy_time += job.remaining
         job._triggered = True
         callbacks, job.callbacks = job.callbacks, None

@@ -31,9 +31,18 @@ class Lane:
     next holder starts after it.  (A semaphore holder would release early
     from its ``finally``.)
 
+    A holder may book ahead: ``hold(d, after=L)`` is a frame that reaches
+    the lane ``L`` from now (a packet leaving the wire's far end), booked
+    when it leaves, at ``max(now + L, free_at) + d``.  That is the float a
+    ``timeout(L)`` followed by ``hold(d)`` gives as long as every holder
+    books the same ``L`` ahead -- then bookings at departure are made in
+    the order the arrivals would make them.  A port's RX side is booked so
+    (every arrival is one ``wire_latency`` after its departure).
+
     Tie order: the returned timeout takes its heap sequence number at the
-    :meth:`hold` call, not when the slot starts; holders finishing at the
-    same instant fire in booking order.
+    :meth:`hold` call, not when the slot starts (nor, booked ahead, when
+    the frame arrives); holders finishing at the same instant fire in
+    booking order.
     """
 
     __slots__ = ("sim", "free_at")
@@ -42,13 +51,15 @@ class Lane:
         self.sim = sim
         self.free_at = 0.0
 
-    def hold(self, duration: float, value: Any = None) -> Timeout:
-        """Book the lane for ``duration`` after its current holders; the
-        returned timeout (carrying ``value``) fires when the slot ends."""
+    def hold(self, duration: float, value: Any = None,
+             after: float = 0.0) -> Timeout:
+        """Book the lane for ``duration`` after its current holders, for a
+        holder that arrives ``after`` from now; the returned timeout
+        (carrying ``value``) fires when the slot ends."""
         sim = self.sim
-        start = self.free_at
-        if start < sim.now:
-            start = sim.now
+        start = sim.now + after
+        if start < self.free_at:
+            start = self.free_at
         ev = Timeout(sim, duration, value, start)
         self.free_at = start + duration
         return ev
@@ -98,22 +109,27 @@ class Gate:
     bare Event, a Gate can be fired many times; each ``fire`` releases the
     waiters registered since the previous one.  Used for completion-queue
     arming and connection-ready notifications.
+
+    ``wait(delay)`` is a waiter that wakes ``delay`` after the fire (an
+    event-mode poller's interrupt latency): one heap entry at
+    ``fire time + delay``, the float a wake-up followed by ``timeout(delay)``
+    reaches, numbered at the fire.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._waiters: list[Event] = []
+        self._waiters: list[tuple[Event, float]] = []
 
-    def wait(self) -> Event:
+    def wait(self, delay: float = 0.0) -> Event:
         ev = Event(self.sim)
-        self._waiters.append(ev)
+        self._waiters.append((ev, delay))
         return ev
 
     def fire(self, value: Any = None) -> int:
         """Release all current waiters; returns how many were released."""
         waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
+        for ev, delay in waiters:
+            ev.succeed(value, delay)
         return len(waiters)
 
     @property

@@ -13,7 +13,7 @@ from repro.sim.cluster import Node
 from repro.sim.core import Simulator
 from repro.verbs.costmodel import CostModel
 from repro.verbs.cq import CQ, CompChannel
-from repro.verbs.errors import MemoryAccessError, VerbsError
+from repro.verbs.errors import MemoryAccessError
 from repro.verbs.memory import Memory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -203,10 +203,14 @@ class Device:
         """Scale a CPU-side NIC interaction by the NUMA penalty if remote."""
         return base if numa_local else base * self.cost.numa_remote_penalty
 
+    def copy_time(self, nbytes: int, numa_local: bool = True) -> float:
+        """CPU time of a host copy of ``nbytes`` (user buffer <-> registered
+        slot), to charge as one piece of a job (:meth:`memcpy` alone)."""
+        return self.cpu_time(self.cost.memcpy_time(nbytes), numa_local)
+
     def memcpy(self, nbytes: int, numa_local: bool = True):
         """Coroutine: charge a CPU-side copy of ``nbytes``."""
-        yield self.node.cpu.compute(
-            self.cpu_time(self.cost.memcpy_time(nbytes), numa_local))
+        yield self.node.cpu.compute(self.copy_time(nbytes, numa_local))
 
     # -- memory polling support -------------------------------------------------
     def watch_memory(self, addr: int, length: int) -> "MemWatch":

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.hatkv import HashRing, ShardedKVCluster
+from repro.hatkv import HashRing, RouterInUseError, ShardedKVCluster
 from repro.obs import trace as obstrace
 from repro.testbed import Testbed
 from repro.ycsb import WORKLOAD_B, run_ycsb
@@ -150,6 +150,44 @@ def test_router_roundtrip_and_empty_vs_missing():
     assert out["roundtrip"]
     assert out["empty"].found and out["empty"].value == b""
     assert not out["absent"].found
+
+
+def test_router_shared_by_two_processes_refuses_the_second():
+    # One router, two processes, 5 Gets each: the stubs' one seqid counter
+    # per shard used to hand each process the other's replies (4 of 10
+    # Gets failed "expected seqid ..."); now the second process is refused
+    # at once, typed, and the first is served whole.
+    tb = Testbed(n_nodes=8)
+    cluster = ShardedKVCluster(tb, 2).start()
+    items = {k: k * 10 for k in keys_of(10)}
+    cluster.load(items.items())
+    keys = list(items)
+    router = {}
+    outcomes = {0: [], 1: []}
+
+    def setup():
+        router["r"] = yield from cluster.connect(tb.node(4))
+
+    def client(i):
+        r = router["r"]
+        for key in keys[5 * i:5 * i + 5]:
+            t0 = tb.sim.now
+            try:
+                got = yield from r.Get(key)
+            except RouterInUseError:
+                outcomes[i].append(("refused", tb.sim.now == t0))
+            else:
+                outcomes[i].append(got.found and got.value == items[key])
+
+    tb.sim.run(tb.sim.process(setup()))
+    procs = [tb.sim.process(client(i)) for i in (0, 1)]
+    for p in procs:
+        tb.sim.run(p)
+    assert outcomes[0] == [True] * 5
+    assert outcomes[1] == [("refused", True)] * 5
+    # once the first process is done, the router serves the second
+    tb.sim.run(tb.sim.process(client(1)))
+    assert outcomes[1][5:] == [True] * 5
 
 
 def test_router_writes_land_on_owning_shard():

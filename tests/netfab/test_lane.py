@@ -4,7 +4,10 @@ Property: for any arrival times and hold durations -- same-time arrivals
 and arrivals at the very instant a holder leaves included -- every holder
 finishes at the bit-identical float a capacity-1 FIFO
 :class:`tests.sim.resource.Resource` gives it, and each ``hold`` pushes
-exactly one heap entry.
+exactly one heap entry.  A hold booked ahead, ``hold(d, after=L)`` at
+departure (the RX side of a port, booked as the packet leaves), finishes
+where ``timeout(L)`` followed by ``hold(d)`` does, when every holder books
+the same ``L`` ahead.
 """
 
 import struct
@@ -76,3 +79,24 @@ def test_hold_is_one_timeout_at_max_now_free_at_plus_duration():
     sim.run(until=9 * TICK)
     lane.hold(TICK)
     assert sim.peek() == 10 * TICK
+
+
+@settings(max_examples=300, deadline=None)
+@given(holders, times)
+def test_hold_booked_at_departure_is_the_wire_then_the_lane(departures,
+                                                            latency):
+    booked, waited = {}, {}
+
+    def ahead(sim, duration):
+        lane = booked.setdefault(sim, Lane(sim))
+        before = len(sim._heap)
+        ev = lane.hold(duration, after=latency)
+        assert len(sim._heap) == before + 1
+        yield ev
+
+    def wire_then_lane(sim, duration):
+        yield sim.timeout(latency)
+        yield waited.setdefault(sim, Lane(sim)).hold(duration)
+
+    assert bits(finishes(departures, ahead)) == \
+        bits(finishes(departures, wire_then_lane))

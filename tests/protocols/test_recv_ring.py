@@ -19,13 +19,13 @@ class Recorder:
         self.qp = qp
         self.posted = []
 
-    def post_recv(self, rwr):
+    def post_recv(self, rwr, before=()):
         """One WR, or a WR list (remembered WR by WR)."""
         if isinstance(rwr, list):
             self.posted.extend(rwr)
         else:
             self.posted.append(rwr)
-        yield from self.qp.post_recv(rwr)
+        yield from self.qp.post_recv(rwr, before)
 
 
 def ring_on_qp(tb, slots=4, slot_bytes=64):

@@ -155,3 +155,35 @@ def test_gate_fire_with_no_waiters():
     gate = Gate(sim)
     assert gate.fire() == 0
     assert gate.n_waiting == 0
+
+
+def test_gate_wait_with_latency_is_the_wake_then_the_timeout():
+    # An event-mode poller's wake-up: one heap entry at the float a wake-up
+    # followed by timeout(latency) reaches, at every fire time.
+    latency = 1.8e-6
+    for fire_at in (0.0, 1e-6, 3.3e-7, 0.7, 1.2345678e-3):
+        stamps = []
+        for fused in (True, False):
+            sim = Simulator()
+            gate = Gate(sim)
+
+            def waiter():
+                if fused:
+                    yield gate.wait(latency)
+                else:
+                    yield gate.wait()
+                    yield sim.timeout(latency)
+                stamps.append(sim.now)
+
+            def firer():
+                yield sim.timeout(fire_at)
+                gate.fire()
+
+            sim.process(waiter())
+            sim.process(firer())
+            sim.run()
+            if fused:
+                fused_events = sim.events_executed
+            else:
+                assert sim.events_executed == fused_events + 1
+        assert stamps[0] == stamps[1] == fire_at + latency
