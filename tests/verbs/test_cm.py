@@ -4,6 +4,7 @@ import pytest
 
 from repro.verbs import Opcode, QPState, SendWR, Sge
 from repro.verbs import cm
+from repro.verbs.cq import PollMode
 
 
 def test_connect_accept_exchanges_private_data(tb):
@@ -86,7 +87,7 @@ def test_connected_pair_passes_traffic(tb):
         from repro.verbs import RecvWR
         yield from qp.post_recv(RecvWR(Sge(mr.addr, 128, mr.lkey)))
         yield from req.accept(qp)
-        wcs = yield from rcq.wait_busy()
+        wcs = yield from rcq.wait(PollMode.BUSY)
         result["payload"] = mr.read(wcs[0].byte_len)
 
     def client():
@@ -97,7 +98,7 @@ def test_connected_pair_passes_traffic(tb):
         mr = pd.reg_mr(64)
         mr.write(b"via-cm!!")
         yield from qp.post_send(SendWR(Opcode.SEND, Sge(mr.addr, 8, mr.lkey)))
-        yield from scq.wait_busy()
+        yield from scq.wait(PollMode.BUSY)
 
     tb.sim.process(server())
     tb.sim.process(client())

@@ -29,7 +29,7 @@ def test_wait_busy_returns_immediately_when_ready(tb):
 
     def waiter():
         t0 = tb.sim.now
-        wcs = yield from cq.wait_busy()
+        wcs = yield from cq.wait(PollMode.BUSY)
         return len(wcs), tb.sim.now - t0
 
     n, dt = tb.sim.run(tb.sim.process(waiter()))
@@ -44,7 +44,7 @@ def test_wait_event_pays_interrupt_latency(tb):
 
     def waiter():
         t0 = tb.sim.now
-        wcs = yield from cq.wait_event()
+        wcs = yield from cq.wait(PollMode.EVENT)
         out["dt"] = tb.sim.now - t0
         out["n"] = len(wcs)
 
@@ -65,7 +65,7 @@ def test_wait_event_skips_interrupt_if_already_ready(tb):
 
     def waiter():
         t0 = tb.sim.now
-        yield from cq.wait_event()
+        yield from cq.wait(PollMode.EVENT)
         return tb.sim.now - t0
 
     dt = tb.sim.run(tb.sim.process(waiter()))

@@ -14,6 +14,7 @@ from repro.sim.units import us
 from repro.thrift.errors import (TTransportException,
                                  transport_exception_from_wc)
 from repro.verbs import Opcode, QPState, SendWR, Sge, WCStatus
+from repro.verbs.cq import PollMode
 
 
 def run(tb, gen):
@@ -38,7 +39,7 @@ def test_send_through_long_link_down_retry_exc_err(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -57,7 +58,7 @@ def test_send_rides_out_short_flap(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs, tb.sim.now
 
     wcs, elapsed = run(tb, client())
@@ -74,7 +75,7 @@ def test_rdma_read_hits_transport_guard_too(tb, pair):
         yield from pair.cqp.post_send(
             SendWR(Opcode.RDMA_READ, Sge(lmr.addr, 64, lmr.lkey),
                    remote_addr=rmr.addr, rkey=rmr.rkey))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -97,7 +98,7 @@ def test_rnr_exhaustion_surfaces_to_caller_as_timeout(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         if wcs[0].status.is_error:
             raise transport_exception_from_wc(wcs[0].status)
         return wcs

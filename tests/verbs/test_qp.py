@@ -14,6 +14,7 @@ from repro.verbs import (
     WCOpcode,
     WCStatus,
 )
+from repro.verbs.cq import PollMode
 from repro.verbs.qp import connect_pair
 
 
@@ -29,11 +30,11 @@ def test_send_recv_delivers_payload(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 32, smr.lkey), wr_id=7))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     def server():
-        wcs = yield from pair.s_rcq.wait_busy()
+        wcs = yield from pair.s_rcq.wait(PollMode.BUSY)
         return wcs
 
     sp = tb.sim.process(server())
@@ -53,7 +54,7 @@ def test_small_send_latency_in_microsecond_range(tb, pair):
         t0 = tb.sim.now
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 64, smr.lkey)))
-        yield from pair.c_scq.wait_busy()
+        yield from pair.c_scq.wait(PollMode.BUSY)
         return tb.sim.now - t0
 
     elapsed = run(tb, client())
@@ -70,7 +71,7 @@ def test_rdma_write_no_remote_completion(tb, pair):
         yield from pair.cqp.post_send(SendWR(
             Opcode.RDMA_WRITE, Sge(smr.addr, 128, smr.lkey),
             remote_addr=rmr.addr, rkey=rmr.rkey))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -89,10 +90,10 @@ def test_write_with_imm_consumes_recv_and_carries_imm(tb, pair):
         yield from pair.cqp.post_send(SendWR(
             Opcode.RDMA_WRITE_WITH_IMM, Sge(smr.addr, 100, smr.lkey),
             remote_addr=rmr.addr, rkey=rmr.rkey, imm=0xBEEF))
-        yield from pair.c_scq.wait_busy()
+        yield from pair.c_scq.wait(PollMode.BUSY)
 
     def server():
-        wcs = yield from pair.s_rcq.wait_busy()
+        wcs = yield from pair.s_rcq.wait(PollMode.BUSY)
         return wcs
 
     sp = tb.sim.process(server())
@@ -114,7 +115,7 @@ def test_rdma_read_fetches_remote_payload(tb, pair):
         yield from pair.cqp.post_send(SendWR(
             Opcode.RDMA_READ, Sge(lmr.addr, 4096, lmr.lkey),
             remote_addr=rmr.addr, rkey=rmr.rkey))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -135,7 +136,7 @@ def test_chained_wrs_single_doorbell(tb, pair):
                        remote_addr=rmr.addr, rkey=rmr.rkey, wr_id=1,
                        signaled=False, next=notify)
         yield from pair.cqp.post_send(write)
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -161,7 +162,7 @@ def test_chain_preserves_order_write_before_notify(tb, pair):
         yield from pair.cqp.post_send(write)
 
     def server():
-        yield from pair.s_rcq.wait_busy()
+        yield from pair.s_rcq.wait(PollMode.BUSY)
         return rmr.read(1024)  # read at the moment the notify lands
 
     sp = tb.sim.process(server())
@@ -188,7 +189,7 @@ def test_bad_rkey_errors_both_qps(tb, pair):
         yield from pair.cqp.post_send(SendWR(
             Opcode.RDMA_WRITE, Sge(smr.addr, 64, smr.lkey),
             remote_addr=0x40, rkey=0xDEAD))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -204,7 +205,7 @@ def test_rnr_retry_succeeds_after_late_post_recv(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     def late_server():
@@ -222,7 +223,7 @@ def test_rnr_retries_exhausted_is_error(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     wcs = run(tb, client())
@@ -237,11 +238,11 @@ def test_send_larger_than_recv_buffer_loc_len_err(tb, pair):
     def client():
         yield from pair.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 256, smr.lkey)))
-        wcs = yield from pair.c_scq.wait_busy()
+        wcs = yield from pair.c_scq.wait(PollMode.BUSY)
         return wcs
 
     def server():
-        wcs = yield from pair.s_rcq.wait_busy()
+        wcs = yield from pair.s_rcq.wait(PollMode.BUSY)
         return wcs
 
     sp = tb.sim.process(server())
@@ -276,7 +277,7 @@ def test_srq_shared_between_qps(tb, srq_pair):
         for _ in range(2):
             yield from p.cqp.post_send(
                 SendWR(Opcode.SEND, Sge(smr.addr, 64, smr.lkey)))
-            yield from p.c_scq.wait_busy()
+            yield from p.c_scq.wait(PollMode.BUSY)
 
     run(tb, client())
     assert len(p.srq) == 0
@@ -307,18 +308,16 @@ def test_event_polling_slower_than_busy_but_wakes(tb, pair):
     smr = pair.cpd.reg_mr(64)
     lat = {}
 
-    def bench(mode_name, waiter):
-        def client():
-            t0 = tb.sim.now
-            yield from pair.cqp.post_send(
-                SendWR(Opcode.SEND, Sge(smr.addr, 8, smr.lkey)))
-            yield from waiter()
-            lat[mode_name] = tb.sim.now - t0
-        return client
+    def bench(mode):
+        t0 = tb.sim.now
+        yield from pair.cqp.post_send(
+            SendWR(Opcode.SEND, Sge(smr.addr, 8, smr.lkey)))
+        yield from pair.c_scq.wait(mode)
+        lat[mode.value] = tb.sim.now - t0
 
-    run(tb, bench("busy", pair.c_scq.wait_busy)())
+    run(tb, bench(PollMode.BUSY))
     pair.server_recv_buf(64)
-    run(tb, bench("event", pair.c_scq.wait_event)())
+    run(tb, bench(PollMode.EVENT))
     assert lat["event"] > lat["busy"]
     # Event polling pays roughly the interrupt latency extra.
     assert lat["event"] - lat["busy"] > 2 * us
@@ -422,6 +421,50 @@ def test_post_recv_list_qp_errored_during_the_charge_posts_nothing(tb, pair):
         run(tb, post())
     assert pair.sqp.recv_depth == 0
     assert pair.s_rcq.poll(8) == []         # nothing was there to flush
+
+
+@pytest.mark.parametrize("before", [(), (2e-9,)])
+def test_post_qp_errored_during_the_job_posts_nothing(tb, pair, before):
+    """Every post re-checks its QP when its CPU job ends, with or without
+    leading pieces: one that lost its state posts nothing and raises."""
+    rmr = pair.spd.reg_mr(64)
+    smr = pair.cpd.reg_mr(64)
+    sends = pair.cdev.wrs_posted
+
+    def post_recv():
+        yield from pair.sqp.post_recv(
+            RecvWR(Sge(rmr.addr, 64, rmr.lkey)), before)
+
+    def post_send():
+        yield from pair.cqp.post_send(
+            SendWR(Opcode.SEND, Sge(smr.addr, 8, smr.lkey)), before=before)
+
+    def kill(qp):
+        yield tb.sim.timeout(1e-9)
+        qp.to_error()
+
+    tb.sim.process(kill(pair.sqp))
+    with pytest.raises(QPStateError):
+        run(tb, post_recv())
+    assert pair.sqp.recv_depth == 0
+    tb.sim.process(kill(pair.cqp))
+    with pytest.raises(QPStateError):
+        run(tb, post_send())
+    assert pair.cdev.wrs_posted == sends
+
+
+def test_post_recv_list_refuses_leading_pieces(tb, pair, srq_pair):
+    mr = pair.spd.reg_mr(2 * 64)
+    smr = srq_pair.spd.reg_mr(2 * 64)
+
+    def post(queue, wrs):
+        yield from queue.post_recv(wrs, (1e-9,))
+
+    for queue, wrs in ((pair.sqp, _recv_list(mr, 2)),
+                       (srq_pair.srq, _recv_list(smr, 2))):
+        with pytest.raises(ValueError):
+            run(tb, post(queue, wrs))
+    assert pair.sqp.recv_depth == 0 and len(srq_pair.srq) == 0
 
 
 def test_post_recv_list_is_one_job_of_equal_pieces(tb, pair):

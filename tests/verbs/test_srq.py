@@ -16,6 +16,7 @@ from repro.verbs import (
     SendWR,
     Sge,
 )
+from repro.verbs.cq import PollMode
 from repro.verbs.qp import connect_pair
 
 
@@ -92,7 +93,7 @@ def test_srq_drains_fifo_across_multiple_qps(tb, srq_pair):
         smr.write(payload)
         yield from qp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 64, smr.lkey)))
-        yield from scq.wait_busy()
+        yield from scq.wait(PollMode.BUSY)
 
     # Alternate senders; each send fully completes before the next posts,
     # so arrival order (and thus WQE consumption order) is deterministic.
@@ -120,7 +121,7 @@ def test_srq_exhaustion_rnr_recovers_after_repost(tb, srq_pair):
     def client():
         yield from p.cqp.post_send(
             SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
-        wcs = yield from p.c_scq.wait_busy()
+        wcs = yield from p.c_scq.wait(PollMode.BUSY)
         return wcs
 
     def late_repost():
