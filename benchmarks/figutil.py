@@ -11,31 +11,33 @@ the default ``small`` grid keeps the whole suite in a few minutes.
 Every figure also emits a machine-readable :class:`~repro.bench.BenchRecord`
 via :func:`emit_bench`; the process-wide sink flushes them to
 ``BENCH_<scale>.json`` (or ``$REPRO_BENCH_OUT``) at exit, which is what
-``scripts/check_bench_regression.py`` consumes in CI.
+``scripts/check_bench_regression.py`` compares with the committed ledger,
+``BENCH_BASELINE.json``, in CI.  A bench on the phased harness records
+each number once: a MEASUREMENT value lives in its phase record, and its
+summary record keeps only what no phase record holds.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional
 
-from repro.bench.report import SINK, BenchRecord, metric
-from repro.sim.units import KiB, us
+from repro.bench.report import SINK, BenchRecord, bench_scale, metric
+from repro.sim.units import us
 
 __all__ = ["SCALE", "emit_bench", "fmt_rows", "is_full", "kops",
            "lat_metric", "pct_gain", "tput_metric", "usec"]
 
-SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
+SCALE = bench_scale()
 
 
 def lat_metric(seconds: float) -> Dict[str, object]:
-    """A latency metric in microseconds (lower is better)."""
-    return metric(round(seconds / us, 3), unit="us", better="lower")
+    """A latency metric in microseconds."""
+    return metric(round(seconds / us, 3), unit="us")
 
 
 def tput_metric(ops_per_sec: float) -> Dict[str, object]:
-    """A throughput metric in kops/s (higher is better)."""
-    return metric(round(ops_per_sec / 1e3, 2), unit="kops", better="higher")
+    """A throughput metric in kops/s."""
+    return metric(round(ops_per_sec / 1e3, 2), unit="kops")
 
 
 def emit_bench(figure: str, name: str, metrics: Dict[str, Dict[str, object]],

@@ -27,11 +27,10 @@ import tempfile
 
 import pytest
 
-from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, \
-    tput_metric
+from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops
 from benchmarks.oracle import OracleStub, StaleOracle
 from repro import obs
-from repro.bench import Phase, PhasedRun, ScenarioMatrix, metric
+from repro.bench import Phase, PhasedRun, Scenario, metric
 from repro.hatkv import ShardedKVCluster, load_hatkv_module
 from repro.hatkv.client import cache_for
 from repro.obs import JsonlSink, MetricsRegistry, MetricsSampler, read_stream
@@ -55,7 +54,7 @@ GATE_SPEEDUP = 1.3
 BURST = 12                       # storm-cell writes to the one hot key
 
 #: One calm cell at a hot skew: leases only pay where reads concentrate.
-MATRIX = ScenarioMatrix(skews=[1.2], value_sizes=[100])
+SCENARIO = Scenario("zipf1.2/v100/calm", skew=1.2, value_size=100)
 
 #: Repo WORKLOAD_B folds MultiGet into the read mix; big-batch replies
 #: carry no versions (never admitted), so the cacheable leg is measured
@@ -83,7 +82,7 @@ def _stream_path(leg: str) -> str:
 
 def _leg(cached: bool):
     leg = "on" if cached else "off"
-    scenario = MATRIX.scenarios()[0]
+    scenario = SCENARIO
     spec = scenario_spec(B_HOT, scenario)
     reg = MetricsRegistry()
     with obs.installed(reg):
@@ -173,18 +172,12 @@ def test_cached_ycsb_b_speedup_with_zero_stale_reads(benchmark):
         r["run"].emit_phase_records("cache", f"ycsb_b_{r['leg']}",
                                     config=r["config"])
     emit_bench("cache", "ycsb_b_cached",
-               {"tput_kops.cache_off": tput_metric(off_tput),
-                "tput_kops.cache_on": tput_metric(on_tput),
-                "speedup": metric(round(speedup, 3), unit="x",
-                                  better="higher"),
+               {"speedup": metric(round(speedup, 3), unit="x"),
                 "srv_req_per_op.cache_on": metric(
-                    round(on["req_per_op"], 3), unit="req/op",
-                    better="lower"),
+                    round(on["req_per_op"], 3), unit="req/op"),
                 "stale_reads": metric(
-                    off["oracle"].stale + on["oracle"].stale,
-                    unit="ops", better="lower"),
-                "cache_hits": metric(c["hits"], unit="ops",
-                                     better="higher")},
+                    off["oracle"].stale + on["oracle"].stale, unit="ops"),
+                "cache_hits": metric(c["hits"], unit="ops")},
                config={"shards": SHARDS, "n_clients": N_CLIENTS,
                        "n_client_nodes": N_CLIENT_NODES,
                        "ttl_us": TTL / us, **on["config"]})
@@ -279,10 +272,8 @@ def test_put_burst_invalidates_every_cache_within_one_lease(benchmark):
                out["cache"]["lease_expiries"]
                + out["cache"]["invalidations"]]])
     emit_bench("cache", "put_burst_storm",
-               {"stale_reads": metric(out["stale"], unit="ops",
-                                      better="lower"),
-                "ack_max_us": metric(round(max(acks) / us, 2), unit="us",
-                                     better="lower")},
+               {"stale_reads": metric(out["stale"], unit="ops"),
+                "ack_max_us": metric(round(max(acks) / us, 2), unit="us")},
                config={"burst": BURST, "ttl_us": TTL / us})
     # Every read issued after a Put acked saw that Put's value -- on all
     # reader nodes, including ones whose cached entry was only ever

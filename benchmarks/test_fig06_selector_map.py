@@ -44,10 +44,10 @@ def test_fig06_selector_map(benchmark):
                 for p in PAYLOADS] for c in CONCURRENCY])
     benchmark.extra_info["cells"] = len(table)
     emit_bench("fig06", "selector_map",
-               {"cells": metric(len(table), unit="cells", better="none"),
+               {"cells": metric(len(table), unit="cells"),
                 "rfp_cells": metric(
                     sum(1 for ch in table.values() if ch.protocol == "rfp"),
-                    unit="cells", better="none")},
+                    unit="cells")},
                config={"goals": GOALS, "concurrency": CONCURRENCY,
                        "payloads": PAYLOADS})
 

@@ -18,9 +18,8 @@ One long(ish) run exercising everything the phased harness composes:
 * per-phase BenchRecords whose MEASUREMENT numbers provably exclude
   warmup (ops are attributed to the phase they *started* in).
 
-The scenario itself comes off a one-cell
-:class:`~repro.bench.harness.ScenarioMatrix` -- the same front end a
-skew x value-size x storm sweep would use.
+The run's workload cell is one :class:`~repro.bench.harness.Scenario`,
+whose ``config()`` is the phase records' config.
 """
 
 import json
@@ -29,10 +28,9 @@ import tempfile
 
 import pytest
 
-from benchmarks.figutil import emit_bench, fmt_rows, kops, tput_metric
+from benchmarks.figutil import emit_bench, fmt_rows, kops
 from repro import obs
-from repro.bench import (Phase, PhasedRun, ScenarioMatrix, StormSpec,
-                         metric)
+from repro.bench import Phase, PhasedRun, Scenario, StormSpec, metric
 from repro.core.overload import AdmissionConfig
 from repro.core.tuner import HintTuner, TunerConfig
 from repro.hatkv import ShardedKVCluster
@@ -59,10 +57,10 @@ SLO_SUSTAIN = 300 * us
 VNODES = 256
 RING_SEED = 3
 
-#: One matrix cell: default skew/value-size, with a mid-measurement storm.
-MATRIX = ScenarioMatrix(
-    skews=[0.99], value_sizes=[100],
-    storms=[StormSpec(at=1 * ms, duration=1.5 * ms, clients=96)])
+#: Default skew/value-size, with a mid-measurement storm.
+SCENARIO = Scenario("zipf0.99/v100/storm96", skew=0.99, value_size=100,
+                    storm=StormSpec(at=1 * ms, duration=1.5 * ms,
+                                    clients=96))
 
 
 def _stream_path() -> str:
@@ -74,7 +72,7 @@ def _stream_path() -> str:
 
 
 def _run():
-    scenario = MATRIX.scenarios()[0]
+    scenario = SCENARIO
     spec = scenario_spec(WORKLOAD_B, scenario)
     reg = MetricsRegistry()
     with obs.installed(reg):
@@ -128,7 +126,7 @@ def test_phased_ycsb_b_storm(benchmark):
     violations = watchdog.violations
 
     fmt_rows(f"Phased YCSB-B ({SHARDS} shards, {N_CLIENTS} clients, "
-             f"storm {MATRIX.storms[0].clients} clients mid-measurement)",
+             f"storm {SCENARIO.storm.clients} clients mid-measurement)",
              ["phase", "ops", "throughput"],
              [[w.phase.value, run.ops(w.phase),
                kops(run.throughput(w.phase))] for w in run.windows])
@@ -139,17 +137,12 @@ def test_phased_ycsb_b_storm(benchmark):
 
     benchmark.extra_info["annotations"] = kinds
     run.emit_phase_records("phased", "ycsb_b_storm",
-                           config=MATRIX.scenarios()[0].config())
+                           config=SCENARIO.config())
     emit_bench("phased", "ycsb_b_storm_stream",
-               {"tput_kops.measurement":
-                    tput_metric(run.throughput(Phase.MEASUREMENT)),
-                "stream_samples": metric(len(samples), unit="samples",
-                                         better="none"),
+               {"stream_samples": metric(len(samples), unit="samples"),
                 "tuner_decisions": metric(
-                    kinds.get("tuner_decision", 0), unit="events",
-                    better="none"),
-                "slo_violations": metric(len(violations), unit="events",
-                                         better="none")},
+                    kinds.get("tuner_decision", 0), unit="events"),
+                "slo_violations": metric(len(violations), unit="events")},
                config={"shards": SHARDS, "n_clients": N_CLIENTS,
                        "declared_concurrency": DECLARED_CONCURRENCY,
                        "capacity": CAPACITY,

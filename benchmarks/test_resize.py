@@ -32,7 +32,7 @@ from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, \
     tput_metric
 from benchmarks.oracle import OracleStub, StaleOracle
 from repro import obs
-from repro.bench import Phase, PhasedRun, ScenarioMatrix, metric
+from repro.bench import Phase, PhasedRun, Scenario, metric
 from repro.hatkv import ResizeTrigger, ShardedKVCluster, load_hatkv_module
 from repro.hatkv.client import cache_for
 from repro.obs import JsonlSink, MetricsRegistry, MetricsSampler, SloSpec, \
@@ -61,7 +61,7 @@ SLO_GET_P99 = 80 * us
 SLO_SUSTAIN = 300 * us
 
 #: One YCSB-B cell at default skew; the resize is the event under test.
-MATRIX = ScenarioMatrix(skews=[0.99], value_sizes=[100])
+SCENARIO = Scenario("zipf0.99/v100/calm", skew=0.99, value_size=100)
 
 
 def _stream_path(tag: str) -> str:
@@ -76,7 +76,7 @@ def _stream_path(tag: str) -> str:
 def _elastic(target: int, *, n_clients: int, n_client_nodes: int,
              measure: float, vnodes: int, tag: str):
     """One phased YCSB-B run that grows SHARDS -> ``target`` mid-run."""
-    scenario = MATRIX.scenarios()[0]
+    scenario = SCENARIO
     spec = scenario_spec(WORKLOAD_B, scenario)
     reg = MetricsRegistry()
     events = []
@@ -229,17 +229,12 @@ def test_elastic_resize_mid_measurement_is_lossless(benchmark):
     r["run"].emit_phase_records("resize", "ycsb_b_elastic",
                                 config=r["config"])
     emit_bench("resize", "ycsb_b_elastic",
-               {"tput_kops": tput_metric(res.throughput_ops),
-                "get_p99_us": metric(round(get.p99 / us, 2), unit="us",
-                                     better="lower"),
-                "migration_ms": metric(round(_migration_ms(r), 3),
-                                       unit="ms", better="lower"),
-                "keys_moved": metric(int(prog["keys_moved"]), unit="keys",
-                                     better="none"),
-                "stale_reads": metric(r["oracle"].stale, unit="ops",
-                                      better="lower"),
+               {"migration_ms": metric(round(_migration_ms(r), 3),
+                                       unit="ms"),
+                "keys_moved": metric(int(prog["keys_moved"]), unit="keys"),
+                "stale_reads": metric(r["oracle"].stale, unit="ops"),
                 "slo_violations": metric(len(r["watchdog"].violations),
-                                        unit="count", better="lower")},
+                                         unit="count")},
                config=r["config"])
 
     _assert_elastic_invariants(r)
@@ -273,10 +268,8 @@ def test_resize_smoke_2_to_3_zero_stale(benchmark):
                int(prog["keys_moved"]),
                f"{r['oracle'].stale}/{r['oracle'].checked}"]])
     emit_bench("resize", "smoke_2_to_3",
-               {"stale_reads": metric(r["oracle"].stale, unit="ops",
-                                      better="lower"),
-                "keys_moved": metric(int(prog["keys_moved"]), unit="keys",
-                                     better="none"),
+               {"stale_reads": metric(r["oracle"].stale, unit="ops"),
+                "keys_moved": metric(int(prog["keys_moved"]), unit="keys"),
                 "tput_kops": tput_metric(res.throughput_ops)},
                config=r["config"])
     _assert_elastic_invariants(r)

@@ -14,13 +14,14 @@ own wire and NIC-engine overhead.
 
 Each shard count runs on the phased harness; the scaling gates compare
 MEASUREMENT-window throughput only (start-time attribution), and every
-phase lands as its own ``shardingph`` BenchRecord.
+phase lands as its own ``sharding`` BenchRecord: the aggregate throughput
+at ``<n>`` shards is ``sharding/ycsb_b.<n>shard.measurement``'s
+``tput_kops``.
 """
 
 import pytest
 
-from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, \
-    tput_metric
+from benchmarks.figutil import fmt_rows, is_full, kops
 from repro.bench import PhasedRun
 from repro.hatkv import ShardedKVCluster
 from repro.sim.units import us
@@ -48,8 +49,8 @@ def _run():
                         measurement=MEASURE, cooldown=COOLDOWN)
         run_ycsb_phased(cluster, cluster.connect, WORKLOAD_B, testbed=tb,
                         run=run, n_clients=N_CLIENTS, n_client_nodes=8)
-        run.emit_phase_records("shardingph", config={"shards": shards,
-                                                     "n_clients": N_CLIENTS})
+        run.emit_phase_records("sharding", config={"shards": shards,
+                                                   "n_clients": N_CLIENTS})
         out[shards] = measurement_result(run)
     return out
 
@@ -64,12 +65,6 @@ def test_sharding_ycsb_b_scaling(benchmark):
                f"x{res[s].throughput_ops / base:.2f}"] for s in SHARDS])
     benchmark.extra_info["throughput_kops"] = {
         s: round(r.throughput_ops / 1e3, 1) for s, r in res.items()}
-    emit_bench("sharding", "ycsb_b_scaling",
-               {f"tput_kops.{s}shard": tput_metric(res[s].throughput_ops)
-                for s in SHARDS},
-               config={"shards": SHARDS, "n_clients": N_CLIENTS,
-                       "warmup_us": WARMUP / us, "measure_us": MEASURE / us,
-                       "vnodes": VNODES, "ring_seed": RING_SEED})
 
     tput = {s: res[s].throughput_ops for s in SHARDS}
     assert tput[2] >= 1.7 * tput[1], (

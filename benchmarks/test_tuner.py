@@ -148,17 +148,15 @@ def test_tuner_beats_best_static(benchmark):
     emit_bench(
         "tuner", "phase_shift",
         {"tuner_tput_kops": metric(round(tuned["tput"] / 1e3, 2),
-                                   unit="kops", better="higher"),
+                                   unit="kops"),
          "static_busy_tput_kops":
-             metric(round(res["static-busy"]["tput"] / 1e3, 2),
-                    unit="kops", better="higher"),
+             metric(round(res["static-busy"]["tput"] / 1e3, 2), unit="kops"),
          "static_event_tput_kops":
              metric(round(res["static-event"]["tput"] / 1e3, 2),
-                    unit="kops", better="higher"),
+                    unit="kops"),
          "tuner_vs_best_static":
-             metric(round(tuned["tput"] / best["tput"], 4),
-                    unit="ratio", better="higher"),
-         "switches": metric(tuner.switches, unit="count", better="none")},
+             metric(round(tuned["tput"] / best["tput"], 4), unit="ratio"),
+         "switches": metric(tuner.switches, unit="count")},
         config={"n_early": N_EARLY, "n_late": N_LATE,
                 "ops_early": OPS_EARLY, "ops_late": OPS_LATE,
                 "payload": PAYLOAD})

@@ -6,7 +6,6 @@ from repro.bench.harness import (
     PhasedRun,
     PhaseWindow,
     Scenario,
-    ScenarioMatrix,
     StormSpec,
 )
 from repro.bench.proto_runner import (
@@ -36,7 +35,6 @@ __all__ = [
     "ProtoBenchSpec",
     "SINK",
     "Scenario",
-    "ScenarioMatrix",
     "StormSpec",
     "config_hash",
     "default_bench_path",

@@ -11,9 +11,7 @@ and attributes every operation to the phase in which it **started** --
 an op that begins in WARMUP and completes in MEASUREMENT is warmup work,
 so MEASUREMENT numbers provably exclude the warmup window.  Each phase
 becomes its own :class:`~repro.bench.report.BenchRecord` (record name
-``<name>.<phase>``); only MEASUREMENT metrics carry regression-gate
-directions, the other phases are emitted with ``better="none"`` so the
-checker treats them as informational.
+``<name>.<phase>``), every phase with the same metric cells.
 
 The harness composes with the rest of the observability stack rather
 than replacing it:
@@ -40,30 +38,28 @@ Driving pattern (the ``benchmarks/`` suite uses exactly this shape)::
     sim.run(until=AllOf(sim, procs)) # in-flight ops drain
     run.stop()                       # final sample + sampler halt
     sim.run()                        # heap drains normally
-    run.emit_phase_records("figPH", "ycsb_b", config={...})
+    run.emit_phase_records("fig16", "ycsb_b", config={...})
 
-:class:`ScenarioMatrix` is the front end: the cross product of workload
-skew x value size x storm injection, each combo a named
-:class:`Scenario` that parameterizes one :class:`PhasedRun`.
+A :class:`Scenario` names one workload cell (skew, value size, optional
+:class:`StormSpec`) and yields the ``config`` a bench records with it.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.bench.report import metric
+from repro.bench.report import SINK, BenchRecord, bench_scale, metric
 from repro.bench.stats import LatencyStats
 from repro.sim.core import Simulator
+from repro.sim.units import us
 
 __all__ = [
     "Phase",
     "PhaseWindow",
     "PhasedRun",
     "Scenario",
-    "ScenarioMatrix",
     "StormSpec",
 ]
 
@@ -324,49 +320,36 @@ class PhasedRun:
 
     # -- reporting -----------------------------------------------------------
     def phase_metrics(self, phase: Phase) -> Dict[str, Dict[str, Any]]:
-        """Metric cells for one phase's BenchRecord.
-
-        MEASUREMENT carries regression directions (throughput higher=
-        better, latency lower=better); every other phase is informational
-        (``better="none"``) so baseline noise there can never gate a PR.
-        """
-        from repro.sim.units import us
-        gated = phase is Phase.MEASUREMENT
+        """Metric cells for one phase's BenchRecord."""
         w = self.window(phase)
         out: Dict[str, Dict[str, Any]] = {}
-        out["tput_kops"] = metric(
-            round(self.throughput(phase) / 1e3, 2), unit="kops",
-            better="higher" if gated else "none")
-        out["ops"] = metric(self.ops(phase), unit="ops", better="none")
+        out["tput_kops"] = metric(round(self.throughput(phase) / 1e3, 2),
+                                  unit="kops")
+        out["ops"] = metric(self.ops(phase), unit="ops")
         if w is not None and w.end is not None:
-            out["duration_us"] = metric(round(w.duration / us, 3),
-                                        unit="us", better="none")
+            out["duration_us"] = metric(round(w.duration / us, 3), unit="us")
         for op, st in sorted(self.stats[phase].items()):
             if not st.count:
                 continue
             for pname, val in (("p50", st.p50), ("p95", st.p95),
                                ("p99", st.p99)):
-                out[f"lat_us.{op}.{pname}"] = metric(
-                    round(val / us, 3), unit="us",
-                    better="lower" if gated else "none")
+                out[f"lat_us.{op}.{pname}"] = metric(round(val / us, 3),
+                                                     unit="us")
         return out
 
     def emit_phase_records(self, figure: str, name: Optional[str] = None,
                            config: Optional[Dict[str, Any]] = None,
-                           **meta: Any) -> List[Any]:
+                           **meta: Any) -> List[BenchRecord]:
         """One BenchRecord per elapsed phase (``<name>.<phase>``)."""
-        from repro.bench.report import SINK, BenchRecord
-        import os
         name = name or self.name
-        scale = os.environ.get("REPRO_BENCH_SCALE", "small")
         recs = []
         for phase in PHASE_ORDER:
             w = self.window(phase)
             if w is None:
                 continue
             rec = BenchRecord(
-                figure=figure, name=f"{name}.{phase.value}", scale=scale,
-                config=dict(config or {}),
+                figure=figure, name=f"{name}.{phase.value}",
+                scale=bench_scale(), config=dict(config or {}),
                 metrics=self.phase_metrics(phase),
                 meta={"phase": phase.value, "run": self.name, **meta})
             SINK.add(rec)
@@ -401,19 +384,15 @@ class StormSpec:
     duration: float
     clients: int = 32
 
-    def label(self) -> str:
-        return f"storm{self.clients}"
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of the scenario matrix."""
+    """One named workload cell of a phased run."""
 
     name: str
     skew: float = 0.99            # zipfian theta (request skew)
     value_size: int = 100         # YCSB field_length (bytes per field)
     storm: Optional[StormSpec] = None
-    params: Dict[str, Any] = field(default_factory=dict)
 
     def config(self) -> Dict[str, Any]:
         cfg: Dict[str, Any] = {"skew": self.skew,
@@ -422,43 +401,4 @@ class Scenario:
             cfg["storm"] = {"at": self.storm.at,
                             "duration": self.storm.duration,
                             "clients": self.storm.clients}
-        cfg.update(self.params)
         return cfg
-
-
-class ScenarioMatrix:
-    """Cross product of skew x value-size x storm injection.
-
-    Each axis is a sequence; :meth:`scenarios` yields every combination
-    with a deterministic derived name (``zipf0.99/v100/storm32``), so a
-    matrix sweep's BenchRecords are stable across runs.
-    """
-
-    def __init__(self, skews: Sequence[float] = (0.99,),
-                 value_sizes: Sequence[int] = (100,),
-                 storms: Sequence[Optional[StormSpec]] = (None,),
-                 **params: Any):
-        if not skews or not value_sizes or not storms:
-            raise ValueError("every matrix axis needs at least one value")
-        self.skews = list(skews)
-        self.value_sizes = list(value_sizes)
-        self.storms = list(storms)
-        self.params = params
-
-    def scenarios(self) -> List[Scenario]:
-        out = []
-        for skew, vs, storm in itertools.product(
-                self.skews, self.value_sizes, self.storms):
-            parts = [f"zipf{skew:g}", f"v{vs}"]
-            parts.append(storm.label() if storm is not None else "calm")
-            out.append(Scenario(name="/".join(parts), skew=skew,
-                                value_size=vs, storm=storm,
-                                params=dict(self.params)))
-        return out
-
-    def __iter__(self) -> Iterator[Scenario]:
-        return iter(self.scenarios())
-
-    def __len__(self) -> int:
-        return (len(self.skews) * len(self.value_sizes)
-                * len(self.storms))

@@ -4,8 +4,8 @@ Every figure benchmark emits one :class:`BenchRecord` -- figure id, scale,
 a hash of its configuration, and a flat dict of named metrics -- into the
 process-wide :data:`SINK`.  ``scripts/run_all_figures.py`` (and, via an
 atexit hook, a plain pytest run of ``benchmarks/``) flushes the sink to a
-single JSON file that ``scripts/check_bench_regression.py`` can diff
-against a committed baseline with per-metric tolerances.
+single JSON file that ``scripts/check_bench_regression.py`` compares with
+the committed baseline, value for value.
 
 Schema (``SCHEMA_VERSION`` guards compatibility)::
 
@@ -21,7 +21,7 @@ Schema (``SCHEMA_VERSION`` guards compatibility)::
           "config_hash": "9f3a...",       # sha256 of canonical config JSON
           "metrics": {
             "latency_us.busy.direct_writeimm.512":
-                {"value": 3.21, "unit": "us", "better": "lower"},
+                {"value": 3.21, "unit": "us"},
             ...
           },
           "meta": {...}                   # free-form (not compared)
@@ -29,8 +29,12 @@ Schema (``SCHEMA_VERSION`` guards compatibility)::
       ]
     }
 
-Output path resolution: ``REPRO_BENCH_OUT`` env var if set, else
-``BENCH_<REPRO_BENCH_SCALE>.json`` in the current directory.
+A cell written before directions were dropped may still carry a
+``"better"`` key; it is loaded and ignored.
+
+Scale: :func:`bench_scale` is the one reader of ``REPRO_BENCH_SCALE``
+(default ``small``).  Output path resolution: ``REPRO_BENCH_OUT`` env var
+if set, else ``BENCH_<scale>.json`` in the current directory.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "SINK",
     "BenchRecord",
     "BenchSink",
+    "bench_scale",
     "config_hash",
     "default_bench_path",
     "load_bench",
@@ -56,16 +61,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_BETTER = ("lower", "higher", "none")
+
+def metric(value: float, unit: str = "") -> Dict[str, Any]:
+    """One metric cell."""
+    return {"value": float(value), "unit": unit}
 
 
-def metric(value: float, unit: str = "", better: str = "lower"
-           ) -> Dict[str, Any]:
-    """One metric cell.  ``better`` tells the regression checker which
-    direction is an improvement ('none' = informational only)."""
-    if better not in _BETTER:
-        raise ValueError(f"better must be one of {_BETTER}, got {better!r}")
-    return {"value": float(value), "unit": unit, "better": better}
+def bench_scale() -> str:
+    """The figure grid to run: ``REPRO_BENCH_SCALE``, default ``small``."""
+    return os.environ.get("REPRO_BENCH_SCALE", "small")
 
 
 def config_hash(config: Dict[str, Any]) -> str:
@@ -110,9 +114,15 @@ class BenchRecord:
         for req in ("figure", "name", "scale", "metrics"):
             if req not in d:
                 raise ValueError(f"bench record missing field {req!r}")
+        if not isinstance(d["metrics"], dict):
+            raise ValueError("bench record field 'metrics' is not an object")
         for mname, m in d["metrics"].items():
-            if "value" not in m:
-                raise ValueError(f"metric {mname!r} has no value")
+            if not isinstance(m, dict):
+                raise ValueError(f"metric {mname!r} is not an object")
+            value = m.get("value")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"metric {mname!r} has no value that is "
+                                 f"a number: {value!r}")
         return cls(figure=d["figure"], name=d["name"], scale=d["scale"],
                    config=d.get("config", {}), metrics=d["metrics"],
                    meta=d.get("meta", {}))
@@ -122,8 +132,7 @@ def default_bench_path() -> str:
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:
         return out
-    scale = os.environ.get("REPRO_BENCH_SCALE", "small")
-    return f"BENCH_{scale}.json"
+    return f"BENCH_{bench_scale()}.json"
 
 
 def write_bench(records: List[BenchRecord], path: Optional[str] = None

@@ -88,27 +88,28 @@ def test_throughput_counts_only_the_phases_own_ops():
 
 def test_emit_phase_records_names_and_gating_directions():
     _, run = _driven_run()
-    m = run.window(Phase.MEASUREMENT)
-    run.record("get", 2 * us, start=m.start)
-    run.record("get", 2 * us, start=run.window(Phase.WARMUP).start)
+    for phase in (Phase.WARMUP, Phase.MEASUREMENT, Phase.COOLDOWN):
+        run.record("get", 2 * us, start=run.window(phase).start)
     saved = list(SINK.records)
     try:
         recs = run.emit_phase_records("figx", name="mini", config={"k": 1})
         by_name = {r.name: r for r in recs}
-        assert set(by_name) == {"mini.preparing", "mini.warmup",
-                                "mini.measurement", "mini.cooldown"}
+        assert list(by_name) == ["mini.preparing", "mini.warmup",
+                                 "mini.measurement", "mini.cooldown"]
         meas = by_name["mini.measurement"]
-        # only MEASUREMENT metrics carry regression directions
-        assert meas.metrics["tput_kops"]["better"] == "higher"
-        assert meas.metrics["lat_us.get.p99"]["better"] == "lower"
         assert meas.meta["phase"] == "measurement"
         assert meas.config == {"k": 1}
-        warm = by_name["mini.warmup"]
-        assert warm.metrics["tput_kops"]["better"] == "none"
-        assert warm.metrics["lat_us.get.p99"]["better"] == "none"
+        # every phase gets the same cells, and no cell carries a direction
+        cells = {"tput_kops", "ops", "duration_us", "lat_us.get.p50",
+                 "lat_us.get.p95", "lat_us.get.p99"}
+        assert set(by_name["mini.preparing"].metrics) == \
+            {"tput_kops", "ops", "duration_us"}
         for rec in recs:
             assert rec.figure == "figx"
-            assert rec.metrics["ops"]["better"] == "none"
+            if rec.name != "mini.preparing":
+                assert set(rec.metrics) == cells
+            for cell in rec.metrics.values():
+                assert set(cell) == {"value", "unit"}
     finally:
         SINK.records = saved
 

@@ -1,8 +1,7 @@
-"""The CI perf gate: scripts/check_bench_regression.py pass/fail paths."""
+"""The CI ledger gate: scripts/check_bench_regression.py, exact equality."""
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ cbr = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cbr)
 
 from repro.bench.report import (  # noqa: E402
-    BenchRecord, config_hash, metric, write_bench)
+    SCHEMA_VERSION, BenchRecord, config_hash, metric, write_bench)
 
 
 def bench_file(tmp_path, fname, lat=10.0, tput=100.0, config=None,
@@ -22,9 +21,9 @@ def bench_file(tmp_path, fname, lat=10.0, tput=100.0, config=None,
     recs = [BenchRecord(
         figure="fig04", name="latency", scale="small",
         config=config or {"sizes": [64]},
-        metrics={"lat_us.busy.64": metric(lat, "us", "lower"),
-                 "tput_kops.64": metric(tput, "kops", "higher"),
-                 "cells": metric(42, "cells", "none")})]
+        metrics={"lat_us.busy.64": metric(lat, "us"),
+                 "tput_kops.64": metric(tput, "kops"),
+                 "cells": metric(42, "cells")})]
     if extra:
         recs.extend(extra)
     path = tmp_path / fname
@@ -41,66 +40,27 @@ def test_identical_files_pass(tmp_path, capsys):
 
 def test_degraded_latency_fails(tmp_path, capsys):
     base = bench_file(tmp_path, "base.json", lat=10.0)
-    cur = bench_file(tmp_path, "cur.json", lat=12.0)   # +20% > 10% tol
+    cur = bench_file(tmp_path, "cur.json", lat=12.0)
     assert cbr.main([base, cur]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSED" in out and "lat_us.busy.64" in out
+    assert "DIFFERS fig04/latency/small lat_us.busy.64: 10.0 -> 12.0" in out
 
 
 def test_degraded_throughput_fails(tmp_path):
     base = bench_file(tmp_path, "base.json", tput=100.0)
-    cur = bench_file(tmp_path, "cur.json", tput=80.0)  # -20% > 10% tol
+    cur = bench_file(tmp_path, "cur.json", tput=80.0)
     assert cbr.main([base, cur]) == 1
 
 
-def test_within_tolerance_passes(tmp_path):
-    base = bench_file(tmp_path, "base.json", lat=10.0, tput=100.0)
-    cur = bench_file(tmp_path, "cur.json", lat=10.5, tput=96.0)
-    assert cbr.main([base, cur]) == 0
-
-
-def test_override_tolerance(tmp_path):
-    base = bench_file(tmp_path, "base.json", lat=10.0)
-    cur = bench_file(tmp_path, "cur.json", lat=12.0)
-    # A 25% latency tolerance forgives the 20% slip.
-    assert cbr.main([base, cur, "--override", "lat_us.*=0.25"]) == 0
-    # But tightening the default to 5% keeps other metrics gated.
-    assert cbr.main([base, cur, "--tolerance", "0.05",
-                     "--override", "lat_us.*=0.25"]) == 0
-
-
-def test_informational_metrics_never_gate(tmp_path):
-    base = bench_file(tmp_path, "base.json")
-    cur_path = tmp_path / "cur.json"
-    recs = [BenchRecord(
-        figure="fig04", name="latency", scale="small",
-        config={"sizes": [64]},
-        metrics={"lat_us.busy.64": metric(10.0, "us", "lower"),
-                 "tput_kops.64": metric(100.0, "kops", "higher"),
-                 "cells": metric(9999, "cells", "none")})]
-    write_bench(recs, str(cur_path))
-    assert cbr.main([base, str(cur_path)]) == 0
-
-
-def test_config_change_skips_comparison(tmp_path, capsys):
-    base = bench_file(tmp_path, "base.json", lat=10.0,
-                      config={"sizes": [64]})
-    cur = bench_file(tmp_path, "cur.json", lat=99.0,
-                     config={"sizes": [64, 512]})
-    assert cbr.main([base, cur]) == 0
-    assert "config changed" in capsys.readouterr().out
-
-
 def test_missing_record_fails_the_gate(tmp_path, capsys):
-    # A benchmark that silently stops running is a regression: the gate
-    # must fail, not shrug (this used to warn-and-pass).
+    # A benchmark that silently stops running must fail the gate.
     extra = [BenchRecord(figure="fig05", name="tput", scale="small",
                          metrics={"m": metric(1.0)})]
     base = bench_file(tmp_path, "base.json", extra=extra)
     cur = bench_file(tmp_path, "cur.json")
     assert cbr.main([base, cur]) == 1
     out = capsys.readouterr().out
-    assert "MISSING" in out and "missing from current run" in out
+    assert "DIFFERS fig05/tput/small: missing from the current run" in out
     assert "FAIL" in out
 
 
@@ -110,32 +70,22 @@ def test_missing_metric_fails_the_gate(tmp_path, capsys):
     recs = [BenchRecord(
         figure="fig04", name="latency", scale="small",
         config={"sizes": [64]},
-        metrics={"lat_us.busy.64": metric(10.0, "us", "lower")})]
+        metrics={"lat_us.busy.64": metric(10.0, "us"),
+                 "cells": metric(42, "cells")})]
     write_bench(recs, str(cur_path))                 # tput_kops.64 vanished
     assert cbr.main([base, str(cur_path)]) == 1
-    assert "metric tput_kops.64 missing" in capsys.readouterr().out
-
-
-def test_allow_missing_downgrades_to_warning(tmp_path, capsys):
-    extra = [BenchRecord(figure="fig05", name="tput", scale="small",
-                         metrics={"m": metric(1.0)})]
-    base = bench_file(tmp_path, "base.json", extra=extra)
-    cur = bench_file(tmp_path, "cur.json")
-    assert cbr.main([base, cur, "--allow-missing"]) == 0
-    out = capsys.readouterr().out
-    assert "WARNING" in out and "PASS" in out
+    assert ("DIFFERS fig04/latency/small tput_kops.64: missing from the "
+            "current run") in capsys.readouterr().out
 
 
 def test_exact_passes_only_identical_values(tmp_path, capsys):
     base = bench_file(tmp_path, "base.json")
-    assert cbr.main([base, bench_file(tmp_path, "same.json"), "--exact"]) == 0
+    assert cbr.main([base, bench_file(tmp_path, "same.json")]) == 0
     assert "PASS: every record and metric is equal" in \
         capsys.readouterr().out
-    # better by a hair, well inside any tolerance: still a difference
+    # better by a hair: still a difference
     cur = bench_file(tmp_path, "cur.json", lat=9.999999, tput=100.0000001)
-    assert cbr.main([base, cur]) == 0
-    capsys.readouterr()
-    assert cbr.main([base, cur, "--exact"]) == 1
+    assert cbr.main([base, cur]) == 1
     out = capsys.readouterr().out
     assert "DIFFERS fig04/latency/small lat_us.busy.64: 10.0 -> 9.999999" \
         in out
@@ -153,11 +103,11 @@ def test_exact_lists_informational_config_and_one_sided_changes(tmp_path,
     write_bench([BenchRecord(
         figure="fig04", name="latency", scale="small",
         config={"sizes": [64, 512]},
-        metrics={"lat_us.busy.64": metric(10.0, "us", "lower"),
-                 "tput_kops.64": metric(100.0, "kops", "higher"),
-                 "cells": metric(43, "cells", "none"),
+        metrics={"lat_us.busy.64": metric(10.0, "us"),
+                 "tput_kops.64": metric(100.0, "kops"),
+                 "cells": metric(43, "cells"),
                  "new_metric": metric(1.0)})], str(cur_path))
-    assert cbr.main([base, str(cur_path), "--exact"]) == 1
+    assert cbr.main([base, str(cur_path)]) == 1
     out = capsys.readouterr().out
     lines = [ln for ln in out.splitlines() if ln.startswith("DIFFERS")]
     old, new = config_hash({"sizes": [64]}), config_hash({"sizes": [64, 512]})
@@ -169,33 +119,18 @@ def test_exact_lists_informational_config_and_one_sided_changes(tmp_path,
     ]
 
 
-def test_summary_markdown_worst_offenders_first(tmp_path):
-    extra = [BenchRecord(figure="fig05", name="tput", scale="small",
-                         metrics={"m": metric(1.0)})]
-    base = bench_file(tmp_path, "base.json", lat=10.0, tput=100.0,
-                      extra=extra)
-    # lat +100% (worst), tput -15% (second), and one missing record.
-    cur = bench_file(tmp_path, "cur.json", lat=20.0, tput=85.0)
-    summary = tmp_path / "summary.md"
-    assert cbr.main([base, cur, "--summary", str(summary)]) == 1
-    text = summary.read_text()
-    assert "FAIL" in text and "2 regressed" in text and "1 missing" in text
-    body = [ln for ln in text.splitlines() if ln.startswith("|")]
-    order = [ln.split("|")[3].strip() for ln in body[2:]]  # metric column
-    assert order[0] == "lat_us.busy.64"                    # worst first
-    assert order[1] == "tput_kops.64"
-    assert "missing from current run" in order[2]
-
-
-def test_summary_appends_and_reports_pass(tmp_path):
+def test_cells_that_still_carry_better_compare_equal(tmp_path, capsys):
+    # Ledgers written before directions were dropped load unchanged.
     base = bench_file(tmp_path, "base.json")
-    cur = bench_file(tmp_path, "cur.json")
-    summary = tmp_path / "summary.md"
-    summary.write_text("# earlier step\n")
-    assert cbr.main([base, cur, "--summary", str(summary)]) == 0
-    text = summary.read_text()
-    assert text.startswith("# earlier step")       # appended, not clobbered
-    assert "PASS" in text
+    doc = json.loads(Path(base).read_text())
+    cells = doc["records"][0]["metrics"]
+    for mname, better in (("cells", "none"), ("lat_us.busy.64", "lower"),
+                          ("tput_kops.64", "higher")):
+        cells[mname]["better"] = better
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert cbr.main([str(old), base]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out
 
 
 def test_missing_file_is_usage_error(tmp_path):
@@ -210,6 +145,16 @@ def test_invalid_json_is_usage_error(tmp_path):
     assert cbr.main([base, str(bad)]) == 2
 
 
-def test_bad_override_is_usage_error(tmp_path):
+@pytest.mark.parametrize("metrics", [
+    {"m": 3.0},                     # a cell that is not an object
+    [1],                            # metrics that are not an object
+    {"m": {"value": "abc"}},        # a value that is not a number
+], ids=["cell_not_object", "metrics_not_object", "value_not_number"])
+def test_malformed_metrics_is_usage_error(tmp_path, capsys, metrics):
     base = bench_file(tmp_path, "base.json")
-    assert cbr.main([base, base, "--override", "no-equals"]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": SCHEMA_VERSION, "records": [
+        {"figure": "fig04", "name": "latency", "scale": "small",
+         "metrics": metrics}]}))
+    assert cbr.main([base, str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

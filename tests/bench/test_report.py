@@ -18,13 +18,6 @@ def rec(**kw):
     return BenchRecord(**kw)
 
 
-def test_metric_validates_better():
-    assert metric(1.0)["better"] == "lower"
-    assert metric(1.0, better="higher")["better"] == "higher"
-    with pytest.raises(ValueError):
-        metric(1.0, better="sideways")
-
-
 def test_config_hash_stable_and_order_insensitive():
     h1 = config_hash({"a": 1, "b": [2, 3]})
     h2 = config_hash({"b": [2, 3], "a": 1})
