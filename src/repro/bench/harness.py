@@ -13,20 +13,19 @@ so MEASUREMENT numbers provably exclude the warmup window.  Each phase
 becomes its own :class:`~repro.bench.report.BenchRecord` (record name
 ``<name>.<phase>``), every phase with the same metric cells.
 
-The harness composes with the rest of the observability stack rather
-than replacing it:
+The run's one record of what happened *during* it is the sampler's
+JSONL stream; the harness writes into it rather than keeping its own:
 
 * give it a :class:`~repro.obs.timeseries.MetricsSampler` and every
   phase transition is stamped into the sampler's tags (so each stream
   sample is phase-attributed) and emitted as a typed ``phase`` event;
-* give it a ``TimelineExporter`` and transitions/annotations become
-  instants on the trace timeline;
-* :meth:`watch_tuner` / :meth:`watch_admission` subscribe to the
+* :meth:`annotate` writes one typed event into the stream;
+  :meth:`watch_tuner` / :meth:`watch_admission` subscribe to the
   :class:`~repro.core.tuner.HintTuner` decision hook and the
   :class:`~repro.core.overload.AdmissionGate` high-water hook, and
   detect shed waves from the sampled rejection rate, so hint epoch
-  switches and load shedding land in the stream and on the timeline
-  with zero bench-specific glue.
+  switches and load shedding land in the stream with zero
+  bench-specific glue.
 
 Driving pattern (the ``benchmarks/`` suite uses exactly this shape)::
 
@@ -123,8 +122,7 @@ class PhasedRun:
 
     def __init__(self, sim: Simulator, name: str, warmup: float,
                  measurement: float, cooldown: float = 0.0,
-                 registry: Any = None, sampler: Any = None,
-                 watchdog: Any = None, timeline: Any = None):
+                 registry: Any = None, sampler: Any = None):
         for label, d in (("warmup", warmup), ("measurement", measurement),
                          ("cooldown", cooldown)):
             if d < 0:
@@ -138,8 +136,6 @@ class PhasedRun:
                           Phase.COOLDOWN: cooldown}
         self.registry = registry
         self.sampler = sampler
-        self.watchdog = watchdog
-        self.timeline = timeline
         self.phase: Optional[Phase] = None
         self.windows: List[PhaseWindow] = []
         self.stopped = False
@@ -149,7 +145,6 @@ class PhasedRun:
             p: {} for p in PHASE_ORDER}
         #: ops recorded before PREPARING opened / after COOLDOWN closed
         self.unattributed = 0
-        self.annotations: List[Dict[str, Any]] = []
         self._started_sampler = False
         if registry is not None:
             self._phase_gauge = registry.gauge("bench.phase")
@@ -189,10 +184,6 @@ class PhasedRun:
         if self.sampler is not None:
             self.sampler.tags["phase"] = phase.value
             self.sampler.event("phase", phase=phase.value, run=self.name)
-        if self.timeline is not None:
-            self.timeline.add_instant(f"phase:{phase.value}", ts=now,
-                                      cat="bench", scope="g",
-                                      args={"run": self.name})
         for hook in self.on_phase:
             hook(phase, now)
 
@@ -259,25 +250,17 @@ class PhasedRun:
         return self.ops(phase) / w.duration
 
     # -- annotations ---------------------------------------------------------
-    def annotate(self, kind: str, **attrs: Any) -> Dict[str, Any]:
-        """One typed annotation: kept, streamed, and timelined at once."""
-        now = self.sim.now
+    def annotate(self, kind: str, **attrs: Any) -> None:
+        """One typed event in the sampler's stream, stamped with the
+        current phase (a run without a sampler records none)."""
+        if self.sampler is None:
+            return
         # 'kind'/'t'/'phase' are the envelope; a payload field with one of
         # those names (e.g. TunerDecision.kind) is kept under a prefix.
         attrs = {(k if k not in ("kind", "t", "phase") else f"attr_{k}"): v
                  for k, v in attrs.items()}
-        rec = {"kind": kind, "t": now,
-               "phase": self.phase.value if self.phase else None}
-        rec.update(attrs)
-        self.annotations.append(rec)
-        if self.sampler is not None:
-            self.sampler.event(kind, phase=rec["phase"], **attrs)
-        if self.timeline is not None:
-            self.timeline.add_instant(
-                kind, ts=now, cat="bench", scope="g",
-                args={k: v for k, v in rec.items()
-                      if k not in ("kind", "t") and v is not None})
-        return rec
+        phase = self.phase.value if self.phase else None
+        self.sampler.event(kind, phase=phase, **attrs)
 
     def watch_tuner(self, tuner: Any, label: str = "tuner") -> None:
         """Annotate every HintTuner decision (epoch switch/revert)."""
@@ -355,19 +338,6 @@ class PhasedRun:
             SINK.add(rec)
             recs.append(rec)
         return recs
-
-    def summary(self) -> Dict[str, Any]:
-        """Free-form digest (stdout tables, debugging)."""
-        return {
-            "name": self.name,
-            "phases": [{
-                "phase": w.phase.value, "start": w.start, "end": w.end,
-                "ops": self.ops(w.phase),
-                "tput": self.throughput(w.phase),
-            } for w in self.windows],
-            "unattributed": self.unattributed,
-            "annotations": len(self.annotations),
-        }
 
 
 @dataclass(frozen=True)

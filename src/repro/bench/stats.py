@@ -69,14 +69,6 @@ class LatencyStats:
         self._require_samples()
         return max(self.samples)
 
-    def merge(self, other: "LatencyStats") -> "LatencyStats":
-        """Return a NEW LatencyStats holding both sample sets.
-
-        Neither operand is mutated (the previous in-place contract made
-        ``a.merge(b)`` silently alias growth onto ``a``).
-        """
-        return LatencyStats(self.samples + other.samples)
-
     def summary(self) -> Dict[str, float]:
         """Snapshot dict for reports; ``{"count": 0}`` when empty."""
         if not self.samples:

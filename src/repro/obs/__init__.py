@@ -49,8 +49,8 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.promtext import render as promtext_render
 from repro.obs.slo import SloSpec, SloWatchdog
 from repro.obs.timeline import TimelineExporter, export_chrome_trace
-from repro.obs.timeseries import (JsonlSink, MetricsSampler, RingBuffer,
-                                  read_stream, summarize_stream)
+from repro.obs.timeseries import (JsonlSink, MetricsSampler, read_stream,
+                                  summarize_stream)
 
 __all__ = [
     "Counter",
@@ -60,7 +60,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSampler",
     "ObsInstallOrderWarning",
-    "RingBuffer",
     "SloSpec",
     "SloWatchdog",
     "TimelineExporter",

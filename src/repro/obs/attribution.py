@@ -228,14 +228,25 @@ class _LoadedSpan:
 def spans_from_chrome(doc: Mapping[str, Any]) -> List[_LoadedSpan]:
     """Recover trace spans from Chrome ``trace_event`` JSON produced by
     :func:`repro.obs.timeline.TimelineExporter.add_trace_spans` (events
-    embed the span identity in ``args``)."""
+    embed the span identity in ``args``).  A document of the wrong shape
+    raises ``ValueError``."""
+    events = doc.get("traceEvents", []) if isinstance(doc, Mapping) else None
+    if not isinstance(events, list):
+        raise ValueError("not a trace_event document: expected an object "
+                         "with a traceEvents list")
     out: List[_LoadedSpan] = []
-    for ev in doc.get("traceEvents", []):
+    for ev in events:
+        if not (isinstance(ev, dict)
+                and isinstance(ev.get("args") or {}, dict)):
+            raise ValueError(f"malformed trace event: {ev!r}")
         args = ev.get("args") or {}
         if "trace_id" not in args or ev.get("ph") not in ("X", "i"):
             continue
-        start = ev.get("ts", 0) / 1e6
-        dur = ev.get("dur", 0) / 1e6
+        start, dur = ev.get("ts", 0), ev.get("dur", 0)
+        if not (isinstance(start, (int, float))
+                and isinstance(dur, (int, float))):
+            raise ValueError(f"malformed trace event: {ev!r}")
+        start, dur = start / 1e6, dur / 1e6
         attrs = {k: v for k, v in args.items()
                  if k not in ("trace_id", "span_id", "parent_span_id",
                               "kind", "status", "node")}
@@ -243,7 +254,7 @@ def spans_from_chrome(doc: Mapping[str, Any]) -> List[_LoadedSpan]:
             trace_id=str(args["trace_id"]),
             span_id=str(args.get("span_id", "")),
             parent_span_id=str(args.get("parent_span_id", "")),
-            name=ev.get("name", ""),
+            name=str(ev.get("name", "")),
             kind=str(args.get("kind", "stage")),
             node=str(args.get("node", "")),
             start=start,

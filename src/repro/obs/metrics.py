@@ -27,7 +27,7 @@ happen at ``yield``).  No locks are needed or taken.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -74,30 +74,29 @@ class Gauge:
 
 
 class Histogram:
-    """Log-bucketed distribution with mergeable buckets.
+    """Log-bucketed distribution.
 
     Samples are assigned to geometric buckets: bucket ``i`` covers
-    ``(lowest * growth**(i-1), lowest * growth**i]``, with everything at or
-    below ``lowest`` in bucket 0.  Quantiles are answered from the bucket
-    counts by nearest rank, returning the bucket's upper bound -- so a
-    reported percentile ``q`` satisfies ``exact <= q <= exact * growth``
-    (one bucket of relative error, never an underestimate).  ``min``,
-    ``max``, ``sum`` and ``count`` are tracked exactly.
+    ``(lowest * 2**(i-1), lowest * 2**i]``, with everything at or below
+    ``lowest`` in bucket 0.  Quantiles are answered from the bucket counts
+    by nearest rank, returning the bucket's upper bound -- so a reported
+    percentile ``q`` satisfies ``exact <= q <= exact * GROWTH`` (one
+    bucket of relative error, never an underestimate).  ``min``, ``max``,
+    ``sum`` and ``count`` are tracked exactly.
     """
 
-    __slots__ = ("name", "lowest", "growth", "count", "total",
-                 "min_value", "max_value", "buckets", "_log_growth")
+    #: ratio of one bucket's upper edge to the previous one's
+    GROWTH = 2.0
+    _LOG_GROWTH = math.log(GROWTH)
 
-    def __init__(self, name: str, lowest: float = 1e-9,
-                 growth: float = 2.0):
+    __slots__ = ("name", "lowest", "count", "total",
+                 "min_value", "max_value", "buckets")
+
+    def __init__(self, name: str, lowest: float = 1e-9):
         if lowest <= 0:
             raise ValueError("lowest bound must be positive")
-        if growth <= 1.0:
-            raise ValueError("growth factor must be > 1")
         self.name = name
         self.lowest = lowest
-        self.growth = growth
-        self._log_growth = math.log(growth)
         self.count = 0
         self.total: float = 0.0
         self.min_value: float = math.inf
@@ -111,11 +110,11 @@ class Histogram:
         # ceil with a tiny epsilon so exact bucket bounds stay in their
         # bucket despite float log round-off.
         return max(0, math.ceil(
-            math.log(value / self.lowest) / self._log_growth - 1e-9))
+            math.log(value / self.lowest) / self._LOG_GROWTH - 1e-9))
 
     def bucket_bound(self, index: int) -> float:
         """Upper (inclusive) edge of bucket ``index``."""
-        return self.lowest * self.growth ** index
+        return self.lowest * self.GROWTH ** index
 
     def record(self, value: float) -> None:
         if value < 0:
@@ -175,26 +174,6 @@ class Histogram:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-    # -- merging -----------------------------------------------------------
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Return a NEW histogram holding both distributions.
-
-        Requires identical bucket geometry (``lowest``/``growth``); neither
-        operand is mutated.
-        """
-        if (other.lowest != self.lowest or other.growth != self.growth):
-            raise ValueError(
-                "cannot merge histograms with different bucket geometry")
-        out = Histogram(self.name, self.lowest, self.growth)
-        out.count = self.count + other.count
-        out.total = self.total + other.total
-        out.min_value = min(self.min_value, other.min_value)
-        out.max_value = max(self.max_value, other.max_value)
-        out.buckets = dict(self.buckets)
-        for idx, n in other.buckets.items():
-            out.buckets[idx] = out.buckets.get(idx, 0) + n
-        return out
 
     def summary(self) -> Dict[str, float]:
         """Snapshot dict; ``{"count": 0}`` when empty."""
@@ -272,11 +251,10 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge(name)
         return g
 
-    def histogram(self, name: str, lowest: float = 1e-9,
-                  growth: float = 2.0) -> Histogram:
+    def histogram(self, name: str, lowest: float = 1e-9) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram(name, lowest, growth)
+            h = self.histograms[name] = Histogram(name, lowest)
         return h
 
     def probe(self, name: str,

@@ -13,12 +13,11 @@ MetricsSampler` and re-evaluates every spec on every sample tick:
 * the spec re-arms only after it has *recovered* (a conforming sample),
   so flapping right at the threshold cannot double-fire mid-breach.
 
-Violations and recoveries become three things at once: counters in the
-metrics registry (``slo.violations``, ``slo.<name>.violations``), typed
-``slo_violation`` / ``slo_recovered`` events in the sampler's JSONL
-stream, and instants on the trace timeline when one is attached -- so
-the same breach is visible to the regression gate, the live tailer, and
-``chrome://tracing``.
+Violations and recoveries become typed ``slo_violation`` /
+``slo_recovered`` events in the sampler's JSONL stream (what
+``scripts/obs_dump.py --series`` renders as the SLO verdicts) and, when
+a registry is given, counters in it (``slo.violations``,
+``slo.<name>.violations``).
 
 Specs over series that do not exist yet (e.g. a histogram that has not
 recorded) simply stay PASS until the series appears; a missing metric is
@@ -117,14 +116,12 @@ class SloWatchdog:
     """Evaluates :class:`SloSpec` s on every sampler tick.
 
     Attach with :meth:`attach`; the watchdog registers itself as an
-    ``on_sample`` hook.  ``timeline`` (a ``TimelineExporter``) and
-    ``registry`` are optional fan-outs; the sampler's own sink receives
-    the typed events either way.
+    ``on_sample`` hook, and its typed events go to the sampler's stream.
+    ``registry``, when given, also counts them.
     """
 
     def __init__(self, specs: List[SloSpec],
-                 registry: Optional[MetricsRegistry] = None,
-                 timeline: Any = None):
+                 registry: Optional[MetricsRegistry] = None):
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
@@ -132,7 +129,6 @@ class SloWatchdog:
         self.states: Dict[str, SloState] = {
             s.name: SloState(spec=s) for s in specs}
         self.registry = registry
-        self.timeline = timeline
         self.sampler: Optional[MetricsSampler] = None
         if registry is not None:
             self._violations_total = registry.counter("slo.violations")
@@ -214,12 +210,6 @@ class SloWatchdog:
                 self.registry.counter(f"slo.{v.slo}.recovered").inc()
         if self.sampler is not None:
             self.sampler.event(kind, **attrs)
-        if self.timeline is not None:
-            t = attrs.get("recovered_t", v.t) if kind != "slo_violation" \
-                else v.t
-            self.timeline.add_instant(
-                f"{kind}:{v.slo}", ts=t, cat="slo", scope="g",
-                args={k: a for k, a in attrs.items() if a is not None})
 
     # -- reporting -----------------------------------------------------------
     @property

@@ -9,8 +9,10 @@ The exporter turns what the runtime already records (the
   process (``pid``) = simulated node, thread (``tid``) = trace, args =
   the span's identity and attributes (protocol, transport, sizes);
 * one *instant* event (``ph: "i"``) per fault-trace entry (retries,
-  failovers, breaker transitions, timeouts), on the engine's node;
-* optional *counter* events (``ph: "C"``) for time-series gauges.
+  failovers, breaker transitions, timeouts), on the engine's node.
+
+A phased run's time series are not timeline events: they live in the
+sampler's JSONL stream (:mod:`repro.obs.timeseries`).
 
 Timestamps: the simulator clock is seconds; ``trace_event`` wants
 microseconds, so every ``ts``/``dur`` is scaled by 1e6.
@@ -69,13 +71,6 @@ class TimelineExporter:
         if args:
             ev["args"] = args
         self.events.append(ev)
-
-    def add_counter(self, name: str, ts: float,
-                    values: Dict[str, float], pid: int = 0) -> None:
-        self.events.append({
-            "name": name, "ph": "C", "ts": ts * _US, "pid": pid,
-            "args": dict(values),
-        })
 
     def name_process(self, pid: int, name: str) -> None:
         """Perfetto metadata: label a pid lane."""

@@ -4,11 +4,9 @@ Every instrument in :class:`~repro.obs.metrics.MetricsRegistry` is a
 *cumulative* aggregate -- perfect for end-of-run snapshots, blind to
 anything that happens mid-run.  This module adds the time axis:
 
-* :class:`RingBuffer` -- a fixed-capacity overwrite-oldest buffer (the
-  storage discipline that keeps a long-running sampler allocation-bounded);
 * :class:`MetricsSampler` -- a simulator process that every ``interval``
-  simulated seconds reads the registry and appends one point per derived
-  series:
+  simulated seconds reads the registry into one flat ``{series: value}``
+  dict, writes it to the sink and hands it to the ``on_sample`` hooks:
 
   - counters become **windowed rates** (``<name>.rate``, delta/dt, with a
     restart guard: a counter that went *backwards* is treated as reset and
@@ -22,9 +20,13 @@ anything that happens mid-run.  This module adds the time axis:
     probe-backed values are never stale by more than one interval;
 
 * :class:`JsonlSink` -- a line-buffered JSONL stream (one JSON object per
-  sample/event) that ``scripts/bench_live.py`` can tail while the run is
-  still going, and :func:`read_stream` / :func:`summarize_stream` parse
-  back.
+  sample/event) that ``scripts/obs_dump.py --series STREAM --follow`` can
+  tail while the run is still going, and :func:`read_stream` /
+  :func:`summarize_stream` parse back.
+
+The stream is the run's only record: the sampler keeps no series of its
+own, so a consumer either hooks ``on_sample`` while the run goes or reads
+the JSONL afterwards.
 
 Cost discipline: nothing here is wired into any hot path.  A run that
 never constructs a sampler pays zero -- the same opt-in contract as the
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import (Any, Callable, Dict, IO, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, IO, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.core import Interrupt, Simulator
@@ -46,105 +48,17 @@ from repro.sim.core import Interrupt, Simulator
 __all__ = [
     "JsonlSink",
     "MetricsSampler",
-    "RingBuffer",
-    "Series",
     "read_stream",
     "summarize_stream",
 ]
-
-
-class RingBuffer:
-    """Fixed-capacity append-only buffer; full means overwrite-oldest.
-
-    Iteration order is strictly oldest -> newest, and indexing is relative
-    to the oldest live element (``buf[0]`` is always the survivor that has
-    been around longest).  ``evicted`` counts how many appends have been
-    pushed out -- eviction order is exactly append order (FIFO).
-    """
-
-    __slots__ = ("capacity", "_buf", "_head", "evicted")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._buf: List[Any] = []
-        self._head = 0          # index of the oldest element once full
-        self.evicted = 0
-
-    def append(self, item: Any) -> None:
-        if len(self._buf) < self.capacity:
-            self._buf.append(item)
-            return
-        self._buf[self._head] = item
-        self._head = (self._head + 1) % self.capacity
-        self.evicted += 1
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self) -> Iterator[Any]:
-        for i in range(len(self._buf)):
-            yield self._buf[(self._head + i) % len(self._buf)]
-
-    def __getitem__(self, index: int) -> Any:
-        n = len(self._buf)
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(f"index {index} out of range for size {n}")
-        return self._buf[(self._head + index) % n]
-
-    @property
-    def last(self) -> Any:
-        if not self._buf:
-            raise IndexError("empty ring buffer")
-        return self[len(self._buf) - 1]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<RingBuffer {len(self._buf)}/{self.capacity} "
-                f"evicted={self.evicted}>")
-
-
-class Series:
-    """One named time series: ring-buffered ``(t, value)`` points."""
-
-    __slots__ = ("name", "points")
-
-    def __init__(self, name: str, capacity: int):
-        self.name = name
-        self.points = RingBuffer(capacity)
-
-    def append(self, t: float, value: float) -> None:
-        self.points.append((t, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[Tuple[float, float]]:
-        return iter(self.points)
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.points]
-
-    def times(self) -> List[float]:
-        return [t for t, _ in self.points]
-
-    @property
-    def last(self) -> Tuple[float, float]:
-        return self.points.last
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Series {self.name} n={len(self.points)}>"
 
 
 class JsonlSink:
     """Streaming JSONL writer: one compact JSON object per line.
 
     Flushes after every record so an external tailer
-    (``scripts/bench_live.py``) sees samples as they land, not at close.
+    (``scripts/obs_dump.py --follow``) sees samples as they land, not at
+    close.
     Accepts a path or an open file-ish object (anything with ``write``).
     """
 
@@ -152,19 +66,15 @@ class JsonlSink:
         if hasattr(target, "write"):
             self._f: IO[str] = target           # type: ignore[assignment]
             self._owns = False
-            self.path: Optional[str] = getattr(target, "name", None)
         else:
             self._f = open(target, "w")
             self._owns = True
-            self.path = str(target)
-        self.records_written = 0
 
     def write(self, record: Dict[str, Any]) -> None:
         self._f.write(json.dumps(record, separators=(",", ":"),
                                  sort_keys=True, default=str))
         self._f.write("\n")
         self._f.flush()
-        self.records_written += 1
 
     def close(self) -> None:
         if self._owns:
@@ -199,13 +109,32 @@ def read_stream(path: Union[str, IO[str]]) -> List[Dict[str, Any]]:
     return out
 
 
+def _number(value: Any, what: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    return float(value)
+
+
+def _object(value: Any, what: str) -> Dict[str, Any]:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not an object: {value!r}")
+    return value
+
+
+_OPT_STR = (str, type(None))
+
+
 def summarize_stream(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Digest a stream: per-series stats, phases seen, events, SLO verdicts.
 
-    The shared backend of ``scripts/obs_dump.py --series`` and
-    ``scripts/bench_live.py``: everything is derived from the records
-    alone, so any tool holding the JSONL can reconstruct the run's live
-    view after the fact.
+    The backend of ``scripts/obs_dump.py --series``: everything is
+    derived from the records alone, so any tool holding the JSONL can
+    reconstruct the run's live view after the fact.  A record of the
+    wrong shape (a ``t`` or metric value that is not a number, ``tags`` or
+    ``metrics`` that are not objects, an event ``kind``, ``phase`` or
+    ``slo`` that is not a string) raises ``ValueError``.
     """
     series: Dict[str, Dict[str, Any]] = {}
     phases: List[Tuple[float, str]] = []
@@ -215,19 +144,22 @@ def summarize_stream(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     last_t = 0.0
     last_phase: Optional[str] = None
     for rec in records:
-        t = float(rec.get("t", 0.0))
+        t = _number(rec.get("t", 0.0), "t")
         last_t = max(last_t, t)
         kind = rec.get("type")
         if kind == "sample":
             n_samples += 1
-            phase = (rec.get("tags") or {}).get("phase")
+            phase = _object(rec.get("tags"), "tags").get("phase")
+            if not isinstance(phase, _OPT_STR):
+                raise ValueError(f"phase tag is not a string: {phase!r}")
             # 'done' is terminal: the final flush sample still carries the
             # last window's tag, which must not reopen the run.
             if (phase is not None and phase != last_phase
                     and last_phase != "done"):
                 phases.append((t, phase))
                 last_phase = phase
-            for name, value in (rec.get("metrics") or {}).items():
+            for name, value in _object(rec.get("metrics"),
+                                       "metrics").items():
                 st = series.get(name)
                 if st is None:
                     st = series[name] = {
@@ -235,7 +167,7 @@ def summarize_stream(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
                         "sum": 0.0, "last": None, "last_t": None,
                         "values": [],
                     }
-                v = float(value)
+                v = _number(value, f"metric {name}")
                 st["n"] += 1
                 st["min"] = min(st["min"], v)
                 st["max"] = max(st["max"], v)
@@ -244,8 +176,13 @@ def summarize_stream(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
                 st["last_t"] = t
                 st["values"].append(v)
         elif kind == "event":
+            ekind = rec.get("kind")
+            if not (isinstance(ekind, str)
+                    and isinstance(rec.get("phase"), _OPT_STR)
+                    and isinstance(rec.get("slo"), _OPT_STR)):
+                raise ValueError(f"event kind, phase or slo is not a "
+                                 f"string: {rec!r}")
             events.append(rec)
-            ekind = rec.get("kind", "")
             if ekind == "phase" and rec.get("phase") is not None:
                 if rec["phase"] != last_phase:
                     phases.append((t, rec["phase"]))
@@ -301,8 +238,7 @@ def _bucket_percentile(hist: Histogram, buckets: Dict[int, int],
 
 
 class MetricsSampler:
-    """Periodic (sim-clock) sampling of a registry into ring-buffered
-    series, with an optional JSONL streaming sink.
+    """Periodic (sim-clock) sampling of a registry into a stream.
 
     Lifecycle::
 
@@ -315,29 +251,21 @@ class MetricsSampler:
     ``tags`` is a mutable dict stamped onto every sample record (the
     phased harness keeps ``tags["phase"]`` current); ``on_sample`` hooks
     (``fn(t, metrics, tags)``) run after each sample lands -- the SLO
-    watchdog and the harness's annotation watchers attach there.
-
-    ``prefixes``, when given, restricts sampling to instrument names
-    starting with any of them (a stream-size valve for huge registries).
+    watchdog, the resize trigger and the harness's shed-wave watcher
+    attach there.  ``events`` keeps every annotation written.
     """
 
     def __init__(self, sim: Simulator, registry: MetricsRegistry,
-                 interval: float, capacity: int = 512,
-                 sink: Optional[JsonlSink] = None,
-                 prefixes: Optional[Sequence[str]] = None):
+                 interval: float, sink: Optional[JsonlSink] = None):
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.sim = sim
         self.registry = registry
         self.interval = interval
-        self.capacity = capacity
         self.sink = sink
-        self.prefixes = tuple(prefixes) if prefixes else None
         self.tags: Dict[str, Any] = {}
         self.on_sample: List[Callable[[float, Dict[str, float],
                                        Dict[str, Any]], None]] = []
-        self.series: Dict[str, Series] = {}
-        self.samples = 0
         self.events: List[Dict[str, Any]] = []
         self._proc = None
         self._running = False
@@ -389,11 +317,6 @@ class MetricsSampler:
             return
 
     # -- sampling ------------------------------------------------------------
-    def _want(self, name: str) -> bool:
-        if self.prefixes is None:
-            return True
-        return name.startswith(self.prefixes)
-
     def _prime(self) -> None:
         """Snapshot counter/histogram baselines without emitting points, so
         the first sample reports true *window* deltas instead of charging
@@ -404,14 +327,6 @@ class MetricsSampler:
         for name, h in self.registry.histograms.items():
             self._prev_hists[name] = (h.count, h.total, dict(h.buckets))
 
-    def _append(self, out: Dict[str, float], name: str,
-                value: float) -> None:
-        s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = Series(name, self.capacity)
-        s.append(self.sim.now, value)
-        out[name] = value
-
     def sample_once(self) -> Dict[str, float]:
         """Take one sample now; returns the flat ``{series: value}`` dict."""
         t = self.sim.now
@@ -421,19 +336,14 @@ class MetricsSampler:
         out: Dict[str, float] = {}
         reg = self.registry
         for name, c in reg.counters.items():
-            if not self._want(name):
-                continue
             prev = self._prev_counters.get(name, 0.0)
             cur = c.value
             delta = cur - prev if cur >= prev else cur   # restart guard
             self._prev_counters[name] = cur
-            self._append(out, f"{name}.rate", delta / dt)
+            out[f"{name}.rate"] = delta / dt
         for name, g in reg.gauges.items():
-            if self._want(name):
-                self._append(out, name, g.value)
+            out[name] = g.value
         for name, h in reg.histograms.items():
-            if not self._want(name):
-                continue
             prev = self._prev_hists.get(name)
             if prev is None:
                 prev = (0, 0.0, {})
@@ -456,25 +366,20 @@ class MetricsSampler:
             else:
                 dcount, dtotal = h.count - pcount, h.total - ptotal
             self._prev_hists[name] = (h.count, h.total, dict(h.buckets))
-            self._append(out, f"{name}.rate", dcount / dt)
+            out[f"{name}.rate"] = dcount / dt
             if name in self._hist_restarts:
-                self._append(out, f"{name}.restarts",
-                             float(self._hist_restarts[name]))
+                out[f"{name}.restarts"] = float(self._hist_restarts[name])
             if dcount > 0:
-                self._append(out, f"{name}.mean", dtotal / dcount)
+                out[f"{name}.mean"] = dtotal / dcount
                 for p in (50, 95, 99):
-                    self._append(
-                        out, f"{name}.p{p}",
-                        _bucket_percentile(h, dbuckets, dcount, p))
+                    out[f"{name}.p{p}"] = _bucket_percentile(
+                        h, dbuckets, dcount, p)
         # Probes are pulled fresh on every tick -- a probe-backed value in
         # the stream is at most one interval old, never a stale capture.
         for group, values in reg.probe_values().items():
             for key, v in values.items():
-                name = f"{group}.{key}"
-                if self._want(name):
-                    self._append(out, name, v)
+                out[f"{group}.{key}"] = v
         self._last_t = t
-        self.samples += 1
         if self.sink is not None:
             self.sink.write({"type": "sample", "t": t,
                              "tags": dict(self.tags), "metrics": out})
@@ -493,13 +398,3 @@ class MetricsSampler:
         if self.sink is not None:
             self.sink.write(rec)
         return rec
-
-    # -- reading -------------------------------------------------------------
-    def get(self, name: str) -> Optional[Series]:
-        return self.series.get(name)
-
-    def last_value(self, name: str) -> Optional[float]:
-        s = self.series.get(name)
-        if s is None or not len(s):
-            return None
-        return s.last[1]

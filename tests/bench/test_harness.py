@@ -1,6 +1,12 @@
 """PhasedRun: phase-boundary attribution, per-phase BenchRecords, and a
 fast 2-phase mini-scenario smoke (sampler + SLO watchdog end to end)."""
 
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import PHASE_ORDER, Phase, PhasedRun
@@ -11,6 +17,8 @@ from repro.obs.timeseries import (JsonlSink, MetricsSampler, read_stream,
                                   summarize_stream)
 from repro.sim.core import Simulator
 from repro.sim.units import us
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _driven_run(warmup=100 * us, measurement=200 * us, cooldown=50 * us,
@@ -122,11 +130,9 @@ def test_phase_metrics_duration_matches_window():
 
 # -- 2-phase mini-scenario smoke ---------------------------------------------
 
-def test_two_phase_mini_scenario_smoke(tmp_path):
-    """Tier-1 smoke: a tiny warmup+measurement run with live sampling and
-    one deterministic mid-measurement latency spike that must raise
-    exactly one sustained-SLO violation, attributed to MEASUREMENT."""
-    stream = tmp_path / "mini_stream.jsonl"
+def _mini_scenario(stream):
+    """A tiny warmup+measurement run with live sampling into ``stream``
+    and one deterministic mid-measurement latency spike."""
     sim = Simulator()
     reg = MetricsRegistry()
     sampler = MetricsSampler(sim, reg, interval=10 * us,
@@ -136,7 +142,7 @@ def test_two_phase_mini_scenario_smoke(tmp_path):
                  sustain=50 * us, phases=(Phase.MEASUREMENT.value,))],
         registry=reg).attach(sampler)
     run = PhasedRun(sim, "mini", warmup=200 * us, measurement=600 * us,
-                    registry=reg, sampler=sampler, watchdog=watchdog)
+                    registry=reg, sampler=sampler)
 
     def workload():
         while not run.stopped:
@@ -150,6 +156,15 @@ def test_two_phase_mini_scenario_smoke(tmp_path):
     sim.run(until=driver)
     run.stop()
     sim.run()
+    sampler.sink.close()
+    return run, watchdog
+
+
+def test_two_phase_mini_scenario_smoke(tmp_path):
+    """Tier-1 smoke: the spike must raise exactly one sustained-SLO
+    violation, attributed to MEASUREMENT."""
+    stream = tmp_path / "mini_stream.jsonl"
+    run, watchdog = _mini_scenario(stream)
 
     # attribution: every op landed in a window
     assert run.unattributed == 0
@@ -179,3 +194,32 @@ def test_two_phase_mini_scenario_smoke(tmp_path):
     assert kinds.get("slo_violation") == 1
     assert kinds.get("slo_recovered") == 1
     assert digest["slo"]["get-p99"]["violations"] == 1
+
+
+def _obs_dump(*args):
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "obs_dump.py"), *args],
+        capture_output=True, text=True, timeout=60)
+
+
+def test_obs_dump_series_renders_the_mini_scenario_stream(tmp_path):
+    """The one stream viewer on a real stream: the phase trail and the SLO
+    verdict in the snapshot, and ``--follow`` on a finished run (its
+    stream ends with ``done``) returns at once."""
+    stream = tmp_path / "mini_stream.jsonl"
+    _mini_scenario(stream)
+    res = _obs_dump("--series", str(stream))
+    assert res.returncode == 0, res.stderr
+    assert "phases: preparing > warmup > measurement > cooldown > done" \
+        in res.stdout
+    assert re.search(r"get-p99\s+FAIL", res.stdout)
+    assert "bench.op_latency.get.p99" in res.stdout
+
+    t0 = time.monotonic()
+    res = _obs_dump("--series", str(stream), "--follow",
+                    "--watch", "bench.ops.rate")
+    assert res.returncode == 0, res.stderr
+    assert time.monotonic() - t0 < 30
+    assert res.stdout.count("samples,") == 1      # one frame, no redraw
+    assert re.search(r"get-p99\s+FAIL", res.stdout)
+    assert re.search(r"bench.ops.rate\s+\S+\s+[▁-█]+", res.stdout)

@@ -37,16 +37,6 @@ def test_latency_stats_accumulation():
     assert st_.p50 == 2.0
 
 
-def test_merge_returns_new_object():
-    a = LatencyStats([1.0, 2.0])
-    b = LatencyStats([3.0])
-    merged = a.merge(b)
-    assert merged is not a and merged is not b
-    assert merged.count == 3 and merged.max == 3.0
-    # The operands are untouched.
-    assert a.count == 2 and b.count == 1
-
-
 def test_empty_accessors_raise_uniformly():
     empty = LatencyStats()
     for attr in ("mean", "min", "max"):

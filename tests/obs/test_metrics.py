@@ -26,7 +26,7 @@ def test_gauge_high_water():
 
 
 def test_histogram_summary_and_percentiles():
-    h = Histogram("lat", lowest=1.0, growth=2.0)
+    h = Histogram("lat", lowest=1.0)
     for v in (1.0, 2.0, 4.0, 8.0):
         h.record(v)
     s = h.summary()
@@ -55,24 +55,6 @@ def test_histogram_rejects_bad_input():
     h.record(0.5)
     with pytest.raises(ValueError):
         h.percentile(101)
-
-
-def test_histogram_merge_is_pure():
-    a = Histogram("lat", lowest=1.0, growth=2.0)
-    b = Histogram("lat", lowest=1.0, growth=2.0)
-    a.record(1.0)
-    b.record(8.0)
-    m = a.merge(b)
-    assert m is not a and m is not b
-    assert m.count == 2 and a.count == 1 and b.count == 1
-    assert m.summary()["max"] == 8.0
-
-
-def test_histogram_merge_geometry_mismatch():
-    a = Histogram("lat", lowest=1.0, growth=2.0)
-    b = Histogram("lat", lowest=1.0, growth=4.0)
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 def test_registry_get_or_create():

@@ -42,8 +42,25 @@ def test_quickstart_trace_then_obs_dump_runs_clean(tmp_path):
 
 
 def test_obs_dump_rejects_garbage_input(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    res = run([sys.executable, "scripts/obs_dump.py", str(bad)])
-    assert res.returncode == 2
-    assert "error" in res.stderr
+    """Unreadable or wrong-shaped input is a usage error (exit 2 with an
+    ``error:`` line), never a traceback."""
+    cases = [
+        ("trace", "{not json"),
+        ("trace", "42"),
+        ("trace", '{"traceEvents": 5}'),
+        ("trace", '{"traceEvents": [5]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "ts": "x", '
+                  '"args": {"trace_id": "t"}}]}'),
+        ("series", '{"type":"sample","t":"x"}\n'),
+        ("series", '{"type":"sample","t":0,"metrics":{"a":"x"}}\n'),
+        ("series", '{"type":"sample","t":0,"tags":5}\n'),
+        ("series", '{"type":"event","t":0,"kind":["slo_violation"]}\n'),
+    ]
+    for i, (mode, text) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        cmd = [sys.executable, "scripts/obs_dump.py"]
+        cmd += [str(bad)] if mode == "trace" else ["--series", str(bad)]
+        res = run(cmd)
+        assert res.returncode == 2, (text, res.stderr)
+        assert res.stderr.startswith("error: "), (text, res.stderr)

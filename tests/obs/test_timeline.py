@@ -30,13 +30,12 @@ def test_complete_event_fields():
     assert ev["name"] == "Echo"
 
 
-def test_instant_and_counter_events():
+def test_instant_event_fields():
     ex = TimelineExporter()
     ex.add_instant("retry", ts=5e-6, tid=3)
-    ex.add_counter("inflight", ts=6e-6, values={"calls": 2})
-    inst, ctr = ex.events
+    (inst,) = ex.events
     assert inst["ph"] == "i" and inst["s"] == "t"
-    assert ctr["ph"] == "C" and ctr["args"] == {"calls": 2}
+    assert inst["ts"] == 5.0 and inst["tid"] == 3
 
 
 def test_fault_trace_becomes_instants():

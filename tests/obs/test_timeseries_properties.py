@@ -1,48 +1,18 @@
-"""Property tests for the telemetry substrate: ring-buffer eviction
-ordering, and counter-rate computation across series wrap-around and
-counter restarts."""
+"""Property tests for the telemetry substrate: counter-rate computation
+across counter restarts, read from the dicts the ``on_sample`` hooks
+receive and from the JSONL stream that is the run's record."""
 
+import io
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import MetricsSampler, RingBuffer
+from repro.obs.timeseries import (JsonlSink, MetricsSampler, read_stream,
+                                  summarize_stream)
 from repro.sim.core import Simulator
 
 INTERVAL = 1.0
-
-
-# -- ring-buffer eviction ordering ------------------------------------------
-
-@given(st.integers(1, 16), st.integers(0, 200))
-@settings(max_examples=200)
-def test_ring_buffer_keeps_newest_in_append_order(capacity, n):
-    rb = RingBuffer(capacity)
-    for i in range(n):
-        rb.append(i)
-    survivors = list(rb)
-    assert len(rb) == len(survivors) == min(n, capacity)
-    # eviction is FIFO: exactly the oldest appends are gone, and the
-    # survivors iterate strictly oldest -> newest
-    assert survivors == list(range(max(0, n - capacity), n))
-    assert rb.evicted == max(0, n - capacity)
-    if n:
-        assert rb.last == n - 1
-        assert rb[0] == max(0, n - capacity)
-        assert rb[-1] == n - 1
-
-
-@given(st.integers(1, 16), st.lists(st.integers(), max_size=64))
-@settings(max_examples=100)
-def test_ring_buffer_indexing_matches_iteration(capacity, items):
-    rb = RingBuffer(capacity)
-    for item in items:
-        rb.append(item)
-    survivors = list(rb)
-    assert [rb[i] for i in range(len(rb))] == survivors
-    assert rb[:] == survivors
-    assert rb[::-1] == survivors[::-1]
 
 
 # -- counter-rate windows ----------------------------------------------------
@@ -71,11 +41,15 @@ def _expected_rates(steps):
     return out
 
 
-def _run_sampler(steps, capacity=4096):
+def _run_sampler(steps):
+    """The ``(t, x.rate)`` pairs the sampler hands its hooks."""
     sim = Simulator()
     reg = MetricsRegistry()
     c = reg.counter("x")
-    sampler = MetricsSampler(sim, reg, interval=INTERVAL, capacity=capacity)
+    sampler = MetricsSampler(sim, reg, interval=INTERVAL)
+    seen = []
+    sampler.on_sample.append(
+        lambda t, metrics, tags: seen.append((t, metrics["x.rate"])))
 
     def driver():
         # mutate mid-window so the mutation/sample order at tick
@@ -92,36 +66,55 @@ def _run_sampler(steps, capacity=4096):
     sim.process(driver())
     sim.run(until=(len(steps) + 0.75) * INTERVAL)
     sampler.stop(final_sample=False)
-    return sampler
+    return seen
 
 
 @given(_steps)
 @settings(max_examples=60, deadline=None)
 def test_counter_rate_windows_and_restart_guard(steps):
-    sampler = _run_sampler(steps)
-    rates = sampler.series["x.rate"].values()
+    seen = _run_sampler(steps)
     expected = _expected_rates(steps)
-    assert len(rates) == len(expected)
-    for got, want in zip(rates, expected):
+    assert len(seen) == len(expected)
+    for i, ((t, got), want) in enumerate(zip(seen, expected)):
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+        # each window's rate is stamped with its tick instant
+        assert math.isclose(t, (i + 1) * INTERVAL, rel_tol=1e-9)
 
 
-@given(_steps, st.integers(1, 8))
+@given(_steps)
 @settings(max_examples=60, deadline=None)
-def test_counter_rates_survive_ring_wraparound(steps, capacity):
-    """A wrapped series ring keeps the newest rates verbatim -- eviction
-    must never corrupt the delta bookkeeping of the surviving points."""
-    sampler = _run_sampler(steps, capacity=capacity)
-    series = sampler.series["x.rate"]
+def test_counter_rates_survive_ring_wraparound(steps):
+    """The sampler keeps no series ring that could wrap: the JSONL stream
+    is the record, and it must carry every window's rate verbatim, oldest
+    first, with each point stamped at its tick instant."""
+    buf = io.StringIO()
+    sim = Simulator()
+    reg = MetricsRegistry()
+    c = reg.counter("x")
+    sampler = MetricsSampler(sim, reg, interval=INTERVAL,
+                             sink=JsonlSink(buf))
+
+    def driver():
+        yield sim.timeout(INTERVAL / 2)
+        for kind, val in steps:
+            if kind == "inc":
+                c.inc(val)
+            else:
+                c.value = val
+            yield sim.timeout(INTERVAL)
+
+    sampler.start()
+    sim.process(driver())
+    sim.run(until=(len(steps) + 0.75) * INTERVAL)
+    sampler.stop(final_sample=False)
+    buf.seek(0)
+    records = read_stream(buf)
+    samples = [r for r in records if r["type"] == "sample"]
     expected = _expected_rates(steps)
-    assert series.points.evicted == max(0, len(expected) - capacity)
-    tail = expected[-capacity:]
-    rates = series.values()
-    assert len(rates) == len(tail)
-    for got, want in zip(rates, tail):
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
-    # timestamps of the survivors are the last windows' tick instants
-    ticks = [(len(expected) - len(tail) + i + 1) * INTERVAL
-             for i in range(len(tail))]
-    for got_t, want_t in zip(series.times(), ticks):
-        assert math.isclose(got_t, want_t, rel_tol=1e-9)
+    assert len(samples) == len(expected)
+    for i, (rec, want) in enumerate(zip(samples, expected)):
+        assert math.isclose(rec["metrics"]["x.rate"], want,
+                            rel_tol=1e-9, abs_tol=1e-12)
+        assert math.isclose(rec["t"], (i + 1) * INTERVAL, rel_tol=1e-9)
+    summary = summarize_stream(records)
+    assert summary["series"]["x.rate"]["n"] == len(expected)

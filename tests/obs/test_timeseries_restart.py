@@ -5,7 +5,8 @@ instrumented component restarted), the sampler silently substituted the
 full post-restart state for the window delta -- the splice was
 indistinguishable from a clean window in the stream.  It now emits a
 ``histogram_restart`` annotation and a cumulative ``<name>.restarts``
-series next to the tainted one.
+series next to the tainted one.  The series are read from the dicts the
+``on_sample`` hooks receive.
 """
 
 from repro.obs.metrics import MetricsRegistry
@@ -23,6 +24,17 @@ def _restart(h):
     h.buckets.clear()
 
 
+def _hooked(sampler):
+    """Every per-tick metrics dict the sampler hands its hooks."""
+    ticks = []
+    sampler.on_sample.append(lambda t, metrics, tags: ticks.append(metrics))
+    return ticks
+
+
+def _series(ticks, name):
+    return [m[name] for m in ticks if name in m]
+
+
 def test_histogram_restart_is_annotated_and_counted(tmp_path):
     sim = Simulator()
     reg = MetricsRegistry()
@@ -30,6 +42,7 @@ def test_histogram_restart_is_annotated_and_counted(tmp_path):
     path = tmp_path / "stream.jsonl"
     sink = JsonlSink(path)
     sampler = MetricsSampler(sim, reg, interval=INTERVAL, sink=sink)
+    ticks = _hooked(sampler)
 
     def driver():
         for _ in range(3):
@@ -52,9 +65,7 @@ def test_histogram_restart_is_annotated_and_counted(tmp_path):
     assert restarts[0]["name"] == "rpc.lat"
     assert restarts[0]["prev_count"] == 3 and restarts[0]["count"] == 1
     # cumulative series appears from the restart on, and stays flat after
-    s = sampler.get("rpc.lat.restarts")
-    assert s is not None
-    assert [v for _, v in s] == [1.0, 1.0]
+    assert _series(ticks, "rpc.lat.restarts") == [1.0, 1.0]
     # the annotation also landed in the stream file for offline readers
     text = path.read_text()
     assert '"histogram_restart"' in text and '"rpc.lat"' in text
@@ -64,6 +75,7 @@ def test_first_appearance_of_a_histogram_is_not_a_restart():
     sim = Simulator()
     reg = MetricsRegistry()
     sampler = MetricsSampler(sim, reg, interval=INTERVAL)
+    ticks = _hooked(sampler)
 
     def driver():
         yield sim.timeout(1.2)
@@ -80,7 +92,8 @@ def test_first_appearance_of_a_histogram_is_not_a_restart():
 
     assert [e for e in sampler.events if e["kind"] == "histogram_restart"] \
         == []
-    assert sampler.get("late.lat.restarts") is None
+    assert _series(ticks, "late.lat.rate") == [1.0]
+    assert _series(ticks, "late.lat.restarts") == []
 
 
 def test_restart_still_reports_post_restart_window_rates():
@@ -91,6 +104,7 @@ def test_restart_still_reports_post_restart_window_rates():
     reg = MetricsRegistry()
     h = reg.histogram("x")
     sampler = MetricsSampler(sim, reg, interval=INTERVAL)
+    ticks = _hooked(sampler)
 
     def driver():
         for _ in range(5):
@@ -106,8 +120,8 @@ def test_restart_still_reports_post_restart_window_rates():
     sim.run(until=2.8)
     sampler.stop(final_sample=False)
 
-    rates = [v for _, v in sampler.get("x.rate")]
+    rates = _series(ticks, "x.rate")
     assert rates[0] == 5.0
     assert rates[1] == 2.0                  # the post-restart count
-    means = [v for _, v in sampler.get("x.mean")]
+    means = _series(ticks, "x.mean")
     assert means[1] == 3e-6
