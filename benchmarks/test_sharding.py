@@ -49,8 +49,11 @@ def _run():
                         measurement=MEASURE, cooldown=COOLDOWN)
         run_ycsb_phased(cluster, cluster.connect, WORKLOAD_B, testbed=tb,
                         run=run, n_clients=N_CLIENTS, n_client_nodes=8)
-        run.emit_phase_records("sharding", config={"shards": shards,
-                                                   "n_clients": N_CLIENTS})
+        run.emit_phase_records("sharding", config={
+            "shards": shards, "n_clients": N_CLIENTS, "vnodes": VNODES,
+            "ring_seed": RING_SEED, "warmup_us": round(WARMUP / us, 3),
+            "measure_us": round(MEASURE / us, 3),
+            "cooldown_us": round(COOLDOWN / us, 3)})
         out[shards] = measurement_result(run)
     return out
 

@@ -3,39 +3,49 @@
 
 Runs the extended YCSB workload B (read-intensive, with MultiGET/MultiPUT
 at batch 10) against HatKV and two of the paper's emulated comparators, on
-a 5-node simulated cluster.  Also shows the backend co-design: LMDB's
-reader table and commit strategy are tuned from the service hints.  The
-last line is each backend's write requests per commit (the mean of the
+a 5-node simulated cluster, as one phased run per system: the table is the
+MEASUREMENT window (ops attributed by start time, after a warmup).  Also
+shows the backend co-design: LMDB's reader table and commit strategy are
+tuned from the service hints.  The last line is each backend's write
+requests per commit over the whole run (the mean of the
 ``hatkv.group_commit.batch`` histogram): it shows whether group commit
-batched any.  On this read-heavy run no write waits behind another, so
-HatKV and AR-gRPC both read 1.00: group commit is on for HatKV but has
-nothing to batch (a MultiPUT is one request of 10 entries either way).
+batched any.  On this read-heavy run no write waits behind another, and it
+prints ``write requests per commit: HatKV 1.00, AR-gRPC 1.00``: group
+commit is on for HatKV but has nothing to batch (a MultiPUT is one request
+of 10 entries either way).
 
 Run:  python examples/kvstore_ycsb.py
 """
 
 from repro import obs
+from repro.bench import PhasedRun
 from repro.emul import SYSTEMS, start_system
-from repro.lmdb import SyncMode
 from repro.sim.units import us
 from repro.testbed import Testbed
-from repro.ycsb import OpType, WORKLOAD_B, run_ycsb
+from repro.ycsb import (OpType, WORKLOAD_B, measurement_result,
+                        run_ycsb_phased)
 
 N_CLIENTS = 32
+WARMUP = 100 * us
+MEASURE = 400 * us
 
 
 def main():
     print(f"YCSB workload B ({N_CLIENTS} clients, 4 client nodes, "
-          "zipfian keys, 24B keys / 1000B values, batch 10)\n")
+          "zipfian keys, 24B keys / 1000B values, batch 10; "
+          f"{MEASURE / us:.0f}us measured after {WARMUP / us:.0f}us "
+          "warmup)\n")
     results = {}
     per_commit = {}
     for system in ("hatkv_function", "ar_grpc", "herd"):
         with obs.installed() as reg:
             tb = Testbed(n_nodes=5)
             server, connect = start_system(tb, system, n_clients=N_CLIENTS)
-            results[system] = run_ycsb(server, connect, WORKLOAD_B,
-                                       testbed=tb, n_clients=N_CLIENTS,
-                                       ops_per_client=15, warmup_per_client=3)
+            run = PhasedRun(tb.sim, system, warmup=WARMUP,
+                            measurement=MEASURE)
+            run_ycsb_phased(server, connect, WORKLOAD_B, testbed=tb,
+                            run=run, n_clients=N_CLIENTS)
+            results[system] = measurement_result(run)
         per_commit[system] = reg.histograms["hatkv.group_commit.batch"].mean
         if system == "hatkv_function":
             env = server.backend.env

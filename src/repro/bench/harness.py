@@ -5,11 +5,13 @@ so warmup pollution, tuner epoch switches, admission shed waves, and
 shard imbalance are invisible *as they happen*.  :class:`PhasedRun`
 structures a run into explicit phases::
 
-    PREPARING -> WARMUP -> MEASUREMENT -> COOLDOWN
+    WARMUP -> MEASUREMENT -> COOLDOWN
 
-and attributes every operation to the phase in which it **started** --
-an op that begins in WARMUP and completes in MEASUREMENT is warmup work,
-so MEASUREMENT numbers provably exclude the warmup window.  Each phase
+after an optional ``prepare`` (bulk load, connects) that belongs to no
+phase, and attributes every operation to the phase in which it
+**started** -- an op that begins in WARMUP and completes in MEASUREMENT
+is warmup work, so MEASUREMENT numbers provably exclude the warmup
+window.  Each phase
 becomes its own :class:`~repro.bench.report.BenchRecord` (record name
 ``<name>.<phase>``), every phase with the same metric cells.
 
@@ -18,7 +20,8 @@ JSONL stream; the harness writes into it rather than keeping its own:
 
 * give it a :class:`~repro.obs.timeseries.MetricsSampler` and every
   phase transition is stamped into the sampler's tags (so each stream
-  sample is phase-attributed) and emitted as a typed ``phase`` event;
+  sample is phase-attributed) and emitted as a typed ``phase`` event --
+  the phase's only record, there is no phase gauge;
 * :meth:`annotate` writes one typed event into the stream;
   :meth:`watch_tuner` / :meth:`watch_admission` subscribe to the
   :class:`~repro.core.tuner.HintTuner` decision hook and the
@@ -66,7 +69,6 @@ __all__ = [
 class Phase(enum.Enum):
     """Benchmark lifecycle phases, in order."""
 
-    PREPARING = "preparing"
     WARMUP = "warmup"
     MEASUREMENT = "measurement"
     COOLDOWN = "cooldown"
@@ -75,8 +77,7 @@ class Phase(enum.Enum):
         return self.value
 
 
-PHASE_ORDER = [Phase.PREPARING, Phase.WARMUP, Phase.MEASUREMENT,
-               Phase.COOLDOWN]
+PHASE_ORDER = [Phase.WARMUP, Phase.MEASUREMENT, Phase.COOLDOWN]
 
 
 @dataclass
@@ -143,31 +144,27 @@ class PhasedRun:
         #: phase -> op name -> latency accumulator (start-time attribution)
         self.stats: Dict[Phase, Dict[str, LatencyStats]] = {
             p: {} for p in PHASE_ORDER}
-        #: ops recorded before PREPARING opened / after COOLDOWN closed
+        #: ops recorded before WARMUP opened / after COOLDOWN closed
         self.unattributed = 0
         self._started_sampler = False
-        if registry is not None:
-            self._phase_gauge = registry.gauge("bench.phase")
-            self._ops_counter = registry.counter("bench.ops")
-        else:
-            self._phase_gauge = None
-            self._ops_counter = None
+        self._ops_counter = (registry.counter("bench.ops")
+                             if registry is not None else None)
 
     # -- the phase machine ---------------------------------------------------
     def drive(self, prepare: Any = None) -> Iterator[Any]:
         """Generator to run as the driver process.
 
         ``prepare`` is an optional sub-generator (bulk load, connection
-        ramp); the PREPARING window covers exactly its execution.  The
-        three timed phases then elapse by simulator timeouts.
+        setup) that runs to completion before WARMUP opens; it belongs to
+        no phase, and an op recorded while it runs is unattributed.  The
+        three phases then elapse by simulator timeouts.
         """
         if self.sampler is not None and not self.sampler.running:
             self.sampler.start()
             self._started_sampler = True
-        self._enter(Phase.PREPARING)
         if prepare is not None:
             yield from prepare
-        for phase in (Phase.WARMUP, Phase.MEASUREMENT, Phase.COOLDOWN):
+        for phase in PHASE_ORDER:
             self._enter(phase)
             if self.durations[phase] > 0:
                 yield self.sim.timeout(self.durations[phase])
@@ -179,8 +176,6 @@ class PhasedRun:
             self.windows[-1].end = now
         self.windows.append(PhaseWindow(phase, now))
         self.phase = phase
-        if self._phase_gauge is not None:
-            self._phase_gauge.set(PHASE_ORDER.index(phase))
         if self.sampler is not None:
             self.sampler.tags["phase"] = phase.value
             self.sampler.event("phase", phase=phase.value, run=self.name)

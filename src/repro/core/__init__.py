@@ -4,11 +4,12 @@
   rules (service/function levels x shared/server/client sides);
 * :mod:`repro.core.selector` -- the hint -> (protocol, polling) mapping of
   Figure 6;
-* :mod:`repro.core.trdma` -- TRdma / TServerRdma: the TSocket-compatible
-  bridge between Thrift and the RDMA engine;
+* :mod:`repro.core.trdma` -- TRdma: the TSocket-compatible bridge
+  between Thrift and the RDMA engine;
 * :mod:`repro.core.engine` -- the hint-aware RDMA communication engine;
 * :mod:`repro.core.runtime` -- HatRPC server/client assembly on top of
-  IDL-generated code.
+  IDL-generated code (the paper's TServerRdma is ``HatRpcServer``'s list
+  of per-channel servers).
 """
 
 from repro.core.hints import (
@@ -21,7 +22,7 @@ from repro.core.hints import (
     validate_hint,
 )
 from repro.core.selector import ProtocolChoice, select_protocol
-from repro.core.trdma import TRdma, TRdmaServerTransport
+from repro.core.trdma import TRdma
 from repro.core.engine import HatRpcEngine, ServicePlan, build_service_plan, pinned_plan
 from repro.core.runtime import HatRpcClient, HatRpcServer, hatrpc_connect
 
@@ -36,7 +37,6 @@ __all__ = [
     "ProtocolChoice",
     "ResolvedHints",
     "TRdma",
-    "TRdmaServerTransport",
     "build_service_plan",
     "hatrpc_connect",
     "pinned_plan",

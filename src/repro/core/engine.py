@@ -55,6 +55,13 @@ _MAX_MSG_SLACK = 8 * KiB
 #: provision conservatively -- precisely the memory cost hints remove.
 _UNHINTED_MAX_MSG = 128 * KiB
 
+#: newest ``fault_trace`` entries an engine keeps (the evicted ones are
+#: counted in ``fault_trace_dropped``): a channel that fails for a whole
+#: run must not grow the log without limit.  The longest trace a test or
+#: bench compares in full has 8 entries (a faulted call's retries,
+#: failover and breaker opens in tests/obs/test_timeline.py).
+FAULT_TRACE_CAP = 256
+
 
 @dataclass(frozen=True)
 class ChannelPlan:
@@ -452,7 +459,8 @@ class HatRpcEngine:
 
     Every decision lands in :attr:`faults` (counters) and
     :attr:`fault_trace` (an ordered, replayable list of
-    ``(sim_time, kind, function, channel, detail)`` tuples).
+    ``(sim_time, kind, function, channel, detail)`` tuples, the newest
+    :data:`FAULT_TRACE_CAP` of them).
     """
 
     def __init__(self, node, plan: ServicePlan,
@@ -480,6 +488,7 @@ class HatRpcEngine:
         self.trace_attrs = dict(trace_attrs or {})
         self.faults = FaultCounters()
         self.fault_trace: List[Tuple[float, str, str, int, str]] = []
+        self.fault_trace_dropped = 0
         self._channels: Dict[int, Any] = {}
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._failover_order: Dict[int, List[int]] = {}
@@ -711,6 +720,9 @@ class HatRpcEngine:
                ) -> None:
         now = self.node.sim.now
         self.fault_trace.append((now, kind, fn, channel, detail))
+        if len(self.fault_trace) > FAULT_TRACE_CAP:
+            del self.fault_trace[0]
+            self.fault_trace_dropped += 1
         if self._trc is not None:
             # Mirror the fault event into the distributed trace of the call
             # it happened inside (the context rides on the sim process; the

@@ -17,9 +17,8 @@ recovery decision in its :class:`FaultCounters`.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.sim.units import us
 
@@ -92,12 +91,9 @@ class CircuitBreaker:
 
     def __init__(self, sim, failure_threshold: int = 3,
                  reset_after: float = 1000 * us,
-                 on_open: Optional[Callable[["CircuitBreaker"], None]] = None,
-                 transitions_cap: int = 256):
+                 on_open: Optional[Callable[["CircuitBreaker"], None]] = None):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if transitions_cap < 1:
-            raise ValueError("transitions_cap must be >= 1")
         self.sim = sim
         self.failure_threshold = failure_threshold
         self.reset_after = reset_after
@@ -106,34 +102,19 @@ class CircuitBreaker:
         self.failures = 0
         self.opened_at = float("-inf")
         self.opens = 0
-        #: state-transition log: (sim time, from-state, to-state); purely
-        #: clock-driven, so it replays byte-identically with the scenario.
-        #: Bounded: a channel that flaps for the whole run keeps only the
-        #: most recent ``transitions_cap`` entries (``transitions_dropped``
-        #: counts the evicted ones) instead of growing without limit.
-        self.transitions: Deque[Tuple[float, str, str]] = \
-            deque(maxlen=transitions_cap)
-        self.transitions_dropped = 0
-
-    def _goto(self, state: str) -> None:
-        if state != self.state:
-            if len(self.transitions) == self.transitions.maxlen:
-                self.transitions_dropped += 1
-            self.transitions.append((self.sim.now, self.state, state))
-            self.state = state
 
     def allow(self) -> bool:
         """May a call go through right now?"""
         if self.state == self.OPEN:
             if self.sim.now - self.opened_at >= self.reset_after:
-                self._goto(self.HALF_OPEN)
+                self.state = self.HALF_OPEN
             else:
                 return False
         return True
 
     def record_success(self) -> None:
         self.failures = 0
-        self._goto(self.CLOSED)
+        self.state = self.CLOSED
 
     def record_failure(self) -> None:
         self.failures += 1
@@ -143,7 +124,7 @@ class CircuitBreaker:
                 self.opens += 1
                 if self.on_open is not None:
                     self.on_open(self)
-            self._goto(self.OPEN)
+            self.state = self.OPEN
             self.opened_at = self.sim.now
             self.failures = 0
 

@@ -15,13 +15,12 @@ map, so no protocol negotiation happens on the wire.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, List, Optional
 
 from repro import frame
 from repro.core.engine import HatRpcEngine, ServicePlan, build_service_plan
 from repro.core.overload import AdmissionConfig, AdmissionGate, gated
-from repro.core.trdma import (HintedProtocol, TRdma, TRdmaServerTransport,
-                              _PAUSE, _AsyncTRdma)
+from repro.core.trdma import HintedProtocol, TRdma, _PAUSE, _AsyncTRdma
 from repro.obs import trace as obstrace
 from repro.protocols import SRQ_SERVERS, ProtoConfig, get_protocol
 from repro.thrift.errors import TTransportException
@@ -207,7 +206,8 @@ class HatRpcServer:
         self.tuner_epoch_seen = -1
         self.processor = getattr(gen_module, f"{service_name}Processor")(
             handler)
-        self.endpoint = TRdmaServerTransport(node, self.plan, base_service_id)
+        #: one protocol server (or TCP Thrift server) per plan channel
+        self.servers: List[Any] = []
         self.srq = srq
         self.srq_slots = srq_slots
         if admission is None:
@@ -248,15 +248,16 @@ class HatRpcServer:
                 server = server_cls(self.node.nic, sid,
                                     self._bytes_handler, cfg, **extra)
                 server.start()
-            self.endpoint.add(server)
+            self.servers.append(server)
         return self
 
     def stop(self) -> None:
-        self.endpoint.stop()
+        for server in self.servers:
+            server.stop()
 
     @property
     def requests(self) -> int:
-        return self.endpoint.requests
+        return sum(s.requests for s in self.servers)
 
     def _bytes_handler(self, request: bytes):
         """Coroutine, the RDMA servers' handler: request bytes -> Thrift

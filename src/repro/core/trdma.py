@@ -23,7 +23,7 @@ from repro.thrift.protocol.binary import TBinaryProtocol
 from repro.thrift.transport import TTransport
 from repro.thrift.ttypes import TMessageType
 
-__all__ = ["HintedProtocol", "TRdma", "TRdmaServerTransport"]
+__all__ = ["HintedProtocol", "TRdma"]
 
 #: sentinel yielded by _AsyncTRdma.ready() -- pauses the generated stub
 #: between its send and receive halves (see _AsyncTRdma).
@@ -132,34 +132,3 @@ class HintedProtocol(TBinaryProtocol):
     def write_message_begin(self, name: str, mtype: int, seqid: int):
         self.trans.set_current_function(name, mtype, seqid)
         super().write_message_begin(name, mtype, seqid)
-
-
-class TRdmaServerTransport:
-    """Server-side endpoint set (the paper's TServerRdma).
-
-    Owns one protocol server (or TCP Thrift server) per channel of the
-    service plan; construction and wiring happen in
-    :class:`repro.core.runtime.HatRpcServer`, which passes ready-made
-    factories here.
-    """
-
-    def __init__(self, node, plan, base_service_id: int):
-        self.node = node
-        self.plan = plan
-        self.base_service_id = base_service_id
-        self.servers = []
-
-    def add(self, server) -> None:
-        self.servers.append(server)
-
-    def stop(self) -> None:
-        for server in self.servers:
-            server.stop()
-
-    @property
-    def connections(self) -> int:
-        return sum(s.connections for s in self.servers)
-
-    @property
-    def requests(self) -> int:
-        return sum(s.requests for s in self.servers)

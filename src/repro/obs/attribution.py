@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 from repro.sim.units import KiB
 
@@ -73,18 +73,14 @@ class StageStats:
     total: float
 
 
-def _percentile(sorted_vals: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile over the exact samples."""
-    rank = max(1, -(-int(p * len(sorted_vals)) // 100))  # ceil(p/100 * n)
-    rank = min(rank, len(sorted_vals))
-    return sorted_vals[rank - 1]
-
-
 def _stage_stats(samples: Iterable[float]) -> StageStats:
+    # Imported here: repro.bench's package imports the RPC stack, which
+    # imports repro.obs.
+    from repro.bench.stats import percentile
     vals = sorted(samples)
     total = sum(vals)
-    return StageStats(count=len(vals), p50=_percentile(vals, 50),
-                      p95=_percentile(vals, 95), mean=total / len(vals),
+    return StageStats(count=len(vals), p50=percentile(vals, 50),
+                      p95=percentile(vals, 95), mean=total / len(vals),
                       total=total)
 
 

@@ -8,7 +8,8 @@ A faithful reimplementation of the YCSB pieces the paper uses:
 * workloads A and B extended with MultiGET/MultiPUT at batch size 10 --
   the paper halves the original GET/PUT proportions in favor of the Multi
   variants (A: 25/25/25/25; B: 47.5/2.5/47.5/2.5);
-* a load phase + a measured run phase against any KV stub.
+* a bulk load + a phased run (warmup, measurement, cooldown) against any
+  KV stub.
 """
 
 from repro.ycsb.generators import (
@@ -20,9 +21,8 @@ from repro.ycsb.generators import (
 )
 from repro.ycsb.workload import (OpType, Workload, WORKLOAD_A, WORKLOAD_B,
                                  WORKLOAD_C, WORKLOAD_D, WORKLOAD_E)
-from repro.ycsb.runner import YcsbResult, run_ycsb
-from repro.ycsb.phased import (measurement_result, run_ycsb_phased,
-                               scenario_spec)
+from repro.ycsb.phased import (YcsbResult, measurement_result,
+                               run_ycsb_phased, scenario_spec)
 
 __all__ = [
     "DiscreteGenerator",
@@ -39,7 +39,6 @@ __all__ = [
     "YcsbResult",
     "ZipfianGenerator",
     "measurement_result",
-    "run_ycsb",
     "run_ycsb_phased",
     "scenario_spec",
 ]

@@ -1,15 +1,18 @@
-"""Time-phased YCSB: the scenario-matrix runner over the bench harness.
+"""Time-phased YCSB: the one YCSB driver, over the bench harness.
 
-:func:`run_ycsb` (one-shot, op-count-driven) answers "what is the steady
-throughput"; this module answers "what happened *during* the run".
-:func:`run_ycsb_phased` drives the same workload/stub machinery through a
-:class:`~repro.bench.harness.PhasedRun`: clients loop on wall (sim) time
+:func:`run_ycsb_phased` runs the choreography of Section 5.4 -- server
+nodes, clients spread across the client nodes, a bulk load straight into
+the backend (load time is not measured by the paper) -- through a
+:class:`~repro.bench.harness.PhasedRun`: clients loop on sim time
 instead of op counts, every completed op is attributed to the phase it
-*started* in, and an optional :class:`~repro.bench.harness.StormSpec`
-turns into an :class:`~repro.faults.plan.OverloadStorm` armed exactly
-when MEASUREMENT opens (the fault injector interprets event times
-relative to arming, so ``storm.at`` is an offset into the measurement
-window by construction).
+*started* in, and :func:`measurement_result` reads the MEASUREMENT phase
+as a :class:`YcsbResult`.  It is transport- and topology-agnostic: pass a
+``connect`` coroutine factory and the same driver runs HatKV, every
+emulated comparator and the sharded cluster.  An optional
+:class:`~repro.bench.harness.StormSpec` turns into an
+:class:`~repro.faults.plan.OverloadStorm` armed exactly when MEASUREMENT
+opens (the fault injector interprets event times relative to arming, so
+``storm.at`` is an offset into the measurement window by construction).
 
 Primary clients are rejection-aware: a
 :class:`~repro.thrift.errors.TRejectedException` (admission shed) is not
@@ -22,18 +25,64 @@ inactive.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench.harness import Phase, PhasedRun, Scenario, StormSpec
 from repro.bench.stats import LatencyStats
 from repro.sim.core import AllOf
 from repro.thrift.errors import TRejectedException
-from repro.ycsb.runner import YcsbResult, _dispatch, _load_server
 from repro.ycsb.workload import (InsertSequence, OpType, Workload,
                                  WorkloadSpec)
 
-__all__ = ["measurement_result", "run_ycsb_phased", "scenario_spec"]
+__all__ = ["YcsbResult", "measurement_result", "run_ycsb_phased",
+           "scenario_spec"]
+
+
+@dataclass
+class YcsbResult:
+    throughput_ops: float
+    per_op: Dict[OpType, LatencyStats]
+    total_ops: int
+
+    def latency(self, op: OpType) -> LatencyStats:
+        return self.per_op[op]
+
+
+def _load_server(server, items) -> None:
+    """Bulk-load (key, value) pairs, bypassing RPC.  Prefers the server's
+    own ``load`` (which a sharded cluster routes per shard); falls back to
+    writing straight into a single backend's LMDB env."""
+    load = getattr(server, "load", None)
+    if load is not None:
+        load(items)
+        return
+    with server.backend.env.begin(write=True) as txn:
+        for key, value in items:
+            txn.put(key, value)
+
+
+def _dispatch(stub, op: OpType, args, spec: WorkloadSpec, check: bool):
+    """Issue one YCSB op on a KV stub (primary and storm clients alike)."""
+    if op is OpType.GET:
+        res = yield from stub.Get(*args)
+        # 'latest' may pick an index whose insert is still in flight on
+        # another client; a miss is then legitimate.
+        if check:
+            assert res.found or spec.distribution == "latest", \
+                f"missing key {args[0]!r}"
+    elif op is OpType.PUT or op is OpType.INSERT:
+        yield from stub.Put(*args)
+    elif op is OpType.MULTI_GET:
+        values = yield from stub.MultiGet(*args)
+        if check:
+            assert len(values) == len(args[0])
+    elif op is OpType.MULTI_PUT:
+        yield from stub.MultiPut(*args)
+    else:  # SCAN
+        flat = yield from stub.Scan(*args)
+        if check:
+            assert len(flat) % 2 == 0
 
 
 def scenario_spec(base: WorkloadSpec, scenario: Scenario) -> WorkloadSpec:
@@ -43,13 +92,9 @@ def scenario_spec(base: WorkloadSpec, scenario: Scenario) -> WorkloadSpec:
 
 
 def measurement_result(run: PhasedRun) -> YcsbResult:
-    """The MEASUREMENT phase of a finished run as a ``YcsbResult``.
-
-    The figure benchmarks' tables and ordering gates were written against
-    the one-shot runner's result type; this keeps them byte-identical
-    while the numbers now provably exclude warmup (phase attribution is
-    by op *start* time).
-    """
+    """The MEASUREMENT phase of a finished run as a ``YcsbResult``: its
+    numbers exclude warmup by construction (attribution is by op *start*
+    time)."""
     per_op = {op: run.stats[Phase.MEASUREMENT].get(op.value, LatencyStats())
               for op in OpType}
     return YcsbResult(throughput_ops=run.throughput(Phase.MEASUREMENT),
@@ -65,11 +110,12 @@ def run_ycsb_phased(server: Any, connect: Callable, spec: WorkloadSpec,
     """Drive one phased YCSB run to completion; returns the (finished)
     ``run`` with per-phase stats populated.
 
-    ``connect(node)`` is the same coroutine stub factory ``run_ycsb``
-    takes; ``server`` anything with ``load(items)`` and ``node``/
-    ``nodes``.  The PREPARING window covers the bulk load plus every
-    client's connection setup; clients then loop until the harness stops
-    them at the end of COOLDOWN.
+    ``connect(node)`` is a coroutine returning a stub with Get/Put/
+    MultiGet/MultiPut (and Scan, for YCSB-E) coroutines; ``server`` is
+    anything with ``load(items)`` and ``node``/``nodes``.  The bulk load
+    and every client's connection setup run before WARMUP opens, in no
+    phase; clients then loop until the harness stops them at the end of
+    COOLDOWN.
     """
     sim = testbed.sim
     server_nodes = getattr(server, "nodes", None) or [server.node]

@@ -1,6 +1,8 @@
 """PhasedRun: phase-boundary attribution, per-phase BenchRecords, and a
 fast 2-phase mini-scenario smoke (sampler + SLO watchdog end to end)."""
 
+import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -19,6 +21,15 @@ from repro.sim.core import Simulator
 from repro.sim.units import us
 
 REPO = Path(__file__).resolve().parents[2]
+
+# sha256 of the mini-scenario's JSONL stream and of its phase records
+# (``to_dict`` list, sorted keys).  CI runs tier-1 under two pinned
+# PYTHONHASHSEEDs, so both are checked across processes; print a tree's
+# values with ``PYTHONPATH=src python tests/bench/test_harness.py``.
+MINI_STREAM_SHA256 = (
+    "c357fff540233a38b84a9a245a5033e1a32df27f0b3120764f1ebd749a5cd6d4")
+MINI_RECORDS_SHA256 = (
+    "e8c47320a48579386ad580440624c9194064eecc5f79a0e84ed9d05264a3ad45")
 
 
 def _driven_run(warmup=100 * us, measurement=200 * us, cooldown=50 * us,
@@ -58,6 +69,20 @@ def test_op_straddling_measurement_end_counts_as_measurement():
     run.record("get", 20 * us, start=m.end - 1 * us)
     assert run.ops(Phase.MEASUREMENT) == 1
     assert run.ops(Phase.COOLDOWN) == 0
+
+
+def test_prepare_runs_before_warmup_and_belongs_to_no_phase():
+    sim = Simulator()
+    run = PhasedRun(sim, "t", warmup=100 * us, measurement=200 * us)
+
+    def prepare():
+        run.record("load", 0.0, start=sim.now)
+        yield sim.timeout(30 * us)
+
+    sim.run(until=sim.process(run.drive(prepare=prepare())))
+    assert [w.phase for w in run.windows] == PHASE_ORDER
+    assert run.window(Phase.WARMUP).start == 30 * us
+    assert run.unattributed == 1
 
 
 def test_ops_outside_every_window_are_unattributed():
@@ -102,20 +127,17 @@ def test_emit_phase_records_names_and_gating_directions():
     try:
         recs = run.emit_phase_records("figx", name="mini", config={"k": 1})
         by_name = {r.name: r for r in recs}
-        assert list(by_name) == ["mini.preparing", "mini.warmup",
-                                 "mini.measurement", "mini.cooldown"]
+        assert list(by_name) == ["mini.warmup", "mini.measurement",
+                                 "mini.cooldown"]
         meas = by_name["mini.measurement"]
         assert meas.meta["phase"] == "measurement"
         assert meas.config == {"k": 1}
         # every phase gets the same cells, and no cell carries a direction
         cells = {"tput_kops", "ops", "duration_us", "lat_us.get.p50",
                  "lat_us.get.p95", "lat_us.get.p99"}
-        assert set(by_name["mini.preparing"].metrics) == \
-            {"tput_kops", "ops", "duration_us"}
         for rec in recs:
             assert rec.figure == "figx"
-            if rec.name != "mini.preparing":
-                assert set(rec.metrics) == cells
+            assert set(rec.metrics) == cells
             for cell in rec.metrics.values():
                 assert set(cell) == {"value", "unit"}
     finally:
@@ -186,7 +208,7 @@ def test_two_phase_mini_scenario_smoke(tmp_path):
     digest = summarize_stream(read_stream(str(stream)))
     assert digest["n_samples"] >= 20
     assert [p for _, p in digest["phases"]][:3] == [
-        "preparing", "warmup", "measurement"]
+        "warmup", "measurement", "cooldown"]
     assert digest["phases"][-1][1] == "done"
     kinds = {}
     for e in digest["events"]:
@@ -194,6 +216,27 @@ def test_two_phase_mini_scenario_smoke(tmp_path):
     assert kinds.get("slo_violation") == 1
     assert kinds.get("slo_recovered") == 1
     assert digest["slo"]["get-p99"]["violations"] == 1
+
+
+def _mini_digests(tmp_path):
+    """(stream sha256, records sha256) of one mini-scenario run."""
+    stream = tmp_path / "mini_stream.jsonl"
+    run, _ = _mini_scenario(stream)
+    saved = list(SINK.records)
+    try:
+        recs = run.emit_phase_records("figx", config={"k": 1})
+    finally:
+        SINK.records = saved
+    records = json.dumps([r.to_dict() for r in recs], sort_keys=True)
+    return (hashlib.sha256(stream.read_bytes()).hexdigest(),
+            hashlib.sha256(records.encode()).hexdigest())
+
+
+def test_mini_scenario_stream_and_records_match_golden(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+    assert _mini_digests(tmp_path) == (MINI_STREAM_SHA256,
+                                       MINI_RECORDS_SHA256)
 
 
 def _obs_dump(*args):
@@ -210,7 +253,7 @@ def test_obs_dump_series_renders_the_mini_scenario_stream(tmp_path):
     _mini_scenario(stream)
     res = _obs_dump("--series", str(stream))
     assert res.returncode == 0, res.stderr
-    assert "phases: preparing > warmup > measurement > cooldown > done" \
+    assert "phases: warmup > measurement > cooldown > done" \
         in res.stdout
     assert re.search(r"get-p99\s+FAIL", res.stdout)
     assert "bench.op_latency.get.p99" in res.stdout
@@ -223,3 +266,12 @@ def test_obs_dump_series_renders_the_mini_scenario_stream(tmp_path):
     assert res.stdout.count("samples,") == 1      # one frame, no redraw
     assert re.search(r"get-p99\s+FAIL", res.stdout)
     assert re.search(r"bench.ops.rate\s+\S+\s+[▁-█]+", res.stdout)
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+    os.environ.pop("REPRO_BENCH_SCALE", None)
+    with tempfile.TemporaryDirectory() as d:
+        stream_sha, records_sha = _mini_digests(Path(d))
+    print(json.dumps({"stream": stream_sha, "records": records_sha}))

@@ -85,6 +85,6 @@ def test_malformed_request_closes_only_its_connection(gen, flavor, message):
     assert tb.sim.run(tb.sim.process(bad_client())) is TTransportException
     assert tb.sim.run(tb.sim.process(fresh_client())) == b"still served"
     tb.sim.run()
-    (srv,) = server.endpoint.servers
+    (srv,) = server.servers
     assert srv.teardowns == 1
     assert server.requests == 2         # the warm-up and the fresh call

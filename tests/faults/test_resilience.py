@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.engine import HatRpcEngine
 from repro.core.resilience import CircuitBreaker, RetryPolicy
 from repro.core.runtime import (HatRpcServer, hatrpc_connect,
@@ -112,7 +113,7 @@ def test_idempotent_get_retries_through_qp_error(gen):
     assert engine.faults.blind_retries_prevented == 0
     # the server side saw the dead connection and released it
     assert sum(getattr(s, "teardowns", 0)
-               for s in server.endpoint.servers) >= 1
+               for s in server.servers) >= 1
 
 
 def test_non_idempotent_put_is_never_blind_retried(gen):
@@ -167,7 +168,7 @@ def test_failover_to_tcp_when_rdma_listeners_gone(gen):
     server, handler = start(tb, gen)
     handler.store["k"] = "v"
     # Kill every RDMA listener; only the Legacy TCP channel keeps serving.
-    for ch, srv in zip(server.plan.channels, server.endpoint.servers):
+    for ch, srv in zip(server.plan.channels, server.servers):
         if ch.transport == "rdma":
             srv.stop()
 
@@ -290,33 +291,35 @@ def test_circuit_breaker_state_machine():
     assert br.state == br.CLOSED and br.allow()
 
 
-def test_circuit_breaker_transition_log_bounded_under_flapping():
-    """Sustained flapping must not grow the transition log without limit:
-    the deque keeps the most recent ``transitions_cap`` entries and counts
-    the evicted ones."""
-    class FakeSim:
-        now = 0.0
-
-    sim = FakeSim()
+def test_circuit_breaker_transition_log_bounded_under_flapping(
+        gen, monkeypatch):
+    """Sustained flapping must not grow the engine's recovery log without
+    limit: ``fault_trace`` keeps the newest ``FAULT_TRACE_CAP`` entries
+    and counts the evicted ones."""
     cap = 8
-    br = CircuitBreaker(sim, failure_threshold=1, reset_after=10 * us,
-                        transitions_cap=cap)
-    # Each lap is CLOSED->OPEN, OPEN->HALF_OPEN, HALF_OPEN->CLOSED:
-    # 3 transitions x 100 laps of flapping.
+    monkeypatch.setattr(engine_mod, "FAULT_TRACE_CAP", cap)
+    tb = Testbed(n_nodes=2)
+    engine = HatRpcEngine(tb.node(1), service_plan_of(gen, "MiniKV"))
+    sim = tb.sim
+    br = engine._breaker(0)
+    br.failure_threshold = 1
+    br.reset_after = 10 * us
+    # Each lap is CLOSED->OPEN, OPEN->HALF_OPEN, HALF_OPEN->CLOSED, and
+    # the open lands in the log: 100 laps of flapping.
     for _ in range(100):
         br.record_failure()                    # -> OPEN
         sim.now += br.reset_after + 1 * us
         assert br.allow()                      # -> HALF_OPEN probe
         br.record_success()                    # -> CLOSED
-    assert len(br.transitions) == cap          # bounded, not 300
-    assert br.transitions_dropped == 300 - cap
+    assert br.state == br.CLOSED and br.opens == 100
+    assert engine.faults.breaker_opens == 100
+    assert len(engine.fault_trace) == cap      # bounded, not 100
+    assert engine.fault_trace_dropped == 100 - cap
     # The survivors are the most recent entries, in order.
-    times = [t for t, _f, _t in br.transitions]
+    times = [t for t, *_ in engine.fault_trace]
     assert times == sorted(times)
-    assert br.transitions[-1][1:] == (br.HALF_OPEN, br.CLOSED)
-
-    with pytest.raises(ValueError):
-        CircuitBreaker(sim, transitions_cap=0)
+    assert times[-1] == pytest.approx(99 * (br.reset_after + 1 * us))
+    assert {kind for _, kind, *_ in engine.fault_trace} == {"breaker_open"}
 
 
 # -- server-side write-transaction abort -------------------------------------

@@ -3,10 +3,12 @@
 import pytest
 
 from repro import obs
+from repro.bench import PhasedRun
 from repro.hatkv import HashRing, RouterInUseError, ShardedKVCluster
 from repro.obs import trace as obstrace
+from repro.sim.units import us
 from repro.testbed import Testbed
-from repro.ycsb import WORKLOAD_B, run_ycsb
+from repro.ycsb import WORKLOAD_B, measurement_result, run_ycsb_phased
 from repro.ycsb.workload import Workload
 
 pytestmark = pytest.mark.filterwarnings(
@@ -248,9 +250,14 @@ def test_router_multiput_replicates_and_scan_merges():
 def test_ycsb_runs_over_sharded_cluster():
     tb = Testbed(n_nodes=10)
     cluster = ShardedKVCluster(tb, 2).start()
-    result = run_ycsb(cluster, cluster.connect, WORKLOAD_B, testbed=tb,
-                      n_clients=4, ops_per_client=6, warmup_per_client=1)
-    assert result.total_ops == 24
+    run = PhasedRun(tb.sim, "sharded", warmup=50 * us,
+                    measurement=200 * us)
+    run_ycsb_phased(cluster, cluster.connect, WORKLOAD_B, testbed=tb,
+                    run=run, n_clients=4)
+    result = measurement_result(run)
+    for op, weight in WORKLOAD_B.mix:
+        if weight > 0:
+            assert result.per_op[op].count > 0, op
     assert result.throughput_ops > 0
 
 

@@ -4,7 +4,7 @@ the Chrome-JSON round trip that feeds scripts/obs_dump.py."""
 from repro.obs import trace
 from repro.obs.attribution import (HintKey, attribution_table,
                                    hint_attribution, payload_class,
-                                   spans_from_chrome, _percentile)
+                                   spans_from_chrome, _stage_stats)
 from repro.obs.timeline import TimelineExporter
 from repro.sim.units import KiB
 
@@ -20,10 +20,9 @@ def test_payload_classes():
 
 
 def test_percentile_is_exact_nearest_rank():
-    vals = sorted([10.0, 20.0, 30.0, 40.0])
-    assert _percentile(vals, 50) == 20.0
-    assert _percentile(vals, 95) == 40.0
-    assert _percentile([7.0], 50) == 7.0
+    st = _stage_stats([40.0, 10.0, 30.0, 20.0])
+    assert (st.p50, st.p95) == (20.0, 40.0)
+    assert _stage_stats([7.0]).p50 == 7.0
 
 
 def _make_traced_call(col, name, perf_goal, req_bytes, post_dur,

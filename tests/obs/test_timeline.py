@@ -95,7 +95,7 @@ def test_fault_instants_land_on_the_client_nodes_process(tmp_path):
         tb = Testbed(n_nodes=2)
         server = HatRpcServer(tb.node(0), gen, "Faulty", H()).start()
         # No RDMA listener: Get retries, then fails over to the TCP channel.
-        for ch, srv in zip(server.plan.channels, server.endpoint.servers):
+        for ch, srv in zip(server.plan.channels, server.servers):
             if ch.transport == "rdma":
                 srv.stop()
 

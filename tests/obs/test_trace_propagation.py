@@ -138,7 +138,7 @@ def test_faulted_call_yields_one_trace_covering_every_attempt(gen):
         server = HatRpcServer(tb.node(0), gen, "MiniKV", handler).start()
         # Kill every RDMA listener: the Get must retry on its primary,
         # trip the breaker, and fail over to the Legacy TCP channel.
-        for ch, srv in zip(server.plan.channels, server.endpoint.servers):
+        for ch, srv in zip(server.plan.channels, server.servers):
             if ch.transport == "rdma":
                 srv.stop()
 
@@ -219,7 +219,7 @@ def test_tracer_reads_the_engines_fault_counters(gen):
         handler = KVHandler(tb)
         handler.store["k"] = "v"
         server = HatRpcServer(tb.node(0), gen, "MiniKV", handler).start()
-        for ch, srv in zip(server.plan.channels, server.endpoint.servers):
+        for ch, srv in zip(server.plan.channels, server.servers):
             if ch.transport == "rdma":
                 srv.stop()
 

@@ -2,10 +2,31 @@
 
 import pytest
 
+from repro.bench import PhasedRun
 from repro.emul import SYSTEMS, start_system
+from repro.sim.units import us
 from repro.testbed import Testbed
-from repro.ycsb import OpType, WORKLOAD_A, WORKLOAD_B, Workload, run_ycsb
+from repro.ycsb import (OpType, WORKLOAD_A, WORKLOAD_B, Workload,
+                        measurement_result, run_ycsb_phased)
 from repro.ycsb.workload import BATCH_SIZE, FIELD_COUNT, FIELD_LENGTH, KEY_LENGTH
+
+
+def _measured(system, spec, n_clients, warmup=50 * us,
+              measurement=200 * us):
+    """One phased YCSB run on a fresh 5-node testbed; its MEASUREMENT
+    phase as a ``YcsbResult``."""
+    tb = Testbed(n_nodes=5)
+    server, connect = start_system(tb, system, n_clients=n_clients)
+    run = PhasedRun(tb.sim, system, warmup=warmup, measurement=measurement)
+    run_ycsb_phased(server, connect, spec, testbed=tb, run=run,
+                    n_clients=n_clients)
+    return measurement_result(run)
+
+
+def _assert_every_op_kind_measured(result, spec):
+    for op, weight in spec.mix:
+        if weight > 0:
+            assert result.per_op[op].count > 0, op
 
 
 def test_workload_geometry():
@@ -54,11 +75,8 @@ def test_multi_ops_batched():
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_ycsb_runs_on_every_system(system):
-    tb = Testbed(n_nodes=5)
-    server, connect = start_system(tb, system, n_clients=4)
-    result = run_ycsb(server, connect, WORKLOAD_A, testbed=tb, n_clients=4,
-                      ops_per_client=6, warmup_per_client=1)
-    assert result.total_ops == 4 * 6
+    result = _measured(system, WORKLOAD_A, n_clients=4)
+    _assert_every_op_kind_measured(result, WORKLOAD_A)
     assert result.throughput_ops > 0
 
 
@@ -68,23 +86,17 @@ def test_hatkv_function_beats_comparators_workload_b():
     Run past the under-subscription threshold (the paper uses 128 clients):
     below it every candidate busy-polls and the orderings blur.
     """
-    results = {}
-    for system in ("hatkv_function", "herd", "rfp"):
-        tb = Testbed(n_nodes=5)
-        server, connect = start_system(tb, system, n_clients=24)
-        results[system] = run_ycsb(server, connect, WORKLOAD_B, testbed=tb,
-                                   n_clients=24, ops_per_client=10,
-                                   warmup_per_client=2).throughput_ops
+    results = {system: _measured(system, WORKLOAD_B, n_clients=24,
+                                 warmup=100 * us).throughput_ops
+               for system in ("hatkv_function", "herd", "rfp")}
     assert results["hatkv_function"] > results["rfp"]
     assert results["hatkv_function"] > results["herd"]
 
 
 def test_ycsb_deterministic():
     def once():
-        tb = Testbed(n_nodes=5)
-        server, connect = start_system(tb, "hatkv_service", n_clients=4)
-        return run_ycsb(server, connect, WORKLOAD_A, testbed=tb, n_clients=4,
-                        ops_per_client=5, warmup_per_client=1).throughput_ops
+        r = _measured("hatkv_service", WORKLOAD_A, n_clients=4)
+        return r.throughput_ops, {op: r.per_op[op].samples for op in OpType}
     assert once() == once()
 
 
@@ -169,9 +181,5 @@ def test_shared_insert_sequence_claims_disjoint_indices():
 def test_scan_workload_end_to_end():
     """Workload E drives LMDB cursors through the full RPC stack."""
     from repro.ycsb import WORKLOAD_E
-    tb = Testbed(n_nodes=5)
-    server, connect = start_system(tb, "hatkv_function", n_clients=4)
-    r = run_ycsb(server, connect, WORKLOAD_E, testbed=tb, n_clients=4,
-                 ops_per_client=8, warmup_per_client=1)
-    assert r.total_ops == 32
-    assert r.per_op[OpType.SCAN].count > 0
+    r = _measured("hatkv_function", WORKLOAD_E, n_clients=4)
+    _assert_every_op_kind_measured(r, WORKLOAD_E)
