@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.figutil import (emit_bench, fmt_rows, kops, lat_metric,
                                 tput_metric, usec)
-from repro.bench import ProtoBenchSpec, run_protocol_bench
+from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.atb import ThroughputBenchmark
 from repro.protocols import ProtoConfig
 from repro.sim.units import KiB

@@ -9,7 +9,7 @@ Direct-WriteIMM is the best small-message protocol, RFP competitive below
 import pytest
 
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, lat_metric, usec
-from repro.bench import ProtoBenchSpec, run_protocol_bench
+from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.sim.units import KiB
 from repro.verbs.cq import PollMode
 

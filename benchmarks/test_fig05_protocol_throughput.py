@@ -9,7 +9,7 @@ messages; RFP overtakes Direct-WriteIMM for large messages at scale.
 import pytest
 
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, tput_metric
-from repro.bench import ProtoBenchSpec, run_protocol_bench
+from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.sim.units import KiB
 from repro.verbs.cq import PollMode
 

@@ -7,7 +7,7 @@ layers; the binding assertions live in
 tests/protocols/test_characterization.py.
 """
 
-from repro.bench import ProtoBenchSpec, run_protocol_bench
+from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.protocols import protocol_names
 from repro.sim.units import KiB, us
 from repro.verbs.cq import PollMode

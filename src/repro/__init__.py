@@ -15,20 +15,26 @@ The calls most users need::
     # ... then inside a simulator process:
     #     stub = yield from hatrpc_connect(tb.node(1), tb.node(0),
     #                                      gen, "MyService")
+
+These names load on first use: importing one subpackage (``repro.bench``,
+say) does not pull in the RPC stack.
 """
 
-from repro.core.runtime import HatRpcClient, HatRpcServer, hatrpc_connect
-from repro.idl import compile_idl, load_idl
-from repro.testbed import Testbed
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "HatRpcClient",
-    "HatRpcServer",
-    "Testbed",
-    "__version__",
-    "compile_idl",
-    "hatrpc_connect",
-    "load_idl",
-]
+#: the module each name of ``__all__`` is loaded from, on first use
+_HOMES = {"HatRpcClient": "repro.core.runtime",
+          "HatRpcServer": "repro.core.runtime",
+          "hatrpc_connect": "repro.core.runtime", "compile_idl": "repro.idl",
+          "load_idl": "repro.idl", "Testbed": "repro.testbed"}
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOMES[name]), name)
+
+
+__all__ = ["__version__", *_HOMES]

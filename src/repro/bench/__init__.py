@@ -8,11 +8,6 @@ from repro.bench.harness import (
     Scenario,
     StormSpec,
 )
-from repro.bench.proto_runner import (
-    BenchResult,
-    ProtoBenchSpec,
-    run_protocol_bench,
-)
 from repro.bench.report import (
     SINK,
     BenchRecord,
@@ -26,13 +21,11 @@ from repro.bench.report import (
 
 __all__ = [
     "BenchRecord",
-    "BenchResult",
     "BenchSink",
     "LatencyStats",
     "Phase",
     "PhaseWindow",
     "PhasedRun",
-    "ProtoBenchSpec",
     "SINK",
     "Scenario",
     "StormSpec",
@@ -41,6 +34,5 @@ __all__ = [
     "load_bench",
     "metric",
     "percentile",
-    "run_protocol_bench",
     "write_bench",
 ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
+from repro.bench.stats import percentile
 from repro.sim.units import KiB
 
 __all__ = [
@@ -74,9 +75,6 @@ class StageStats:
 
 
 def _stage_stats(samples: Iterable[float]) -> StageStats:
-    # Imported here: repro.bench's package imports the RPC stack, which
-    # imports repro.obs.
-    from repro.bench.stats import percentile
     vals = sorted(samples)
     total = sum(vals)
     return StageStats(count=len(vals), p50=percentile(vals, 50),

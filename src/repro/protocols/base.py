@@ -12,7 +12,9 @@ out / the next one in).  Everything else is written once:
   and ``call(request, resp_hint=...) -> bytes``;
 * the server, :class:`RpcServer`, whose ``start()`` spawns the accept loop;
   one serve-loop process runs per connection (the per-connection server
-  threads of a threaded Thrift server).
+  threads of a threaded Thrift server);
+* the receive ring, :class:`RecvRing`: one MR a QP's or an SRQ's receive
+  queue is bound to, its slots (re-)posted as slot numbers, no objects.
 
 Both peers build their endpoint from the *same* row, so slot sizes, eager
 threshold, rendezvous/notify flavor and READ count agree by construction.
@@ -43,7 +45,7 @@ from repro.verbs.device import Device, PD
 from repro.verbs.errors import QPStateError, WCError
 from repro.verbs import cm
 from repro.verbs.qp import QP
-from repro.verbs.types import WC, RecvWR, Sge, WCStatus
+from repro.verbs.types import WC, WCStatus
 
 __all__ = [
     "CTRL",
@@ -152,13 +154,12 @@ def charge(device: Device, pieces: tuple):
 
 class RecvRing:
     """The receive ring, registered once: slot *i* is bytes
-    ``[i * slot_bytes, (i + 1) * slot_bytes)`` of one MR and is posted with
-    ``wr_id=i`` to ``rq`` -- a connection's QP, or the SRQ a server's
-    connections share.  Each slot's work request is built once and
-    re-posted as it is: a slot is re-posted only after its completion was
-    consumed, and the NIC only reads its ``sge`` and ``wr_id``.  Re-posting
-    a slot releases it (:meth:`MR.discard`): its message has been read out,
-    and nothing reads the slot again before the NIC rewrites it."""
+    ``[i * slot_bytes, (i + 1) * slot_bytes)`` of one MR that ``rq`` -- a
+    connection's QP, or the SRQ a server's connections share -- is bound to;
+    posting slot *i* hands ``rq`` the number *i* and nothing else.  A slot is
+    re-posted only after its completion was consumed, and re-posting it
+    releases it (:meth:`MR.discard`): its message has been read out, and
+    nothing reads the slot again before the NIC rewrites it."""
 
     def __init__(self, pd: PD, rq, slots: int, slot_bytes: int):
         self.rq = rq
@@ -166,9 +167,8 @@ class RecvRing:
         self.slot_bytes = slot_bytes
         #: payload bytes a slot holds behind its control header
         self.capacity = slot_bytes - HDR_BYTES
-        self.mr = mr = pd.reg_mr(slots * slot_bytes)
-        self._wrs = [RecvWR(Sge(mr.addr + i * slot_bytes, slot_bytes,
-                                mr.lkey), wr_id=i) for i in range(slots)]
+        self.mr = pd.reg_mr(slots * slot_bytes)
+        rq.bind_recv(self.mr, slots, slot_bytes)
 
     def post(self, i: int, before: tuple = ()):
         """Coroutine: release slot ``i`` and (re-)post it.  ``before`` is
@@ -176,11 +176,11 @@ class RecvRing:
         poll that reaped the slot, its copy-out -- charged with it as one
         job."""
         self.mr.discard(self.slot_bytes, offset=i * self.slot_bytes)
-        yield from self.rq.post_recv(self._wrs[i], before)
+        yield from self.rq.post_recv(i, before)
 
     def post_all(self):
-        """Coroutine: post every slot, in order, as one WR list."""
-        yield from self.rq.post_recv(self._wrs)
+        """Coroutine: post every slot, in order, as one list."""
+        yield from self.rq.post_recv(list(range(self.slots)))
 
     def read(self, i: int, length: int, offset: int = 0) -> bytes:
         return self.mr.read(length, offset=i * self.slot_bytes + offset)

@@ -88,8 +88,8 @@ class DirectWriteEndpoint:
     def setup(self):
         """Coroutine: pre-post the notify receive ring.
 
-        For the IMM flavor the ring WQEs are zero-length placeholders (the
-        payload never touches them); for SEND flavors they carry the 32-byte
+        For the IMM flavor nothing is written to a ring slot (the payload
+        lands in the inbuf); for SEND flavors a slot carries the 32-byte
         notify message.
         """
         self._ring = RecvRing(self.pd, self.qp, self.cfg.ring_slots, HDR_BYTES)

@@ -24,7 +24,6 @@ from repro.verbs.memory import Memory
 from repro.verbs.types import (
     Opcode,
     QPState,
-    RecvWR,
     SendWR,
     Sge,
     WC,
@@ -52,7 +51,6 @@ __all__ = [
     "QP",
     "QPState",
     "QPStateError",
-    "RecvWR",
     "SRQ",
     "SendWR",
     "Sge",

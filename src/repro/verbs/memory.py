@@ -13,7 +13,8 @@ highest offset written: a 48-slot x 18 KiB message ring holds a 1 KiB
 message only from its write until its reader releases the slot, and 512
 pre-registered-but-idle connections hold nothing -- pre-registered buffers
 are the scaling cost of real RDMA endpoints (RDMAvisor), a model of them must
-not pay it in host RAM too.
+not pay it in host RAM too.  Nor do their pre-posted receives: a posted slot
+is a slot number in its queue (``verbs/qp.py``), not a work-request object.
 
 An extent is an immutable ``bytes`` object, or a :class:`Slice` -- bytes
 ``[lo, hi)`` of one, held by reference.  Payloads move **by reference**:

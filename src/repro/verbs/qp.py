@@ -26,16 +26,20 @@ one timeout, at the float FIFO service would give; the receiver's RX side
 is booked when the packet leaves, for ``wire_latency`` later, so the wire
 and the RX side are one step.
 
+A receive queue (a QP's own, or an SRQ) is bound to one ring MR and holds
+posted slot numbers: a SEND or WRITE_WITH_IMM takes the next slot *i*, lands
+at ``base + i * slot_bytes`` and completes with ``wr_id = i``.
+
 Payload bytes move by reference: a WRITE, WRITE_WITH_IMM or SEND *gathers*
 its local SGE (:meth:`~repro.verbs.memory.Memory.gather`) and *scatters* the
-pieces at the remote address or into the claimed receive WQE; a READ gathers
+pieces at the remote address or into the claimed receive slot; a READ gathers
 at the responder and scatters into the local SGE.  The NIC never joins, so
 the receiver's memory holds the sender's objects.
 
 Error semantics follow RC: a remote access fault is NAKed by the responder,
 which enters ERROR at once, so later WRs that reach it are dropped (no
 memory write, no receive completion); the offending WR completes with an
-error status, both QPs move to ERROR (flushing pending receive WQEs), and
+error status, both QPs move to ERROR (flushing pending receive slots), and
 every later WR of its chain completes ``WR_FLUSH_ERR``, signaled or not.
 Exhausted RNR or transport retries complete the WR with an error the same
 way.
@@ -50,7 +54,6 @@ from repro.verbs.errors import MemoryAccessError, QPStateError, VerbsError
 from repro.verbs.types import (
     Opcode,
     QPState,
-    RecvWR,
     SendWR,
     WC,
     WCOpcode,
@@ -60,7 +63,7 @@ from repro.verbs.types import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Event
     from repro.verbs.cq import CQ
-    from repro.verbs.device import Device, PD
+    from repro.verbs.device import Device, MR, PD
 
 __all__ = ["QP", "SRQ", "connect_pair"]
 
@@ -72,60 +75,89 @@ _SEND_WC = {
 }
 
 
-class SRQ:
-    """Shared receive queue: one recv-WQE pool serving many QPs."""
+class RecvQueue:
+    """A receive queue: the posted slots of the one ring MR it is bound to
+    (:meth:`bind_recv`), as slot numbers in FIFO order.  The NIC derives a
+    slot's landing address, capacity and ``wr_id`` from its number."""
 
     def __init__(self, device: "Device"):
         self.device = device
-        self._queue: Deque[RecvWR] = deque()
+        self._queue: Deque[int] = deque()
+        self.lkey = self.base = self.slots = self.slot_bytes = 0  # unbound
 
-    def post_recv(self, rwr: Union[RecvWR, List[RecvWR]],
-                  before: tuple = ()):
-        """Coroutine: post a receive buffer, or a list of them in one call,
-        to the shared queue (see :meth:`QP.post_recv`)."""
+    def bind_recv(self, mr: "MR", slots: int, slot_bytes: int) -> None:
+        """Make the first ``slots * slot_bytes`` bytes of ``mr`` this
+        queue's ring (once per queue)."""
+        if self.lkey:
+            raise QPStateError("receive queue already bound to a ring")
+        self.device.check_lkey(mr.lkey, mr.addr, slots * slot_bytes)
+        self.lkey = mr.lkey
+        self.base = mr.addr
+        self.slots = slots
+        self.slot_bytes = slot_bytes
+
+    def _job(self, slot: Union[int, List[int]], before: tuple) -> "Event":
+        """The CPU job of posting ``slot``, or a list of slots as one job of
+        ``len(slot)`` back-to-back posts.  The ring's MR and the slots are
+        checked before any time passes; a list takes no leading pieces."""
         device = self.device
-        if isinstance(rwr, list):
-            yield _list_job(device, rwr, before)
-            self._queue.extend(rwr)
-            return
-        device.check_lkey(rwr.sge.lkey, rwr.sge.addr, rwr.sge.length)
+        if self.lkey not in device._mrs:
+            raise MemoryAccessError(f"unknown lkey {self.lkey:#x}")
         cost = device.cost.post_recv_cpu
-        yield device.node.cpu.compute((*before, cost) if before else cost)
-        self._queue.append(rwr)
+        if type(slot) is not list:
+            if not 0 <= slot < self.slots:
+                raise MemoryAccessError(
+                    f"slot {slot} outside a ring of {self.slots} slots")
+            return device.node.cpu.compute((*before, cost) if before else cost)
+        if before:
+            raise ValueError("a slot list is posted without leading pieces")
+        if slot and not (0 <= min(slot) and max(slot) < self.slots):
+            raise MemoryAccessError(
+                f"slot list outside a ring of {self.slots} slots")
+        return device.node.cpu.compute(cost, len(slot))
 
-    def _take(self) -> Optional[RecvWR]:
-        return self._queue.popleft() if self._queue else None
+
+class SRQ(RecvQueue):
+    """Shared receive queue: one ring of slots serving many QPs."""
+
+    def post_recv(self, slot: Union[int, List[int]], before: tuple = ()):
+        """Coroutine: post a slot, or a list of them in one call, to the
+        shared queue (see :meth:`QP.post_recv`)."""
+        land = self._queue.extend if type(slot) is list else self._queue.append
+        yield self._job(slot, before)
+        land(slot)
 
     def __len__(self) -> int:
         return len(self._queue)
 
 
-class QP:
-    """A reliable-connected queue pair."""
+class QP(RecvQueue):
+    """A reliable-connected queue pair; without an SRQ it is its own
+    receive queue."""
 
     def __init__(self, device: "Device", pd: "PD", qp_num: int,
                  send_cq: "CQ", recv_cq: "CQ", srq: Optional[SRQ] = None):
-        self.device = device
+        super().__init__(device)
         self.pd = pd
         self.qp_num = qp_num
         self.send_cq = send_cq
         self.recv_cq = recv_cq
         self.srq = srq
+        #: the queue an arriving SEND or WRITE_WITH_IMM takes its slot from
+        self._rq: RecvQueue = self if srq is None else srq
         self.state = QPState.RESET
         self.peer: Optional["QP"] = None
-        self._recv_queue: Deque[RecvWR] = deque()
         #: doorbells rung by THIS QP -- lets a protocol endpoint attribute
         #: device-global doorbell counts to itself (per-protocol metrics)
         self.doorbells = 0
 
     # -- verbs calls (host side) ---------------------------------------------
-    def post_recv(self, rwr: Union[RecvWR, List[RecvWR]],
-                  before: tuple = ()):
-        """Coroutine: post one receive WQE, or a list of them in one call
-        (``ibv_post_recv`` with a WR list).
+    def post_recv(self, slot: Union[int, List[int]], before: tuple = ()):
+        """Coroutine: post one slot of the bound ring, or a list of slots in
+        one call (``ibv_post_recv`` with a WR list).
 
         A list is checked in full before any time passes, is charged as one
-        CPU job of ``len(rwr)`` back-to-back posts, and lands in list order.
+        CPU job of ``len(slot)`` back-to-back posts and lands in list order.
 
         ``before`` is CPU work the calling thread runs just ahead of a
         single post (the poll that reaped the slot, its copy-out): the
@@ -138,18 +170,11 @@ class QP:
             raise QPStateError("post_recv on QP in ERROR state")
         if self.srq is not None:
             raise QPStateError("QP uses an SRQ; post to the SRQ instead")
-        device = self.device
-        if isinstance(rwr, list):
-            yield _list_job(device, rwr, before)
-            land = self._recv_queue.extend
-        else:
-            device.check_lkey(rwr.sge.lkey, rwr.sge.addr, rwr.sge.length)
-            cost = device.cost.post_recv_cpu
-            yield device.node.cpu.compute((*before, cost) if before else cost)
-            land = self._recv_queue.append
+        land = self._queue.extend if type(slot) is list else self._queue.append
+        yield self._job(slot, before)
         if self.state is QPState.ERROR:
             raise QPStateError("QP entered ERROR during post_recv")
-        land(rwr)
+        land(slot)
 
     def post_send(self, wr: SendWR, numa_local: bool = True,
                   before: tuple = ()):
@@ -198,9 +223,8 @@ class QP:
         if self.state is QPState.ERROR:
             return
         self.state = QPState.ERROR
-        while self._recv_queue:
-            rwr = self._recv_queue.popleft()
-            self.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV,
+        while self._queue:
+            self.recv_cq.push(WC(self._queue.popleft(), WCOpcode.RECV,
                                  WCStatus.WR_FLUSH_ERR, qp_num=self.qp_num))
         if self.srq is not None:
             # SRQ WQEs belong to the pool, not this QP, so there is nothing
@@ -211,14 +235,9 @@ class QP:
             self.recv_cq.push(WC(0, WCOpcode.RECV, WCStatus.WR_FLUSH_ERR,
                                  qp_num=self.qp_num))
 
-    def _take_recv(self) -> Optional[RecvWR]:
-        if self.srq is not None:
-            return self.srq._take()
-        return self._recv_queue.popleft() if self._recv_queue else None
-
     @property
     def recv_depth(self) -> int:
-        return len(self.srq) if self.srq is not None else len(self._recv_queue)
+        return len(self._rq._queue)
 
     # -- NIC datapath -------------------------------------------------------------
     def _transport_guard(self, retries: int) -> Optional[WCStatus]:
@@ -407,13 +426,13 @@ class _Chain:
             self._claim_recv(k, 0)
 
     def _claim_recv(self, k: int, retries: int) -> None:
-        """Take a receive WQE at the peer, honoring RNR retries."""
+        """Take a receive slot at the peer, honoring RNR retries."""
         peer = self.peer
         if peer.state is QPState.ERROR:
             self._finish(k, WCStatus.WR_FLUSH_ERR)      # dropped
             return
-        rwr = peer._take_recv()
-        if rwr is None:
+        rq = peer._rq
+        if not rq._queue:
             cost = self.dev.cost
             if retries >= cost.rnr_retry_limit:
                 self._finish(k, WCStatus.RNR_RETRY_EXC_ERR)
@@ -421,21 +440,23 @@ class _Chain:
                 self.dev.sim.timeout(cost.rnr_timer, (k, retries + 1)
                                      ).callbacks.append(self._retry_claim)
             return
+        slot = rq._queue.popleft()
         wr = self.wrs[k]
         n = wr.sge.length
         if wr.opcode is Opcode.SEND:
-            if n > rwr.sge.length:
-                peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV,
+            size = rq.slot_bytes
+            if n > size:
+                peer.recv_cq.push(WC(slot, WCOpcode.RECV,
                                      WCStatus.LOC_LEN_ERR,
                                      qp_num=peer.qp_num))
                 self._reject(k)
                 return
-            self.rdev.mem.write(rwr.sge.addr, self.payloads[k])
-            peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV, WCStatus.SUCCESS,
-                                 byte_len=n, qp_num=peer.qp_num,
-                                 addr=rwr.sge.addr))
+            addr = rq.base + slot * size
+            self.rdev.mem.write(addr, self.payloads[k])
+            peer.recv_cq.push(WC(slot, WCOpcode.RECV, WCStatus.SUCCESS,
+                                 byte_len=n, qp_num=peer.qp_num, addr=addr))
         else:
-            peer.recv_cq.push(WC(rwr.wr_id, WCOpcode.RECV_RDMA_WITH_IMM,
+            peer.recv_cq.push(WC(slot, WCOpcode.RECV_RDMA_WITH_IMM,
                                  WCStatus.SUCCESS, byte_len=n, imm=wr.imm,
                                  qp_num=peer.qp_num, addr=wr.remote_addr))
         self._ack(k)
@@ -506,16 +527,6 @@ class _Chain:
         dev.port.bytes_received += wr.sge.length
         dev.mem.write(wr.sge.addr, self.payloads[k])
         self._finish(k, WCStatus.SUCCESS)
-
-
-def _list_job(device: "Device", wrs: List[RecvWR], before: tuple) -> "Event":
-    """The CPU job of a WR-list receive post, one post per WR.  Every SGE
-    is checked before any time passes; a list takes no leading pieces."""
-    if before:
-        raise ValueError("a WR list is posted without leading pieces")
-    for wr in wrs:
-        device.check_lkey(wr.sge.lkey, wr.sge.addr, wr.sge.length)
-    return device.node.cpu.compute(device.cost.post_recv_cpu, len(wrs))
 
 
 def connect_pair(a: QP, b: QP) -> None:

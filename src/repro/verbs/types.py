@@ -9,7 +9,6 @@ from typing import Optional
 __all__ = [
     "Opcode",
     "QPState",
-    "RecvWR",
     "SendWR",
     "Sge",
     "WC",
@@ -102,14 +101,6 @@ class SendWR:
             n += 1
             wr = wr.next
         return n
-
-
-@dataclass(slots=True)
-class RecvWR:
-    """Receive-side work request: a buffer a SEND/WRITE_WITH_IMM may land in."""
-
-    sge: Sge
-    wr_id: int = 0
 
 
 @dataclass(slots=True)

@@ -8,7 +8,7 @@ of these, the reproduction is no longer faithful.
 
 import pytest
 
-from repro.bench import ProtoBenchSpec, run_protocol_bench
+from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.sim.units import KiB
 from repro.verbs.cq import PollMode
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.testbed import Testbed
-from repro.verbs import RecvWR, Sge
 from repro.verbs.qp import connect_pair
 
 
@@ -31,14 +30,31 @@ class Pair:
                                        srq=self.srq)
         connect_pair(self.cqp, self.sqp)
 
-    def server_recv_buf(self, size):
-        """Register and post one recv buffer server-side; returns the MR."""
-        mr = self.spd.reg_mr(size)
+    @property
+    def rq(self):
+        """The server's receive queue: the SRQ, or else its QP."""
+        return self.srq if self.srq is not None else self.sqp
 
+    def server_ring(self, slot_bytes, slots=1):
+        """Register a ring of ``slots`` x ``slot_bytes`` server-side and
+        bind the server's receive queue to it; returns the MR."""
+        mr = self.spd.reg_mr(slots * slot_bytes)
+        self.rq.bind_recv(mr, slots, slot_bytes)
+        return mr
+
+    def post_server(self, *slots):
+        """Post ``slots`` to the server's receive queue, one post each."""
         def post():
-            yield from self.sqp.post_recv(RecvWR(Sge(mr.addr, size, mr.lkey)))
+            for slot in slots:
+                yield from self.rq.post_recv(slot)
 
         self.tb.sim.run(self.tb.sim.process(post()))
+
+    def server_recv_buf(self, size, slots=1):
+        """Bind a ring of ``slots`` x ``size`` server-side and post slot 0;
+        returns the MR (slot 0 is its first ``size`` bytes)."""
+        mr = self.server_ring(size, slots)
+        self.post_server(0)
         return mr
 
 

@@ -84,8 +84,8 @@ def test_connected_pair_passes_traffic(tb):
         rcq = sdev.create_cq()
         qp = sdev.create_qp(pd, sdev.create_cq(), rcq)
         mr = pd.reg_mr(128)
-        from repro.verbs import RecvWR
-        yield from qp.post_recv(RecvWR(Sge(mr.addr, 128, mr.lkey)))
+        qp.bind_recv(mr, 1, 128)
+        yield from qp.post_recv(0)
         yield from req.accept(qp)
         wcs = yield from rcq.wait(PollMode.BUSY)
         result["payload"] = mr.read(wcs[0].byte_len)

@@ -13,13 +13,13 @@ the tree on ``PYTHONPATH``.
 * a chain crossing a short :class:`~repro.faults.LinkFlap`: each WR's
   transport guard retries on its own schedule and the chain completes;
 * an RNR (receiver-not-ready) retry in the middle of a chain of SENDs that
-  succeeds once the late receive WQE is posted.
+  succeeds once the late receive slots are posted.
 """
 
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.sim.units import us
 from repro.testbed import Testbed
-from repro.verbs import Opcode, RecvWR, SendWR, Sge
+from repro.verbs import Opcode, SendWR, Sge
 
 
 def _watch(tb, log, name, cq):
@@ -73,7 +73,7 @@ def chain_through_flap():
     FaultInjector(tb, FaultPlan(events=(
         LinkFlap("node1", 2.4 * us, window),))).arm()
     rmr = pair.spd.reg_mr(4096)
-    pair.server_recv_buf(64)
+    pair.server_recv_buf(64, slots=103)
     smr = pair.cpd.reg_mr(4096)
     smr.write(b"F" * 4096)
 
@@ -86,8 +86,7 @@ def chain_through_flap():
                            remote_addr=rmr.addr, rkey=rmr.rkey,
                            wr_id=10 * k + 1, next=imm)
             yield from pair.cqp.post_send(write)
-            yield from pair.sqp.post_recv(
-                RecvWR(Sge(rmr.addr, 64, rmr.lkey), wr_id=100 + k))
+            yield from pair.sqp.post_recv(100 + k)
             yield tb.sim.timeout(1 * us)
 
     tb.sim.process(client())
@@ -97,10 +96,9 @@ def chain_through_flap():
 
 def rnr_mid_chain():
     tb, pair, log = _pair()
-    rmr = pair.spd.reg_mr(256)
     smr = pair.cpd.reg_mr(256)
     smr.write(b"N" * 256)
-    pair.server_recv_buf(64)
+    pair.server_recv_buf(64, slots=202)
 
     def client():
         sends = None
@@ -112,8 +110,7 @@ def rnr_mid_chain():
     def late_server():
         yield tb.sim.timeout(25 * us)
         for k in range(2):
-            yield from pair.sqp.post_recv(
-                RecvWR(Sge(rmr.addr + 64 * k, 64, rmr.lkey), wr_id=200 + k))
+            yield from pair.sqp.post_recv(200 + k)
 
     tb.sim.process(client())
     tb.sim.process(late_server())

@@ -8,7 +8,6 @@ from repro.verbs import (
     Opcode,
     QPState,
     QPStateError,
-    RecvWR,
     SendWR,
     Sge,
     WCOpcode,
@@ -200,7 +199,7 @@ def test_bad_rkey_errors_both_qps(tb, pair):
 
 def test_rnr_retry_succeeds_after_late_post_recv(tb, pair):
     smr = pair.cpd.reg_mr(64)
-    rmr = pair.spd.reg_mr(64)
+    pair.server_ring(64)
 
     def client():
         yield from pair.cqp.post_send(
@@ -210,7 +209,7 @@ def test_rnr_retry_succeeds_after_late_post_recv(tb, pair):
 
     def late_server():
         yield tb.sim.timeout(30 * us)  # a few RNR timer periods
-        yield from pair.sqp.post_recv(RecvWR(Sge(rmr.addr, 64, rmr.lkey)))
+        yield from pair.sqp.post_recv(0)
 
     tb.sim.process(late_server())
     wcs = run(tb, client())
@@ -253,23 +252,18 @@ def test_send_larger_than_recv_buffer_loc_len_err(tb, pair):
 
 
 def test_qp_error_flushes_pending_recvs(tb, pair):
-    pair.server_recv_buf(64)
-    pair.server_recv_buf(64)
+    pair.server_recv_buf(64, slots=2)
+    pair.post_server(1)
     pair.sqp.to_error()
     wcs = pair.s_rcq.poll()
-    assert len(wcs) == 2
+    assert [w.wr_id for w in wcs] == [0, 1]
     assert all(w.status is WCStatus.WR_FLUSH_ERR for w in wcs)
 
 
 def test_srq_shared_between_qps(tb, srq_pair):
     p = srq_pair
-    bufs = [p.spd.reg_mr(64) for _ in range(2)]
-
-    def setup():
-        for mr in bufs:
-            yield from p.srq.post_recv(RecvWR(Sge(mr.addr, 64, mr.lkey)))
-
-    run(tb, setup())
+    p.server_ring(64, slots=2)
+    p.post_server(0, 1)
     smr = p.cpd.reg_mr(64)
     smr.write(b"S" * 64)
 
@@ -285,13 +279,13 @@ def test_srq_shared_between_qps(tb, srq_pair):
 
 
 def test_post_recv_on_srq_qp_rejected(tb, srq_pair):
-    mr = srq_pair.spd.reg_mr(64)
+    srq_pair.server_ring(64)
 
     def post():
-        yield from srq_pair.sqp.post_recv(RecvWR(Sge(mr.addr, 64, mr.lkey)))
+        yield from srq_pair.sqp.post_recv(0)
 
     p = tb.sim.process(post())
-    with pytest.raises(Exception):
+    with pytest.raises(QPStateError):
         tb.sim.run(p)
 
 
@@ -304,7 +298,7 @@ def test_registered_bytes_accounting(tb, pair):
 
 
 def test_event_polling_slower_than_busy_but_wakes(tb, pair):
-    pair.server_recv_buf(64)
+    pair.server_recv_buf(64, slots=2)
     smr = pair.cpd.reg_mr(64)
     lat = {}
 
@@ -316,7 +310,7 @@ def test_event_polling_slower_than_busy_but_wakes(tb, pair):
         lat[mode.value] = tb.sim.now - t0
 
     run(tb, bench(PollMode.BUSY))
-    pair.server_recv_buf(64)
+    pair.post_server(1)
     run(tb, bench(PollMode.EVENT))
     assert lat["event"] > lat["busy"]
     # Event polling pays roughly the interrupt latency extra.
@@ -356,39 +350,49 @@ def test_failed_wr_flushes_the_rest_of_its_chain(tb, pair):
     assert len(pair.s_rcq) == 0
 
 
-# -- a WR list in one post_recv (ibv_post_recv with a chained list) ---------
+# -- a slot list in one post_recv (ibv_post_recv with a chained list) -------
 
-def _recv_list(mr, n, size=64, bad=None):
-    """``n`` receive WRs over ``mr`` (``wr_id`` = slot); slot ``bad`` gets
-    an unknown lkey."""
-    return [RecvWR(Sge(mr.addr + i * size, size,
-                       0xBADBAD if i == bad else mr.lkey), wr_id=i)
-            for i in range(n)]
+def test_bind_recv_binds_a_ring_once(tb, pair):
+    """A ring must lie inside its MR, and a queue is bound once."""
+    mr = pair.spd.reg_mr(4 * 64)
+    with pytest.raises(MemoryAccessError):
+        pair.sqp.bind_recv(mr, 5, 64)
+    pair.sqp.bind_recv(mr, 4, 64)
+    with pytest.raises(QPStateError):
+        pair.sqp.bind_recv(mr, 4, 64)
 
 
 @pytest.mark.parametrize("bad", [0, 3, 7])
 def test_post_recv_list_bad_lkey_posts_nothing_and_spends_nothing(tb, pair,
                                                                   bad):
-    mr = pair.spd.reg_mr(8 * 64)
+    """A list with one slot outside the ring, or any list once the ring's
+    MR is deregistered (its lkey is unknown), raises before any time
+    passes."""
+    mr = pair.server_ring(64, slots=8)
     cpu = tb.node(1).cpu
     t0 = tb.sim.now
+    slots = list(range(8))
+    outside = slots[:bad] + [8] + slots[bad + 1:]
 
-    def post():
-        yield from pair.sqp.post_recv(_recv_list(mr, 8, bad=bad))
+    def post(slots):
+        yield from pair.sqp.post_recv(slots)
 
-    with pytest.raises(MemoryAccessError):
-        run(tb, post())
+    with pytest.raises(MemoryAccessError, match="outside"):
+        run(tb, post(outside))
+    mr.deregister()
+    with pytest.raises(MemoryAccessError, match="unknown lkey"):
+        run(tb, post(slots))
     assert pair.sqp.recv_depth == 0
     assert tb.sim.now == t0
     assert cpu.busy_core_seconds == 0.0
 
 
 def test_post_recv_list_on_error_qp_raises(tb, pair):
-    mr = pair.spd.reg_mr(4 * 64)
+    pair.server_ring(64, slots=4)
     pair.sqp.to_error()
 
     def post():
-        yield from pair.sqp.post_recv(_recv_list(mr, 4))
+        yield from pair.sqp.post_recv([0, 1, 2, 3])
 
     with pytest.raises(QPStateError):
         run(tb, post())
@@ -396,10 +400,10 @@ def test_post_recv_list_on_error_qp_raises(tb, pair):
 
 
 def test_post_recv_list_on_srq_qp_raises(tb, srq_pair):
-    mr = srq_pair.spd.reg_mr(4 * 64)
+    srq_pair.server_ring(64, slots=4)
 
     def post():
-        yield from srq_pair.sqp.post_recv(_recv_list(mr, 4))
+        yield from srq_pair.sqp.post_recv([0, 1, 2, 3])
 
     with pytest.raises(QPStateError):
         run(tb, post())
@@ -407,10 +411,10 @@ def test_post_recv_list_on_srq_qp_raises(tb, srq_pair):
 
 
 def test_post_recv_list_qp_errored_during_the_charge_posts_nothing(tb, pair):
-    mr = pair.spd.reg_mr(4 * 64)
+    pair.server_ring(64, slots=4)
 
     def post():
-        yield from pair.sqp.post_recv(_recv_list(mr, 4))
+        yield from pair.sqp.post_recv([0, 1, 2, 3])
 
     def kill():
         yield tb.sim.timeout(1e-9)
@@ -427,13 +431,12 @@ def test_post_recv_list_qp_errored_during_the_charge_posts_nothing(tb, pair):
 def test_post_qp_errored_during_the_job_posts_nothing(tb, pair, before):
     """Every post re-checks its QP when its CPU job ends, with or without
     leading pieces: one that lost its state posts nothing and raises."""
-    rmr = pair.spd.reg_mr(64)
+    pair.server_ring(64)
     smr = pair.cpd.reg_mr(64)
     sends = pair.cdev.wrs_posted
 
     def post_recv():
-        yield from pair.sqp.post_recv(
-            RecvWR(Sge(rmr.addr, 64, rmr.lkey)), before)
+        yield from pair.sqp.post_recv(0, before)
 
     def post_send():
         yield from pair.cqp.post_send(
@@ -454,49 +457,68 @@ def test_post_qp_errored_during_the_job_posts_nothing(tb, pair, before):
 
 
 def test_post_recv_list_refuses_leading_pieces(tb, pair, srq_pair):
-    mr = pair.spd.reg_mr(2 * 64)
-    smr = srq_pair.spd.reg_mr(2 * 64)
+    pair.server_ring(64, slots=2)
+    srq_pair.server_ring(64, slots=2)
 
-    def post(queue, wrs):
-        yield from queue.post_recv(wrs, (1e-9,))
+    def post(queue):
+        yield from queue.post_recv([0, 1], (1e-9,))
 
-    for queue, wrs in ((pair.sqp, _recv_list(mr, 2)),
-                       (srq_pair.srq, _recv_list(smr, 2))):
+    for queue in (pair.sqp, srq_pair.srq):
         with pytest.raises(ValueError):
-            run(tb, post(queue, wrs))
+            run(tb, post(queue))
     assert pair.sqp.recv_depth == 0 and len(srq_pair.srq) == 0
 
 
 def test_post_recv_list_is_one_job_of_equal_pieces(tb, pair):
     """A list of n costs what n single posts cost, to the float, and lands
     in list order."""
-    mr = pair.spd.reg_mr(6 * 64)
-    wrs = _recv_list(mr, 6)
+    pair.server_ring(64, slots=6)
+    slots = [4, 1, 5, 0, 3, 2]
 
     def post():
-        yield from pair.sqp.post_recv(wrs)
+        yield from pair.sqp.post_recv(slots)
 
     run(tb, post())
     t = 0.0
-    for _ in wrs:
+    for _ in slots:
         t += pair.sdev.cost.post_recv_cpu
     assert tb.sim.now == t
-    assert [pair.sqp._take_recv() for _ in wrs] == wrs
+    pair.sqp.to_error()
+    assert [w.wr_id for w in pair.s_rcq.poll(8)] == slots
 
 
 def test_post_recv_list_lands_in_order_and_flushes_in_order(tb, pair):
-    mr = pair.spd.reg_mr(5 * 64)
-    wrs = _recv_list(mr, 5)
-    wrs.reverse()
-    single = RecvWR(Sge(mr.addr, 64, mr.lkey), wr_id=99)
+    pair.server_ring(64, slots=6)
 
     def post():
-        yield from pair.sqp.post_recv(single)
-        yield from pair.sqp.post_recv(wrs)
+        yield from pair.sqp.post_recv(5)
+        yield from pair.sqp.post_recv([4, 3, 2, 1, 0])
 
     run(tb, post())
     assert pair.sqp.recv_depth == 6
     pair.sqp.to_error()
     wcs = pair.s_rcq.poll(16)
-    assert [w.wr_id for w in wcs] == [99, 4, 3, 2, 1, 0]
+    assert [w.wr_id for w in wcs] == [5, 4, 3, 2, 1, 0]
     assert all(w.status is WCStatus.WR_FLUSH_ERR for w in wcs)
+
+
+def test_slot_geometry_sets_landing_address_and_capacity(tb, pair):
+    """A SEND into slot i lands at ``base + i * slot_bytes`` and completes
+    with ``wr_id=i``; one longer than a slot is LOC_LEN_ERR on that slot."""
+    rmr = pair.server_ring(64, slots=4)
+    pair.post_server(2, 1)
+    smr = pair.cpd.reg_mr(256)
+    smr.write(b"a" * 64)
+
+    def client():
+        for off, n in ((0, 64), (64, 65)):
+            yield from pair.cqp.post_send(
+                SendWR(Opcode.SEND, Sge(smr.addr + off, n, smr.lkey)))
+            yield from pair.c_scq.wait(PollMode.BUSY)
+
+    run(tb, client())
+    ok, too_long = pair.s_rcq.poll(8)
+    assert (ok.wr_id, ok.status, ok.addr) == (2, WCStatus.SUCCESS,
+                                             rmr.addr + 128)
+    assert rmr.read(64, offset=128) == b"a" * 64
+    assert (too_long.wr_id, too_long.status) == (1, WCStatus.LOC_LEN_ERR)

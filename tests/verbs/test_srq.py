@@ -1,4 +1,4 @@
-"""Direct SRQ unit tests: the shared recv-WQE pool behind the SRQ server path.
+"""Direct SRQ unit tests: the shared slot pool behind the SRQ server path.
 
 The end-to-end SRQ tests live in test_qp.py (shared delivery) and
 tests/protocols (the SrqEagerServer); these pin the SRQ object's own
@@ -11,10 +11,11 @@ from repro.sim.units import us
 from repro.verbs import (
     MemoryAccessError,
     Opcode,
+    QPState,
     QPStateError,
-    RecvWR,
     SendWR,
     Sge,
+    WCStatus,
 )
 from repro.verbs.cq import PollMode
 from repro.verbs.qp import connect_pair
@@ -26,11 +27,11 @@ def run(tb, gen):
 
 def test_post_recv_on_srq_qp_raises_qp_state_error(tb, srq_pair):
     """A QP created over an SRQ must refuse per-QP recv postings -- the
-    whole point is that the pool, not the QP, owns recv WQEs."""
-    mr = srq_pair.spd.reg_mr(64)
+    whole point is that the pool, not the QP, owns the receive slots."""
+    srq_pair.server_ring(64)
 
     def post():
-        yield from srq_pair.sqp.post_recv(RecvWR(Sge(mr.addr, 64, mr.lkey)))
+        yield from srq_pair.sqp.post_recv(0)
 
     p = tb.sim.process(post())
     with pytest.raises(QPStateError):
@@ -38,31 +39,43 @@ def test_post_recv_on_srq_qp_raises_qp_state_error(tb, srq_pair):
 
 
 def test_take_on_empty_srq_returns_none(tb, srq_pair):
-    assert len(srq_pair.srq) == 0
-    assert srq_pair.srq._take() is None
-    # And stays empty -- _take on empty must not corrupt the queue.
-    assert len(srq_pair.srq) == 0
+    """A SEND that finds the pool empty takes nothing: it RNR-retries until
+    its budget is spent, and the pool is left empty and usable."""
+    p = srq_pair
+    p.server_ring(64)
+    smr = p.cpd.reg_mr(64)
+    assert len(p.srq) == 0
+
+    def client():
+        yield from p.cqp.post_send(
+            SendWR(Opcode.SEND, Sge(smr.addr, 16, smr.lkey)))
+        wcs = yield from p.c_scq.wait(PollMode.BUSY)
+        return wcs
+
+    wcs = run(tb, client())
+    assert wcs[0].status is WCStatus.RNR_RETRY_EXC_ERR
+    assert p.cqp.state is QPState.ERROR
+    assert len(p.srq) == 0
+    p.post_server(0)
+    assert len(p.srq) == 1
 
 
 def test_post_recv_validates_lkey(tb, srq_pair):
-    mr = srq_pair.spd.reg_mr(64)
+    """A post needs a bound ring, a slot inside it and the ring's MR still
+    registered; a failed post enqueues nothing."""
+    def post(slot):
+        yield from srq_pair.srq.post_recv(slot)
 
-    def bad_key():
-        yield from srq_pair.srq.post_recv(
-            RecvWR(Sge(mr.addr, 64, 0xBADBAD)))
-
-    p = tb.sim.process(bad_key())
-    with pytest.raises(MemoryAccessError):
-        tb.sim.run(p)
-
-    def out_of_bounds():
-        yield from srq_pair.srq.post_recv(
-            RecvWR(Sge(mr.addr, 4096, mr.lkey)))
-
-    p = tb.sim.process(out_of_bounds())
-    with pytest.raises(MemoryAccessError):
-        tb.sim.run(p)
-    assert len(srq_pair.srq) == 0  # nothing enqueued on either failure
+    with pytest.raises(MemoryAccessError):      # no ring bound yet
+        run(tb, post(0))
+    mr = srq_pair.server_ring(64, slots=2)
+    for slot in (-1, 2):
+        with pytest.raises(MemoryAccessError, match="outside"):
+            run(tb, post(slot))
+    mr.deregister()
+    with pytest.raises(MemoryAccessError, match="unknown lkey"):
+        run(tb, post(0))
+    assert len(srq_pair.srq) == 0  # nothing enqueued on any failure
 
 
 def test_srq_drains_fifo_across_multiple_qps(tb, srq_pair):
@@ -77,14 +90,8 @@ def test_srq_drains_fifo_across_multiple_qps(tb, srq_pair):
     sqp2 = p.sdev.create_qp(p.spd, s_scq2, p.s_rcq, srq=p.srq)
     connect_pair(cqp2, sqp2)
 
-    bufs = [p.spd.reg_mr(64) for _ in range(4)]
-
-    def setup():
-        for i, mr in enumerate(bufs):
-            yield from p.srq.post_recv(
-                RecvWR(Sge(mr.addr, 64, mr.lkey), wr_id=i))
-
-    run(tb, setup())
+    ring = p.server_ring(64, slots=4)
+    p.post_server(0, 1, 2, 3)
     assert len(p.srq) == 4
 
     smr = p.cpd.reg_mr(64)
@@ -108,7 +115,8 @@ def test_srq_drains_fifo_across_multiple_qps(tb, srq_pair):
     # Each WC names its consuming QP, and buffers were filled in pool order.
     assert [w.qp_num for w in wcs] == \
         [p.sqp.qp_num, sqp2.qp_num, p.sqp.qp_num, sqp2.qp_num]
-    assert [bufs[i].read(1) for i in range(4)] == [b"A", b"B", b"C", b"D"]
+    assert [ring.read(1, offset=64 * i) for i in range(4)] == \
+        [b"A", b"B", b"C", b"D"]
 
 
 def test_srq_exhaustion_rnr_recovers_after_repost(tb, srq_pair):
@@ -116,7 +124,7 @@ def test_srq_exhaustion_rnr_recovers_after_repost(tb, srq_pair):
     lands once anyone reposts to the shared pool."""
     p = srq_pair
     smr = p.cpd.reg_mr(64)
-    rmr = p.spd.reg_mr(64)
+    p.server_ring(64)
 
     def client():
         yield from p.cqp.post_send(
@@ -126,7 +134,7 @@ def test_srq_exhaustion_rnr_recovers_after_repost(tb, srq_pair):
 
     def late_repost():
         yield tb.sim.timeout(30 * us)
-        yield from p.srq.post_recv(RecvWR(Sge(rmr.addr, 64, rmr.lkey)))
+        yield from p.srq.post_recv(0)
 
     tb.sim.process(late_repost())
     wcs = run(tb, client())
@@ -134,20 +142,16 @@ def test_srq_exhaustion_rnr_recovers_after_repost(tb, srq_pair):
 
 
 def test_post_recv_list_validates_every_lkey_first(tb, srq_pair):
-    """A WR list with one bad SGE raises before any time passes and
-    leaves the pool as it was."""
-    mr = srq_pair.spd.reg_mr(4 * 64)
-    good = [RecvWR(Sge(mr.addr + i * 64, 64, mr.lkey), wr_id=i)
-            for i in range(4)]
-    bad = good[:2] + [RecvWR(Sge(mr.addr, 4096, mr.lkey), wr_id=9)] + good[2:]
+    """A slot list with one slot outside the ring raises before any time
+    passes and leaves the pool as it was; a good list lands in order."""
+    srq_pair.server_ring(64, slots=4)
 
-    def post(wrs):
-        yield from srq_pair.srq.post_recv(wrs)
+    def post(slots):
+        yield from srq_pair.srq.post_recv(slots)
 
     t0 = tb.sim.now
     with pytest.raises(MemoryAccessError):
-        run(tb, post(bad))
+        run(tb, post([0, 1, 4, 2, 3]))
     assert tb.sim.now == t0 and len(srq_pair.srq) == 0
-    run(tb, post(good))
-    assert [srq_pair.srq._take() for _ in good] == good
-    assert srq_pair.srq._take() is None
+    run(tb, post([3, 1, 2, 0]))
+    assert list(srq_pair.srq._queue) == [3, 1, 2, 0]

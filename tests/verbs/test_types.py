@@ -1,8 +1,8 @@
 """The verbs value types and the registered-memory window.
 
-``Sge``, ``SendWR``, ``RecvWR`` and ``WC`` are slotted, unfrozen
-dataclasses: their fields, defaults, equality and ``repr`` are the
-contract, and a receive ring re-posts one ``RecvWR`` per slot.  An ``MR``
+``Sge``, ``SendWR`` and ``WC`` are slotted, unfrozen dataclasses: their
+fields, defaults, equality and ``repr`` are the contract (a receive
+queue holds slot numbers, so there is no receive-side WR type).  An ``MR``
 holds the segment it was registered over and still faults once that memory
 is freed.
 """
@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.verbs import Memory, MemoryAccessError, RecvWR, Sge
+from repro.verbs import Memory, MemoryAccessError, Sge
 from repro.verbs.types import WC, Opcode, SendWR, WCOpcode, WCStatus
 
 
@@ -27,7 +27,6 @@ def test_fields_and_defaults():
         ("opcode", MISSING), ("sge", MISSING), ("wr_id", 0),
         ("remote_addr", 0), ("rkey", 0), ("imm", 0), ("signaled", True),
         ("next", None)]
-    assert fields(RecvWR) == [("sge", MISSING), ("wr_id", 0)]
     assert fields(WC) == [
         ("wr_id", MISSING), ("opcode", MISSING),
         ("status", WCStatus.SUCCESS), ("byte_len", 0), ("imm", 0),
@@ -36,8 +35,7 @@ def test_fields_and_defaults():
 
 def test_slotted():
     sge = Sge(0, 8, 1)
-    for obj in (sge, SendWR(Opcode.SEND, sge), RecvWR(sge),
-                WC(0, WCOpcode.SEND)):
+    for obj in (sge, SendWR(Opcode.SEND, sge), WC(0, WCOpcode.SEND)):
         assert not hasattr(obj, "__dict__")
 
 
@@ -45,8 +43,6 @@ def test_equality_and_repr():
     sge = Sge(0x40, 64, 0x1000)
     assert sge == Sge(0x40, 64, 0x1000) and sge != Sge(0x40, 65, 0x1000)
     assert repr(sge) == "Sge(addr=64, length=64, lkey=4096)"
-    assert repr(RecvWR(sge, wr_id=3)) == (
-        "RecvWR(sge=Sge(addr=64, length=64, lkey=4096), wr_id=3)")
     wr = SendWR(Opcode.SEND, sge, wr_id=2)
     assert wr == SendWR(Opcode.SEND, Sge(0x40, 64, 0x1000), wr_id=2)
     assert repr(wr) == (
