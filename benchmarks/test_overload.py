@@ -30,7 +30,7 @@ import pytest
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops
 from repro.bench import Phase, PhasedRun, metric
 from repro.core.mux import MuxPool
-from repro.core.overload import AdmissionConfig
+from repro.overload import AdmissionConfig
 from repro.core.resilience import RetryBudget, RetryPolicy
 from repro.core.runtime import HatRpcServer, service_plan_of
 from repro.idl import load_idl

@@ -31,7 +31,7 @@ import pytest
 from benchmarks.figutil import emit_bench, fmt_rows, kops
 from repro import obs
 from repro.bench import Phase, PhasedRun, Scenario, StormSpec, metric
-from repro.core.overload import AdmissionConfig
+from repro.overload import AdmissionConfig
 from repro.core.tuner import HintTuner, TunerConfig
 from repro.hatkv import ShardedKVCluster
 from repro.obs import JsonlSink, MetricsRegistry, MetricsSampler, SloSpec, \

@@ -13,6 +13,11 @@ each tree -- a fresh interpreter whose working directory is the tree -- the
 parent first on even pairs and second on odd ones, so drift over the
 session lands on both sides.  Nothing else should run meanwhile: on a
 2-core host a concurrent test run moves ``host_us_per_op`` by 10 % or more.
+Every run compiles cold: its ``PYTHONPYCACHEPREFIX`` is a new, empty
+directory, so neither tree reads a bytecode cache that some earlier run
+left in it, as a fresh checkout has none -- ``host_rss_mb`` and
+``setup_s`` count compiling the sources, and would otherwise favour
+whichever tree happens to hold a cache.
 
 For every end-to-end metric it prints both sides' median and quartiles,
 how many pairs the tree won (strictly better in the metric's declared
@@ -41,6 +46,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -103,9 +109,11 @@ def sim_report(parent_runs: List[dict], tree_runs: List[dict]) -> List[str]:
 def run_driver(tree: Path, workload: str, seed: int) -> dict:
     command = json.loads((tree / "BENCHMARK.json").read_text())["command"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed)], cwd=tree,
-        env=env, stdout=subprocess.PIPE, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        proc = subprocess.run(
+            [*command, "--workload", workload, "--seed", str(seed)],
+            cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         return {"correct": False, "metrics": {}}

@@ -8,15 +8,20 @@ and by source line.
 Builds one bed of the workload exactly as ``perfbench.workloads`` defines it
 (read, never changed) and runs every client's loop to completion, with as
 many ops per client as ``perfbench run --scale X`` gives, under
-``tracemalloc`` from before the build.  Then, with the bed still alive, it
-prints what is allocated, grouped by package -- ``repro/<package>`` (a
-module directly under ``repro`` is its own package), ``generated IDL`` for
-the modules ``repro.idl`` compiles, ``perfbench``, and ``other`` for the
-standard library and site-packages -- and by line, beside the traced peak
-and the process's ``ru_maxrss``; and, per node, the registered memory still
-holding messages at the end (``Memory.resident_bytes``: bytes written and not
-yet released).  Tracing slows the run several-fold: read the sizes, not the
-time.
+``tracemalloc`` from before the build.  It steps the simulator one event at a
+time and snapshots the traced allocations whenever traced memory passes the
+last snapshot's by more than ``GRAIN``, so the last snapshot is taken within
+that share of the largest traced memory between two events: the peak, which
+is what ``ru_maxrss`` (and perfbench's ``host_rss_mb``) pays for, where the
+end of a run shows only what outlives it.  It prints what the peak snapshot
+holds, grouped by package -- ``repro/<package>`` (a module directly under
+``repro`` is its own package), ``generated IDL`` for the modules
+``repro.idl`` compiles, ``perfbench``, and ``other`` for the standard library
+and site-packages -- and by line, beside tracemalloc's own peak, what is
+live at the end and the process's ``ru_maxrss``; and, per node, the
+registered memory holding messages (``Memory.resident_bytes``: bytes written
+and not yet released) at the end and at the peak.  Tracing slows the run
+several-fold: read the sizes, not the time.
 
 Exit codes: 0 done, 2 a client op failed.
 """
@@ -40,6 +45,9 @@ from perfbench.workloads import WORKLOADS, scaled_ops  # noqa: E402
 KiB = 1024
 #: Source lines listed in the by-line table.
 TOP = 10
+#: A new snapshot is taken once traced memory passes the last one's by more
+#: than this share (a snapshot per new maximum would cost more than the run).
+GRAIN = 0.01
 
 
 def package_of(filename: str, generated: str) -> str:
@@ -64,9 +72,34 @@ def short(filename: str) -> str:
     return filename
 
 
+def run_to_peak(sim, nodes) -> dict:
+    """Step ``sim`` until it has no event left, snapshotting at the peak of
+    traced memory (see ``GRAIN``): the snapshot, the traced bytes, the
+    simulated time and the event number it was taken at, and each node's
+    resident registered memory then.  Tracing must be on."""
+    def snap(event: int) -> dict:
+        return {"snapshot": tracemalloc.take_snapshot(),
+                "live": tracemalloc.get_traced_memory()[0],
+                "now": sim.now, "event": event,
+                "resident": [n.nic.mem.resident_bytes for n in nodes]}
+
+    peak = snap(0)
+    events = 0
+    while sim.peek() != float("inf"):
+        sim.step()
+        events += 1
+        if tracemalloc.get_traced_memory()[0] > peak["live"] * (1 + GRAIN):
+            # The old snapshot goes first: two at once would raise the
+            # ru_maxrss this script reports.
+            peak = None
+            peak = snap(events)
+    peak["events"] = events
+    return peak
+
+
 def measure(workload: str, seed: int, scale: float) -> dict:
     """Run one bed of ``workload`` under tracemalloc; what it holds at the
-    end, and the peak."""
+    peak, and what is left at the end."""
     wl = WORKLOADS[workload]
     started = not tracemalloc.is_tracing()
     if started:
@@ -78,13 +111,13 @@ def measure(workload: str, seed: int, scale: float) -> dict:
         n_ops = scaled_ops(wl, scale)
         procs = [sim.process(g, name=f"mem-holders-client-{i}")
                  for i, g in enumerate(bed.clients(n_ops, rec))]
-        sim.run()
+        at_peak = run_to_peak(sim, bed.tb.nodes)
         for p in procs:
             p.value             # a client that died outside an op: raise
-        snapshot = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(False, tracemalloc.__file__)])
         live, peak = tracemalloc.get_traced_memory()
         resident = [node.nic.mem.resident_bytes for node in bed.tb.nodes]
+        snapshot = at_peak.pop("snapshot").filter_traces(
+            [tracemalloc.Filter(False, tracemalloc.__file__)])
     finally:
         if started:
             tracemalloc.stop()
@@ -98,7 +131,7 @@ def measure(workload: str, seed: int, scale: float) -> dict:
         "workload": workload, "seed": seed, "scale": scale,
         "clients": len(procs), "ops_per_client": n_ops,
         "attempted": rec.attempted, "failed": rec.failed,
-        "live": live, "peak": peak,
+        "live": live, "peak": peak, "at_peak": at_peak,
         "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "resident": resident,
         "by_package": sorted(((name, size, count) for name, (size, count)
@@ -119,21 +152,30 @@ def _table(title: str, rows: List[Tuple[str, int, int]], total: int
     return out
 
 
+def _resident(title: str, per_node: List[int]) -> str:
+    return (f"{title}: {sum(per_node) / KiB:.1f} KiB; by node: "
+            + ", ".join(f"{n / KiB:.1f}" for n in per_node))
+
+
 def report(m: dict) -> List[str]:
-    live = m["live"] or 1
+    p = m["at_peak"]
+    held = p["live"] or 1
     return [
         f"{m['workload']} seed {m['seed']} scale {m['scale']}: "
         f"{m['clients']} clients x {m['ops_per_client']} ops, "
         f"{m['attempted']} attempted, {m['failed']} failed",
-        f"traced: {m['live'] / 1e6:.1f} MB live at the end, peak "
-        f"{m['peak'] / 1e6:.1f} MB; ru_maxrss {m['maxrss_mb']:.1f} MB",
+        f"traced: {p['live'] / 1e6:.1f} MB at the peak snapshot (event "
+        f"{p['event']} of {p['events']}, sim {p['now'] * 1e3:.3f} ms), peak "
+        f"{m['peak'] / 1e6:.1f} MB, {m['live'] / 1e6:.1f} MB live at the "
+        f"end; ru_maxrss {m['maxrss_mb']:.1f} MB",
         "",
-        *_table("by package", m["by_package"], live),
+        *_table("by package, at the peak", m["by_package"], held),
         "",
-        f"resident registered memory: {sum(m['resident']) / KiB:.1f} KiB; "
-        "by node: " + ", ".join(f"{n / KiB:.1f}" for n in m["resident"]),
+        _resident("resident registered memory", m["resident"]),
+        _resident("at the peak", p["resident"]),
         "",
-        *_table(f"by line (top {TOP})", m["by_line"][:TOP], live),
+        *_table(f"by line, at the peak (top {TOP})", m["by_line"][:TOP],
+                held),
     ]
 
 

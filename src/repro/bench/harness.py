@@ -25,7 +25,7 @@ JSONL stream; the harness writes into it rather than keeping its own:
 * :meth:`annotate` writes one typed event into the stream;
   :meth:`watch_tuner` / :meth:`watch_admission` subscribe to the
   :class:`~repro.core.tuner.HintTuner` decision hook and the
-  :class:`~repro.core.overload.AdmissionGate` high-water hook, and
+  :class:`~repro.overload.AdmissionGate` high-water hook, and
   detect shed waves from the sampled rejection rate, so hint epoch
   switches and load shedding land in the stream with zero
   bench-specific glue.

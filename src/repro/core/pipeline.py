@@ -333,19 +333,9 @@ class ChannelPipeline:
     def _receive_loop(self):
         try:
             while self.inflight:
-                resp = yield from self.chan.recv()
-                header, body = frame.split(resp)
-                seq = header.seq
-                if seq is None:
-                    # Uncorrelated response (shouldn't happen on a pipelined
-                    # channel): pair it FIFO.
-                    seq = min(self.inflight)
-                entry = self.inflight.pop(seq, None)
-                if entry is None:
-                    continue      # response to an unknown/abandoned seq
-                self.completed += 1
-                self._release()
-                entry.complete(header, body)
+                # Handed straight on: the loop keeps no response, body or
+                # entry while it waits for the next one.
+                self._deliver((yield from self.chan.recv()))
         except BaseException as exc:
             self._receiver = None
             if isinstance(exc, self._errors):
@@ -353,6 +343,21 @@ class ChannelPipeline:
                 return
             raise
         self._receiver = None
+
+    def _deliver(self, resp: bytes) -> None:
+        """Complete the in-flight entry ``resp`` answers."""
+        header, body = frame.split(resp)
+        seq = header.seq
+        if seq is None:
+            # Uncorrelated response (shouldn't happen on a pipelined
+            # channel): pair it FIFO.
+            seq = min(self.inflight)
+        entry = self.inflight.pop(seq, None)
+        if entry is None:
+            return        # response to an unknown/abandoned seq
+        self.completed += 1
+        self._release()
+        entry.complete(header, body)
 
     # -- failure -------------------------------------------------------------
     def _die(self, exc: BaseException, extra: tuple = ()) -> None:

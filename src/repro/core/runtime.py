@@ -19,9 +19,9 @@ from typing import Any, List, Optional
 
 from repro import frame
 from repro.core.engine import HatRpcEngine, ServicePlan, build_service_plan
-from repro.core.overload import AdmissionConfig, AdmissionGate, gated
 from repro.core.trdma import HintedProtocol, TRdma, _PAUSE, _AsyncTRdma
 from repro.obs import trace as obstrace
+from repro.overload import AdmissionConfig, AdmissionGate, gated
 from repro.protocols import SRQ_SERVERS, ProtoConfig, get_protocol
 from repro.thrift.errors import TTransportException
 from repro.thrift.protocol.binary import TBinaryProtocol
@@ -168,8 +168,8 @@ class TcpChannel:
 class HatRpcServer:
     """Serves one IDL service over its full channel plan.
 
-    ``admission`` (an :class:`~repro.core.overload.AdmissionConfig`, or a
-    pre-built :class:`~repro.core.overload.AdmissionGate` to share one gate
+    ``admission`` (an :class:`~repro.overload.AdmissionConfig`, or a
+    pre-built :class:`~repro.overload.AdmissionGate` to share one gate
     across services) installs priority-tiered admission control: every
     request -- on every channel, RDMA and TCP alike -- passes ONE gate
     before dispatch, keyed by the function's resolved ``priority`` hint,

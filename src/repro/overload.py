@@ -21,7 +21,10 @@ Three pieces compose the graceful-degradation path:
 
 The client half (the retry *budget* that keeps rejection retries from
 amplifying a storm) lives in :class:`repro.core.resilience.RetryBudget`;
-the engine composes both ends.
+the engine composes both ends.  This module sits below both servers, beside
+:mod:`repro.frame`: the Thrift server (:mod:`repro.thrift.server`) and the
+HatRPC one (:mod:`repro.core.runtime`) gate through it, and it imports
+neither.
 """
 
 from __future__ import annotations

@@ -431,8 +431,11 @@ class RpcServer:
                 # Tear it down server-side so a client reconnect starts clean.
                 on_dead()
                 return
-            if not (yield from self._serve(request, t_poll, ep.send_msg,
-                                           on_dead)):
+            # The serve holds the request for as long as it reads it; the
+            # loop drops it, so it is not kept through the next wait.
+            serve = self._serve(request, t_poll, ep.send_msg, on_dead)
+            del request
+            if not (yield from serve):
                 return
 
     def _serve(self, request: bytes, t_poll: float, send, on_dead):

@@ -104,6 +104,8 @@ class MemPoller:
 class BypassServerEnd:
     """Server end: request sink, response slab, polling machinery.
 
+    A published reply stays in the response slab (``respbuf``) until the
+    connection's next request is read (:meth:`_retire_reply`).
     ``metadata_reads`` is the client end's business; it is accepted because
     both ends are built from one row.
     """
@@ -161,6 +163,7 @@ class BypassServerEnd:
             yield from ring.post(wc.wr_id, (
                 poll, self.device.copy_time(length, self.cfg.numa_local)))
             self._last_seq = seq
+            self._retire_reply()
             return data
 
         def ready() -> bool:
@@ -176,7 +179,16 @@ class BypassServerEnd:
         # zeroes the header too, so ``ready()`` waits for the next WRITE.
         request = self.reqbuf.read(length, offset=HDR_BYTES)
         self.reqbuf.discard(self.reqbuf.length)
+        self._retire_reply()
         return request
+
+    def _retire_reply(self) -> None:
+        """Release the previous reply: the connection's next request has
+        been read.  Every READ of that reply was posted before the request
+        on the same QP -- even one of a call abandoned mid-fetch -- and RC
+        serves one QP's operations in order, so each was served, its bytes
+        gathered, before the request landed."""
+        self.respbuf.discard(self.respbuf.length)
 
     def send_msg(self, resp: bytes):
         """Coroutine: place the response where the client will READ it.
@@ -207,6 +219,7 @@ class BypassClientEnd:
         self._staging = pd.reg_mr(HDR_BYTES + cfg.max_msg)
         self._fetch = pd.reg_mr(HDR_BYTES + cfg.max_msg)
         self._seq = 0
+        self._reads = 0     # READs posted: each one's wr_id
 
     def blob(self) -> bytes:
         return b""
@@ -246,14 +259,22 @@ class BypassClientEnd:
 
     # -- one-sided response fetch -------------------------------------------------
     def _read(self, length: int, remote_off: int = 0, local_off: int = 0):
+        self._reads += 1
+        wr_id = self._reads
         yield from self.qp.post_send(
             SendWR(Opcode.RDMA_READ,
                    Sge(self._fetch.addr + local_off, length, self._fetch.lkey),
-                   remote_addr=self._resp_addr + remote_off,
+                   wr_id=wr_id, remote_addr=self._resp_addr + remote_off,
                    rkey=self._resp_rkey),
             numa_local=self.cfg.numa_local)
-        wcs = yield from self.qp.send_cq.wait(self.cfg.poll_mode, max_wc=1)
-        check_wc(wcs[0])
+        # A READ of a call abandoned mid-fetch (a deadline) completes first:
+        # one QP's READs land in posting order, so its bytes are overwritten
+        # by this call's READs and its completion is passed over.
+        while True:
+            wcs = yield from self.qp.send_cq.wait(self.cfg.poll_mode,
+                                                  max_wc=1)
+            if check_wc(wcs[0]).wr_id == wr_id:
+                return
 
     def _await_published(self, probe: int):
         """Coroutine: ``metadata_reads`` READs of the first ``probe`` bytes
@@ -268,13 +289,17 @@ class BypassClientEnd:
                 self._fetch.read(HDR_BYTES))
             if kind == K_NOTIFY and seq == self._seq:
                 return check_length(length, self.cfg.max_msg)
+            # Not published yet: the READ brought back the previous reply,
+            # or part of it, which the backoff must not keep alive.
+            self._fetch.discard(self._fetch.length)
             yield self.device.sim.timeout(backoff)
             backoff = min(backoff * 2, 16e-6)
 
     def _take_reply(self, length: int) -> bytes:
         """The reply, read out of the fetch buffer, which is then released.
-        (The server's ``respbuf`` is kept: it holds one reply, and nothing
-        tells it when the client's READs are done.)"""
+        (The server's ``respbuf`` keeps it until this connection's next
+        request is read: nothing else tells the server that the READs are
+        done.)"""
         reply = self._fetch.read(length, offset=HDR_BYTES)
         self._fetch.discard(self._fetch.length)
         return reply

@@ -103,21 +103,27 @@ class TClient:
     def _recv(self, name: str, result):
         """Coroutine: await and deserialize the reply into ``result``."""
         prot = self._prot
-        yield from prot.trans.ready()
-        rname, mtype, seqid = prot.read_message_begin()
-        if mtype == TMessageType.EXCEPTION:
-            exc = TApplicationException()
-            exc.read(prot)
+        trans = prot.trans
+        yield from trans.ready()
+        try:
+            rname, mtype, seqid = prot.read_message_begin()
+            if mtype == TMessageType.EXCEPTION:
+                exc = TApplicationException()
+                exc.read(prot)
+                prot.read_message_end()
+                raise exc
+            if seqid != self._seqid:
+                raise TApplicationException(
+                    TApplicationException.BAD_SEQUENCE_ID,
+                    f"expected seqid {self._seqid}, got {seqid}")
+            if rname != name:
+                raise TApplicationException(
+                    TApplicationException.WRONG_METHOD_NAME,
+                    f"expected reply to {name!r}, got {rname!r}")
+            result.read(prot)
             prot.read_message_end()
-            raise exc
-        if seqid != self._seqid:
-            raise TApplicationException(
-                TApplicationException.BAD_SEQUENCE_ID,
-                f"expected seqid {self._seqid}, got {seqid}")
-        if rname != name:
-            raise TApplicationException(
-                TApplicationException.WRONG_METHOD_NAME,
-                f"expected reply to {name!r}, got {rname!r}")
-        result.read(prot)
-        prot.read_message_end()
-        return result
+            return result
+        finally:
+            # Decoded or refused, the reply is read: the transport does not
+            # keep it until the next one lands.
+            trans.rbuf = b""

@@ -12,6 +12,7 @@ from functools import partial
 
 from repro import frame, obs
 from repro.obs import trace as obstrace
+from repro.overload import gated
 from repro.sim.core import Simulator
 from repro.thrift.errors import MALFORMED, TTransportException
 from repro.thrift.processor import TProcessor
@@ -71,8 +72,6 @@ class TThreadedServer:
 
     def _handle_connection(self, trans):
         """Coroutine: serve one connection until EOF."""
-        # Imported here: repro.core is built on this package.
-        from repro.core.overload import gated
         process = partial(self.processor.process, TBinaryProtocol(trans))
         node_name = self.server_transport.node.name
         if self._m_connections is not None:

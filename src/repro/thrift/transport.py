@@ -17,7 +17,8 @@ Interface contract (repository coroutine convention):
   with ``rpos`` the offset of the next unread byte: that ``(buffer,
   offset)`` pair is what ``read`` consumes and what the compiled binary
   decoders of :mod:`repro.idl` walk with ``unpack_from``, advancing
-  ``rpos`` past what they decoded.
+  ``rpos`` past what they decoded.  A client's ``TClient._recv`` drops it
+  once the reply is read: a reply is not kept until the next one lands.
 
 Message-boundary framing is therefore part of the transport, as in Apache
 Thrift's non-blocking servers (TFramedTransport is mandatory there too).

@@ -41,17 +41,19 @@ An extent is an immutable ``bytes`` object, or a :class:`Slice` -- bytes
 * :meth:`Memory.discard` *releases* a range: the write splice with nothing
   inserted.  The protocols release a whole slot once nobody reads it before
   it is rewritten -- a source slot once the NIC has gathered it, a sink slot
-  once the CPU has read the message out -- so a release cuts no extent and
-  copies nothing, and the message is freed as soon as the sender's and the
-  receiver's references are gone.
+  once the CPU has read the message out, a reply the peer READs once the
+  connection's next request is read (RC served those READs first) -- so a
+  release cuts no extent and copies nothing, and the message is freed as
+  soon as the sender's and the receiver's references are gone: no message
+  outlives its last reader.
 
 What is left of a partly overwritten extent (the *remainder*) stays a slice
 when it is at least half of its object and ``_SLICE_MIN`` bytes, and is
 copied otherwise.  A kept remainder holds at least half of its object, so it
 keeps alive at most twice its own bytes (a 64 KiB half of a 128 KiB message
-keeps all 128 KiB), and a 3-byte tail never pins a 1 MiB message; the
-124 KiB of the previous reply that RFP's 4 KiB speculative READ trims is
-not copied only to be overwritten by the tail READ.
+keeps all 128 KiB), and a 3-byte tail never pins a 1 MiB message.  Since
+every slot is released before it is rewritten, no perfbench workload
+leaves a remainder at all; a slot rewritten in place still can.
 
 Extent invariants (checked by ``tests/verbs/test_memory_extents.py``):
 ``_starts`` is sorted and ``_bufs[i]`` holds the bytes at

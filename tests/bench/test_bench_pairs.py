@@ -3,6 +3,8 @@ hand-made numbers (no benchmark is run)."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,30 @@ def test_every_combination_runs_and_gets_a_table_row(tmp_path, monkeypatch,
     assert "b seed 7: sim values differ" in out.err
     # without the differing combination the same command exits 0
     assert bp.main(argv[:4] + ["--seed", "0", "--pairs", "2"]) == 0
+
+
+def test_every_run_compiles_cold_in_a_new_bytecode_cache(tmp_path,
+                                                          monkeypatch):
+    """The benchmark command sees a ``PYTHONPYCACHEPREFIX`` that is empty
+    when it starts, is another one for every run, and is gone afterwards."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "-m", "perfbench", "bench"]}))
+    seen = []
+
+    def fake_run(argv, cwd, env, stdout, text):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((prefix, os.listdir(prefix), "PYTHONPATH" in env))
+        Path(prefix, "written.pyc").write_bytes(b"")   # as a run would
+        return subprocess.CompletedProcess(
+            argv, 0, stdout=json.dumps(_run(180.0)) + "\n")
+
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    monkeypatch.setenv("PYTHONPATH", "src")
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bp.run_driver(tmp_path, "atb_small", 0) == _run(180.0)
+    (first, listed1, path1), (second, listed2, path2) = seen
+    assert first != second
+    assert str(tmp_path / "shared") not in (first, second)
+    assert listed1 == listed2 == [] and not path1 and not path2
+    assert not os.path.exists(first) and not os.path.exists(second)

@@ -1,7 +1,9 @@
 """``repro.bench`` sits below the RPC stack: importing it, in a fresh
 interpreter, loads no protocol module -- so ``repro.obs`` can import
-``repro.bench.stats`` at module level.  Each subpackage also imports first,
-on its own, since the ``repro`` package loads its names on first use."""
+``repro.bench.stats`` at module level.  The Thrift layer sits below
+``repro.core``: its server loads none of it.  Each subpackage also imports
+first, on its own, since the ``repro`` package loads its names on first
+use."""
 
 import os
 import subprocess
@@ -24,6 +26,11 @@ def _fresh(code: str) -> str:
 def test_import_repro_bench_loads_no_protocol():
     assert _fresh("import sys, repro.bench; print(sorted(m for m in "
                   "sys.modules if m.startswith('repro.protocols')))") == "[]"
+
+
+def test_import_thrift_server_loads_no_core():
+    assert _fresh("import sys, repro.thrift.server; print(sorted(m for m in "
+                  "sys.modules if m.startswith('repro.core')))") == "[]"
 
 
 @pytest.mark.parametrize("package", ["repro.thrift", "repro.protocols",

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from repro import frame
-from repro.core.overload import AdmissionConfig, AdmissionGate, peek_fn_name
+from repro.overload import AdmissionConfig, AdmissionGate, peek_fn_name
 
 
 class FakeSim:

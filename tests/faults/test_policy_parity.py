@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core.overload import AdmissionConfig
+from repro.overload import AdmissionConfig
 from repro.core.resilience import RetryBudget, RetryPolicy
 from repro.core.runtime import HatRpcServer, hatrpc_connect
 from repro.faults import FaultInjector, FaultPlan, LinkFlap, QPError

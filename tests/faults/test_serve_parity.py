@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.core.engine import pinned_plan
-from repro.core.overload import AdmissionConfig
+from repro.overload import AdmissionConfig
 from repro.core.resilience import RetryPolicy
 from repro.core.runtime import HatRpcServer, hatrpc_connect
 from repro.idl import load_idl

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.core.overload import AdmissionConfig
+from repro.overload import AdmissionConfig
 from repro.core.resilience import RetryPolicy
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.hatkv import ShardedKVCluster

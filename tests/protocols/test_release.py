@@ -13,8 +13,11 @@ at window 1 and, where the row pipelines, window 4, with messages either
 side of the 4 KiB eager threshold and RFP's 4 KiB speculative READ, and one
 of 128 KiB; every reply must equal its request.  A 2-shard HatKV cluster
 runs a Get / MultiGet / Put loop under the same poison, checked by the
-reply oracle.  The last test shows that the poison bites: releasing
-Read-RNDV's staging buffer before the peer's FIN corrupts the payload.
+reply oracle.  An RFP call abandoned mid-READ is followed by the next call
+on the same connection, whose request makes the server release the reply
+that READ was fetching.  The last test shows that the poison bites:
+releasing Read-RNDV's staging buffer before the peer's FIN corrupts the
+payload.
 """
 
 import random
@@ -28,13 +31,17 @@ from repro.protocols import (
     get_protocol,
     protocol_names,
 )
+from repro.protocols.serverbypass import BypassServerEnd
 from repro.protocols.twosided import TwoSidedEndpoint
+from repro.sim.core import Interrupt
 from repro.sim.units import KiB
 from repro.testbed import Testbed
 from repro.verbs.cq import PollMode
-from repro.verbs.memory import _Segment
+from repro.verbs.memory import Slice, _Segment
+from repro.verbs.qp import QP, _Chain
+from repro.verbs.types import Opcode
 
-from tests.protocols.conftest import SERVICE, echo_handler
+from tests.protocols.conftest import SERVICE, echo_handler, make_pair
 
 #: Eager threshold and RFP's first READ are both 4 KiB (+ a 32 B header).
 SIZES = [0, 64, 4064, 4096, 4097, 4129, 9000, 128 * KiB]
@@ -158,6 +165,75 @@ def test_hatkv_get_multiget_put_loop_under_poisoned_release(poison):
         p.value
     assert len(checked) > n_clients * ops // 2
     assert all(checked)
+
+
+@pytest.mark.parametrize("mode", ["busy", "event"])
+def test_rfp_call_after_a_deadline_mid_read_gets_its_own_bytes(
+        poison, monkeypatch, mode):
+    """Call 1's tail READ is on the wire when its deadline interrupts it,
+    as the engine's deadline does; call 2 goes out on the same connection.
+    The abandoned READ was posted before request 2, so RC serves it first:
+    it gathers reply 1, not the poison the server writes when request 2 is
+    read and reply 1 released -- and call 2 returns its own bytes."""
+    tb = Testbed(n_nodes=2)
+    sim = tb.sim
+    slot = 4 * KiB
+    cfg = ProtoConfig(poll_mode=PollMode[mode.upper()], max_msg=MAX_MSG,
+                      rfp_first_read=slot)
+    _, connect = make_pair(tb, "rfp", cfg)
+    client = sim.run(sim.process(connect()))
+    first, second = (random.Random(s).randbytes(64 * KiB) for s in (1, 2))
+    served, released = {}, []           # READ wr_id -> (time, bytes)
+
+    read_serve = _Chain._read_serve
+
+    def record_serve(chain, ev):
+        read_serve(chain, ev)
+        wr = chain.wrs[ev._value]
+        pieces = chain.payloads[ev._value]
+        pieces = pieces if type(pieces) is list else [pieces]
+        served[wr.wr_id] = (sim.now, b"".join(
+            bytes(p) if type(p) is Slice else p for p in pieces))
+
+    retire = BypassServerEnd._retire_reply
+
+    def record_release(ep):
+        released.append(sim.now)
+        retire(ep)
+
+    post_send = QP.post_send
+    abandoned = []
+
+    def deadline_at_tail_read(qp, wr, **kw):
+        yield from post_send(qp, wr, **kw)
+        if (qp is client.qp and wr.opcode is Opcode.RDMA_READ
+                and wr.sge.length == len(first) - slot
+                and not abandoned):
+            abandoned.append(wr.wr_id)
+            sim.timeout(0).callbacks.append(
+                lambda ev: call1.interrupt("deadline"))
+
+    monkeypatch.setattr(_Chain, "_read_serve", record_serve)
+    monkeypatch.setattr(BypassServerEnd, "_retire_reply", record_release)
+    monkeypatch.setattr(QP, "post_send", deadline_at_tail_read)
+
+    def abandon():
+        try:
+            yield from client.call(first)
+        except Interrupt:
+            return "deadline"
+
+    call1 = sim.process(abandon())
+    assert sim.run(call1) == "deadline"
+    (tail,) = abandoned
+    assert tail not in served               # still on the wire
+    assert sim.run(sim.process(client.call(second))) == second
+    # Released when request 1 and request 2 were read; the abandoned READ
+    # was served between the two, with reply 1's tail.
+    assert len(released) == 2
+    t_served, got = served[tail]
+    assert released[0] < t_served < released[1]
+    assert got == first[slot:]
 
 
 def test_poison_catches_a_release_before_fin(poison, monkeypatch):

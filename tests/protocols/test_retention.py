@@ -5,7 +5,8 @@ host bytes that registered memory holds (``Memory.resident_bytes``, summed
 over the nodes) do not grow with the number of calls: they are the same
 after N calls and after 4N, and with one call outstanding they are at most
 one message per direction per connection -- RFP's ``respbuf``, which the
-client READs whenever it likes, is the one slot that keeps its message.
+client READs whenever it likes, is the one slot that keeps its message
+after the call, until the connection's next request is read.
 Without the releases a message stayed in the sender's slot and the
 receiver's until its window wrapped.
 """
