@@ -92,7 +92,7 @@ def test_abl_eager_threshold(benchmark):
                     req = bytes(size)
                     for k in range(15):
                         t0 = tb.sim.now
-                        yield from c.call(req, resp_hint=size)
+                        yield from c.call(req)
                         if k >= 3:
                             lat.append(tb.sim.now - t0)
 

@@ -15,11 +15,10 @@ handicapping the baselines with a bad polling mode.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.engine import ServicePlan, pinned_plan, plan_with_window
 from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
-from repro.sim.units import KiB
 from repro.testbed import Testbed
 from repro.verbs.cq import PollMode
 
@@ -58,8 +57,7 @@ def plan_for_mode(gen, mode: str, n_clients: int, max_msg: int,
     protocol = "tcp" if mode == "ipoib" else mode
     plan = pinned_plan(SERVICE, gen.SERVICE_FUNCTIONS[SERVICE], protocol,
                        baseline_poll_mode(mode, n_clients), max_msg,
-                       numa_local=n_clients <= 16,
-                       resp_hint=max_msg - 4 * KiB)
+                       numa_local=n_clients <= 16)
     return plan_with_window(plan, window) if window > 1 else plan
 
 

@@ -71,7 +71,7 @@ def run_protocol_bench(spec: ProtoBenchSpec) -> BenchResult:
         return client
 
     def call(client, _i, _k):
-        yield from client.call(payload, resp_hint=spec.payload)
+        yield from client.call(payload)
 
     loop = run_closed_loop(tb.sim, tb.nodes[1:], spec.n_clients,
                            spec.warmup, spec.iters, connect, call)

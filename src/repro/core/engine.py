@@ -75,12 +75,7 @@ class ChannelPlan:
     server_numa: bool
     client_numa: bool
     max_msg: int
-    #: largest expected response on this channel (sizes RFP's first READ)
-    resp_size: int
     functions: tuple            # function names routed here
-    #: True when derived from hints (enables hint-only tuning like RFP
-    #: slot sizing); pinned baseline plans keep stock settings.
-    hinted: bool = True
     #: in-flight window this channel is provisioned for (slot count on the
     #: wire, admission bound in the engine); 1 = classic blocking geometry.
     window: int = 1
@@ -89,15 +84,10 @@ class ChannelPlan:
     #: tuner may re-route functions onto it at runtime.
     alternate: bool = False
 
-    def key(self):
-        return (self.transport, self.protocol, self.server_poll,
-                self.client_poll, self.server_numa, self.client_numa)
-
 
 @dataclass(frozen=True)
 class FunctionRoute:
     channel: int                # ChannelPlan.index
-    resp_hint: int              # expected response size (server payload hint)
     server_hints: ResolvedHints
     client_hints: ResolvedHints
     choice: ProtocolChoice
@@ -168,16 +158,15 @@ def build_service_plan(service: str,
                client_choice.poll_mode, server.numa_binding,
                client.numa_binding, small)
         entry = keyed.setdefault(key, {"functions": [], "max_msg": 0,
-                                       "resp": 0, "conc": 1})
+                                       "conc": 1})
         entry["functions"].append(fn)
         floor = sel_payload if payload_hinted else max(sel_payload,
                                                        _UNHINTED_MAX_MSG)
         entry["max_msg"] = max(entry["max_msg"], floor + _MAX_MSG_SLACK)
-        entry["resp"] = max(entry["resp"], server.payload_size)
         entry["conc"] = max(entry["conc"], server.concurrency,
                             client.concurrency)
-        routes[fn] = {"key": key, "resp_hint": server.payload_size,
-                      "server": server, "client": client, "choice": wire}
+        routes[fn] = {"key": key, "server": server, "client": client,
+                      "choice": wire}
 
     reg = obs.current()
     if reg is not None:
@@ -201,7 +190,6 @@ def build_service_plan(service: str,
             server_poll=s_poll, client_poll=c_poll,
             server_numa=s_numa, client_numa=c_numa,
             max_msg=entry["max_msg"],
-            resp_size=entry["resp"],
             functions=tuple(entry["functions"]),
             window=window))
         key_to_index[key] = i
@@ -244,12 +232,11 @@ def build_service_plan(service: str,
                 index=len(channels), transport=transport, protocol=protocol,
                 server_poll=s_poll, client_poll=c_poll,
                 server_numa=s_numa, client_numa=c_numa,
-                max_msg=alt_max_msg, resp_size=_UNHINTED_MAX_MSG,
-                functions=(), alternate=True, window=window))
+                max_msg=alt_max_msg, functions=(), alternate=True,
+                window=window))
 
     final_routes = {
         fn: FunctionRoute(channel=key_to_index[r["key"]],
-                          resp_hint=r["resp_hint"],
                           server_hints=r["server"],
                           client_hints=r["client"],
                           choice=r["choice"])
@@ -262,7 +249,6 @@ def build_service_plan(service: str,
 def pinned_plan(service: str, function_names: Sequence[str], protocol: str,
                 poll_mode: PollMode, max_msg: int,
                 numa_local: bool = True,
-                resp_hint: int = 4 * KiB,
                 window: int = 1) -> ServicePlan:
     """A one-channel plan with a fixed protocol + polling, ignoring hints.
 
@@ -276,15 +262,14 @@ def pinned_plan(service: str, function_names: Sequence[str], protocol: str,
                           protocol="" if transport == "tcp" else protocol,
                           server_poll=poll_mode, client_poll=poll_mode,
                           server_numa=numa_local, client_numa=numa_local,
-                          max_msg=max_msg, resp_size=resp_hint,
-                          functions=tuple(function_names), hinted=False,
+                          max_msg=max_msg, functions=tuple(function_names),
                           window=window if transport == "rdma" else 1)
     choice = ProtocolChoice(transport, channel.protocol, poll_mode,
                             "pinned baseline")
     reg = obs.current()
     if reg is not None:
         reg.counter("selector.pinned").inc(len(function_names))
-    routes = {fn: FunctionRoute(channel=0, resp_hint=resp_hint,
+    routes = {fn: FunctionRoute(channel=0,
                                 server_hints=ResolvedHints.from_mapping({}),
                                 client_hints=ResolvedHints.from_mapping({}),
                                 choice=choice)
@@ -345,10 +330,6 @@ class _PendingCall:
         self.epoch = None            # tuner plan epoch riding on the wire
         self.error = None            # what the last failed attempt surfaces
         self._held = None            # channel whose in-flight count we hold
-
-    @property
-    def resp_hint(self):
-        return self.route.resp_hint
 
     def wire(self, pip_seq):
         """The wire bytes: the frame header, if the call has anything to
@@ -434,14 +415,14 @@ class HatRpcEngine:
 
     Failure handling (all deterministic under a seeded ``rng``):
 
-    * **deadline** -- an optional total per-call time budget; expiry raises
+    * **deadline** -- an optional time budget, set per engine, that each
+      call (retries included) must finish within; expiry raises
       ``TTransportException(TIMED_OUT)`` and discards the in-flight channel
       so the next call reconnects cleanly;
     * **retry** -- transport errors are retried under ``retry_policy``
       (capped exponential backoff + jitter), but only while the request has
-      provably not reached the wire, or when the function is registered
-      idempotent (``mark_idempotent``) -- non-idempotent writes are never
-      blind-retried;
+      provably not reached the wire, or when the function is listed in
+      ``idempotent`` -- non-idempotent writes are never blind-retried;
     * **breaker + failover** -- each channel has a
       :class:`~repro.core.resilience.CircuitBreaker`; while a channel's
       breaker is open, calls degrade onto the best surviving channel of the
@@ -469,7 +450,6 @@ class HatRpcEngine:
                  retry_policy: Optional[RetryPolicy] = None,
                  idempotent: Sequence[str] = (),
                  rng: Optional[random.Random] = None,
-                 seqid_cache: int = 4096,
                  trace_attrs: Optional[Mapping[str, Any]] = None,
                  retry_budget: Optional[RetryBudget] = None):
         self.node = node
@@ -493,7 +473,7 @@ class HatRpcEngine:
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._failover_order: Dict[int, List[int]] = {}
         self._last_channel: Dict[int, int] = {}   # primary idx -> last used
-        self._sent_seqids = BoundedSeqidSet(cap=seqid_cache)
+        self._sent_seqids = BoundedSeqidSet()
         self._pipelines: Dict[int, ChannelPipeline] = {}
         self._connected = False
         self._closed = False
@@ -585,10 +565,6 @@ class HatRpcEngine:
         while self._connected and any(self._inflight.values()):
             yield sim.timeout(poll)
         self.close()
-
-    def mark_idempotent(self, *fn_names: str) -> None:
-        """Register functions that are safe to re-send after a failure."""
-        self.idempotent_fns.update(fn_names)
 
     # -- online tuning -------------------------------------------------------
     def attach_tuner(self, tuner) -> None:
@@ -736,27 +712,21 @@ class HatRpcEngine:
 
     # -- the two entry points ------------------------------------------------
     def call(self, fn_name: str, message: bytes, oneway: bool = False,
-             seqid: Optional[int] = None,
-             deadline: Optional[float] = None,
-             ser_start: Optional[float] = None):
+             seqid: Optional[int] = None):
         """Coroutine: route one serialized message; returns response bytes.
 
         ``seqid`` (from the Thrift message header) gates idempotency: a
         non-idempotent (fn, seqid) pair is sent onto the wire at most once,
         ever -- retrying it requires the application to re-issue the call
-        under a fresh seqid.  ``deadline`` overrides the engine default for
-        this call.  ``ser_start`` is the sim time serialization of
-        ``message`` began (TRdma records it at ``write_message_begin``);
-        it only feeds the "serialize" trace stage.
+        under a fresh seqid.
         """
-        entry = self._admit(fn_name, message, oneway, seqid,
-                            ser_start=ser_start)
-        budget = deadline if deadline is not None else self.deadline
+        entry = self._admit(fn_name, message, oneway, seqid)
+        deadline = self.deadline
         if entry.handle is not None:
             yield from self._submit_entry(entry)
-            return (yield from entry.handle.wait(budget))
-        run = self._call_blocking(entry) if budget is None \
-            else self._call_within(entry, budget)
+            return (yield from entry.handle.wait(deadline))
+        run = self._call_blocking(entry) if deadline is None \
+            else self._call_within(entry, deadline)
         act = entry.act
         if act is None:
             return (yield from run)
@@ -800,8 +770,8 @@ class HatRpcEngine:
 
     # -- decision sites (each written once; both drivers pass through) -------
     def _admit(self, fn_name: str, message: bytes, oneway: bool,
-               seqid: Optional[int], pipelined: bool = False,
-               ser_start: Optional[float] = None) -> _PendingCall:
+               seqid: Optional[int], pipelined: bool = False
+               ) -> _PendingCall:
         """Admission: route lookup, wire-driver choice, the seqid gate and
         the trace root.  Returns the call's record; a refused call leaves
         none."""
@@ -855,9 +825,9 @@ class HatRpcEngine:
             act = self._trc.start_call(fn_name, self.node.name,
                                        lambda: sim.now, attrs=attrs)
             if not pipelined:
-                act.stage("serialize",
-                          sim.now if ser_start is None else ser_start,
-                          sim.now, nbytes=len(message))
+                # Nothing yields between write_message_begin and flush,
+                # so serialization takes no simulated time.
+                act.stage("serialize", sim.now, sim.now, nbytes=len(message))
                 # The dynamic-hint path is the route lookup above -- cached
                 # function type, so it costs no simulated time.
                 act.stage("hint_select", sim.now, sim.now,
@@ -1061,8 +1031,8 @@ class HatRpcEngine:
                     sent = True
                     try:
                         resp = yield from chan.call(
-                            entry.wire(None), resp_hint=entry.route.resp_hint,
-                            oneway=entry.oneway, trace=entry.act)
+                            entry.wire(None), oneway=entry.oneway,
+                            trace=entry.act)
                     finally:
                         # Every exit gives the count back -- including a
                         # deadline interrupt delivered into chan.call.

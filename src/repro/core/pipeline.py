@@ -213,7 +213,7 @@ class ChannelPipeline:
       violating the protocol's single-outstanding contract.
 
     Entries are duck-typed: ``wire(seq)``, ``complete(header, body)``,
-    ``fail(exc)``, plus ``resp_hint`` / ``oneway`` / ``act`` for solo mode
+    ``fail(exc)``, plus ``oneway`` / ``act`` for solo mode
     (the engine's ``_PendingCall``).  When the channel dies, every
     in-flight entry is handed to ``on_dead(pipe, entries, exc)`` in
     submission order so the engine can retry or fail them.
@@ -304,7 +304,6 @@ class ChannelPipeline:
     def _solo_call(self, entry):
         try:
             resp = yield from self.chan.call(entry.wire(None),
-                                             resp_hint=entry.resp_hint,
                                              oneway=entry.oneway,
                                              trace=entry.act)
         except BaseException as exc:

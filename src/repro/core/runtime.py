@@ -23,7 +23,6 @@ from repro.core.trdma import HintedProtocol, TRdma, _PAUSE, _AsyncTRdma
 from repro.obs import trace as obstrace
 from repro.overload import AdmissionConfig, AdmissionGate, gated
 from repro.protocols import SRQ_SERVERS, ProtoConfig, get_protocol
-from repro.thrift.errors import TTransportException
 from repro.thrift.protocol.binary import TBinaryProtocol
 from repro.thrift.transport import (
     TFramedTransport,
@@ -74,19 +73,10 @@ class RdmaChannel:
         self.node = node
         self.plan = channel_plan
         client_cls, _ = get_protocol(channel_plan.protocol)
-        # rfp_first_read: the hint-informed sizing of RFP's speculative
-        # fetch -- a pinned comparator keeps the stock 4 KiB slot, while a
-        # hint-derived plan sizes it to the expected response.
         cfg = ProtoConfig(poll_mode=channel_plan.client_poll,
                           max_msg=channel_plan.max_msg,
                           numa_local=channel_plan.client_numa,
                           window=channel_plan.window)
-        if channel_plan.hinted:
-            # Hint-informed speculative-READ sizing, capped: probing with a
-            # huge READ wastes wire on every not-ready retry, so beyond the
-            # cap RFP probes small and fetches the exact remainder once.
-            cfg = cfg.with_(rfp_first_read=min(channel_plan.resp_size + 1024,
-                                               4096))
         self._client = client_cls(node.nic, cfg)
         # Pipelining needs both a capable protocol AND a plan that
         # provisioned multiple wire slots; window-1 channels keep the
@@ -102,12 +92,10 @@ class RdmaChannel:
             self._client.abort()
             raise
 
-    def call(self, message: bytes, resp_hint: int, oneway: bool = False,
-             trace=None):
+    def call(self, message: bytes, oneway: bool = False, trace=None):
         # Oneway still receives the engine-level empty ack the server sends
         # for every request; the fixed cost is one tiny response message.
-        return (yield from self._client.call(message, resp_hint=resp_hint,
-                                             trace=trace))
+        return (yield from self._client.call(message, trace=trace))
 
     def post(self, message: bytes):
         """Coroutine: pipelined send half (pair with :meth:`recv`)."""
@@ -139,8 +127,7 @@ class TcpChannel:
             TSocket(self.node, self.remote_node, self.port))
         yield from self._trans.open()
 
-    def call(self, message: bytes, resp_hint: int, oneway: bool = False,
-             trace=None):
+    def call(self, message: bytes, oneway: bool = False, trace=None):
         t0 = self.node.sim.now
         self._trans.write(message)
         yield from self._trans.flush()

@@ -20,8 +20,8 @@ backed by the characterization results (Figs. 4-5, reproduced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.core.hints import ResolvedHints
 from repro.sim.units import KiB
@@ -29,8 +29,7 @@ from repro.verbs.cq import PollMode
 
 __all__ = ["FULL_SUB_THRESHOLD", "ProtocolChoice", "SMALL_MESSAGE_THRESHOLD",
            "TUNER_CONCURRENCY_GRID", "TUNER_PAYLOAD_GRID",
-           "UNDER_SUB_THRESHOLD", "candidate_choices", "select_protocol",
-           "subscription_regime"]
+           "UNDER_SUB_THRESHOLD", "select_protocol", "subscription_regime"]
 
 #: small/large payload boundary: the Hybrid-EagerRNDV threshold (S4.3).
 SMALL_MESSAGE_THRESHOLD = 4 * KiB
@@ -121,7 +120,7 @@ def select_protocol(hints: ResolvedHints) -> ProtocolChoice:
     return ProtocolChoice("rdma", proto, poll, why)
 
 
-# -- candidate enumeration for the online tuner ------------------------------
+# -- the online tuner's grid -------------------------------------------------
 #
 # One representative per payload regime the selection algorithm
 # distinguishes (inline-able, eager-able, past the RFP crossover, bulk)
@@ -134,24 +133,3 @@ TUNER_PAYLOAD_GRID: Tuple[int, ...] = (
     256, SMALL_MESSAGE_THRESHOLD, RFP_SWITCH_THRESHOLD + KiB, 128 * KiB)
 TUNER_CONCURRENCY_GRID: Tuple[int, ...] = (
     1, UNDER_SUB_THRESHOLD + 1, FULL_SUB_THRESHOLD + 1)
-
-
-def candidate_choices(hints: ResolvedHints) -> List[ProtocolChoice]:
-    """Every distinct choice reachable from ``hints`` as the observed
-    payload size and concurrency range over the tuning grid.
-
-    Declared hints that pin a dimension (an explicit ``polling`` override,
-    ``transport = tcp``) naturally collapse the candidate set -- the tuner
-    never overrides an author's explicit knob, only the derived ones.
-    """
-    out: List[ProtocolChoice] = []
-    seen = set()
-    for conc in TUNER_CONCURRENCY_GRID:
-        for payload in TUNER_PAYLOAD_GRID:
-            choice = select_protocol(replace(hints, payload_size=payload,
-                                             concurrency=conc))
-            key = (choice.transport, choice.protocol, choice.poll_mode)
-            if key not in seen:
-                seen.add(key)
-                out.append(choice)
-    return out

@@ -31,7 +31,11 @@ _PAUSE = object()
 
 
 class TRdma(TTransport):
-    """Client-side message transport over a connected HatRpcEngine."""
+    """Client-side message transport over a connected HatRpcEngine.
+
+    Between ``write_message_begin`` and ``flush`` it holds what the engine
+    reads of the call: the function name (its route), the oneway flag
+    and the seqid (the idempotency gate)."""
 
     def __init__(self, engine: HatRpcEngine):
         super().__init__()
@@ -39,20 +43,13 @@ class TRdma(TTransport):
         self._current_fn: Optional[str] = None
         self._current_oneway = False
         self._current_seqid: Optional[int] = None
-        self._ser_start: Optional[float] = None
-        self._fn_switches = 0   # dynamic-hint ablation instrumentation
 
     # -- routing state (set by HintedProtocol) ------------------------------
     def set_current_function(self, name: str, mtype: int,
                              seqid: Optional[int] = None) -> None:
-        if name != self._current_fn:
-            self._fn_switches += 1
         self._current_fn = name
         self._current_oneway = mtype == TMessageType.ONEWAY
         self._current_seqid = seqid
-        # Serialization of the args begins now; the engine turns this into
-        # the "serialize" trace stage.
-        self._ser_start = self.engine.node.sim.now
 
     # -- TTransport interface --------------------------------------------------
     def is_open(self) -> bool:
@@ -68,8 +65,7 @@ class TRdma(TTransport):
                 "through HintedProtocol")
         resp = yield from self.engine.call(self._current_fn, self._take(),
                                            oneway=self._current_oneway,
-                                           seqid=self._current_seqid,
-                                           ser_start=self._ser_start)
+                                           seqid=self._current_seqid)
         self._land(resp or b"")
 
     def ready(self):

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from repro.core.engine import ServicePlan, pinned_plan
+from repro.core.engine import pinned_plan
 from repro.hatkv.client import connect_hatkv
 from repro.hatkv.idl import load_hatkv_module
-from repro.hatkv.server import BASE_SID, SERVICE, HatKVServer
+from repro.hatkv.server import SERVICE, HatKVServer
 from repro.sim.units import KiB
 from repro.testbed import Testbed
 from repro.verbs.cq import PollMode
@@ -67,8 +67,7 @@ def start_system(tb: Testbed, system: str, n_clients: int,
     else:
         plan = pinned_plan(SERVICE, gen.SERVICE_FUNCTIONS[SERVICE],
                            spec.protocol, _comparator_poll(n_clients),
-                           _KV_MAX_MSG, numa_local=n_clients <= 16,
-                           resp_hint=12 * KiB)
+                           _KV_MAX_MSG, numa_local=n_clients <= 16)
     server = HatKVServer(tb.node(server_node), gen,
                          concurrency=n_clients, plan=plan,
                          tune_backend=spec.tuned_backend).start()

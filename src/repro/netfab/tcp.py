@@ -16,9 +16,8 @@ byte strings) because Thrift's ``TSocket`` wraps it directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.netfab.fabric import Fabric, LinkDownError
 from repro.sim.cluster import Node

@@ -364,7 +364,8 @@ def serve_one(trc: Optional[TraceCollector], sim, node: str, protocol: str,
               t_poll: float, ctx: Optional[SpanContext], dispatch, reply,
               dead):
     """Coroutine: one received request from poll to reply -- ``resp =
-    yield from dispatch()``, ``yield from reply(resp)`` -- as the server
+    yield from dispatch`` (the handler's coroutine, which alone holds the
+    request), ``yield from reply(resp)`` -- as the server
     span of ``ctx``, the trace context its header carried (None for an
     untraced request, and always when ``trc`` is).  True once the reply is
     out; False if ``dead``, the connection's exceptions, was raised on the
@@ -388,7 +389,7 @@ def serve_one(trc: Optional[TraceCollector], sim, node: str, protocol: str,
     try:
         if srv is not None:
             srv.open_stage("dispatch", sim.now)
-        resp = yield from dispatch()
+        resp = yield from dispatch
         if srv is not None:
             srv.close_stage(sim.now)
         t_reply = sim.now

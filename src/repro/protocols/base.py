@@ -9,7 +9,7 @@ receives), ``send_msg(data)`` and ``recv_msg()`` (coroutines: one message
 out / the next one in).  Everything else is written once:
 
 * the client, :class:`RpcClient`: coroutines ``connect(node, service_id)``
-  and ``call(request, resp_hint=...) -> bytes``;
+  and ``call(request) -> bytes``;
 * the server, :class:`RpcServer`, whose ``start()`` spawns the accept loop;
   one serve-loop process runs per connection (the per-connection server
   threads of a threaded Thrift server);
@@ -114,8 +114,6 @@ class ProtoConfig:
     eager_threshold: int = 4 * KiB
     #: whether the calling threads are bound to the NIC's NUMA node
     numa_local: bool = True
-    #: first-READ size for RFP's speculative response fetch
-    rfp_first_read: int = 4 * KiB
     #: in-flight window the connection is provisioned for: protocols with
     #: per-call wire slots (direct-write staging/inbuf, eager send slots)
     #: allocate ``window`` of them so overlapped requests never share a
@@ -238,7 +236,6 @@ class RpcClient:
         self.qp = None
         self._in_call = False
         self._act = None        # ActiveCall of the in-flight traced RPC
-        self.calls = 0
         # Per-protocol instruments, captured once (None = metrics disabled;
         # the call() hot path then pays a single attribute check).
         reg = obs.current()
@@ -275,14 +272,12 @@ class RpcClient:
                 f"request of {len(request)} bytes exceeds max_msg "
                 f"{self.cfg.max_msg}")
 
-    def call(self, request: bytes, resp_hint: int = 4 * KiB, trace=None):
+    def call(self, request: bytes, trace=None):
         """Coroutine: one RPC; returns the response bytes.
 
         ``trace`` is the engine's in-flight
         :class:`~repro.obs.trace.ActiveCall` (or None): the send/receive
         halves are bracketed into "post"/"complete" stage spans on it.
-        ``resp_hint`` is advisory and no endpoint reads it (RFP sizes its
-        speculative READ from ``cfg.rfp_first_read``).
         """
         if self._in_call:
             raise ProtocolError(
@@ -303,7 +298,6 @@ class RpcClient:
         finally:
             self._in_call = False
             self._act = None
-        self.calls += 1
         if self._m_ops is not None:
             self._m_ops.inc()
             self._m_req_bytes.inc(len(request))
@@ -323,7 +317,6 @@ class RpcClient:
         self._need_pipelining()
         self._check(request)
         yield from self.ep.send_msg(request)
-        self.calls += 1
         if self._m_ops is not None:
             self._m_ops.inc()
             self._m_req_bytes.inc(len(request))
@@ -445,6 +438,10 @@ class RpcServer:
         when the connection died on the way (``on_dead()`` has run)."""
         ctx = frame.split(request)[0].trace if self._trc is not None \
             else None
+        # The handler holds the request for as long as it reads it; this
+        # frame lets go of it, so it is not kept while the reply goes out.
+        handling = self._dispatch(request)
+        del request
 
         def reply(resp):
             # Before any cost is charged, and loud: slots of a pipelined
@@ -459,8 +456,7 @@ class RpcServer:
 
         if (yield from obstrace.serve_one(
                 self._trc, self.sim, self.device.node.name, self.proto_name,
-                t_poll, ctx, partial(self._dispatch, request), reply,
-                self._DEAD_REQUEST)):
+                t_poll, ctx, handling, reply, self._DEAD_REQUEST)):
             self.requests += 1
             if self._m_requests is not None:
                 self._m_requests.inc()

@@ -44,6 +44,7 @@ from repro.protocols.base import (
     register_protocol,
     unpack_ctrl,
 )
+from repro.sim.units import KiB
 from repro.verbs.cq import PollMode
 from repro.verbs.device import Device, PD
 from repro.verbs.qp import QP
@@ -65,6 +66,11 @@ REQ_WRITE = "write"   # FaRM/RFP: RDMA WRITE + memory polling
 #: a two-chunk penalty real HERD never would, while MultiGET responses
 #: (~10 KB) still chunk ~10x, which is the collapse the paper reports.
 HERD_RESP_SLOT = 1088
+
+#: reply bytes RFP's speculative READ fetches with the header.  A longer
+#: reply costs one more READ for its tail; a larger probe would waste wire
+#: on every not-ready retry.
+RFP_FIRST_READ = 4 * KiB
 
 
 class MemPoller:
@@ -321,7 +327,7 @@ class RfpClientEnd(BypassClientEnd):
     """
 
     def recv_msg(self):
-        slot = max(self.cfg.rfp_first_read, 16)
+        slot = RFP_FIRST_READ
         length = yield from self._await_published(
             min(HDR_BYTES + slot, self._fetch.length))
         if length > slot:

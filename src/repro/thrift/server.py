@@ -115,7 +115,7 @@ class TThreadedServer:
             # readable message, ends this connection only.
             if not (yield from obstrace.serve_one(
                     self._trc, self.sim, node_name, "tcp", t_poll, ctx,
-                    dispatch, reply, MALFORMED)):
+                    dispatch(), reply, MALFORMED)):
                 self._teardown(trans)
                 return
             self.requests += 1

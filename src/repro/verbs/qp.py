@@ -280,7 +280,10 @@ class _Chain:
     TX, wire, responder RX, response TX, wire, local RX); it books the TX
     lane only after the chain's next non-READ WR has booked it (the order
     ``tests/verbs/test_nic_pins.py`` pins).  Completions are reaped in
-    posting order, only once the last WR has left the TX lane.
+    posting order, only once the last WR has left the TX lane.  A WR's
+    gathered payload is let go of once it is written: a WRITE's on landing,
+    a SEND's in the receive slot it claims (an RNR retry still needs it
+    before that), a READ's at the poster.
 
     Every step is a timeout whose value is the WR's index, with a bound
     method of this object as its one callback; retries re-schedule the
@@ -419,6 +422,7 @@ class _Chain:
                 self._reject(k)
                 return
             rdev.mem.write(wr.remote_addr, self.payloads[k])
+            self.payloads[k] = None
             rdev._notify_write(wr.remote_addr, n)
         if op is Opcode.RDMA_WRITE:
             self._ack(k)
@@ -453,6 +457,7 @@ class _Chain:
                 return
             addr = rq.base + slot * size
             self.rdev.mem.write(addr, self.payloads[k])
+            self.payloads[k] = None
             peer.recv_cq.push(WC(slot, WCOpcode.RECV, WCStatus.SUCCESS,
                                  byte_len=n, qp_num=peer.qp_num, addr=addr))
         else:
@@ -526,6 +531,7 @@ class _Chain:
         dev = self.dev
         dev.port.bytes_received += wr.sge.length
         dev.mem.write(wr.sge.addr, self.payloads[k])
+        self.payloads[k] = None
         self._finish(k, WCStatus.SUCCESS)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ycsb.generators import (
     DiscreteGenerator,

@@ -78,21 +78,11 @@ def test_lateral_polling_differs_per_side():
     assert ch.client_poll is PollMode.BUSY
 
 
-def test_resp_hint_from_server_payload():
-    plan = plan_of({
-        "service": {},
-        "functions": {"Get": {"client": {"payload_size": 64},
-                              "server": {"payload_size": 10 * KiB}}}},
-        ["Get"])
-    assert plan.routes["Get"].resp_hint == 10 * KiB
-
-
 def test_pinned_plan_shape():
     plan = pinned_plan("Svc", ["A", "B"], "rfp", PollMode.EVENT,
                        max_msg=32 * KiB)
     assert len(plan.channels) == 1
     assert plan.channels[0].protocol == "rfp"
-    assert not plan.channels[0].hinted
     assert plan.routes["A"].channel == plan.routes["B"].channel == 0
 
 

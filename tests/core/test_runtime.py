@@ -3,14 +3,19 @@
 import pytest
 
 from repro import frame
-from repro.core.engine import plan_with_window
+from repro.core.engine import build_service_plan, plan_with_window
 from repro.core.runtime import (HatRpcServer, RdmaChannel, hatrpc_connect,
                                 service_plan_of)
 from repro.core.tuner import HintTuner
 from repro.idl import load_idl
+from repro.protocols import HDR_BYTES
+from repro.protocols.serverbypass import RFP_FIRST_READ
+from repro.sim.units import KiB
 from repro.testbed import Testbed
 from repro.thrift import TBinaryProtocol, TMemoryBuffer, TMessageType
 from repro.verbs.cq import PollMode
+from repro.verbs.qp import QP
+from repro.verbs.types import Opcode
 
 MIX_IDL = """
 exception Boom { 1: string why }
@@ -99,6 +104,42 @@ def test_plan_buffer_sizing(gen):
     """, "tight_gen")
     tight_plan = service_plan_of(tight, "Tight")
     assert tight_plan.channel_for("Fast").max_msg < 64 * 1024
+
+
+def test_rfp_first_read_is_fixed_whatever_the_reply_hint(tb, monkeypatch):
+    """A hint-derived RFP channel whose server side expects 64 B replies
+    still fetches the header and RFP_FIRST_READ bytes in its first READ:
+    no hint sizes the speculative READ."""
+    mirror = load_idl("service Mirror {\n binary Echo(1: binary payload)\n}",
+                      "rfp_first_read_gen")
+    plan = build_service_plan("Mirror", {"service": {}, "functions": {
+        "Echo": {"shared": {"perf_goal": "throughput", "concurrency": 32},
+                 "client": {"payload_size": 64 * KiB},
+                 "server": {"payload_size": 64}}}}, ["Echo"])
+    assert plan.channel_for("Echo").protocol == "rfp"
+
+    class Handler:
+        def Echo(self, payload):
+            return payload
+
+    reads = []
+    post_send = QP.post_send
+
+    def record(qp, wr, **kw):
+        if wr.opcode is Opcode.RDMA_READ:
+            reads.append(wr.sge.length)
+        return (yield from post_send(qp, wr, **kw))
+
+    monkeypatch.setattr(QP, "post_send", record)
+    HatRpcServer(tb.node(1), mirror, "Mirror", Handler(), plan=plan).start()
+
+    def client():
+        stub = yield from hatrpc_connect(tb.node(0), tb.node(1), mirror,
+                                         "Mirror", plan=plan)
+        return (yield from stub.Echo(b"x" * 64))
+
+    assert tb.sim.run(tb.sim.process(client())) == b"x" * 64
+    assert reads and set(reads) == {HDR_BYTES + RFP_FIRST_READ}
 
 
 def test_end_to_end_all_functions(tb, gen):

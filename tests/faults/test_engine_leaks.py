@@ -6,7 +6,6 @@ resilience state, and the bounded window backpressures / correlates
 out-of-order completions without losing a call."""
 
 import random
-import time
 from collections import deque
 
 import pytest
@@ -140,26 +139,35 @@ def test_bounded_seqid_set_evicts_lru():
         BoundedSeqidSet(cap=0)
 
 
+class _CountingSet(set):
+    """A set that counts membership tests: the keys a walk visits."""
+
+    visits = 0
+
+    def __contains__(self, key):
+        self.visits += 1
+        return super().__contains__(key)
+
+
 def test_bounded_seqid_set_eviction_cost_is_flat():
     # Regression: at the cap, every add and every unpin rebuilt the list
     # of all unpinned keys -- ~250x the per-call cost once 4096 keys were
     # held (a quarter of atb_small's host time).  The walk from the oldest
-    # key must stop at the victims.
+    # key must stop at the victim, having visited only the live keys ahead
+    # of it.
     s = BoundedSeqidSet(cap=4096)
-
-    def per_call(lo, hi):
-        t0 = time.perf_counter()
-        for i in range(lo, hi):
-            s.add(("Echo", i), pinned=True)
-            s.unpin(("Echo", i))
-        return (time.perf_counter() - t0) / (hi - lo)
-
-    per_call(0, 1000)
-    below_cap = per_call(1000, 3000)
-    per_call(3000, 18000)
-    at_cap = per_call(18000, 20000)
-    assert len(s) == 4096 and s.evictions == 20000 - 4096
-    assert at_cap <= 5 * below_cap, (below_cap, at_cap)
+    s._pinned = pinned = _CountingSet()
+    live = [("Slow", i) for i in range(8)]
+    for key in live:
+        s.add(key, pinned=True)
+    for i in range(20000):
+        if i == 18000:
+            before = pinned.visits
+        s.add(("Echo", i), pinned=True)
+        s.unpin(("Echo", i))
+    assert len(s) == 4096 and s.evictions == len(live) + 20000 - 4096
+    # Each add at the cap evicts one key; the unpin after it evicts none.
+    assert pinned.visits - before == 2000 * (len(live) + 1)
 
 
 def test_bounded_seqid_set_never_evicts_pinned():

@@ -53,7 +53,7 @@ def test_echo_roundtrip(tb, proto, size):
 
     def client():
         c = yield from connect()
-        resp = yield from c.call(payload, resp_hint=size)
+        resp = yield from c.call(payload)
         return resp
 
     p = tb.sim.process(client())
@@ -70,7 +70,7 @@ def test_payload_transformed_not_copied_back(tb, proto):
 
     def client():
         c = yield from connect()
-        return (yield from c.call(payload, resp_hint=len(payload)))
+        return (yield from c.call(payload))
 
     p = tb.sim.process(client())
     assert tb.sim.run(p) == payload[::-1]
@@ -85,7 +85,7 @@ def test_sequential_calls_in_order(tb, proto):
         out = []
         for i in range(10):
             req = f"request-{i}".encode() * (i + 1)
-            resp = yield from c.call(req, resp_hint=len(req))
+            resp = yield from c.call(req)
             out.append(resp == req)
         return out
 
@@ -100,7 +100,7 @@ def test_event_polling_mode(tb, proto):
 
     def client():
         c = yield from connect()
-        return (yield from c.call(b"event-mode", resp_hint=64))
+        return (yield from c.call(b"event-mode"))
 
     p = tb.sim.process(client())
     assert tb.sim.run(p) == b"event-mode"
@@ -118,7 +118,7 @@ def test_multiple_concurrent_clients(tb, proto):
         yield from c.connect(tb.node(1), 100)
         for k in range(3):
             req = f"c{i}k{k}".encode()
-            resp = yield from c.call(req, resp_hint=16)
+            resp = yield from c.call(req)
             results[(i, k)] = resp == req
 
     for i in range(4):
@@ -159,7 +159,7 @@ def test_generator_handler_with_server_work(tb, proto):
 
     def client():
         c = yield from connect()
-        return (yield from c.call(b"compute", resp_hint=64))
+        return (yield from c.call(b"compute"))
 
     p = tb.sim.process(client())
     assert tb.sim.run(p) == b"compute!"
@@ -196,7 +196,7 @@ def run_staircase(proto, window):
         c = yield from connect()
         if window == 1:
             for i, req in enumerate(payloads):
-                resp = yield from c.call(req, resp_hint=len(req))
+                resp = yield from c.call(req)
                 if resp != req:
                     bad.append(i)
             return

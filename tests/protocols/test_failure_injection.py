@@ -35,11 +35,11 @@ def test_qp_error_fails_inflight_call(tb, proto):
 
     def client():
         c = yield from connect()
-        yield from c.call(b"warm", resp_hint=64)
+        yield from c.call(b"warm")
         # Sabotage the connection, then call again.
         c.qp.to_error()
         try:
-            yield from c.call(b"after-error", resp_hint=64)
+            yield from c.call(b"after-error")
         except Exception as e:
             outcome["err"] = type(e).__name__
 
@@ -56,10 +56,10 @@ def test_concurrent_connections_survive_one_failure(tb):
 
     def victim():
         c = yield from connect()
-        yield from c.call(b"v", resp_hint=64)
+        yield from c.call(b"v")
         c.qp.to_error()
         try:
-            yield from c.call(b"boom", resp_hint=64)
+            yield from c.call(b"boom")
         except Exception:
             results["failed"] += 1
 
@@ -69,7 +69,7 @@ def test_concurrent_connections_survive_one_failure(tb):
         c = cls(tb.node(2).nic, ProtoConfig())
         yield from c.connect(tb.node(1), 100)
         for _ in range(5):
-            resp = yield from c.call(b"fine", resp_hint=64)
+            resp = yield from c.call(b"fine")
             assert resp == b"fine"
         results["ok"] += 1
 
@@ -104,7 +104,7 @@ def test_corrupt_control_kind_detected(tb):
 
     def client():
         c = yield from connect()
-        yield from c.call(b"ok", resp_hint=64)
+        yield from c.call(b"ok")
         # Write a bogus kind directly into the peer-advertised buffer and
         # notify -- emulating a corrupted producer.
         ep = c.ep
@@ -124,7 +124,7 @@ def test_corrupt_control_kind_detected(tb):
         cls, _ = get_protocol("direct_writeimm")
         c = cls(tb.node(0).nic, ProtoConfig())
         yield from c.connect(tb.node(1), 100)
-        return (yield from c.call(b"fresh", resp_hint=64))
+        return (yield from c.call(b"fresh"))
 
     p = tb.sim.process(second_client())
     assert tb.sim.run(p) == b"fresh"
@@ -166,7 +166,7 @@ def test_eager_ring_exhaustion_rnr_recovers(tb):
         c = yield from connect()
         out = []
         for i in range(8):
-            resp = yield from c.call(f"m{i}".encode(), resp_hint=64)
+            resp = yield from c.call(f"m{i}".encode())
             out.append(resp == f"m{i}".encode())
         return out
 
@@ -317,7 +317,7 @@ def test_oversize_response_detected():
 
         def client():
             c = yield from connect()
-            yield from c.call(b"gimme", resp_hint=64)
+            yield from c.call(b"gimme")
 
         p = tb.sim.process(client())
         p.defuse()  # the client hangs or fails; either way the call never lands

@@ -14,6 +14,10 @@ walking ``gc`` referents from the bed and comparing with ``is``:
   ``respbuf``, which the client READs whenever it likes;
 * once call k+1 has returned, nothing reachable is one of call k's objects
   at all: the published reply went when request k+1 was read.
+
+Two more cells look in the middle of a call: the server lets go of the
+request once its handler has taken it, and the NIC lets go of a message
+once it is written at the peer, before the WRITE's ACK is back.
 """
 
 import gc
@@ -27,11 +31,17 @@ from repro.core.engine import pinned_plan
 from repro.core.resilience import RetryPolicy
 from repro.core.runtime import HatRpcClient, HatRpcServer
 from repro.idl import load_idl
-from repro.protocols import get_protocol, protocol_names
+from repro.protocols import ProtoConfig, get_protocol, protocol_names
 from repro.protocols.serverbypass import BypassServerEnd
+from repro.sim.core import Process
 from repro.sim.units import KiB
 from repro.testbed import Testbed
 from repro.verbs.cq import PollMode
+from repro.verbs.memory import Memory, _Segment
+from repro.verbs.qp import QP, _Chain
+from repro.verbs.types import Opcode
+
+from tests.protocols.conftest import make_pair
 
 SIZE = 64 * KiB
 #: a quarter-size Echo after a full one: the server's respbuf keeps a
@@ -159,3 +169,95 @@ def test_no_message_outlives_its_call(gen, recorded, proto, mode, how):
             held = reachable(roots, records)
             assert [len(o) for o in calls[k - 1] if id(o) in held] == [], \
                 f"call {k - 1}'s messages held after call {k} returned"
+
+
+#: rows whose server is still sending call k's reply when the walk runs:
+#: HERD between its chunk SENDs, read_rndv waiting for the FIN, the SRQ
+#: server's eager SEND
+MID_REPLY = [("herd", False), ("read_rndv", False), ("eager_sendrecv", True)]
+
+
+@pytest.mark.parametrize("proto,srq", MID_REPLY,
+                         ids=[f"{p}{'-srq' if srq else ''}"
+                              for p, srq in MID_REPLY])
+def test_server_lets_go_of_the_request_while_it_replies(monkeypatch, proto,
+                                                        srq):
+    tb = Testbed(n_nodes=2)
+    sim = tb.sim
+    server_dev = tb.node(1).nic
+    taken = []
+    replying = []
+    mid_reply = sim.event()
+
+    def handler(request):
+        taken.append(request)
+        return bytes(SIZE)
+
+    server_end = get_protocol(proto)[0].row.server_end
+    send_msg = server_end.send_msg
+    post_send = QP.post_send
+
+    def reply(ep, data):
+        if ep.device is server_dev:
+            replying.append(ep.qp)
+        return (yield from send_msg(ep, data))
+
+    def post(qp, wr, **kw):
+        # The reply's first post: the server is inside send_msg until the
+        # event this sets is processed.
+        if replying and qp is replying[0] and not mid_reply.triggered:
+            mid_reply.succeed()
+        return (yield from post_send(qp, wr, **kw))
+
+    monkeypatch.setattr(server_end, "send_msg", reply)
+    monkeypatch.setattr(QP, "post_send", post)
+    server, connect = make_pair(tb, proto, ProtoConfig(max_msg=2 * SIZE),
+                                handler=handler, srq=srq)
+
+    def client():
+        c = yield from connect()
+        # Sent through the endpoint, so no frame here keeps the request.
+        yield from c.ep.send_msg(bytes([1]) * SIZE)
+        return (yield from c.ep.recv_msg())
+
+    call = sim.process(client())
+    sim.run(mid_reply)
+    assert not call.triggered
+    (request,) = taken
+    assert id(request) not in reachable((tb, server), {id(taken)}), \
+        "the server holds the request while its reply goes out"
+    assert sim.run(call) == bytes(SIZE)
+
+
+def test_nic_lets_go_of_a_written_message_before_its_ack(monkeypatch):
+    """While the ACK of a 64 KiB write_rndv WRITE is on its way back, the
+    message is in the peer's registered memory and nowhere else the
+    simulator's heap reaches (processes aside: they read it legitimately)."""
+    tb = Testbed(n_nodes=2)
+    sim = tb.sim
+    acking = sim.event()
+    ack = _Chain._ack
+
+    def watch(chain, k):
+        wr = chain.wrs[k]
+        if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM \
+                and wr.sge.length == SIZE and not acking.triggered:
+            acking.succeed()
+        ack(chain, k)
+
+    monkeypatch.setattr(_Chain, "_ack", watch)
+    _, connect = make_pair(tb, "write_rndv", ProtoConfig(max_msg=2 * SIZE))
+    message = bytes([1]) * SIZE
+
+    def client():
+        c = yield from connect()
+        return (yield from c.call(message))
+
+    call = sim.process(client())
+    sim.run(acking)
+    assert not call.triggered
+    barrier = {id(o) for o in gc.get_objects()
+               if isinstance(o, (Process, Memory, _Segment))}
+    held = reachable([event for _t, _eid, event in sim._heap], barrier)
+    assert id(message) not in held, "the WRITE's chain holds the message"
+    assert sim.run(call) == message

@@ -76,8 +76,7 @@ def run_cell(proto, mode, window):
         for base in range(0, len(payloads), window):
             burst = payloads[base:base + window]
             if window == 1:
-                resps = [(yield from c.call(burst[0],
-                                            resp_hint=len(burst[0])))]
+                resps = [(yield from c.call(burst[0]))]
                 stamps[node].append(tb.sim.now)
             else:
                 resps = []

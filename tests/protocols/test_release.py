@@ -31,7 +31,7 @@ from repro.protocols import (
     get_protocol,
     protocol_names,
 )
-from repro.protocols.serverbypass import BypassServerEnd
+from repro.protocols.serverbypass import RFP_FIRST_READ, BypassServerEnd
 from repro.protocols.twosided import TwoSidedEndpoint
 from repro.sim.core import Interrupt
 from repro.sim.units import KiB
@@ -177,9 +177,8 @@ def test_rfp_call_after_a_deadline_mid_read_gets_its_own_bytes(
     read and reply 1 released -- and call 2 returns its own bytes."""
     tb = Testbed(n_nodes=2)
     sim = tb.sim
-    slot = 4 * KiB
-    cfg = ProtoConfig(poll_mode=PollMode[mode.upper()], max_msg=MAX_MSG,
-                      rfp_first_read=slot)
+    slot = RFP_FIRST_READ
+    cfg = ProtoConfig(poll_mode=PollMode[mode.upper()], max_msg=MAX_MSG)
     _, connect = make_pair(tb, "rfp", cfg)
     client = sim.run(sim.process(connect()))
     first, second = (random.Random(s).randbytes(64 * KiB) for s in (1, 2))

@@ -49,7 +49,7 @@ def test_stock_eager_client_roundtrips(tb):
         out = []
         for i in range(5):
             req = f"request-{i}".encode() * (i + 1)
-            resp = yield from c.call(req, resp_hint=len(req))
+            resp = yield from c.call(req)
             out.append(resp == req)
         return out
 
@@ -66,7 +66,7 @@ def test_many_clients_share_one_pool_and_one_cq(tb):
     def client(i, node):
         c = yield from connect_stock_client(tb, node=node)
         req = f"payload-{i}".encode() * 20
-        resp = yield from c.call(req, resp_hint=len(req))
+        resp = yield from c.call(req)
         results[i] = resp == req
 
     procs = [tb.sim.process(client(i, i % 2 * 2))  # nodes 0 and 2
@@ -93,7 +93,7 @@ def test_burst_beyond_srq_slots_absorbed_by_rnr(tb):
 
     def client(i):
         c = yield from connect_stock_client(tb)
-        resp = yield from c.call(b"x" * 64, resp_hint=64)
+        resp = yield from c.call(b"x" * 64)
         results.append(resp == b"x" * 64)
 
     procs = [tb.sim.process(client(i)) for i in range(6)]
@@ -110,7 +110,7 @@ def test_one_dead_connection_leaves_neighbors_serving(tb):
     def setup():
         a = yield from connect_stock_client(tb)
         b = yield from connect_stock_client(tb, node=2)
-        resp = yield from a.call(b"warm", resp_hint=16)
+        resp = yield from a.call(b"warm")
         assert resp == b"warm"
         return a, b
 
@@ -119,7 +119,7 @@ def test_one_dead_connection_leaves_neighbors_serving(tb):
 
     def survivor():
         yield tb.sim.timeout(1 * ms)          # let the error WC surface
-        return (yield from b.call(b"still-alive", resp_hint=16))
+        return (yield from b.call(b"still-alive"))
 
     assert tb.sim.run(tb.sim.process(survivor())) == b"still-alive"
     tb.sim.run()
@@ -137,8 +137,8 @@ def test_corrupt_control_kind_drops_only_that_connection(tb):
     def setup():
         a = yield from connect_stock_client(tb)
         b = yield from connect_stock_client(tb, node=2)
-        assert (yield from a.call(b"ok", resp_hint=64)) == b"ok"
-        assert (yield from b.call(b"warm", resp_hint=64)) == b"warm"
+        assert (yield from a.call(b"ok")) == b"ok"
+        assert (yield from b.call(b"warm")) == b"warm"
         return a, b
 
     a, b = tb.sim.run(tb.sim.process(setup()))
@@ -161,8 +161,8 @@ def test_corrupt_control_kind_drops_only_that_connection(tb):
 
     def after():
         c = yield from connect_stock_client(tb)
-        return ((yield from b.call(b"bystander", resp_hint=64)),
-                (yield from c.call(b"fresh", resp_hint=64)))
+        return ((yield from b.call(b"bystander")),
+                (yield from c.call(b"fresh")))
 
     assert tb.sim.run(tb.sim.process(after())) == (b"bystander", b"fresh")
     assert server.requests == 4
@@ -184,12 +184,12 @@ def test_slow_handler_does_not_block_the_receive_path(tb):
 
     def slow_client():
         c = yield from connect_stock_client(tb)
-        yield from c.call(b"slow" + b"x" * 60, resp_hint=64)
+        yield from c.call(b"slow" + b"x" * 60)
         order.append("slow")
 
     def fast_client():
         c = yield from connect_stock_client(tb, node=2)
-        yield from c.call(b"fast", resp_hint=16)
+        yield from c.call(b"fast")
         order.append("fast")
 
     ps = tb.sim.process(slow_client())
@@ -208,7 +208,7 @@ def test_oversize_response_raises_protocol_error(tb):
         c = yield from connect_stock_client(tb, cfg=cfg)
         # Local misuse stays loud: the worker process dies with the typed
         # error server-side instead of reading as a dead peer.
-        yield from c.call(b"q", resp_hint=64)
+        yield from c.call(b"q")
 
     tb.sim.process(client())
     with pytest.raises(ProtocolError, match="exceeds max_msg"):

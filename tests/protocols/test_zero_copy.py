@@ -39,7 +39,7 @@ def test_request_and_reply_arrive_as_the_objects_sent(tb, proto):
         received.append(req)
         return reply
 
-    cfg = ProtoConfig(rfp_first_read=4 * KiB)   # the reply needs two READs
+    cfg = ProtoConfig()   # an RFP reply this long needs two READs
     server, connect = make_pair(tb, proto, cfg, handler=handler)
 
     def client():
