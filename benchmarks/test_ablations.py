@@ -8,8 +8,6 @@ Each isolates one mechanism the HatRPC design leans on:
 * hint-machinery overhead (HatRPC vs the same protocol pinned).
 """
 
-import pytest
-
 from benchmarks.figutil import (emit_bench, fmt_rows, kops, lat_metric,
                                 tput_metric, usec)
 from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench

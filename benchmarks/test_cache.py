@@ -25,8 +25,6 @@ than the epoch horizon).
 import os
 import tempfile
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops
 from benchmarks.oracle import OracleStub, StaleOracle
 from repro import obs

@@ -17,8 +17,6 @@ Acceptance properties asserted here:
 
 import random
 
-import pytest
-
 from benchmarks.figutil import fmt_rows, is_full, usec
 from repro.core.resilience import RetryPolicy
 from repro.faults import FaultInjector, FaultPlan, LinkFlap

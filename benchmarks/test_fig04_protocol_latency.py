@@ -6,8 +6,6 @@ Direct-WriteIMM is the best small-message protocol, RFP competitive below
 1 KB, rendezvous protocols pay their handshake.
 """
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, lat_metric, usec
 from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.sim.units import KiB

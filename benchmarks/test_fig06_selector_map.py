@@ -6,8 +6,6 @@ selected (protocol, polling) cell for each, and asserts the mapping's
 Figure 6 structure.
 """
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows
 from repro.bench import metric
 from repro.core.hints import resolve_hints

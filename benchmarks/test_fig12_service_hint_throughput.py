@@ -4,8 +4,6 @@ HatRPC (perf_goal=throughput + deployment concurrency) vs the pinned
 baselines across client counts for 512 B and 128 KB payloads.
 """
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, tput_metric
 from repro.atb import ThroughputBenchmark
 from repro.sim.units import KiB

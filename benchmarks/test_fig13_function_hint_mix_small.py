@@ -5,8 +5,6 @@ the server computes a payload-proportional checksum.  Reported: latency of
 the latency calls, throughput of the throughput calls.
 """
 
-import pytest
-
 from benchmarks.figutil import (emit_bench, fmt_rows, is_full, kops,
                                 lat_metric, tput_metric, usec)
 from repro.atb import MixBenchmark

@@ -1,7 +1,5 @@
 """Figure 14: function-level hints -- mixed workload, 128 KB payloads."""
 
-import pytest
-
 from benchmarks.figutil import (emit_bench, fmt_rows, is_full, kops,
                                 lat_metric, tput_metric, usec)
 from repro.atb import MixBenchmark

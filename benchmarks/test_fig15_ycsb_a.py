@@ -19,8 +19,6 @@ the Fig. 15a throughput is each MEASUREMENT record's ``tput_kops``, and
 the ``fig15/ycsb_a`` record holds the Fig. 15b mean latencies.
 """
 
-import pytest
-
 from benchmarks.figutil import (emit_bench, fmt_rows, is_full, kops,
                                 lat_metric, usec)
 from repro.bench import PhasedRun

@@ -13,8 +13,6 @@ the Fig. 16a throughput is each MEASUREMENT record's ``tput_kops``, and
 the ``fig16/ycsb_b`` record holds the Fig. 16b mean latencies.
 """
 
-import pytest
-
 from benchmarks.figutil import (emit_bench, fmt_rows, is_full, kops,
                                 lat_metric, usec)
 from repro.bench import PhasedRun

@@ -6,8 +6,6 @@ execution time (paper: 1.27x overall for -Function, up to 1.51x per query);
 queries dominated by local compute show the smallest gains.
 """
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full
 from repro.bench import metric
 from repro.tpch.distributed import DistributedTpch, load_trace

@@ -25,8 +25,6 @@ retention, which no phase record holds.
 import random
 from dataclasses import replace
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops
 from repro.bench import Phase, PhasedRun, metric
 from repro.core.mux import MuxPool
@@ -37,7 +35,7 @@ from repro.idl import load_idl
 from repro.sim.core import AllOf
 from repro.sim.units import ms, us
 from repro.testbed import Testbed
-from repro.thrift.errors import TRejectedException, TTransportException
+from repro.thrift.errors import TRejectedException
 
 IDL = """
 service OverloadSvc {

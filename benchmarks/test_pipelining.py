@@ -7,8 +7,6 @@ window until the wire or the server core saturates.  Headline check: a
 window of 16 buys >= 4x the blocking throughput.
 """
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, \
     tput_metric
 from repro.atb.throughput import ThroughputBenchmark

@@ -26,8 +26,6 @@ smoke: same oracle, same placement gates, sized to run in seconds.
 import os
 import tempfile
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops, \
     tput_metric
 from benchmarks.oracle import OracleStub, StaleOracle

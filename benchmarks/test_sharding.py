@@ -19,8 +19,6 @@ at ``<n>`` shards is ``sharding/ycsb_b.<n>shard.measurement``'s
 ``tput_kops``.
 """
 
-import pytest
-
 from benchmarks.figutil import fmt_rows, is_full, kops
 from repro.bench import PhasedRun
 from repro.hatkv import ShardedKVCluster

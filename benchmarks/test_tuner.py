@@ -21,8 +21,6 @@ produces zero switches; static runs carry zero tuner bytes on the wire
 (the server never sees an epoch frame).
 """
 
-import pytest
-
 from benchmarks.figutil import emit_bench, fmt_rows, is_full, kops
 from repro.bench import metric
 from repro.core.runtime import HatRpcServer, hatrpc_connect

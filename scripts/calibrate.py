@@ -9,7 +9,7 @@ tests/protocols/test_characterization.py.
 
 from repro.bench.proto_runner import ProtoBenchSpec, run_protocol_bench
 from repro.protocols import protocol_names
-from repro.sim.units import KiB, us
+from repro.sim.units import us
 from repro.verbs.cq import PollMode
 
 PROTOS = protocol_names()

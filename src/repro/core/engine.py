@@ -62,6 +62,9 @@ _UNHINTED_MAX_MSG = 128 * KiB
 #: failover and breaker opens in tests/obs/test_timeline.py).
 FAULT_TRACE_CAP = 256
 
+#: how often :meth:`HatRpcEngine.drain_close` re-checks for in-flight calls
+DRAIN_POLL = 1e-6
+
 
 @dataclass(frozen=True)
 class ChannelPlan:
@@ -248,22 +251,20 @@ def build_service_plan(service: str,
 
 def pinned_plan(service: str, function_names: Sequence[str], protocol: str,
                 poll_mode: PollMode, max_msg: int,
-                numa_local: bool = True,
-                window: int = 1) -> ServicePlan:
+                numa_local: bool = True) -> ServicePlan:
     """A one-channel plan with a fixed protocol + polling, ignoring hints.
 
     This is how the paper's per-protocol baselines (e.g. "Thrift over
     Hybrid-EagerRNDV") are expressed: the same generated code and runtime,
-    with the hint machinery bypassed.  ``window > 1`` provisions the channel
-    for pipelined calls (both peers must agree on it).
+    with the hint machinery bypassed.  The channel carries one call at a
+    time; :func:`plan_with_window` widens it for pipelined calls.
     """
     transport = "tcp" if protocol == "tcp" else "rdma"
     channel = ChannelPlan(index=0, transport=transport,
                           protocol="" if transport == "tcp" else protocol,
                           server_poll=poll_mode, client_poll=poll_mode,
                           server_numa=numa_local, client_numa=numa_local,
-                          max_msg=max_msg, functions=tuple(function_names),
-                          window=window if transport == "rdma" else 1)
+                          max_msg=max_msg, functions=tuple(function_names))
     choice = ProtocolChoice(transport, channel.protocol, poll_mode,
                             "pinned baseline")
     reg = obs.current()
@@ -553,7 +554,7 @@ class HatRpcEngine:
         self._breakers.clear()
         self._last_channel.clear()
 
-    def drain_close(self, poll: float = 1e-6):
+    def drain_close(self):
         """Coroutine: wait until every in-flight call settles, then close.
 
         The polite shutdown for topology changes (a resharded-away shard,
@@ -563,7 +564,7 @@ class HatRpcEngine:
         should stop routing new work to the engine before invoking it."""
         sim = self.node.sim
         while self._connected and any(self._inflight.values()):
-            yield sim.timeout(poll)
+            yield sim.timeout(DRAIN_POLL)
         self.close()
 
     # -- online tuning -------------------------------------------------------

@@ -26,7 +26,6 @@ numa_binding    bool     bind worker threads to the NIC's NUMA node
 transport       str      rdma | tcp        (hybrid transports)
 polling         str      busy | event      (explicit override)
 priority        str      high | normal | low
-batch_size      int      expected batching factor (>= 1)
 tunable         bool     allow the online tuner to re-resolve choices
 cacheable       dict     ``cacheable(ttl = <dur>)``
 =============== ======== ===========================================
@@ -108,7 +107,6 @@ HINT_SCHEMA: Dict[str, HintSpec] = {
                  "one of busy|event"),
         HintSpec("priority", str, lambda v: v in ("high", "normal", "low"),
                  "one of high|normal|low"),
-        HintSpec("batch_size", int, lambda v: v >= 1, "integer >= 1"),
         HintSpec("tunable", bool, lambda v: True, "bool"),
         HintSpec("cacheable", dict, lambda v: _check_cacheable(v),
                  "cacheable(ttl = <seconds > 0>)"),
@@ -130,7 +128,6 @@ DEFAULT_HINTS: Dict[str, Any] = {
     "numa_binding": False,
     "transport": "rdma",
     "priority": "normal",
-    "batch_size": 1,
     "tunable": False,
     # 'polling' has no default: absent means "derive from perf_goal".
 }
@@ -175,7 +172,6 @@ class ResolvedHints:
     numa_binding: bool
     transport: str
     priority: str
-    batch_size: int
     tunable: bool = False
     polling: Optional[str] = None   # None -> selector derives from perf_goal
     extras: Mapping[str, Any] = field(default_factory=dict)

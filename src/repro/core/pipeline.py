@@ -39,9 +39,13 @@ __all__ = [
     "PipelineDead",
 ]
 
+#: completed (function, seqid) keys a :class:`BoundedSeqidSet` keeps
+SEQID_CAP = 4096
+
 
 class BoundedSeqidSet:
-    """Insertion-ordered set of (function, seqid) keys capped at ``cap``.
+    """Insertion-ordered set of (function, seqid) keys capped at
+    :data:`SEQID_CAP`.
 
     The engine's idempotency gate only needs to recognize *recent*
     duplicates (a retry races its original by at most the in-flight
@@ -53,14 +57,11 @@ class BoundedSeqidSet:
     the cap pressure: losing it silently re-opens the duplicate-send window
     the gate exists to close.  Callers ``add(key, pinned=True)`` when the
     message reaches the wire and :meth:`unpin` on completion; eviction only
-    ever removes unpinned (completed) entries, growing past ``cap``
+    ever removes unpinned (completed) entries, growing past the cap
     transiently if a full window of stalled calls pins everything.
     """
 
-    def __init__(self, cap: int = 4096):
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1: {cap}")
-        self.cap = cap
+    def __init__(self):
         # OrderedDict, not dict: a dict iterates from slot 0 past every
         # deleted head entry, so finding the oldest key would cost O(cap).
         self._keys: "OrderedDict[Any, None]" = OrderedDict()
@@ -84,7 +85,7 @@ class BoundedSeqidSet:
         return key in self._pinned
 
     def _evict(self) -> None:
-        over = len(self._keys) - self.cap
+        over = len(self._keys) - SEQID_CAP
         if over <= 0:
             return
         # Oldest first, skipping live keys, stopping at ``over``: the walk
@@ -109,7 +110,7 @@ class BoundedSeqidSet:
         return iter(self._keys)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"BoundedSeqidSet(len={len(self._keys)}, cap={self.cap}, "
+        return (f"BoundedSeqidSet(len={len(self._keys)}, cap={SEQID_CAP}, "
                 f"pinned={len(self._pinned)})")
 
 

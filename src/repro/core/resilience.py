@@ -74,12 +74,18 @@ class RetryPolicy:
         return raw
 
 
+#: consecutive failures that open a :class:`CircuitBreaker`
+BREAKER_THRESHOLD = 3
+#: sim time an open breaker waits before letting one probe call through
+BREAKER_RESET_AFTER = 1000 * us
+
+
 class CircuitBreaker:
     """Consecutive-failure breaker over the simulated clock.
 
-    CLOSED -> (``failure_threshold`` consecutive failures) -> OPEN ->
-    (``reset_after`` of sim time) -> HALF_OPEN -> one probe call ->
-    CLOSED on success / OPEN again on failure.
+    CLOSED -> (:data:`BREAKER_THRESHOLD` consecutive failures) -> OPEN ->
+    (:data:`BREAKER_RESET_AFTER` of sim time) -> HALF_OPEN -> one probe
+    call -> CLOSED on success / OPEN again on failure.
 
     The engine's connections are single-outstanding, so HALF_OPEN needs no
     probe-in-flight bookkeeping: at most one call can be probing.
@@ -89,14 +95,9 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, sim, failure_threshold: int = 3,
-                 reset_after: float = 1000 * us,
+    def __init__(self, sim,
                  on_open: Optional[Callable[["CircuitBreaker"], None]] = None):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
         self.sim = sim
-        self.failure_threshold = failure_threshold
-        self.reset_after = reset_after
         self.on_open = on_open
         self.state = self.CLOSED
         self.failures = 0
@@ -106,7 +107,7 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May a call go through right now?"""
         if self.state == self.OPEN:
-            if self.sim.now - self.opened_at >= self.reset_after:
+            if self.sim.now - self.opened_at >= BREAKER_RESET_AFTER:
                 self.state = self.HALF_OPEN
             else:
                 return False
@@ -119,7 +120,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self.failures += 1
         if self.state == self.HALF_OPEN or \
-                self.failures >= self.failure_threshold:
+                self.failures >= BREAKER_THRESHOLD:
             if self.state != self.OPEN:
                 self.opens += 1
                 if self.on_open is not None:

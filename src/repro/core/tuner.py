@@ -19,7 +19,7 @@ selection was predicated on.  :class:`HintTuner` closes that loop:
   consecutive epochs, a minimum dwell time must have passed since the
   last switch, the per-function switch rate is capped, and (once both
   choices have confident measurement windows) the candidate must beat the
-  incumbent's p50 by ``improvement_threshold`` -- so the tuner cannot
+  incumbent's p50 by :data:`IMPROVEMENT_THRESHOLD` -- so the tuner cannot
   flap;
 * an accepted switch calls ``engine.retarget``: pure client-side
   re-routing onto a channel the tunable plan already provisioned (and the
@@ -30,12 +30,12 @@ selection was predicated on.  :class:`HintTuner` closes that loop:
   guard for calls in flight across a switch.
 
 Declared hints remain the fallback throughout: below-confidence windows
-never switch, a disabled tuner observes nothing, and an engine with no
-tuner attached pays one ``is None`` check per call -- zero-cost-when-off
-like the rest of the observability stack.
+never switch, and an engine with no tuner attached pays one ``is None``
+check per call -- zero-cost-when-off like the rest of the observability
+stack.  Tuning is off exactly when no tuner is attached.
 
 A post-switch **revert watch** keeps the loop honest: if the switched-to
-choice's measured p50 regresses beyond ``revert_threshold`` against the
+choice's measured p50 regresses beyond :data:`REVERT_THRESHOLD` against the
 pre-switch baseline, the tuner switches back and puts the failed choice on
 an epoch cooldown.
 
@@ -61,6 +61,23 @@ __all__ = ["HintTuner", "TunerConfig", "TunerDecision"]
 #: the attribution stage name the tuner's end-to-end samples land under
 CALL_STAGE = "call"
 
+#: measured-vs-measured gate: the candidate's p50 must beat the
+#: incumbent's by this fraction (only once both windows are confident;
+#: an unmeasured candidate switches on the selector's prior)
+IMPROVEMENT_THRESHOLD = 0.05
+#: post-switch regression that triggers a revert.  Deliberately loose:
+#: the baseline window predates the switch, and comparing latency
+#: windows across eras is noisy under contention -- the forward
+#: improvement gate is the optimizer, the revert is the safety net
+#: against a selection that is *egregiously* wrong in practice.
+REVERT_THRESHOLD = 2.0
+#: epochs a reverted-from choice stays blocked
+COOLDOWN_EPOCHS = 8
+#: switch-rate cap: at most this many switches per function ...
+MAX_SWITCH_RATE = 4
+#: ... within this much sim time
+RATE_WINDOW = 1e-2
+
 
 def _choice_label(protocol: str, poll) -> str:
     return f"{protocol or 'tcp'}/{poll.value}"
@@ -81,28 +98,10 @@ class TunerConfig:
     confirm_epochs: int = 2
     #: minimum sim time between switches of the same function
     min_dwell: float = 5e-4
-    #: measured-vs-measured gate: the candidate's p50 must beat the
-    #: incumbent's by this fraction (only once both windows are confident;
-    #: an unmeasured candidate switches on the selector's prior)
-    improvement_threshold: float = 0.05
-    #: post-switch regression that triggers a revert.  Deliberately loose:
-    #: the baseline window predates the switch, and comparing latency
-    #: windows across eras is noisy under contention -- the forward
-    #: improvement gate is the optimizer, the revert is the safety net
-    #: against a selection that is *egregiously* wrong in practice.
-    revert_threshold: float = 2.0
-    #: epochs a reverted-from choice stays blocked
-    cooldown_epochs: int = 8
-    #: switch-rate cap: at most this many switches per function ...
-    max_switch_rate: int = 4
-    #: ... within this much sim time
-    rate_window: float = 1e-2
     #: 'declared' re-resolves with the hinted concurrency; 'observed'
     #: uses the number of engines sharing this tuner (one per client
     #: connection in the runtime)
     concurrency_source: str = "declared"
-    #: a disabled tuner observes nothing: declared hints stand untouched
-    enabled: bool = True
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,6 @@ class HintTuner:
 
     def __init__(self, config: Optional[TunerConfig] = None):
         self.cfg = config or TunerConfig()
-        self.enabled = self.cfg.enabled
         #: monotonically increasing plan epoch; rides on the wire
         self.epoch = 0
         self.decisions: List[TunerDecision] = []
@@ -210,7 +208,7 @@ class HintTuner:
         """One completed call: payload size, end-to-end latency, and the
         channel it actually ran on (failovers attribute to the channel
         that served them, not the nominal route)."""
-        if not self.enabled or not self._engines:
+        if not self._engines:
             return
         if not epoch_ok:
             # Issued under an older plan epoch: attributing it to the
@@ -240,7 +238,7 @@ class HintTuner:
         """An oversize failure (request exceeds the channel's buffers):
         the declared payload hint is provably wrong, so retarget urgently
         -- no confirmation epochs, no dwell -- onto a channel that fits."""
-        if not self.enabled or not self._engines:
+        if not self._engines:
             return
         eng = self._engines[0]
         route = eng.plan.routes.get(fn)
@@ -303,9 +301,8 @@ class HintTuner:
             if new_stats is not None \
                     and new_stats.count >= self.cfg.min_samples:
                 if prev_p50 > 0 and new_stats.p50 > prev_p50 * (
-                        1 + self.cfg.revert_threshold):
-                    st.cooldown[cur_key] = st.epochs + \
-                        self.cfg.cooldown_epochs
+                        1 + REVERT_THRESHOLD):
+                    st.cooldown[cur_key] = st.epochs + COOLDOWN_EPOCHS
                     st.prev = None
                     self.reverts += 1
                     if self._m_revert is not None:
@@ -346,7 +343,7 @@ class HintTuner:
                 and cur_stats.count >= self.cfg.min_samples
                 and cand_stats.count >= self.cfg.min_samples
                 and cand_stats.p50 > cur_stats.p50 * (
-                    1 - self.cfg.improvement_threshold)):
+                    1 - IMPROVEMENT_THRESHOLD)):
             self._hold(st, "improvement below threshold")
             return
         idx = self._find_channel(eng, target, max(st.payloads))
@@ -406,10 +403,10 @@ class HintTuner:
             self._m_hold.inc()
 
     def _rate_ok(self, st: _FnState, now: float) -> bool:
-        cutoff = now - self.cfg.rate_window
+        cutoff = now - RATE_WINDOW
         while st.switch_times and st.switch_times[0] < cutoff:
             st.switch_times.popleft()
-        return len(st.switch_times) < self.cfg.max_switch_rate
+        return len(st.switch_times) < MAX_SWITCH_RATE
 
     def _concurrency(self, route) -> int:
         if self.cfg.concurrency_source == "observed":

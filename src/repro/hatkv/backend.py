@@ -41,6 +41,9 @@ from repro.sim.units import GiB, us
 
 __all__ = ["BackendCosts", "LmdbBackend"]
 
+#: the LMDB environment's size bound (MDB_MAP_FULL past it)
+MAP_SIZE = 32 * GiB
+
 
 @dataclass(frozen=True)
 class BackendCosts:
@@ -57,11 +60,10 @@ class BackendCosts:
 class LmdbBackend:
     """A simulated-time facade over one LMDB environment on one node."""
 
-    def __init__(self, node: Node, map_size: int = 32 * GiB,
-                 costs: BackendCosts | None = None):
+    def __init__(self, node: Node, costs: BackendCosts | None = None):
         self.node = node
         self.costs = costs or BackendCosts()
-        self.env = Environment(map_size=map_size, sync_mode=SyncMode.NOSYNC)
+        self.env = Environment(map_size=MAP_SIZE, sync_mode=SyncMode.NOSYNC)
         self.env.open_db("main")
         #: most writes one batch carries: 1 is stock LMDB's one txn per
         #: write, None is unbounded (group commit, set by apply_hints)

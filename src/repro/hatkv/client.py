@@ -50,8 +50,7 @@ def connect_hatkv(node, server_node, gen_module,
     return stub
 
 
-def cache_for(node, gen_module, capacity: int = 4096
-              ) -> Optional[HotKeyCache]:
+def cache_for(node, gen_module) -> Optional[HotKeyCache]:
     """A :class:`HotKeyCache` sized from the gen module's cacheable hint
     (client-side resolution for Get), or None when the hint is absent."""
     hint_map = gen_module.SERVICE_HINTS.get(SERVICE, {})
@@ -60,4 +59,4 @@ def cache_for(node, gen_module, capacity: int = 4096
         hint_map.get("functions", {}).get("Get"), "client"))
     if cc is None:
         return None
-    return HotKeyCache(node.sim, cc.ttl, capacity=capacity)
+    return HotKeyCache(node.sim, cc.ttl)

@@ -15,9 +15,9 @@ nothing else.  This module turns that delta into a live migration:
   range is DONE the old primary *refuses* writes for it, so a Put can
   never be acknowledged by two primaries even if a buggy router routes
   one late;
-* :class:`ResizeTrigger` watches the sampled ``hatkv.keys.shard<i>`` /
-  ``hatkv.shard<i>.<op>`` series and fires a resize when per-shard load
-  crosses a threshold.
+* :class:`ResizeTrigger` watches the sampled ``hatkv.keys.shard<i>``
+  series and fires a resize when mean keys per shard crosses a
+  threshold.
 
 The protocol per range (driven by
 :meth:`repro.hatkv.sharding.ShardedKVCluster.resize`):
@@ -209,15 +209,13 @@ class MigrationPlan:
     ring's static routing -- how the cluster routes outside a resize.
     """
 
-    def __init__(self, sim, old_ring, new_ring, replicas: int = 1,
-                 forward_window: float = FORWARD_WINDOW):
+    def __init__(self, sim, old_ring, new_ring, replicas: int = 1):
         if replicas > min(old_ring.n_shards, new_ring.n_shards):
             raise ValueError("cannot resize below the replica count")
         self.sim = sim
         self.old_ring = old_ring
         self.new_ring = new_ring
         self.replicas = replicas
-        self.forward_window = forward_window
         # replica set per primary, under each ring's own shard count
         olds = _replica_sets(old_ring.n_shards, replicas)
         news = self._new_sets = _replica_sets(new_ring.n_shards, replicas)
@@ -269,12 +267,12 @@ class MigrationPlan:
     def read_fallback(self, h: int) -> Tuple[int, ...]:
         """Shards still holding the pre-cutover copy of ``h``'s range --
         the dual-read forwarding window.  Non-empty only between a range's
-        DONE flip and its cleanup (bounded by ``forward_window``)."""
+        DONE flip and its cleanup (bounded by :data:`FORWARD_WINDOW`)."""
         t = self.covering(h)
         if t is None or t.cleaned or t.state < RangeState.DONE:
             return ()
         if t.done_at is not None and \
-                self.sim.now - t.done_at > self.forward_window:
+                self.sim.now - t.done_at > FORWARD_WINDOW:
             return ()
         return t.src
 
@@ -375,26 +373,19 @@ class ResizeTrigger:
 
     Attached to a :class:`~repro.obs.timeseries.MetricsSampler`, it
     evaluates every tick: when mean keys per shard crosses
-    ``keys_per_shard`` or the summed ``hatkv.shard<i>.{get,put}`` op rate
-    per shard crosses ``ops_per_shard`` (ops/s), it calls ``fire(target)``
-    exactly once.  ``phase`` restricts evaluation to one harness phase
-    (e.g. only trigger mid-MEASUREMENT); by default ``fire`` starts
-    ``cluster.resize(target)`` as a detached process.
+    ``keys_per_shard``, it calls ``fire(target)`` exactly once.  ``phase``
+    restricts evaluation to one harness phase (e.g. only trigger
+    mid-MEASUREMENT); by default ``fire`` starts ``cluster.resize(target)``
+    as a detached process.
     """
 
-    _OPS = ("get", "put")
-
     def __init__(self, cluster, target_shards: int, *,
-                 keys_per_shard: Optional[float] = None,
-                 ops_per_shard: Optional[float] = None,
+                 keys_per_shard: float,
                  phase: Optional[str] = None,
                  fire: Optional[Callable[[int], object]] = None):
-        if keys_per_shard is None and ops_per_shard is None:
-            raise ValueError("need keys_per_shard and/or ops_per_shard")
         self.cluster = cluster
         self.target_shards = target_shards
         self.keys_per_shard = keys_per_shard
-        self.ops_per_shard = ops_per_shard
         self.phase = phase
         self.fired = False
         self.fired_at: Optional[float] = None
@@ -414,18 +405,9 @@ class ResizeTrigger:
         if self.phase is not None and tags.get("phase") != self.phase:
             return
         n = self.cluster.n_shards
-        hot = False
-        if self.keys_per_shard is not None:
-            keys = [metrics.get(f"hatkv.keys.shard{i}") for i in range(n)]
-            if all(k is not None for k in keys) and \
-                    sum(keys) / n >= self.keys_per_shard:    # type: ignore
-                hot = True
-        if not hot and self.ops_per_shard is not None:
-            rate = sum(metrics.get(f"hatkv.shard{i}.{op}.rate", 0.0)
-                       for i in range(n) for op in self._OPS)
-            if rate / n >= self.ops_per_shard:
-                hot = True
-        if hot:
+        keys = [metrics.get(f"hatkv.keys.shard{i}") for i in range(n)]
+        if all(k is not None for k in keys) and \
+                sum(keys) / n >= self.keys_per_shard:    # type: ignore
             self.fired = True
             self.fired_at = t
             self._fire(self.target_shards)

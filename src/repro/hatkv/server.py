@@ -10,7 +10,6 @@ from repro.core.hints import cacheable_hint, resolve_hints
 from repro.core.runtime import HatRpcServer
 from repro.hatkv.backend import LmdbBackend
 from repro.sim.cluster import Node
-from repro.sim.units import GiB
 
 __all__ = ["HatKVServer", "KVHandler", "LeaseTable"]
 
@@ -30,8 +29,8 @@ class _PlainGetResult:
         self.lease = lease
 
 
-#: Default write-rate suppression window, as a multiple of the lease ttl
-#: (see :class:`LeaseTable`).
+#: Write-rate suppression window, as a multiple of the lease ttl (see
+#: :class:`LeaseTable`).
 LEASE_SUPPRESS_FACTOR = 2.0
 
 #: Leases at or below this ttl skip write-rate suppression entirely.  A
@@ -56,7 +55,7 @@ class LeaseTable:
 
     Grants on long leases (past :data:`LEASE_SUPPRESS_MIN_TTL`) are also
     *write-rate suppressed*: a key written within the last
-    ``suppress_factor * ttl`` is refused a lease.  A write-hot key
+    ``LEASE_SUPPRESS_FACTOR * ttl`` is refused a lease.  A write-hot key
     would otherwise convoy -- each Put waits out a lease horizon that
     concurrent Gets keep re-extending the moment the previous writer
     drains, so writers queue faster than barriers complete.  Suppression
@@ -65,14 +64,11 @@ class LeaseTable:
     rarer than the window, stay cacheable.
     """
 
-    def __init__(self, sim, ttl: float,
-                 suppress_factor: Optional[float] = None):
+    def __init__(self, sim, ttl: float):
         self.sim = sim
         self.ttl = ttl
-        if suppress_factor is None:
-            suppress_factor = LEASE_SUPPRESS_FACTOR \
-                if ttl > LEASE_SUPPRESS_MIN_TTL else 0.0
-        self.suppress = suppress_factor * ttl
+        self.suppress = LEASE_SUPPRESS_FACTOR * ttl \
+            if ttl > LEASE_SUPPRESS_MIN_TTL else 0.0
         self.versions = {}        # key -> write version (monotonic)
         self._expiry = {}         # key -> latest granted lease expiry
         self._writers = {}        # key -> in-flight writer count
@@ -278,7 +274,6 @@ class HatKVServer:
     """One HatKV node: LMDB backend + HatRPC service endpoints."""
 
     def __init__(self, node: Node, gen_module,
-                 map_size: int = 32 * GiB,
                  concurrency: Optional[int] = None,
                  plan: Optional[ServicePlan] = None,
                  base_service_id: int = BASE_SID,
@@ -292,7 +287,7 @@ class HatKVServer:
         self.node = node
         self.gen = gen_module
         self.shard = shard
-        self.backend = LmdbBackend(node, map_size=map_size)
+        self.backend = LmdbBackend(node)
         # Backend co-design: tune LMDB from the service-level server hints
         # (Section 4.4 -- e.g. max readers from the concurrency hint).
         # Comparator systems (repro.emul) disable this: they share the

@@ -37,13 +37,14 @@ from repro.thrift.errors import TRejectedException, TTransportException
 
 from repro import obs
 from repro.core.runtime import gather
+from repro.hatkv import migration
 from repro.hatkv.cache import (HIT_COST, HotKeyCache, cache_hit_result,
                                trace_cache_hit)
 from repro.hatkv.client import cache_for, connect_hatkv
 from repro.hatkv.idl import load_hatkv_module
-from repro.hatkv.migration import (FORWARD_WINDOW, HandoffGuard,
-                                   MigrationPlan, RangeState, VnodeRange,
-                                   coalesce_ranges, hash_key, ring_segments)
+from repro.hatkv.migration import (HandoffGuard, MigrationPlan, RangeState,
+                                   VnodeRange, coalesce_ranges, hash_key,
+                                   ring_segments)
 from repro.hatkv.server import BASE_SID, HatKVServer
 from repro.sim.core import Event
 
@@ -52,6 +53,11 @@ __all__ = ["HashRing", "RouterInUseError", "RoutingView", "ShardRouter",
 
 #: ring placement hash (md5-derived; see :func:`repro.hatkv.migration.hash_key`)
 _hash64 = hash_key
+
+#: unfenced catch-up passes over a range's dirty keys before its cutover
+CATCHUP_ROUNDS = 2
+#: keys one migration copy batch reads and ships
+COPY_BATCH = 64
 
 
 class HashRing:
@@ -139,27 +145,20 @@ class ShardedKVCluster:
     """N HatKV servers on distinct sim nodes behind one consistent ring."""
 
     def __init__(self, testbed, n_shards: int,
-                 gen_module=None, variant: str = "function",
+                 gen_module=None,
                  replicas: int = 1, vnodes: int = 256,
-                 server_nodes: Optional[Sequence] = None,
                  concurrency: Optional[int] = None,
-                 pipeline: bool = True,
                  ring_seed: int = 0,
                  reserve_nodes: Optional[Sequence] = None,
-                 forward_window: Optional[float] = None,
                  **server_kw):
         if not 1 <= replicas <= n_shards:
             raise ValueError("need 1 <= replicas <= n_shards")
         self.testbed = testbed
         self.n_shards = n_shards
         self.replicas = replicas
-        self.pipeline = pipeline
         self.concurrency = concurrency
-        self.gen = gen_module or load_hatkv_module(variant)
-        self.forward_window = FORWARD_WINDOW if forward_window is None \
-            else forward_window
-        nodes = (list(server_nodes) if server_nodes is not None
-                 else testbed.nodes[:n_shards])
+        self.gen = gen_module or load_hatkv_module()
+        nodes = testbed.nodes[:n_shards]
         if len(nodes) != n_shards:
             raise ValueError(f"need {n_shards} server nodes, got {len(nodes)}")
         self._server_kw = dict(server_kw)
@@ -226,7 +225,7 @@ class ShardedKVCluster:
         return HatKVServer(node, self.gen, shard=shard,
                            concurrency=self.concurrency,
                            base_service_id=BASE_SID,
-                           pipeline=self.pipeline, **self._server_kw)
+                           pipeline=True, **self._server_kw)
 
     @property
     def ring(self) -> HashRing:
@@ -315,8 +314,7 @@ class ShardedKVCluster:
 
     def connect(self, node, deadline: Optional[float] = None,
                 retry_policy=None, rng=None, tunable: bool = False,
-                tuner=None, cache: bool = True,
-                cache_capacity: int = 4096):
+                tuner=None, cache: bool = True):
         """Coroutine: a :class:`ShardRouter` on ``node``, with one engine
         channel set per shard (per-shard plan, window, and breakers).
 
@@ -343,8 +341,7 @@ class ShardedKVCluster:
         if isinstance(cache, HotKeyCache):
             kv_cache = cache
         else:
-            kv_cache = cache_for(node, self.gen, cache_capacity) if cache \
-                else None
+            kv_cache = cache_for(node, self.gen) if cache else None
         router = ShardRouter(self, node, cache=kv_cache, connect_kw=dict(
             deadline=deadline, retry_policy=retry_policy, rng=rng,
             tunable=tunable, tuner=tuner))
@@ -357,14 +354,13 @@ class ShardedKVCluster:
         return sum(s.requests for s in self.servers)
 
     # -- elastic resize ------------------------------------------------------
-    def start_resize(self, n_shards: int, **kw):
+    def start_resize(self, n_shards: int):
         """Kick off :meth:`resize` as a detached process (the load-aware
         trigger's entry point) and return the process handle."""
-        return self.sim.process(self.resize(n_shards, **kw),
+        return self.sim.process(self.resize(n_shards),
                                 name=f"hatkv-resize-{n_shards}")
 
-    def resize(self, n_shards: int, catchup_rounds: int = 2,
-               batch: int = 64):
+    def resize(self, n_shards: int):
         """Coroutine: live ring resize to ``n_shards`` with key migration.
 
         Grow stands the new shards up on reserved nodes and attaches
@@ -383,8 +379,7 @@ class ShardedKVCluster:
         old_ring = self.ring
         new_ring = old_ring.resize(n_shards)
         plan = MigrationPlan(self.sim, old_ring, new_ring,
-                             replicas=self.replicas,
-                             forward_window=self.forward_window)
+                             replicas=self.replicas)
         for i in range(old_n, n_shards):
             if not self._spare_nodes:
                 raise RuntimeError(
@@ -410,16 +405,15 @@ class ShardedKVCluster:
                    ranges=len(plan.tasks))
         buckets = self._bucket_keys(plan)
         for task in plan.tasks:
-            yield from self._migrate_range(
-                plan, task, buckets.get(id(task), []),
-                batch=batch, catchup_rounds=catchup_rounds)
+            yield from self._migrate_range(plan, task,
+                                           buckets.get(id(task), []))
         # Every range flipped: the new ring is the whole routing truth.
         self.ring = new_ring
         self.n_shards = n_shards
         self._fire("resize_cutover_complete", epoch=self.routing_epoch)
         # Dual-read forwarding window: the old copies keep backstopping
         # post-cutover misses until it closes, then they are dropped.
-        yield self.sim.timeout(plan.forward_window)
+        yield self.sim.timeout(migration.FORWARD_WINDOW)
         dropped = self._cleanup(plan)
         self._fire("cleanup_done", keys_dropped=dropped)
         for stub in self._migr_stubs.values():
@@ -460,8 +454,7 @@ class ShardedKVCluster:
                     buckets.setdefault(id(t), []).append(k)
         return buckets
 
-    def _migrate_range(self, plan: MigrationPlan, task, keys,
-                       batch: int = 64, catchup_rounds: int = 2):
+    def _migrate_range(self, plan: MigrationPlan, task, keys):
         """Coroutine: walk one range through its migration states.
 
         The cutover block below is deliberately yield-free between
@@ -479,13 +472,13 @@ class ShardedKVCluster:
         # Initial snapshot + unfenced catch-up rounds: writes keep landing
         # on the old owners and dirty-marking, each round shrinks the
         # delta the fenced pass below must ship.
-        yield from self._copy_keys(task, keys, batch)
-        for _ in range(catchup_rounds):
+        yield from self._copy_keys(task, keys)
+        for _ in range(CATCHUP_ROUNDS):
             if not task.dirty:
                 break
             delta = sorted(task.dirty)
             task.dirty.clear()
-            yield from self._copy_keys(task, delta, batch)
+            yield from self._copy_keys(task, delta)
         # -- cutover: fence new writes, drain in-flight ones -----------------
         task.fence = Event(sim)
         task.state = RangeState.CUTOVER
@@ -497,7 +490,7 @@ class ShardedKVCluster:
         if task.dirty:
             delta = sorted(task.dirty)
             task.dirty.clear()
-            yield from self._copy_keys(task, delta, batch)
+            yield from self._copy_keys(task, delta)
         # -- flip: the range's routing truth moves to the new owners ---------
         self.routing_epoch += 1
         task.done_epoch = self.routing_epoch
@@ -509,7 +502,7 @@ class ShardedKVCluster:
         self._fire("range_done", lo=task.lo, hi=task.hi,
                    epoch=self.routing_epoch, keys_moved=task.keys_moved)
 
-    def _copy_keys(self, task, keys, batch: int):
+    def _copy_keys(self, task, keys):
         """Coroutine: stream ``keys`` of one range to its new holders.
 
         Reads are costed backend batches on the source primary; writes
@@ -525,8 +518,8 @@ class ShardedKVCluster:
         if not keys:
             return
         src = self.servers[task.src[0]]
-        for i in range(0, len(keys), batch):
-            chunk = list(keys[i:i + batch])
+        for i in range(0, len(keys), COPY_BATCH):
+            chunk = list(keys[i:i + COPY_BATCH])
             values = yield from src.backend.multi_get(chunk)
             present = [(k, v) for k, v in zip(chunk, values)
                        if v is not None]
@@ -557,7 +550,7 @@ class ShardedKVCluster:
             stub = yield from connect_hatkv(
                 self.servers[src].node, self.servers[dst].node, self.gen,
                 concurrency=self.concurrency, base_service_id=BASE_SID,
-                pipeline=self.pipeline)
+                pipeline=True)
             self._migr_stubs[(src, dst)] = stub
         return stub
 
@@ -663,7 +656,7 @@ class ShardRouter:
                 self.node, server.node, self.cluster.gen,
                 concurrency=self.cluster.concurrency,
                 base_service_id=BASE_SID,
-                pipeline=self.cluster.pipeline,
+                pipeline=True,
                 trace_attrs={"shard": index}, **self._connect_kw)
             engine = stub._hatrpc.engine
             self._shards.append(_Shard(

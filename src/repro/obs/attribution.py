@@ -22,7 +22,7 @@ from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
 from repro.bench.stats import percentile
-from repro.sim.units import KiB
+from repro.sim.units import KiB, us
 
 __all__ = [
     "HintKey",
@@ -175,16 +175,13 @@ def _stage_sort_key(stage: str) -> Tuple[int, str]:
         return (len(_STAGE_ORDER), stage)
 
 
-def attribution_table(spans: Iterable[Any], time_unit: float = 1e-6,
-                      unit_label: str = "us") -> str:
-    """The human-readable per-hint-tuple stage table."""
+def attribution_table(spans: Iterable[Any]) -> str:
+    """The human-readable per-hint-tuple stage table (microseconds)."""
     report = hint_attribution(spans)
     if not report:
         return "(no attributable stage spans)"
     header = (f"{'hint tuple':44s} {'stage':12s} {'n':>5s} "
-              f"{'p50(' + unit_label + ')':>10s} "
-              f"{'p95(' + unit_label + ')':>10s} "
-              f"{'mean(' + unit_label + ')':>11s}")
+              f"{'p50(us)':>10s} {'p95(us)':>10s} {'mean(us)':>11s}")
     lines = [header, "-" * len(header)]
     for key in sorted(report, key=lambda k: k.label()):
         label = key.label()
@@ -193,8 +190,8 @@ def attribution_table(spans: Iterable[Any], time_unit: float = 1e-6,
             st = stages[stage]
             lines.append(
                 f"{label:44s} {stage:12s} {st.count:>5d} "
-                f"{st.p50 / time_unit:>10.2f} {st.p95 / time_unit:>10.2f} "
-                f"{st.mean / time_unit:>11.2f}")
+                f"{st.p50 / us:>10.2f} {st.p95 / us:>10.2f} "
+                f"{st.mean / us:>11.2f}")
             label = ""                      # print the tuple once per block
     return "\n".join(lines)
 

@@ -271,28 +271,21 @@ class MetricsRegistry:
                 group[key] = group.get(key, 0) + value
         return out
 
-    def snapshot(self, nested: bool = True) -> Dict[str, Any]:
-        """One structured view of everything the run recorded.
-
-        ``nested=True`` (default) explodes dotted instrument names into a
-        tree; ``nested=False`` keeps them flat (the form the benchmark
-        pipeline serializes).
-        """
+    def snapshot(self) -> Dict[str, Any]:
+        """One structured view of everything the run recorded: dotted
+        instrument names explode into a tree (probe groups stay as
+        sampled)."""
         counters = {n: c.value for n, c in self.counters.items()}
         gauges = {n: {"value": g.value, "high_water": g.high_water}
                   for n, g in self.gauges.items()}
         hists: Dict[str, Any] = {n: h.summary()
                                  for n, h in self.histograms.items()}
-        probes = self.probe_values()
-        if nested:
-            return {
-                "counters": _nest(counters),
-                "gauges": _nest(gauges),
-                "histograms": _nest(hists),
-                "probes": probes,
-            }
-        return {"counters": counters, "gauges": gauges,
-                "histograms": hists, "probes": probes}
+        return {
+            "counters": _nest(counters),
+            "gauges": _nest(gauges),
+            "histograms": _nest(hists),
+            "probes": self.probe_values(),
+        }
 
     def flat_values(self) -> Dict[str, float]:
         """Flat ``name -> number`` view (histograms expand per statistic)."""

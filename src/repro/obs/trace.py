@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.frame import SpanContext
+from repro.sim.units import us
 
 __all__ = [
     "ActiveCall",
@@ -434,20 +435,18 @@ def build_trees(spans: Iterable[Span]
     return roots, children
 
 
-def format_trace(spans: Iterable[Span], time_unit: float = 1e-6) -> str:
-    """ASCII tree of one trace (times rendered in ``time_unit`` seconds,
-    default microseconds)."""
+def format_trace(spans: Iterable[Span]) -> str:
+    """ASCII tree of one trace (times in microseconds)."""
     spans = list(spans)
     if not spans:
         return "(empty trace)"
     roots, children = build_trees(spans)
     t0 = min(s.start for s in spans)
-    unit = "us" if time_unit == 1e-6 else f"x{time_unit:g}s"
     lines = [f"trace {spans[0].trace_id}  ({len(spans)} spans)"]
 
     def emit(span: Span, prefix: str, last: bool) -> None:
         branch = "`- " if last else "|- "
-        rel, dur = (span.start - t0) / time_unit, span.duration / time_unit
+        rel, dur = (span.start - t0) / us, span.duration / us
         where = f" [{span.kind}@{span.node}]" if span.node else ""
         status = "" if span.status == "ok" else f" !{span.status}"
         detail = ""
@@ -456,7 +455,7 @@ def format_trace(spans: Iterable[Span], time_unit: float = 1e-6) -> str:
             detail = " {" + ", ".join(
                 f"{k}={span.attrs[k]}" for k in keys) + "}"
         lines.append(f"{prefix}{branch}{span.name}{where} "
-                     f"+{rel:.2f}{unit} dur={dur:.2f}{unit}"
+                     f"+{rel:.2f}us dur={dur:.2f}us"
                      f"{status}{detail}")
         kids = children.get(span.span_id, [])
         ext = "   " if last else "|  "

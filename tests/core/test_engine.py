@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.engine import (
-    ChannelPlan,
-    HatRpcEngine,
-    build_service_plan,
-    pinned_plan,
-)
+from repro.core.engine import HatRpcEngine, build_service_plan, pinned_plan
 from repro.sim.units import KiB
 from repro.testbed import Testbed
 from repro.verbs.cq import PollMode

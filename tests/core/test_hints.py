@@ -5,13 +5,13 @@ from hypothesis import given, strategies as st
 
 from repro.core.hints import (
     DEFAULT_HINTS,
-    HINT_SCHEMA,
     HintError,
     ResolvedHints,
     merge_hint_groups,
     resolve_hints,
     validate_hint,
 )
+from repro.idl import load_idl
 from repro.idl.nodes import Hint, HintGroup
 
 
@@ -41,6 +41,19 @@ def test_validate_rejects_bad_values(key, value):
 def test_validate_rejects_unknown_key():
     with pytest.raises(HintError, match="undefined hint key"):
         validate_hint("quantumness", 11)
+
+
+def test_idl_refuses_the_unread_batch_size_hint():
+    # No component reads a batching factor: an IDL that declares one is
+    # refused by name rather than accepted and silently dropped.
+    idl = """
+    service Batched {
+        hint: batch_size = 4;
+        void Ping()
+    }
+    """
+    with pytest.raises(HintError, match="undefined hint key 'batch_size'"):
+        load_idl(idl, "batched_gen")
 
 
 def test_merge_groups_same_side_later_wins():
@@ -113,7 +126,6 @@ _hint_values = {
     "transport": st.sampled_from(["rdma", "tcp"]),
     "polling": st.sampled_from(["busy", "event"]),
     "priority": st.sampled_from(["high", "normal", "low"]),
-    "batch_size": st.integers(1, 64),
 }
 
 

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.core.hints import ResolvedHints, resolve_hints
-from repro.core.selector import (
-    SMALL_MESSAGE_THRESHOLD,
-    UNDER_SUB_THRESHOLD,
-    ProtocolChoice,
-    select_protocol,
-    subscription_regime,
-)
+from repro.core.hints import resolve_hints
+from repro.core.selector import select_protocol, subscription_regime
 from repro.verbs.cq import PollMode
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import frame
+from repro.core import tuner as tuner_mod
 from repro.core.runtime import HatRpcServer, hatrpc_connect, service_plan_of
 from repro.core.tuner import HintTuner, TunerConfig
 from repro.idl import load_idl
@@ -201,10 +202,12 @@ def test_min_dwell_blocks_rapid_reswitching(plan):
     assert tuner.switches == 2
 
 
-def test_switch_rate_cap(plan):
-    tuner = HintTuner(cfg(confirm_epochs=1, max_switch_rate=2,
-                          rate_window=100.0, improvement_threshold=-10.0))
-    # improvement_threshold < 0 approves every measured candidate, so only
+def test_switch_rate_cap(plan, monkeypatch):
+    monkeypatch.setattr(tuner_mod, "MAX_SWITCH_RATE", 2)
+    monkeypatch.setattr(tuner_mod, "RATE_WINDOW", 100.0)
+    monkeypatch.setattr(tuner_mod, "IMPROVEMENT_THRESHOLD", -10.0)
+    tuner = HintTuner(cfg(confirm_epochs=1))
+    # IMPROVEMENT_THRESHOLD < 0 approves every measured candidate, so only
     # the rate cap stands between the tuner and a flap per epoch.
     eng = FakeEngine(plan)
     tuner.bind(eng)
@@ -212,17 +215,6 @@ def test_switch_rate_cap(plan):
         feed(tuner, eng, "Echo", SMALL, 32)
         feed(tuner, eng, "Echo", LARGE, 32)
     assert tuner.switches == 2
-
-
-def test_disabled_tuner_leaves_declared_hints(plan):
-    tuner = HintTuner(cfg(enabled=False))
-    eng = FakeEngine(plan)
-    tuner.bind(eng)
-    before = eng.plan.routes["Echo"]
-    feed(tuner, eng, "Echo", LARGE, 32 * 10)
-    assert tuner.switches == 0 and tuner.epoch == 0
-    assert not tuner.decisions
-    assert eng.plan.routes["Echo"] == before
 
 
 def test_stale_epoch_samples_dropped(plan):

@@ -11,7 +11,8 @@ from collections import deque
 import pytest
 
 from repro import frame, obs
-from repro.core.engine import pinned_plan
+from repro.core import pipeline as pipeline_mod
+from repro.core.engine import pinned_plan, plan_with_window
 from repro.core.pipeline import BoundedSeqidSet, ChannelPipeline
 from repro.core.runtime import HatRpcServer, hatrpc_connect
 from repro.idl import load_idl
@@ -123,8 +124,9 @@ def test_timed_out_call_commits_no_dangling_attempt_span(gen):
 
 # -- satellite: bounded idempotency ledger ------------------------------------
 
-def test_bounded_seqid_set_evicts_lru():
-    s = BoundedSeqidSet(cap=3)
+def test_bounded_seqid_set_evicts_lru(monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "SEQID_CAP", 3)
+    s = BoundedSeqidSet()
     for i in range(3):
         s.add(("Put", i))
     s.add(("Put", 0))                       # refresh: 0 is now newest
@@ -135,8 +137,6 @@ def test_bounded_seqid_set_evicts_lru():
     assert s.evictions == 1
     s.discard(("Put", 2))
     assert len(s) == 2
-    with pytest.raises(ValueError):
-        BoundedSeqidSet(cap=0)
 
 
 class _CountingSet(set):
@@ -149,13 +149,14 @@ class _CountingSet(set):
         return super().__contains__(key)
 
 
-def test_bounded_seqid_set_eviction_cost_is_flat():
+def test_bounded_seqid_set_eviction_cost_is_flat(monkeypatch):
     # Regression: at the cap, every add and every unpin rebuilt the list
     # of all unpinned keys -- ~250x the per-call cost once 4096 keys were
     # held (a quarter of atb_small's host time).  The walk from the oldest
     # key must stop at the victim, having visited only the live keys ahead
     # of it.
-    s = BoundedSeqidSet(cap=4096)
+    monkeypatch.setattr(pipeline_mod, "SEQID_CAP", 4096)
+    s = BoundedSeqidSet()
     s._pinned = pinned = _CountingSet()
     live = [("Slow", i) for i in range(8)]
     for key in live:
@@ -170,11 +171,12 @@ def test_bounded_seqid_set_eviction_cost_is_flat():
     assert pinned.visits - before == 2000 * (len(live) + 1)
 
 
-def test_bounded_seqid_set_never_evicts_pinned():
+def test_bounded_seqid_set_never_evicts_pinned(monkeypatch):
     # Regression: cap pressure used to LRU-evict the seqid of a live
     # (still-in-flight) slow call, silently re-opening its duplicate-send
     # window.  Pinned keys must ride out any amount of pressure.
-    s = BoundedSeqidSet(cap=2)
+    monkeypatch.setattr(pipeline_mod, "SEQID_CAP", 2)
+    s = BoundedSeqidSet()
     s.add(("Slow", 1), pinned=True)
     s.add(("Slow", 2), pinned=True)
     s.add(("Slow", 3), pinned=True)
@@ -191,7 +193,7 @@ def test_bounded_seqid_set_never_evicts_pinned():
     assert not s.pinned(("Slow", 2))
 
 
-def test_live_seqids_survive_cap_pressure_from_fast_calls():
+def test_live_seqids_survive_cap_pressure_from_fast_calls(monkeypatch):
     # A window of stalled Slow calls + a tiny ledger cap: fast Puts on
     # another channel churning through the ledger must never evict the
     # Slows' live seqids (pre-fix, plain LRU evicted them oldest-first).
@@ -206,6 +208,7 @@ service PinKV {
         [ c_hint: payload_size = 10KB; s_hint: payload_size = 64; ]
 }
 """, "seqid_pin_gen")
+    monkeypatch.setattr(pipeline_mod, "SEQID_CAP", 2)
     tb = Testbed(n_nodes=2)
 
     class Handler:
@@ -224,7 +227,6 @@ service PinKV {
                                          "PinKV", rng=random.Random(42),
                                          pipeline=True)
         engine = stub._hatrpc.engine
-        engine._sent_seqids = BoundedSeqidSet(cap=2)
         caller = stub._hatrpc.async_caller()
         h1 = yield from caller.call_async("Slow", "a")
         h2 = yield from caller.call_async("Slow", "b")
@@ -245,14 +247,14 @@ service PinKV {
     tb.sim.run(tb.sim.process(run()))
 
 
-def test_engine_seqid_ledger_stays_bounded(gen):
+def test_engine_seqid_ledger_stays_bounded(gen, monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "SEQID_CAP", 4)
     tb = Testbed(n_nodes=2)
     HatRpcServer(tb.node(0), gen, "MiniKV", KVHandler(tb)).start()
 
     def run():
         stub = yield from connect(tb, gen)
         engine = stub._hatrpc.engine
-        engine._sent_seqids = BoundedSeqidSet(cap=4)
         for i in range(10):
             yield from stub.Put("k%d" % i, "v")
         return engine
@@ -299,8 +301,8 @@ def test_reconnect_after_close_sees_no_phantom_failback(gen):
 def test_window_backpressure_blocks_the_overflow_post(gen):
     tb = Testbed(n_nodes=2)
     fns = gen.SERVICE_FUNCTIONS["MiniKV"]
-    plan = pinned_plan("MiniKV", fns, "direct_writeimm", PollMode.BUSY,
-                       max_msg=16384, window=2)
+    plan = plan_with_window(pinned_plan("MiniKV", fns, "direct_writeimm",
+                                        PollMode.BUSY, max_msg=16384), 2)
     HatRpcServer(tb.node(0), gen, "MiniKV", KVHandler(tb), plan=plan).start()
 
     def run():
@@ -394,8 +396,8 @@ def test_abandoned_wait_isolates_its_window_neighbors(gen):
     with obs.installed() as reg:
         tb = Testbed(n_nodes=2)
         fns = gen.SERVICE_FUNCTIONS["MiniKV"]
-        plan = pinned_plan("MiniKV", fns, "direct_writeimm", PollMode.BUSY,
-                           max_msg=16384, window=4)
+        plan = plan_with_window(pinned_plan("MiniKV", fns, "direct_writeimm",
+                                            PollMode.BUSY, max_msg=16384), 4)
         HatRpcServer(tb.node(0), gen, "MiniKV", KVHandler(tb),
                      plan=plan).start()
 

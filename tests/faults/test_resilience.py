@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core import engine as engine_mod
+from repro.core import resilience
 from repro.core.engine import HatRpcEngine
 from repro.core.resilience import CircuitBreaker, RetryPolicy
 from repro.core.runtime import (HatRpcServer, hatrpc_connect,
@@ -199,11 +200,11 @@ def test_failback_once_primary_breaker_readmits(gen):
         primary = engine.plan.routes["Get"].channel
         yield from stub.Get("k")               # healthy, on the primary
         br = engine._breaker(primary)
-        for _ in range(br.failure_threshold):
+        for _ in range(resilience.BREAKER_THRESHOLD):
             br.record_failure()                # primary declared dead
         yield from stub.Get("k")
         assert engine.faults.failovers == 1
-        yield tb.sim.timeout(br.reset_after + 1 * us)
+        yield tb.sim.timeout(resilience.BREAKER_RESET_AFTER + 1 * us)
         yield from stub.Get("k")               # HALF_OPEN probe -> primary
         assert engine.faults.failbacks == 1
         assert br.state == br.CLOSED
@@ -266,14 +267,15 @@ def test_backoff_schedule_is_seeded_and_capped():
         pytest.approx([50 * us, 100 * us, 200 * us, 200 * us])
 
 
-def test_circuit_breaker_state_machine():
+def test_circuit_breaker_state_machine(monkeypatch):
     class FakeSim:
         now = 0.0
 
+    monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(resilience, "BREAKER_RESET_AFTER", 100 * us)
     sim = FakeSim()
     opened = []
-    br = CircuitBreaker(sim, failure_threshold=2, reset_after=100 * us,
-                        on_open=opened.append)
+    br = CircuitBreaker(sim, on_open=opened.append)
     assert br.allow()
     br.record_failure()
     assert br.state == br.CLOSED and br.allow()
@@ -297,18 +299,19 @@ def test_circuit_breaker_transition_log_bounded_under_flapping(
     limit: ``fault_trace`` keeps the newest ``FAULT_TRACE_CAP`` entries
     and counts the evicted ones."""
     cap = 8
+    reset_after = 10 * us
     monkeypatch.setattr(engine_mod, "FAULT_TRACE_CAP", cap)
+    monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 1)
+    monkeypatch.setattr(resilience, "BREAKER_RESET_AFTER", reset_after)
     tb = Testbed(n_nodes=2)
     engine = HatRpcEngine(tb.node(1), service_plan_of(gen, "MiniKV"))
     sim = tb.sim
     br = engine._breaker(0)
-    br.failure_threshold = 1
-    br.reset_after = 10 * us
     # Each lap is CLOSED->OPEN, OPEN->HALF_OPEN, HALF_OPEN->CLOSED, and
     # the open lands in the log: 100 laps of flapping.
     for _ in range(100):
         br.record_failure()                    # -> OPEN
-        sim.now += br.reset_after + 1 * us
+        sim.now += reset_after + 1 * us
         assert br.allow()                      # -> HALF_OPEN probe
         br.record_success()                    # -> CLOSED
     assert br.state == br.CLOSED and br.opens == 100
@@ -318,7 +321,7 @@ def test_circuit_breaker_transition_log_bounded_under_flapping(
     # The survivors are the most recent entries, in order.
     times = [t for t, *_ in engine.fault_trace]
     assert times == sorted(times)
-    assert times[-1] == pytest.approx(99 * (br.reset_after + 1 * us))
+    assert times[-1] == pytest.approx(99 * (reset_after + 1 * us))
     assert {kind for _, kind, *_ in engine.fault_trace} == {"breaker_open"}
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.core.hints import ResolvedHints
+from repro.hatkv import backend as backend_mod
 from repro.hatkv.backend import BackendCosts, LmdbBackend
 from repro.lmdb import MapFullError, SyncMode
 from repro.sim.core import Interrupt
@@ -377,10 +378,11 @@ def test_group_commit_dropped_multi_put_counts_its_entries(tb, any_cap):
     assert run(tb, any_cap.multi_get(keys)) == [None] * 3
 
 
-def test_failed_txn_counts_its_entries(tb):
+def test_failed_txn_counts_its_entries(tb, monkeypatch):
     """A MultiPut of 3 whose txn fails (a full map) adds 3 to ``aborts``
     and lands nothing."""
-    b = LmdbBackend(tb.node(0), map_size=16 * 4096)
+    monkeypatch.setattr(backend_mod, "MAP_SIZE", 16 * 4096)
+    b = LmdbBackend(tb.node(0))
     keys = [b"a", b"b", b"c"]
     with pytest.raises(MapFullError):
         run(tb, b.multi_put(keys, [b"x" * 30000] * 3))

@@ -14,7 +14,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFlap
 from repro.hatkv import (HatKVServer, ShardedKVCluster, hatkv_idl,
                          load_hatkv_module)
-from repro.hatkv.cache import CacheEntry, HotKeyCache
+from repro.hatkv.cache import HotKeyCache
 from repro.hatkv.client import cache_for
 from repro.hatkv.server import SERVICE, LeaseTable
 from repro.idl import load_idl

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.hatkv import (ShardedKVCluster, load_hatkv_module,
                          RangeHandedOffError, ResizeTrigger)
+from repro.hatkv import migration
 from repro.hatkv.client import connect_hatkv
 from repro.hatkv.migration import (HandoffGuard, MigrationPlan, RangeState,
                                    RING_SPACE, hash_key)
@@ -491,16 +492,17 @@ def test_scan_dedup_survives_a_mid_merge_ring_flip():
 
 
 @pytest.mark.parametrize("window_us", range(19, 25))
-def test_scan_racing_a_shrinks_detach_skips_the_retired_shard(window_us):
+def test_scan_racing_a_shrinks_detach_skips_the_retired_shard(window_us,
+                                                              monkeypatch):
     """A Scan fixes its leg list when it starts, and posting a leg yields.
     A shrink that retires the tail shard between two of those posts used
     to send the next leg to a shard record that was gone (IndexError at
     21 us here); the retired shard's rows were handed off and dropped
     before it was detached, so the scan just skips it.  The forwarding
     window is swept so the detach lands on every phase of the scan loop."""
+    monkeypatch.setattr(migration, "FORWARD_WINDOW", window_us * us)
     tb = Testbed(n_nodes=8)
-    cluster = ShardedKVCluster(tb, 3, vnodes=8,
-                               forward_window=window_us * us).start()
+    cluster = ShardedKVCluster(tb, 3, vnodes=8).start()
     keys = keys_of(40)
     cluster.load((k, b"v" * 20) for k in keys)
     scans = []

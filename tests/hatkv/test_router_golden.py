@@ -62,7 +62,7 @@ import pytest
 from repro import obs
 from repro.core.resilience import RetryPolicy
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
-from repro.hatkv import ShardedKVCluster, load_hatkv_module
+from repro.hatkv import ShardedKVCluster, load_hatkv_module, migration
 from repro.hatkv.client import cache_for
 from repro.sim.units import ms, us
 from repro.testbed import Testbed
@@ -197,8 +197,7 @@ def run_program(seed):
                                 cacheable={"ttl": TTL})
         cluster = ShardedKVCluster(tb, 2, gen_module=gen, replicas=2,
                                    vnodes=32, concurrency=8,
-                                   reserve_nodes=[tb.nodes[2]],
-                                   forward_window=FORWARD_WINDOW).start()
+                                   reserve_nodes=[tb.nodes[2]]).start()
         keys = [Workload.key_of(i) for i in range(N_KEYS)]
         cluster.load((k, b"seed-" + k) for k in keys)
         FaultInjector(tb, FaultPlan(seed=seed, events=tuple(
@@ -280,7 +279,9 @@ def run_program(seed):
 
 
 def fingerprint(seed) -> dict:
-    ops, sim, counters = run_program(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(migration, "FORWARD_WINDOW", FORWARD_WINDOW)
+        ops, sim, counters = run_program(seed)
     h = hashlib.sha256()
     for op in ops:
         h.update(repr(op).encode())

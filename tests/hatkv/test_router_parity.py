@@ -26,7 +26,7 @@ import pytest
 
 from repro import obs
 from repro.core.resilience import RetryPolicy
-from repro.hatkv import ShardedKVCluster, load_hatkv_module
+from repro.hatkv import ShardedKVCluster, load_hatkv_module, migration
 from repro.hatkv.migration import hash_key
 from repro.sim.units import us
 from repro.testbed import Testbed
@@ -52,6 +52,12 @@ def seed_value(key):
     return b"seed-" + key
 
 
+@pytest.fixture(autouse=True)
+def forward_window(monkeypatch):
+    """Every situation's forwarding window outlasts its whole run."""
+    monkeypatch.setattr(migration, "FORWARD_WINDOW", 10e-3)
+
+
 @pytest.fixture(scope="module")
 def gen():
     return load_hatkv_module("function", concurrency=8,
@@ -65,7 +71,7 @@ class World:
         self.tb = tb = Testbed(n_nodes=8)
         self.cluster = cluster = ShardedKVCluster(
             tb, 2, gen_module=gen, replicas=2, vnodes=16, concurrency=8,
-            reserve_nodes=[tb.nodes[2]], forward_window=10e-3).start()
+            reserve_nodes=[tb.nodes[2]]).start()
         self.keys = KEYS
         cluster.load((k, seed_value(k)) for k in self.keys)
         self.situation = situation

@@ -292,7 +292,7 @@ def test_per_shard_metrics_and_key_distribution_gauge():
 def test_trace_annotates_shard_on_hint_select():
     with obstrace.installed(sample_rate=1.0) as col:
         tb = Testbed(n_nodes=8)
-        cluster = ShardedKVCluster(tb, 2, pipeline=False).start()
+        cluster = ShardedKVCluster(tb, 2).start()
         cluster.load((k, b"v" * 50) for k in keys_of(20))
 
         def client():

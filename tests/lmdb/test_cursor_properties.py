@@ -1,6 +1,5 @@
 """Property-based cursor tests against a sorted-dict model."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lmdb import Environment

@@ -15,7 +15,7 @@ from repro.protocols.base import (HDR_BYTES, K_EAGER, K_NOTIFY, K_RTS,
 from repro.protocols.serverbypass import BypassServerEnd, HerdServerEnd
 from repro.sim.units import KiB, us
 from repro.testbed import Testbed
-from repro.verbs import Opcode, QPState, SendWR, Sge, WCStatus
+from repro.verbs import Opcode, SendWR, Sge
 from repro.verbs.errors import CQOverflowError, QPStateError, WCError
 
 from tests.protocols.conftest import make_pair

@@ -27,7 +27,7 @@ from types import ModuleType
 
 import pytest
 
-from repro.core.engine import pinned_plan
+from repro.core.engine import pinned_plan, plan_with_window
 from repro.core.resilience import RetryPolicy
 from repro.core.runtime import HatRpcClient, HatRpcServer
 from repro.idl import load_idl
@@ -113,8 +113,9 @@ def test_no_message_outlives_its_call(gen, recorded, proto, mode, how):
     pipelined = how == "pipelined"
     window = 4 if pipelined and get_protocol(proto)[0].supports_pipelining \
         else 1
-    plan = pinned_plan("Mirror", ["Echo"], proto, PollMode[mode.upper()],
-                       max_msg=2 * SIZE, window=window)
+    plan = plan_with_window(pinned_plan("Mirror", ["Echo"], proto,
+                                        PollMode[mode.upper()],
+                                        max_msg=2 * SIZE), window)
     tb = Testbed(n_nodes=2)
     sim = tb.sim
     payloads = []

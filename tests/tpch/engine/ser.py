@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.thrift import TBinaryProtocol, TMemoryBuffer, TType
+from repro.thrift import TBinaryProtocol, TMemoryBuffer
 from .table import Table
 
 __all__ = ["deserialize_table", "serialize_table"]

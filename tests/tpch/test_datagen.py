@@ -1,6 +1,5 @@
 """Data-generator distribution and schema-conformance tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,9 +1,7 @@
 """Completion-queue mechanics + memory-watch tests."""
 
-import pytest
-
 from repro.sim.units import us
-from repro.verbs import Opcode, SendWR, Sge, WC, WCOpcode, WCStatus
+from repro.verbs import Opcode, SendWR, Sge, WC, WCOpcode
 from repro.verbs.cq import PollMode
 
 

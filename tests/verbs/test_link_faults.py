@@ -10,7 +10,6 @@ retry-exhaustion statuses onto ``TTransportException(TIMED_OUT)``.
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
-from repro.sim.units import us
 from repro.thrift.errors import (TTransportException,
                                  transport_exception_from_wc)
 from repro.verbs import Opcode, QPState, SendWR, Sge, WCStatus

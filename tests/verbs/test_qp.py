@@ -14,7 +14,6 @@ from repro.verbs import (
     WCStatus,
 )
 from repro.verbs.cq import PollMode
-from repro.verbs.qp import connect_pair
 
 
 def run(tb, gen):
